@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -12,8 +13,9 @@ import (
 // TestNetdErrorPaths drives every client-error path of the API and
 // verifies two things per case: the documented status code, and that the
 // daemon remains fully serviceable afterwards (the error left no stuck
-// state behind). Raw-body cases cover malformed JSON, which the typed
-// call helper cannot produce.
+// state behind). Raw-body cases cover malformed JSON and the bodies the
+// strict inject decoder refuses, which the typed call helper cannot
+// produce.
 func TestNetdErrorPaths(t *testing.T) {
 	a := apps.Firewall()
 	c := ctrl.New(a.Topo, ctrl.Options{Workers: 2})
@@ -64,6 +66,27 @@ func TestNetdErrorPaths(t *testing.T) {
 		{name: "swap unknown app inline", path: "/swap", body: map[string]any{"app": "no-such-app"}, code: 400},
 		{name: "inject malformed JSON", path: "/inject", raw: `{"host": 3}`, code: 400},
 		{name: "inject unknown host", path: "/inject", body: map[string]any{"host": "H9", "fields": map[string]int{"dst": 1}}, code: 400},
+		{name: "inject oversized body", path: "/inject", raw: `{"host":"H1","fields":{"dst":104}}` + strings.Repeat(" ", maxBodyBytes), code: 413},
+		{name: "inject-batch oversized body", path: "/inject-batch", raw: `{"packets":[` + strings.Repeat(`{"host":"H1"},`, maxBodyBytes/14) + `{"host":"H1"}]}`, code: 413},
+		{name: "program oversized body", path: "/program", raw: `{"app":"firewall","name":"` + strings.Repeat("x", maxBodyBytes) + `"}`, code: 413},
+		{name: "swap oversized body", path: "/swap", raw: `{"app":"firewall","name":"` + strings.Repeat("x", maxBodyBytes) + `"}`, code: 413},
+		{name: "inject over count", path: "/inject", raw: `{"host":"H1","fields":{"dst":104},"count":65537}`, code: 400},
+		{name: "inject-batch over total count", path: "/inject-batch", raw: `{"packets":[{"host":"H1","count":40000},{"host":"H1","count":40000}]}`, code: 400},
+		{name: "inject non-integer value", path: "/inject", raw: `{"host":"H1","fields":{"dst":104.5}}`, code: 400},
+		{name: "inject exponent count", path: "/inject", raw: `{"host":"H1","count":1e9}`, code: 400},
+		{name: "inject string value", path: "/inject", raw: `{"host":"H1","fields":{"dst":"104"}}`, code: 400},
+		{name: "inject value outside int32", path: "/inject", raw: `{"host":"H1","fields":{"dst":2147483648}}`, code: 400},
+		{name: "inject value outside int64", path: "/inject", raw: `{"host":"H1","fields":{"dst":9223372036854775808}}`, code: 400},
+		{name: "inject duplicate key", path: "/inject", raw: `{"host":"H1","host":"H1"}`, code: 400},
+		{name: "inject duplicate field", path: "/inject", raw: `{"host":"H1","fields":{"dst":104,"dst":104}}`, code: 400},
+		{name: "inject escaped host", path: "/inject", raw: `{"host":"H\u0031","fields":{"dst":104}}`, code: 400},
+		{name: "inject unknown key", path: "/inject", raw: `{"host":"H1","ttl":3}`, code: 400},
+		{name: "inject-batch unknown top-level key", path: "/inject-batch", raw: `{"packets":[{"host":"H1"}],"atomic":true}`, code: 400},
+		{name: "inject-batch capitalized key", path: "/inject-batch", raw: `{"Packets":[{"host":"H1"}]}`, code: 400},
+		{name: "inject trailing garbage", path: "/inject", raw: `{"host":"H1","fields":{"dst":104}} x`, code: 400},
+		{name: "inject-batch trailing garbage", path: "/inject-batch", raw: `{"packets":[{"host":"H1"}]}]`, code: 400},
+		{name: "inject-batch null packets", path: "/inject-batch", raw: `{"packets":null}`, code: 400},
+		{name: "inject empty body", path: "/inject", raw: ` `, code: 400},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,11 +99,37 @@ func TestNetdErrorPaths(t *testing.T) {
 		})
 	}
 
+	// The 413 is typed: it names the limit, so a client can split its
+	// batch instead of guessing.
+	resp, err := ts.Client().Post(ts.URL+"/inject-batch", "application/json", strings.NewReader(strings.Repeat(" ", maxBodyBytes+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tooBig struct {
+		Error      string `json:"error"`
+		LimitBytes int64  `json:"limit_bytes"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&tooBig); err != nil || resp.StatusCode != 413 || tooBig.LimitBytes != maxBodyBytes || tooBig.Error == "" {
+		t.Fatalf("oversized body: status %d, body %+v, decode error %v", resp.StatusCode, tooBig, err)
+	}
+	resp.Body.Close()
+	serviceable()
+
+	// A value outside int32 rejects its packet, not the batch.
+	out := call(t, ts, "POST", "/inject-batch", map[string]any{"packets": []map[string]any{
+		{"host": "H1", "fields": map[string]int{"dst": apps.H(4)}},
+		{"host": "H1", "fields": map[string]int{"dst": 1 << 40}},
+	}}, 200)
+	if rej, _ := out["rejected"].([]any); out["injected"].(float64) != 1 || len(rej) != 1 || rej[0].(map[string]any)["index"].(float64) != 1 {
+		t.Fatalf("out-of-domain packet in a batch: %v", out)
+	}
+	serviceable()
+
 	// Double-swap: the staged program is consumed by the first swap, so
 	// an immediate second body-less swap has nothing to apply.
 	call(t, ts, "POST", "/program", map[string]any{"app": "bandwidth-cap", "cap": 3}, 200)
 	call(t, ts, "POST", "/swap", nil, 200)
-	out := call(t, ts, "POST", "/swap", nil, 400)
+	out = call(t, ts, "POST", "/swap", nil, 400)
 	if msg, _ := out["error"].(string); !strings.Contains(msg, "no staged program") {
 		t.Fatalf("double swap error: %v", out)
 	}

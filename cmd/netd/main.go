@@ -33,8 +33,29 @@
 //	POST /inject-batch
 //	                {"packets":[{"host":"H1","fields":{"dst":104}},...]};
 //	                the whole batch is admitted at one engine boundary,
-//	                bad packets rejected per index
+//	                bad packets rejected by their index in "packets"
 //	POST /quiesce   block until all queued traffic has drained
+//
+// The two inject bodies are read by a strict scanner, not a general JSON
+// decoder. It accepts exactly: a packet object with the keys "host" (a
+// string), "fields" (an object of string: integer) and "count" (an
+// integer), or {"packets":[packet,...]}; keys in any order, each at
+// most once, spelled exactly, all optional; strings without backslash
+// escapes or control bytes, valid UTF-8, at most 64 bytes; integers as
+// -?(0|[1-9][0-9]*) within int64; JSON whitespace between tokens and
+// nothing after the value. Unknown keys, duplicate keys, null, escapes,
+// fractions and exponents are a 400 ({"error":"bad request: offset N:
+// ..."}). A request may expand to at most 65 536 packets (the sum of
+// its counts) and name at most 256 distinct fields (400 past either).
+// An unknown host or a field value outside int32 rejects that packet
+// only: 400 on /inject; on /inject-batch the rest is admitted and the
+// answer is {"injected":N,"rejected":[{"index":i,"error":"..."}]}, 400
+// only when nothing was. count > 1 admits that many copies, numbered
+// in field "id". See inject.go for the grammar and docs/OPS.md for the
+// operator's view.
+//
+// Every POST body is limited to 1 MiB; a longer one is answered 413
+// {"error":"request body exceeds 1048576 bytes","limit_bytes":1048576}.
 //
 // Programs submitted by name reuse the built-in applications; programs
 // submitted as source are parsed over the daemon's topology. Successive
@@ -69,7 +90,6 @@ import (
 	"eventnet/internal/apps"
 	"eventnet/internal/ctrl"
 	"eventnet/internal/dataplane"
-	"eventnet/internal/netkat"
 	"eventnet/internal/obs"
 	"eventnet/internal/stateful"
 	"eventnet/internal/syntax"
@@ -130,13 +150,6 @@ type programRequest struct {
 	Init     []int  `json:"init"`
 }
 
-// injectRequest is the body of POST /inject.
-type injectRequest struct {
-	Host   string         `json:"host"`
-	Fields map[string]int `json:"fields"`
-	Count  int            `json:"count"`
-}
-
 // httpError is the JSON error envelope.
 type httpError struct {
 	Error string `json:"error"`
@@ -150,6 +163,16 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func fail(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, httpError{Error: fmt.Sprintf(format, args...)})
+}
+
+// failBody answers a request whose body could not be read or decoded:
+// the typed 413 when it ran past maxBodyBytes, a 400 otherwise.
+func failBody(w http.ResponseWriter, err error) {
+	if tooLarge(err) {
+		writeRaw(w, http.StatusRequestEntityTooLarge, tooLargeBody)
+		return
+	}
+	fail(w, http.StatusBadRequest, "bad request: %v", err)
 }
 
 // appByName resolves a built-in application.
@@ -238,7 +261,7 @@ func (s *server) resolve(req programRequest) (string, stateful.Program, error) {
 func (s *server) handleProgram(w http.ResponseWriter, r *http.Request) {
 	var req programRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fail(w, http.StatusBadRequest, "bad request: %v", err)
+		failBody(w, err)
 		return
 	}
 	name, prog, err := s.resolve(req)
@@ -273,7 +296,7 @@ func (s *server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	var req programRequest
 	if r.ContentLength != 0 {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			fail(w, http.StatusBadRequest, "bad request: %v", err)
+			failBody(w, err)
 			return
 		}
 	}
@@ -311,87 +334,6 @@ func (s *server) handleSwap(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 	}
 	writeJSON(w, http.StatusOK, rep)
-}
-
-// expand turns one inject request into its injections: Count copies,
-// id-disambiguated when the expansion would otherwise duplicate headers.
-func (s *server) expand(ins []dataplane.Injection, req injectRequest) []dataplane.Injection {
-	n := req.Count
-	if n <= 0 {
-		n = 1
-	}
-	for i := 0; i < n; i++ {
-		fields := netkat.Packet{}
-		for f, v := range req.Fields {
-			fields[f] = v
-		}
-		if n > 1 {
-			fields["id"] = int(s.nextID.Add(1))
-		}
-		ins = append(ins, dataplane.Injection{Host: req.Host, Fields: fields})
-	}
-	return ins
-}
-
-func (s *server) handleInject(w http.ResponseWriter, r *http.Request) {
-	var req injectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fail(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	// Count-expansions go through the batched ingress: one admission
-	// boundary for the whole request instead of one per packet.
-	ins := s.expand(nil, req)
-	for _, err := range s.c.InjectBatch(ins) {
-		if err != nil {
-			fail(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"injected": len(ins)})
-}
-
-// injectBatchRequest is the body of POST /inject-batch.
-type injectBatchRequest struct {
-	Packets []injectRequest `json:"packets"`
-}
-
-// batchReject reports one rejected packet of a batch.
-type batchReject struct {
-	Index int    `json:"index"`
-	Error string `json:"error"`
-}
-
-func (s *server) handleInjectBatch(w http.ResponseWriter, r *http.Request) {
-	var req injectBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fail(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	if len(req.Packets) == 0 {
-		fail(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	var ins []dataplane.Injection
-	for _, p := range req.Packets {
-		ins = s.expand(ins, p)
-	}
-	// Partial-batch semantics, like the engine's: bad packets are
-	// reported per index, the rest are admitted at one boundary.
-	var rejected []batchReject
-	for i, err := range s.c.InjectBatch(ins) {
-		if err != nil {
-			rejected = append(rejected, batchReject{Index: i, Error: err.Error()})
-		}
-	}
-	code := http.StatusOK
-	if len(rejected) == len(ins) {
-		code = http.StatusBadRequest
-	}
-	writeJSON(w, code, map[string]any{
-		"injected": len(ins) - len(rejected),
-		"rejected": rejected,
-	})
 }
 
 func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -582,11 +524,11 @@ func newServer(c *ctrl.Controller, o *obs.Obs) (*server, http.Handler) {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /watch", s.handleWatch)
 	mux.HandleFunc("GET /debug/flight", s.handleFlight)
-	mux.HandleFunc("POST /program", s.handleProgram)
-	mux.HandleFunc("POST /swap", s.handleSwap)
-	mux.HandleFunc("POST /inject", s.handleInject)
-	mux.HandleFunc("POST /inject-batch", s.handleInjectBatch)
-	mux.HandleFunc("POST /quiesce", s.handleQuiesce)
+	mux.HandleFunc("POST /program", limitBody(s.handleProgram))
+	mux.HandleFunc("POST /swap", limitBody(s.handleSwap))
+	mux.HandleFunc("POST /inject", limitBody(s.handleInject))
+	mux.HandleFunc("POST /inject-batch", limitBody(s.handleInjectBatch))
+	mux.HandleFunc("POST /quiesce", limitBody(s.handleQuiesce))
 	return s, mux
 }
 

@@ -80,6 +80,8 @@ type Program struct {
 	NES     *nes.NES
 	Stats   ets.Stats
 	Compile time.Duration
+
+	key string // progKey(Prog), rendered once when the generation is memoized
 }
 
 // StateOf returns the state vector behind a configuration tag (tags are
@@ -197,7 +199,7 @@ func (c *Controller) Compile(name string, p stateful.Program) (*Program, error) 
 	key := progKey(p)
 	c.mu.Lock()
 	for i, g := range c.progs {
-		if progKey(g.Prog) == key {
+		if g.key == key {
 			c.progs = append(append(c.progs[:i:i], c.progs[i+1:]...), g) // refresh LRU position
 			c.mu.Unlock()
 			return g, nil
@@ -214,7 +216,7 @@ func (c *Controller) Compile(name string, p stateful.Program) (*Program, error) 
 	if err != nil {
 		return nil, fmt.Errorf("ctrl: converting %s: %w", name, err)
 	}
-	g := &Program{Name: name, Prog: p, ETS: e, NES: n, Stats: stats, Compile: time.Since(start)}
+	g := &Program{Name: name, Prog: p, ETS: e, NES: n, Stats: stats, Compile: time.Since(start), key: key}
 	if m := c.metrics(); m != nil {
 		// Memo hits above return before this point, so these record fresh
 		// builds only. stats.Cache hit/miss counters are already this
@@ -475,6 +477,18 @@ func (c *Controller) InjectBatch(ins []dataplane.Injection) []error {
 		return errs
 	}
 	return eng.InjectAsyncBatch(ins)
+}
+
+// NewBatch returns an empty flat ingress batch bound to the running
+// engine (nil before Load): the allocation-free way in for a decoder,
+// which fills it and hands it over with Batch.Submit. The engine, and
+// with it every host index, outlives all swaps.
+func (c *Controller) NewBatch() *dataplane.Batch {
+	eng := c.engine()
+	if eng == nil {
+		return nil
+	}
+	return eng.NewBatch()
 }
 
 // Quiesce blocks until the engine has drained all queued traffic.

@@ -2,9 +2,8 @@ package dataplane
 
 import (
 	"fmt"
-	"time"
 
-	"eventnet/internal/nes"
+	"eventnet/internal/netkat"
 	"eventnet/internal/obs"
 )
 
@@ -14,6 +13,12 @@ import (
 // of the ~100ns hop loop. A batch amortizes the program lookup and the
 // admission boundary over the whole slice while keeping per-packet
 // semantics bit-identical to sequential injection.
+//
+// The synchronous InjectBatch takes map-form packets and interns them on
+// the spot. The served-mode inbox carries one representation from the
+// socket to the rings: the flat Batch below, which a wire decoder (or the
+// InjectAsync adapters) fills without building a map, and which admit
+// interns against whatever program is current at the boundary.
 
 // batchErr records a per-packet failure at index i of a batch, lazily
 // allocating the error slice (the steady state is an error-free batch).
@@ -32,24 +37,23 @@ func batchErr(errs []error, n, i int, err error) []error {
 // slot, and the rest of the batch is still admitted. stamps[i] is the
 // (epoch, version) stamp of packet i; errs is nil when every packet was
 // admitted, otherwise errs[i] non-nil marks the rejected packets (and
-// stamps[i] is zero). Synchronous mode only, like Inject; the fields
-// maps are retained read-only when they carry non-schema fields.
+// stamps[i] is zero). Synchronous mode only, like Inject.
 func (e *Engine) InjectBatch(ins []Injection) ([]Stamp, []error) {
 	stamps := make([]Stamp, len(ins))
 	var errs []error
 	cp := e.cur()
 	width := cp.schema.Len()
 	wk := e.ws[0]
-	var now int64
-	if e.met != nil {
-		// One clock read stamps the whole batch (they are admitted at one
-		// boundary anyway).
-		now = time.Now().UnixNano()
-		e.nowNs = now
-	}
+	// One clock read stamps the whole batch (they are admitted at one
+	// boundary anyway).
+	now := e.ingressClock()
+	// The call's inert set is allocated by its first inert field, with
+	// room for all the fields of as many such packets as remain: one
+	// allocation and no regrowth when the packets are alike.
+	var inert *inertSet
 	for bi := range ins {
 		in := &ins[bi]
-		h, ok := e.hostBy[in.Host]
+		hi, ok := e.hostIdx[in.Host]
 		if !ok {
 			errs = batchErr(errs, len(ins), bi, fmt.Errorf("dataplane: unknown host %q", in.Host))
 			continue
@@ -58,70 +62,313 @@ func (e *Engine) InjectBatch(ins []Injection) ([]Stamp, []error) {
 			errs = batchErr(errs, len(ins), bi, err)
 			continue
 		}
-		i := e.swIdx[h.Attach.Switch]
-		st := Stamp{Epoch: cp.epoch, Version: cp.gAt(cp.views[i])}
-		e.seq++
+		h := &e.hosts[hi]
+		st := Stamp{Epoch: cp.epoch, Version: cp.gAt(cp.views[h.sw])}
 		vals := wk.takeVals(width)
-		pres, inert := cp.schema.intern(in.Fields, vals)
-		var tid int32
+		lo := inert.len()
+		var pres uint64
+		pres, inert = cp.schema.intern(in.Fields, vals, inert, len(in.Fields)*(len(ins)-bi))
 		if e.met != nil {
 			wk.ms.Inc(obs.CtrInjections)
 		}
-		if e.tracer != nil {
-			tid = e.tracer.Sample(in.Host, e.seq, e.gen, st.Epoch, st.Version)
-		}
-		e.rings[i].push(&qpkt{
-			vals:    vals,
-			pres:    pres,
-			inert:   inert,
-			inPort:  h.Attach.Port,
-			epoch:   st.Epoch,
-			version: st.Version,
-			digest:  nes.Empty,
-			seq:     e.seq,
-			tns:     now,
-			trace:   tid,
-		})
-		cp.inflight++
+		e.ingress(cp, h, st.Version, vals, pres, inert.since(lo), now)
 		stamps[bi] = st
 	}
 	return stamps, errs
 }
 
-// InjectAsyncBatch queues a batch for admission at one boundary of a
-// serving engine: validation (host and value domain) happens here,
-// per-packet, outside the boundary, and the admissible packets are
-// cloned and enqueued under one lock — one supervisor round trip for
-// the whole batch instead of one per packet. errs follows the
-// InjectBatch convention (nil = all admitted). On a non-serving engine
-// the batch is admitted inline.
-func (e *Engine) InjectAsyncBatch(ins []Injection) []error {
-	var errs []error
-	reqs := make([]injectReq, 0, len(ins))
-	for bi := range ins {
-		in := &ins[bi]
-		if _, ok := e.hostBy[in.Host]; !ok {
-			errs = batchErr(errs, len(ins), bi, fmt.Errorf("dataplane: unknown host %q", in.Host))
-			continue
+// batchRec is one record of a flat batch: count copies of a packet
+// entering at host index host with fields pairs[lo:hi]. When numbered is
+// not negative it is a field id, and copy j carries base+j in that field
+// whatever the pairs say — how count-expansions stay distinguishable.
+type batchRec struct {
+	host     int32
+	count    int32
+	lo, hi   int32
+	numbered int32
+	base     int32
+}
+
+// Batch is a flat ingress batch: packets as (host index, field-id/int32
+// pairs, count) records with the field names in a table of the batch's
+// own, so filling one builds no map and its arrays hold no pointers.
+// Batches are pooled per engine: take one with NewBatch, fill it —
+// Field for each header field of a packet, then Commit (or Abort) —
+// and hand it back with Submit or Release, after which it must not be
+// touched. A Batch is not safe for concurrent use.
+//
+// Host indices are fixed for the engine's lifetime, but fields stay
+// symbolic until admission: which of them a program can see is a
+// property of the program current at that boundary, not of the one
+// running when the batch was filled.
+type Batch struct {
+	e       *Engine
+	names   []byte  // field names, concatenated
+	nameEnd []int32 // field id i is names[nameEnd[i-1]:nameEnd[i]]
+	hint    int32   // the id after the last one resolved: records repeat their key order
+	pairs   []fieldPair
+	open    int32 // pairs[open:] belong to the record being filled
+	recs    []batchRec
+	packets int // Σ count
+}
+
+// NewBatch returns an empty batch bound to this engine.
+func (e *Engine) NewBatch() *Batch {
+	if b, ok := e.batches.Get().(*Batch); ok {
+		return b
+	}
+	return &Batch{e: e}
+}
+
+// Release returns the batch to its engine's pool without submitting it.
+func (b *Batch) Release() {
+	b.names, b.nameEnd, b.hint = b.names[:0], b.nameEnd[:0], 0
+	b.pairs, b.open, b.recs, b.packets = b.pairs[:0], 0, b.recs[:0], 0
+	b.e.batches.Put(b)
+}
+
+// Host resolves a host name to its index, false when the topology has
+// no such host.
+func (b *Batch) Host(name []byte) (int32, bool) {
+	hi, ok := b.e.hostIdx[string(name)]
+	return hi, ok
+}
+
+// FieldID returns the batch-local id of a field name, assigning the next
+// one (ids are dense from 0) on first sight. The table is scanned
+// linearly from where the previous lookup ended, which is one comparison
+// when packets repeat their key order; callers decoding untrusted input
+// bound the ids they accept.
+func (b *Batch) FieldID(name []byte) int32 {
+	n := int32(len(b.nameEnd))
+	for k := int32(0); k < n; k++ {
+		id := b.hint + k
+		if id >= n {
+			id -= n
 		}
-		if err := ValidateDomain(in.Fields); err != nil {
-			errs = batchErr(errs, len(ins), bi, err)
-			continue
+		if string(b.fieldName(id)) == string(name) {
+			b.hint = id + 1
+			return id
 		}
-		reqs = append(reqs, injectReq{host: in.Host, fields: in.Fields.Clone()})
+	}
+	b.names = append(b.names, name...)
+	b.nameEnd = append(b.nameEnd, int32(len(b.names)))
+	b.hint = 0
+	return n
+}
+
+// nameSpan returns where field id's name lies in the name table.
+func (b *Batch) nameSpan(id int32) (lo, hi int32) {
+	if id > 0 {
+		lo = b.nameEnd[id-1]
+	}
+	return lo, b.nameEnd[id]
+}
+
+func (b *Batch) fieldName(id int32) []byte {
+	lo, hi := b.nameSpan(id)
+	return b.names[lo:hi]
+}
+
+// Field adds a header field to the record being filled.
+func (b *Batch) Field(id, val int32) {
+	b.pairs = append(b.pairs, fieldPair{id: id, val: val})
+}
+
+// Commit closes the record being filled: count (at least 1) copies of
+// the packet enter at host index host.
+func (b *Batch) Commit(host, count int32) { b.CommitNumbered(host, count, -1, 0) }
+
+// CommitNumbered is Commit with the copies told apart: copy j carries
+// base+j in field id numbered, overriding any value Field gave it.
+func (b *Batch) CommitNumbered(host, count, numbered, base int32) {
+	end := int32(len(b.pairs))
+	b.recs = append(b.recs, batchRec{host: host, count: count, lo: b.open, hi: end, numbered: numbered, base: base})
+	b.open = end
+	b.packets += int(count)
+}
+
+// Abort discards the record being filled.
+func (b *Batch) Abort() { b.pairs = b.pairs[:b.open] }
+
+// Packets returns how many packets the committed records expand to.
+func (b *Batch) Packets() int { return b.packets }
+
+// Injections returns the committed records in map form with their copy
+// counts — the inverse of filling a batch, for tests that hold a
+// decoder against a reference.
+func (b *Batch) Injections() ([]Injection, []int) {
+	ins := make([]Injection, len(b.recs))
+	counts := make([]int, len(b.recs))
+	for i, r := range b.recs {
+		f := make(netkat.Packet, r.hi-r.lo)
+		for _, p := range b.pairs[r.lo:r.hi] {
+			f[string(b.fieldName(p.id))] = int(p.val)
+		}
+		ins[i] = Injection{Host: b.e.hosts[r.host].name, Fields: f}
+		counts[i] = int(r.count)
+	}
+	return ins, counts
+}
+
+// Submit queues the batch for admission at the next boundary of a
+// serving engine — one lock, one supervisor wake-up — and gives it up.
+// On a non-serving engine it is admitted inline (synchronous contract).
+func (b *Batch) Submit() {
+	e := b.e
+	if len(b.recs) == 0 {
+		b.Release()
+		return
 	}
 	e.wmu.Lock()
 	if !e.serving {
 		e.wmu.Unlock()
-		for i := range reqs {
-			// Validated above; cannot fail.
-			e.Inject(reqs[i].host, reqs[i].fields)
-		}
-		return errs
+		e.admit(b, e.ingressClock())
+		return
 	}
-	e.inbox = append(e.inbox, reqs...)
+	e.inbox = append(e.inbox, b)
 	e.boundReq.Store(true)
 	e.cond.Broadcast()
 	e.wmu.Unlock()
+}
+
+// add fills one record from a map-form packet, validating it as Inject
+// does.
+func (b *Batch) add(host string, fields netkat.Packet) error {
+	hi, ok := b.e.hostIdx[host]
+	if !ok {
+		return fmt.Errorf("dataplane: unknown host %q", host)
+	}
+	if err := ValidateDomain(fields); err != nil {
+		return err
+	}
+	for f, v := range fields {
+		b.Field(b.FieldID([]byte(f)), int32(v))
+	}
+	b.Commit(hi, 1)
+	return nil
+}
+
+// InjectAsync queues a packet for admission at the next generation
+// barrier. Safe for concurrent use while the engine is serving; on a
+// non-serving engine the packet is admitted inline. The fields are
+// copied out at the call.
+func (e *Engine) InjectAsync(host string, fields netkat.Packet) error {
+	b := e.NewBatch()
+	if err := b.add(host, fields); err != nil {
+		b.Release()
+		return err
+	}
+	b.Submit()
+	return nil
+}
+
+// InjectAsyncBatch queues a batch for admission at one boundary of a
+// serving engine: validation (host and value domain) happens here,
+// per-packet, outside the boundary, and the admissible packets cost one
+// supervisor round trip for the whole batch instead of one per packet.
+// errs follows the InjectBatch convention (nil = all admitted). On a
+// non-serving engine the batch is admitted inline.
+func (e *Engine) InjectAsyncBatch(ins []Injection) []error {
+	var errs []error
+	b := e.NewBatch()
+	for bi := range ins {
+		if err := b.add(ins[bi].Host, ins[bi].Fields); err != nil {
+			errs = batchErr(errs, len(ins), bi, err)
+		}
+	}
+	b.Submit()
 	return errs
+}
+
+// admit stamps and interns a flat batch against the program current
+// now, queues its packets, and recycles it. Boundary context only.
+//
+// Interning is a table lookup: each of the batch's field names resolves
+// once to its schema slot (or to none, which makes the field inert for
+// this program), then every pair of every record is an array write. The
+// inert pairs of the whole batch go, as they are, into one inertSet
+// allocated here — its name table is the batch's, indexed by the
+// batch's field ids, as substrings of one copy of the batch's name
+// bytes made only when something is inert.
+func (e *Engine) admit(b *Batch, now int64) {
+	cp := e.cur()
+	width := cp.schema.Len()
+	wk := e.ws[0]
+
+	slots := e.slots[:0]
+	anyInert := false
+	lo := int32(0)
+	for _, end := range b.nameEnd {
+		slot := int16(-1)
+		if i, ok := cp.schema.index[string(b.names[lo:end])]; ok {
+			slot = int16(i)
+		} else {
+			anyInert = true
+		}
+		slots = append(slots, slot)
+		lo = end
+	}
+	e.slots = slots
+
+	var inert *inertSet
+	if anyInert {
+		// Room for every pair of the batch: enough unless a numbered
+		// record's copies each need their own (then append grows it;
+		// packets refer to the set by index, so it may move).
+		inert = &inertSet{names: make([]string, len(slots)), pairs: make([]fieldPair, 0, len(b.pairs))}
+		names := string(b.names)
+		for id := range slots {
+			lo, hi := b.nameSpan(int32(id))
+			inert.names[id] = names[lo:hi]
+		}
+	}
+
+	for ri := range b.recs {
+		r := &b.recs[ri]
+		h := &e.hosts[r.host]
+		version := cp.gAt(cp.views[h.sw])
+		pairs := b.pairs[r.lo:r.hi]
+		// shared is the record's inert fields less the numbered one: what
+		// every copy carries, unless the numbered field is itself inert.
+		var shared inertRef
+		if anyInert {
+			lo := len(inert.pairs)
+			for _, p := range pairs {
+				if slots[p.id] < 0 && p.id != r.numbered {
+					inert.pairs = append(inert.pairs, p)
+				}
+			}
+			shared = inert.since(lo)
+		}
+		for j := int32(0); j < r.count; j++ {
+			vals := wk.takeVals(width)
+			pres := uint64(0)
+			for _, p := range pairs {
+				if slot := slots[p.id]; slot >= 0 {
+					vals[slot] = p.val
+					pres |= 1 << uint(slot)
+				}
+			}
+			own := shared
+			if r.numbered >= 0 {
+				if slot := slots[r.numbered]; slot >= 0 {
+					vals[slot] = r.base + j
+					pres |= 1 << uint(slot)
+				} else {
+					lo := len(inert.pairs)
+					if shared.set != nil {
+						inert.pairs = append(inert.pairs, inert.pairs[shared.lo:shared.hi]...)
+					}
+					inert.pairs = append(inert.pairs, fieldPair{id: r.numbered, val: r.base + j})
+					own = inert.since(lo)
+				}
+			}
+			e.ingress(cp, h, version, vals, pres, own, now)
+		}
+	}
+	if e.met != nil {
+		wk.ms.Add(obs.CtrInjections, int64(b.packets))
+	}
+	b.Release()
 }

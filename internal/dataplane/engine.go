@@ -16,12 +16,13 @@ import (
 // qpkt is an in-flight packet inside the engine, in the flat interned
 // representation: vals holds the value of every schema field whose
 // presence bit is set (indices are relative to the packet's epoch's
-// Schema), and inert is the immutable snapshot of the ingress fields
-// outside the schema, shared by every copy of the injection (nil when
-// there are none) — no rule can test or write those, so they are only
-// read again at the egress conversion. Field writes on the hop loop
-// mutate vals in place; a fresh array is taken (from the worker's free
-// list) only when one rule emission fans out into several copies.
+// Schema), and inert is the packet's share of the immutable set of
+// ingress fields outside the schema, common to every copy of the
+// injection (zero when there are none) — no rule can test or write
+// those, so they are only read again at the egress conversion. Field
+// writes on the hop loop mutate vals in place; a fresh array is taken
+// (from the worker's free list) only when one rule emission fans out
+// into several copies.
 //
 // seq totally orders the packets of a generation (assigned
 // deterministically at the generation barrier); branch distinguishes the
@@ -32,7 +33,7 @@ import (
 type qpkt struct {
 	vals    []int32
 	pres    uint64
-	inert   netkat.Packet
+	inert   inertRef
 	inPort  int
 	epoch   int
 	version int
@@ -139,6 +140,15 @@ const (
 	destHost
 )
 
+// hostPort is a host's precomputed point of entry: the index of the
+// switch it attaches to and the ingress port there. Its position in
+// Engine.hosts is the host index flat batches carry.
+type hostPort struct {
+	name string
+	sw   int // switch index
+	port int
+}
+
 // portDest is the precomputed destination of one (switch, egress port)
 // pair: the peer switch's index and ingress port, or the host it
 // delivers to.
@@ -161,7 +171,7 @@ type flatDelivery struct {
 	host   string
 	vals   []int32
 	pres   uint64
-	inert  netkat.Packet
+	inert  inertRef
 	schema *Schema
 	stamp  Stamp
 	seq    int64
@@ -504,11 +514,12 @@ type Engine struct {
 
 	mode     Mode
 	workers  int
-	switches []int                // sorted switch IDs; shard w owns indices i ≡ w (mod workers)
-	swIdx    map[int]int          // switch ID -> index
-	hostBy   map[string]topo.Host // host name -> host (Topology.HostByName is a linear scan)
-	rings    []*ring              // per switch index, filled at barriers
-	hops     []int64              // per switch index, switch-hops executed (owner-worker mutated)
+	switches []int            // sorted switch IDs; shard w owns indices i ≡ w (mod workers)
+	swIdx    map[int]int      // switch ID -> index
+	hosts    []hostPort       // host index -> point of entry, in Topo.Hosts order
+	hostIdx  map[string]int32 // host name -> host index (Topology.HostByName is a linear scan)
+	rings    []*ring          // per switch index, filled at barriers
+	hops     []int64          // per switch index, switch-hops executed (owner-worker mutated)
 
 	progs []*progState // live program epochs; the last is current for ingress
 	swap  *swapHandle  // active transition, nil otherwise
@@ -564,26 +575,27 @@ type Engine struct {
 
 	// Served-mode coordination. wmu guards inbox, ctl, serving, stopping
 	// and idle; cond (on wmu) wakes the supervisor and Quiesce/waiters.
-	wmu      sync.Mutex
-	cond     *sync.Cond
-	inbox    []injectReq
-	ctl      []ctlReq
-	serving  bool
-	stopping bool
-	idle     bool
-	started  bool
-	doneCh   chan struct{}
+	// The inbox is a queue of flat batches (batch.go); admitting is the
+	// supervisor's half of its double buffer, slots its field-id -> schema
+	// slot scratch, and batches the pool filled batches return to.
+	wmu       sync.Mutex
+	cond      *sync.Cond
+	inbox     []*Batch
+	admitting []*Batch
+	slots     []int16
+	batches   sync.Pool
+	ctl       []ctlReq
+	serving   bool
+	stopping  bool
+	idle      bool
+	started   bool
+	doneCh    chan struct{}
 }
 
 // swapHandle is the engine-internal state of an active transition.
 type swapHandle struct {
 	spec SwapSpec
 	s    *Swap
-}
-
-type injectReq struct {
-	host   string
-	fields netkat.Packet
 }
 
 type ctlReq struct {
@@ -619,10 +631,11 @@ func NewEngine(n *nes.NES, t *topo.Topology, opts Options) *Engine {
 	e.hops = make([]int64, len(e.switches))
 	e.dests = make([][]portDest, len(e.switches))
 	hosts := map[int]topo.Host{}
-	e.hostBy = map[string]topo.Host{}
+	e.hostIdx = make(map[string]int32, len(t.Hosts))
 	for _, h := range t.Hosts {
 		hosts[h.ID] = h
-		e.hostBy[h.Name] = h
+		e.hostIdx[h.Name] = int32(len(e.hosts))
+		e.hosts = append(e.hosts, hostPort{name: h.Name, sw: e.swIdx[h.Attach.Switch], port: h.Attach.Port})
 	}
 	for _, lk := range t.AllLinks() {
 		i, ok := e.swIdx[lk.Src.Switch]
@@ -716,13 +729,8 @@ func (e *Engine) prog(epoch int) *progState {
 // Inject stamps a packet entering from the named host with the current
 // program's ingress-switch configuration tag (the IN rule) and queues it.
 // Synchronous mode only: Inject must not race with Run or a served
-// engine; use InjectAsync (or Do) there.
-//
-// The schema fields of `fields` are copied out at the call; if the map
-// carries fields outside the program's schema it is additionally
-// retained (read-only) as the packet's inert-field carrier, so the
-// caller must not mutate it afterwards. InjectAsync hands the engine its
-// own copy and has no such restriction.
+// engine; use InjectAsync (or Do) there. The fields are copied out at
+// the call.
 func (e *Engine) Inject(host string, fields netkat.Packet) error {
 	_, err := e.InjectStamped(host, fields)
 	return err
@@ -733,7 +741,7 @@ func (e *Engine) Inject(host string, fields netkat.Packet) error {
 // which swap-consistency checks verify deliveries against. Same
 // synchronization contract as Inject.
 func (e *Engine) InjectStamped(host string, fields netkat.Packet) (Stamp, error) {
-	h, ok := e.hostBy[host]
+	hi, ok := e.hostIdx[host]
 	if !ok {
 		return Stamp{}, fmt.Errorf("dataplane: unknown host %q", host)
 	}
@@ -744,42 +752,48 @@ func (e *Engine) InjectStamped(host string, fields netkat.Packet) (Stamp, error)
 		return Stamp{}, err
 	}
 	cp := e.cur()
-	i := e.swIdx[h.Attach.Switch]
-	st := Stamp{Epoch: cp.epoch, Version: cp.gAt(cp.views[i])}
-	e.seq++
+	h := &e.hosts[hi]
+	st := Stamp{Epoch: cp.epoch, Version: cp.gAt(cp.views[h.sw])}
 	// The ingress boundary: one pass interns the schema fields into the
-	// flat array and resolves the inert remainder (shared read-only by
-	// every copy of the journey; usually nil). The value array comes from
-	// worker 0's free list when one of the right width is available —
-	// injection runs at boundaries, when workers are quiescent — so a
-	// workload whose packets expire in the network recirculates arrays
-	// instead of growing a free list forever.
+	// flat array and collects the inert remainder (usually none). The
+	// value array comes from worker 0's free list when one of the right
+	// width is available — injection runs at boundaries, when workers are
+	// quiescent — so a workload whose packets expire in the network
+	// recirculates arrays instead of growing a free list forever.
 	vals := e.ws[0].takeVals(cp.schema.Len())
-	pres, inert := cp.schema.intern(fields, vals)
+	pres, inert := cp.schema.intern(fields, vals, nil, len(fields))
 	var tns int64
-	var tid int32
 	if e.met != nil {
 		e.ws[0].ms.Inc(obs.CtrInjections)
 		tns = time.Now().UnixNano()
 		e.nowNs = tns
 	}
+	e.ingress(cp, h, st.Version, vals, pres, inert.since(0), tns)
+	return st, nil
+}
+
+// ingress queues one interned packet entering at h, stamped (cp.epoch,
+// version): the tail every injection path shares. Boundary context only
+// (it consumes a seq and samples the tracer).
+func (e *Engine) ingress(cp *progState, h *hostPort, version int, vals []int32, pres uint64, inert inertRef, tns int64) {
+	e.seq++
+	var tid int32
 	if e.tracer != nil {
-		tid = e.tracer.Sample(host, e.seq, e.gen, st.Epoch, st.Version)
+		tid = e.tracer.Sample(h.name, e.seq, e.gen, cp.epoch, version)
 	}
-	e.rings[i].push(&qpkt{
+	e.rings[h.sw].push(&qpkt{
 		vals:    vals,
 		pres:    pres,
 		inert:   inert,
-		inPort:  h.Attach.Port,
-		epoch:   st.Epoch,
-		version: st.Version,
+		inPort:  h.port,
+		epoch:   cp.epoch,
+		version: version,
 		digest:  nes.Empty,
 		seq:     e.seq,
 		tns:     tns,
 		trace:   tid,
 	})
 	cp.inflight++
-	return st, nil
 }
 
 // maxGenerations bounds Run against forwarding loops.
@@ -880,17 +894,32 @@ func (e *Engine) runControl() {
 	}
 }
 
-// admitInbox injects queued asynchronous packets (served mode).
+// admitInbox admits the queued flat batches (served mode) in arrival
+// order, all stamped with one clock read.
 func (e *Engine) admitInbox() {
 	e.wmu.Lock()
-	reqs := e.inbox
-	e.inbox = nil
+	batches := e.inbox
+	e.inbox = e.admitting[:0]
 	e.wmu.Unlock()
-	for _, r := range reqs {
-		// Host and value domain were validated at InjectAsync time;
-		// errors cannot occur.
-		e.Inject(r.host, r.fields)
+	if len(batches) > 0 {
+		now := e.ingressClock()
+		for i, b := range batches {
+			e.admit(b, now)
+			batches[i] = nil
+		}
 	}
+	e.admitting = batches
+}
+
+// ingressClock reads the injection timestamp for one admission (0 with
+// metrics off) and refreshes the delivery-latency clock cache.
+func (e *Engine) ingressClock() int64 {
+	if e.met == nil {
+		return 0
+	}
+	now := time.Now().UnixNano()
+	e.nowNs = now
+	return now
 }
 
 // retireIfDrained completes an active transition once the old epoch has
@@ -1342,28 +1371,6 @@ func (e *Engine) serve() {
 	}
 }
 
-// InjectAsync queues a packet for admission at the next generation
-// barrier. Safe for concurrent use while the engine is serving; on a
-// non-serving engine it is plain Inject.
-func (e *Engine) InjectAsync(host string, fields netkat.Packet) error {
-	if _, ok := e.hostBy[host]; !ok {
-		return fmt.Errorf("dataplane: unknown host %q", host)
-	}
-	if err := ValidateDomain(fields); err != nil {
-		return err
-	}
-	e.wmu.Lock()
-	if !e.serving {
-		e.wmu.Unlock()
-		return e.Inject(host, fields)
-	}
-	e.inbox = append(e.inbox, injectReq{host: host, fields: fields.Clone()})
-	e.boundReq.Store(true)
-	e.cond.Broadcast()
-	e.wmu.Unlock()
-	return nil
-}
-
 // Do runs f atomically with respect to generations: on a serving engine
 // it executes at the next barrier (blocking until done), otherwise
 // inline. f sees quiescent engine state and may call the synchronous API
@@ -1507,12 +1514,60 @@ func (e *Engine) mergeDeliveries() {
 		}
 		return int(a.branch) - int(b.branch)
 	})
+	rehomeInert(tail)
 	// Trim to the bound (absolute indexing preserved via deliveryBase) so
 	// a long-running service does not retain every packet it delivered.
 	if e.deliveryCap > 0 && len(e.deliveries) > e.deliveryCap {
 		drop := len(e.deliveries) - e.deliveryCap/2
 		e.deliveryBase += drop
 		e.deliveries = append(e.deliveries[:0], e.deliveries[drop:]...)
+	}
+}
+
+// maxHomeNames bounds the name table of a delivery-log inert set (names
+// are found by linear scan); past it the merge continues in a fresh set.
+const maxHomeNames = 256
+
+// rehomeInert copies the inert fields of the deliveries being merged
+// into sets of the log's own. An ingress set holds the fields of every
+// packet that entered together; on a drop-heavy program a delivery may
+// be the only one of hundreds that arrived, and would otherwise keep
+// the whole set alive for as long as the log retains it.
+func rehomeInert(tail []flatDelivery) {
+	n := 0
+	for i := range tail {
+		n += int(tail[i].inert.hi - tail[i].inert.lo)
+	}
+	if n == 0 {
+		return
+	}
+	home := &inertSet{pairs: make([]fieldPair, 0, n)}
+	var from *inertSet
+	var ids []int32 // from's name ids -> home's, -1 until first used
+	for i := range tail {
+		in := &tail[i].inert
+		if in.set == nil {
+			continue
+		}
+		if in.set != from || len(home.names) > maxHomeNames {
+			if len(home.names) > maxHomeNames {
+				home = &inertSet{pairs: make([]fieldPair, 0, n)}
+			}
+			from = in.set
+			ids = ids[:0]
+			for range from.names {
+				ids = append(ids, -1)
+			}
+		}
+		lo := len(home.pairs)
+		for _, p := range from.pairs[in.lo:in.hi] {
+			if ids[p.id] < 0 {
+				ids[p.id] = home.nameID(from.names[p.id])
+			}
+			home.pairs = append(home.pairs, fieldPair{id: ids[p.id], val: p.val})
+		}
+		n -= len(home.pairs) - lo
+		*in = home.since(lo)
 	}
 }
 

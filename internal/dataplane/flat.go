@@ -466,11 +466,12 @@ func (m FlatMatcher) Process(dst []flowtable.Output, pkt netkat.Packet, inPort i
 		// with an error.
 		panic("dataplane: FlatMatcher.Process: " + err.Error())
 	}
-	pres, inert := m.schema.intern(pkt, vals)
+	pres, set := m.schema.intern(pkt, vals, nil, len(pkt))
 	ri := m.ft.lookup(vals, pres, inPort, tag)
 	if ri < 0 {
 		return dst
 	}
+	inert := set.since(0)
 	var tmp [maxSchemaFields]int32
 	for gi := range m.ft.rules[ri].groups {
 		g := &m.ft.rules[ri].groups[gi]

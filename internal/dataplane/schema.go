@@ -26,7 +26,7 @@ const maxSchemaFields = 64
 // Fields outside the schema are *inert*: no rule tests or writes them, so
 // they cannot influence forwarding and pass through a journey unchanged.
 // The flat representation therefore carries only schema fields; inert
-// fields ride along on the shared, immutable ingress map and are folded
+// fields ride along as a share of an immutable inertSet and are folded
 // back in at delivery (see materialize).
 //
 // Schemas are immutable after construction and safe for concurrent use.
@@ -138,42 +138,100 @@ func (s *Schema) Index(f string) (int, bool) {
 // Field returns the name behind an interned index.
 func (s *Schema) Field(i int) string { return s.fields[i] }
 
+// fieldPair is one header field in flat form: the id of its name in
+// some table (an inertSet's, or a Batch's) and its value.
+type fieldPair struct {
+	id  int32
+	val int32
+}
+
+// inertSet holds the inert fields — those outside the program's schema —
+// of the packets that entered the engine together (one InjectBatch call,
+// one admitted Batch): every packet's pairs in one pointer-free array,
+// their names in a table of the set's own. No rule can test or write an
+// inert field, so a set is immutable once its packets are queued. It is
+// owned by the garbage collector: an ingress set lives while packets of
+// its call are in flight or wait in a worker's delivery log, and the
+// sets the merged log copies their pairs into (rehomeInert) until the
+// deliveries they serve are trimmed.
+type inertSet struct {
+	names []string // pair id -> field name
+	pairs []fieldPair
+}
+
+// inertRef is one packet's share of its inert set, pairs[lo:hi]; the
+// zero value carries nothing. Every copy of a journey shares it, and it
+// is read again only where a Delivery is materialized.
+type inertRef struct {
+	set    *inertSet
+	lo, hi int32
+}
+
+// nameID returns the id of a field name in the set's table, adding it
+// on first sight (a linear scan: a set has a handful of names).
+func (is *inertSet) nameID(f string) int32 {
+	for i, n := range is.names {
+		if n == f {
+			return int32(i)
+		}
+	}
+	is.names = append(is.names, f)
+	return int32(len(is.names) - 1)
+}
+
+// len returns the number of pairs in the set (nil: none).
+func (is *inertSet) len() int {
+	if is == nil {
+		return 0
+	}
+	return len(is.pairs)
+}
+
+// since returns the share of a packet whose pairs were appended from
+// index lo on.
+func (is *inertSet) since(lo int) inertRef {
+	if is.len() == lo {
+		return inertRef{}
+	}
+	return inertRef{set: is, lo: int32(lo), hi: int32(len(is.pairs))}
+}
+
 // intern loads a packet's schema fields into the flat value array in one
-// pass, returning the presence bitmap (bit i set ⇔ field i present) and
-// the inert carrier: nil when every field was interned (the common
-// case), else the ingress map itself, retained by reference — its
-// non-schema fields are inert by construction (no rule can test or
-// write them), so the engine never copies them, it only reads them back
-// at the egress conversion. vals must be at least Len() long; slots
-// without a presence bit are left as-is (matching and materialization
-// read values only under their bit, so recycled arrays need no zeroing).
-// This is the single ingress-boundary conversion.
+// pass, returning the presence bitmap (bit i set ⇔ field i present), and
+// appends its fields outside the schema (usually none) to the inert set,
+// which it returns — allocated on first need, with room for that many
+// pairs, when the caller had none. vals must be at least Len() long;
+// slots without a presence bit are left as-is (matching and
+// materialization read values only under their bit, so recycled arrays
+// need no zeroing). This is the ingress conversion of the synchronous,
+// map-form entry points; the served-mode inbox carries flat batches and
+// interns them by table lookup instead (Engine.admit).
 // Flat values are int32: header values in this system are host
 // addresses, ports and small program constants. The boundaries enforce
-// the domain — ValidateDomain runs at both injection entry points
-// (Inject and InjectAsync) and lowerValue panics on out-of-range rule
-// constants at compile time — so interning can never silently truncate
-// and diverge from the map-form semantics.
-func (s *Schema) intern(fields netkat.Packet, vals []int32) (uint64, netkat.Packet) {
+// the domain — ValidateDomain runs at every map-form injection entry
+// point, wire decoders check as they parse, and lowerValue panics on
+// out-of-range rule constants at compile time — so interning can never
+// silently truncate and diverge from the map-form semantics.
+func (s *Schema) intern(fields netkat.Packet, vals []int32, inert *inertSet, room int) (uint64, *inertSet) {
 	pres := uint64(0)
-	n := 0
 	for f, v := range fields {
 		if i, ok := s.index[f]; ok {
 			vals[i] = int32(v)
 			pres |= 1 << uint(i)
-			n++
+			continue
 		}
+		if inert == nil {
+			inert = &inertSet{pairs: make([]fieldPair, 0, room)}
+		}
+		inert.pairs = append(inert.pairs, fieldPair{id: inert.nameID(f), val: int32(v)})
 	}
-	if n == len(fields) {
-		return pres, nil
-	}
-	return pres, fields
+	return pres, inert
 }
 
 // ValidateDomain rejects packets with header values outside the int32
-// flat-value domain (uniformly, inert fields included). Both injection
-// entry points call it, so a served-mode client gets the error back
-// rather than a silent drop at the admission barrier.
+// flat-value domain (uniformly, inert fields included). Every map-form
+// injection entry point calls it, so a served-mode client gets the
+// error back rather than a silent drop at the admission barrier.
 func ValidateDomain(fields netkat.Packet) error {
 	for f, v := range fields {
 		if int(int32(v)) != v {
@@ -183,16 +241,15 @@ func ValidateDomain(fields netkat.Packet) error {
 	return nil
 }
 
-// materialize rebuilds the full header map of a flat packet: the inert
-// fields of its retained ingress map (those outside the schema; schema
-// fields reflect the current flat values instead) plus the current value
-// of every present schema field. This is the single egress-boundary
-// conversion — the only place the hot path ever builds a header map.
-func (s *Schema) materialize(inert netkat.Packet, vals []int32, pres uint64) netkat.Packet {
-	out := make(netkat.Packet, len(inert)+bits.OnesCount64(pres))
-	for f, v := range inert {
-		if _, ok := s.index[f]; !ok {
-			out[f] = v
+// materialize rebuilds the full header map of a flat packet: its inert
+// fields plus the current value of every present schema field. This is
+// the single egress-boundary conversion — the only place the hot path
+// ever builds a header map.
+func (s *Schema) materialize(inert inertRef, vals []int32, pres uint64) netkat.Packet {
+	out := make(netkat.Packet, int(inert.hi-inert.lo)+bits.OnesCount64(pres))
+	if inert.set != nil {
+		for _, p := range inert.set.pairs[inert.lo:inert.hi] {
+			out[inert.set.names[p.id]] = int(p.val)
 		}
 	}
 	for p := pres; p != 0; p &= p - 1 {
