@@ -6,12 +6,12 @@ package ets
 // state count, not per-table compile time, dominated end-to-end cost for
 // stateful programs. The engine here overlaps the two phases on a
 // work-stealing pool over state shards: each worker pops a state from
-// its own shard (stealing from neighbors when empty), extracts its event
-// edges, enqueues newly discovered successors onto their home shards
-// (keyed by canonical state hash, deduplicated lock-free through one
-// sync.Map), and immediately compiles the state's configuration with its
-// per-worker incremental compiler (nkc.ProgramCompiler), so exploration
-// and compilation interleave instead of running in a barrier per phase.
+// its own shard (stealing from neighbors when empty), gets the state's
+// configuration and event edges from one call into its per-worker
+// incremental compiler (nkc.ProgramCompiler.Explore), and enqueues newly
+// discovered successors onto their home shards (keyed by canonical state
+// hash, deduplicated lock-free through one sync.Map), so exploration and
+// compilation interleave instead of running in a barrier per phase.
 //
 // Invariants (documented in docs/PIPELINE.md):
 //
@@ -111,7 +111,7 @@ type shard struct {
 // explored is the recorded outcome for one state.
 type explored struct {
 	state  stateful.State
-	edges  []stateful.Edge // non-self, in Events order (sorted by key)
+	edges  []stateful.Edge // non-self, sorted by key
 	tables flowtable.Tables
 }
 
@@ -288,21 +288,32 @@ func (b *builder) tryTake(w int) (stateful.State, bool) {
 	return nil, false
 }
 
-// process explores one state (event extraction + successor discovery) and
-// compiles its configuration.
+// explore is the one entry point into per-state work, for Build and
+// BuildUnrolled alike: it asks the incremental compiler for state k's
+// configuration and event-edges together and drops self-loops — an edge
+// that updates the state to itself is not a transition in the ETS sense.
+func explore(pc *nkc.ProgramCompiler, k stateful.State) (*explored, error) {
+	tables, edges, err := pc.Explore(k)
+	if err != nil {
+		return nil, fmt.Errorf("ets: compiling configuration for state %v: %w", k, err)
+	}
+	res := &explored{state: k, tables: tables}
+	for _, e := range edges {
+		if !e.To.Equal(e.From) {
+			res.edges = append(res.edges, e)
+		}
+	}
+	return res, nil
+}
+
+// process explores one state, enqueues the successors it discovers, and
+// records the result.
 func (b *builder) process(k stateful.State, pc *nkc.ProgramCompiler) error {
-	es, err := stateful.Events(b.prog.Cmd, k)
+	res, err := explore(pc, k)
 	if err != nil {
 		return err
 	}
-	res := &explored{state: k}
-	for _, e := range es {
-		if e.To.Equal(e.From) {
-			// A self-loop updates the state to itself; it is not a
-			// transition in the ETS sense.
-			continue
-		}
-		res.edges = append(res.edges, e)
+	for _, e := range res.edges {
 		key := e.To.Key()
 		if _, dup := b.seen.LoadOrStore(key, struct{}{}); !dup {
 			if b.discovered.Add(1) > stateful.MaxStates {
@@ -315,11 +326,6 @@ func (b *builder) process(k stateful.State, pc *nkc.ProgramCompiler) error {
 			b.mu.Unlock()
 		}
 	}
-	tbl, err := pc.Compile(k)
-	if err != nil {
-		return fmt.Errorf("ets: compiling configuration for state %v: %w", k, err)
-	}
-	res.tables = tbl
 	b.out.Store(k.Key(), res)
 	return nil
 }

@@ -177,68 +177,56 @@ func BuildUnrolled(p stateful.Program, t *topo.Topology, maxRounds int) (*ETS, e
 		round int
 	}
 	vid := map[key]int{}
-	compiled := map[string]Vertex{} // per-state compile cache (shared tables)
-	// Incremental compiler: unrolled copies of a state share its guard
-	// signature, so every revisit is a whole-table cache hit.
+	// Unrolled copies of a state share its configuration and its edges:
+	// each distinct state is explored once.
+	seen := map[string]*explored{}
 	pc, err := nkc.NewProgramCompiler(p.Cmd, t, nil)
 	if err != nil {
 		return nil, err
 	}
 	var raw []rawEdge
 
+	type qitem struct {
+		res   *explored
+		round int
+		id    int
+	}
+	var queue []qitem
 	addVertex := func(k stateful.State, round int) (int, error) {
 		kk := key{state: k.Key(), round: round}
 		if id, ok := vid[kk]; ok {
 			return id, nil
 		}
-		base, ok := compiled[k.Key()]
+		res, ok := seen[kk.state]
 		if !ok {
-			tables, err := pc.Compile(k)
-			if err != nil {
-				return 0, fmt.Errorf("ets: compiling configuration for state %v: %w", k, err)
+			var err error
+			if res, err = explore(pc, k); err != nil {
+				return 0, err
 			}
-			base = Vertex{State: k, Tables: tables}
-			compiled[k.Key()] = base
+			seen[kk.state] = res
 		}
 		id := len(e.Vertices)
 		if id >= maxUnrollVertices {
 			return 0, fmt.Errorf("ets: unrolled state space exceeds %d vertices", maxUnrollVertices)
 		}
-		e.Vertices = append(e.Vertices, Vertex{ID: id, State: base.State, Tables: base.Tables})
+		e.Vertices = append(e.Vertices, Vertex{ID: id, State: res.state, Tables: res.tables})
 		vid[kk] = id
+		queue = append(queue, qitem{res: res, round: round, id: id})
 		return id, nil
 	}
 
-	initID, err := addVertex(p.Init, 0)
-	if err != nil {
+	if _, err := addVertex(p.Init, 0); err != nil {
 		return nil, err
 	}
-	type qitem struct {
-		state stateful.State
-		round int
-		id    int
-	}
-	queue := []qitem{{state: p.Init, round: 0, id: initID}}
 	for qi := 0; qi < len(queue); qi++ {
 		cur := queue[qi]
 		if cur.round >= maxRounds {
 			continue
 		}
-		edges, err := stateful.Events(p.Cmd, cur.state)
-		if err != nil {
-			return nil, err
-		}
-		for _, ed := range edges {
-			if ed.To.Equal(ed.From) {
-				continue
-			}
-			toID, ok := vid[key{state: ed.To.Key(), round: cur.round + 1}]
-			if !ok {
-				toID, err = addVertex(ed.To, cur.round+1)
-				if err != nil {
-					return nil, err
-				}
-				queue = append(queue, qitem{state: ed.To, round: cur.round + 1, id: toID})
+		for _, ed := range cur.res.edges {
+			toID, err := addVertex(ed.To, cur.round+1)
+			if err != nil {
+				return nil, err
 			}
 			raw = append(raw, rawEdge{
 				from:     cur.id,

@@ -73,6 +73,11 @@ func checkFiniteComplete(family map[nes.Set]int) error {
 	}
 	for i := 0; i < len(sets); i++ {
 		for j := i + 1; j < len(sets); j++ {
+			if sets[i].SubsetOf(sets[j]) || sets[j].SubsetOf(sets[i]) {
+				// The union of comparable members is the larger one, which
+				// is in the family: nothing to check, nothing to build.
+				continue
+			}
 			u := sets[i].Union(sets[j])
 			hasUpper := false
 			for _, b := range sets {

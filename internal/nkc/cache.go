@@ -16,7 +16,10 @@ type CacheStats struct {
 	TableHits, TableMisses int64
 	// SegmentHits/SegmentMisses count per-segment FDD lookups keyed by
 	// (segment, guard signature): a hit means a link-free strand segment
-	// skipped ToFDD entirely because no guard inside it changed.
+	// skipped ToFDD entirely because no guard inside it changed. Only the
+	// strands a state visits are looked up (all of them for a compiler's
+	// reference state, those testing a flipped guard afterwards), so the
+	// misses count distinct projections and the hits count visits.
 	SegmentHits, SegmentMisses int64
 	// Strands is the number of distinct symbolic strand executions
 	// performed (the hop-cache population); FDDNodes is the hash-consed

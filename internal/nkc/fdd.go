@@ -200,8 +200,9 @@ type FDDCtx struct {
 	// compiles sharing this context: policies projected from different
 	// states of one program repeat most strands verbatim. Each cached hop
 	// carries its prebuilt single-rule diagram. Keys are packed id bytes
-	// (strandCacheKey).
-	hopCache map[string][]cachedHop
+	// (appendStrandKey), built in strandKey.
+	hopCache  map[string][]cachedHop
+	strandKey []byte
 
 	// foldCache memoizes the per-switch union fold over hop diagrams by
 	// the packed hop identity sequence, and ruleCache memoizes table

@@ -212,27 +212,30 @@ func compileFDDCtx(ctx *FDDCtx, p netkat.Policy, t *topo.Topology) (flowtable.Ta
 // this context (e.g. the per-state configurations of one program) pay for
 // each distinct strand once.
 func (c *FDDCtx) hopsFor(fdds []*FDD, links []netkat.Link, switches []int) ([]cachedHop, error) {
-	key := strandCacheKey(fdds, links, switches)
-	hs, ok := c.hopCache[key]
-	if !ok {
-		segs := make([]PathSet, len(fdds))
-		for i, d := range fdds {
-			ps, err := d.PathSet()
-			if err != nil {
-				return nil, err
-			}
-			segs[i] = ps
-		}
-		raw, err := compileStrand(Strand{Segments: segs, Links: links}, switches)
+	// The key is built in the context's own buffer and probed in place;
+	// only a miss copies it, once, as the map's key. (keyBuf is not
+	// usable here: ruleFDD interns actions through it before the insert.)
+	c.strandKey = appendStrandKey(c.strandKey[:0], fdds, links, switches)
+	if hs, ok := c.hopCache[string(c.strandKey)]; ok {
+		return hs, nil
+	}
+	segs := make([]PathSet, len(fdds))
+	for i, d := range fdds {
+		ps, err := d.PathSet()
 		if err != nil {
 			return nil, err
 		}
-		hs = make([]cachedHop, len(raw))
-		for i, h := range raw {
-			hs[i] = cachedHop{sw: h.sw, d: ruleFDD(c, h.match, h.group)}
-		}
-		c.hopCache[key] = hs
+		segs[i] = ps
 	}
+	raw, err := compileStrand(Strand{Segments: segs, Links: links}, switches)
+	if err != nil {
+		return nil, err
+	}
+	hs := make([]cachedHop, len(raw))
+	for i, h := range raw {
+		hs[i] = cachedHop{sw: h.sw, d: ruleFDD(c, h.match, h.group)}
+	}
+	c.hopCache[string(c.strandKey)] = hs
 	return hs, nil
 }
 
@@ -242,12 +245,12 @@ type cachedHop struct {
 	d  *FDD
 }
 
-// strandCacheKey identifies a strand by its segment diagram identities
-// (stable within one context), its links, and the topology's switch set.
-// The key is packed binary — 4 bytes per id — with length-prefixed
-// sections so the three variable-length parts cannot alias each other.
-func strandCacheKey(fdds []*FDD, links []netkat.Link, switches []int) string {
-	buf := make([]byte, 0, 4*len(fdds)+16*len(links)+4*len(switches)+8)
+// appendStrandKey appends the identity of a strand: its segment diagram
+// identities (stable within one context), its links, and the topology's
+// switch set. The key is packed binary — 4 bytes per id — and the two
+// sections before the last are length-prefixed, so the three
+// variable-length parts cannot alias each other.
+func appendStrandKey(buf []byte, fdds []*FDD, links []netkat.Link, switches []int) []byte {
 	buf = appendID(buf, len(fdds))
 	for _, d := range fdds {
 		buf = appendID(buf, d.id)
@@ -262,7 +265,7 @@ func strandCacheKey(fdds []*FDD, links []netkat.Link, switches []int) string {
 	for _, sw := range switches {
 		buf = appendID(buf, sw)
 	}
-	return string(buf)
+	return buf
 }
 
 // ruleFDD builds the single-rule diagram: a spine of tests for the match,

@@ -10,24 +10,31 @@ package nkc
 // A ProgramCompiler extracts the link-strand skeleton from the *stateful*
 // command tree once (it is state-independent: projection maps CUnion to
 // Union, CSeq to Seq and links to links, so the split is the same for
-// every state). Compiling a state then walks the fixed skeleton and
-// re-enters ToFDD only for segments whose guard signature — the truth
-// vector of the state tests occurring inside that segment — has not been
-// seen before; the signature lookup is the recompilation trigger.
-// Between a parent and child ETS state a segment's signature changes
-// exactly when one of its guards flipped (stateful.GuardIndex.Diff
-// exposes that delta for diagnostics and tests), so unchanged strands
-// reuse their FDDs, their symbolic execution, and their extracted
-// tables by structural key.
+// every state). State guards are positive atoms state(i)=v, and what a
+// strand contributes to a configuration — its hops and the templates of
+// the event-edges it can raise — is a function of the truth values of
+// the atoms inside that strand alone. So the compiler walks the whole
+// skeleton for one state only, the first it is given (the reference
+// state, sparse.go), and remembers every strand's contribution; each
+// later state asks stateful.GuardIndex.AppendDiff which atoms differ from
+// the reference, looks those atoms up in an inverted index atom ->
+// strands, re-evaluates just the strands it finds, and splices them in
+// strand order into the reference's list. A re-evaluated strand enters
+// ToFDD only for segments whose guard signature — the truth vector of
+// the state tests inside that segment — has not been seen before, and
+// reuses its symbolic execution and extracted tables by structural key.
 // Whole configurations are additionally shared across states (and, via
 // SharedCache, across a compiler pool) by program-level signature.
 //
-// The output is byte-identical to CompileFDD on the projected policy —
-// property-tested in internal/ets — because the skeleton split commutes
-// with projection and every stage below it is deterministic.
+// The output is byte-identical to CompileFDD on the projected policy,
+// and the edges key-equal to stateful.Events — property-tested here and
+// in internal/ets — because the skeleton split commutes with projection,
+// event extraction distributes over strands, and every stage below is
+// deterministic.
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -52,18 +59,44 @@ type progSeg struct {
 }
 
 // progStrand is one end-to-end alternative of the program: alternating
-// link-free segments and links, len(segs) == len(links)+1.
+// link-free segments and links, len(segs) == len(links)+1. updates[i] is
+// the state-updating link that links[i] was written as (nil for a plain
+// link) — projection erases the assignments, event extraction needs
+// them — and lastUpdate is the highest such i, -1 when the strand can
+// raise no event.
 type progStrand struct {
-	segs  []progSeg
-	links []netkat.Link
+	segs       []progSeg
+	links      []netkat.Link
+	updates    []*stateful.CLinkState
+	lastUpdate int
 }
 
-// cmdNode kinds mirror linkNode over stateful.Cmd.
+// cmdNode kinds mirror linkNode over stateful.Cmd. text and seqText are
+// the atom's rendering alone and as an operand of ';', filled on first
+// use: an atom shared by many strands is rendered once.
 type cmdNode struct {
-	kind int // lnAtom, lnLink, lnUnion, lnSeq
-	cmd  stateful.Cmd
-	link netkat.Link
-	l, r *cmdNode
+	kind   int // lnAtom, lnLink, lnUnion, lnSeq
+	cmd    stateful.Cmd
+	link   netkat.Link
+	update *stateful.CLinkState // lnLink written with state assignments
+	l, r   *cmdNode
+
+	text, seqText string
+}
+
+// render fills text and seqText. The forms must stay byte-identical to
+// Cmd.String of the atom and of a CSeq around it (the segment key built
+// from them is the cross-program segMemo key): ';' parenthesizes only a
+// union operand.
+func (n *cmdNode) render() {
+	if n.text != "" {
+		return
+	}
+	n.text = n.cmd.String()
+	n.seqText = n.text
+	if _, ok := n.cmd.(stateful.CUnion); ok {
+		n.seqText = "(" + n.text + ")"
+	}
 }
 
 // annotateCmdLinks reshapes a command around its links exactly as
@@ -76,7 +109,7 @@ func annotateCmdLinks(c stateful.Cmd) (*cmdNode, bool, error) {
 	case stateful.CLink:
 		return &cmdNode{kind: lnLink, link: netkat.Link{Src: q.Src, Dst: q.Dst}}, false, nil
 	case stateful.CLinkState:
-		return &cmdNode{kind: lnLink, link: netkat.Link{Src: q.Src, Dst: q.Dst}}, false, nil
+		return &cmdNode{kind: lnLink, link: netkat.Link{Src: q.Src, Dst: q.Dst}, update: &q}, false, nil
 	case stateful.CStar:
 		_, pure, err := annotateCmdLinks(q.P)
 		if err != nil {
@@ -117,13 +150,6 @@ func annotateCmdLinks(c stateful.Cmd) (*cmdNode, bool, error) {
 	}
 }
 
-// cmdElement is one strand element during extraction.
-type cmdElement struct {
-	isLink bool
-	link   netkat.Link
-	cmd    stateful.Cmd
-}
-
 // extractCmdStrands rewrites the command as a sum of program strands,
 // splitting union/sequence structure only where it contains links.
 func extractCmdStrands(c stateful.Cmd) ([]progStrand, error) {
@@ -132,15 +158,13 @@ func extractCmdStrands(c stateful.Cmd) ([]progStrand, error) {
 		return nil, err
 	}
 	var out []progStrand
-	var cur []cmdElement
+	var cur []*cmdNode
 	segID := 0
 	var rec func(n *cmdNode, cont func() error) error
 	rec = func(n *cmdNode, cont func() error) error {
 		switch n.kind {
-		case lnAtom:
-			cur = append(cur, cmdElement{cmd: n.cmd})
-		case lnLink:
-			cur = append(cur, cmdElement{isLink: true, link: n.link})
+		case lnAtom, lnLink:
+			cur = append(cur, n)
 		case lnUnion:
 			if err := rec(n.l, cont); err != nil {
 				return err
@@ -153,15 +177,15 @@ func extractCmdStrands(c stateful.Cmd) ([]progStrand, error) {
 		cur = cur[:len(cur)-1]
 		return err
 	}
+	var key strings.Builder
 	flush := func() error {
 		if len(out) >= maxStrands {
 			return fmt.Errorf("nkc: policy expands to more than %d strands", maxStrands)
 		}
-		s := assembleCmdStrand(cur)
+		s := assembleCmdStrand(cur, &key)
 		for i := range s.segs {
 			s.segs[i].id = segID
 			segID++
-			s.segs[i].key = s.segs[i].cmd.String()
 			s.segs[i].guards = stateful.CollectGuards(s.segs[i].cmd)
 		}
 		out = append(out, s)
@@ -176,29 +200,48 @@ func extractCmdStrands(c stateful.Cmd) ([]progStrand, error) {
 // assembleCmdStrand coalesces consecutive link-free elements with CSeq
 // and inserts identity segments around links, mirroring
 // assembleLinkStrand so that projecting a segment yields exactly the
-// segment the policy-level split would have produced.
-func assembleCmdStrand(es []cmdElement) progStrand {
-	var s progStrand
-	var cur stateful.Cmd
-	flush := func() {
-		if cur == nil {
-			s.segs = append(s.segs, progSeg{cmd: stateful.CPred{P: stateful.PTrue{}}})
-		} else {
-			s.segs = append(s.segs, progSeg{cmd: cur})
+// segment the policy-level split would have produced. Each segment's key
+// is its command's rendering, joined from the elements' cached text in
+// the caller's builder.
+func assembleCmdStrand(es []*cmdNode, key *strings.Builder) progStrand {
+	seg := func(run []*cmdNode) progSeg {
+		switch len(run) {
+		case 0:
+			id := stateful.CPred{P: stateful.PTrue{}}
+			return progSeg{cmd: id, key: id.String()}
+		case 1:
+			run[0].render()
+			return progSeg{cmd: run[0].cmd, key: run[0].text}
 		}
-		cur = nil
-	}
-	for _, e := range es {
-		if e.isLink {
-			flush()
-			s.links = append(s.links, e.link)
-		} else if cur == nil {
-			cur = e.cmd
-		} else {
-			cur = stateful.CSeq{L: cur, R: e.cmd}
+		key.Reset()
+		var cmd stateful.Cmd
+		for i, e := range run {
+			e.render()
+			if i == 0 {
+				cmd = e.cmd
+			} else {
+				cmd = stateful.CSeq{L: cmd, R: e.cmd}
+				key.WriteString("; ")
+			}
+			key.WriteString(e.seqText)
 		}
+		return progSeg{cmd: cmd, key: key.String()}
 	}
-	flush()
+	s := progStrand{lastUpdate: -1}
+	start := 0 // first element after the last link
+	for i, e := range es {
+		if e.kind != lnLink {
+			continue
+		}
+		s.segs = append(s.segs, seg(es[start:i]))
+		start = i + 1
+		if e.update != nil {
+			s.lastUpdate = len(s.links)
+		}
+		s.links = append(s.links, e.link)
+		s.updates = append(s.updates, e.update)
+	}
+	s.segs = append(s.segs, seg(es[start:]))
 	return s
 }
 
@@ -251,16 +294,24 @@ type ProgramCompiler struct {
 	strands []progStrand
 	guards  *stateful.GuardIndex // whole-program index
 
-	intern     *compilerInterns
-	segKeyIDs  []uint32  // per segment id: interned rendering
-	segTestPos [][]int32 // per segment id: positions of its guards in the whole-program index
+	intern      *compilerInterns
+	segKeyIDs   []uint32  // per segment id: interned rendering
+	segTestPos  [][]int32 // per segment id: positions of its guards in the whole-program index
+	atomStrands [][]int32 // per whole-program guard position: the strands testing it, ascending
 
 	segMemo map[segMemoKey]*FDD
 	local   map[uint32]flowtable.Tables // interned signature id -> tables
 	shared  *SharedCache
 
-	sigScratch []byte // whole-program signature buffer, reused per state
-	gatherBuf  []byte // oversized segment signature buffer
+	ref *refState // the state walked in full; nil until the first Explore
+
+	sigScratch []byte       // whole-program signature buffer, reused per state
+	gatherBuf  []byte       // oversized segment signature buffer
+	delta      []int32      // guard positions differing from ref, reused per state
+	touched    []int32      // strands testing a delta position, ascending
+	touchedEv  []strandEval // their re-evaluation, parallel to touched
+	fddBuf     []*FDD       // one strand's segment diagrams
+	hopBuf     []cachedHop  // one state's spliced hop list
 
 	stats CacheStats
 }
@@ -300,29 +351,31 @@ func NewProgramCompilerWith(b Backend, c stateful.Cmd, t *topo.Topology, sc *Sha
 	return pc, nil
 }
 
-// indexSegments computes the per-segment interned key ids and the
-// positions of each segment's guards within the whole-program index.
-// Both are pure functions of the skeleton: forks share the resulting
-// slices, and adoptInterns recomputes the ids when a ProgramCache swaps
-// in its persistent interner.
+// indexSegments computes the per-segment interned key ids, the
+// positions of each segment's guards within the whole-program index, and
+// the inverse of the latter by strand. All are pure functions of the
+// skeleton: forks share the resulting slices, and adoptInterns
+// recomputes the ids when a ProgramCache swaps in its persistent
+// interner.
 func (pc *ProgramCompiler) indexSegments() {
-	pos := map[stateful.GuardTest]int32{}
-	for i, t := range pc.guards.Tests() {
-		pos[t] = int32(i)
-	}
 	nsegs := 0
 	for _, s := range pc.strands {
 		nsegs += len(s.segs)
 	}
 	pc.segKeyIDs = make([]uint32, nsegs)
 	pc.segTestPos = make([][]int32, nsegs)
-	for _, s := range pc.strands {
+	pc.atomStrands = make([][]int32, pc.guards.Len())
+	for si, s := range pc.strands {
 		for _, seg := range s.segs {
 			pc.segKeyIDs[seg.id] = pc.intern.segKeys.ID(seg.key)
 			tests := seg.guards.Tests()
 			ps := make([]int32, len(tests))
 			for i, t := range tests {
-				ps[i] = pos[t]
+				p, _ := pc.guards.Pos(t) // a segment's tests are the program's
+				ps[i] = int32(p)
+				if on := pc.atomStrands[p]; len(on) == 0 || on[len(on)-1] != int32(si) {
+					pc.atomStrands[p] = append(on, int32(si))
+				}
 			}
 			pc.segTestPos[seg.id] = ps
 		}
@@ -347,19 +400,22 @@ func (pc *ProgramCompiler) adoptInterns(in *compilerInterns) {
 // command, strands with their guard indexes, segment index, backend,
 // interners, shared cache) but owns a fresh hash-consing context and
 // memos, so the per-program extraction work is paid once per pool
-// rather than once per worker.
+// rather than once per worker. The reference state is not shared: its
+// remembered hops are diagrams of the context that built them, so a fork
+// walks the skeleton in full for the first state it is given.
 func (pc *ProgramCompiler) Fork() *ProgramCompiler {
 	n := &ProgramCompiler{
-		cmd:        pc.cmd,
-		topo:       pc.topo,
-		backend:    pc.backend,
-		shared:     pc.shared,
-		strands:    pc.strands,
-		guards:     pc.guards,
-		intern:     pc.intern,
-		segKeyIDs:  pc.segKeyIDs,
-		segTestPos: pc.segTestPos,
-		local:      map[uint32]flowtable.Tables{},
+		cmd:         pc.cmd,
+		topo:        pc.topo,
+		backend:     pc.backend,
+		shared:      pc.shared,
+		strands:     pc.strands,
+		guards:      pc.guards,
+		intern:      pc.intern,
+		segKeyIDs:   pc.segKeyIDs,
+		segTestPos:  pc.segTestPos,
+		atomStrands: pc.atomStrands,
+		local:       map[uint32]flowtable.Tables{},
 	}
 	if pc.backend != BackendDNF {
 		n.ctx = NewFDDCtx()
@@ -416,75 +472,6 @@ func (pc *ProgramCompiler) segSig(segID int, whole []byte) uint64 {
 	}
 	pc.gatherBuf = buf
 	return uint64(pc.intern.segSigs.IDBytes(buf)) << 1
-}
-
-// Compile returns the flow tables of the configuration projected at state
-// k. The result must be treated as immutable: it may be shared with other
-// states, other workers (via the SharedCache), and later calls.
-func (pc *ProgramCompiler) Compile(k stateful.State) (flowtable.Tables, error) {
-	pc.sigScratch = pc.guards.AppendSig(pc.sigScratch[:0], k)
-	sig := pc.intern.sigs.IDBytes(pc.sigScratch)
-	if t, ok := pc.local[sig]; ok {
-		pc.stats.TableHits++
-		return t, nil
-	}
-	if pc.shared != nil {
-		if t, ok := pc.shared.lookup(sig); ok {
-			pc.stats.TableHits++
-			pc.local[sig] = t
-			return t, nil
-		}
-	}
-	pc.stats.TableMisses++
-
-	if pc.backend == BackendDNF {
-		tables, err := CompileDNF(stateful.Project(pc.cmd, k), pc.topo)
-		if err != nil {
-			return nil, err
-		}
-		if pc.shared != nil {
-			tables = pc.shared.publish(sig, tables)
-		}
-		pc.local[sig] = tables
-		return tables, nil
-	}
-
-	var hops []cachedHop
-	for si := range pc.strands {
-		s := &pc.strands[si]
-		fdds := make([]*FDD, len(s.segs))
-		for j := range s.segs {
-			seg := &s.segs[j]
-			key := segMemoKey{key: pc.segKeyIDs[seg.id], sig: pc.segSig(seg.id, pc.sigScratch)}
-			d, ok := pc.segMemo[key]
-			if !ok {
-				pc.stats.SegmentMisses++
-				var err error
-				d, err = pc.ctx.ToFDD(stateful.Project(seg.cmd, k))
-				if err != nil {
-					return nil, err
-				}
-				pc.segMemo[key] = d
-			} else {
-				pc.stats.SegmentHits++
-			}
-			fdds[j] = d
-		}
-		hs, err := pc.ctx.hopsFor(fdds, s.links, pc.topo.Switches)
-		if err != nil {
-			return nil, err
-		}
-		hops = append(hops, hs...)
-	}
-	tables, err := assembleTablesFDD(pc.ctx, hops)
-	if err != nil {
-		return nil, err
-	}
-	if pc.shared != nil {
-		tables = pc.shared.publish(sig, tables)
-	}
-	pc.local[sig] = tables
-	return tables, nil
 }
 
 // CompileAll compiles the configurations of all given states, sharding

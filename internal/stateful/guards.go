@@ -14,7 +14,8 @@ type GuardTest struct {
 // policies — the key fact behind cross-state configuration reuse: the
 // compiler caches per-state artifacts by Sig instead of by state vector,
 // and a state re-enters compilation only for the sub-policies whose
-// guards actually flipped (Diff) relative to an already-compiled state.
+// guards actually flipped (AppendDiff) relative to an already-compiled
+// state.
 type GuardIndex struct {
 	tests []GuardTest
 }
@@ -105,17 +106,54 @@ func (g *GuardIndex) AppendSig(dst []byte, k State) []byte {
 	return dst
 }
 
+// Pos returns the position of test t in canonical order (the bit Sig
+// gives it), and whether the command tests it at all.
+func (g *GuardIndex) Pos(t GuardTest) (int, bool) {
+	i := sort.Search(len(g.tests), func(i int) bool {
+		u := g.tests[i]
+		return u.Index > t.Index || (u.Index == t.Index && u.Value >= t.Value)
+	})
+	return i, i < len(g.tests) && g.tests[i] == t
+}
+
+// AppendDiff appends to dst the positions, ascending, of the tests whose
+// truth value differs between states a and b. State tests are positive
+// atoms state(i)=v, so only the atoms (i, a[i]) and (i, b[i]) of the
+// components where the vectors differ can flip: the cost is
+// O(|a|+|b|) lookups, not a pass over the index. This is the unit of work
+// of the compiler's sparse projection (nkc.ProgramCompiler): a state
+// re-enters compilation only for the strands that test a position
+// returned here against its reference state.
+func (g *GuardIndex) AppendDiff(dst []int32, a, b State) []int32 {
+	n := len(a)
+	if len(b) > n {
+		n = len(b)
+	}
+	for i := 0; i < n; i++ {
+		va, vb := a.Get(i), b.Get(i)
+		if va == vb {
+			continue
+		}
+		if va > vb {
+			va, vb = vb, va
+		}
+		for _, v := range [2]int{va, vb} {
+			if p, ok := g.Pos(GuardTest{Index: i, Value: v}); ok {
+				dst = append(dst, int32(p))
+			}
+		}
+	}
+	return dst
+}
+
 // Diff returns the tests whose truth value differs between states a and
-// b — the guard delta behind a segment's signature change when moving
-// along an ETS edge. The compiler itself triggers recompilation by
-// signature lookup (Sig); Diff is the diagnostic view of the same fact,
-// used by tests to pin Sig's semantics.
+// b, in canonical order — the guard delta behind every signature change
+// when moving along an ETS edge (AppendDiff, as tests rather than
+// positions).
 func (g *GuardIndex) Diff(a, b State) []GuardTest {
 	var out []GuardTest
-	for _, t := range g.tests {
-		if (a.Get(t.Index) == t.Value) != (b.Get(t.Index) == t.Value) {
-			out = append(out, t)
-		}
+	for _, p := range g.AppendDiff(nil, a, b) {
+		out = append(out, g.tests[p])
 	}
 	return out
 }

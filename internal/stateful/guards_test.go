@@ -85,3 +85,33 @@ func TestSigPacking(t *testing.T) {
 		t.Fatalf("12 tests should pack into 2 bytes, got %d", len(g.Sig(all)))
 	}
 }
+
+// TestDiffMatchesDenseScan: Diff looks up only the atoms of the components
+// where two vectors differ; it must agree with evaluating every test
+// under both states, for vectors shorter than, as long as, and longer
+// than the highest tested index, and Pos must invert Tests.
+func TestDiffMatchesDenseScan(t *testing.T) {
+	g := CollectGuards(guardProg())
+	for i, gt := range g.Tests() {
+		if p, ok := g.Pos(gt); !ok || p != i {
+			t.Fatalf("Pos(%v) = %d, %v; want %d", gt, p, ok, i)
+		}
+	}
+	if _, ok := g.Pos(GuardTest{Index: 0, Value: 1}); ok {
+		t.Fatal("Pos found a test the command does not make")
+	}
+	states := []State{nil, {0}, {3}, {0, 2}, {3, 2}, {1, 2, 9}, {0, 0, 0, 0}, {3, 1}, {9}}
+	for _, a := range states {
+		for _, b := range states {
+			var want []GuardTest
+			for _, gt := range g.Tests() {
+				if (a.Get(gt.Index) == gt.Value) != (b.Get(gt.Index) == gt.Value) {
+					want = append(want, gt)
+				}
+			}
+			if got := g.Diff(a, b); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Diff(%v, %v) = %v, dense scan says %v", a, b, got, want)
+			}
+		}
+	}
+}

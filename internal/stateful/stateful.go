@@ -320,6 +320,34 @@ func (e Edge) String() string {
 	return fmt.Sprintf("%v --(%v @ %v)--> %v", e.From, e.Guard, e.Loc, e.To)
 }
 
+// EdgeTemplate is an event-edge with its source state left open: the
+// event (ϕ, s2, p2) and the state assignments of the link that raises it.
+// Which templates a command yields depends on the state only through the
+// truth values of the command's state tests, so one template serves every
+// state that agrees on those tests; At fixes the state.
+type EdgeTemplate struct {
+	Guard *netkat.Conj
+	Loc   netkat.Location
+	Sets  []StateSet
+	label string // "|ϕ@loc|": the state-independent middle of Edge.Key
+}
+
+// NewEdgeTemplate builds the template of a state-updating link reached
+// under guard. The guard is retained, not copied.
+func NewEdgeTemplate(guard *netkat.Conj, loc netkat.Location, sets []StateSet) EdgeTemplate {
+	return EdgeTemplate{Guard: guard, Loc: loc, Sets: sets, label: "|" + guard.Key() + "@" + loc.String() + "|"}
+}
+
+// At instantiates the template at source state k: the edge to
+// k[m ↦ n, ...], with its canonical key precomputed.
+func (t EdgeTemplate) At(k State) Edge {
+	to := k.Clone()
+	for _, s := range t.Sets {
+		to = to.With(s.Index, s.Value)
+	}
+	return Edge{From: k.Clone(), Guard: t.Guard, Loc: t.Loc, To: to, key: k.Key() + t.label + to.Key()}
+}
+
 // result is the (D, P) pair threaded through the Figure 6 recursion:
 // event-edges plus the set of updated test conjunctions.
 type result struct {
@@ -375,6 +403,23 @@ func Events(c Cmd, k State) ([]Edge, error) {
 	}
 	sort.Sort(&edgesByKey{edges: r.edges, keys: keys})
 	return r.edges, nil
+}
+
+// Tests computes the P half of ⟪c⟫k for a link-free command c, from each
+// of the conjunctions phis: the distinct test conjunctions a packet that
+// satisfied one of them can satisfy after c. It is the step the
+// compiler's per-strand event extraction (nkc.ProgramCompiler.Explore)
+// composes between links; Events remains the whole-program oracle.
+func Tests(c Cmd, k State, phis []*netkat.Conj) ([]*netkat.Conj, error) {
+	var out result
+	for _, phi := range phis {
+		r, err := events(c, k, phi)
+		if err != nil {
+			return nil, err
+		}
+		out = out.union(result{phis: r.phis})
+	}
+	return out.phis, nil
 }
 
 // edgesByKey sorts edges by precomputed canonical key.
@@ -469,12 +514,7 @@ func events(c Cmd, k State, phi *netkat.Conj) (result, error) {
 	case CLink:
 		return result{phis: []*netkat.Conj{phi.Clone()}}, nil
 	case CLinkState:
-		to := k.Clone()
-		for _, s := range q.Sets {
-			to = to.With(s.Index, s.Value)
-		}
-		e := Edge{From: k.Clone(), Guard: phi.Clone(), Loc: q.Dst, To: to}
-		e.key = e.Key() // precompute while e.key is empty; cached thereafter
+		e := NewEdgeTemplate(phi.Clone(), q.Dst, q.Sets).At(k)
 		return result{edges: []Edge{e}, phis: []*netkat.Conj{phi.Clone()}}, nil
 	default:
 		return result{}, fmt.Errorf("stateful: unknown command %T", c)

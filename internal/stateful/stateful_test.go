@@ -2,6 +2,8 @@ package stateful
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"eventnet/internal/netkat"
@@ -243,5 +245,60 @@ func randLinkFreeCmd(r *rand.Rand, depth int) Cmd {
 		return CSeq{L: randLinkFreeCmd(r, depth-1), R: randLinkFreeCmd(r, depth-1)}
 	default:
 		return CPred{P: PNot{P: PState{Index: r.Intn(2), Value: r.Intn(2)}}}
+	}
+}
+
+// TestEdgeTemplateAt: instantiating a template at a state yields the
+// edge, key included, that Events extracts from the link in that state.
+func TestEdgeTemplateAt(t *testing.T) {
+	l := CLinkState{Src: netkat.Location{Switch: 1, Port: 1}, Dst: netkat.Location{Switch: 4, Port: 1},
+		Sets: []StateSet{{Index: 2, Value: 7}}}
+	c := SeqC(CPred{P: PTest{Field: "dst", Value: 104}}, l)
+	for _, k := range []State{{0}, {5, 5, 5}, nil} {
+		es, err := Events(c, k)
+		if err != nil || len(es) != 1 {
+			t.Fatalf("state %v: %v, %v", k, es, err)
+		}
+		phi := netkat.NewConj()
+		phi.AddEq("dst", 104)
+		got := NewEdgeTemplate(phi, l.Dst, l.Sets).At(k)
+		if got.Key() != es[0].Key() || !got.To.Equal(k.With(2, 7)) || !got.From.Equal(k) {
+			t.Fatalf("state %v: template edge %v (key %q), Events edge %v (key %q)", k, got, got.Key(), es[0], es[0].Key())
+		}
+	}
+}
+
+// TestTestsIsEventsWithoutLinks: Tests threads each conjunction through a
+// link-free command as Events' recursion does, deduplicating the results.
+func TestTestsIsEventsWithoutLinks(t *testing.T) {
+	c := UnionC(
+		CPred{P: PAnd{L: PState{Index: 0, Value: 1}, R: PTest{Field: "x", Value: 1}}},
+		CPred{P: PTest{Field: "x", Value: 1}},
+		CAssign{Field: "y", Value: 2},
+	)
+	in := []*netkat.Conj{netkat.NewConj(), netkat.NewConj()}
+	in[1].AddNeq("x", 1)
+	for _, tc := range []struct {
+		k    State
+		want []string
+	}{
+		{State{1}, []string{"x=1;", "y=2;", "y=2;x!=1;"}},
+		{State{0}, []string{"x=1;", "y=2;", "y=2;x!=1;"}},
+	} {
+		phis, err := Tests(c, tc.k, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, p := range phis {
+			got = append(got, p.Key())
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("state %v: %v, want %v", tc.k, got, tc.want)
+		}
+	}
+	if phis, _ := Tests(CPred{P: PState{Index: 0, Value: 1}}, State{0}, in); len(phis) != 0 {
+		t.Fatalf("false guard let %d conjunctions through", len(phis))
 	}
 }
