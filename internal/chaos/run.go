@@ -8,8 +8,8 @@ import (
 	"eventnet/internal/ctrl"
 	"eventnet/internal/dataplane"
 	"eventnet/internal/ets"
-	"eventnet/internal/netkat"
 	"eventnet/internal/nes"
+	"eventnet/internal/netkat"
 	"eventnet/internal/obs"
 	"eventnet/internal/stateful"
 	"eventnet/internal/topo"
@@ -360,10 +360,8 @@ func evalPredict(tp *topo.Topology, cmd stateful.Cmd, state stateful.State, host
 	h, _ := tp.HostByName(host)
 	out := map[string]bool{}
 	for _, lp := range netkat.Eval(pol, netkat.LocatedPacket{Pkt: fields, Loc: h.Attach}) {
-		if lk, ok := tp.LinkFrom(lp.Loc); ok {
-			if hh, isHost := tp.HostByID(lk.Dst.Switch); isHost {
-				out[hh.Name+"|"+lp.Pkt.Key()] = true
-			}
+		if _, hh, _ := tp.Across(lp.Loc); hh != nil {
+			out[hh.Name+"|"+lp.Pkt.Key()] = true
 		}
 	}
 	return out

@@ -517,7 +517,7 @@ type Engine struct {
 	switches []int            // sorted switch IDs; shard w owns indices i ≡ w (mod workers)
 	swIdx    map[int]int      // switch ID -> index
 	hosts    []hostPort       // host index -> point of entry, in Topo.Hosts order
-	hostIdx  map[string]int32 // host name -> host index (Topology.HostByName is a linear scan)
+	hostIdx  map[string]int32 // host name -> host index (the dense index the flat hop loop carries, not the topo.Host)
 	rings    []*ring          // per switch index, filled at barriers
 	hops     []int64          // per switch index, switch-hops executed (owner-worker mutated)
 
@@ -525,9 +525,9 @@ type Engine struct {
 	swap  *swapHandle  // active transition, nil otherwise
 
 	// Hot-path topology lookups, precomputed as dense per-switch-index,
-	// per-egress-port destination tables: a map lookup per emitted packet
-	// (let alone Topology.LinkFrom, which rebuilds the link slice per
-	// call) is measurable at line rate.
+	// per-egress-port destination tables: even one map lookup per emitted
+	// packet (which is what Topology.LinkFrom and Across cost) is
+	// measurable at line rate.
 	dests [][]portDest
 
 	seq          int64

@@ -270,10 +270,8 @@ func evalDeliveries(tp *topo.Topology, p *ctrl.Program, host string, fields netk
 	h, _ := tp.HostByName(host)
 	out := map[string]bool{}
 	for _, lp := range netkat.Eval(pol, netkat.LocatedPacket{Pkt: fields, Loc: h.Attach}) {
-		if lk, ok := tp.LinkFrom(lp.Loc); ok {
-			if hh, isHost := tp.HostByID(lk.Dst.Switch); isHost {
-				out[hh.Name+"|"+lp.Pkt.Key()] = true
-			}
+		if _, hh, _ := tp.Across(lp.Loc); hh != nil {
+			out[hh.Name+"|"+lp.Pkt.Key()] = true
 		}
 	}
 	return out

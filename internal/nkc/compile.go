@@ -515,20 +515,18 @@ func (c *CompiledConfig) matcher(sw int) (dataplane.Matcher, bool) {
 // port, and a switch ingress is processed by the flow table.
 func (c *CompiledConfig) DStep(d netkat.DPacket) []netkat.DPacket {
 	var outs []netkat.DPacket
-	switch {
-	case c.Topo.IsHostNode(d.Loc.Switch):
+	switch h, isHost := c.Topo.HostByID(d.Loc.Switch); {
+	case isHost:
 		if !d.Out {
 			return nil // absorbed by the host
 		}
-		h, _ := c.Topo.HostByID(d.Loc.Switch)
 		outs = append(outs, netkat.DPacket{Pkt: d.Pkt, Loc: h.Attach})
 	case d.Out:
-		if lk, ok := c.Topo.LinkFrom(d.Loc); ok {
-			if h, isHost := c.Topo.HostByID(lk.Dst.Switch); isHost {
-				outs = append(outs, netkat.DPacket{Pkt: d.Pkt, Loc: h.Loc()})
-			} else {
-				outs = append(outs, netkat.DPacket{Pkt: d.Pkt, Loc: lk.Dst})
+		if far, h, ok := c.Topo.Across(d.Loc); ok {
+			if h != nil {
+				far = h.Loc()
 			}
+			outs = append(outs, netkat.DPacket{Pkt: d.Pkt, Loc: far})
 		}
 	default:
 		if m, ok := c.matcher(d.Loc.Switch); ok {

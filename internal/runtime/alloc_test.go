@@ -1,0 +1,60 @@
+package runtime
+
+import (
+	"math"
+	"testing"
+
+	"eventnet/internal/apps"
+)
+
+// busyRing returns a machine over ring(diameter) with both hosts sending,
+// stepped until queues all round the ring hold packets and have grown to
+// their working capacity.
+func busyRing(t *testing.T, diameter int) *Machine {
+	t.Helper()
+	a := apps.Ring(diameter)
+	m := New(buildNES(t, a), a.Topo, 1, true)
+	for i := 0; i < 400; i++ {
+		if err := m.Inject("H1", pkt(apps.H(2))); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Inject("H2", pkt(apps.H(1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		m.Step()
+	}
+	return m
+}
+
+// TestEnabledDoesNotAllocate: listing the enabled rule instances of a warm
+// machine is a scan of the slot table into a buffer it already owns.
+func TestEnabledDoesNotAllocate(t *testing.T) {
+	m := busyRing(t, 4)
+	if len(m.enabled()) < 4 {
+		t.Fatalf("machine is not busy: %d enabled instances", len(m.enabled()))
+	}
+	if n := testing.AllocsPerRun(100, func() { m.enabled() }); n != 0 {
+		t.Errorf("enabled: %v allocs per call, want 0", n)
+	}
+}
+
+// TestStepAllocsIndependentOfNetworkSize: a step allocates what its rule
+// does (trace points, header copies), not what the network holds — ring(4)
+// and ring(16) stay within one allocation of each other.
+func TestStepAllocsIndependentOfNetworkSize(t *testing.T) {
+	perStep := func(diameter int) float64 {
+		m := busyRing(t, diameter)
+		n := testing.AllocsPerRun(1000, func() {
+			if !m.Step() {
+				t.Fatal("machine went quiescent inside the measurement")
+			}
+		})
+		t.Logf("ring(%d): %d switches, %.2f allocs/step", diameter, len(m.sws), n)
+		return n
+	}
+	if small, large := perStep(4), perStep(16); math.Abs(small-large) > 1 {
+		t.Errorf("allocs per step: ring(4) %.2f, ring(16) %.2f; want within 1 of each other", small, large)
+	}
+}

@@ -13,9 +13,10 @@
 package runtime
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"eventnet/internal/dataplane"
 	"eventnet/internal/flowtable"
@@ -34,13 +35,51 @@ type Packet struct {
 	tidx   int     // trace index of the packet's latest recorded location
 }
 
-// SwitchState is one switch: ID, input/output queue maps, and the local
-// view E of the global event-set.
+// SwitchState is one switch: its ID and the local view E of the global
+// event-set. Its port queues are slots of the machine's table (see slot).
 type SwitchState struct {
 	ID     int
-	In     map[int][]Packet
-	Out    map[int][]Packet
 	Events nes.Set
+
+	out, end int // the switch's egress queues are slots[out:end], ports ascending
+}
+
+// ruleKind names a rule of Figure 7 that the scheduler picks instances of.
+type ruleKind uint8
+
+const (
+	ruleSwitch ruleKind = iota
+	ruleLink
+	ruleOut
+	ruleCtrlRecv
+	ruleCtrlSend
+)
+
+// slot is one port queue of one switch together with the rule that
+// consumes its head: SWITCH for an ingress queue, LINK or OUT for an
+// egress queue, decided by what the topology puts across the link. The
+// queue is buf[head:]; a pop advances head and a drained queue rewinds to
+// buf[:0], so a steady run appends into capacity it already owns.
+type slot struct {
+	kind ruleKind
+	sw   *SwitchState
+	loc  netkat.Location
+	dst  int        // ruleLink: slot of the ingress queue across the link; -1 if it leads to no switch
+	host *topo.Host // ruleOut: the host across the link
+	buf  []Packet
+	head int
+}
+
+func (s *slot) push(p Packet) { s.buf = append(s.buf, p) }
+
+func (s *slot) pop() Packet {
+	p := s.buf[s.head]
+	s.buf[s.head] = Packet{} // drop the queue's reference to the header map
+	s.head++
+	if s.head == len(s.buf) {
+		s.buf, s.head = s.buf[:0], 0
+	}
+	return p
 }
 
 // Delivery is a packet received by a host.
@@ -63,6 +102,16 @@ type Machine struct {
 
 	Deliveries []Delivery
 
+	// slots is every port queue that can ever hold a packet, in the
+	// order the scheduler enumerates rule instances: switches ascending;
+	// per switch, ingress ports ascending, then linked egress ports
+	// ascending. The order is the domain of rng.Intn in Step, so it is
+	// part of what a seed means; TestSeedTracePin holds it still.
+	slots   []slot
+	ingress map[netkat.Location]int // ingress location -> slot
+	sws     []*SwitchState          // ascending by ID
+	acts    []action                // enabled() scratch
+
 	nt      trace.NetTrace
 	parents []int
 	rng     *rand.Rand
@@ -82,10 +131,71 @@ func New(n *nes.NES, t *topo.Topology, seed int64, ctrlAssist bool) *Machine {
 		rng:        rand.New(rand.NewSource(seed)),
 		plan:       dataplane.PlanFor(n),
 	}
-	for _, sw := range t.Switches {
-		m.Switches[sw] = &SwitchState{ID: sw, In: map[int][]Packet{}, Out: map[int][]Packet{}}
-	}
+	m.layout()
 	return m
+}
+
+// layout builds the slot table from the topology: the ports that can ever
+// hold a packet are the ends of its links.
+func (m *Machine) layout() {
+	t := m.Topo
+	ids := slices.Clone(t.Switches)
+	slices.Sort(ids)
+	for _, id := range slices.Compact(ids) {
+		sw := &SwitchState{ID: id}
+		m.Switches[id] = sw
+		m.sws = append(m.sws, sw)
+	}
+	// One key per link end at a switch, sorted into table order.
+	type end struct {
+		loc    netkat.Location
+		egress int // 0 or 1: a switch's ingress queues come first
+	}
+	links := t.AllLinks()
+	ends := make([]end, 0, 2*len(links))
+	for _, lk := range links {
+		if m.Switches[lk.Src.Switch] != nil {
+			ends = append(ends, end{lk.Src, 1})
+		}
+		if m.Switches[lk.Dst.Switch] != nil {
+			ends = append(ends, end{lk.Dst, 0})
+		}
+	}
+	slices.SortFunc(ends, func(a, b end) int {
+		return cmp.Or(cmp.Compare(a.loc.Switch, b.loc.Switch), cmp.Compare(a.egress, b.egress), cmp.Compare(a.loc.Port, b.loc.Port))
+	})
+	ends = slices.Compact(ends)
+	m.slots = make([]slot, 0, len(ends))
+	m.ingress = make(map[netkat.Location]int, len(ends)/2)
+	for _, e := range ends {
+		sw := m.Switches[e.loc.Switch]
+		kind := ruleSwitch
+		if e.egress == 1 {
+			kind = ruleLink
+			if sw.end == 0 { // the switch's first egress queue; end is at least 1 from here on
+				sw.out = len(m.slots)
+			}
+			sw.end = len(m.slots) + 1
+		} else {
+			m.ingress[e.loc] = len(m.slots)
+		}
+		m.slots = append(m.slots, slot{kind: kind, sw: sw, loc: e.loc})
+	}
+	// Resolve each egress queue to what is across its link.
+	for i := range m.slots {
+		s := &m.slots[i]
+		if s.kind != ruleLink {
+			continue
+		}
+		far, h, _ := t.Across(s.loc)
+		if h != nil {
+			s.kind, s.host = ruleOut, h
+		} else if dst, ok := m.ingress[far]; ok {
+			s.dst = dst
+		} else {
+			s.dst = -1
+		}
+	}
 }
 
 // record appends a directed trace point with the given parent (-1 for a
@@ -124,77 +234,53 @@ func (m *Machine) Inject(host string, fields netkat.Packet) error {
 	if !ok {
 		return fmt.Errorf("runtime: unknown host %q", host)
 	}
-	sw := m.Switches[h.Attach.Switch]
+	i, ok := m.ingress[h.Attach]
+	if !ok {
+		return fmt.Errorf("runtime: host %q attaches to unknown switch %d", host, h.Attach.Switch)
+	}
+	in := &m.slots[i]
 	root := m.record(fields, h.Loc(), true, -1)
-	pkt := Packet{
+	in.push(Packet{
 		Fields: fields.Clone(),
-		Config: m.gAt(sw.Events),
+		Config: m.gAt(in.sw.Events),
 		Digest: nes.Empty,
 		tidx:   root,
-	}
-	sw.In[h.Attach.Port] = append(sw.In[h.Attach.Port], pkt)
+	})
 	return nil
 }
 
-// action is one enabled rule instance.
+// action is one enabled rule instance: a rule and the slot whose head it
+// consumes (SWITCH, LINK, OUT) or the switch it informs (CTRLSEND, an
+// index into sws).
 type action struct {
-	kind string // "switch", "link", "out", "ctrlrecv", "ctrlsend"
-	sw   int
-	port int
-	ev   int
+	kind ruleKind
+	i    int
 }
 
-// enabled lists every enabled rule instance, deterministically ordered.
+// enabled lists every enabled rule instance in table order, then
+// CTRLRECV, then CTRLSEND per switch ascending. The result is valid until
+// the next call.
 func (m *Machine) enabled() []action {
-	var out []action
-	sws := make([]int, 0, len(m.Switches))
-	for sw := range m.Switches {
-		sws = append(sws, sw)
-	}
-	sort.Ints(sws)
-	for _, swid := range sws {
-		sw := m.Switches[swid]
-		for _, p := range sortedPorts(sw.In) {
-			if len(sw.In[p]) > 0 {
-				out = append(out, action{kind: "switch", sw: swid, port: p})
-			}
-		}
-		for _, p := range sortedPorts(sw.Out) {
-			if len(sw.Out[p]) == 0 {
-				continue
-			}
-			src := netkat.Location{Switch: swid, Port: p}
-			if lk, ok := m.Topo.LinkFrom(src); ok {
-				if m.Topo.IsHostNode(lk.Dst.Switch) {
-					out = append(out, action{kind: "out", sw: swid, port: p})
-				} else {
-					out = append(out, action{kind: "link", sw: swid, port: p})
-				}
-			}
+	acts := m.acts[:0]
+	for i := range m.slots {
+		if s := &m.slots[i]; s.head < len(s.buf) {
+			acts = append(acts, action{s.kind, i})
 		}
 	}
 	if m.CtrlAssist {
 		if m.Q != nes.Empty {
-			out = append(out, action{kind: "ctrlrecv"})
+			acts = append(acts, action{kind: ruleCtrlRecv})
 		}
 		if m.R != nes.Empty {
-			for _, swid := range sws {
-				if !m.R.SubsetOf(m.Switches[swid].Events) {
-					out = append(out, action{kind: "ctrlsend", sw: swid})
+			for i, sw := range m.sws {
+				if !m.R.SubsetOf(sw.Events) {
+					acts = append(acts, action{ruleCtrlSend, i})
 				}
 			}
 		}
 	}
-	return out
-}
-
-func sortedPorts(qm map[int][]Packet) []int {
-	out := make([]int, 0, len(qm))
-	for p := range qm {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
+	m.acts = acts
+	return acts
 }
 
 // Step performs one randomly chosen enabled rule instance. It reports
@@ -211,34 +297,34 @@ func (m *Machine) Step() bool {
 
 func (m *Machine) perform(a action) {
 	switch a.kind {
-	case "switch":
-		m.switchStep(a.sw, a.port)
-	case "link":
-		m.linkStep(a.sw, a.port)
-	case "out":
-		m.outStep(a.sw, a.port)
-	case "ctrlrecv":
+	case ruleSwitch:
+		m.switchStep(&m.slots[a.i])
+	case ruleLink:
+		m.linkStep(&m.slots[a.i])
+	case ruleOut:
+		m.outStep(&m.slots[a.i])
+	case ruleCtrlRecv:
 		// Move one event from the controller queue into the controller.
 		es := m.Q.Elems()
 		e := es[m.rng.Intn(len(es))]
 		m.Q = m.Q.Without(e)
 		m.R = m.R.With(e)
-	case "ctrlsend":
+	case ruleCtrlSend:
 		// Push the controller's view to one switch (the periodic
 		// broadcast of Section 4.1).
-		m.Switches[a.sw].Events = m.Switches[a.sw].Events.Union(m.R)
+		sw := m.sws[a.i]
+		sw.Events = sw.Events.Union(m.R)
 	}
 }
 
 // switchStep is the SWITCH rule: learn from the packet's digest, detect
 // newly enabled events the packet matches, forward using the packet's
 // tagged configuration, and stamp the outputs' digests.
-func (m *Machine) switchStep(swid, port int) {
-	sw := m.Switches[swid]
-	pkt := sw.In[port][0]
-	sw.In[port] = sw.In[port][1:]
+func (m *Machine) switchStep(in *slot) {
+	sw, loc := in.sw, in.loc
+	swid, port := loc.Switch, loc.Port
+	pkt := in.pop()
 
-	loc := netkat.Location{Switch: swid, Port: port}
 	ingress := m.record(pkt.Fields, loc, false, pkt.tidx)
 
 	known := sw.Events.Union(pkt.Digest)
@@ -261,33 +347,34 @@ func (m *Machine) switchStep(swid, port int) {
 
 	for _, o := range outs {
 		egress := m.record(o.Pkt, netkat.Location{Switch: swid, Port: o.Port}, true, ingress)
-		sw.Out[o.Port] = append(sw.Out[o.Port], Packet{
-			Fields: o.Pkt,
-			Config: pkt.Config,
-			Digest: outDigest,
-			tidx:   egress,
-		})
+		// A port nothing is linked to has no queue: no rule could ever
+		// move the packet on, so it ends at its egress point.
+		for j := sw.out; j < sw.end; j++ {
+			if out := &m.slots[j]; out.loc.Port == o.Port {
+				out.push(Packet{
+					Fields: o.Pkt,
+					Config: pkt.Config,
+					Digest: outDigest,
+					tidx:   egress,
+				})
+				break
+			}
+		}
 	}
 }
 
 // linkStep is the LINK rule: move the head packet across the physical
 // link into the neighbor's input queue.
-func (m *Machine) linkStep(swid, port int) {
-	sw := m.Switches[swid]
-	pkt := sw.Out[port][0]
-	sw.Out[port] = sw.Out[port][1:]
-	lk, _ := m.Topo.LinkFrom(netkat.Location{Switch: swid, Port: port})
-	dst := m.Switches[lk.Dst.Switch]
-	dst.In[lk.Dst.Port] = append(dst.In[lk.Dst.Port], pkt)
+func (m *Machine) linkStep(out *slot) {
+	pkt := out.pop()
+	if out.dst >= 0 { // else the link leads out of the modeled network
+		m.slots[out.dst].push(pkt)
+	}
 }
 
 // outStep is the OUT rule: deliver the head packet to the attached host.
-func (m *Machine) outStep(swid, port int) {
-	sw := m.Switches[swid]
-	pkt := sw.Out[port][0]
-	sw.Out[port] = sw.Out[port][1:]
-	lk, _ := m.Topo.LinkFrom(netkat.Location{Switch: swid, Port: port})
-	h, _ := m.Topo.HostByID(lk.Dst.Switch)
+func (m *Machine) outStep(out *slot) {
+	pkt, h := out.pop(), out.host
 	m.record(pkt.Fields, h.Loc(), false, pkt.tidx)
 	m.Deliveries = append(m.Deliveries, Delivery{Host: h.Name, Fields: pkt.Fields.Clone()})
 }

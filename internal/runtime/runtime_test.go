@@ -308,7 +308,7 @@ func TestTheorem1RandomSchedules(t *testing.T) {
 		t.Run(c.app.Name, func(t *testing.T) {
 			n := buildNES(t, c.app)
 			hosts := c.app.Topo.HostLocs()
-			for seed := int64(0); seed < 30; seed++ {
+			for seed := int64(0); seed < 120; seed++ {
 				r := rand.New(rand.NewSource(seed))
 				sc := randScenario(c.app, c.hosts, c.dsts, r, 2+r.Intn(5))
 				m := New(n, c.app.Topo, seed*7+1, seed%2 == 0)
@@ -471,7 +471,7 @@ func TestDistributedFirewallConcurrentEvents(t *testing.T) {
 	n := buildNES(t, a)
 	hosts := a.Topo.HostLocs()
 	sawOrder := map[string]bool{}
-	for seed := int64(0); seed < 40; seed++ {
+	for seed := int64(0); seed < 160; seed++ {
 		m := New(n, a.Topo, seed, false)
 		// Inject both opening packets concurrently, then the returns.
 		m.Inject("H1", netkat.Packet{apps.FieldDst: apps.H(4), apps.FieldSrc: apps.H(1)})

@@ -16,7 +16,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math/rand"
 
 	"eventnet/internal/nes"
@@ -103,23 +102,57 @@ type event struct {
 	fn  func()
 }
 
+// before orders events by time, then by scheduling order. seq is unique,
+// so the order is total and any correct heap pops the same sequence.
+func (e event) before(o event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events under before.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].before(q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	*h = q
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h eventHeap) Peek() (event, bool) {
-	if len(h) == 0 {
-		return event{}, false
+
+// pop removes and returns the earliest event. The vacated slot is zeroed,
+// so the backing array does not keep a popped closure (and the packets it
+// captured) reachable.
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q[n] = event{}
+	q = q[:n]
+	for i := 0; ; {
+		least := 2*i + 1
+		if least >= n {
+			break
+		}
+		if r := least + 1; r < n && q[r].before(q[least]) {
+			least = r
+		}
+		if !q[least].before(q[i]) {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
 	}
-	return h[0], true
+	*h = q
+	return top
 }
 
 // Sim is the simulation state.
@@ -171,7 +204,7 @@ func (s *Sim) At(t float64, fn func()) {
 		t = s.now
 	}
 	s.seq++
-	heap.Push(&s.queue, event{at: t, seq: s.seq, fn: fn})
+	s.queue.push(event{at: t, seq: s.seq, fn: fn})
 }
 
 // After schedules fn after a relative delay.
@@ -180,16 +213,12 @@ func (s *Sim) After(d float64, fn func()) { s.At(s.now+d, fn) }
 // Run processes events until the queue is empty or the horizon is
 // reached.
 func (s *Sim) Run(horizon float64) {
-	for {
-		ev, ok := s.queue.Peek()
-		if !ok || ev.at > horizon {
-			s.now = horizon
-			return
-		}
-		heap.Pop(&s.queue)
+	for len(s.queue) > 0 && s.queue[0].at <= horizon {
+		ev := s.queue.pop()
 		s.now = ev.at
 		ev.fn()
 	}
+	s.now = horizon
 }
 
 // OnReceive registers a handler invoked when the named host receives a
@@ -255,7 +284,7 @@ func (s *Sim) wireBytes() int { return s.Params.PayloadBytes + s.Plane.HeaderOve
 // modeling serialization, backlog-overflow drops, and propagation. tidx
 // is the packet's latest recorded trace point (-1 when not recording).
 func (s *Sim) transmit(src netkat.Location, fields netkat.Packet, meta Meta, tidx int) {
-	lk, ok := s.Topo.LinkFrom(src)
+	far, h, ok := s.Topo.Across(src)
 	if !ok {
 		return // unconnected port: packet leaves the modeled network
 	}
@@ -270,9 +299,8 @@ func (s *Sim) transmit(src netkat.Location, fields netkat.Packet, meta Meta, tid
 	tx := float64(s.wireBytes()) / s.Params.LinkBandwidth
 	s.linkFree[src] = free + tx
 	arrive := free + tx + s.Params.LinkLatency
-	dst := lk.Dst
 	s.At(arrive, func() {
-		if h, isHost := s.Topo.HostByID(dst.Switch); isHost {
+		if h != nil {
 			s.record(fields, h.Loc(), false, tidx)
 			s.Delivered = append(s.Delivered, Delivery{Host: h.Name, Fields: fields, Time: s.now})
 			if fn := s.onReceive[h.Name]; fn != nil {
@@ -280,7 +308,7 @@ func (s *Sim) transmit(src netkat.Location, fields netkat.Packet, meta Meta, tid
 			}
 			return
 		}
-		s.arriveAtSwitch(dst.Switch, dst.Port, fields, meta, tidx)
+		s.arriveAtSwitch(far.Switch, far.Port, fields, meta, tidx)
 	})
 }
 

@@ -1,0 +1,205 @@
+package topo
+
+import (
+	"sync"
+	"testing"
+
+	"eventnet/internal/netkat"
+)
+
+// The linear scans the index replaced, kept here as its reference.
+
+func scanLinkFrom(t *Topology, src netkat.Location) (Link, bool) {
+	for _, lk := range t.AllLinks() {
+		if lk.Src == src {
+			return lk, true
+		}
+	}
+	return Link{}, false
+}
+
+func scanHostByID(t *Topology, id int) (Host, bool) {
+	for _, h := range t.Hosts {
+		if h.ID == id {
+			return h, true
+		}
+	}
+	return Host{}, false
+}
+
+func scanHostByName(t *Topology, name string) (Host, bool) {
+	for _, h := range t.Hosts {
+		if h.Name == name {
+			return h, true
+		}
+	}
+	return Host{}, false
+}
+
+// probes returns locations, node IDs and names to look up: every one the
+// topology mentions and neighbours of each that it does not.
+func probes(t *Topology) (locs []netkat.Location, ids []int, names []string) {
+	for _, lk := range t.AllLinks() {
+		for _, l := range []netkat.Location{lk.Src, lk.Dst} {
+			locs = append(locs, l, netkat.Location{Switch: l.Switch, Port: l.Port + 17}, netkat.Location{Switch: l.Switch + 5003, Port: l.Port})
+			ids = append(ids, l.Switch, l.Switch+5003)
+		}
+	}
+	ids = append(ids, t.Switches...)
+	for _, h := range t.Hosts {
+		names = append(names, h.Name, h.Name+"x")
+	}
+	return locs, append(ids, -1, 0), append(names, "", "H0")
+}
+
+// agree checks every lookup against its scan. It reports through t.Errorf
+// only, so goroutines other than the test's may call it.
+func agree(t *testing.T, name string, tp *Topology) {
+	t.Helper()
+	locs, ids, names := probes(tp)
+	for _, l := range locs {
+		want, wantOK := scanLinkFrom(tp, l)
+		if got, ok := tp.LinkFrom(l); got != want || ok != wantOK {
+			t.Errorf("%s: LinkFrom(%v) = %v, %v; scan %v, %v", name, l, got, ok, want, wantOK)
+		}
+		far, h, ok := tp.Across(l)
+		wantHost, isHost := scanHostByID(tp, want.Dst.Switch)
+		isHost = isHost && wantOK
+		if ok != wantOK || far != want.Dst || (h != nil) != isHost || (h != nil && *h != wantHost) {
+			t.Errorf("%s: Across(%v) = %v, %v, %v; scan %v, %v (host %v)", name, l, far, h, ok, want.Dst, wantOK, isHost)
+		}
+	}
+	for _, id := range ids {
+		want, wantOK := scanHostByID(tp, id)
+		if got, ok := tp.HostByID(id); got != want || ok != wantOK {
+			t.Errorf("%s: HostByID(%d) = %v, %v; scan %v, %v", name, id, got, ok, want, wantOK)
+		}
+		if got := tp.IsHostNode(id); got != wantOK {
+			t.Errorf("%s: IsHostNode(%d) = %v; scan %v", name, id, got, wantOK)
+		}
+	}
+	for _, n := range names {
+		want, wantOK := scanHostByName(tp, n)
+		if got, ok := tp.HostByName(n); got != want || ok != wantOK {
+			t.Errorf("%s: HostByName(%q) = %v, %v; scan %v, %v", name, n, got, ok, want, wantOK)
+		}
+	}
+}
+
+var builders = []struct {
+	name  string
+	build func() *Topology
+}{
+	{"firewall", Firewall},
+	{"learning-switch", LearningSwitch},
+	{"star", Star},
+	{"fattree-4", func() *Topology { return FatTree(4) }},
+	{"diamond", Diamond},
+	{"wan", WAN},
+	{"ring-8", func() *Topology { return Ring(8) }},
+}
+
+// TestIndexMatchesScan: on every builder's topology each lookup answers as
+// the linear scan does, for keys present and absent, and still does after
+// the topology grows behind a lookup.
+func TestIndexMatchesScan(t *testing.T) {
+	for _, b := range builders {
+		tp := b.build()
+		agree(t, b.name, tp)
+
+		// Grow through the methods: a new host, a link from a fresh port,
+		// and a switch link from a port a host already hangs off (the
+		// Links entry precedes the derived one in AllLinks, so it wins).
+		attach := tp.Hosts[0].Attach
+		tp.AddHost(HostID(900), "Hnew", netkat.Location{Switch: tp.Switches[0], Port: 40})
+		tp.AddBiLink(netkat.Location{Switch: tp.Switches[0], Port: 41}, netkat.Location{Switch: 7001, Port: 1})
+		tp.AddBiLink(attach, netkat.Location{Switch: 7002, Port: 1})
+		if lk, _ := tp.LinkFrom(attach); lk.Dst.Switch != 7002 {
+			t.Errorf("%s: LinkFrom(%v) = %v after a switch link was added there; the Links entry must win", b.name, attach, lk)
+		}
+		agree(t, b.name+"+adds", tp)
+
+		// Grow behind the index's back.
+		tp.Links = append(tp.Links, Link{Src: netkat.Location{Switch: 7003, Port: 1}, Dst: netkat.Location{Switch: tp.Switches[0], Port: 42}})
+		tp.Hosts = append(tp.Hosts, Host{ID: HostID(901), Name: "Hraw", Attach: netkat.Location{Switch: 7003, Port: 2}})
+		agree(t, b.name+"+appends", tp)
+	}
+}
+
+// TestIndexFirstMatchWins: duplicates resolve as a scan resolves them.
+func TestIndexFirstMatchWins(t *testing.T) {
+	a, b := netkat.Location{Switch: 1, Port: 1}, netkat.Location{Switch: 2, Port: 1}
+	tp := &Topology{
+		Switches: []int{1, 2, 3},
+		Links:    []Link{{Src: a, Dst: b}, {Src: a, Dst: netkat.Location{Switch: 3, Port: 1}}},
+		Hosts: []Host{
+			{ID: HostID(1), Name: "H1", Attach: netkat.Location{Switch: 1, Port: 2}},
+			{ID: HostID(1), Name: "H1", Attach: netkat.Location{Switch: 2, Port: 2}}, // same ID and name
+			{ID: HostID(2), Name: "H2", Attach: a},                                   // attach port already has a switch link
+			{ID: HostID(3), Name: "H3", Attach: netkat.Location{Switch: 1, Port: 2}}, // attach port already has a host
+		},
+	}
+	agree(t, "literal", tp)
+	if lk, _ := tp.LinkFrom(a); lk.Dst != b {
+		t.Errorf("LinkFrom(%v) = %v, want the first of two links", a, lk)
+	}
+	if h, _ := tp.HostByName("H1"); h.Attach.Switch != 1 {
+		t.Errorf("HostByName(H1) = %v, want the first of two hosts", h)
+	}
+}
+
+// TestIndexConcurrentFirstLookups: goroutines whose lookups are all the
+// first on a fresh topology see the scan's answers (run under -race).
+func TestIndexConcurrentFirstLookups(t *testing.T) {
+	for _, b := range builders {
+		tp := b.build()
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				agree(t, b.name, tp)
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestLookupsDoNotAllocate: a lookup on an indexed topology is a map probe.
+func TestLookupsDoNotAllocate(t *testing.T) {
+	tp := FatTree(4)
+	h := tp.Hosts[len(tp.Hosts)-1]
+	var sink int
+	for name, fn := range map[string]func(){
+		"LinkFrom":   func() { lk, _ := tp.LinkFrom(h.Attach); sink += lk.Dst.Port },
+		"Across":     func() { _, hh, _ := tp.Across(h.Attach); sink += hh.ID },
+		"HostByID":   func() { hh, _ := tp.HostByID(h.ID); sink += hh.ID },
+		"IsHostNode": func() { _ = tp.IsHostNode(h.ID) },
+		"HostByName": func() { hh, _ := tp.HostByName(h.Name); sink += hh.ID },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s: %v allocs per lookup, want 0", name, n)
+		}
+	}
+	_ = sink
+}
+
+// TestBuilderInterleavingDoesNotRebuild: adds that follow a lookup extend
+// the index in place, so a builder that looks up as it goes stays linear.
+func TestBuilderInterleavingDoesNotRebuild(t *testing.T) {
+	tp := New()
+	tp.AddSwitch(1)
+	tp.IsHostNode(1)
+	first := tp.idx.Load()
+	for i := 0; i < 200; i++ {
+		tp.AddBiLink(netkat.Location{Switch: 1, Port: i + 1}, netkat.Location{Switch: i + 2, Port: 1})
+		tp.AddHost(HostID(i), "H", netkat.Location{Switch: i + 2, Port: 2})
+		if _, ok := tp.LinkFrom(netkat.Location{Switch: i + 2, Port: 2}); !ok {
+			t.Fatalf("add %d: host link not indexed", i)
+		}
+	}
+	if tp.idx.Load() != first {
+		t.Error("index was rebuilt during interleaved adds and lookups")
+	}
+	agree(t, "interleaved", tp)
+}

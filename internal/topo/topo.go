@@ -4,11 +4,34 @@
 //
 // Hosts are modeled as nodes with a single port 0; a host is attached to an
 // edge switch by a bidirectional link between host:0 and switch:port.
+//
+// # Lookups
+//
+// LinkFrom, Across, HostByID, IsHostNode and HostByName answer from an
+// index (source location → link, node ID → host, name → host) built on
+// the first lookup, so each costs a map probe however large the network.
+// The contract:
+//
+//   - First match: where two links leave one location, or two hosts share
+//     an ID or a name, the one earlier in AllLinks (Links, then each
+//     host's pair in Hosts order) or in Hosts wins, as a scan would find.
+//   - Invalidation: AddBiLink and AddHost extend a current index in
+//     place, so a builder that interleaves adds with lookups never
+//     rebuilds. Appending to Links or Hosts directly (or building the
+//     value as a literal) is seen through the slice lengths and costs one
+//     rebuild on the next lookup. Rewriting an element in place is not
+//     seen; nothing in this module does it.
+//   - Concurrency: any number of goroutines may look up at once,
+//     including the first lookup (each builds the same index and
+//     publishes it atomically; a published index is only read). A
+//     mutation must not run concurrently with anything else, as for any
+//     Go value. A Topology must not be copied after first use.
 package topo
 
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"eventnet/internal/netkat"
 )
@@ -33,6 +56,78 @@ type Topology struct {
 	Switches []int
 	Hosts    []Host
 	Links    []Link // switch-to-switch links only; host links are derived
+
+	idx atomic.Pointer[index] // lookup tables over Links and Hosts; see index
+}
+
+// index is the lookup form of a topology's first links links and first
+// hosts hosts. It is current while those counts equal the slice lengths.
+type index struct {
+	links, hosts int
+	from         map[netkat.Location]outLink
+	byID         map[int]int // host node ID -> position in Hosts
+	byName       map[string]int
+}
+
+// outLink is the link leaving a location. A link derived from a host
+// attachment follows every Links entry in AllLinks order, so a Links
+// entry from the same location replaces it whenever it is added.
+type outLink struct {
+	Link
+	derived bool
+}
+
+func (ix *index) addLink(lk Link, derived bool) {
+	if e, ok := ix.from[lk.Src]; !ok || (e.derived && !derived) {
+		ix.from[lk.Src] = outLink{lk, derived}
+	}
+}
+
+func (ix *index) addHost(i int, h Host) {
+	if _, ok := ix.byID[h.ID]; !ok {
+		ix.byID[h.ID] = i
+	}
+	if _, ok := ix.byName[h.Name]; !ok {
+		ix.byName[h.Name] = i
+	}
+	ix.addLink(Link{Src: h.Loc(), Dst: h.Attach}, true)
+	ix.addLink(Link{Src: h.Attach, Dst: h.Loc()}, true)
+}
+
+// extend indexes whatever Links and Hosts hold beyond what ix covers.
+func (ix *index) extend(t *Topology) {
+	for _, lk := range t.Links[ix.links:] {
+		ix.addLink(lk, false)
+	}
+	for i, h := range t.Hosts[ix.hosts:] {
+		ix.addHost(ix.hosts+i, h)
+	}
+	ix.links, ix.hosts = len(t.Links), len(t.Hosts)
+}
+
+// lookup returns the current index, building one if the topology has none
+// or has been appended to behind its back.
+func (t *Topology) lookup() *index {
+	ix := t.idx.Load()
+	if ix != nil && ix.links == len(t.Links) && ix.hosts == len(t.Hosts) {
+		return ix
+	}
+	ix = &index{
+		from:   make(map[netkat.Location]outLink, len(t.Links)+2*len(t.Hosts)),
+		byID:   make(map[int]int, len(t.Hosts)),
+		byName: make(map[string]int, len(t.Hosts)),
+	}
+	ix.extend(t)
+	t.idx.Store(ix)
+	return ix
+}
+
+// grown brings an index that was current before an append up to date; a
+// stale or missing one is left for the next lookup to rebuild.
+func (t *Topology) grown(links, hosts int) {
+	if ix := t.idx.Load(); ix != nil && ix.links == links && ix.hosts == hosts {
+		ix.extend(t)
+	}
 }
 
 // New returns an empty topology.
@@ -54,37 +149,35 @@ func (t *Topology) AddBiLink(a, b netkat.Location) {
 	t.AddSwitch(a.Switch)
 	t.AddSwitch(b.Switch)
 	t.Links = append(t.Links, Link{Src: a, Dst: b}, Link{Src: b, Dst: a})
+	t.grown(len(t.Links)-2, len(t.Hosts))
 }
 
 // AddHost attaches a named host to a switch port.
 func (t *Topology) AddHost(id int, name string, attach netkat.Location) {
 	t.AddSwitch(attach.Switch)
 	t.Hosts = append(t.Hosts, Host{ID: id, Name: name, Attach: attach})
+	t.grown(len(t.Links), len(t.Hosts)-1)
 }
 
 // HostByName returns the host with the given name.
 func (t *Topology) HostByName(name string) (Host, bool) {
-	for _, h := range t.Hosts {
-		if h.Name == name {
-			return h, true
-		}
+	if i, ok := t.lookup().byName[name]; ok {
+		return t.Hosts[i], true
 	}
 	return Host{}, false
 }
 
 // HostByID returns the host with the given node ID.
 func (t *Topology) HostByID(id int) (Host, bool) {
-	for _, h := range t.Hosts {
-		if h.ID == id {
-			return h, true
-		}
+	if i, ok := t.lookup().byID[id]; ok {
+		return t.Hosts[i], true
 	}
 	return Host{}, false
 }
 
 // IsHostNode reports whether the node ID belongs to a host.
 func (t *Topology) IsHostNode(id int) bool {
-	_, ok := t.HostByID(id)
+	_, ok := t.lookup().byID[id]
 	return ok
 }
 
@@ -111,12 +204,24 @@ func (t *Topology) AllLinks() []Link {
 // LinkFrom returns the link leaving the given location, if any. Topologies
 // in this package have at most one link per (node, port) direction.
 func (t *Topology) LinkFrom(src netkat.Location) (Link, bool) {
-	for _, lk := range t.AllLinks() {
-		if lk.Src == src {
-			return lk, true
-		}
+	e, ok := t.lookup().from[src]
+	return e.Link, ok
+}
+
+// Across follows the link leaving src. It returns the link's far end and,
+// when that end is a host node, the host (nil when it is a switch); ok is
+// false when no link leaves src. The host is an element of Hosts and must
+// not be written through.
+func (t *Topology) Across(src netkat.Location) (far netkat.Location, h *Host, ok bool) {
+	ix := t.lookup()
+	e, ok := ix.from[src]
+	if !ok {
+		return netkat.Location{}, nil, false
 	}
-	return Link{}, false
+	if i, isHost := ix.byID[e.Dst.Switch]; isHost {
+		h = &t.Hosts[i]
+	}
+	return e.Dst, h, true
 }
 
 // Validate checks structural sanity: link endpoints are registered
