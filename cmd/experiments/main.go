@@ -1,17 +1,14 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (Section 5) and prints them in order, plus the scale sweep
-// opened by the incremental compilation pipeline and the dataplane
-// throughput comparison (compiled indexed matchers vs linear scan). Use
-// -quick for a reduced Figure 10 sweep, smaller ring diameters, and a
-// shorter throughput stream, and -json for machine-readable output (one
-// JSON object per line, suitable for tracking the benchmark trajectory
-// across PRs — see docs/BENCHMARKS.md).
+// evaluation (Section 5) and prints them in order, plus the scale sweeps
+// opened by the incremental compilation pipeline and the multi-core
+// engine. Use -quick for a reduced Figure 10 sweep, smaller ring
+// diameters and shorter packet streams, and -json for machine-readable
+// output (one JSON object per line — see docs/BENCHMARKS.md).
 //
 //	experiments                  # full reproduction (a few minutes)
 //	experiments -quick           # seconds
 //	experiments -only fig14,fig17
 //	experiments -json -only scale
-//	experiments -json -only throughput
 //	experiments -json -only swap
 //	experiments -json -only chaos   # chaos audit; exit 1 on any violation
 package main
@@ -87,7 +84,7 @@ func emit(name string, v any) {
 
 func main() {
 	quick := flag.Bool("quick", false, "reduced parameter sweeps")
-	only := flag.String("only", "", "comma-separated subset: fig10..fig17, tables, scale, scale-cores, compile, throughput, swap, chaos, trace")
+	only := flag.String("only", "", "comma-separated subset: fig10..fig17, tables, scale, scale-cores, compile, swap, chaos, trace")
 	flag.BoolVar(&asJSON, "json", false, "emit one JSON object per experiment instead of text")
 	flag.Parse()
 
@@ -126,13 +123,6 @@ func main() {
 			os.Exit(1)
 		}
 		emit("scale-cores", res.Table)
-	}
-	if sel("throughput") {
-		probes := 2000000
-		if *quick {
-			probes = 200000
-		}
-		emit("throughput", exp.Throughput(probes))
 	}
 	if sel("swap") {
 		packets := 98304

@@ -89,7 +89,6 @@ import (
 
 	"eventnet/internal/apps"
 	"eventnet/internal/ctrl"
-	"eventnet/internal/dataplane"
 	"eventnet/internal/obs"
 	"eventnet/internal/stateful"
 	"eventnet/internal/syntax"
@@ -538,7 +537,6 @@ func main() {
 	diameter := flag.Int("diameter", 3, "ring diameter (for -app ring)")
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 2, "forwarding workers")
-	mode := flag.String("dataplane", "indexed", "forwarding mode: indexed or scan")
 	traceSample := flag.Int("trace-sample", 64, "trace every Nth injected packet (0 disables journey tracing)")
 	deliverySample := flag.Int("delivery-sample", 16, "publish every Nth delivery on /watch (0 disables the delivery feed)")
 	watchBuf := flag.Int("watch-buf", 256, "default per-subscriber /watch event buffer")
@@ -546,10 +544,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "listen address for the pprof/expvar debug server (empty disables it)")
 	flag.Parse()
 
-	m, ok := dataplane.ParseMode(*mode)
-	if !ok {
-		log.Fatalf("netd: unknown -dataplane %q", *mode)
-	}
 	a, err := appByName(programRequest{App: *appName, Cap: *capN, Diameter: *diameter})
 	if err != nil {
 		log.Fatalf("netd: %v", err)
@@ -573,7 +567,7 @@ func main() {
 	// ever delivered. A wedged swap dumps the flight record to stderr
 	// automatically so the stuck drain can be diagnosed post hoc.
 	c := ctrl.New(a.Topo, ctrl.Options{
-		Workers: *workers, Mode: m, DeliveryLog: 1 << 16, Obs: o,
+		Workers: *workers, DeliveryLog: 1 << 16, Obs: o,
 		OnWedgeDump: func(d *obs.FlightDump) {
 			if d == nil {
 				return
@@ -594,7 +588,7 @@ func main() {
 	srv := &http.Server{Addr: *addr, Handler: handler}
 
 	go func() {
-		log.Printf("netd: %s serving %s on %s (%d workers, %s dataplane)", version, a.Name, *addr, *workers, m)
+		log.Printf("netd: %s serving %s on %s (%d workers)", version, a.Name, *addr, *workers)
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			log.Fatalf("netd: %v", err)
 		}

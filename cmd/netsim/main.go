@@ -7,7 +7,6 @@
 //	netsim -app firewall -plane tagged
 //	netsim -app firewall -plane uncoord -delay 2.5
 //	netsim -app bandwidth-cap -cap 10 -pings 18
-//	netsim -app ids -dataplane scan   # linear-scan reference dataplane
 package main
 
 import (
@@ -16,7 +15,6 @@ import (
 	"os"
 
 	"eventnet/internal/apps"
-	"eventnet/internal/dataplane"
 	"eventnet/internal/exp"
 	"eventnet/internal/sim"
 )
@@ -24,7 +22,6 @@ import (
 func main() {
 	appName := flag.String("app", "firewall", "application: firewall, learning-switch, authentication, bandwidth-cap, ids, ring")
 	plane := flag.String("plane", "tagged", "data plane: tagged (correct) or uncoord (baseline)")
-	dpMode := flag.String("dataplane", "indexed", "forwarding engine: indexed (compiled matchers) or scan (linear)")
 	delay := flag.Float64("delay", 2.0, "uncoordinated install delay, seconds")
 	pings := flag.Int("pings", 12, "pings per scripted flow")
 	capN := flag.Int("cap", 10, "bandwidth cap n")
@@ -57,11 +54,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "netsim: unknown plane %q\n", *plane)
 		os.Exit(1)
 	}
-	mode, ok := dataplane.ParseMode(*dpMode)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "netsim: unknown dataplane %q (want indexed or scan)\n", *dpMode)
-		os.Exit(1)
-	}
 
 	n, err := exp.BuildNES(a)
 	if err != nil {
@@ -70,7 +62,7 @@ func main() {
 	}
 	p := sim.DefaultParams()
 	p.InstallDelay = *delay
-	s := sim.New(a.Topo, sim.NewPlaneMode(kind, n, mode), p, *seed)
+	s := sim.New(a.Topo, sim.NewPlane(kind, n), p, *seed)
 
 	// Scripted flows per application.
 	type flow struct {

@@ -174,8 +174,7 @@ func fingerprints(ds []dataplane.Delivery) []string {
 // TestFailoverDeliveryDeterminism is the dynamic half of the failover
 // property (and the determinism obligation the chaos harness relies on):
 // the exact delivery sequence — hosts, header fields, stamps — is
-// bit-identical at 1, 2 and 4 workers on both matcher planes, nothing is
-// dropped, and the run demonstrably forwards traffic in failed states.
+// bit-identical at 1, 2 and 4 workers, nothing is dropped, and the run demonstrably forwards traffic in failed states.
 func TestFailoverDeliveryDeterminism(t *testing.T) {
 	cases := []Failover{FailoverDiamond(2), FailoverWAN(2)}
 	if !testing.Short() {
@@ -187,38 +186,36 @@ func TestFailoverDeliveryDeterminism(t *testing.T) {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
 		var ref []string
-		for _, mode := range []dataplane.Mode{dataplane.ModeIndexed, dataplane.ModeScan} {
-			for _, workers := range []int{1, 2, 4} {
-				ds, injected := driveFailover(t, f, et, dataplane.Options{Workers: workers, Mode: mode})
-				if len(ds) != injected {
-					t.Fatalf("%s w=%d mode=%v: %d deliveries for %d injections",
-						f.Name, workers, mode, len(ds), injected)
-				}
-				fps := fingerprints(ds)
-				if ref == nil {
-					ref = fps
-					// The reference run must deliver data in an odd
-					// (failed) state, or the schedule never exercised
-					// the backup path.
-					odd := 0
-					for _, d := range ds {
-						if f.FailedState(et.Vertices[d.Stamp.Version].State) {
-							odd++
-						}
+		for _, workers := range []int{1, 2, 4} {
+			ds, injected := driveFailover(t, f, et, dataplane.Options{Workers: workers})
+			if len(ds) != injected {
+				t.Fatalf("%s w=%d: %d deliveries for %d injections",
+					f.Name, workers, len(ds), injected)
+			}
+			fps := fingerprints(ds)
+			if ref == nil {
+				ref = fps
+				// The reference run must deliver data in an odd
+				// (failed) state, or the schedule never exercised
+				// the backup path.
+				odd := 0
+				for _, d := range ds {
+					if f.FailedState(et.Vertices[d.Stamp.Version].State) {
+						odd++
 					}
-					if odd == 0 {
-						t.Fatalf("%s: no delivery in a failed state", f.Name)
-					}
-					continue
 				}
-				if len(fps) != len(ref) {
-					t.Fatalf("%s w=%d mode=%v: %d deliveries, want %d", f.Name, workers, mode, len(fps), len(ref))
+				if odd == 0 {
+					t.Fatalf("%s: no delivery in a failed state", f.Name)
 				}
-				for i := range fps {
-					if fps[i] != ref[i] {
-						t.Fatalf("%s w=%d mode=%v: delivery %d = %q, want %q",
-							f.Name, workers, mode, i, fps[i], ref[i])
-					}
+				continue
+			}
+			if len(fps) != len(ref) {
+				t.Fatalf("%s w=%d: %d deliveries, want %d", f.Name, workers, len(fps), len(ref))
+			}
+			for i := range fps {
+				if fps[i] != ref[i] {
+					t.Fatalf("%s w=%d: delivery %d = %q, want %q",
+						f.Name, workers, i, fps[i], ref[i])
 				}
 			}
 		}

@@ -45,8 +45,7 @@ func TestChaosSmoke(t *testing.T) {
 }
 
 // TestChaosDeterminism: the same schedule produces the bit-identical
-// delivery sequence at 1, 2 and 4 workers on both matcher planes, for
-// every scenario family.
+// delivery sequence at 1, 2 and 4 workers, for every scenario family.
 func TestChaosDeterminism(t *testing.T) {
 	for _, name := range Scenarios() {
 		s, err := NewSchedule(name, 7, 120)

@@ -18,7 +18,6 @@ import (
 // Options configure a chaos run.
 type Options struct {
 	Workers int
-	Mode    dataplane.Mode
 	// Batched drives every burst and storm through InjectBatch instead
 	// of per-packet InjectStamped. The delivery sequence must be
 	// bit-identical either way — the ingress-equivalence axis of the
@@ -108,7 +107,7 @@ func compileScenario(sc *scenario) ([]prog, error) {
 // Run replays a schedule on a synchronous engine and audits every
 // delivery. The run is fully deterministic: equal (schedule, options)
 // produce equal Results, and the delivery Hash is identical at any
-// worker count on either matcher plane.
+// worker count.
 func Run(s Schedule, o Options) (*Result, error) {
 	sc, err := buildScenario(s.Scenario)
 	if err != nil {
@@ -122,7 +121,7 @@ func Run(s Schedule, o Options) (*Result, error) {
 	if workers <= 0 {
 		workers = 1
 	}
-	e := dataplane.NewEngine(progs[0].n, sc.tp, dataplane.Options{Workers: workers, Mode: o.Mode, ChunkGens: o.ChunkGens, Obs: o.Obs})
+	e := dataplane.NewEngine(progs[0].n, sc.tp, dataplane.Options{Workers: workers, ChunkGens: o.ChunkGens, Obs: o.Obs})
 
 	// Two independent traffic streams derived from the schedule seed: one
 	// for injection contents, one for arrival (batch-size) draws. The

@@ -27,7 +27,7 @@ func RunServed(s Schedule, o Options) (*Result, error) {
 	if workers <= 0 {
 		workers = 2
 	}
-	c := ctrl.New(sc.tp, ctrl.Options{Workers: workers, Mode: o.Mode, ChunkGens: o.ChunkGens, Obs: o.Obs})
+	c := ctrl.New(sc.tp, ctrl.Options{Workers: workers, ChunkGens: o.ChunkGens, Obs: o.Obs})
 	defer c.Close()
 	if err := c.Load(sc.progs[0].Name, sc.progs[0].Prog); err != nil {
 		return nil, err

@@ -45,8 +45,6 @@ type Options struct {
 	// Workers is the engine's forwarding worker count (and the compile
 	// pool size). Defaults to 1.
 	Workers int
-	// Mode selects the engine's forwarding implementation.
-	Mode dataplane.Mode
 	// SwapTimeout bounds how long Swap waits for the old program to
 	// drain. Defaults to 30s.
 	SwapTimeout time.Duration
@@ -279,7 +277,6 @@ func (c *Controller) Load(name string, p stateful.Program) error {
 	c.cur = np
 	c.eng = dataplane.NewEngine(np.NES, c.topo, dataplane.Options{
 		Workers:     c.opts.Workers,
-		Mode:        c.opts.Mode,
 		DeliveryLog: c.opts.DeliveryLog,
 		ChunkGens:   c.opts.ChunkGens,
 		Obs:         c.opts.Obs,
@@ -356,8 +353,11 @@ func (c *Controller) Swap(name string, p stateful.Program) (SwapReport, error) {
 	// equivalence is property-tested in internal/dataplane); the merged
 	// shape is what a switch deployment would install, and its size is
 	// the transition's rule-memory cost. Both the merged tables and the
-	// new plan are warmed *before* the flip, so the barrier installs,
-	// never compiles — and both are memoized, so a swap back is free.
+	// new plan are built *before* the flip: PlanFor returns with the
+	// schema built and every table lowered and indexed, and the engine's
+	// flip takes that plan from the cache, so the barrier — every worker
+	// parked — installs and never compiles. Both are memoized, so a swap
+	// back is free.
 	if !haveStaged {
 		tables, off := dataplane.MergedPair(old.NES, np.NES)
 		stg = stagedTables{rules: tables.TotalRules(), offset: off}

@@ -65,9 +65,9 @@ type injection struct {
 // injection's stamp, and the delivery set of every injection equals
 // exactly what netkat.Eval predicts for the stamped program — and
 // returns the full delivery sequence for cross-worker comparison.
-func runSwapScenario(t *testing.T, old, new_ *ctrl.Program, tp *topo.Topology, seed int64, workers int, mode dataplane.Mode) []dataplane.Delivery {
+func runSwapScenario(t *testing.T, old, new_ *ctrl.Program, tp *topo.Topology, seed int64, workers int) []dataplane.Delivery {
 	t.Helper()
-	e := dataplane.NewEngine(old.NES, tp, dataplane.Options{Workers: workers, Mode: mode})
+	e := dataplane.NewEngine(old.NES, tp, dataplane.Options{Workers: workers})
 	mapping, _ := ctrl.EventMapping(old.NES, new_.NES)
 
 	r := rand.New(rand.NewSource(seed))
@@ -167,39 +167,32 @@ func swapPairs(t *testing.T) [][2]*ctrl.Program {
 // TestSwapPerPacketConsistency is the acceptance property for live swaps:
 // across randomized swap points, no packet journey ever mixes P and P'
 // rules — every delivery matches its injection's stamped program exactly,
-// verified against netkat.Eval on both programs — under both forwarding
-// planes. Run with -race in CI.
+// verified against netkat.Eval on both programs. Run with -race in CI.
 func TestSwapPerPacketConsistency(t *testing.T) {
 	tp := topo.Firewall()
 	for _, pair := range swapPairs(t) {
-		for _, mode := range []dataplane.Mode{dataplane.ModeIndexed, dataplane.ModeScan} {
-			name := fmt.Sprintf("%s->%s/%v", pair[0].Name, pair[1].Name, mode)
-			t.Run(name, func(t *testing.T) {
-				for seed := int64(1); seed <= 12; seed++ {
-					runSwapScenario(t, pair[0], pair[1], tp, seed, 1+int(seed)%4, mode)
-				}
-			})
-		}
+		t.Run(pair[0].Name+"->"+pair[1].Name, func(t *testing.T) {
+			for seed := int64(1); seed <= 12; seed++ {
+				runSwapScenario(t, pair[0], pair[1], tp, seed, 1+int(seed)%4)
+			}
+		})
 	}
 }
 
 // TestSwapDeterministicAcrossWorkers: the delivery sequence of a swap
-// scenario — including stamps — is bit-identical at 1, 2 and 4 workers,
-// and identical between the indexed and scan planes.
+// scenario — including stamps — is bit-identical at 1, 2 and 4 workers.
 func TestSwapDeterministicAcrossWorkers(t *testing.T) {
 	tp := topo.Firewall()
 	pair := swapPairs(t)[0]
 	for seed := int64(1); seed <= 4; seed++ {
-		base := runSwapScenario(t, pair[0], pair[1], tp, seed, 1, dataplane.ModeIndexed)
+		base := runSwapScenario(t, pair[0], pair[1], tp, seed, 1)
 		if len(base) == 0 {
 			t.Fatalf("seed %d delivered nothing; scenario is vacuous", seed)
 		}
 		for _, w := range []int{2, 4} {
-			got := runSwapScenario(t, pair[0], pair[1], tp, seed, w, dataplane.ModeIndexed)
+			got := runSwapScenario(t, pair[0], pair[1], tp, seed, w)
 			assertSameDeliveries(t, base, got, fmt.Sprintf("seed %d workers %d", seed, w))
 		}
-		scan := runSwapScenario(t, pair[0], pair[1], tp, seed, 4, dataplane.ModeScan)
-		assertSameDeliveries(t, base, scan, fmt.Sprintf("seed %d scan plane", seed))
 	}
 }
 

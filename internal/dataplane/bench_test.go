@@ -6,50 +6,8 @@ import (
 
 	"eventnet/internal/apps"
 	"eventnet/internal/dataplane"
-	"eventnet/internal/flowtable"
 	"eventnet/internal/obs"
 )
-
-// BenchmarkMatcherThroughput is the headline comparison: forwarding a
-// seeded probe stream through the merged (all-configurations,
-// version-guarded) tables, indexed vs linear scan. docs/BENCHMARKS.md
-// records the derived packets/sec and speedups; exp.Throughput emits the
-// same comparison as an experiment row.
-func BenchmarkMatcherThroughput(b *testing.B) {
-	for _, a := range []apps.App{apps.Firewall(), apps.BandwidthCap(40), apps.BandwidthCap(200), apps.IDSFatTree(4)} {
-		n := buildNES(b, a)
-		merged := dataplane.Merged(n)
-		lg := dataplane.NewLoadGen(n, a.Topo, 11)
-		indexed := map[int]dataplane.Matcher{}
-		scan := map[int]dataplane.Matcher{}
-		rules := 0
-		for _, sw := range merged.Switches() {
-			indexed[sw] = dataplane.Compile(merged[sw])
-			scan[sw] = dataplane.Scan{Table: merged[sw]}
-			rules += merged[sw].Len()
-		}
-		// Keep only probes at switches that install rules (fabric switches
-		// off every route drop everything; both matchers would no-op).
-		var probes []dataplane.Probe
-		for _, p := range lg.Probes(8192) {
-			if indexed[p.Switch] != nil {
-				probes = append(probes, p)
-			}
-		}
-		run := func(ms map[int]dataplane.Matcher) func(*testing.B) {
-			return func(b *testing.B) {
-				var buf []flowtable.Output
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					p := &probes[i%len(probes)]
-					buf = ms[p.Switch].Process(buf[:0], p.Fields, p.InPort, p.Tag)
-				}
-			}
-		}
-		b.Run(fmt.Sprintf("%s-%drules/indexed", a.Name, rules), run(indexed))
-		b.Run(fmt.Sprintf("%s-%drules/scan", a.Name, rules), run(scan))
-	}
-}
 
 // BenchmarkEngineForwardCold measures first-batch engine forwarding: a
 // fresh engine per iteration (built outside the timed region), so every

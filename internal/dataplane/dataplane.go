@@ -1,31 +1,31 @@
 // Package dataplane is the high-throughput packet-forwarding engine: it
-// *compiles* each switch's prioritized flow table (flowtable.Table) into an
-// indexed matcher instead of scanning it rule by rule, and forwards traffic
-// through those matchers on a sharded, deterministic worker engine that
+// *compiles* each switch's prioritized flow table (flowtable.Table) into
+// one flat, indexed form instead of scanning it rule by rule, and forwards
+// traffic through that form on a sharded, deterministic worker engine that
 // carries the version-tag and event-digest semantics of Section 4.1 of the
 // paper on the fast path.
 //
 // The layers, bottom up:
 //
-//   - Matcher (compile.go): one switch's table compiled per
-//     (version-guard partition, in-port) into an exact-match hash index
-//     over the discriminating header fields, with a rank-merged fallback
-//     list for wildcard/exclusion rules. Lookup is O(1)+verification
-//     instead of O(rules); the hot path performs no per-packet map or
-//     string construction.
-//   - Schema + flat lowering (schema.go, flat.go): a per-program
-//     FieldSchema interns every header field the program can test or
-//     write to a dense integer; rules, action groups and event guards
-//     lower once to flat (fieldIdx, value) arrays, and the engine's
+//   - Schema (schema.go): a per-program Schema interns every header field
+//     the program can test or write to a dense integer; the engine's
 //     packets become fixed-width []int32 value arrays with a presence
-//     bitmap — in-place field writes, no maps or strings on the hop
-//     loop, conversion exactly once at ingress and delivery.
+//     bitmap — in-place field writes, no maps or strings on the hop loop,
+//     conversion exactly once at ingress and delivery.
+//   - Compiled table (flat.go): one switch's table, lowered from its
+//     rules' flat IR (flowtable.RuleIR) to (fieldIdx, value) arrays and
+//     indexed per (version-guard partition, in-port) by an exact-match
+//     hash over the discriminating header fields, with a rank-merged
+//     fallback list for wildcard/exclusion rules. Lookup is
+//     O(1)+verification instead of O(rules). This is the only compiled
+//     form; flowtable.Table's linear scan is the reference it is tested
+//     against, and what the proof machinery (runtime, sim, the trace
+//     oracle) forwards with.
 //   - Plan (plan.go): every (configuration, switch) table of an NES
-//     compiled once, cached per NES, with an amortized batch API and the
-//     lazily-lowered flat mirror. Merged builds the Section 5.3
-//     deployment shape — one table per switch holding all
-//     configurations' rules behind exact version guards — whose guard
-//     partitions are where indexing pays off most.
+//     compiled against the program's schema, whole, once, cached per NES.
+//     Merged builds the Section 5.3 deployment shape — one table per
+//     switch holding all configurations' rules behind exact version
+//     guards — whose guard partitions are where indexing pays off most.
 //   - Engine (engine.go): per-switch forwarding workers fed by ring-buffer
 //     queues, processing packets in deterministic bulk-synchronous
 //     generations. Switches keep local event views, react to locally
@@ -33,8 +33,7 @@
 //     packet, so ETS transitions remain event-driven consistent under
 //     concurrent load.
 //   - LoadGen (loadgen.go): a deterministic line-rate traffic source for
-//     the throughput harness (exp.Throughput, cmd/experiments -only
-//     throughput) and the package benchmarks.
+//     the benchmark (bench/), the chaos audit and the package benchmarks.
 //
 // See docs/DATAPLANE.md for the compilation scheme, the batch/worker
 // architecture, and why fast-path tag+digest handling preserves the
@@ -46,71 +45,14 @@ import (
 	"eventnet/internal/netkat"
 )
 
-// Mode selects a forwarding implementation: the compiled index or the
-// reference linear scan (the baseline in benchmarks and the -dataplane
-// CLI selectors).
-type Mode int
-
-// Modes.
-const (
-	ModeIndexed Mode = iota
-	ModeScan
-)
-
-// ParseMode maps the CLI spelling to a Mode.
-func ParseMode(s string) (Mode, bool) {
-	switch s {
-	case "indexed":
-		return ModeIndexed, true
-	case "scan":
-		return ModeScan, true
-	}
-	return ModeIndexed, false
-}
-
-// String renders the mode as its CLI spelling.
-func (m Mode) String() string {
-	if m == ModeScan {
-		return "scan"
-	}
-	return "indexed"
-}
-
-// Matcher matches packets against one switch's flow table. Both the
-// compiled index and the linear-scan reference implement it; equivalence
-// is property-tested on every reachable configuration of every
-// application.
-type Matcher interface {
-	// Lookup returns the highest-priority rule admitting the packet.
-	Lookup(pkt netkat.Packet, inPort int, tag uint32) (*flowtable.Rule, bool)
-	// Process applies the winning rule's action groups, appending the
-	// emitted copies to dst (untouched when no rule matches: default
-	// drop). Reusing dst across calls keeps the hot path allocation-free
-	// apart from the clones rewriting groups inherently need.
-	Process(dst []flowtable.Output, pkt netkat.Packet, inPort int, tag uint32) []flowtable.Output
-	// Len returns the number of rules behind the matcher.
-	Len() int
-}
-
-// Scan is the reference Matcher: a priority-ordered linear scan over the
-// underlying table, one flowtable.Match.Matches call per rule.
+// Scan is the reference view of one switch's table: flowtable.Table's
+// priority-ordered linear scan, one Match.Matches call per rule. It is
+// what Plan.Matcher returns and what the compiled table is compared with.
+// The zero value (no table) drops every packet.
 type Scan struct{ Table *flowtable.Table }
 
-// Lookup implements Matcher.
-func (s Scan) Lookup(pkt netkat.Packet, inPort int, tag uint32) (*flowtable.Rule, bool) {
-	rs := s.Table.Rules
-	for i := range rs {
-		if rs[i].Match.Matches(pkt, inPort, tag) {
-			return &rs[i], true
-		}
-	}
-	return nil, false
-}
-
-// Process implements Matcher.
+// Process applies the winning rule's action groups, appending the emitted
+// copies to dst (untouched when no rule matches: default drop).
 func (s Scan) Process(dst []flowtable.Output, pkt netkat.Packet, inPort int, tag uint32) []flowtable.Output {
 	return s.Table.AppendProcess(dst, pkt, inPort, tag)
 }
-
-// Len implements Matcher.
-func (s Scan) Len() int { return s.Table.Len() }

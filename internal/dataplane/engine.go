@@ -293,8 +293,6 @@ type Options struct {
 	// Workers is the number of forwarding workers (shards). Defaults to 1.
 	// The delivery sequence is identical for every worker count.
 	Workers int
-	// Mode selects indexed matchers (default) or the linear-scan baseline.
-	Mode Mode
 	// DeliveryLog bounds how many deliveries the engine retains (0 =
 	// unlimited, the synchronous-mode default for tests and experiments
 	// that audit every delivery). A long-running service must set it:
@@ -318,9 +316,9 @@ type Options struct {
 }
 
 // progState is one live program generation: its NES, its compiled plan
-// (with the flat mirror resolved to dense per-switch-index arrays), its
-// header schema, its per-switch precompiled event candidates, and the
-// per-switch event views *relative to that program's event universe*.
+// (tables resolved to dense per-switch-index arrays), its header schema,
+// its per-switch precompiled event candidates, and the per-switch event
+// views *relative to that program's event universe*.
 // During a swap two progStates coexist — the draining old program and
 // the current one — and a packet's epoch selects which one forwards it.
 // Packets are interned under their epoch's schema at ingress and only
@@ -351,18 +349,20 @@ type armedSlot struct {
 	armed nes.Set
 }
 
-// newProgState compiles the engine-resident form of a program: the plan's
-// flat mirror resolved against the engine's switch indexing, and the
+// newProgState builds the engine-resident form of a program: the plan's
+// compiled tables resolved against the engine's switch indexing, and the
 // per-switch event candidate lists with guards lowered to interned
-// literals.
+// literals. The plan comes from the cache, so when the caller warmed it
+// (PlanFor before staging, as ctrl.Swap does) no table is lowered here —
+// which matters because a flip runs at a generation barrier with every
+// worker parked.
 func (e *Engine) newProgState(epoch int, n *nes.NES) *progState {
-	plan := PlanForMode(n, e.mode)
-	plan.ensureFlat()
+	plan := PlanFor(n)
 	ps := &progState{
 		epoch:  epoch,
 		nes:    n,
 		plan:   plan,
-		schema: plan.Schema(),
+		schema: plan.schema,
 		views:  make([]nes.Set, len(e.switches)),
 		armed:  make([]armedSlot, len(e.switches)),
 	}
@@ -382,7 +382,7 @@ func (e *Engine) newProgState(epoch int, n *nes.NES) *progState {
 		if !ok {
 			continue
 		}
-		if fe, live := lowerEvent(ev, plan.Schema()); live {
+		if fe, live := lowerEvent(ev, plan.schema); live {
 			ps.evAt[i] = append(ps.evAt[i], fe)
 		}
 	}
@@ -512,7 +512,6 @@ type Engine struct {
 	NES  *nes.NES
 	Topo *topo.Topology
 
-	mode     Mode
 	workers  int
 	switches []int            // sorted switch IDs; shard w owns indices i ≡ w (mod workers)
 	swIdx    map[int]int      // switch ID -> index
@@ -612,7 +611,6 @@ func NewEngine(n *nes.NES, t *topo.Topology, opts Options) *Engine {
 	e := &Engine{
 		NES:         n,
 		Topo:        t,
-		mode:        opts.Mode,
 		workers:     w,
 		swIdx:       map[int]int{},
 		switches:    append([]int{}, t.Switches...),

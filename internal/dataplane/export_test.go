@@ -1,23 +1,19 @@
 package dataplane
 
-import (
-	"reflect"
-
-	"eventnet/internal/flowtable"
-)
-
-// LowerIRMatchesMap is the test hook for the flat-IR fast path: it lowers
-// the rule twice — once through its compiler-emitted IR and once with the
-// IR stripped, forcing the map-form rederivation — and reports whether
-// the two flat rules are identical. Rules without IR report false so the
-// property test also catches the compiler silently ceasing to emit it.
-func LowerIRMatchesMap(r *flowtable.Rule, s *Schema) bool {
-	if r.IR == nil {
+// ForwardsWith reports whether the engine's current program forwards
+// through the plan's own schema and compiled tables — the same objects,
+// not equal copies — i.e. whether adopting the program lowered nothing.
+func (e *Engine) ForwardsWith(p *Plan) bool {
+	ps := e.cur()
+	if ps.plan != p || ps.schema != p.schema {
 		return false
 	}
-	fast := lowerRule(r, s)
-	stripped := *r
-	stripped.IR = nil
-	slow := lowerRule(&stripped, s)
-	return reflect.DeepEqual(fast, slow)
+	for ci := range p.flats {
+		for sw, ft := range p.flats[ci] {
+			if i, ok := e.swIdx[sw]; ok && ps.flat[ci][i] != ft {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -8,27 +8,43 @@ import (
 	"eventnet/internal/netkat"
 )
 
-// This file is the flat (schema-interned) mirror of the matcher layer:
-// every flowtable.Rule of a compiled plan is lowered once, at
-// plan-compile time, into integer-indexed match/action arrays, and
-// lookups run directly on a flat packet's value array and presence
-// bitmap — no map lookups, no string hashing, no per-packet allocation.
+// This file is the compiled form of a flow table — the only one. Every
+// flowtable.Rule of a plan is lowered once, at plan-build time, from its
+// flat IR (flowtable.RuleIR: the compiler's, or derived from the maps for
+// rules that carry none) into integer-indexed match/action arrays, and the
+// lowered rules are indexed three ways, mirroring how a packet narrows the
+// search:
+//
+//  1. Version-guard partition: rules are grouped by guard mask, and within
+//     a mask by their masked value, so a packet's tag selects the (at most
+//     one per mask) group of rules whose guards admit it — an O(#masks)
+//     step instead of a per-rule guard check. Per-configuration tables
+//     have a single all-pass group; merged Section 5.3 tables have one
+//     group per configuration.
+//  2. In-port: within a group, rules split into exact-port buckets plus
+//     one wildcard bucket (whose ExcludePorts are verified per rule).
+//  3. Discriminating fields: within a bucket, the equality-tested fields
+//     shared by all rules (or, failing that, the single most-tested field,
+//     ties to the lowest schema index) key a hash of the rules' required
+//     values. Rules not constraining every key field form a small
+//     rank-ordered fallback list — the decision-tree residue for
+//     wildcard/exclusion rules.
+//
+// Lookup runs directly on a flat packet's value array and presence bitmap
+// — no map lookups, no string hashing, no per-packet allocation: it folds
+// the packet's values of each candidate bucket's key fields (integer FNV
+// mixing), then rank-merges the hash hits with the fallback list, fully
+// verifying each candidate with flatRule.matches, so indexing can never
+// change semantics, only skip rules that provably cannot win.
 //
 // Lowering is a bijection on rule structure: one flatRule per rule in the
 // same priority rank order, one flatGroup per action group in the same
 // order, every literal translated through the plan's Schema. Because the
 // schema interning is injective (one index per field name) and both the
 // rules and the packets are translated through the same schema, a flat
-// lookup selects exactly the rank the map-form lookup selects — the
-// equivalence is property-tested on every reachable state of every
-// application (flat_test.go).
-//
-// The indexed flat table reuses the map-form CompiledTable's bucketing
-// verbatim: the guard partition, port buckets, discriminating-field
-// choice, hash maps, and fallback lists are shared (the FNV fold over a
-// rule's required values is identical whether the values are read from a
-// map or a flat array), so the two forms cannot disagree on which
-// candidates are probed, only verify them at different speeds.
+// lookup selects exactly the rank flowtable.Table's linear scan selects —
+// property-tested on every reachable state of every application and
+// fuzzed on hand-shaped tables (flat_test.go, fuzz_test.go).
 
 // flatRule is one rule lowered against a schema.
 type flatRule struct {
@@ -87,43 +103,41 @@ func (r *flatRule) matches(vals []int32, pres uint64, inPort int, tag uint32) bo
 	return true
 }
 
-// flatTable is one switch's table in flat form: rules in priority rank
-// order, plus (in indexed mode) the guard-partition/port/hash structure
-// shared with the map-form CompiledTable.
+// flatTable is one switch's compiled table: rules in priority rank order
+// plus the guard-partition/port/hash index over them.
 type flatTable struct {
-	schema  *Schema
-	rules   []flatRule
-	parts   []flatPart
-	indexed bool
+	rules []flatRule
+	parts []flatPart // ascending mask
 }
 
-// flatPart mirrors guardPart.
+// flatPart is one guard-mask partition.
 type flatPart struct {
 	mask   uint32
-	groups map[uint32]*flatPortIndex
+	groups map[uint32]*flatPortIndex // masked guard value -> rules
 }
 
-// flatPortIndex mirrors portIndex.
+// flatPortIndex splits a guard group by ingress port.
 type flatPortIndex struct {
 	byPort map[int]*flatBucket
-	wild   *flatBucket
+	wild   *flatBucket // InPort == Wildcard rules, or nil
 }
 
-// flatBucket mirrors bucket: the hash and fallback candidate lists are
-// the *same slices and maps* as the map-form bucket's (hash values
-// coincide, see hashFlat); only the key fields are resolved to schema
-// indices.
+// flatBucket indexes the rules of one (guard group, in-port) cell.
 type flatBucket struct {
-	keyIdx   []int32 // nil: no index, everything in fallback
-	index    map[uint64][]int32
-	fallback []int32
+	keyIdx   []int32            // nil: no index, everything in fallback
+	index    map[uint64][]int32 // value hash -> ranks, ascending
+	fallback []int32            // ranks, ascending
 }
 
-// hashFlat folds the packet's values of the key fields into one hash —
-// the identical FNV fold hashFields performs on the map form (both fold
-// uint32 truncations of the same values in the same field order), so the
-// shared bucket hash maps serve both forms. The second result is false
-// when a key field is absent: no indexed rule can then match.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// hashFlat folds the values of the key fields into one hash. The second
+// result is false when a key field is absent — in which case no indexed
+// rule can match, since every indexed rule tests all key fields for
+// equality and an absent field fails an equality match.
 func hashFlat(vals []int32, pres uint64, keyIdx []int32) (uint64, bool) {
 	h := uint64(fnvOffset64)
 	for _, fi := range keyIdx {
@@ -136,7 +150,10 @@ func hashFlat(vals []int32, pres uint64, keyIdx []int32) (uint64, bool) {
 	return h, true
 }
 
-// bestIn mirrors bucket.bestIn on the flat form.
+// bestIn scans the bucket's candidates for the packet and returns the
+// lowest matching rank below bound, or bound if none beats it. Candidate
+// lists are rank-ascending, so each list is scanned only until its first
+// full match (or past bound).
 func (b *flatBucket) bestIn(rules []flatRule, vals []int32, pres uint64, inPort int, tag uint32, bound int32) int32 {
 	if b == nil {
 		return bound
@@ -166,18 +183,10 @@ func (b *flatBucket) bestIn(rules []flatRule, vals []int32, pres uint64, inPort 
 	return bound
 }
 
-// lookup returns the winning rule's rank, or -1 on default drop. Scan
-// mode walks the rules in priority order; indexed mode rank-merges the
-// guard partition's candidate lists exactly as CompiledTable.Lookup.
+// lookup returns the winning rule's rank, or -1 on default drop: the
+// minimum-rank match over every bucket the packet's tag and in-port
+// select.
 func (ft *flatTable) lookup(vals []int32, pres uint64, inPort int, tag uint32) int32 {
-	if !ft.indexed {
-		for i := range ft.rules {
-			if ft.rules[i].matches(vals, pres, inPort, tag) {
-				return int32(i)
-			}
-		}
-		return -1
-	}
 	best := int32(len(ft.rules))
 	for pi := range ft.parts {
 		p := &ft.parts[pi]
@@ -194,54 +203,99 @@ func (ft *flatTable) lookup(vals []int32, pres uint64, inPort int, tag uint32) i
 	return best
 }
 
-// newFlatIndexed lowers a CompiledTable against a schema, sharing its
-// bucket structure.
-func newFlatIndexed(ct *CompiledTable, s *Schema) *flatTable {
-	ft := &flatTable{schema: s, indexed: true, rules: lowerRules(ct.rules, s)}
-	ft.parts = make([]flatPart, len(ct.parts))
-	for pi := range ct.parts {
-		p := &ct.parts[pi]
-		fp := flatPart{mask: p.mask, groups: make(map[uint32]*flatPortIndex, len(p.groups))}
-		for v, g := range p.groups {
-			fpi := &flatPortIndex{byPort: make(map[int]*flatBucket, len(g.byPort))}
-			for pt, b := range g.byPort {
-				fpi.byPort[pt] = lowerBucket(b, s)
-			}
-			if g.wild != nil {
-				fpi.wild = lowerBucket(g.wild, s)
-			}
-			fp.groups[v] = fpi
-		}
-		ft.parts[pi] = fp
+// newFlatTable lowers a table's rules against a schema and indexes them.
+// The rules are copied into flat form, so later table mutation does not
+// affect the compiled table.
+func newFlatTable(t *flowtable.Table, s *Schema) *flatTable {
+	ft := &flatTable{rules: make([]flatRule, len(t.Rules))}
+	type cell struct {
+		mask, value uint32
+		port        int32 // flowtable.Wildcard for the wildcard bucket
 	}
+	cells := map[cell][]int32{} // ranks ascending: rules are walked in order
+	for i := range t.Rules {
+		ft.rules[i] = lowerRule(&t.Rules[i], s)
+		r := &ft.rules[i]
+		c := cell{mask: r.guardMask, value: r.guardValue, port: r.inPort}
+		cells[c] = append(cells[c], int32(i))
+	}
+	for c, ranks := range cells {
+		pi := 0 // a table has a mask or two: find this cell's by scanning
+		for pi < len(ft.parts) && ft.parts[pi].mask != c.mask {
+			pi++
+		}
+		if pi == len(ft.parts) {
+			ft.parts = append(ft.parts, flatPart{mask: c.mask, groups: map[uint32]*flatPortIndex{}})
+		}
+		g := ft.parts[pi].groups[c.value]
+		if g == nil {
+			g = &flatPortIndex{byPort: map[int]*flatBucket{}}
+			ft.parts[pi].groups[c.value] = g
+		}
+		if b := newFlatBucket(ft.rules, ranks); c.port == flowtable.Wildcard {
+			g.wild = b
+		} else {
+			g.byPort[int(c.port)] = b
+		}
+	}
+	sort.Slice(ft.parts, func(i, j int) bool { return ft.parts[i].mask < ft.parts[j].mask })
 	return ft
 }
 
-// newFlatScan lowers a table for the linear-scan reference plane.
-func newFlatScan(t *flowtable.Table, s *Schema) *flatTable {
-	return &flatTable{schema: s, rules: lowerRules(t.Rules, s)}
-}
+// newFlatBucket picks the cell's discriminating fields and hashes its
+// rules by them.
+func newFlatBucket(rules []flatRule, ranks []int32) *flatBucket {
+	b := &flatBucket{}
 
-func lowerBucket(b *bucket, s *Schema) *flatBucket {
-	fb := &flatBucket{index: b.index, fallback: b.fallback}
-	for _, f := range b.keyFields {
-		i, ok := s.Index(f)
-		if !ok {
-			panic("dataplane: bucket key field missing from plan schema")
+	// How many of the cell's rules equality-test each schema field.
+	var freq [maxSchemaFields]int
+	for _, r := range ranks {
+		for _, fi := range rules[r].eqIdx {
+			freq[fi]++
 		}
-		fb.keyIdx = append(fb.keyIdx, int32(i))
 	}
-	return fb
+	best, bestN := int32(-1), 0
+	for fi, n := range freq {
+		if n == len(ranks) {
+			b.keyIdx = append(b.keyIdx, int32(fi)) // shared by every rule
+		}
+		if n > bestN {
+			best, bestN = int32(fi), n
+		}
+	}
+	switch {
+	case b.keyIdx != nil:
+	case bestN > 0:
+		b.keyIdx = []int32{best}
+	default:
+		// No rule tests any field: pure port/guard/exclusion rules.
+		b.fallback = ranks
+		return b
+	}
+
+	b.index = map[uint64][]int32{}
+	var vals [maxSchemaFields]int32
+	for _, r := range ranks {
+		// A rule's index key is the fold of its required values — the
+		// same fold a matching packet's values produce. A rule missing a
+		// key field is not indexable and scans from the fallback list.
+		fr := &rules[r]
+		for i, fi := range fr.eqIdx {
+			vals[fi] = fr.eqVal[i]
+		}
+		if h, ok := hashFlat(vals[:], fr.eqMask, b.keyIdx); ok {
+			b.index[h] = append(b.index[h], r)
+		} else {
+			b.fallback = append(b.fallback, r)
+		}
+	}
+	return b
 }
 
-func lowerRules(rs []flowtable.Rule, s *Schema) []flatRule {
-	out := make([]flatRule, len(rs))
-	for i := range rs {
-		out[i] = lowerRule(&rs[i], s)
-	}
-	return out
-}
-
+// lowerRule translates one rule to flat form: guard and ports from the
+// Match, field literals and action groups from the rule's IR — a straight
+// array walk, the IR's canonical order (see flowtable.RuleIR) becoming the
+// flat rule's.
 func lowerRule(r *flowtable.Rule, s *Schema) flatRule {
 	m := &r.Match
 	fr := flatRule{
@@ -252,51 +306,10 @@ func lowerRule(r *flowtable.Rule, s *Schema) flatRule {
 	for _, p := range m.ExcludePorts {
 		fr.exPorts = append(fr.exPorts, int32(p))
 	}
-	if r.IR != nil {
-		lowerIR(&fr, r, s)
-		return fr
-	}
-	for _, f := range sortedFieldKeys(m.Fields) {
-		i := mustIndex(s, f)
-		fr.eqIdx = append(fr.eqIdx, i)
-		fr.eqVal = append(fr.eqVal, lowerValue(m.Fields[f]))
-		fr.eqMask |= 1 << uint(i)
-	}
-	exFields := make([]string, 0, len(m.Excludes))
-	for f := range m.Excludes {
-		exFields = append(exFields, f)
-	}
-	sort.Strings(exFields)
-	for _, f := range exFields {
-		i := mustIndex(s, f)
-		for _, v := range m.Excludes[f] {
-			fr.neqIdx = append(fr.neqIdx, i)
-			fr.neqVal = append(fr.neqVal, lowerValue(v))
-		}
-	}
-	for _, g := range r.Groups {
-		fg := flatGroup{outPort: int32(g.OutPort)}
-		for _, f := range sortedFieldKeys(g.Sets) {
-			i := mustIndex(s, f)
-			fg.setIdx = append(fg.setIdx, i)
-			fg.setVal = append(fg.setVal, lowerValue(g.Sets[f]))
-			fg.setMask |= 1 << uint(i)
-		}
-		fr.groups = append(fr.groups, fg)
-	}
-	return fr
-}
-
-// lowerIR fills a flat rule's field literals and action groups from the
-// compiler's pre-sorted flat IR, skipping the map-form rederivation (key
-// gathering + sort.Strings per rule and per group) entirely. The IR
-// invariants — EqFields strictly ascending, Neq pairs sorted by (field,
-// value) with no entry for an Eq field, Groups parallel to Rule.Groups —
-// make this a straight array walk producing byte-for-byte the same flat
-// rule as the map path; TestLowerRuleIRMatchesMapPath holds the two
-// together.
-func lowerIR(fr *flatRule, r *flowtable.Rule, s *Schema) {
 	ir := r.IR
+	if ir == nil {
+		ir = flowtable.DeriveIR(r)
+	}
 	for fi, f := range ir.EqFields {
 		i := mustIndex(s, f)
 		fr.eqIdx = append(fr.eqIdx, i)
@@ -318,6 +331,7 @@ func lowerIR(fr *flatRule, r *flowtable.Rule, s *Schema) {
 		}
 		fr.groups = append(fr.groups, fg)
 	}
+	return fr
 }
 
 // lowerValue checks a rule/guard constant into the int32 flat-value
@@ -335,15 +349,6 @@ func mustIndex(s *Schema, f string) int32 {
 		panic("dataplane: rule field " + f + " missing from plan schema")
 	}
 	return int32(i)
-}
-
-func sortedFieldKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for f := range m {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // flatEvent is one NES event precompiled against a schema for the
@@ -426,28 +431,23 @@ func lowerEvent(ev nes.Event, s *Schema) (flatEvent, bool) {
 	return fe, true
 }
 
-// FlatMatcher is the exported face of one flat-lowered table: it accepts
+// FlatMatcher is the exported face of one compiled table: it accepts
 // map-form packets, interns them against its schema per call (on the
 // stack — the matcher itself allocates nothing), and emits map-form
 // outputs. The Engine does not use this path — it interns once at
-// ingress — but equivalence tests drive it to prove the flat lowering
-// byte-equal to the map-form matchers, and it is the embedding surface
-// for callers that want flat matching without the engine.
+// ingress — but the equivalence tests and the fuzz target drive it to
+// prove the compiled table byte-equal to flowtable.Table's linear scan,
+// and it is the embedding surface for callers that want flat matching
+// without the engine.
 type FlatMatcher struct {
 	schema *Schema
 	ft     *flatTable
 }
 
-// CompileFlat lowers a table's compiled index against a schema (which
-// must cover every field the table mentions — SchemaForTables or a
-// program schema).
+// CompileFlat compiles a table against a schema (which must cover every
+// field the table mentions — SchemaForTables or a program schema).
 func CompileFlat(t *flowtable.Table, s *Schema) FlatMatcher {
-	return FlatMatcher{schema: s, ft: newFlatIndexed(Compile(t), s)}
-}
-
-// FlatScanOf lowers a table for linear-scan flat matching.
-func FlatScanOf(t *flowtable.Table, s *Schema) FlatMatcher {
-	return FlatMatcher{schema: s, ft: newFlatScan(t, s)}
+	return FlatMatcher{schema: s, ft: newFlatTable(t, s)}
 }
 
 // Len returns the number of rules behind the matcher.
@@ -461,7 +461,7 @@ func (m FlatMatcher) Process(dst []flowtable.Output, pkt netkat.Packet, inPort i
 	var buf [maxSchemaFields]int32
 	vals := buf[:m.schema.Len()]
 	if err := ValidateDomain(pkt); err != nil {
-		// Truncating would silently diverge from the map-form semantics,
+		// Truncating would silently diverge from the reference semantics,
 		// so refuse loudly; the Engine rejects such packets at injection
 		// with an error.
 		panic("dataplane: FlatMatcher.Process: " + err.Error())

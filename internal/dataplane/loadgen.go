@@ -17,7 +17,8 @@ type Injection struct {
 }
 
 // Probe is one raw matcher probe: a packet presented at a switch ingress
-// port under a version tag, the unit of the matcher throughput harness.
+// port under a version tag, the unit of the benchmark's table-lookup
+// layer metrics and of the table-level fuzz target.
 type Probe struct {
 	Switch int
 	InPort int
@@ -27,7 +28,7 @@ type Probe struct {
 
 // LoadGen is a deterministic traffic source for the line-rate harness: a
 // seeded stream of host-to-host injections (for the Engine) and raw
-// matcher probes (for the throughput benchmarks), drawn from the
+// table probes (for the lookup benchmarks), drawn from the
 // topology's real hosts, ports, and the NES's configuration universe so
 // the generated traffic exercises the installed rules rather than the
 // default-drop path.

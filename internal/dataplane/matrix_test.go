@@ -12,8 +12,8 @@ import (
 
 // This file is the determinism matrix: the delivery sequence — hosts,
 // header fields, and (epoch, version) stamps, in order — must be
-// bit-identical at every worker count, on either matcher plane, whether
-// packets arrive one at a time or in batches, and at any chunk budget.
+// bit-identical at every worker count, whether packets arrive one at a
+// time or in batches, and at any chunk budget.
 // The matrix is the acceptance test for the chunked engine's sort-free
 // parallel merge: any observable difference from the 1-worker reference
 // is a bug, not a tolerance.
@@ -25,18 +25,16 @@ type matrixRun struct {
 }
 
 func (m matrixRun) String() string {
-	return fmt.Sprintf("workers=%d mode=%v chunk=%d batched=%v",
-		m.opts.Workers, m.opts.Mode, m.opts.ChunkGens, m.batched)
+	return fmt.Sprintf("workers=%d chunk=%d batched=%v",
+		m.opts.Workers, m.opts.ChunkGens, m.batched)
 }
 
-// matrixCells enumerates the full worker × mode × ingress grid.
+// matrixCells enumerates the full worker × ingress grid.
 func matrixCells(workerCounts []int) []matrixRun {
 	var out []matrixRun
-	for _, m := range []dataplane.Mode{dataplane.ModeIndexed, dataplane.ModeScan} {
-		for _, batched := range []bool{false, true} {
-			for _, w := range workerCounts {
-				out = append(out, matrixRun{opts: dataplane.Options{Workers: w, Mode: m}, batched: batched})
-			}
+	for _, batched := range []bool{false, true} {
+		for _, w := range workerCounts {
+			out = append(out, matrixRun{opts: dataplane.Options{Workers: w}, batched: batched})
 		}
 	}
 	return out
@@ -137,9 +135,9 @@ func failoverBatches(t *testing.T, f apps.Failover, rounds, perRound int) [][]da
 }
 
 // TestEngineDeliveryMatrix: paper applications plus the failover
-// families, across the full worker × mode × ingress grid. Every cell's
-// stamped delivery sequence must equal the 1-worker per-packet indexed
-// reference bit for bit.
+// families, across the full worker × ingress grid. Every cell's stamped
+// delivery sequence must equal the 1-worker per-packet reference bit for
+// bit.
 func TestEngineDeliveryMatrix(t *testing.T) {
 	workerCounts := []int{1, 2, 3, 4, 8}
 	type tc struct {

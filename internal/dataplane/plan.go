@@ -5,89 +5,37 @@ import (
 
 	"eventnet/internal/flowtable"
 	"eventnet/internal/nes"
-	"eventnet/internal/netkat"
 )
 
-// Packet is one packet presented to (or emitted by) the dataplane: header
-// fields plus its location and the Section 4.1 metadata — the
-// configuration tag selecting which compiled configuration processes it
-// and the event digest it gossips.
-type Packet struct {
-	Fields  netkat.Packet
-	Switch  int
-	Port    int // ingress port on input, egress port on output
-	Version int // configuration tag (index into the NES's configs)
-	Digest  nes.Set
-}
-
-// Plan is an NES with every (configuration, switch) flow table compiled
-// to a Matcher, plus the program's header Schema and (built lazily, for
-// the Engine's hop loop) the flat-lowered mirror of every matcher. Plans
-// are immutable after construction and safe for concurrent use.
+// Plan is an NES compiled for forwarding: the program's header Schema and
+// every (configuration, switch) flow table lowered and indexed against it
+// (flat.go). It is built whole by PlanFor — a snapshot of the tables as
+// they stood then — immutable afterwards and safe for concurrent use.
 type Plan struct {
-	mode     Mode
-	nes      *nes.NES
-	matchers []map[int]Matcher // [config][switch]
-
-	// Schema construction and flat lowering are deferred until an Engine
-	// adopts the plan: the sim planes and runtime.Machine forward through
-	// the map-form matchers and never pay for either (ModeScan plans in
-	// particular stay the cheap wrap-without-copying they always were).
-	schemaOnce sync.Once
-	schema     *Schema
-	flatOnce   sync.Once
-	flats      []map[int]*flatTable // [config][switch]
+	nes    *nes.NES
+	schema *Schema
+	flats  []map[int]*flatTable // [config][switch]
 }
 
-// ForNES compiles a plan for the NES in the given mode. ModeScan wraps
-// the existing tables without copying; ModeIndexed compiles each table's
-// index once, amortizing it over every packet forwarded afterwards.
-func ForNES(n *nes.NES, mode Mode) *Plan {
-	p := &Plan{mode: mode, nes: n, matchers: make([]map[int]Matcher, len(n.Configs))}
+// newPlan compiles every table of the NES.
+func newPlan(n *nes.NES) *Plan {
+	p := &Plan{nes: n, schema: SchemaFor(n), flats: make([]map[int]*flatTable, len(n.Configs))}
 	for ci := range n.Configs {
-		ms := make(map[int]Matcher, len(n.Configs[ci].Tables))
+		fm := make(map[int]*flatTable, len(n.Configs[ci].Tables))
 		for sw, t := range n.Configs[ci].Tables {
-			if mode == ModeScan {
-				ms[sw] = Scan{Table: t}
-			} else {
-				ms[sw] = Compile(t)
-			}
+			fm[sw] = newFlatTable(t, p.schema)
 		}
-		p.matchers[ci] = ms
+		p.flats[ci] = fm
 	}
 	return p
 }
 
-// Schema returns the plan's header schema, building it on first use.
-func (p *Plan) Schema() *Schema {
-	p.schemaOnce.Do(func() { p.schema = SchemaFor(p.nes) })
-	return p.schema
-}
+// Schema returns the plan's header schema.
+func (p *Plan) Schema() *Schema { return p.schema }
 
-// ensureFlat lowers every matcher of the plan to its flat form, once.
-func (p *Plan) ensureFlat() {
-	p.flatOnce.Do(func() {
-		s := p.Schema()
-		p.flats = make([]map[int]*flatTable, len(p.matchers))
-		for ci, ms := range p.matchers {
-			fm := make(map[int]*flatTable, len(ms))
-			for sw, m := range ms {
-				switch t := m.(type) {
-				case *CompiledTable:
-					fm[sw] = newFlatIndexed(t, s)
-				case Scan:
-					fm[sw] = newFlatScan(t.Table, s)
-				}
-			}
-			p.flats[ci] = fm
-		}
-	})
-}
-
-// planCache memoizes indexed plans keyed by program identity (the *nes.NES
-// value: one compiled program = one NES instance), so the many short-lived
-// machines the runtime property tests spin up over one NES compile its
-// indexes exactly once.
+// planCache memoizes plans keyed by program identity (the *nes.NES value:
+// one compiled program = one NES instance), so every engine over one NES —
+// and the controller's pre-flip warm-up — compiles it exactly once.
 //
 // The multi-program world of the live controller makes the lifecycle
 // explicit: a retired program's plan must be droppable (Invalidate), a
@@ -111,8 +59,8 @@ type planEntry struct {
 // is evicted.
 const planCacheLimit = 128
 
-// PlanFor returns the cached indexed plan for the NES, compiling it on
-// first use.
+// PlanFor returns the cached plan for the NES, compiling it — schema,
+// lowering and index, nothing deferred — on first use.
 func PlanFor(n *nes.NES) *Plan {
 	planMu.Lock()
 	defer planMu.Unlock()
@@ -124,7 +72,7 @@ func PlanFor(n *nes.NES) *Plan {
 	if len(planCache) >= planCacheLimit {
 		evictOldestLocked(len(planCache) / 2)
 	}
-	p := ForNES(n, ModeIndexed)
+	p := newPlan(n)
 	planCache[n] = &planEntry{plan: p, used: planTick}
 	return p
 }
@@ -166,55 +114,16 @@ func PlanCacheLen() int {
 	return len(planCache)
 }
 
-// PlanForMode resolves the plan for a forwarding mode: scan plans wrap
-// the tables in place (cheap, never cached), indexed plans come from the
-// shared cache. The sim planes and the Engine both dispatch through
-// this.
-func PlanForMode(n *nes.NES, mode Mode) *Plan {
-	if mode == ModeScan {
-		return ForNES(n, ModeScan)
+// Matcher returns the reference view of a configuration's switch: the
+// linear scan over the NES's own table as it stands now (not the PlanFor
+// snapshot), which is what the compiled table is checked and timed
+// against. A configuration that installs no table there (or a version out
+// of range) yields a Scan that drops everything.
+func (p *Plan) Matcher(version, sw int) Scan {
+	if version < 0 || version >= len(p.nes.Configs) {
+		return Scan{}
 	}
-	return PlanFor(n)
-}
-
-// Mode returns the plan's forwarding mode.
-func (p *Plan) Mode() Mode { return p.mode }
-
-// Matcher returns the matcher for a configuration's switch, or nil when
-// the configuration installs no table there (default drop).
-func (p *Plan) Matcher(version, sw int) Matcher {
-	if version < 0 || version >= len(p.matchers) {
-		return nil
-	}
-	return p.matchers[version][sw]
-}
-
-// Process is the amortized batch API: every input packet is matched
-// against its (version, switch) table and the emitted copies are appended
-// to out — same switch, egress port in Port, version and digest carried
-// through unchanged. Passing out's previous backing array (out[:0])
-// across calls makes the steady state allocation-free apart from the
-// clones rewriting action groups need.
-func (p *Plan) Process(in []Packet, out []Packet) []Packet {
-	var scratch []flowtable.Output // reused across the batch
-	for i := range in {
-		pk := &in[i]
-		m := p.Matcher(pk.Version, pk.Switch)
-		if m == nil {
-			continue
-		}
-		scratch = m.Process(scratch[:0], pk.Fields, pk.Port, 0)
-		for _, o := range scratch {
-			out = append(out, Packet{
-				Fields:  o.Pkt,
-				Switch:  pk.Switch,
-				Port:    o.Port,
-				Version: pk.Version,
-				Digest:  pk.Digest,
-			})
-		}
-	}
-	return out
+	return Scan{Table: p.nes.Configs[version].Tables[sw]}
 }
 
 // Merged builds the Section 5.3 deployment shape: one table per switch
@@ -225,7 +134,7 @@ func (p *Plan) Process(in []Packet, out []Packet) []Packet {
 // guards with the same mask and different values never admit the same
 // tag, and the stable priority sort preserves each configuration's
 // internal rule order. This is where guard partitioning pays off most —
-// the linear scan walks every configuration's rules, the compiled matcher
+// the linear scan walks every configuration's rules, the compiled table
 // jumps straight to the tag's partition.
 func Merged(n *nes.NES) flowtable.Tables {
 	return mergedInto(flowtable.Tables{}, n, 0, guardBits(len(n.Configs)))
@@ -277,11 +186,9 @@ func MergedPair(old, new_ *nes.NES) (flowtable.Tables, int) {
 	return dst, off
 }
 
-// Flat returns the plan's flat matcher for a configuration's switch (ok
-// is false when the configuration installs no table there). The flat
-// mirror is lowered on first use.
+// Flat returns the plan's compiled matcher for a configuration's switch
+// (ok is false when the configuration installs no table there).
 func (p *Plan) Flat(version, sw int) (FlatMatcher, bool) {
-	p.ensureFlat()
 	if version < 0 || version >= len(p.flats) {
 		return FlatMatcher{}, false
 	}
@@ -289,5 +196,5 @@ func (p *Plan) Flat(version, sw int) (FlatMatcher, bool) {
 	if !ok {
 		return FlatMatcher{}, false
 	}
-	return FlatMatcher{schema: p.Schema(), ft: ft}, true
+	return FlatMatcher{schema: p.schema, ft: ft}, true
 }

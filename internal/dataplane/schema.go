@@ -211,7 +211,7 @@ func (is *inertSet) since(lo int) inertRef {
 // the domain — ValidateDomain runs at every map-form injection entry
 // point, wire decoders check as they parse, and lowerValue panics on
 // out-of-range rule constants at compile time — so interning can never
-// silently truncate and diverge from the map-form semantics.
+// silently truncate and diverge from the reference semantics.
 func (s *Schema) intern(fields netkat.Packet, vals []int32, inert *inertSet, room int) (uint64, *inertSet) {
 	pres := uint64(0)
 	for f, v := range fields {

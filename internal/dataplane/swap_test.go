@@ -89,8 +89,9 @@ func TestEngineQuiesceUnderLoad(t *testing.T) {
 // TestPlanInvalidation: plans are keyed by program identity and must be
 // explicitly droppable — after a swap retires a program, a stale plan
 // must not be servable for its NES. Without Invalidate the cache would
-// keep serving the index compiled from the old tables; with it, the next
-// PlanFor compiles the tables as they stand.
+// keep serving the tables compiled from the old rules (a plan is a
+// snapshot taken by PlanFor); with it, the next PlanFor compiles the
+// tables as they stand.
 func TestPlanInvalidation(t *testing.T) {
 	a := apps.Firewall()
 	n := buildNES(t, a)
@@ -123,7 +124,11 @@ func TestPlanInvalidation(t *testing.T) {
 	if !found {
 		t.Fatal("no forwarding rule to probe")
 	}
-	if out := p1.Matcher(0, probeSw).Process(nil, probePkt, probePort, 0); len(out) == 0 {
+	forwards := func(p *dataplane.Plan) bool {
+		m, ok := p.Flat(0, probeSw)
+		return ok && len(m.Process(nil, probePkt, probePort, 0)) > 0
+	}
+	if !forwards(p1) {
 		t.Fatal("probe does not forward under the original plan")
 	}
 
@@ -139,13 +144,16 @@ func TestPlanInvalidation(t *testing.T) {
 	if stale := dataplane.PlanFor(n); stale != p1 {
 		t.Fatal("cache rebuilt without invalidation; staleness test is vacuous")
 	}
+	if !forwards(p1) {
+		t.Fatal("the plan is not a snapshot: mutating the NES's table changed it")
+	}
 
 	dataplane.Invalidate(n)
 	p2 := dataplane.PlanFor(n)
 	if p2 == p1 {
 		t.Fatal("Invalidate did not drop the plan")
 	}
-	if out := p2.Matcher(0, probeSw).Process(nil, probePkt, probePort, 0); len(out) != 0 {
+	if forwards(p2) {
 		t.Fatal("recompiled plan still serves the stale rules")
 	}
 	dataplane.Invalidate(n) // idempotent
@@ -175,8 +183,8 @@ func TestPlanCacheEvictionKeepsHot(t *testing.T) {
 // TestMergedPairStagedInstall: the phase-one staged table — both
 // programs' rules behind disjoint exact guards — forwards every old tag
 // exactly like the old program's own table and every offset new tag
-// exactly like the new program's, through both the compiled index and
-// the linear scan.
+// exactly like the new program's, through both the compiled table and
+// the linear scan of the staged table.
 func TestMergedPairStagedInstall(t *testing.T) {
 	old := buildNES(t, apps.Firewall())
 	new_ := buildNES(t, apps.BandwidthCap(8))
@@ -186,15 +194,13 @@ func TestMergedPairStagedInstall(t *testing.T) {
 	}
 	hosts := hostAddrs(apps.Firewall().Topo)
 	r := rand.New(rand.NewSource(17))
+	schema := dataplane.SchemaForPair(old, new_)
 	for _, sw := range merged.Switches() {
-		ct := dataplane.Compile(merged[sw])
+		ct := dataplane.CompileFlat(merged[sw], schema)
 		mscan := dataplane.Scan{Table: merged[sw]}
 		check := func(n *nes.NES, base int) {
 			for ci := range n.Configs {
-				var ref dataplane.Matcher = dataplane.Scan{Table: &flowtable.Table{}}
-				if tbl, ok := n.Configs[ci].Tables[sw]; ok {
-					ref = dataplane.Scan{Table: tbl}
-				}
+				ref := refOf(n, ci, sw)
 				for i := 0; i < 60; i++ {
 					pkt, port, _ := randProbe(r, hosts)
 					tag := uint32(base + ci)
@@ -202,7 +208,7 @@ func TestMergedPairStagedInstall(t *testing.T) {
 					viaScan := mscan.Process(nil, pkt, port, tag)
 					want := ref.Process(nil, pkt, port, 0)
 					if !sameOutputs(got, want) || !sameOutputs(viaScan, want) {
-						t.Fatalf("sw %d tag %d (base %d config %d) pkt %v port %d:\nindexed %v\nmerged-scan %v\nper-config %v",
+						t.Fatalf("sw %d tag %d (base %d config %d) pkt %v port %d:\nflat-merged %v\nmerged-scan %v\nper-config %v",
 							sw, tag, base, ci, pkt, port, got, viaScan, want)
 					}
 				}
@@ -295,5 +301,42 @@ func TestDeliveryLogBound(t *testing.T) {
 	last := e.CopyDeliveries(total - 1)
 	if len(last) != 1 || last[0].Fields["id"] != total-1 {
 		t.Fatalf("absolute indexing broken after trim: %+v", last)
+	}
+}
+
+// TestStageSwapLowersNothingAtFlip pins the warm-up contract ctrl.Swap
+// relies on: once PlanFor(n) has returned, the first staging of n forwards
+// through that very plan's schema and tables, and the work left for the
+// flip — which runs at a generation barrier with every worker parked — is
+// the per-engine wiring (a row per configuration, a guard per event), not
+// a pass over the rules.
+func TestStageSwapLowersNothingAtFlip(t *testing.T) {
+	a := apps.Firewall()
+	e := dataplane.NewEngine(buildNES(t, a), a.Topo, dataplane.Options{Workers: 2})
+	for _, capN := range []int{10, 40} {
+		next := buildNES(t, apps.BandwidthCap(capN))
+		plan := dataplane.PlanFor(next)
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sw, err := e.StageSwap(dataplane.SwapSpec{NES: next})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-sw.Done() // nothing in flight: flipped and retired at one barrier
+
+		if !e.ForwardsWith(plan) {
+			t.Fatalf("cap-%d: the engine does not forward through the plan PlanFor returned before staging", capN)
+		}
+		// One row per configuration, a few arrays per event guard, the swap
+		// handle. Lowering even one table costs more than this whole budget
+		// (a rule alone is four arrays, a table adds its index maps).
+		budget := uint64(32 + len(next.Configs) + 4*len(next.Events))
+		if allocs := after.Mallocs - before.Mallocs; allocs > budget {
+			t.Fatalf("cap-%d: staging allocates %d times, budget %d (%d configs, %d events): something is lowered at the flip",
+				capN, allocs, budget, len(next.Configs), len(next.Events))
+		}
+		dataplane.Invalidate(next)
 	}
 }

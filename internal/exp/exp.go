@@ -514,151 +514,6 @@ func TableCompileScale() *Table {
 	return t
 }
 
-// Throughput measures dataplane forwarding rates: a seeded probe stream
-// is pushed through each application's merged (all-configurations,
-// version-guarded) tables, once through the compiled indexed matchers of
-// internal/dataplane and once through the priority-ordered linear scan,
-// and the packets/sec of both are reported with the speedup. probes sets
-// the timed stream length (the stream repeats as needed).
-//
-// Two further columns capture *engine* overhead rather than raw matcher
-// cost: a seeded injection workload is run to quiescence on a
-// single-worker dataplane.Engine (flat interned packets, event
-// detection, digest gossip, the deterministic merge) and the end-to-end
-// switch-hop cost is reported as ns_hop_engine with its allocation rate
-// as allocs_hop_engine (heap allocations per hop, including the
-// ingress-boundary interning — the steady-state hop loop itself is
-// allocation-free, see BenchmarkEngineHopLoop). One row per application;
-// with -json this is the NDJSON throughput trajectory tracked across
-// PRs (docs/BENCHMARKS.md).
-//
-// The ns_hop_obs and obs_ratio columns repeat the engine leg with the
-// full observability layer attached — sharded metrics, 1/64 journey
-// tracing, the flight recorder, and a live bus subscriber draining the
-// feed — in the same process on the same workload. obs_ratio =
-// ns_hop_obs / ns_hop_engine is the telemetry overhead CI gates at 1.05
-// (docs/OBSERVABILITY.md). p50_hop_ns/p99_hop_ns come from that leg's
-// hop-latency histogram via obs.Histogram.Quantile — the same estimator
-// `netctl top` runs on /metrics scrape deltas.
-func Throughput(probes int) *Table {
-	t := &Table{
-		Title:   "Dataplane throughput: compiled indexed matchers vs linear scan (merged tables), plus engine hop cost",
-		Columns: []string{"app", "rules", "pps_scan", "pps_indexed", "speedup", "ns_hop_engine", "allocs_hop_engine", "ns_hop_obs", "obs_ratio", "p50_hop_ns", "p99_hop_ns"},
-	}
-	cases := apps.All()
-	cases = append(cases, apps.BandwidthCap(40), apps.BandwidthCap(200), apps.IDSFatTree(4))
-	for _, a := range cases {
-		n, err := BuildNES(a)
-		if err != nil {
-			panic(err)
-		}
-		merged := dataplane.Merged(n)
-		indexed := map[int]dataplane.Matcher{}
-		scan := map[int]dataplane.Matcher{}
-		rules := 0
-		for _, sw := range merged.Switches() {
-			indexed[sw] = dataplane.Compile(merged[sw])
-			scan[sw] = dataplane.Scan{Table: merged[sw]}
-			rules += merged[sw].Len()
-		}
-		lg := dataplane.NewLoadGen(n, a.Topo, 11)
-		var stream []dataplane.Probe
-		for _, p := range lg.Probes(4096) {
-			if indexed[p.Switch] != nil {
-				stream = append(stream, p)
-			}
-		}
-		measure := func(ms map[int]dataplane.Matcher) float64 {
-			var buf []flowtable.Output
-			// Warm caches, then time.
-			for i := 0; i < len(stream); i++ {
-				p := &stream[i]
-				buf = ms[p.Switch].Process(buf[:0], p.Fields, p.InPort, p.Tag)
-			}
-			start := time.Now()
-			for i := 0; i < probes; i++ {
-				p := &stream[i%len(stream)]
-				buf = ms[p.Switch].Process(buf[:0], p.Fields, p.InPort, p.Tag)
-			}
-			return float64(probes) / time.Since(start).Seconds()
-		}
-		ppsScan := measure(scan)
-		ppsIdx := measure(indexed)
-
-		// Engine leg: inject a seeded workload round by round and run to
-		// quiescence; ns and heap allocations per switch-hop, measured
-		// over the whole run (ingress and egress boundaries included —
-		// that is the engine overhead this column exists to track). The
-		// same leg runs twice, bare and with full telemetry attached.
-		engineLeg := func(o *obs.Obs) (nsHop, allocsHop float64) {
-			eng := dataplane.NewEngine(n, a.Topo, dataplane.Options{Workers: 1, Obs: o})
-			elg := dataplane.NewLoadGen(n, a.Topo, 17)
-			batch := elg.Injections(256)
-			runBatch := func() {
-				if _, errs := eng.InjectBatch(batch); errs != nil {
-					for _, err := range errs {
-						if err != nil {
-							panic(err)
-						}
-					}
-				}
-				if err := eng.Run(); err != nil {
-					panic(err)
-				}
-			}
-			runBatch() // warm rings, plans, buffers
-			rounds := probes / (len(batch) * 16)
-			if rounds < 2 {
-				rounds = 2
-			}
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			h0 := eng.Processed()
-			start := time.Now()
-			for i := 0; i < rounds; i++ {
-				runBatch()
-			}
-			elapsed := time.Since(start)
-			hops := eng.Processed() - h0
-			runtime.ReadMemStats(&m1)
-			return float64(elapsed.Nanoseconds()) / float64(hops),
-				float64(m1.Mallocs-m0.Mallocs) / float64(hops)
-		}
-		nsHop, allocsHop := engineLeg(nil)
-
-		// Telemetry leg: the netd defaults (metrics on, 1/64 tracing, the
-		// flight recorder, a subscriber actively draining the feed).
-		o := &obs.Obs{
-			Metrics:        obs.NewMetrics(1),
-			Bus:            obs.NewBus(),
-			Trace:          obs.NewTracer(obs.DefaultSample, 1),
-			Flight:         obs.NewFlight(0, 1),
-			DeliverySample: 16,
-		}
-		sub := o.Bus.Subscribe(1024)
-		drained := make(chan struct{})
-		go func() {
-			defer close(drained)
-			for range sub.C {
-			}
-		}()
-		nsHopObs, _ := engineLeg(o)
-		sub.Close()
-		<-drained
-		hopHist := o.Metrics.Histogram(obs.HistHopNs)
-
-		t.Rows = append(t.Rows, []string{
-			a.Name, fmt.Sprint(rules),
-			fmt.Sprintf("%.0f", ppsScan), fmt.Sprintf("%.0f", ppsIdx),
-			fmt.Sprintf("%.1f", ppsIdx/ppsScan),
-			fmt.Sprintf("%.1f", nsHop), fmt.Sprintf("%.2f", allocsHop),
-			fmt.Sprintf("%.1f", nsHopObs), fmt.Sprintf("%.3f", nsHopObs/nsHop),
-			fmt.Sprintf("%.0f", hopHist.Quantile(0.50)), fmt.Sprintf("%.0f", hopHist.Quantile(0.99)),
-		})
-	}
-	return t
-}
-
 // Trace demonstrates sampled packet journey tracing: a seeded workload
 // runs with every packet traced, and each sampled journey is flattened
 // to one row per hop record — the exact canonical order the engine

@@ -181,26 +181,6 @@ func TestTables(t *testing.T) {
 	}
 }
 
-// TestThroughputShape: the throughput sweep covers every app, reports
-// positive rates, and the indexed matcher beats the scan where tables are
-// big enough for indexing to matter (the cap-200 acceptance row).
-func TestThroughputShape(t *testing.T) {
-	tbl := Throughput(50000)
-	if len(tbl.Rows) != 8 {
-		t.Fatalf("throughput rows: %d", len(tbl.Rows))
-	}
-	for _, r := range tbl.Rows {
-		scan, _ := strconv.ParseFloat(r[2], 64)
-		idx, _ := strconv.ParseFloat(r[3], 64)
-		if scan <= 0 || idx <= 0 {
-			t.Errorf("%s: non-positive rate (scan %v, indexed %v)", r[0], r[2], r[3])
-		}
-		if r[0] == "bandwidth-cap-200" && idx < 4*scan {
-			t.Errorf("bandwidth-cap-200: indexed %v pps not clearly faster than scan %v pps", r[3], r[2])
-		}
-	}
-}
-
 // TestSwapExperiment: the live-swap experiment's consistency audit must
 // be perfectly clean — zero packets dropped by the transition and zero
 // packets whose deliveries contradict their stamped program generation —

@@ -337,24 +337,24 @@ type Output struct {
 	Port int
 }
 
-// RuleIR is the compiler-emitted flat intermediate form of a rule: the
-// match's field literals and the groups' assignments as canonically
-// ordered parallel arrays. The FDD backend's table extraction walks
-// root-leaf paths in canonical test order (ports first, then fields
-// alphabetically with ascending values), so it can emit this form for
-// free; dataplane lowering then translates names to schema indices by
-// direct array walks instead of re-deriving the order from the match
-// maps with per-rule sorting. The map form on Match and Groups remains
-// authoritative — the scan reference plane and the rule algebra
-// (Intersect, Subsumes, the optimizer) read only the maps, and lowering
-// from the IR is property-tested equal to lowering from the maps.
+// RuleIR is the flat intermediate form of a rule: the match's field
+// literals and the groups' assignments as canonically ordered parallel
+// arrays — the one form dataplane lowering reads, translating names to
+// schema indices by direct array walks. The FDD backend's table extraction
+// walks root-leaf paths in canonical test order (ports first, then fields
+// alphabetically with ascending values), so it emits the match half for
+// free; rules built any other way (the DNF oracle, the optimizer, tables
+// written by hand) carry none and get theirs from DeriveIR. The map form
+// on Match and Groups remains authoritative — the linear-scan reference
+// and the rule algebra (Intersect, Subsumes, the optimizer) read only the
+// maps, and the emitted IR is property-tested equal to the derived one.
 //
 // Invariants: EqFields is strictly ascending; (NeqFields[i],
-// NeqValues[i]) pairs are sorted by field then value, with no entry for
-// a field present in EqFields; Groups is parallel to Rule.Groups with
-// each SetFields sorted. An IR is immutable once attached and may be
-// shared across rule copies whose Match differs only in Guard (guards
-// and ports are lowered from the Match itself).
+// NeqValues[i]) pairs are sorted by field then value (and a compiled
+// rule has none for a field present in EqFields); Groups is parallel to
+// Rule.Groups with each SetFields sorted. An IR is immutable once
+// attached and may be shared across rule copies whose Match differs only
+// in Guard (guards and ports are lowered from the Match itself).
 type RuleIR struct {
 	EqFields  []string
 	EqValues  []int
@@ -369,9 +369,60 @@ type GroupIR struct {
 	SetValues []int
 }
 
+// DeriveIR builds a rule's flat IR from its Match and Groups maps, in
+// the RuleIR order. It transcribes the maps as they are: a hand-built
+// match that both pins and excludes a field (the rule algebra never
+// produces one) keeps the exclusion, so it stays as unsatisfiable as
+// Matches finds it.
+func DeriveIR(r *Rule) *RuleIR {
+	ir := &RuleIR{}
+	ir.EqFields, ir.EqValues = sortedAssignments(r.Match.Fields)
+	exFields := make([]string, 0, len(r.Match.Excludes))
+	for f := range r.Match.Excludes {
+		exFields = append(exFields, f)
+	}
+	sort.Strings(exFields)
+	for _, f := range exFields {
+		vs := append([]int{}, r.Match.Excludes[f]...)
+		sort.Ints(vs)
+		for _, v := range vs {
+			ir.NeqFields = append(ir.NeqFields, f)
+			ir.NeqValues = append(ir.NeqValues, v)
+		}
+	}
+	for _, g := range r.Groups {
+		ir.Groups = append(ir.Groups, DeriveGroupIR(g))
+	}
+	return ir
+}
+
+// DeriveGroupIR is the action-group half of DeriveIR.
+func DeriveGroupIR(g ActionGroup) GroupIR {
+	fs, vs := sortedAssignments(g.Sets)
+	return GroupIR{SetFields: fs, SetValues: vs}
+}
+
+// sortedAssignments flattens a field->value map into parallel arrays,
+// fields ascending (nil, nil for an empty map).
+func sortedAssignments(m map[string]int) ([]string, []int) {
+	if len(m) == 0 {
+		return nil, nil
+	}
+	fs := make([]string, 0, len(m))
+	for f := range m {
+		fs = append(fs, f)
+	}
+	sort.Strings(fs)
+	vs := make([]int, len(fs))
+	for i, f := range fs {
+		vs[i] = m[f]
+	}
+	return fs, vs
+}
+
 // Rule is one prioritized match-action entry. Higher Priority wins.
-// IR, when non-nil, is the compiler's pre-lowered literal form (see
-// RuleIR); consumers must treat it as read-only.
+// IR, when non-nil, is the compiler-emitted flat form (see RuleIR);
+// consumers must treat it as read-only.
 type Rule struct {
 	Priority int
 	Match    Match
@@ -479,8 +530,13 @@ func (t *Table) Process(pkt netkat.Packet, inPort int, tag uint32) []Output {
 // AppendProcess is Process in append form: emitted packets are appended to
 // dst. With a reused buffer the linear-scan path performs no per-call
 // allocations beyond the clones rewriting groups require, which keeps the
-// scan baseline in throughput comparisons honest.
+// scan baseline in throughput comparisons honest. A nil table is a switch
+// the configuration installs nothing on: default drop, so the executors
+// can index Tables[sw] and call this without a presence check.
 func (t *Table) AppendProcess(dst []Output, pkt netkat.Packet, inPort int, tag uint32) []Output {
+	if t == nil {
+		return dst
+	}
 	for i := range t.Rules {
 		if t.Rules[i].Match.Matches(pkt, inPort, tag) {
 			return t.Rules[i].AppendApply(dst, pkt)

@@ -3,9 +3,7 @@ package nkc
 import (
 	"fmt"
 	"sort"
-	"sync"
 
-	"eventnet/internal/dataplane"
 	"eventnet/internal/flowtable"
 	"eventnet/internal/netkat"
 	"eventnet/internal/topo"
@@ -479,35 +477,15 @@ func resolveOverlaps(rules map[string]*ruleAccum) error {
 // plus the topology's links (Section 2: C captures both switch processing
 // and link behavior, including host attachment links).
 //
-// Switch processing runs through lazily compiled dataplane matchers
-// (indexed lookup instead of a rule scan) — the relation is driven
-// thousands of times per journey by the trace oracle and the model
-// checker, so per-table index compilation amortizes immediately.
+// Switch processing is flowtable.Table's linear scan over the tables as
+// given: this is the relation the trace oracle and the model checker hold
+// executions against, so it reads the reference form and shares no index
+// with the engine it judges. It holds no state of its own and is safe for
+// concurrent use.
 type CompiledConfig struct {
 	Tables flowtable.Tables
 	Topo   *topo.Topology
 	Tag    uint32 // version tag presented to the tables (0 for unguarded)
-
-	mu       sync.Mutex
-	matchers map[int]dataplane.Matcher
-}
-
-// matcher returns the compiled matcher for a switch, or false when the
-// configuration installs no table there.
-func (c *CompiledConfig) matcher(sw int) (dataplane.Matcher, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.matchers == nil {
-		c.matchers = make(map[int]dataplane.Matcher, len(c.Tables))
-	}
-	m, ok := c.matchers[sw]
-	if !ok {
-		if t, has := c.Tables[sw]; has {
-			m = dataplane.Compile(t)
-		}
-		c.matchers[sw] = m // nil for table-less switches
-	}
-	return m, m != nil
 }
 
 // DStep implements netkat.DConfig: an egress point follows its link (to a
@@ -529,10 +507,8 @@ func (c *CompiledConfig) DStep(d netkat.DPacket) []netkat.DPacket {
 			outs = append(outs, netkat.DPacket{Pkt: d.Pkt, Loc: far})
 		}
 	default:
-		if m, ok := c.matcher(d.Loc.Switch); ok {
-			for _, o := range m.Process(nil, d.Pkt, d.Loc.Port, c.Tag) {
-				outs = append(outs, netkat.DPacket{Pkt: o.Pkt, Loc: netkat.Location{Switch: d.Loc.Switch, Port: o.Port}, Out: true})
-			}
+		for _, o := range c.Tables[d.Loc.Switch].AppendProcess(nil, d.Pkt, d.Loc.Port, c.Tag) {
+			outs = append(outs, netkat.DPacket{Pkt: o.Pkt, Loc: netkat.Location{Switch: d.Loc.Switch, Port: o.Port}, Out: true})
 		}
 	}
 	return outs

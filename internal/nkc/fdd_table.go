@@ -427,17 +427,8 @@ func extractRules(d *FDD) ([]flowtable.Rule, error) {
 				groups = append(groups, flowtable.ActionGroup{Sets: sets, OutPort: out})
 			}
 			sort.Slice(groups, func(i, j int) bool { return groups[i].Key() < groups[j].Key() })
-			for gi := range groups {
-				g := flowtable.GroupIR{SetFields: make([]string, 0, len(groups[gi].Sets))}
-				for f := range groups[gi].Sets {
-					g.SetFields = append(g.SetFields, f)
-				}
-				sort.Strings(g.SetFields)
-				g.SetValues = make([]int, len(g.SetFields))
-				for fi, f := range g.SetFields {
-					g.SetValues[fi] = groups[gi].Sets[f]
-				}
-				ir.Groups = append(ir.Groups, g)
+			for _, g := range groups {
+				ir.Groups = append(ir.Groups, flowtable.DeriveGroupIR(g))
 			}
 			rules = append(rules, flowtable.Rule{Priority: m.Specificity(), Match: m, Groups: groups, IR: ir})
 			return nil

@@ -4,8 +4,7 @@ package obs
 // state, in the shared power-of-two bucket layout (bucket 0 counts
 // observations <= 1; bucket i>0 counts (2^(i-1), 2^i]). Snapshots are
 // plain values: subtract two to get a windowed histogram, estimate
-// quantiles with Quantile — the shared estimator behind `netctl top`
-// and the exp.Throughput p50/p99 columns.
+// quantiles with Quantile — the estimator behind `netctl top`.
 type Histogram struct {
 	Count [HistBuckets]int64
 	Sum   int64

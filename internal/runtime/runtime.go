@@ -18,7 +18,6 @@ import (
 	"math/rand"
 	"slices"
 
-	"eventnet/internal/dataplane"
 	"eventnet/internal/flowtable"
 	"eventnet/internal/nes"
 	"eventnet/internal/netkat"
@@ -115,13 +114,13 @@ type Machine struct {
 	nt      trace.NetTrace
 	parents []int
 	rng     *rand.Rand
-	plan    *dataplane.Plan    // compiled per-(config, switch) matchers, shared per NES
 	obuf    []flowtable.Output // switchStep scratch; a Machine is single-goroutine
 }
 
-// New builds a machine for the NES over its topology. Forwarding runs
-// through the NES's compiled indexed matchers (dataplane.PlanFor), which
-// are built once per NES and shared by every machine over it.
+// New builds a machine for the NES over its topology. Forwarding is
+// flowtable.Table's linear scan over the NES's own per-configuration
+// tables: the machine is the reference the engine's compiled tables are
+// tested against, so it shares no index with them.
 func New(n *nes.NES, t *topo.Topology, seed int64, ctrlAssist bool) *Machine {
 	m := &Machine{
 		NES:        n,
@@ -129,7 +128,6 @@ func New(n *nes.NES, t *topo.Topology, seed int64, ctrlAssist bool) *Machine {
 		Switches:   map[int]*SwitchState{},
 		CtrlAssist: ctrlAssist,
 		rng:        rand.New(rand.NewSource(seed)),
-		plan:       dataplane.PlanFor(n),
 	}
 	m.layout()
 	return m
@@ -331,12 +329,8 @@ func (m *Machine) switchStep(in *slot) {
 	lp := netkat.LocatedPacket{Pkt: pkt.Fields, Loc: loc}
 	newly := m.NES.NewlyEnabled(known, lp)
 
-	// Forward with the packet's tagged configuration, through its
-	// compiled matcher.
-	m.obuf = m.obuf[:0]
-	if mt := m.plan.Matcher(pkt.Config, swid); mt != nil {
-		m.obuf = mt.Process(m.obuf, pkt.Fields, port, 0)
-	}
+	// Forward with the packet's tagged configuration.
+	m.obuf = m.NES.Configs[pkt.Config].Tables[swid].AppendProcess(m.obuf[:0], pkt.Fields, port, 0)
 	outs := m.obuf
 
 	// State and digest updates (Figure 7, SWITCH).

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"eventnet/internal/dataplane"
 	"eventnet/internal/flowtable"
 	"eventnet/internal/nes"
 	"eventnet/internal/netkat"
@@ -22,30 +21,20 @@ type TaggedPlane struct {
 	views      map[int]nes.Set
 	discovered map[int]map[int]float64 // switch -> event -> first-known time
 	ctrl       nes.Set
-	plan       *dataplane.Plan
 	obuf       []flowtable.Output // per-sim scratch; Sim is single-goroutine
 }
 
 // NewTaggedPlane builds the correct plane with default overhead figures
 // (12 bytes of tag+digest encapsulation, 5% extra fast-path work; the
 // paper reports the end-to-end effect as ~6% bandwidth overhead).
-// Forwarding runs through the compiled indexed matchers of
-// internal/dataplane; use NewTaggedPlaneMode for the linear-scan
-// reference.
+// Forwarding is flowtable.Table's linear scan over the NES's own tables.
 func NewTaggedPlane(n *nes.NES) *TaggedPlane {
-	return NewTaggedPlaneMode(n, dataplane.ModeIndexed)
-}
-
-// NewTaggedPlaneMode builds the tagged plane with an explicit forwarding
-// mode (the cmd/netsim -dataplane selector).
-func NewTaggedPlaneMode(n *nes.NES, mode dataplane.Mode) *TaggedPlane {
 	return &TaggedPlane{
 		NES:        n,
 		TagBytes:   12,
 		ExtraProc:  0.05,
 		views:      map[int]nes.Set{},
 		discovered: map[int]map[int]float64{},
-		plan:       dataplane.PlanForMode(n, mode),
 	}
 }
 
@@ -132,11 +121,7 @@ func (p *TaggedPlane) Process(s *Sim, sw, inPort int, fields netkat.Packet, meta
 	}
 	outDigest := digest.Union(oldView).Union(newly)
 
-	m := p.plan.Matcher(meta.Version, sw)
-	if m == nil {
-		return nil
-	}
-	p.obuf = m.Process(p.obuf[:0], fields, inPort, 0)
+	p.obuf = p.NES.Configs[meta.Version].Tables[sw].AppendProcess(p.obuf[:0], fields, inPort, 0)
 	var outs []Out
 	for _, o := range p.obuf {
 		outs = append(outs, Out{
@@ -160,23 +145,15 @@ type UncoordPlane struct {
 	ctrlSet   nes.Set     // controller's view of occurred events
 	pendingEv nes.Set     // events already reported (avoid duplicates)
 	installAt map[int]map[int]float64
-	plan      *dataplane.Plan
 	obuf      []flowtable.Output
 }
 
 // NewUncoordPlane builds the baseline plane.
 func NewUncoordPlane(n *nes.NES) *UncoordPlane {
-	return NewUncoordPlaneMode(n, dataplane.ModeIndexed)
-}
-
-// NewUncoordPlaneMode builds the baseline plane with an explicit
-// forwarding mode.
-func NewUncoordPlaneMode(n *nes.NES, mode dataplane.Mode) *UncoordPlane {
 	return &UncoordPlane{
 		NES:       n,
 		installed: map[int]int{},
 		installAt: map[int]map[int]float64{},
-		plan:      dataplane.PlanForMode(n, mode),
 	}
 }
 
@@ -237,11 +214,7 @@ func (p *UncoordPlane) Process(s *Sim, sw, inPort int, fields netkat.Packet, _ M
 		})
 	}
 
-	m := p.plan.Matcher(p.installed[sw], sw)
-	if m == nil {
-		return nil
-	}
-	p.obuf = m.Process(p.obuf[:0], fields, inPort, 0)
+	p.obuf = p.NES.Configs[p.installed[sw]].Tables[sw].AppendProcess(p.obuf[:0], fields, inPort, 0)
 	var outs []Out
 	for _, o := range p.obuf {
 		outs = append(outs, Out{Fields: o.Pkt, Port: o.Port})
@@ -258,17 +231,10 @@ const (
 	PlaneKindUncoord
 )
 
-// NewPlane builds a plane of the given kind for an NES, forwarding
-// through the compiled indexed matchers.
+// NewPlane builds a plane of the given kind for an NES.
 func NewPlane(k PlaneKind, n *nes.NES) Plane {
-	return NewPlaneMode(k, n, dataplane.ModeIndexed)
-}
-
-// NewPlaneMode builds a plane of the given kind with an explicit
-// dataplane mode (indexed matchers or the linear-scan reference).
-func NewPlaneMode(k PlaneKind, n *nes.NES, mode dataplane.Mode) Plane {
 	if k == PlaneKindUncoord {
-		return NewUncoordPlaneMode(n, mode)
+		return NewUncoordPlane(n)
 	}
-	return NewTaggedPlaneMode(n, mode)
+	return NewTaggedPlane(n)
 }
