@@ -11,7 +11,6 @@ import (
 	"eventnet/internal/apps"
 	"eventnet/internal/exp"
 	"eventnet/internal/netkat"
-	"eventnet/internal/nkc"
 	"eventnet/internal/optimize"
 	"eventnet/internal/sim"
 	"eventnet/internal/trace"
@@ -25,28 +24,9 @@ func compileApps() []apps.App {
 	return append(apps.All(), apps.BandwidthCap(80))
 }
 
-// BenchmarkTableCompileApps times the full compilation pipeline on the
-// default backend (incremental FDD through the sharded ETS engine).
+// BenchmarkTableCompileApps times the full compilation pipeline (the
+// incremental compiler through the sharded ETS engine).
 func BenchmarkTableCompileApps(b *testing.B) {
-	for _, a := range compileApps() {
-		a := a
-		b.Run(a.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := Compile(a.Prog, a.Topo); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTableCompileAppsDNF times the same pipeline on the reference
-// DNF/strand backend — the from-scratch baseline the incremental FDD
-// path is measured against (CHANGES.md records the comparison).
-func BenchmarkTableCompileAppsDNF(b *testing.B) {
-	old := nkc.DefaultBackend
-	nkc.DefaultBackend = nkc.BackendDNF
-	defer func() { nkc.DefaultBackend = old }()
 	for _, a := range compileApps() {
 		a := a
 		b.Run(a.Name, func(b *testing.B) {

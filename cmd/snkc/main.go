@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -20,7 +21,6 @@ import (
 	"eventnet/internal/apps"
 	"eventnet/internal/ets"
 	"eventnet/internal/flowtable"
-	"eventnet/internal/nkc"
 	"eventnet/internal/optimize"
 	"eventnet/internal/stateful"
 	"eventnet/internal/syntax"
@@ -29,7 +29,6 @@ import (
 
 func main() {
 	appName := flag.String("app", "", "built-in application: firewall, learning-switch, authentication, bandwidth-cap, ids, ring, walled-garden, distributed-firewall, ids-fattree")
-	backend := flag.String("backend", "fdd", "table-generation backend: fdd (decision diagrams, default) or dnf (strand/DNF reference)")
 	srcPath := flag.String("src", "", "Stateful NetKAT source file")
 	topoName := flag.String("topo", "firewall", "topology for -src: firewall, learning-switch, star, ring")
 	initVec := flag.String("init", "0", "initial state vector for -src, e.g. 0,0")
@@ -41,38 +40,33 @@ func main() {
 	unroll := flag.Int("unroll", 4, "unrolling bound for programs with state-graph loops")
 	flag.Parse()
 
-	switch *backend {
-	case "fdd":
-		nkc.DefaultBackend = nkc.BackendFDD
-	case "dnf":
-		nkc.DefaultBackend = nkc.BackendDNF
-	default:
-		fmt.Fprintf(os.Stderr, "snkc: unknown backend %q (want fdd or dnf)\n", *backend)
-		os.Exit(1)
-	}
-
 	prog, tp, name, err := loadProgram(*appName, *srcPath, *topoName, *initVec, *ringD, *capN, *arity)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "snkc:", err)
 		os.Exit(1)
 	}
 
-	if rep, err := ets.AnalyzeLoops(prog); err == nil && rep.HasLoops {
-		fmt.Printf("note: the state graph has loops (locality %v); compiling a %d-round unrolling\n", rep.LocalityOK, *unroll)
-		e, err := ets.BuildUnrolled(prog, tp, *unroll)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "snkc: ETS:", err)
-			os.Exit(1)
-		}
-		report(e, name, *doOpt, *showTables)
-		return
-	}
 	e, err := ets.Build(prog, tp)
+	if errors.Is(err, ets.ErrLoop) {
+		e, err = buildUnrolled(prog, tp, *unroll)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "snkc: ETS:", err)
 		os.Exit(1)
 	}
 	report(e, name, *doOpt, *showTables)
+}
+
+// buildUnrolled is the fallback for a program whose state graph Build
+// found cyclic. Only here is AnalyzeLoops' serial oracle BFS worth
+// running: it says whether the loops meet the paper's locality condition.
+func buildUnrolled(prog stateful.Program, tp *topo.Topology, rounds int) (*ets.ETS, error) {
+	rep, err := ets.AnalyzeLoops(prog)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("note: the state graph has loops (locality %v); compiling a %d-round unrolling\n", rep.LocalityOK, rounds)
+	return ets.BuildUnrolled(prog, tp, rounds)
 }
 
 // report prints the compiled artifacts.

@@ -10,9 +10,9 @@
 //	syntax   — concrete Stateful NetKAT syntax (lexer, parser, printer)
 //	stateful — Stateful NetKAT AST, projection ⟦p⟧k, event extraction
 //	netkat   — static NetKAT: packets, predicates, policies, evaluator
-//	nkc      — NetKAT compiler to prioritized flow tables, with two
-//	           backends: forwarding decision diagrams (default) and the
-//	           DNF/strand reference (see docs/ARCHITECTURE.md)
+//	nkc      — NetKAT compiler to prioritized flow tables: one
+//	           compiler (forwarding decision diagrams) and its
+//	           DNF/strand test oracle (see docs/ARCHITECTURE.md)
 //	ets      — event-driven transition systems and their checks
 //	nes      — network event structures (con, ⊢, g, locality)
 //	trace    — the Definition 2/6 consistency oracle

@@ -6,8 +6,8 @@ import (
 
 	"eventnet/internal/dataplane"
 	"eventnet/internal/ets"
-	"eventnet/internal/netkat"
 	"eventnet/internal/nes"
+	"eventnet/internal/netkat"
 )
 
 func failoverCases(cycles int) []Failover {

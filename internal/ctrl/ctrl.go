@@ -184,7 +184,7 @@ func New(t *topo.Topology, o Options) *Controller {
 }
 
 // progKey is a program's memo identity: its canonical rendering plus the
-// initial state (the topology and backend are fixed per controller).
+// initial state (the topology is fixed per controller).
 func progKey(p stateful.Program) string {
 	return p.Init.Key() + "|" + p.Cmd.String()
 }

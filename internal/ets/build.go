@@ -122,7 +122,6 @@ func BuildWithOptions(p stateful.Program, t *topo.Topology, o Options) (*ETS, St
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	backend := nkc.DefaultBackend
 
 	b := &builder{prog: p, topo: t, shards: make([]shard, workers)}
 	b.cond = sync.NewCond(&b.mu)
@@ -145,7 +144,7 @@ func BuildWithOptions(p stateful.Program, t *topo.Topology, o Options) (*ETS, St
 		err    error
 	)
 	if o.Cache != nil {
-		pc0, sc, err = o.Cache.Acquire(backend, p.Cmd, t)
+		pc0, sc, err = o.Cache.Acquire(p.Cmd, t)
 		if err != nil {
 			return nil, Stats{}, err
 		}
@@ -153,7 +152,7 @@ func BuildWithOptions(p stateful.Program, t *topo.Topology, o Options) (*ETS, St
 		before = pc0.Stats()
 	} else {
 		sc = nkc.NewSharedCache()
-		pc0, err = nkc.NewProgramCompilerWith(backend, p.Cmd, t, sc)
+		pc0, err = nkc.NewProgramCompiler(p.Cmd, t, sc)
 		if err != nil {
 			return nil, Stats{}, err
 		}

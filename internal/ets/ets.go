@@ -14,6 +14,7 @@
 package ets
 
 import (
+	"errors"
 	"fmt"
 
 	"eventnet/internal/flowtable"
@@ -81,6 +82,10 @@ type rawEdge struct {
 	loc      netkat.Location
 }
 
+// ErrLoop is what Build's error wraps when the reachable state graph has
+// a cycle; BuildUnrolled accepts such programs up to a round bound.
+var ErrLoop = errors.New("ets: the transition system has a loop")
+
 // checkAcyclic rejects ETSs with loops (this paper's implementation, like
 // the paper's prototype, handles loop-free ETSs; Section 3.1 sketches the
 // SCC/timestamp extension).
@@ -101,7 +106,7 @@ func checkAcyclic(nv int, raw []rawEdge, init int) error {
 		for _, w := range adj[v] {
 			switch color[w] {
 			case gray:
-				return fmt.Errorf("ets: the transition system has a loop through state %d (loop-free ETSs required)", w)
+				return fmt.Errorf("%w through state %d (loop-free ETSs required)", ErrLoop, w)
 			case white:
 				if err := dfs(w); err != nil {
 					return err

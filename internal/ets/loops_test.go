@@ -1,6 +1,7 @@
 package ets
 
 import (
+	"errors"
 	"testing"
 
 	"eventnet/internal/apps"
@@ -60,8 +61,8 @@ func crossSwitchToggle() (stateful.Program, *topo.Topology) {
 
 func TestBuildRejectsLoops(t *testing.T) {
 	prog, tp := toggleProgram()
-	if _, err := Build(prog, tp); err == nil {
-		t.Fatal("cyclic ETS accepted by the loop-free builder")
+	if _, err := Build(prog, tp); !errors.Is(err, ErrLoop) {
+		t.Fatalf("cyclic ETS: Build returned %v, want an error wrapping ErrLoop", err)
 	}
 }
 

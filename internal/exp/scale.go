@@ -16,8 +16,8 @@ import (
 type ScalePoint struct {
 	Procs   int     `json:"procs"`
 	Workers int     `json:"workers"`
-	PPS     float64 `json:"pps"`    // packets forwarded to completion per second
-	NsHop   float64 `json:"ns_hop"` // wall ns per switch-hop
+	PPS     float64 `json:"pps"`     // packets forwarded to completion per second
+	NsHop   float64 `json:"ns_hop"`  // wall ns per switch-hop
 	Speedup float64 `json:"speedup"` // vs workers=1 at the same GOMAXPROCS
 }
 

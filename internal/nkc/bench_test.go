@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkCompileFirewallConfig measures one static-configuration
-// compile (policy -> per-switch tables) on the default (FDD) backend.
+// compile (policy -> per-switch tables).
 func BenchmarkCompileFirewallConfig(b *testing.B) {
 	a := apps.Firewall()
 	pol := stateful.Project(a.Prog.Cmd, stateful.State{1})
@@ -33,31 +33,27 @@ func BenchmarkCompileRingConfig(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileBackends compares the FDD and DNF backends on the
-// per-state configurations of each application, compiled through a
-// shared Compiler as ets.Build does.
-func BenchmarkCompileBackends(b *testing.B) {
-	for _, backend := range []Backend{BackendFDD, BackendDNF} {
-		backend := backend
-		for _, a := range apps.All() {
-			a := a
-			b.Run(backend.String()+"/"+a.Name, func(b *testing.B) {
-				states, _, err := a.Prog.ReachableStates()
+// BenchmarkCompileStates compiles the per-state configurations of each
+// application through one ProgramCompiler, as ets.Build does.
+func BenchmarkCompileStates(b *testing.B) {
+	for _, a := range apps.All() {
+		a := a
+		b.Run(a.Name, func(b *testing.B) {
+			states, _, err := a.Prog.ReachableStates()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pc, err := NewProgramCompiler(a.Prog.Cmd, a.Topo, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					comp := NewCompilerWith(backend)
-					for _, k := range states {
-						pol := stateful.Project(a.Prog.Cmd, k)
-						if _, err := comp.Compile(pol, a.Topo); err != nil {
-							b.Fatal(err)
-						}
-					}
+				if _, err := pc.CompileAll(states, 1); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -75,23 +71,6 @@ func BenchmarkTableLookup(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tbl.Process(pkt, 2, 0)
-	}
-}
-
-// BenchmarkEquivalent measures the exact equivalence decision procedure
-// on a distributivity instance.
-func BenchmarkEquivalent(b *testing.B) {
-	asn := netkat.Assign{Field: "x", Value: 2}
-	p1 := netkat.Filter{P: netkat.Test{Field: "x", Value: 1}}
-	p2 := netkat.Filter{P: netkat.Test{Field: "y", Value: 2}}
-	l := netkat.Seq{L: asn, R: netkat.Union{L: p1, R: p2}}
-	r := netkat.Union{L: netkat.Seq{L: asn, R: p1}, R: netkat.Seq{L: asn, R: p2}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eq, _, err := Equivalent(l, r)
-		if err != nil || !eq {
-			b.Fatal(eq, err)
-		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"eventnet/internal/flowtable"
 	"eventnet/internal/netkat"
+	"eventnet/internal/stateful"
 	"eventnet/internal/topo"
 )
 
@@ -21,88 +22,29 @@ type hopRule struct {
 // instances simply contribute no rules.
 var errInfeasible = fmt.Errorf("nkc: infeasible strand instance")
 
-// Backend selects the table-generation backend.
-type Backend int
-
-const (
-	// BackendFDD compiles through hash-consed forwarding decision
-	// diagrams (fdd.go, fdd_table.go) — the default.
-	BackendFDD Backend = iota
-	// BackendDNF compiles through DNF/path normal form and strand
-	// distribution — the original pipeline, kept as the reference
-	// oracle for equivalence testing.
-	BackendDNF
-)
-
-// String names the backend.
-func (b Backend) String() string {
-	switch b {
-	case BackendFDD:
-		return "fdd"
-	case BackendDNF:
-		return "dnf"
-	default:
-		return fmt.Sprintf("Backend(%d)", int(b))
-	}
-}
-
-// DefaultBackend is the backend used by Compile. Tools (cmd/snkc) may
-// override it; tests needing a specific backend call CompileFDD or
-// CompileDNF directly.
-var DefaultBackend = BackendFDD
-
 // Compile translates a (state-free) policy into per-switch flow tables
-// over the given topology using the default backend. The tables realize
+// over the given topology. A plain policy is the one-state case of a
+// program (Figure 5: a configuration is a projection ⟦p⟧k), so it is
+// lifted to the command whose every projection it is and handed to a
+// fresh ProgramCompiler, which walks it in full. The tables realize
 // exactly the relation denoted by the policy, as checked by property
-// tests against netkat.Eval.
+// tests against netkat.Eval and against CompileDNF.
 func Compile(p netkat.Policy, t *topo.Topology) (flowtable.Tables, error) {
-	return CompileWith(DefaultBackend, p, t)
-}
-
-// CompileWith compiles with an explicit backend.
-func CompileWith(b Backend, p netkat.Policy, t *topo.Topology) (flowtable.Tables, error) {
-	if b == BackendDNF {
-		return CompileDNF(p, t)
+	pc, err := NewProgramCompiler(stateful.Lift(p), t, nil)
+	if err != nil {
+		return nil, err
 	}
-	return CompileFDD(p, t)
+	return pc.Compile(nil)
 }
 
-// Compiler carries reusable backend state across Compile calls. For the
-// FDD backend the hash-consing context (and with it every node and
-// combinator memo) is shared, so compiling the per-state configurations
-// of one program — which are largely identical policies — costs little
-// more than compiling one of them. A Compiler is not safe for concurrent
-// use; parallel builds give each worker its own.
-type Compiler struct {
-	backend Backend
-	ctx     *FDDCtx
-}
-
-// NewCompiler returns a Compiler for the default backend.
-func NewCompiler() *Compiler { return NewCompilerWith(DefaultBackend) }
-
-// NewCompilerWith returns a Compiler for an explicit backend.
-func NewCompilerWith(b Backend) *Compiler {
-	c := &Compiler{backend: b}
-	if b == BackendFDD {
-		c.ctx = NewFDDCtx()
-	}
-	return c
-}
-
-// Compile translates a policy into per-switch flow tables.
-func (c *Compiler) Compile(p netkat.Policy, t *topo.Topology) (flowtable.Tables, error) {
-	if c.backend == BackendDNF {
-		return CompileDNF(p, t)
-	}
-	return compileFDDCtx(c.ctx, p, t)
-}
-
-// CompileDNF is the reference DNF/strand backend: predicates are
-// normalized to DNF, link-free segments to path normal form, union is
-// distributed over sequence into strands, and overlapping matches are
-// resolved by a fixpoint. Both normal forms are exponential in the worst
-// case; prefer the FDD backend except as a cross-check.
+// CompileDNF is the reference oracle that tests hold Compile and
+// ProgramCompiler against: predicates are normalized to DNF, link-free
+// segments to path normal form, union is distributed over sequence into
+// strands, and overlapping matches are resolved by a fixpoint. Both
+// normal forms are exponential in the worst case. Of the compiler it
+// checks it shares only the symbolic executor (compileStrand) — not the
+// strand split, the diagrams or any cache — and no non-test code outside
+// this package calls it (CI's Layering step).
 func CompileDNF(p netkat.Policy, t *topo.Topology) (flowtable.Tables, error) {
 	if err := netkat.Validate(p); err != nil {
 		return nil, err

@@ -61,13 +61,14 @@ func TestCompileAllDeterministicAcrossWorkers(t *testing.T) {
 // TestProgramCacheMatchesScratchAndDNF pins the full interned path — a
 // ProgramCache's persistent FDD context, arena, dense interners, and
 // structural segment memo, shared across two builds of the same program —
-// to the oracles: on every reachable state of every application the
-// cached compiler's tables are byte-equal to a fresh per-state CompileFDD
-// (no cross-state or cross-build sharing) and, on the five paper
-// applications, rule-count-equal to the DNF reference backend. (Off the
-// paper set the FDD backend can be strictly more compact — ring-3's
-// hash-consed paths merge a rule the DNF normal form keeps — so the
-// count oracle matches the scope of TestIncrementalMatchesDNFRuleCounts.)
+// to a full walk and to the oracle: on every reachable state of every
+// application the cached compiler's tables are byte-equal to those of a
+// fresh one-state compiler (Compile of the projection: a full walk, no
+// cross-state or cross-build sharing) and, on the five paper
+// applications, rule-count-equal to CompileDNF. (Off the paper set the
+// diagrams can be strictly more compact — ring-3's hash-consed paths
+// merge a rule the DNF normal form keeps — so the count oracle matches
+// the scope of TestIncrementalMatchesDNFRuleCounts.)
 func TestProgramCacheMatchesScratchAndDNF(t *testing.T) {
 	paperApps := map[string]bool{}
 	for _, a := range apps.All() {
@@ -84,7 +85,7 @@ func TestProgramCacheMatchesScratchAndDNF(t *testing.T) {
 			// Two passes through the cache: the second resolves entirely from
 			// the interned memos and must reproduce the first byte-for-byte.
 			for pass := 0; pass < 2; pass++ {
-				root, _, err := cache.Acquire(BackendFDD, a.Prog.Cmd, a.Topo)
+				root, _, err := cache.Acquire(a.Prog.Cmd, a.Topo)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,12 +96,12 @@ func TestProgramCacheMatchesScratchAndDNF(t *testing.T) {
 				}
 				for i, k := range states {
 					pol := stateful.Project(a.Prog.Cmd, k)
-					scratch, err := CompileFDD(pol, a.Topo)
+					scratch, err := Compile(pol, a.Topo)
 					if err != nil {
 						t.Fatalf("state %v: scratch: %v", k, err)
 					}
 					if tables[i].String() != scratch.String() {
-						t.Fatalf("pass %d state %v: cached tables differ from scratch CompileFDD\ncached:\n%s\nscratch:\n%s",
+						t.Fatalf("pass %d state %v: cached tables differ from a fresh full walk\ncached:\n%s\nscratch:\n%s",
 							pass, k, tables[i].String(), scratch.String())
 					}
 					if paperApps[a.Name] {

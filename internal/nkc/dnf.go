@@ -1,19 +1,21 @@
-// Package nkc is the NetKAT compiler: it translates the link-annotated
-// NetKAT policies of this repository into per-switch prioritized flow
-// tables. It substitutes for the Frenetic compiler used by the paper.
+// Package nkc is the NetKAT compiler: it translates the Stateful NetKAT
+// programs of this repository, one projected configuration ⟦p⟧k at a
+// time, into per-switch prioritized flow tables. It substitutes for the
+// Frenetic compiler used by the paper.
 //
-// The package provides two backends behind the Compile/CompileWith
-// selector (see docs/ARCHITECTURE.md for the full comparison and the
-// equivalence-testing strategy):
+// There is one compiler and one oracle (docs/ARCHITECTURE.md has the
+// comparison and says what the tests between them prove).
 //
-// The default FDD backend (fdd.go, fdd_table.go) normalizes link-free
-// policies into hash-consed, memoized forwarding decision diagrams;
-// strands are split only where links force it, and per-switch tables are
+// The compiler is ProgramCompiler (incremental.go, sparse.go, fdd.go,
+// fdd_table.go): the program is split once into strands, only where
+// links force it; link-free segments are normalized into hash-consed,
+// memoized forwarding decision diagrams; and per-switch tables are
 // extracted from one diagram per switch, whose root-leaf paths partition
 // the packet space — so multicast merging and overlap resolution are
-// structural rather than iterative.
+// structural rather than iterative. A plain policy is the one-state case
+// (Compile).
 //
-// The reference DNF backend (CompileDNF) is the original pipeline:
+// The oracle is CompileDNF, the original pipeline, which only tests call:
 //
 //  1. predicates -> disjunctive normal form over equality/inequality
 //     literals (dnf.go);
@@ -24,9 +26,9 @@
 //  4. strands -> per-switch hop rules by symbolic execution, followed by
 //     multicast merging and overlap resolution (compile.go).
 //
-// Correctness is established by property tests comparing both backends
-// against each other and against the reference evaluator in
-// internal/netkat (fdd_test.go, nkc_test.go, equiv_test.go).
+// Correctness is established by property tests comparing the compiler
+// against the oracle and both against the reference evaluator in
+// internal/netkat (fdd_test.go, nkc_test.go).
 package nkc
 
 import "eventnet/internal/netkat"

@@ -1,6 +1,6 @@
 package nkc
 
-// Forwarding decision diagrams (FDDs): the default compiler backend.
+// Forwarding decision diagrams (FDDs): the compiler's normal form.
 //
 // An FDD is a binary decision diagram whose internal nodes test one
 // (field, value) equality and whose leaves hold sets of actions
@@ -17,7 +17,7 @@ package nkc
 // with ascending values within a field; a hi (equal) branch never
 // re-tests its field. This canonical form is what makes the combinators
 // near-linear in practice where the DNF/strand pipeline is exponential.
-// See docs/ARCHITECTURE.md for the backend comparison.
+// See docs/ARCHITECTURE.md for the comparison with the DNF oracle.
 
 import (
 	"fmt"

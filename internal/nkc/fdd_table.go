@@ -1,10 +1,13 @@
 package nkc
 
-// FDD-backend compilation: link-strand extraction that distributes union
-// over sequence only where links force it, per-segment FDD translation,
-// and per-switch table generation by FDD union + direct extraction.
+// Table generation from forwarding decision diagrams: symbolic execution
+// of one strand's segment diagrams into per-switch hops (hopsFor), and
+// per-switch table generation by FDD union + direct extraction
+// (assembleTablesFDD). ProgramCompiler (incremental.go, sparse.go) is the
+// only caller: it splits the program into strands and translates their
+// segments.
 //
-// The per-switch diagrams make the DNF backend's two hot spots
+// The per-switch diagrams make the DNF oracle's two hot spots
 // unnecessary: multicast merging happens by unioning leaf action sets,
 // and overlap resolution is structural — the root-leaf paths of a
 // diagram partition the packet space, so the extracted rules are
@@ -16,195 +19,7 @@ import (
 
 	"eventnet/internal/flowtable"
 	"eventnet/internal/netkat"
-	"eventnet/internal/topo"
 )
-
-// linkStrand is one end-to-end alternative of a policy for the FDD
-// backend: alternating link-free policies (kept whole, not normalized)
-// and links, with len(Segs) == len(Links)+1.
-type linkStrand struct {
-	Segs  []netkat.Policy
-	Links []netkat.Link
-}
-
-// linkNode kinds for the annotated alternation tree.
-const (
-	lnAtom = iota // maximal link-free subpolicy
-	lnLink
-	lnUnion
-	lnSeq
-)
-
-// linkNode is the policy re-shaped around its links: link-free subtrees
-// collapse to atoms, so only union/sequence structure that actually
-// contains links remains.
-type linkNode struct {
-	kind int
-	pol  netkat.Policy // lnAtom
-	link netkat.Link   // lnLink
-	l, r *linkNode
-}
-
-// annotateLinks builds the linkNode tree in one linear pass, reporting
-// whether p is link-free.
-func annotateLinks(p netkat.Policy) (*linkNode, bool, error) {
-	switch q := p.(type) {
-	case netkat.Filter, netkat.Assign:
-		return &linkNode{kind: lnAtom, pol: p}, true, nil
-	case netkat.Link:
-		return &linkNode{kind: lnLink, link: q}, false, nil
-	case netkat.Star:
-		_, pure, err := annotateLinks(q.P)
-		if err != nil {
-			return nil, false, err
-		}
-		if !pure {
-			return nil, false, fmt.Errorf("nkc: star over a policy containing links is outside the supported fragment")
-		}
-		return &linkNode{kind: lnAtom, pol: p}, true, nil
-	case netkat.Union:
-		l, lp, err := annotateLinks(q.L)
-		if err != nil {
-			return nil, false, err
-		}
-		r, rp, err := annotateLinks(q.R)
-		if err != nil {
-			return nil, false, err
-		}
-		if lp && rp {
-			return &linkNode{kind: lnAtom, pol: p}, true, nil
-		}
-		return &linkNode{kind: lnUnion, l: l, r: r}, false, nil
-	case netkat.Seq:
-		l, lp, err := annotateLinks(q.L)
-		if err != nil {
-			return nil, false, err
-		}
-		r, rp, err := annotateLinks(q.R)
-		if err != nil {
-			return nil, false, err
-		}
-		if lp && rp {
-			return &linkNode{kind: lnAtom, pol: p}, true, nil
-		}
-		return &linkNode{kind: lnSeq, l: l, r: r}, false, nil
-	default:
-		return nil, false, fmt.Errorf("nkc: unknown policy node %T", p)
-	}
-}
-
-// extractLinkStrands rewrites a policy as a sum of link strands. Unlike
-// ExtractStrands it splits unions and sequences only when they contain
-// links, so purely link-free alternation stays inside one segment and is
-// normalized by the (memoized) FDD translation instead of by syntactic
-// distribution. Alternatives are emitted off a shared element stack, so
-// no intermediate sequence products are materialized.
-func extractLinkStrands(p netkat.Policy) ([]linkStrand, error) {
-	root, _, err := annotateLinks(p)
-	if err != nil {
-		return nil, err
-	}
-	var out []linkStrand
-	var cur []element
-	var rec func(n *linkNode, cont func() error) error
-	rec = func(n *linkNode, cont func() error) error {
-		switch n.kind {
-		case lnAtom:
-			cur = append(cur, element{pol: n.pol})
-		case lnLink:
-			cur = append(cur, element{isLink: true, link: n.link})
-		case lnUnion:
-			if err := rec(n.l, cont); err != nil {
-				return err
-			}
-			return rec(n.r, cont)
-		default: // lnSeq
-			return rec(n.l, func() error { return rec(n.r, cont) })
-		}
-		err := cont()
-		cur = cur[:len(cur)-1]
-		return err
-	}
-	flush := func() error {
-		if len(out) >= maxStrands {
-			return fmt.Errorf("nkc: policy expands to more than %d strands", maxStrands)
-		}
-		out = append(out, assembleLinkStrand(cur))
-		return nil
-	}
-	if err := rec(root, flush); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// assembleLinkStrand coalesces consecutive link-free elements with Seq and
-// inserts identity segments around links.
-func assembleLinkStrand(es []element) linkStrand {
-	var s linkStrand
-	var cur netkat.Policy
-	flush := func() {
-		if cur == nil {
-			s.Segs = append(s.Segs, netkat.ID())
-		} else {
-			s.Segs = append(s.Segs, cur)
-		}
-		cur = nil
-	}
-	for _, e := range es {
-		if e.isLink {
-			flush()
-			s.Links = append(s.Links, e.link)
-		} else if cur == nil {
-			cur = e.pol
-		} else {
-			cur = netkat.Seq{L: cur, R: e.pol}
-		}
-	}
-	flush()
-	return s
-}
-
-// CompileFDD translates a (state-free) policy into per-switch flow tables
-// using the forwarding-decision-diagram backend. The tables are
-// semantically equivalent to those of CompileDNF (property-tested against
-// netkat.Eval), but matches extracted from one switch diagram are
-// mutually disjoint, so no overlap-resolution fixpoint is needed.
-//
-// Batch callers compiling many related policies (e.g. the per-state
-// configurations of one program) should use a Compiler, which shares the
-// hash-consing context — and therefore the combinator memos — across
-// calls.
-func CompileFDD(p netkat.Policy, t *topo.Topology) (flowtable.Tables, error) {
-	return compileFDDCtx(NewFDDCtx(), p, t)
-}
-
-func compileFDDCtx(ctx *FDDCtx, p netkat.Policy, t *topo.Topology) (flowtable.Tables, error) {
-	if err := netkat.Validate(p); err != nil {
-		return nil, err
-	}
-	strands, err := extractLinkStrands(p)
-	if err != nil {
-		return nil, err
-	}
-	var hops []cachedHop
-	for _, s := range strands {
-		fdds := make([]*FDD, len(s.Segs))
-		for i, seg := range s.Segs {
-			d, err := ctx.ToFDD(seg)
-			if err != nil {
-				return nil, err
-			}
-			fdds[i] = d
-		}
-		hs, err := ctx.hopsFor(fdds, s.Links, t.Switches)
-		if err != nil {
-			return nil, err
-		}
-		hops = append(hops, hs...)
-	}
-	return assembleTablesFDD(ctx, hops)
-}
 
 // hopsFor runs the symbolic strand execution for one strand given its
 // segment diagrams. Execution is a pure function of the diagrams, the

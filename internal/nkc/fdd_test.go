@@ -2,6 +2,7 @@ package nkc
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -146,9 +147,77 @@ func journeySets(t *testing.T, cfg *CompiledConfig, start netkat.DPacket) (map[s
 	return visited, reached
 }
 
+// representatives returns, per field, the constants the policies test,
+// assign or name as a link end, ascending, plus one fresh value standing
+// for "none of them"; sw and pt are always present. A policy's behaviour
+// on a packet depends only on which of these each field equals (the
+// finite model property).
+func representatives(pols ...netkat.Policy) map[string][]int {
+	vals := map[string]map[int]bool{netkat.FieldSw: {}, netkat.FieldPt: {}}
+	add := func(f string, v int) {
+		if vals[f] == nil {
+			vals[f] = map[int]bool{}
+		}
+		vals[f][v] = true
+	}
+	var pred func(netkat.Pred)
+	pred = func(p netkat.Pred) {
+		switch q := p.(type) {
+		case netkat.Test:
+			add(q.Field, q.Value)
+		case netkat.Not:
+			pred(q.P)
+		case netkat.And:
+			pred(q.L)
+			pred(q.R)
+		case netkat.Or:
+			pred(q.L)
+			pred(q.R)
+		}
+	}
+	var walk func(netkat.Policy)
+	walk = func(p netkat.Policy) {
+		switch q := p.(type) {
+		case netkat.Filter:
+			pred(q.P)
+		case netkat.Assign:
+			add(q.Field, q.Value)
+		case netkat.Union:
+			walk(q.L)
+			walk(q.R)
+		case netkat.Seq:
+			walk(q.L)
+			walk(q.R)
+		case netkat.Star:
+			walk(q.P)
+		case netkat.Link:
+			add(netkat.FieldSw, q.Src.Switch)
+			add(netkat.FieldSw, q.Dst.Switch)
+			add(netkat.FieldPt, q.Src.Port)
+			add(netkat.FieldPt, q.Dst.Port)
+		}
+	}
+	for _, p := range pols {
+		walk(p)
+	}
+	out := map[string][]int{}
+	for f, m := range vals {
+		vs := make([]int, 0, len(m)+1)
+		for v := range m {
+			vs = append(vs, v)
+		}
+		sort.Ints(vs)
+		fresh := 1
+		if len(vs) > 0 {
+			fresh = vs[len(vs)-1] + 1
+		}
+		out[f] = append(vs, fresh)
+	}
+	return out
+}
+
 // equivInputs enumerates one representative located packet per
-// equivalence class of the policy's finite model (the same construction
-// the exact equivalence checker uses).
+// equivalence class of the policy's finite model.
 func equivInputs(t *testing.T, pols ...netkat.Policy) []netkat.LocatedPacket {
 	t.Helper()
 	reps := representatives(pols...)
@@ -159,7 +228,7 @@ func equivInputs(t *testing.T, pols ...netkat.Policy) []netkat.LocatedPacket {
 		total *= len(reps[f])
 	}
 	sort.Strings(fields)
-	if total > maxEquivPackets {
+	if total > 200000 {
 		t.Fatalf("too many representative packets (%d)", total)
 	}
 	var out []netkat.LocatedPacket
@@ -192,15 +261,20 @@ func equivInputs(t *testing.T, pols ...netkat.Policy) []netkat.LocatedPacket {
 	}
 }
 
-// TestCompileFDDMatchesDNFOnApps is the acceptance property for the FDD
-// backend: on every reachable configuration of the five paper
-// applications and the ring, the FDD and DNF backends produce tables
-// whose configuration relations visit exactly the same directed packets
-// from every representative ingress point, and every output the
-// reference evaluator predicts appears among the compiled egress points.
+// TestCompileFDDMatchesDNFOnApps is the independent evidence for the
+// compiler: on every reachable configuration of the five paper
+// applications, the ring and the hand-written two-component program
+// (sparse_test.go), ProgramCompiler and the CompileDNF oracle
+// produce tables whose configuration relations visit exactly the same
+// directed packets from every representative ingress point, and every
+// output the reference evaluator predicts appears among the compiled
+// egress points. One compiler per order serves all states, so order[0] is
+// walked in full and every later state is reached by its guard delta;
+// forward and reversed, every state is checked as the output of a delta
+// walk and the two end states as the output of a full walk too.
 func TestCompileFDDMatchesDNFOnApps(t *testing.T) {
 	cases := apps.All()
-	cases = append(cases, apps.Ring(3))
+	cases = append(cases, apps.Ring(3), twoComponentApp())
 	for _, a := range cases {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
@@ -208,33 +282,44 @@ func TestCompileFDDMatchesDNFOnApps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, k := range states {
-				pol := stateful.Project(a.Prog.Cmd, k)
-				tFDD, err := CompileFDD(pol, a.Topo)
+			reversed := slices.Clone(states)
+			slices.Reverse(reversed)
+			for _, order := range [][]stateful.State{states, reversed} {
+				pc, err := NewProgramCompiler(a.Prog.Cmd, a.Topo, nil)
 				if err != nil {
-					t.Fatalf("state %v: FDD: %v", k, err)
+					t.Fatal(err)
 				}
-				tDNF, err := CompileDNF(pol, a.Topo)
-				if err != nil {
-					t.Fatalf("state %v: DNF: %v", k, err)
-				}
-				cfgFDD := &CompiledConfig{Tables: tFDD, Topo: a.Topo}
-				cfgDNF := &CompiledConfig{Tables: tDNF, Topo: a.Topo}
-				for _, lp := range equivInputs(t, pol) {
-					start := netkat.DPacket{Pkt: lp.Pkt, Loc: lp.Loc}
-					visF, reachF := journeySets(t, cfgFDD, start)
-					visD, _ := journeySets(t, cfgDNF, start)
-					if len(visF) != len(visD) {
-						t.Fatalf("state %v from %v: FDD visits %d points, DNF %d", k, lp, len(visF), len(visD))
+				for _, k := range order {
+					pol := stateful.Project(a.Prog.Cmd, k)
+					tFDD, err := pc.Compile(k)
+					if err != nil {
+						t.Fatalf("state %v: FDD: %v", k, err)
 					}
-					for p := range visF {
-						if !visD[p] {
-							t.Fatalf("state %v from %v: FDD visits %s, DNF does not", k, lp, p)
+					tDNF, err := CompileDNF(pol, a.Topo)
+					if err != nil {
+						t.Fatalf("state %v: DNF: %v", k, err)
+					}
+					cfgFDD := &CompiledConfig{Tables: tFDD, Topo: a.Topo}
+					cfgDNF := &CompiledConfig{Tables: tDNF, Topo: a.Topo}
+					for _, lp := range equivInputs(t, pol) {
+						start := netkat.DPacket{Pkt: lp.Pkt, Loc: lp.Loc}
+						visF, reachF := journeySets(t, cfgFDD, start)
+						visD, _ := journeySets(t, cfgDNF, start)
+						if len(visF) != len(visD) {
+							t.Errorf("reference %v state %v from %v: FDD visits %d points, DNF %d", order[0], k, lp, len(visF), len(visD))
 						}
-					}
-					for _, want := range netkat.Eval(pol, lp) {
-						if !reachF[want.Key()] {
-							t.Fatalf("state %v: Eval predicts %v from %v but the FDD tables never reach it", k, want, lp)
+						for p := range visF {
+							if !visD[p] {
+								t.Errorf("reference %v state %v from %v: FDD visits %s, DNF does not", order[0], k, lp, p)
+							}
+						}
+						for _, want := range netkat.Eval(pol, lp) {
+							if !reachF[want.Key()] {
+								t.Errorf("reference %v state %v: Eval predicts %v from %v but the FDD tables never reach it", order[0], k, want, lp)
+							}
+						}
+						if t.Failed() {
+							return // both oracles have spoken about this packet
 						}
 					}
 				}
@@ -243,8 +328,8 @@ func TestCompileFDDMatchesDNFOnApps(t *testing.T) {
 	}
 }
 
-// TestCompileFDDMatchesDNFRandom fuzzes the two backends against each
-// other on single-switch link-free policies: the compiles must agree on
+// TestCompileFDDMatchesDNFRandom fuzzes Compile against the CompileDNF
+// oracle on single-switch link-free policies: the compiles must agree on
 // whether the policy is table-realizable, and when it is, the tables
 // must process every representative packet identically.
 func TestCompileFDDMatchesDNFRandom(t *testing.T) {
@@ -254,10 +339,10 @@ func TestCompileFDDMatchesDNFRandom(t *testing.T) {
 	compiled := 0
 	for i := 0; i < 400; i++ {
 		p := randLinkFree(r, 3)
-		tFDD, errF := CompileFDD(p, tp)
+		tFDD, errF := Compile(p, tp)
 		tDNF, errD := CompileDNF(p, tp)
 		if (errF == nil) != (errD == nil) {
-			t.Fatalf("backend error mismatch for %v: fdd=%v dnf=%v", p, errF, errD)
+			t.Fatalf("error mismatch for %v: fdd=%v dnf=%v", p, errF, errD)
 		}
 		if errF != nil {
 			continue
@@ -278,7 +363,7 @@ func TestCompileFDDMatchesDNFRandom(t *testing.T) {
 		}
 	}
 	if compiled == 0 {
-		t.Fatal("no random policy compiled on either backend; fuzz is vacuous")
+		t.Fatal("no random policy compiled; fuzz is vacuous")
 	}
 }
 
@@ -322,7 +407,7 @@ func TestCompileFDDPortExclusion(t *testing.T) {
 		L: netkat.SeqAll(netkat.Filter{P: netkat.Test{Field: netkat.FieldPt, Value: 2}}, netkat.Assign{Field: netkat.FieldPt, Value: 1}),
 		R: netkat.SeqAll(netkat.Filter{P: netkat.Test{Field: "sig", Value: 1}}, netkat.Assign{Field: netkat.FieldPt, Value: 3}),
 	}
-	tables, err := CompileFDD(p, tp)
+	tables, err := Compile(p, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +429,7 @@ func TestCompileFDDPortExclusion(t *testing.T) {
 	if outs = tables.Get(1).Process(netkat.Packet{"sig": 0}, 4, 0); outs != nil {
 		t.Fatalf("port 4 sig=0 forwarded: %v", outs)
 	}
-	// Cross-check against the DNF backend, which now supports the same
+	// Cross-check against the DNF oracle, which supports the same
 	// wildcard-ingress exclusions.
 	tDNF, err := CompileDNF(p, tp)
 	if err != nil {
@@ -354,7 +439,7 @@ func TestCompileFDDPortExclusion(t *testing.T) {
 		for sig := 0; sig <= 1; sig++ {
 			pkt := netkat.Packet{"sig": sig}
 			if !sameOutputs(tables.Get(1).Process(pkt, port, 0), tDNF.Get(1).Process(pkt, port, 0)) {
-				t.Fatalf("port %d sig %d: backends disagree", port, sig)
+				t.Fatalf("port %d sig %d: Compile and CompileDNF disagree", port, sig)
 			}
 		}
 	}

@@ -26,11 +26,16 @@ package nkc
 // Whole configurations are additionally shared across states (and, via
 // SharedCache, across a compiler pool) by program-level signature.
 //
-// The output is byte-identical to CompileFDD on the projected policy,
-// and the edges key-equal to stateful.Events — property-tested here and
-// in internal/ets — because the skeleton split commutes with projection,
-// event extraction distributes over strands, and every stage below is
-// deterministic.
+// A state reached by such a delta walk gets tables byte-identical to
+// those of a fresh compiler walking that state in full, and edges
+// key-equal to stateful.Events — property-tested here and in
+// internal/ets — because a strand's contribution depends on its own
+// atoms only, event extraction distributes over strands, and every stage
+// below is deterministic. That comparison is one skeleton against
+// itself; the independent evidence is the relational comparison with
+// CompileDNF and netkat.Eval on every reachable state, delta-walked
+// states included (fdd_test.go). This is the only FDD compile path: a
+// plain policy goes through it as a one-state program (Compile).
 
 import (
 	"fmt"
@@ -71,9 +76,19 @@ type progStrand struct {
 	lastUpdate int
 }
 
-// cmdNode kinds mirror linkNode over stateful.Cmd. text and seqText are
-// the atom's rendering alone and as an operand of ';', filled on first
-// use: an atom shared by many strands is rendered once.
+// cmdNode kinds.
+const (
+	lnAtom = iota // maximal link-free subcommand
+	lnLink
+	lnUnion
+	lnSeq
+)
+
+// cmdNode is the command re-shaped around its links: link-free subtrees
+// collapse to atoms, so only union/sequence structure that actually
+// contains links remains. text and seqText are the atom's rendering alone
+// and as an operand of ';', filled on first use: an atom shared by many
+// strands is rendered once.
 type cmdNode struct {
 	kind   int // lnAtom, lnLink, lnUnion, lnSeq
 	cmd    stateful.Cmd
@@ -99,9 +114,8 @@ func (n *cmdNode) render() {
 	}
 }
 
-// annotateCmdLinks reshapes a command around its links exactly as
-// annotateLinks does for projected policies (the two walks agree because
-// projection preserves union/sequence/link structure).
+// annotateCmdLinks builds the cmdNode tree in one linear pass, reporting
+// whether c is link-free.
 func annotateCmdLinks(c stateful.Cmd) (*cmdNode, bool, error) {
 	switch q := c.(type) {
 	case stateful.CPred, stateful.CAssign:
@@ -150,8 +164,12 @@ func annotateCmdLinks(c stateful.Cmd) (*cmdNode, bool, error) {
 	}
 }
 
-// extractCmdStrands rewrites the command as a sum of program strands,
-// splitting union/sequence structure only where it contains links.
+// extractCmdStrands rewrites the command as a sum of program strands.
+// Unlike the oracle's ExtractStrands it splits unions and sequences only
+// when they contain links, so purely link-free alternation stays inside
+// one segment and is normalized by the (memoized) FDD translation instead
+// of by syntactic distribution. Alternatives are emitted off a shared
+// element stack, so no intermediate sequence products are materialized.
 func extractCmdStrands(c stateful.Cmd) ([]progStrand, error) {
 	root, _, err := annotateCmdLinks(c)
 	if err != nil {
@@ -198,11 +216,9 @@ func extractCmdStrands(c stateful.Cmd) ([]progStrand, error) {
 }
 
 // assembleCmdStrand coalesces consecutive link-free elements with CSeq
-// and inserts identity segments around links, mirroring
-// assembleLinkStrand so that projecting a segment yields exactly the
-// segment the policy-level split would have produced. Each segment's key
-// is its command's rendering, joined from the elements' cached text in
-// the caller's builder.
+// and inserts identity segments around links. Each segment's key is its
+// command's rendering, joined from the elements' cached text in the
+// caller's builder.
 func assembleCmdStrand(es []*cmdNode, key *strings.Builder) progStrand {
 	seg := func(run []*cmdNode) progSeg {
 		switch len(run) {
@@ -286,9 +302,7 @@ func (ci *compilerInterns) entries() int {
 // them through one SharedCache (CompileAll arranges exactly that), with
 // the interners shared so signature ids agree across workers.
 type ProgramCompiler struct {
-	cmd     stateful.Cmd
-	topo    *topo.Topology
-	backend Backend
+	topo *topo.Topology
 
 	ctx     *FDDCtx
 	strands []progStrand
@@ -317,36 +331,28 @@ type ProgramCompiler struct {
 }
 
 // NewProgramCompiler builds an incremental compiler for a program over a
-// topology using the default backend, optionally attached to a shared
-// cross-compiler cache (sc may be nil). The command is validated once —
-// validity is independent of the state vector, since projection only
-// replaces state tests by true/false.
+// topology, optionally attached to a shared cross-compiler cache (sc may
+// be nil). The command is validated once — validity is independent of
+// the state vector, since projection only replaces state tests by
+// true/false.
 func NewProgramCompiler(c stateful.Cmd, t *topo.Topology, sc *SharedCache) (*ProgramCompiler, error) {
-	return NewProgramCompilerWith(DefaultBackend, c, t, sc)
-}
-
-// NewProgramCompilerWith builds an incremental compiler for an explicit
-// backend. The DNF backend has no delta path (it is the from-scratch
-// reference oracle): it projects and runs CompileDNF per distinct guard
-// signature, sharing only whole results through the signature cache.
-func NewProgramCompilerWith(b Backend, c stateful.Cmd, t *topo.Topology, sc *SharedCache) (*ProgramCompiler, error) {
-	pc := &ProgramCompiler{cmd: c, topo: t, backend: b, shared: sc}
 	if err := netkat.Validate(stateful.Project(c, stateful.State{})); err != nil {
 		return nil, err
-	}
-	pc.guards = stateful.CollectGuards(c)
-	pc.local = map[uint32]flowtable.Tables{}
-	pc.intern = newCompilerInterns()
-	if b == BackendDNF {
-		return pc, nil
 	}
 	strands, err := extractCmdStrands(c)
 	if err != nil {
 		return nil, err
 	}
-	pc.ctx = NewFDDCtx()
-	pc.strands = strands
-	pc.segMemo = map[segMemoKey]*FDD{}
+	pc := &ProgramCompiler{
+		topo:    t,
+		shared:  sc,
+		ctx:     NewFDDCtx(),
+		strands: strands,
+		guards:  stateful.CollectGuards(c),
+		intern:  newCompilerInterns(),
+		segMemo: map[segMemoKey]*FDD{},
+		local:   map[uint32]flowtable.Tables{},
+	}
 	pc.indexSegments()
 	return pc, nil
 }
@@ -397,47 +403,37 @@ func (pc *ProgramCompiler) adoptInterns(in *compilerInterns) {
 
 // Fork returns a compiler for use on another goroutine of a worker
 // pool: it shares this compiler's immutable program skeleton (validated
-// command, strands with their guard indexes, segment index, backend,
-// interners, shared cache) but owns a fresh hash-consing context and
+// command, strands with their guard indexes, segment index, interners,
+// shared cache) but owns a fresh hash-consing context and
 // memos, so the per-program extraction work is paid once per pool
 // rather than once per worker. The reference state is not shared: its
 // remembered hops are diagrams of the context that built them, so a fork
 // walks the skeleton in full for the first state it is given.
 func (pc *ProgramCompiler) Fork() *ProgramCompiler {
-	n := &ProgramCompiler{
-		cmd:         pc.cmd,
+	return &ProgramCompiler{
 		topo:        pc.topo,
-		backend:     pc.backend,
 		shared:      pc.shared,
+		ctx:         NewFDDCtx(),
 		strands:     pc.strands,
 		guards:      pc.guards,
 		intern:      pc.intern,
 		segKeyIDs:   pc.segKeyIDs,
 		segTestPos:  pc.segTestPos,
 		atomStrands: pc.atomStrands,
+		segMemo:     map[segMemoKey]*FDD{},
 		local:       map[uint32]flowtable.Tables{},
 	}
-	if pc.backend != BackendDNF {
-		n.ctx = NewFDDCtx()
-		n.segMemo = map[segMemoKey]*FDD{}
-	}
-	return n
 }
 
 // Stats returns this compiler's cache statistics. In a pool, sum the
 // workers' stats for the run total.
 func (pc *ProgramCompiler) Stats() CacheStats {
 	s := pc.stats
-	if pc.ctx != nil {
-		s.Strands = int64(pc.ctx.StrandCount())
-		s.FDDNodes = int64(pc.ctx.NodeCount())
-		s.ArenaBytes = pc.ctx.ArenaBytes()
-		s.ArenaHighWater = s.ArenaBytes
-		s.InternEntries = int64(pc.ctx.AtomCount())
-	}
-	if pc.intern != nil {
-		s.InternEntries += int64(pc.intern.entries())
-	}
+	s.Strands = int64(pc.ctx.StrandCount())
+	s.FDDNodes = int64(pc.ctx.NodeCount())
+	s.ArenaBytes = pc.ctx.ArenaBytes()
+	s.ArenaHighWater = s.ArenaBytes
+	s.InternEntries = int64(pc.ctx.AtomCount()) + int64(pc.intern.entries())
 	return s
 }
 

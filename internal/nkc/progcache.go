@@ -69,12 +69,10 @@ func NewProgramCache() *ProgramCache {
 	return c
 }
 
-// programKey identifies a compilation unit: backend, canonical program
-// rendering, and the topology's full structure.
-func programKey(b Backend, cmd stateful.Cmd, t *topo.Topology) string {
+// programKey identifies a compilation unit: canonical program rendering
+// and the topology's full structure.
+func programKey(cmd stateful.Cmd, t *topo.Topology) string {
 	var sb strings.Builder
-	sb.WriteString(b.String())
-	sb.WriteByte('|')
 	sb.WriteString(cmd.String())
 	sb.WriteByte('|')
 	for _, sw := range t.Switches {
@@ -99,7 +97,7 @@ func programKey(b Backend, cmd stateful.Cmd, t *topo.Topology) string {
 }
 
 // Acquire locks the cache and returns the root compiler and
-// whole-configuration cache for (backend, program, topology), creating
+// whole-configuration cache for (program, topology), creating
 // and memoizing them on first use. The root compiler shares the cache's
 // FDD context and structural segment memo with every other cached
 // program, so revisions reuse the segments they did not change. The
@@ -107,9 +105,9 @@ func programKey(b Backend, cmd stateful.Cmd, t *topo.Topology) string {
 // context is single-goroutine) and end it with Release; Fork the root
 // for additional workers as usual — forks own fresh contexts and do not
 // persist, only the root and the SharedCache accumulate.
-func (c *ProgramCache) Acquire(b Backend, cmd stateful.Cmd, t *topo.Topology) (*ProgramCompiler, *SharedCache, error) {
+func (c *ProgramCache) Acquire(cmd stateful.Cmd, t *topo.Topology) (*ProgramCompiler, *SharedCache, error) {
 	c.mu <- struct{}{}
-	key := programKey(b, cmd, t)
+	key := programKey(cmd, t)
 	if e, ok := c.entries[key]; ok {
 		return e.root, e.shared, nil
 	}
@@ -127,15 +125,13 @@ func (c *ProgramCache) Acquire(b Backend, cmd stateful.Cmd, t *topo.Topology) (*
 		c.entries = map[string]*progEntry{}
 		c.resets++
 	}
-	root, err := NewProgramCompilerWith(b, cmd, t, NewSharedCache())
+	root, err := NewProgramCompiler(cmd, t, NewSharedCache())
 	if err != nil {
 		<-c.mu
 		return nil, nil, err
 	}
-	if b != BackendDNF {
-		root.ctx = c.ctx
-		root.segMemo = c.segMemo
-	}
+	root.ctx = c.ctx
+	root.segMemo = c.segMemo
 	root.adoptInterns(c.intern)
 	e := &progEntry{root: root, shared: root.shared}
 	c.entries[key] = e

@@ -76,22 +76,6 @@ func (pc *ProgramCompiler) Explore(k stateful.State) (flowtable.Tables, []statef
 		pc.stats.TableMisses++
 	}
 
-	if pc.backend == BackendDNF {
-		// The reference backend has no skeleton: it projects and extracts
-		// from scratch, sharing only whole results by signature.
-		if !hit {
-			var err error
-			if tables, err = CompileDNF(stateful.Project(pc.cmd, k), pc.topo); err != nil {
-				return nil, nil, err
-			}
-		}
-		edges, err := stateful.Events(pc.cmd, k)
-		if err != nil {
-			return nil, nil, err
-		}
-		return pc.remember(sig, tables, hit), edges, nil
-	}
-
 	if ref == nil {
 		ref = &refState{
 			state: k.Clone(),
@@ -154,21 +138,15 @@ func (pc *ProgramCompiler) Explore(k stateful.State) (flowtable.Tables, []statef
 		if tables, err = assembleTablesFDD(pc.ctx, hops); err != nil {
 			return nil, nil, err
 		}
-	}
-	slices.SortFunc(edges, func(a, b stateful.Edge) int { return strings.Compare(a.Key(), b.Key()) })
-	edges = slices.CompactFunc(edges, func(a, b stateful.Edge) bool { return a.Key() == b.Key() })
-	return pc.remember(sig, tables, hit), edges, nil
-}
-
-// remember records the tables of signature sig in the local cache and,
-// when they were just compiled, publishes them to the shared one; it
-// returns the canonical instance.
-func (pc *ProgramCompiler) remember(sig uint32, tables flowtable.Tables, hit bool) flowtable.Tables {
-	if !hit && pc.shared != nil {
-		tables = pc.shared.publish(sig, tables)
+		if pc.shared != nil {
+			// The shared cache returns the canonical instance per signature.
+			tables = pc.shared.publish(sig, tables)
+		}
 	}
 	pc.local[sig] = tables
-	return tables
+	slices.SortFunc(edges, func(a, b stateful.Edge) int { return strings.Compare(a.Key(), b.Key()) })
+	edges = slices.CompactFunc(edges, func(a, b stateful.Edge) bool { return a.Key() == b.Key() })
+	return tables, edges, nil
 }
 
 // evalStrand evaluates strand si under the truth vector in sigScratch

@@ -24,8 +24,9 @@ func sparseApps() []apps.App {
 // that puts state tests everywhere sparse projection has to look: a
 // two-component state, a test under negation, a test inside a starred
 // segment, a strand guarded by atoms of two different components, a
-// prefix atom shared by two strands, and an initial vector shorter than
-// the highest tested index.
+// prefix atom shared by two strands, an initial vector shorter than the
+// highest tested index, and a strand that opens with a link (the one
+// shape that needs an identity segment before a link).
 func twoComponentApp() apps.App {
 	st := func(i, v int) stateful.Pred { return stateful.PState{Index: i, Value: v} }
 	test := func(p stateful.Pred) stateful.Cmd { return stateful.CPred{P: p} }
@@ -53,14 +54,16 @@ func twoComponentApp() apps.App {
 		stateful.CStar{P: stateful.SeqC(test(st(1, 1)), stateful.CAssign{Field: apps.FieldSig, Value: 1})},
 		ptTo(1), up(0, 2), ptTo(2),
 	)
+	linkLed := stateful.SeqC(stateful.CLink{Src: loc(1, 1), Dst: loc(4, 1)}, test(st(1, 1)), ptTo(2))
 	return apps.App{
 		Name: "two-component",
 		Topo: topo.Firewall(),
-		Prog: stateful.Program{Cmd: stateful.UnionC(out, both, starred), Init: stateful.State{0}},
+		Prog: stateful.Program{Cmd: stateful.UnionC(out, both, starred, linkLed), Init: stateful.State{0}},
 	}
 }
 
-// stateOracle is what the from-scratch paths say about one state.
+// stateOracle is what a full walk says about one state: the tables of a
+// fresh one-state compiler and the edges of stateful.Events.
 type stateOracle struct {
 	tables string
 	edges  []string
@@ -68,7 +71,7 @@ type stateOracle struct {
 
 func oracleFor(t *testing.T, a apps.App, k stateful.State) stateOracle {
 	t.Helper()
-	scratch, err := CompileFDD(stateful.Project(a.Prog.Cmd, k), a.Topo)
+	scratch, err := Compile(stateful.Project(a.Prog.Cmd, k), a.Topo)
 	if err != nil {
 		t.Fatalf("state %v: scratch compile: %v", k, err)
 	}
@@ -84,9 +87,10 @@ func oracleFor(t *testing.T, a apps.App, k stateful.State) stateOracle {
 }
 
 // TestSparseMatchesFull: whichever state a compiler meets first (and so
-// walks in full), every state's tables are byte-equal to a fresh
-// CompileFDD of its projection and its edges key-equal, in order, to
-// stateful.Events. The reachable states are compiled in BFS order,
+// walks in full), every state's tables are byte-equal to a fresh full
+// walk of its projection (sparse walk against full walk of one skeleton;
+// the independent oracle is TestCompileFDDMatchesDNFOnApps) and its edges
+// key-equal, in order, to stateful.Events. The reachable states are compiled in BFS order,
 // reversed, and shuffled; the small hand-written program additionally
 // takes every state as the reference.
 func TestSparseMatchesFull(t *testing.T) {
@@ -123,7 +127,7 @@ func TestSparseMatchesFull(t *testing.T) {
 					}
 					want := oracle[k.Key()]
 					if got := tables.String(); got != want.tables {
-						t.Fatalf("order %d (reference %v) state %v: sparse tables differ from scratch CompileFDD\nsparse:\n%s\nscratch:\n%s",
+						t.Fatalf("order %d (reference %v) state %v: sparse tables differ from a fresh full walk\nsparse:\n%s\nscratch:\n%s",
 							oi, order[0], k, got, want.tables)
 					}
 					var got []string

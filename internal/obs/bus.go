@@ -41,11 +41,11 @@ type StatsDelta struct {
 // not omitted). Kind-specific fields are pointers/slices left nil when
 // absent.
 type Event struct {
-	Seq  int64  `json:"seq"`
-	TNs  int64  `json:"t_ns"`
-	Kind string `json:"kind"`
-	Gen  int64  `json:"gen"`
-	Epoch int   `json:"epoch"`
+	Seq   int64  `json:"seq"`
+	TNs   int64  `json:"t_ns"`
+	Kind  string `json:"kind"`
+	Gen   int64  `json:"gen"`
+	Epoch int    `json:"epoch"`
 
 	// KindDelivery, KindEvent
 	Version   int            `json:"version,omitempty"`

@@ -18,10 +18,10 @@ const (
 	CtrGenerations
 	CtrInjections
 	CtrDeliveries
-	CtrRuleDrops    // packets dropped by a default-drop lookup
-	CtrTTLDrops     // packets discarded by the forwarding-loop TTL
-	CtrDrainedHops  // old-epoch hops during swap transitions
-	CtrEventsFired  // event detections (events, not packets)
+	CtrRuleDrops   // packets dropped by a default-drop lookup
+	CtrTTLDrops    // packets discarded by the forwarding-loop TTL
+	CtrDrainedHops // old-epoch hops during swap transitions
+	CtrEventsFired // event detections (events, not packets)
 	CtrSwapFlips
 	CtrSwapRetires
 	CtrCompiles
@@ -97,16 +97,16 @@ var counterHelp = [numCounters]string{
 type Gauge int
 
 const (
-	GaugePending Gauge = iota // packets queued in rings
-	GaugeEpoch                // current ingress program epoch
-	GaugePrograms             // live program epochs (2 while draining)
-	GaugeSwapDraining         // 1 while a transition is draining
-	GaugeDeliveryLog          // retained deliveries (incl. unmerged tails)
-	GaugeFDDNodes             // compiler hash-consed node store size
-	GaugeStrands              // compiler distinct strand executions
-	GaugeInternEntries        // compiler interner entries (atoms + keys + sigs)
-	GaugeArenaBytes           // compiler FDD arena slab bytes
-	GaugeArenaHighWater       // largest arena across cache generations
+	GaugePending        Gauge = iota // packets queued in rings
+	GaugeEpoch                       // current ingress program epoch
+	GaugePrograms                    // live program epochs (2 while draining)
+	GaugeSwapDraining                // 1 while a transition is draining
+	GaugeDeliveryLog                 // retained deliveries (incl. unmerged tails)
+	GaugeFDDNodes                    // compiler hash-consed node store size
+	GaugeStrands                     // compiler distinct strand executions
+	GaugeInternEntries               // compiler interner entries (atoms + keys + sigs)
+	GaugeArenaBytes                  // compiler FDD arena slab bytes
+	GaugeArenaHighWater              // largest arena across cache generations
 	GaugeWatchSubscribers
 	GaugeWatchDropped  // events dropped across all /watch subscribers
 	GaugeTracePending  // journeys currently being stitched

@@ -7,8 +7,10 @@ import (
 	"eventnet/internal/apps"
 	"eventnet/internal/ets"
 	"eventnet/internal/flowtable"
+	"eventnet/internal/netkat"
 	"eventnet/internal/nkc"
 	"eventnet/internal/stateful"
+	"eventnet/internal/topo"
 )
 
 // TestPaperTrieExample reproduces the worked example of Section 5.3 /
@@ -165,13 +167,16 @@ func TestFromTablesAppReduction(t *testing.T) {
 }
 
 // TestFromTablesFDDRuleSharing checks the trie heuristic over rules
-// emitted by each compiler backend explicitly: identical rules across
+// emitted by the compiler and by its DNF oracle: identical rules across
 // configurations must collapse to shared IDs (the universe is smaller
 // than the naive count), and guard widening must keep reducing totals on
-// the FDD backend's disjoint-match tables just as on the DNF reference.
+// the compiler's disjoint-match tables just as on the oracle's.
 func TestFromTablesFDDRuleSharing(t *testing.T) {
-	for _, backend := range []nkc.Backend{nkc.BackendFDD, nkc.BackendDNF} {
-		comp := nkc.NewCompilerWith(backend)
+	for _, c := range []struct {
+		name    string
+		compile func(netkat.Policy, *topo.Topology) (flowtable.Tables, error)
+	}{{"fdd", nkc.Compile}, {"dnf", nkc.CompileDNF}} {
+		name, compile := c.name, c.compile
 		for _, a := range []apps.App{apps.Firewall(), apps.IDS()} {
 			states, _, err := a.Prog.ReachableStates()
 			if err != nil {
@@ -179,23 +184,23 @@ func TestFromTablesFDDRuleSharing(t *testing.T) {
 			}
 			var tabs []flowtable.Tables
 			for _, k := range states {
-				tables, err := comp.Compile(stateful.Project(a.Prog.Cmd, k), a.Topo)
+				tables, err := compile(stateful.Project(a.Prog.Cmd, k), a.Topo)
 				if err != nil {
-					t.Fatalf("%s/%v: %v", backend, a.Name, err)
+					t.Fatalf("%s/%v: %v", name, a.Name, err)
 				}
 				tabs = append(tabs, tables)
 			}
 			configs, universe := FromTables(tabs)
 			naive := Naive(configs)
 			if universe >= naive {
-				t.Errorf("%s/%s: no cross-configuration rule sharing (universe %d, naive %d)", backend, a.Name, universe, naive)
+				t.Errorf("%s/%s: no cross-configuration rule sharing (universe %d, naive %d)", name, a.Name, universe, naive)
 			}
 			g, err := Greedy(configs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := g.TotalRules(); got >= naive {
-				t.Errorf("%s/%s: trie did not reduce (%d -> %d)", backend, a.Name, naive, got)
+				t.Errorf("%s/%s: trie did not reduce (%d -> %d)", name, a.Name, naive, got)
 			}
 		}
 	}

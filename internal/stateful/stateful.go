@@ -294,6 +294,47 @@ func projectPred(p Pred, k State) netkat.Pred {
 	}
 }
 
+// Lift is the structural inverse of Project: the state-free command whose
+// projection at every state is p itself (Project(Lift(p), k) == p for any
+// k). A plain NetKAT policy is thus the one-state case of a program.
+func Lift(p netkat.Policy) Cmd {
+	switch q := p.(type) {
+	case netkat.Filter:
+		return CPred{P: liftPred(q.P)}
+	case netkat.Assign:
+		return CAssign{Field: q.Field, Value: q.Value}
+	case netkat.Union:
+		return CUnion{L: Lift(q.L), R: Lift(q.R)}
+	case netkat.Seq:
+		return CSeq{L: Lift(q.L), R: Lift(q.R)}
+	case netkat.Star:
+		return CStar{P: Lift(q.P)}
+	case netkat.Link:
+		return CLink{Src: q.Src, Dst: q.Dst}
+	default:
+		panic(fmt.Sprintf("stateful: unknown policy %T", p))
+	}
+}
+
+func liftPred(p netkat.Pred) Pred {
+	switch q := p.(type) {
+	case netkat.True:
+		return PTrue{}
+	case netkat.False:
+		return PFalse{}
+	case netkat.Test:
+		return PTest{Field: q.Field, Value: q.Value}
+	case netkat.Not:
+		return PNot{P: liftPred(q.P)}
+	case netkat.And:
+		return PAnd{L: liftPred(q.L), R: liftPred(q.R)}
+	case netkat.Or:
+		return POr{L: liftPred(q.L), R: liftPred(q.R)}
+	default:
+		panic(fmt.Sprintf("stateful: unknown predicate %T", p))
+	}
+}
+
 // Edge is one event-edge extracted from a program: in state From, the
 // arrival at Loc of a packet satisfying Guard moves the system to state To
 // (the tuple (~k, (ϕ, s2, p2), ~k[m ↦ n]) of Figure 6).

@@ -302,3 +302,65 @@ func TestTestsIsEventsWithoutLinks(t *testing.T) {
 		t.Fatalf("false guard let %d conjunctions through", len(phis))
 	}
 }
+
+// TestProjectLiftIsIdentity: Lift is the structural inverse of Project —
+// for random policies with links, stars and every predicate form,
+// projecting the lifted command at any state gives the policy back.
+func TestProjectLiftIsIdentity(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	var pred func(depth int) netkat.Pred
+	pred = func(depth int) netkat.Pred {
+		if depth <= 0 {
+			return []netkat.Pred{netkat.True{}, netkat.False{},
+				netkat.Test{Field: []string{"a", netkat.FieldSw, netkat.FieldPt}[r.Intn(3)], Value: r.Intn(3)}}[r.Intn(3)]
+		}
+		switch r.Intn(3) {
+		case 0:
+			return netkat.Not{P: pred(depth - 1)}
+		case 1:
+			return netkat.And{L: pred(depth - 1), R: pred(depth - 1)}
+		default:
+			return netkat.Or{L: pred(depth - 1), R: pred(depth - 1)}
+		}
+	}
+	var pol func(depth int) netkat.Policy
+	pol = func(depth int) netkat.Policy {
+		if depth <= 0 {
+			switch r.Intn(3) {
+			case 0:
+				return netkat.Filter{P: pred(2)}
+			case 1:
+				return netkat.Assign{Field: []string{"a", netkat.FieldPt}[r.Intn(2)], Value: r.Intn(3)}
+			default:
+				return netkat.Link{Src: loc(1+r.Intn(3), 1+r.Intn(3)), Dst: loc(1+r.Intn(3), 1+r.Intn(3))}
+			}
+		}
+		switch r.Intn(3) {
+		case 0:
+			return netkat.Union{L: pol(depth - 1), R: pol(depth - 1)}
+		case 1:
+			return netkat.Seq{L: pol(depth - 1), R: pol(depth - 1)}
+		default:
+			return netkat.Star{P: pol(depth - 1)}
+		}
+	}
+	withLinks := 0
+	for i := 0; i < 500; i++ {
+		p := pol(r.Intn(5))
+		if netkat.HasLinks(p) {
+			withLinks++
+		}
+		c := Lift(p)
+		if got := StateIndices(c); len(got) != 0 {
+			t.Fatalf("Lift(%v) tests state components %v", p, got)
+		}
+		for _, k := range []State{nil, {0}, {3, 1, 4}} {
+			if got := Project(c, k); !reflect.DeepEqual(got, p) {
+				t.Fatalf("Project(Lift(p), %v) = %v, want p = %v", k, got, p)
+			}
+		}
+	}
+	if withLinks < 100 {
+		t.Fatalf("only %d of 500 random policies contain a link", withLinks)
+	}
+}
