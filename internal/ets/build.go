@@ -394,9 +394,6 @@ func (b *builder) assemble() (*ETS, Stats, error) {
 		raw = append(raw, rawEdge{from: f, to: t2, guardKey: ed.Guard.Key() + "@" + ed.Loc.String(), guard: ed.Guard, loc: ed.Loc})
 	}
 
-	if err := checkAcyclic(len(e.Vertices), raw, e.Init); err != nil {
-		return nil, Stats{}, err
-	}
 	if err := e.finish(raw); err != nil {
 		return nil, Stats{}, err
 	}

@@ -62,18 +62,6 @@ func Build(p stateful.Program, t *topo.Topology) (*ETS, error) {
 	return e, err
 }
 
-func sameCounts(a, b map[string]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // rawEdge is an un-renamed transition during ETS construction.
 type rawEdge struct {
 	from, to int
@@ -86,29 +74,35 @@ type rawEdge struct {
 // a cycle; BuildUnrolled accepts such programs up to a round bound.
 var ErrLoop = errors.New("ets: the transition system has a loop")
 
+// outEdges groups edges by source vertex, keeping their order within a
+// vertex: the one adjacency that checkAcyclic, finish and Family walk.
+func outEdges[E any](nv int, edges []E, from func(E) int) [][]E {
+	out := make([][]E, nv)
+	for _, ed := range edges {
+		out[from(ed)] = append(out[from(ed)], ed)
+	}
+	return out
+}
+
 // checkAcyclic rejects ETSs with loops (this paper's implementation, like
 // the paper's prototype, handles loop-free ETSs; Section 3.1 sketches the
 // SCC/timestamp extension).
-func checkAcyclic(nv int, raw []rawEdge, init int) error {
-	adj := make(map[int][]int, nv)
-	for _, r := range raw {
-		adj[r.from] = append(adj[r.from], r.to)
-	}
+func checkAcyclic(out [][]rawEdge, init int) error {
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := make([]int, nv)
+	color := make([]int, len(out))
 	var dfs func(v int) error
 	dfs = func(v int) error {
 		color[v] = gray
-		for _, w := range adj[v] {
-			switch color[w] {
+		for _, r := range out[v] {
+			switch color[r.to] {
 			case gray:
-				return fmt.Errorf("%w through state %d (loop-free ETSs required)", ErrLoop, w)
+				return fmt.Errorf("%w through state %d (loop-free ETSs required)", ErrLoop, r.to)
 			case white:
-				if err := dfs(w); err != nil {
+				if err := dfs(r.to); err != nil {
 					return err
 				}
 			}

@@ -157,13 +157,13 @@ func TestFirewallNESShape(t *testing.T) {
 	}
 }
 
-// TestFiniteCompletenessViolation builds the Figure 3(c) ETS, which
-// violates finite-completeness, and checks it is rejected: e1 and e3 both
-// below {e1,e4,e3} but {e1,e3} missing. We encode it directly with a
-// hand-built program: three independent events cannot produce it, so we
-// construct the family through a diamond-with-extra-event program and
-// assert rejection.
-func TestFiniteCompletenessViolation(t *testing.T) {
+// figure3c builds the Figure 3(c) ETS, which violates
+// finite-completeness: e1 and e3 both below {e1,e4,e3} but {e1,e3}
+// missing. We encode it directly with a hand-built program: three
+// independent events cannot produce it, so we construct the family through
+// a diamond-with-extra-event program.
+func figure3c(t *testing.T) *ETS {
+	t.Helper()
 	// state encodes progress: two racing chains over distinct events where
 	// the combined set only exists with the interposed e4:
 	//   [0,0] --e1@s1--> [1,0] --e4@s2--> [1,2] --e3@s3--> [1,3]
@@ -207,9 +207,22 @@ func TestFiniteCompletenessViolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	_, err = e.Family()
-	if err == nil || !strings.Contains(err.Error(), "finite-complete") {
+	return e
+}
+
+// TestFiniteCompletenessViolation: the Figure 3(c) ETS is rejected, and
+// the error names the same violating pair on every call — the first in
+// (Count, Less) order, not whichever map iteration reaches first.
+func TestFiniteCompletenessViolation(t *testing.T) {
+	e := figure3c(t)
+	_, err := e.Family()
+	if err == nil || !strings.Contains(err.Error(), "finite-complete") || !strings.Contains(err.Error(), "Figure 3(c)") {
 		t.Fatalf("expected finite-completeness rejection, got %v", err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, again := e.Family(); again == nil || again.Error() != err.Error() {
+			t.Fatalf("call %d: witness %v, first call said %v", i, again, err)
+		}
 	}
 }
 

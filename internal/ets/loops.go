@@ -2,6 +2,7 @@ package ets
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"eventnet/internal/nes"
@@ -237,48 +238,38 @@ func BuildUnrolled(p stateful.Program, t *topo.Topology, maxRounds int) (*ETS, e
 			})
 		}
 	}
-	if err := checkAcyclic(len(e.Vertices), raw, e.Init); err != nil {
-		return nil, err
-	}
 	if err := e.finish(raw); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// finish performs occurrence renaming and event-ID assignment over raw
-// edges (shared by Build and BuildUnrolled).
+// finish rejects loops, then performs occurrence renaming and event-ID
+// assignment over raw edges (shared by Build and BuildUnrolled).
 func (e *ETS) finish(raw []rawEdge) error {
+	out := outEdges(len(e.Vertices), raw, func(r rawEdge) int { return r.from })
+	if err := checkAcyclic(out, e.Init); err != nil {
+		return err
+	}
 	counts := make([]map[string]int, len(e.Vertices))
 	counts[e.Init] = map[string]int{}
 	order := []int{e.Init}
-	seen := map[int]bool{e.Init: true}
 	for qi := 0; qi < len(order); qi++ {
 		v := order[qi]
-		for _, r := range raw {
-			if r.from != v {
-				continue
-			}
-			next := map[string]int{}
-			for k2, c := range counts[v] {
-				next[k2] = c
-			}
+		for _, r := range out[v] {
+			next := maps.Clone(counts[v])
 			next[r.guardKey]++
-			if !seen[r.to] {
-				seen[r.to] = true
+			if counts[r.to] == nil {
 				counts[r.to] = next
 				order = append(order, r.to)
-			} else if !sameCounts(counts[r.to], next) {
+			} else if !maps.Equal(counts[r.to], next) {
 				return fmt.Errorf("ets: ambiguous event occurrence counts at state %v (two paths disagree)", e.Vertices[r.to].State)
 			}
 		}
 	}
 	eventID := map[string]int{}
 	for _, v := range order {
-		for _, r := range raw {
-			if r.from != v {
-				continue
-			}
+		for _, r := range out[v] {
 			occ := counts[v][r.guardKey] + 1
 			key := fmt.Sprintf("%s#%d", r.guardKey, occ)
 			id, ok := eventID[key]

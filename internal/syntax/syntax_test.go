@@ -1,8 +1,13 @@
 package syntax
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
+	"unicode"
 
 	"eventnet/internal/apps"
 	"eventnet/internal/netkat"
@@ -262,5 +267,172 @@ func TestLexerComments(t *testing.T) {
 	}
 	if len(toks) != 4 { // a, =, 1, EOF
 		t.Fatalf("tokens: %v", toks)
+	}
+}
+
+// lexRef is the lexer before the punctuation table, kept as the oracle for
+// what the table-driven one must produce on ASCII input: byte-at-a-time
+// classification through unicode, a map literal per punctuation token.
+func lexRef(src string) ([]Token, error) {
+	var toks []Token
+	i := 0
+	for i < len(src) {
+		c := src[i]
+		switch {
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			i++
+		case c == '#':
+			for i < len(src) && src[i] != '\n' {
+				i++
+			}
+		case unicode.IsDigit(rune(c)):
+			j := i
+			for j < len(src) && unicode.IsDigit(rune(src[j])) {
+				j++
+			}
+			n, err := strconv.Atoi(src[i:j])
+			if err != nil {
+				return nil, err
+			}
+			toks = append(toks, Token{Kind: TokInt, Text: src[i:j], Int: n, Pos: i})
+			i = j
+		case unicode.IsLetter(rune(c)) || c == '_':
+			j := i
+			for j < len(src) && (unicode.IsLetter(rune(src[j])) || unicode.IsDigit(rune(src[j])) || src[j] == '_') {
+				j++
+			}
+			toks = append(toks, Token{Kind: TokIdent, Text: src[i:j], Pos: i})
+			i = j
+		default:
+			two := ""
+			if i+1 < len(src) {
+				two = src[i : i+2]
+			}
+			switch {
+			case two == "<-":
+				toks = append(toks, Token{Kind: TokAssign, Text: two, Pos: i})
+				i += 2
+			case two == "=>":
+				toks = append(toks, Token{Kind: TokLink, Text: two, Pos: i})
+				i += 2
+			case two == "!=":
+				toks = append(toks, Token{Kind: TokNeq, Text: two, Pos: i})
+				i += 2
+			default:
+				kind, ok := map[byte]TokKind{
+					'(': TokLParen, ')': TokRParen, '[': TokLBracket, ']': TokRBracket,
+					'<': TokLAngle, '>': TokRAngle, '=': TokEq, '!': TokNot,
+					';': TokSemi, '+': TokPlus, '*': TokStar, '&': TokAnd,
+					'|': TokOr, ':': TokColon, ',': TokComma,
+				}[c]
+				if !ok {
+					return nil, fmt.Errorf("unexpected character %q at offset %d", c, i)
+				}
+				toks = append(toks, Token{Kind: kind, Text: string(c), Pos: i})
+				i++
+			}
+		}
+	}
+	return append(toks, Token{Kind: TokEOF, Pos: len(src)}), nil
+}
+
+// lexedApps is every program family the repo ships, at the sizes the
+// benchmark compiles.
+func lexedApps() []apps.App {
+	set := append(apps.All(), apps.Scale()...)
+	set = append(set, apps.Scale10()...)
+	return append(set, apps.Ring(3), apps.WalledGarden(), apps.DistributedFirewall(),
+		apps.FailoverDiamond(2).App, apps.FailoverWAN(4).App, apps.FailoverFatTree(4, 2).App)
+}
+
+// TestLexMatchesReference: on the rendered source of every application
+// program, and on random commands, the lexer produces the reference
+// lexer's tokens exactly — kind, text, value and position.
+func TestLexMatchesReference(t *testing.T) {
+	var srcs []string
+	for _, a := range lexedApps() {
+		srcs = append(srcs, a.Prog.Cmd.String())
+	}
+	r := rand.New(rand.NewSource(23))
+	for i := 0; i < 300; i++ {
+		srcs = append(srcs, randCmd(r, 3).String()+" # c\n")
+	}
+	for _, src := range srcs {
+		want, err := lexRef(src)
+		if err != nil {
+			t.Fatalf("reference lexer: %v", err)
+		}
+		got, err := Lex(src)
+		if err != nil {
+			t.Fatalf("Lex: %v\n%.200s", err, src)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("tokens differ on %.200s", src)
+		}
+	}
+}
+
+// TestLexByteClasses pins what each of the 256 byte values is to the
+// lexer, alone and inside an identifier: identifiers and integers are
+// ASCII, and a byte >= 0x80 is an unexpected character at its offset
+// wherever it stands outside a comment — not a letter when it happens to
+// be a Latin-1 one (0xC0-0xFF read as a rune) and an error otherwise.
+func TestLexByteClasses(t *testing.T) {
+	const puncts = "()[]<>=!;+*&|:,"
+	kinds := []TokKind{TokLParen, TokRParen, TokLBracket, TokRBracket, TokLAngle, TokRAngle, TokEq, TokNot,
+		TokSemi, TokPlus, TokStar, TokAnd, TokOr, TokColon, TokComma}
+	for b := 0; b < 256; b++ {
+		c := byte(b)
+		want := TokKind(-1) // rejected
+		switch k := strings.IndexByte(puncts, c); {
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '#':
+			want = TokEOF // no token: the stream is just the end marker
+		case '0' <= c && c <= '9':
+			want = TokInt
+		case 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_':
+			want = TokIdent
+		case k >= 0:
+			want = kinds[k]
+		}
+		toks, err := Lex(string([]byte{c}))
+		switch {
+		case want == -1:
+			if err == nil || !strings.Contains(err.Error(), "unexpected character") || !strings.Contains(err.Error(), "offset 0") {
+				t.Errorf("byte %#02x: tokens %v, error %v; want unexpected character at offset 0", c, toks, err)
+			}
+		case err != nil:
+			t.Errorf("byte %#02x: %v", c, err)
+		case want == TokEOF:
+			if len(toks) != 1 {
+				t.Errorf("byte %#02x: tokens %v, want none", c, toks)
+			}
+		case len(toks) != 2 || toks[0].Kind != want || toks[0].Text != string([]byte{c}) || toks[0].Pos != 0:
+			t.Errorf("byte %#02x: tokens %v, want one %v", c, toks, want)
+		}
+		if c < 0x80 {
+			continue
+		}
+		if _, err := Lex("ab" + string([]byte{c}) + "cd"); err == nil || !strings.Contains(err.Error(), "offset 2") {
+			t.Errorf("byte %#02x inside an identifier: %v; want unexpected character at offset 2", c, err)
+		}
+		if toks, err := Lex("a # " + string([]byte{c}) + "\nb"); err != nil || len(toks) != 3 {
+			t.Errorf("byte %#02x inside a comment: tokens %v, error %v", c, toks, err)
+		}
+	}
+	if _, err := Parse("dst=H4 & na\xc3\xafve=1"); err == nil || !strings.Contains(err.Error(), "offset 11") {
+		t.Errorf("UTF-8 identifier: %v; want unexpected character at offset 11", err)
+	}
+}
+
+// TestLexAllocs is a count, not a timing: lexing cap-200's rendered
+// source allocates the token slice and nothing per token.
+func TestLexAllocs(t *testing.T) {
+	src := apps.BandwidthCap(200).Prog.Cmd.String()
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := Lex(src); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Fatalf("Lex allocates %v times on %d bytes; at most 4 allowed", n, len(src))
 	}
 }
