@@ -278,15 +278,11 @@ func (s *server) handleProgram(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.staged = &stagedProgram{name: name, prog: prog}
 	s.mu.Unlock()
-	rules := 0
-	for _, cfg := range p.NES.Configs {
-		rules += cfg.Tables.TotalRules()
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"staged":     name,
 		"states":     len(p.NES.Configs),
 		"events":     len(p.NES.Events),
-		"rules":      rules,
+		"rules":      p.NES.TotalRules(),
 		"compile_ms": float64(p.Compile.Microseconds()) / 1000,
 	})
 }

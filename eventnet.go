@@ -109,13 +109,7 @@ func (s *System) CheckTrace(nt *trace.NetTrace) error {
 
 // TotalRules returns the number of flow-table rules across all
 // configurations and switches (the paper's in-text metric).
-func (s *System) TotalRules() int {
-	n := 0
-	for _, c := range s.NES.Configs {
-		n += c.Tables.TotalRules()
-	}
-	return n
-}
+func (s *System) TotalRules() int { return s.NES.TotalRules() }
 
 // The paper's applications (Figures 8-9) re-exported for convenience.
 var (

@@ -10,6 +10,7 @@ import (
 	"eventnet/internal/ets"
 	"eventnet/internal/nes"
 	"eventnet/internal/netkat"
+	"eventnet/internal/nkc"
 	"eventnet/internal/obs"
 	"eventnet/internal/stateful"
 	"eventnet/internal/topo"
@@ -88,10 +89,13 @@ type injRecord struct {
 	stamp  dataplane.Stamp
 }
 
+// compileScenario compiles the rotation as a controller would: through
+// one cross-generation cache, sharing the tables of switches that agree.
 func compileScenario(sc *scenario) ([]prog, error) {
 	out := make([]prog, 0, len(sc.progs))
+	cache := nkc.NewProgramCache()
 	for _, a := range sc.progs {
-		et, err := ets.Build(a.Prog, a.Topo)
+		et, _, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{Cache: cache})
 		if err != nil {
 			return nil, fmt.Errorf("chaos: compile %s: %w", a.Name, err)
 		}
@@ -117,6 +121,11 @@ func Run(s Schedule, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return runOn(sc, progs, s, o)
+}
+
+// runOn is Run over an already compiled rotation.
+func runOn(sc *scenario, progs []prog, s Schedule, o Options) (*Result, error) {
 	workers := o.Workers
 	if workers <= 0 {
 		workers = 1

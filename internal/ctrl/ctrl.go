@@ -9,9 +9,9 @@
 //  1. compile P' through the incremental pipeline, reusing FDDs,
 //     segments and whole configurations across swap generations
 //     (nkc.ProgramCache), so revisions compile as deltas;
-//  2. install P' tables behind fresh version guards (the
+//  2. account for P' tables behind fresh version guards (the
 //     dataplane.MergedPair staged shape — phase one, invisible to
-//     in-flight traffic);
+//     in-flight traffic) and lower P' into its forwarding plan;
 //  3. at a generation barrier, atomically flip ingress tagging to P'
 //     and map each switch's established event knowledge into P' by
 //     canonical event-history replay (nes.Replay);
@@ -103,7 +103,9 @@ type SwapReport struct {
 	Rules  int `json:"rules"`
 	// StagedRules is the size of the phase-one staged install: both
 	// programs' rules behind disjoint version guards (MergedPair), the
-	// physical table a deployment would hold during the transition.
+	// physical table a deployment would hold during the transition, and
+	// TagOffset the incoming program's tag displacement in it. Both are
+	// arithmetic (Σ rules, |P|): re-guarding adds and drops no rule.
 	StagedRules int `json:"staged_rules"`
 	TagOffset   int `json:"tag_offset"`
 	// MappedEvents counts old events with a counterpart in the new
@@ -133,7 +135,7 @@ type Status struct {
 // Controller owns a served dataplane engine and hot-swaps its program.
 // All methods are safe for concurrent use; swaps are serialized.
 type Controller struct {
-	mu     sync.Mutex // guards cur, swaps, progs, staged, eng
+	mu     sync.Mutex // guards cur, swaps, progs, eng
 	swapMu sync.Mutex // serializes Swap end to end (compile -> retire)
 	topo   *topo.Topology
 	opts   Options
@@ -145,13 +147,12 @@ type Controller struct {
 
 	// progs memoizes compiled program generations by canonical program
 	// text, most-recently-used last. Swapping back to a recent program is
-	// then allocation-free: the same NES instance returns, its compiled
-	// plan is still cached, and the staged merged tables are reused — on
-	// a busy controller the A<->B ping-pong costs no compile work and no
-	// GC debt at all. Plans are invalidated when their generation falls
-	// out of this window (or at Close), never while it might swap back in.
-	progs  []*Program
-	staged map[[2]*nes.NES]stagedTables
+	// then allocation-free: the same NES instance returns and its compiled
+	// plan is still cached — on a busy controller the A<->B ping-pong costs
+	// no compile work and no GC debt at all. Plans are invalidated when
+	// their generation falls out of this window (or at Close: the plan
+	// cache would otherwise pin it), never while it might swap back in.
+	progs []*Program
 
 	// swapStart is the wall time of the in-flight swap's StageSwap call,
 	// zero when none is draining. Health uses it to distinguish a healthy
@@ -160,12 +161,6 @@ type Controller struct {
 	// taken; it resets whenever swapStart clears.
 	swapStart   time.Time
 	wedgeDumped bool
-}
-
-// stagedTables caches the phase-one merged install per program pair.
-type stagedTables struct {
-	rules  int
-	offset int
 }
 
 // progMemoLimit bounds the retained program generations.
@@ -180,7 +175,7 @@ func New(t *topo.Topology, o Options) *Controller {
 	if o.SwapTimeout <= 0 {
 		o.SwapTimeout = 30 * time.Second
 	}
-	return &Controller{topo: t, opts: o, cache: nkc.NewProgramCache(), staged: map[[2]*nes.NES]stagedTables{}}
+	return &Controller{topo: t, opts: o, cache: nkc.NewProgramCache()}
 }
 
 // progKey is a program's memo identity: its canonical rendering plus the
@@ -242,24 +237,11 @@ func (c *Controller) Compile(name string, p stateful.Program) (*Program, error) 
 		evicted := c.progs[0]
 		c.progs = c.progs[1:]
 		if evicted != c.cur {
-			c.dropGeneration(evicted)
+			dataplane.Invalidate(evicted.NES)
 		}
 	}
 	c.mu.Unlock()
 	return g, nil
-}
-
-// dropGeneration releases a retired program generation's cached
-// artifacts: its compiled plan (dataplane.Invalidate — without this the
-// plan cache would pin every program the controller ever ran) and its
-// staged merged tables.
-func (c *Controller) dropGeneration(g *Program) {
-	dataplane.Invalidate(g.NES)
-	for k := range c.staged {
-		if k[0] == g.NES || k[1] == g.NES {
-			delete(c.staged, k)
-		}
-	}
 }
 
 // Load compiles and installs the first program and starts the engine in
@@ -292,9 +274,9 @@ func (c *Controller) Load(name string, p stateful.Program) error {
 // counterpart denote the *same observable packet arrival*, so knowledge
 // of one is knowledge of the other.
 func EventMapping(old, new_ *nes.NES) ([]int, int) {
-	idx := make(map[string]int, len(new_.Events))
+	idx := make(map[eventKey]int, len(new_.Events))
 	for _, ev := range new_.Events {
-		idx[eventKey(ev)] = ev.ID
+		idx[keyOf(ev)] = ev.ID
 	}
 	size := 0
 	for _, ev := range old.Events {
@@ -308,7 +290,7 @@ func EventMapping(old, new_ *nes.NES) ([]int, int) {
 	}
 	mapped := 0
 	for _, ev := range old.Events {
-		if id, ok := idx[eventKey(ev)]; ok {
+		if id, ok := idx[keyOf(ev)]; ok {
 			m[ev.ID] = id
 			mapped++
 		}
@@ -317,8 +299,14 @@ func EventMapping(old, new_ *nes.NES) ([]int, int) {
 }
 
 // eventKey is an event's swap-stable identity.
-func eventKey(ev nes.Event) string {
-	return fmt.Sprintf("%s@%v#%d", ev.Guard.Key(), ev.Loc, ev.Occurrence)
+type eventKey struct {
+	guard string
+	loc   netkat.Location
+	occ   int
+}
+
+func keyOf(ev nes.Event) eventKey {
+	return eventKey{guard: ev.Guard.Key(), loc: ev.Loc, occ: ev.Occurrence}
 }
 
 // Swap hot-swaps the running program: compile, stage, flip at a barrier,
@@ -343,28 +331,21 @@ func (c *Controller) Swap(name string, p stateful.Program) (SwapReport, error) {
 	}
 	old := c.cur
 	eng := c.eng
-	pair := [2]*nes.NES{old.NES, np.NES}
-	stg, haveStaged := c.staged[pair]
 	c.mu.Unlock()
 
 	// Phase one: the staged install — both programs' rules behind
 	// disjoint exact version guards. The engine forwards through the
 	// equivalent per-epoch compiled plans (the guard-partition
 	// equivalence is property-tested in internal/dataplane); the merged
-	// shape is what a switch deployment would install, and its size is
-	// the transition's rule-memory cost. Both the merged tables and the
-	// new plan are built *before* the flip: PlanFor returns with the
+	// shape (dataplane.MergedPair) is what a switch deployment would
+	// install, and the controller only accounts for it: its size, the
+	// transition's rule-memory cost, is the two programs' rule counts
+	// summed, and the new program's tags start past the old one's. The
+	// new plan is built *before* the flip: PlanFor returns with the
 	// schema built and every table lowered and indexed, and the engine's
 	// flip takes that plan from the cache, so the barrier — every worker
-	// parked — installs and never compiles. Both are memoized, so a swap
+	// parked — installs and never compiles. Plans are memoized, so a swap
 	// back is free.
-	if !haveStaged {
-		tables, off := dataplane.MergedPair(old.NES, np.NES)
-		stg = stagedTables{rules: tables.TotalRules(), offset: off}
-		c.mu.Lock()
-		c.staged[pair] = stg
-		c.mu.Unlock()
-	}
 	dataplane.PlanFor(np.NES)
 
 	mapping, mapped := EventMapping(old.NES, np.NES)
@@ -425,10 +406,7 @@ func (c *Controller) Swap(name string, p stateful.Program) (SwapReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	rules := 0
-	for _, cfg := range np.NES.Configs {
-		rules += cfg.Tables.TotalRules()
-	}
+	rules := np.NES.TotalRules()
 	rep := SwapReport{
 		From:           old.Name,
 		To:             name,
@@ -436,8 +414,8 @@ func (c *Controller) Swap(name string, p stateful.Program) (SwapReport, error) {
 		States:         len(np.NES.Configs),
 		Events:         len(np.NES.Events),
 		Rules:          rules,
-		StagedRules:    stg.rules,
-		TagOffset:      stg.offset,
+		StagedRules:    old.NES.TotalRules() + rules,
+		TagOffset:      len(old.NES.Configs),
 		MappedEvents:   mapped,
 		CarriedEvents:  st.CarriedEvents,
 		LatencyMS:      float64(st.RetiredAt.Sub(st.StagedAt).Microseconds()) / 1000,
@@ -661,7 +639,7 @@ func (c *Controller) Close() {
 		}
 		c.mu.Lock()
 		for _, g := range c.progs {
-			c.dropGeneration(g)
+			dataplane.Invalidate(g.NES)
 		}
 		c.progs = nil
 		c.mu.Unlock()

@@ -1,6 +1,8 @@
 package ctrl_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"eventnet/internal/apps"
@@ -115,6 +117,50 @@ func TestEventMappingNoImage(t *testing.T) {
 	for _, ev := range oldN.Events {
 		if selfMap[ev.ID] != ev.ID {
 			t.Fatalf("self-mapping moved event %d to %d", ev.ID, selfMap[ev.ID])
+		}
+	}
+}
+
+// eventMappingRef is EventMapping over the rendered identity it used to
+// key on: "guard@location#occurrence", one fmt.Sprintf per event.
+func eventMappingRef(old, new_ *nes.NES) ([]int, int) {
+	key := func(ev nes.Event) string { return fmt.Sprintf("%s@%v#%d", ev.Guard.Key(), ev.Loc, ev.Occurrence) }
+	idx := map[string]int{}
+	for _, ev := range new_.Events {
+		idx[key(ev)] = ev.ID
+	}
+	m := make([]int, len(old.Events))
+	for i := range m {
+		m[i] = -1
+	}
+	mapped := 0
+	for _, ev := range old.Events {
+		if id, ok := idx[key(ev)]; ok {
+			m[ev.ID] = id
+			mapped++
+		}
+	}
+	return m, mapped
+}
+
+// TestEventMappingMatchesRenderedKey: keying events by a comparable
+// (guard, location, occurrence) value maps exactly what the rendered key
+// mapped — on a revision upward, a revision downward (the tail has no
+// image), and a failover pair with different cycle horizons.
+func TestEventMappingMatchesRenderedKey(t *testing.T) {
+	for _, pair := range [][2]apps.App{
+		{apps.BandwidthCap(200), apps.BandwidthCap(201)},
+		{apps.BandwidthCap(264), apps.BandwidthCap(232)},
+		{apps.FailoverWAN(6).App, apps.FailoverWAN(2).App},
+	} {
+		oldN, newN := compileNES(t, pair[0]), compileNES(t, pair[1])
+		got, gotN := ctrl.EventMapping(oldN, newN)
+		want, wantN := eventMappingRef(oldN, newN)
+		if gotN != wantN || !slices.Equal(got, want) {
+			t.Fatalf("%s -> %s: mapping moved: %d mapped %v, want %d mapped %v", pair[0].Name, pair[1].Name, gotN, got, wantN, want)
+		}
+		if gotN == 0 {
+			t.Fatalf("%s -> %s: nothing mapped; the case is vacuous", pair[0].Name, pair[1].Name)
 		}
 	}
 }

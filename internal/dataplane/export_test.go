@@ -17,3 +17,15 @@ func (e *Engine) ForwardsWith(p *Plan) bool {
 	}
 	return true
 }
+
+// DistinctFlats counts the plan's distinct compiled tables: what newPlan
+// lowered, as opposed to the (configuration, switch) slots that hold them.
+func (p *Plan) DistinctFlats() int {
+	seen := map[*flatTable]bool{}
+	for ci := range p.flats {
+		for _, ft := range p.flats[ci] {
+			seen[ft] = true
+		}
+	}
+	return len(seen)
+}

@@ -17,13 +17,21 @@ type Plan struct {
 	flats  []map[int]*flatTable // [config][switch]
 }
 
-// newPlan compiles every table of the NES.
+// newPlan compiles every table of the NES: each distinct *flowtable.Table
+// is lowered once, and the configurations holding it (the compiler hands
+// identically-behaving switches one table) share the immutable flatTable.
 func newPlan(n *nes.NES) *Plan {
 	p := &Plan{nes: n, schema: SchemaFor(n), flats: make([]map[int]*flatTable, len(n.Configs))}
+	lowered := map[*flowtable.Table]*flatTable{}
 	for ci := range n.Configs {
 		fm := make(map[int]*flatTable, len(n.Configs[ci].Tables))
 		for sw, t := range n.Configs[ci].Tables {
-			fm[sw] = newFlatTable(t, p.schema)
+			ft, ok := lowered[t]
+			if !ok {
+				ft = newFlatTable(t, p.schema)
+				lowered[t] = ft
+			}
+			fm[sw] = ft
 		}
 		p.flats[ci] = fm
 	}
@@ -136,34 +144,43 @@ func (p *Plan) Matcher(version, sw int) Scan {
 // internal rule order. This is where guard partitioning pays off most —
 // the linear scan walks every configuration's rules, the compiled table
 // jumps straight to the tag's partition.
-func Merged(n *nes.NES) flowtable.Tables {
-	return mergedInto(flowtable.Tables{}, n, 0, guardBits(len(n.Configs)))
-}
+func Merged(n *nes.NES) flowtable.Tables { return merged(n) }
 
-// guardBits returns the tag width covering n configurations.
-func guardBits(n int) int {
+// merged gathers the configurations of the programs in turn — tags run on
+// from one program into the next under exact guards wide enough for all —
+// into one rule list per switch, then installs each with a single priority
+// sort: stable over the append order, which is where sorting after every
+// configuration arrives too.
+func merged(progs ...*nes.NES) flowtable.Tables {
+	tags := 0
+	for _, n := range progs {
+		tags += len(n.Configs)
+	}
 	bits := 1
-	for 1<<uint(bits) < n {
+	for 1<<uint(bits) < tags {
 		bits++
 	}
-	return bits
-}
-
-// mergedInto appends every configuration of n, tag-offset by off, into
-// dst under exact guards of the given width.
-func mergedInto(dst flowtable.Tables, n *nes.NES, off, bits int) flowtable.Tables {
-	for ci := range n.Configs {
-		guard := flowtable.ExactGuard(uint32(off+ci), bits)
-		for sw, t := range n.Configs[ci].Tables {
-			var rs []flowtable.Rule
-			for _, r := range t.Rules {
-				m := r.Match.Clone()
-				m.Guard = guard
-				// The IR is guard-free, so the re-guarded copy shares it.
-				rs = append(rs, flowtable.Rule{Priority: r.Priority, Match: m, Groups: r.Groups, IR: r.IR})
+	rules := map[int][]flowtable.Rule{}
+	tag := uint32(0)
+	for _, n := range progs {
+		for ci := range n.Configs {
+			guard := flowtable.ExactGuard(tag, bits)
+			tag++
+			for sw, t := range n.Configs[ci].Tables {
+				rs := rules[sw]
+				for _, r := range t.Rules {
+					m := r.Match.Clone()
+					m.Guard = guard
+					// The IR is guard-free, so the re-guarded copy shares it.
+					rs = append(rs, flowtable.Rule{Priority: r.Priority, Match: m, Groups: r.Groups, IR: r.IR})
+				}
+				rules[sw] = rs
 			}
-			dst.Get(sw).AddAll(rs)
 		}
+	}
+	dst := make(flowtable.Tables, len(rules))
+	for sw, rs := range rules {
+		dst.Get(sw).AddAll(rs)
 	}
 	return dst
 }
@@ -179,11 +196,7 @@ func mergedInto(dst flowtable.Tables, n *nes.NES, off, bits int) flowtable.Table
 // off+c, packets follow P' rules exclusively. The returned offset is the
 // tag displacement of the new program's configurations.
 func MergedPair(old, new_ *nes.NES) (flowtable.Tables, int) {
-	off := len(old.Configs)
-	bits := guardBits(off + len(new_.Configs))
-	dst := mergedInto(flowtable.Tables{}, old, 0, bits)
-	dst = mergedInto(dst, new_, off, bits)
-	return dst, off
+	return merged(old, new_), len(old.Configs)
 }
 
 // Flat returns the plan's compiled matcher for a configuration's switch

@@ -74,12 +74,16 @@ func SchemaForPair(old, new_ *nes.NES) *Schema {
 }
 
 // programFields collects the field names of one program (with possible
-// duplicates; NewSchema dedups).
+// duplicates; NewSchema dedups), reading each distinct table once.
 func programFields(n *nes.NES) []string {
 	var out []string
+	seen := map[*flowtable.Table]bool{}
 	for ci := range n.Configs {
 		for _, t := range n.Configs[ci].Tables {
-			out = appendTableFields(out, t)
+			if !seen[t] {
+				seen[t] = true
+				out = appendTableFields(out, t)
+			}
 		}
 	}
 	for _, ev := range n.Events {

@@ -8,9 +8,11 @@ import (
 
 	"eventnet/internal/apps"
 	"eventnet/internal/dataplane"
+	"eventnet/internal/ets"
 	"eventnet/internal/flowtable"
 	"eventnet/internal/nes"
 	"eventnet/internal/netkat"
+	"eventnet/internal/nkc"
 )
 
 // TestEngineStopIdempotentLeakFree: netd restarts engines around swaps,
@@ -192,6 +194,12 @@ func TestMergedPairStagedInstall(t *testing.T) {
 	if off != len(old.Configs) {
 		t.Fatalf("offset %d, want %d", off, len(old.Configs))
 	}
+	// The staged tables are gathered per switch and sorted once; the rule
+	// order must be the one that installing configuration by configuration
+	// (a stable priority sort after each) arrives at.
+	if got, want := merged.String(), mergedRef(old, new_).String(); got != want {
+		t.Fatalf("staged rule order moved:\n got %s\nwant %s", got, want)
+	}
 	hosts := hostAddrs(apps.Firewall().Topo)
 	r := rand.New(rand.NewSource(17))
 	schema := dataplane.SchemaForPair(old, new_)
@@ -216,6 +224,87 @@ func TestMergedPairStagedInstall(t *testing.T) {
 		}
 		check(old, 0)
 		check(new_, off)
+	}
+}
+
+// mergedRef is the staged install built the definitional way: every
+// (configuration, switch) table re-guarded and installed on its own.
+func mergedRef(progs ...*nes.NES) flowtable.Tables {
+	tags := 0
+	for _, n := range progs {
+		tags += len(n.Configs)
+	}
+	bits := 1
+	for 1<<uint(bits) < tags {
+		bits++
+	}
+	dst := flowtable.Tables{}
+	tag := uint32(0)
+	for _, n := range progs {
+		for ci := range n.Configs {
+			for sw, tbl := range n.Configs[ci].Tables {
+				var rs []flowtable.Rule
+				for _, r := range tbl.Rules {
+					r.Match = r.Match.Clone()
+					r.Match.Guard = flowtable.ExactGuard(tag, bits)
+					rs = append(rs, r)
+				}
+				dst.Get(sw).AddAll(rs)
+			}
+			tag++
+		}
+	}
+	return dst
+}
+
+// TestPlanLowersDistinctTables is the count gate behind "a plan holds one
+// flat table per distinct table": the compiler hands every state whose
+// switch behaves identically the same *flowtable.Table (bandwidth-cap-200
+// is 202 configurations of 2 switches drawn from 4 tables), newPlan
+// lowers each once, and a revision compiled through the same cache reuses
+// the tables of the switches it did not change. One worker: a forked
+// worker memoizes tables in a context of its own.
+func TestPlanLowersDistinctTables(t *testing.T) {
+	cache := nkc.NewProgramCache()
+	compile := func(a apps.App) *nes.NES {
+		e, _, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{Workers: 1, Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := e.ToNES()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	tablesOf := func(n *nes.NES, into map[*flowtable.Table]bool) (slots int) {
+		for ci := range n.Configs {
+			for _, tbl := range n.Configs[ci].Tables {
+				into[tbl] = true
+				slots++
+			}
+		}
+		return slots
+	}
+
+	n200 := compile(apps.BandwidthCap(200))
+	distinct := map[*flowtable.Table]bool{}
+	if slots := tablesOf(n200, distinct); slots != 404 {
+		t.Fatalf("bandwidth-cap-200 has %d (configuration, switch) slots, want 404", slots)
+	}
+	if len(distinct) > 8 {
+		t.Errorf("bandwidth-cap-200 holds %d distinct tables in 404 slots, want <= 8", len(distinct))
+	}
+	p := dataplane.PlanFor(n200)
+	defer dataplane.Invalidate(n200)
+	if got := p.DistinctFlats(); got > 8 {
+		t.Errorf("the plan of bandwidth-cap-200 lowered %d flat tables, want <= 8", got)
+	}
+
+	before := len(distinct)
+	tablesOf(compile(apps.BandwidthCap(264)), distinct)
+	if added := len(distinct) - before; added > 4 {
+		t.Errorf("bandwidth-cap-264 compiled after cap-200 on one cache added %d table pointers, want <= 4", added)
 	}
 }
 

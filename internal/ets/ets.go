@@ -27,8 +27,10 @@ import (
 // Vertex is an ETS node: a state vector together with its compiled
 // configuration. The projected NetKAT policy is not materialized (it is
 // derivable as stateful.Project(cmd, State) and was dead weight at scale
-// — an O(|program|) AST per state); Tables may be shared between vertices
-// whose states project identically and must be treated as immutable.
+// — an O(|program|) AST per state). Tables is read-only: vertices whose
+// switch behaves identically hold the same *flowtable.Table, as do the
+// vertices of every other program compiled through the same
+// nkc.ProgramCache (chaos.TestSharedTablesReadOnly is the aliasing guard).
 type Vertex struct {
 	ID     int
 	State  stateful.State

@@ -5,6 +5,7 @@ import (
 
 	"eventnet/internal/apps"
 	"eventnet/internal/ets"
+	"eventnet/internal/flowtable"
 	"eventnet/internal/nkc"
 )
 
@@ -67,16 +68,37 @@ func TestBuildWithProgramCache(t *testing.T) {
 	// A revision: cap 41 shares every counter segment up to 40 with the
 	// cached program, so warm segment misses are strictly fewer than cold.
 	b := apps.BandwidthCap(41)
-	if _, s3, err := ets.BuildWithOptions(b.Prog, b.Topo, ets.Options{Workers: 1, Cache: cache}); err != nil {
+	if warm, s3, err := ets.BuildWithOptions(b.Prog, b.Topo, ets.Options{Workers: 1, Cache: cache}); err != nil {
 		t.Fatal(err)
 	} else {
 		cold := nkc.NewProgramCache()
-		_, s4, err := ets.BuildWithOptions(b.Prog, b.Topo, ets.Options{Workers: 1, Cache: cold})
+		alone, s4, err := ets.BuildWithOptions(b.Prog, b.Topo, ets.Options{Workers: 1, Cache: cold})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s3.Cache.SegmentMisses >= s4.Cache.SegmentMisses {
 			t.Fatalf("revision did not compile as a delta: warm %d misses, cold %d", s3.Cache.SegmentMisses, s4.Cache.SegmentMisses)
+		}
+		// The revision holds the very tables the cached program compiled
+		// for the switches they agree on; what it holds must still be what
+		// it compiles to alone.
+		assertSameETS(t, alone, warm, "revision after its predecessor vs alone")
+		held := map[*flowtable.Table]bool{}
+		for _, v := range cached.Vertices {
+			for _, tbl := range v.Tables {
+				held[tbl] = true
+			}
+		}
+		shared := 0
+		for _, v := range warm.Vertices {
+			for _, tbl := range v.Tables {
+				if held[tbl] {
+					shared++
+				}
+			}
+		}
+		if shared == 0 {
+			t.Fatal("the revision shares no table with its predecessor; the comparison above is vacuous")
 		}
 	}
 	if cache.Len() != 2 {

@@ -455,13 +455,9 @@ func TableCompile() *Table {
 			panic(err)
 		}
 		elapsed := time.Since(start).Seconds()
-		rules := 0
-		for _, c := range n.Configs {
-			rules += c.Tables.TotalRules()
-		}
 		t.Rows = append(t.Rows, []string{
 			a.Name, fmt.Sprint(len(e.Vertices)), fmt.Sprint(len(e.Events)),
-			fmt.Sprintf("%.4f", elapsed), fmt.Sprint(rules),
+			fmt.Sprintf("%.4f", elapsed), fmt.Sprint(n.TotalRules()),
 		})
 	}
 	return t

@@ -43,6 +43,7 @@ func (e Event) String() string {
 
 // Config is one network configuration of the NES: its compiled flow
 // tables and its configuration relation (used by the trace oracle).
+// Tables is read-only and shared between configurations (see ets.Vertex).
 type Config struct {
 	ID     int
 	Label  string // diagnostic, e.g. the state vector "[1]"
@@ -111,6 +112,16 @@ func New(events []Event, family map[Set]int, configs []Config) (*NES, error) {
 	}
 	sort.Slice(n.familyList, func(i, j int) bool { return n.familyList[i].Less(n.familyList[j]) })
 	return n, nil
+}
+
+// TotalRules sums the program's flow-table rules over configurations and
+// switches (the paper's in-text metric).
+func (n *NES) TotalRules() int {
+	rules := 0
+	for i := range n.Configs {
+		rules += n.Configs[i].Tables.TotalRules()
+	}
+	return rules
 }
 
 // Family returns the family of event-sets in sorted order.

@@ -205,13 +205,13 @@ type FDDCtx struct {
 	strandKey []byte
 
 	// foldCache memoizes the per-switch union fold over hop diagrams by
-	// the packed hop identity sequence, and ruleCache memoizes table
-	// extraction by switch-diagram identity: states with the same
-	// per-switch behavior share one fold and one extraction. The cached
-	// rules (and their inner maps) are shared and must be treated as
-	// immutable.
+	// the packed hop identity sequence, and tableMemo memoizes the
+	// extracted table by switch-diagram identity: every state — and, when
+	// the context outlives a build (ProgramCache), every later program —
+	// whose switch behaves identically holds the same *flowtable.Table.
+	// Cached tables are read-only to everyone downstream.
 	foldCache map[string]*FDD
-	ruleCache map[int][]flowtable.Rule
+	tableMemo map[int]*flowtable.Table
 
 	// scratch buffers reused across intern/key construction calls.
 	keyBuf []byte
@@ -237,7 +237,7 @@ func NewFDDCtx() *FDDCtx {
 		notMemo:   map[int]*FDD{},
 		hopCache:  map[string][]cachedHop{},
 		foldCache: map[string]*FDD{},
-		ruleCache: map[int][]flowtable.Rule{},
+		tableMemo: map[int]*flowtable.Table{},
 	}
 	c.eps = c.internAction(nil)
 	c.Drop = c.mkLeaf(nil)

@@ -127,10 +127,11 @@ func ruleFDD(c *FDDCtx, m flowtable.Match, g flowtable.ActionGroup) *FDD {
 }
 
 // assembleTablesFDD unions each switch's hop rules into one diagram and
-// extracts a prioritized table from its (disjoint) root-leaf paths.
-// Extraction is memoized on the diagram's identity, so configurations
-// with identical per-switch behavior share one rule list (the shared
-// rules are never mutated downstream).
+// extracts a prioritized table from its (disjoint) root-leaf paths. The
+// table is memoized on the diagram's identity, so configurations with
+// identical per-switch behavior hold the same *flowtable.Table: table
+// identity is switch-diagram identity, and the tables are read-only
+// downstream.
 func assembleTablesFDD(c *FDDCtx, hops []cachedHop) (flowtable.Tables, error) {
 	perSwitchIDs := map[int][]byte{}
 	perSwitchHops := map[int][]*FDD{}
@@ -160,16 +161,17 @@ func assembleTablesFDD(c *FDDCtx, hops []cachedHop) (flowtable.Tables, error) {
 	tables := flowtable.Tables{}
 	for _, sw := range switches {
 		d := perSwitch[sw]
-		rules, ok := c.ruleCache[d.id]
+		t, ok := c.tableMemo[d.id]
 		if !ok {
-			var err error
-			rules, err = extractRules(d)
+			rules, err := extractRules(d)
 			if err != nil {
 				return nil, fmt.Errorf("switch %d: %w", sw, err)
 			}
-			c.ruleCache[d.id] = rules
+			t = &flowtable.Table{}
+			t.AddAll(rules)
+			c.tableMemo[d.id] = t
 		}
-		tables.Get(sw).AddAll(rules)
+		tables[sw] = t
 	}
 	return tables, nil
 }

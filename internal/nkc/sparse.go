@@ -36,16 +36,18 @@ type refState struct {
 }
 
 // Compile returns the flow tables of the configuration projected at state
-// k. The result must be treated as immutable: it may be shared with other
-// states, other workers (via the SharedCache), and later calls.
+// k. The result is read-only, map and tables both: the map may be shared
+// with other states, other workers (via the SharedCache) and later calls,
+// each *flowtable.Table with every configuration compiled in this FDD
+// context whose switch behaves the same. To edit a table, clone it first.
 func (pc *ProgramCompiler) Compile(k stateful.State) (flowtable.Tables, error) {
 	t, _, err := pc.Explore(k)
 	return t, err
 }
 
 // Explore returns ⟦p⟧k compiled and ⟪p⟫k: the flow tables of the
-// configuration projected at state k (immutable and possibly shared, as
-// for Compile) and the event-edges leaving k, deduplicated and sorted by
+// configuration projected at state k (read-only and shared, as for
+// Compile) and the event-edges leaving k, deduplicated and sorted by
 // key exactly as stateful.Events returns them. Edges of different states
 // may share a guard; it must not be modified.
 func (pc *ProgramCompiler) Explore(k stateful.State) (flowtable.Tables, []stateful.Edge, error) {

@@ -112,19 +112,43 @@ func (PNot) isSPred()   {}
 func (PAnd) isSPred()   {}
 func (POr) isSPred()    {}
 
-func (PTrue) String() string    { return "true" }
-func (PFalse) String() string   { return "false" }
-func (t PTest) String() string  { return fmt.Sprintf("%s=%d", t.Field, t.Value) }
-func (t PState) String() string { return fmt.Sprintf("state(%d)=%d", t.Index, t.Value) }
-func (n PNot) String() string   { return "!" + parenP(n.P, 3) }
-func (a PAnd) String() string   { return parenP(a.L, 2) + " & " + parenP(a.R, 2) }
-func (o POr) String() string    { return parenP(o.L, 1) + " | " + parenP(o.R, 1) }
+func (t PTrue) String() string  { return new(text).pred(t, 0).String() }
+func (t PFalse) String() string { return new(text).pred(t, 0).String() }
+func (t PTest) String() string  { return new(text).pred(t, 0).String() }
+func (t PState) String() string { return new(text).pred(t, 0).String() }
+func (n PNot) String() string   { return new(text).pred(n, 0).String() }
+func (a PAnd) String() string   { return new(text).pred(a, 0).String() }
+func (o POr) String() string    { return new(text).pred(o, 0).String() }
 
-func plevel(p Pred) int {
-	switch p.(type) {
-	case POr:
+// text renders tests and commands in one pass over the tree into one
+// buffer. The rendering is a cache key for whole programs (ctrl,
+// nkc.ProgramCache, the segment memo); building it by concatenating the
+// operands' renderings copies every leaf once per enclosing operator.
+type text struct{ strings.Builder }
+
+// s appends the parts. Grow doubles a buffer that runs short; append
+// alone grows a long text a quarter at a time and copies it five times.
+func (t *text) s(parts ...string) *text {
+	t.Grow(64)
+	for _, p := range parts {
+		t.WriteString(p)
+	}
+	return t
+}
+
+func (t *text) i(v int) *text {
+	var buf [20]byte
+	t.Write(strconv.AppendInt(buf[:0], int64(v), 10))
+	return t
+}
+
+// level is an operator's binding strength; an operand that binds looser
+// than the operator around it is parenthesized.
+func level(node any) int {
+	switch node.(type) {
+	case POr, CUnion:
 		return 1
-	case PAnd:
+	case PAnd, CSeq:
 		return 2
 	case PNot:
 		return 3
@@ -133,11 +157,29 @@ func plevel(p Pred) int {
 	}
 }
 
-func parenP(p Pred, level int) string {
-	if plevel(p) < level {
-		return "(" + p.String() + ")"
+// pred renders p as an operand of an operator binding at lv.
+func (t *text) pred(p Pred, lv int) *text {
+	if level(p) < lv {
+		return t.s("(").pred(p, 0).s(")")
 	}
-	return p.String()
+	switch q := p.(type) {
+	case PTrue:
+		return t.s("true")
+	case PFalse:
+		return t.s("false")
+	case PTest:
+		return t.s(q.Field, "=").i(q.Value)
+	case PState:
+		return t.s("state(").i(q.Index).s(")=").i(q.Value)
+	case PNot:
+		return t.s("!").pred(q.P, 3)
+	case PAnd:
+		return t.pred(q.L, 2).s(" & ").pred(q.R, 2)
+	case POr:
+		return t.pred(q.L, 1).s(" | ").pred(q.R, 1)
+	default:
+		panic(fmt.Sprintf("stateful: unknown predicate %T", p))
+	}
 }
 
 // StateSet is a vector assignment carried by a link: state(Index) <- Value
@@ -190,16 +232,13 @@ func (CStar) isCmd()      {}
 func (CLink) isCmd()      {}
 func (CLinkState) isCmd() {}
 
-func (c CPred) String() string   { return c.P.String() }
-func (c CAssign) String() string { return fmt.Sprintf("%s<-%d", c.Field, c.Value) }
-func (c CUnion) String() string  { return parenC(c.L, 1) + " + " + parenC(c.R, 1) }
-func (c CSeq) String() string    { return parenC(c.L, 2) + "; " + parenC(c.R, 2) }
-func (c CStar) String() string {
-	if starSafe(c.P) {
-		return c.P.String() + "*"
-	}
-	return "(" + c.P.String() + ")*"
-}
+func (c CPred) String() string      { return new(text).cmd(c, 0).String() }
+func (c CAssign) String() string    { return new(text).cmd(c, 0).String() }
+func (c CUnion) String() string     { return new(text).cmd(c, 0).String() }
+func (c CSeq) String() string       { return new(text).cmd(c, 0).String() }
+func (c CStar) String() string      { return new(text).cmd(c, 0).String() }
+func (c CLink) String() string      { return new(text).cmd(c, 0).String() }
+func (c CLinkState) String() string { return new(text).cmd(c, 0).String() }
 
 // starSafe reports whether a command prints as a single postfix-star
 // operand without parentheses (matching the parser, where '*' binds
@@ -219,31 +258,44 @@ func starSafe(c Cmd) bool {
 		return false
 	}
 }
-func (c CLink) String() string { return fmt.Sprintf("(%v)=>(%v)", c.Src, c.Dst) }
-func (c CLinkState) String() string {
-	parts := make([]string, len(c.Sets))
-	for i, s := range c.Sets {
-		parts[i] = fmt.Sprintf("state(%d)<-%d", s.Index, s.Value)
-	}
-	return fmt.Sprintf("(%v)=>(%v)<%s>", c.Src, c.Dst, strings.Join(parts, ", "))
-}
 
-func clevel(c Cmd) int {
-	switch c.(type) {
+// cmd renders c as an operand of an operator binding at lv.
+func (t *text) cmd(c Cmd, lv int) *text {
+	if level(c) < lv {
+		return t.s("(").cmd(c, 0).s(")")
+	}
+	switch q := c.(type) {
+	case CPred:
+		return t.pred(q.P, 0)
+	case CAssign:
+		return t.s(q.Field, "<-").i(q.Value)
 	case CUnion:
-		return 1
+		return t.cmd(q.L, 1).s(" + ").cmd(q.R, 1)
 	case CSeq:
-		return 2
+		return t.cmd(q.L, 2).s("; ").cmd(q.R, 2)
+	case CStar:
+		if starSafe(q.P) {
+			return t.cmd(q.P, 0).s("*")
+		}
+		return t.s("(").cmd(q.P, 0).s(")*")
+	case CLink:
+		return t.link(q.Src, q.Dst)
+	case CLinkState:
+		t.link(q.Src, q.Dst).s("<")
+		for i, s := range q.Sets {
+			if i > 0 {
+				t.s(", ")
+			}
+			t.s("state(").i(s.Index).s(")<-").i(s.Value)
+		}
+		return t.s(">")
 	default:
-		return 3
+		panic(fmt.Sprintf("stateful: unknown command %T", c))
 	}
 }
 
-func parenC(c Cmd, level int) string {
-	if clevel(c) < level {
-		return "(" + c.String() + ")"
-	}
-	return c.String()
+func (t *text) link(src, dst netkat.Location) *text {
+	return t.s("(").i(src.Switch).s(":").i(src.Port).s(")=>(").i(dst.Switch).s(":").i(dst.Port).s(")")
 }
 
 // Project extracts the standard NetKAT program ⟦p⟧k for state vector k
