@@ -1,15 +1,14 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (Section 5) and prints them in order, plus the scale sweeps
-// opened by the incremental compilation pipeline and the multi-core
-// engine. Use -quick for a reduced Figure 10 sweep, smaller ring
-// diameters and shorter packet streams, and -json for machine-readable
-// output (one JSON object per line — see docs/BENCHMARKS.md).
+// evaluation (Section 5) and prints them in order, plus the sampled
+// journey trace and the chaos audit. Use -quick for a reduced Figure 10
+// sweep and smaller ring diameters, and -json for machine-readable
+// output (one JSON object per line). It measures nothing about this
+// implementation's speed: bench/ is the one benchmark
+// (docs/BENCHMARKS.md).
 //
 //	experiments                  # full reproduction (a few minutes)
 //	experiments -quick           # seconds
 //	experiments -only fig14,fig17
-//	experiments -json -only scale
-//	experiments -json -only swap
 //	experiments -json -only chaos   # chaos audit; exit 1 on any violation
 package main
 
@@ -18,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"sync/atomic"
 
@@ -27,17 +25,14 @@ import (
 
 // result is the machine-readable form of one experiment's output.
 // RunSeq is a monotonic emission counter (ties rows of one invocation
-// together and orders them); the GOMAXPROCS/NumCPU pair records the
-// machine context a benchmark row was measured under.
+// together and orders them).
 type result struct {
-	Kind       string     `json:"kind"` // "table" or "timeline"
-	Name       string     `json:"name"`
-	RunSeq     int64      `json:"run_seq"`
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	NumCPU     int        `json:"num_cpu"`
-	Title      string     `json:"title"`
-	Columns    []string   `json:"columns,omitempty"`
-	Rows       [][]string `json:"rows,omitempty"`
+	Kind    string     `json:"kind"` // "table" or "timeline"
+	Name    string     `json:"name"`
+	RunSeq  int64      `json:"run_seq"`
+	Title   string     `json:"title"`
+	Columns []string   `json:"columns,omitempty"`
+	Rows    [][]string `json:"rows,omitempty"`
 	// Timelines flatten to rows of [series, time, flow, outcome].
 }
 
@@ -73,8 +68,6 @@ func emit(name string, v any) {
 		panic(fmt.Sprintf("experiments: unknown result type %T", v))
 	}
 	r.RunSeq = runSeq.Add(1)
-	r.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	r.NumCPU = runtime.NumCPU()
 	enc := json.NewEncoder(os.Stdout)
 	if err := enc.Encode(r); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -84,7 +77,7 @@ func emit(name string, v any) {
 
 func main() {
 	quick := flag.Bool("quick", false, "reduced parameter sweeps")
-	only := flag.String("only", "", "comma-separated subset: fig10..fig17, tables, scale, scale-cores, compile, swap, chaos, trace")
+	only := flag.String("only", "", "comma-separated subset: fig10..fig17, tables, chaos, trace")
 	flag.BoolVar(&asJSON, "json", false, "emit one JSON object per experiment instead of text")
 	flag.Parse()
 
@@ -94,47 +87,19 @@ func main() {
 			want[strings.ToLower(k)] = true
 		}
 	}
-	sel := func(k string) bool { return len(want) == 0 || want[k] }
+	// sel also ticks the name off, so that what is left in want afterwards
+	// is what no experiment answered to (the removed timing experiments
+	// among them) and does not pass for an empty, successful run.
+	all := len(want) == 0
+	sel := func(k string) bool {
+		ok := all || want[k]
+		delete(want, k)
+		return ok
+	}
 
 	if sel("tables") {
 		emit("table-compile", exp.TableCompile())
 		emit("table-optimize", exp.TableOptimize())
-	}
-	if sel("scale") {
-		emit("scale", exp.TableCompileScale())
-	}
-	if sel("compile") {
-		swaps := 12
-		if *quick {
-			swaps = 6
-		}
-		res := exp.CompileBench(swaps)
-		emit("compile", res.Compile)
-		emit("compile-swap", res.Swap)
-	}
-	if sel("scale-cores") {
-		packets := 200000
-		if *quick {
-			packets = 20000
-		}
-		res, err := exp.Scale(packets)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: scale-cores:", err)
-			os.Exit(1)
-		}
-		emit("scale-cores", res.Table)
-	}
-	if sel("swap") {
-		packets := 98304
-		if *quick {
-			packets = 32768
-		}
-		res := exp.Swap(packets)
-		emit("swap", res.Table)
-		if res.Mixed != 0 || res.Dropped != 0 {
-			fmt.Fprintf(os.Stderr, "experiments: swap audit FAILED: %d mixed, %d dropped\n", res.Mixed, res.Dropped)
-			os.Exit(1)
-		}
 	}
 	if sel("trace") {
 		packets := 48
@@ -212,5 +177,9 @@ func main() {
 			trials = 5
 		}
 		emit("fig17", exp.Fig17(trials, 42))
+	}
+	for k := range want {
+		fmt.Fprintf(os.Stderr, "experiments: no experiment named %q\n", k)
+		os.Exit(2)
 	}
 }

@@ -99,6 +99,22 @@ func TestNetdErrorPaths(t *testing.T) {
 		})
 	}
 
+	// A constant no packet can carry used to panic a compile worker, a
+	// goroutine outside net/http's recover, and take the daemon down. It
+	// is a located parse error on both submit paths, and the program in
+	// service is untouched.
+	epoch := call(t, ts, "GET", "/status", nil, 200)["epoch"]
+	for _, path := range []string{"/program", "/swap"} {
+		out := call(t, ts, "POST", path, map[string]any{"source": "pt=2 & dst=3000000000; pt<-1\n", "init": []int{0}}, 400)
+		if msg, _ := out["error"].(string); !strings.Contains(msg, "line 1, offset 11") || !strings.Contains(msg, "int32") {
+			t.Fatalf("POST %s with an out-of-domain constant: %v", path, out)
+		}
+		serviceable()
+	}
+	if after := call(t, ts, "GET", "/status", nil, 200)["epoch"]; after != epoch {
+		t.Fatalf("rejected program moved the epoch: %v -> %v", epoch, after)
+	}
+
 	// The 413 is typed: it names the limit, so a client can split its
 	// batch instead of guessing.
 	resp, err := ts.Client().Post(ts.URL+"/inject-batch", "application/json", strings.NewReader(strings.Repeat(" ", maxBodyBytes+1)))

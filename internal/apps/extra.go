@@ -146,23 +146,6 @@ func IDSFatTree(k int) App {
 	}
 }
 
-// Scale returns the large-sweep applications opened by the incremental
-// compilation pipeline: bandwidth caps far past the 64-event tag word
-// and intrusion detection on a data-center fabric.
-func Scale() []App {
-	return []App{BandwidthCap(80), BandwidthCap(200), IDSFatTree(4)}
-}
-
-// Scale10 returns the 10x workloads opened by the interned, arena-backed
-// compiler: a bandwidth cap an order of magnitude past the Scale sweep
-// (2002 reachable states) and intrusion detection on a 125-switch
-// k=10 fat tree. Both must compile interactively — they are the rows
-// behind BENCH_compile.json and the sub-5ms submit->swap gate
-// (docs/BENCHMARKS.md).
-func Scale10() []App {
-	return []App{BandwidthCap(2000), IDSFatTree(10)}
-}
-
 // DistributedFirewall: H1 and H2 each independently open their own
 // return path from H4 by sending outgoing traffic — two independent
 // events (at s4's ports 1 and 3) forming the Figure 3(a) diamond:

@@ -310,8 +310,7 @@ func deliveryHash(ds []dataplane.Delivery) uint64 {
 // audit is the differential check: every delivery must carry its
 // injection's stamp, and every injection's delivery set must equal
 // exactly what netkat.Eval predicts for the stamped program generation
-// and configuration (the methodology of internal/exp's swap audit,
-// generalized over arbitrary program rotations).
+// and configuration, over arbitrary program rotations.
 func audit(tp *topo.Topology, stateOf func(epoch, version int) (stateful.Cmd, stateful.State, string, bool),
 	recs []injRecord, ds []dataplane.Delivery) (mixed, dropped int) {
 	byID := map[int][]dataplane.Delivery{}

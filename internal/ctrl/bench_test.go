@@ -10,7 +10,8 @@ import (
 // BenchmarkSwap measures no-load swap latency end to end: delta compile
 // through the cross-generation cache, staged install, flip, drain (empty)
 // and retire, alternating between two revisions of the bandwidth cap.
-// The under-traffic numbers live in exp.Swap (experiments -only swap).
+// The under-traffic numbers are bench's swap-under-load workload
+// (swap_novel_p50_ms, swap_memo_p50_ms, ctrl.transition_ratio).
 func BenchmarkSwap(b *testing.B) {
 	a := apps.BandwidthCap(40)
 	rev := apps.BandwidthCap(41)

@@ -112,8 +112,18 @@ func runSwapScenario(t *testing.T, old, new_ *ctrl.Program, tp *topo.Topology, s
 		t.Fatal("swap did not complete after the network drained")
 	}
 
+	auditDeliveries(t, tp, []*ctrl.Program{old, new_}, injected, stamps, e.Deliveries())
+	return e.Deliveries()
+}
+
+// auditDeliveries is the per-packet consistency check: every delivery
+// carries its injection's stamp, and the delivery set of every injection
+// equals exactly what netkat.Eval predicts for the program generation
+// (progs is indexed by epoch) and configuration its stamp names.
+func auditDeliveries(t *testing.T, tp *topo.Topology, progs []*ctrl.Program, injected map[int]injection, stamps map[int]dataplane.Stamp, ds []dataplane.Delivery) {
+	t.Helper()
 	byID := map[int][]dataplane.Delivery{}
-	for _, d := range e.Deliveries() {
+	for _, d := range ds {
 		i, ok := d.Fields["id"]
 		if !ok {
 			t.Fatalf("delivery without id: %v", d)
@@ -124,10 +134,7 @@ func runSwapScenario(t *testing.T, old, new_ *ctrl.Program, tp *topo.Topology, s
 		byID[i] = append(byID[i], d)
 	}
 	for i, in := range injected {
-		p := old
-		if stamps[i].Epoch != 0 {
-			p = new_
-		}
+		p := progs[stamps[i].Epoch]
 		want := expectedSet(t, p, tp, in.host, in.fields, stamps[i])
 		got := map[string]bool{}
 		for _, d := range byID[i] {
@@ -146,7 +153,6 @@ func runSwapScenario(t *testing.T, old, new_ *ctrl.Program, tp *topo.Topology, s
 			}
 		}
 	}
-	return e.Deliveries()
 }
 
 // swapPairs are the program transitions the properties quantify over:
@@ -175,6 +181,87 @@ func TestSwapPerPacketConsistency(t *testing.T) {
 			for seed := int64(1); seed <= 12; seed++ {
 				runSwapScenario(t, pair[0], pair[1], tp, seed, 1+int(seed)%4)
 			}
+		})
+	}
+}
+
+// TestSwapUnderServedFeed is the same property on the path netd runs: a
+// served controller at 2 workers swaps back and forth six times while a
+// feeder goroutine keeps injecting, so every flip lands with traffic of
+// the outgoing program mid-journey and more arriving during the drain.
+// Mixed or dropped deliveries would fail the audit.
+func TestSwapUnderServedFeed(t *testing.T) {
+	tp := topo.Firewall()
+	for _, pair := range swapPairs(t) {
+		t.Run(pair[0].Name+"<->"+pair[1].Name, func(t *testing.T) {
+			c := ctrl.New(tp, ctrl.Options{Workers: 2})
+			defer c.Close()
+			if err := c.Load(pair[0].Name, pair[0].Prog); err != nil {
+				t.Fatal(err)
+			}
+			e := c.Engine()
+			progs := []*ctrl.Program{c.Current()} // by epoch
+
+			// Injection and its bookkeeping run inside e.Do, serial with
+			// the engine's barriers, from the feeder and the swap loop.
+			r := rand.New(rand.NewSource(7))
+			stamps := map[int]dataplane.Stamp{}
+			injected := map[int]injection{}
+			var injectErr error
+			feed := func() (total int) {
+				e.Do(func() {
+					for j := 0; j < 16; j++ {
+						src, dst := tp.Hosts[r.Intn(len(tp.Hosts))], tp.Hosts[r.Intn(len(tp.Hosts))]
+						id := len(stamps)
+						f := netkat.Packet{"dst": dst.ID, "src": src.ID, "id": id}
+						st, err := e.InjectStamped(src.Name, f)
+						if err != nil {
+							injectErr = err
+							return
+						}
+						stamps[id], injected[id] = st, injection{host: src.Name, fields: f.Clone()}
+					}
+					total = len(stamps)
+				})
+				return total
+			}
+			stop, done := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if feed() > 4000 { // bounds the audit, not the swaps
+						<-stop
+						return
+					}
+				}
+			}()
+			for i := 0; i < 6; i++ {
+				feed() // a batch mid-journey at the flip
+				next := pair[(i+1)%2]
+				if _, err := c.Swap(next.Name, next.Prog); err != nil {
+					t.Fatal(err)
+				}
+				progs = append(progs, c.Current())
+			}
+			close(stop)
+			<-done
+			c.Quiesce()
+			if injectErr != nil {
+				t.Fatal(injectErr)
+			}
+			epochs := map[int]bool{}
+			for _, st := range stamps {
+				epochs[st.Epoch] = true
+			}
+			if len(epochs) != len(progs) {
+				t.Fatalf("traffic entered under %d of %d program generations; scenario is vacuous", len(epochs), len(progs))
+			}
+			auditDeliveries(t, tp, progs, injected, stamps, e.CopyDeliveries(0))
 		})
 	}
 }

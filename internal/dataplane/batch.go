@@ -63,7 +63,7 @@ func (e *Engine) InjectBatch(ins []Injection) ([]Stamp, []error) {
 			continue
 		}
 		h := &e.hosts[hi]
-		st := Stamp{Epoch: cp.epoch, Version: cp.gAt(cp.views[h.sw])}
+		st := Stamp{Epoch: cp.epoch, Version: cp.nes.ConfigFor(cp.views[h.sw])}
 		vals := wk.takeVals(width)
 		lo := inert.len()
 		var pres uint64
@@ -327,7 +327,7 @@ func (e *Engine) admit(b *Batch, now int64) {
 	for ri := range b.recs {
 		r := &b.recs[ri]
 		h := &e.hosts[r.host]
-		version := cp.gAt(cp.views[h.sw])
+		version := cp.nes.ConfigFor(cp.views[h.sw])
 		pairs := b.pairs[r.lo:r.hi]
 		// shared is the record's inert fields less the numbered one: what
 		// every copy carries, unless the numbered field is itself inert.

@@ -424,22 +424,6 @@ func (ps *progState) detect(swIdx, inPort int, vals []int32, pres uint64, known 
 	return out
 }
 
-// gAt mirrors runtime.Machine.gAt: the configuration for a view, falling
-// back to the largest family member below it.
-func (ps *progState) gAt(v nes.Set) int {
-	if c, ok := ps.nes.ConfigAt(v); ok {
-		return c
-	}
-	best := nes.Empty
-	for _, f := range ps.nes.Family() {
-		if f.SubsetOf(v) && best.SubsetOf(f) {
-			best = f
-		}
-	}
-	c, _ := ps.nes.ConfigAt(best)
-	return c
-}
-
 // SwapSpec describes a staged program replacement.
 type SwapSpec struct {
 	// NES is the incoming program, fully compiled.
@@ -751,7 +735,7 @@ func (e *Engine) InjectStamped(host string, fields netkat.Packet) (Stamp, error)
 	}
 	cp := e.cur()
 	h := &e.hosts[hi]
-	st := Stamp{Epoch: cp.epoch, Version: cp.gAt(cp.views[h.sw])}
+	st := Stamp{Epoch: cp.epoch, Version: cp.nes.ConfigFor(cp.views[h.sw])}
 	// The ingress boundary: one pass interns the schema fields into the
 	// flat array and collects the inert remainder (usually none). The
 	// value array comes from worker 0's free list when one of the right

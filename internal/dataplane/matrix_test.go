@@ -139,13 +139,13 @@ func failoverBatches(t *testing.T, f apps.Failover, rounds, perRound int) [][]da
 // delivery sequence must equal the 1-worker per-packet reference bit for
 // bit.
 func TestEngineDeliveryMatrix(t *testing.T) {
-	workerCounts := []int{1, 2, 3, 4, 8}
+	workerCounts := []int{1, 2, 3, 4, 8, 16}
 	type tc struct {
 		app     apps.App
 		batches [][]dataplane.Injection
 	}
 	var cases []tc
-	for _, a := range []apps.App{apps.Firewall(), apps.Authentication(), apps.BandwidthCap(10), apps.IDSFatTree(4)} {
+	for _, a := range []apps.App{apps.Firewall(), apps.Authentication(), apps.BandwidthCap(10), apps.BandwidthCap(200), apps.IDSFatTree(4)} {
 		cases = append(cases, tc{app: a, batches: loadBatches(t, a, 3, 50)})
 	}
 	for _, f := range []apps.Failover{apps.FailoverDiamond(3), apps.FailoverWAN(3)} {

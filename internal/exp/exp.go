@@ -1,8 +1,10 @@
 // Package exp regenerates every table and figure of the paper's
 // evaluation (Section 5). Each Fig*/Table* function runs the workload on
 // the simulator (or the compiler/optimizer) and returns the same rows or
-// series the paper plots; cmd/experiments prints them and EXPERIMENTS.md
-// records paper-vs-measured.
+// series the paper plots; cmd/experiments prints them, together with the
+// sampled-journey demonstration (Trace) and the chaos audit (Chaos). How
+// fast this implementation runs is not measured here: bench/ is the one
+// benchmark (docs/BENCHMARKS.md).
 package exp
 
 import (
@@ -458,53 +460,6 @@ func TableCompile() *Table {
 		t.Rows = append(t.Rows, []string{
 			a.Name, fmt.Sprint(len(e.Vertices)), fmt.Sprint(len(e.Events)),
 			fmt.Sprintf("%.4f", elapsed), fmt.Sprint(n.TotalRules()),
-		})
-	}
-	return t
-}
-
-// TableCompileScale runs the large-sweep compilation scenarios opened by
-// the incremental sharded pipeline (bandwidth-cap-80/200 and IDS on a
-// fat-tree fabric — all beyond the old 64-event tag or the old
-// from-scratch compile budget), reporting the incremental engine's cache
-// effectiveness next to the compile time. The sweep is the benchmark
-// trajectory tracked across PRs via `experiments -json -only scale`
-// (docs/BENCHMARKS.md).
-func TableCompileScale() *Table {
-	t := &Table{
-		Title:   "Scale sweep: incremental ETS compilation beyond the paper's sizes",
-		Columns: []string{"app", "states", "events", "compile_s", "rules", "seg_hit_pct", "strands", "fdd_nodes"},
-	}
-	for _, a := range append(apps.Scale(), apps.Scale10()...) {
-		start := time.Now()
-		// One worker: cache attribution is per-worker, so the hit rates and
-		// store sizes in the tracked trajectory stay scheduling-independent
-		// and comparable across machines (docs/BENCHMARKS.md). The Scale10
-		// rows ride at the same worker count: the interned int-keyed memos
-		// make even bandwidth-cap-2000 a seconds-scale single-worker build.
-		e, stats, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{Workers: 1})
-		if err != nil {
-			panic(err)
-		}
-		// Include the NES conversion so compile_s means the same thing as
-		// in TableCompile's column.
-		if _, err := e.ToNES(); err != nil {
-			panic(err)
-		}
-		elapsed := time.Since(start).Seconds()
-		rules := 0
-		for _, v := range e.Vertices {
-			rules += v.Tables.TotalRules()
-		}
-		segTotal := stats.Cache.SegmentHits + stats.Cache.SegmentMisses
-		segPct := 0.0
-		if segTotal > 0 {
-			segPct = 100 * float64(stats.Cache.SegmentHits) / float64(segTotal)
-		}
-		t.Rows = append(t.Rows, []string{
-			a.Name, fmt.Sprint(stats.States), fmt.Sprint(stats.Events),
-			fmt.Sprintf("%.4f", elapsed), fmt.Sprint(rules),
-			fmt.Sprintf("%.1f", segPct), fmt.Sprint(stats.Cache.Strands), fmt.Sprint(stats.Cache.FDDNodes),
 		})
 	}
 	return t

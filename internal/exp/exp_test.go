@@ -180,50 +180,3 @@ func TestTables(t *testing.T) {
 		}
 	}
 }
-
-// TestSwapExperiment: the live-swap experiment's consistency audit must
-// be perfectly clean — zero packets dropped by the transition and zero
-// packets whose deliveries contradict their stamped program generation —
-// and the harness must report positive rates. (The >=90% throughput
-// acceptance is a timing property; it is measured by `experiments -only
-// swap` and recorded in docs/BENCHMARKS.md rather than asserted under
-// arbitrary CI load.)
-func TestSwapExperiment(t *testing.T) {
-	res := Swap(8192)
-	if res.Mixed != 0 {
-		t.Fatalf("swap audit found %d mixed-version deliveries", res.Mixed)
-	}
-	if res.Dropped != 0 {
-		t.Fatalf("swap transition dropped %d predicted deliveries", res.Dropped)
-	}
-	if res.SteadyPPS <= 0 || res.TransitionPPS <= 0 {
-		t.Fatalf("non-positive rates: steady %.0f, transition %.0f", res.SteadyPPS, res.TransitionPPS)
-	}
-	if len(res.Table.Rows) != 1 || len(res.Table.Rows[0]) != len(res.Table.Columns) {
-		t.Fatalf("malformed result table: %+v", res.Table)
-	}
-}
-
-// TestScaleShape: the multi-core sweep runs end to end at a small packet
-// budget, emits one row per (procs, workers) cell with positive rates,
-// and its determinism witness passes (Scale errors out otherwise). The
-// near-linear speedup acceptance is a multi-core timing property,
-// measured by `experiments -only scale-cores` on the CI multi-core job
-// rather than asserted under arbitrary load here.
-func TestScaleShape(t *testing.T) {
-	res, err := Scale(4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Hash == 0 {
-		t.Fatal("determinism witness hashed nothing")
-	}
-	if len(res.Points) == 0 || len(res.Table.Rows) != len(res.Points) {
-		t.Fatalf("malformed sweep: %d points, %d rows", len(res.Points), len(res.Table.Rows))
-	}
-	for _, p := range res.Points {
-		if p.PPS <= 0 || p.NsHop <= 0 || p.Speedup <= 0 {
-			t.Fatalf("non-positive cell: %+v", p)
-		}
-	}
-}

@@ -164,6 +164,27 @@ func (n *NES) ConfigAt(x Set) (int, bool) {
 	return c, ok
 }
 
+// ConfigFor returns the configuration index a switch holding the event
+// view `view` stamps and forwards with. For views produced purely by
+// digest gossip the view is always in the family and this is g(view); a
+// partial controller push can produce a view strictly between family
+// members, in which case the unique largest family member contained in
+// the view is used (it exists because all of the view's family subsets
+// share the upper bound "all events so far", so finite-completeness makes
+// them directed).
+func (n *NES) ConfigFor(view Set) int {
+	if c, ok := n.family[view]; ok {
+		return c
+	}
+	best := Empty
+	for _, f := range n.familyList {
+		if f.SubsetOf(view) && best.SubsetOf(f) {
+			best = f
+		}
+	}
+	return n.family[best]
+}
+
 // ArmedFrom returns the events e ∉ known with known ⊢ e and
 // con(known ∪ {e}) — the events "armed" to fire from one knowledge set,
 // independent of any packet. Detection (NewlyEnabled, and the dataplane
@@ -213,6 +234,24 @@ func (n *NES) NewlyEnabled(known Set, lp netkat.LocatedPacket) Set {
 		}
 	}
 	return out
+}
+
+// SwitchStep is the event bookkeeping of Figure 7's SWITCH rule for a
+// packet carrying `digest` that arrives as lp at a switch whose view is
+// `view`:
+//
+//	known = view ∪ digest
+//	newly = NewlyEnabled(known, lp)    (E': also what goes to the controller queue)
+//	view' = view ∪ newly ∪ digest      (the switch's next view)
+//	out   = digest ∪ view ∪ newly      (the digest stamped on every output)
+//
+// view' and out are the same set, returned once as next. Forwarding under
+// the packet's tagged configuration is the caller's: it does not depend
+// on any of these.
+func (n *NES) SwitchStep(view, digest Set, lp netkat.LocatedPacket) (newly, next Set) {
+	known := view.Union(digest)
+	newly = n.NewlyEnabled(known, lp)
+	return newly, known.Union(newly)
 }
 
 // Replay folds a candidate event-set into the NES by canonical

@@ -252,6 +252,27 @@ func TestNewlyEnabled(t *testing.T) {
 	}
 }
 
+// TestSwitchStepAndConfigFor: the SWITCH bookkeeping detects against
+// view ∪ digest (e1 fires at a switch that only hears of e0 from the
+// arriving packet) and returns that union plus the new events as the
+// next view; ConfigFor is g on family members and the largest member
+// below a view that a partial controller push left outside the family.
+func TestSwitchStepAndConfigFor(t *testing.T) {
+	n := chainNES(t, 3)
+	lp1 := netkat.LocatedPacket{Pkt: netkat.Packet{"dst": 101}, Loc: netkat.Location{Switch: 2, Port: 1}}
+	if newly, next := n.SwitchStep(Empty, Singleton(0), lp1); newly != Singleton(1) || next != Singleton(0).With(1) {
+		t.Errorf("SwitchStep(∅, {e0}) = %v, %v", newly, next)
+	}
+	if newly, next := n.SwitchStep(Singleton(0), Empty, netkat.LocatedPacket{Loc: lp1.Loc}); newly != Empty || next != Singleton(0) {
+		t.Errorf("SwitchStep without a match = %v, %v", newly, next)
+	}
+	for view, want := range map[Set]int{Empty: 0, Singleton(0).With(1): 2, Singleton(0).With(2): 1, Singleton(2): 0} {
+		if got := n.ConfigFor(view); got != want {
+			t.Errorf("ConfigFor(%v) = %d, want %d", view, got, want)
+		}
+	}
+}
+
 func TestMatchesD(t *testing.T) {
 	e := mkEvent(0, 4, 1)
 	in := netkat.DPacket{Pkt: netkat.Packet{"dst": 100}, Loc: netkat.Location{Switch: 4, Port: 1}}

@@ -109,7 +109,7 @@ func TestLemma2StrongUpdate(t *testing.T) {
 	if m.SwitchView(1) != nes.Empty {
 		t.Fatalf("s1 heard about the event with no traffic back through it: %v", m.SwitchView(1))
 	}
-	if got := m.gAt(m.SwitchView(1)); got != 0 {
+	if got := m.NES.ConfigFor(m.SwitchView(1)); got != 0 {
 		t.Fatalf("s1 would stamp config %d; strong update would demand 1", got)
 	}
 

@@ -204,26 +204,6 @@ func (m *Machine) record(fields netkat.Packet, loc netkat.Location, out bool, pa
 	return idx
 }
 
-// gAt returns the configuration index g(E) for a switch's event view. For
-// views produced purely by digest gossip E is always in the family; a
-// partial controller push can produce a view strictly between family
-// members, in which case the unique largest family member contained in E
-// is used (it exists because all of E's family subsets share the upper
-// bound "all events so far", so finite-completeness makes them directed).
-func (m *Machine) gAt(e nes.Set) int {
-	if c, ok := m.NES.ConfigAt(e); ok {
-		return c
-	}
-	best := nes.Empty
-	for _, f := range m.NES.Family() {
-		if f.SubsetOf(e) && best.SubsetOf(f) {
-			best = f
-		}
-	}
-	c, _ := m.NES.ConfigAt(best)
-	return c
-}
-
 // Inject performs the IN rule: a packet enters from the named host, is
 // stamped with the tag of the edge switch's current configuration, and is
 // queued at the attachment port.
@@ -240,7 +220,7 @@ func (m *Machine) Inject(host string, fields netkat.Packet) error {
 	root := m.record(fields, h.Loc(), true, -1)
 	in.push(Packet{
 		Fields: fields.Clone(),
-		Config: m.gAt(in.sw.Events),
+		Config: m.NES.ConfigFor(in.sw.Events),
 		Digest: nes.Empty,
 		tidx:   root,
 	})
@@ -325,19 +305,14 @@ func (m *Machine) switchStep(in *slot) {
 
 	ingress := m.record(pkt.Fields, loc, false, pkt.tidx)
 
-	known := sw.Events.Union(pkt.Digest)
-	lp := netkat.LocatedPacket{Pkt: pkt.Fields, Loc: loc}
-	newly := m.NES.NewlyEnabled(known, lp)
+	newly, outDigest := m.NES.SwitchStep(sw.Events, pkt.Digest, netkat.LocatedPacket{Pkt: pkt.Fields, Loc: loc})
 
 	// Forward with the packet's tagged configuration.
 	m.obuf = m.NES.Configs[pkt.Config].Tables[swid].AppendProcess(m.obuf[:0], pkt.Fields, port, 0)
 	outs := m.obuf
 
-	// State and digest updates (Figure 7, SWITCH).
-	oldE := sw.Events
-	sw.Events = sw.Events.Union(newly).Union(pkt.Digest)
+	sw.Events = outDigest
 	m.Q = m.Q.Union(newly)
-	outDigest := pkt.Digest.Union(oldE).Union(newly)
 
 	for _, o := range outs {
 		egress := m.record(o.Pkt, netkat.Location{Switch: swid, Port: o.Port}, true, ingress)

@@ -72,54 +72,31 @@ func (p *TaggedPlane) learn(s *Sim, sw int, events nes.Set) {
 	}
 }
 
-// gAt mirrors runtime.Machine.gAt: the configuration for a view, falling
-// back to the largest family member below it.
-func (p *TaggedPlane) gAt(e nes.Set) int {
-	if c, ok := p.NES.ConfigAt(e); ok {
-		return c
-	}
-	best := nes.Empty
-	for _, f := range p.NES.Family() {
-		if f.SubsetOf(e) && best.SubsetOf(f) {
-			best = f
-		}
-	}
-	c, _ := p.NES.ConfigAt(best)
-	return c
-}
-
 // Inject implements Plane: the IN rule's tag stamping.
 func (p *TaggedPlane) Inject(_ *Sim, sw int, _ netkat.Packet) Meta {
-	return Meta{Version: p.gAt(p.views[sw]), Digest: nes.Empty}
+	return Meta{Version: p.NES.ConfigFor(p.views[sw]), Digest: nes.Empty}
 }
 
 // Process implements Plane: the SWITCH rule.
 func (p *TaggedPlane) Process(s *Sim, sw, inPort int, fields netkat.Packet, meta Meta) []Out {
-	digest := meta.Digest
-	p.learn(s, sw, digest)
-	known := p.views[sw].Union(digest)
 	lp := netkat.LocatedPacket{Pkt: fields, Loc: netkat.Location{Switch: sw, Port: inPort}}
-	newly := p.NES.NewlyEnabled(known, lp)
-	oldView := p.views[sw]
-	if newly != nes.Empty {
-		p.learn(s, sw, newly)
-		if s.Params.CtrlAssist {
-			// Notify the controller; it broadcasts its view to every
-			// switch (CTRLRECV/CTRLSEND with one round trip each).
-			ev := newly
-			s.After(s.Params.CtrlLatency, func() {
-				p.ctrl = p.ctrl.Union(ev)
-				view := p.ctrl
-				for _, other := range s.Topo.Switches {
-					osw := other
-					s.After(s.Params.CtrlLatency+s.Rand.Float64()*s.Params.InstallJitter, func() {
-						p.learn(s, osw, view)
-					})
-				}
-			})
-		}
+	newly, outDigest := p.NES.SwitchStep(p.views[sw], meta.Digest, lp)
+	p.learn(s, sw, outDigest)
+	if newly != nes.Empty && s.Params.CtrlAssist {
+		// Notify the controller; it broadcasts its view to every
+		// switch (CTRLRECV/CTRLSEND with one round trip each).
+		ev := newly
+		s.After(s.Params.CtrlLatency, func() {
+			p.ctrl = p.ctrl.Union(ev)
+			view := p.ctrl
+			for _, other := range s.Topo.Switches {
+				osw := other
+				s.After(s.Params.CtrlLatency+s.Rand.Float64()*s.Params.InstallJitter, func() {
+					p.learn(s, osw, view)
+				})
+			}
+		})
 	}
-	outDigest := digest.Union(oldView).Union(newly)
 
 	p.obuf = p.NES.Configs[meta.Version].Tables[sw].AppendProcess(p.obuf[:0], fields, inPort, 0)
 	var outs []Out

@@ -15,7 +15,9 @@ package syntax
 
 import (
 	"fmt"
+	"math"
 	"strconv"
+	"strings"
 )
 
 // TokKind classifies tokens.
@@ -118,6 +120,16 @@ func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 // isLetter reports whether c may start an identifier.
 func isLetter(c byte) bool { return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_' }
 
+// errDomain rejects a value written at byte offset pos that no packet can
+// carry: header values are int32 (dataplane.ValidateDomain enforces the
+// same domain on injected packets) and the syntax has no negative
+// literals. The compiler's interner treats a wider value as a bug and
+// panics, so it has to stop here.
+func errDomain(src string, pos int, text string) error {
+	return fmt.Errorf("syntax: line %d, offset %d: value %s outside the int32 header-value domain [0, %d]",
+		1+strings.Count(src[:pos], "\n"), pos, text, math.MaxInt32)
+}
+
 // Lex tokenizes the input. Comments run from '#' to end of line.
 func Lex(src string) ([]Token, error) {
 	// Rendered programs run at 1.5 to 1.9 bytes per token; a denser input
@@ -139,8 +151,8 @@ func Lex(src string) ([]Token, error) {
 				j++
 			}
 			n, err := strconv.Atoi(src[i:j])
-			if err != nil {
-				return nil, fmt.Errorf("syntax: bad integer at offset %d: %v", i, err)
+			if err != nil || n > math.MaxInt32 {
+				return nil, errDomain(src, i, src[i:j])
 			}
 			toks = append(toks, Token{Kind: TokInt, Text: src[i:j], Int: n, Pos: i})
 			i = j

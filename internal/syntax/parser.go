@@ -13,6 +13,7 @@ import (
 // syntax. Env maps bare identifiers used as values (e.g. host names) to
 // numbers; names of the form H<k> resolve to topo.HostID(k) automatically.
 type Parser struct {
+	src  string
 	toks []Token
 	pos  int
 	Env  map[string]int
@@ -24,7 +25,7 @@ func NewParser(src string) (*Parser, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Parser{toks: toks, Env: map[string]int{}}, nil
+	return &Parser{src: src, toks: toks, Env: map[string]int{}}, nil
 }
 
 // Parse parses a complete command (the whole input).
@@ -441,7 +442,10 @@ func (p *Parser) value() (int, error) {
 		}
 		if len(t.Text) > 1 && t.Text[0] == 'H' {
 			if k, err := strconv.Atoi(t.Text[1:]); err == nil {
-				return topo.HostID(k), nil
+				if v := topo.HostID(k); int(int32(v)) == v {
+					return v, nil
+				}
+				return 0, errDomain(p.src, t.Pos, t.Text)
 			}
 		}
 		return 0, p.errAt(t, "unknown value identifier %q", t.Text)

@@ -79,6 +79,32 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsOutOfDomainValues: a value no packet can carry is an
+// ordinary located error wherever it is written — the compiler's interner
+// panics on one (nkc.checkAtomValue), so none may get past the parser.
+func TestParseRejectsOutOfDomainValues(t *testing.T) {
+	for _, tc := range []struct {
+		src          string
+		line, offset int
+	}{
+		{"pt=2 & dst=3000000000; pt<-1\n", 1, 11},
+		{"pt=2;\n# comment\n  dst<-2147483648", 3, 23},
+		{"dst!=99999999999999999999", 1, 5},
+		{"(1:1)=>(4294967297:1)", 1, 8},
+		{"a=1 +\nstate(0)=2147483648", 2, 15},
+		{"dst=1;\ndst=H2147483600", 2, 11},
+	} {
+		_, err := Parse(tc.src)
+		want := fmt.Sprintf("line %d, offset %d:", tc.line, tc.offset)
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "int32") {
+			t.Errorf("Parse(%q) = %v; want an int32-domain error at %s", tc.src, err, want)
+		}
+	}
+	if _, err := Parse("dst=2147483647 & src=H2147483547"); err != nil {
+		t.Errorf("the largest int32 rejected: %v", err)
+	}
+}
+
 func TestParseEnv(t *testing.T) {
 	p, err := NewParser("dst=server")
 	if err != nil {
@@ -339,9 +365,9 @@ func lexRef(src string) ([]Token, error) {
 // lexedApps is every program family the repo ships, at the sizes the
 // benchmark compiles.
 func lexedApps() []apps.App {
-	set := append(apps.All(), apps.Scale()...)
-	set = append(set, apps.Scale10()...)
-	return append(set, apps.Ring(3), apps.WalledGarden(), apps.DistributedFirewall(),
+	return append(apps.All(),
+		apps.BandwidthCap(80), apps.BandwidthCap(200), apps.IDSFatTree(4), apps.BandwidthCap(2000), apps.IDSFatTree(10),
+		apps.Ring(3), apps.WalledGarden(), apps.DistributedFirewall(),
 		apps.FailoverDiamond(2).App, apps.FailoverWAN(4).App, apps.FailoverFatTree(4, 2).App)
 }
 
