@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -61,6 +62,7 @@ func TestNetdErrorPaths(t *testing.T) {
 		{name: "program unknown app", path: "/program", body: map[string]any{"app": "no-such-app"}, code: 400},
 		{name: "program wrong topology", path: "/program", body: map[string]any{"app": "failover-diamond"}, code: 400},
 		{name: "program unparsable source", path: "/program", body: map[string]any{"source": "filter (((", "init": []int{0}}, code: 400},
+		{name: "program source ending inside a state test", path: "/program", body: map[string]any{"source": "pt=2 & state(0)", "init": []int{0}}, code: 400},
 		{name: "swap malformed JSON", path: "/swap", raw: `[`, code: 400},
 		{name: "swap with nothing staged", path: "/swap", body: nil, code: 400},
 		{name: "swap unknown app inline", path: "/swap", body: map[string]any{"app": "no-such-app"}, code: 400},
@@ -100,16 +102,32 @@ func TestNetdErrorPaths(t *testing.T) {
 	}
 
 	// A constant no packet can carry used to panic a compile worker, a
-	// goroutine outside net/http's recover, and take the daemon down. It
-	// is a located parse error on both submit paths, and the program in
-	// service is untouched.
+	// goroutine outside net/http's recover, and take the daemon down; a
+	// program over more header fields than a flat packet has presence
+	// bits compiled and then panicked in the handler, under PlanFor. The
+	// first is a located parse error and the second a compile error, on
+	// both submit paths, and the program in service is untouched.
+	wide := "pt=2"
+	for i := 0; i < 65; i++ {
+		wide += fmt.Sprintf(" & f%d=1", i)
+	}
 	epoch := call(t, ts, "GET", "/status", nil, 200)["epoch"]
-	for _, path := range []string{"/program", "/swap"} {
-		out := call(t, ts, "POST", path, map[string]any{"source": "pt=2 & dst=3000000000; pt<-1\n", "init": []int{0}}, 400)
-		if msg, _ := out["error"].(string); !strings.Contains(msg, "line 1, offset 11") || !strings.Contains(msg, "int32") {
-			t.Fatalf("POST %s with an out-of-domain constant: %v", path, out)
+	for _, bad := range []struct {
+		source string
+		wants  []string
+	}{
+		{"pt=2 & dst=3000000000; pt<-1\n", []string{"line 1, offset 11", "int32"}},
+		{wide + "; pt<-1\n", []string{"ctrl: compiling submitted: program uses 6", " header fields; the flat packet representation caps at 64"}},
+	} {
+		for _, path := range []string{"/program", "/swap"} {
+			out := call(t, ts, "POST", path, map[string]any{"source": bad.source, "init": []int{0}}, 400)
+			for _, want := range bad.wants {
+				if msg, _ := out["error"].(string); !strings.Contains(msg, want) {
+					t.Fatalf("POST %s %.40q...: error %v, want it to mention %q", path, bad.source, out, want)
+				}
+			}
+			serviceable()
 		}
-		serviceable()
 	}
 	if after := call(t, ts, "GET", "/status", nil, 200)["epoch"]; after != epoch {
 		t.Fatalf("rejected program moved the epoch: %v -> %v", epoch, after)

@@ -71,6 +71,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -89,6 +90,7 @@ import (
 
 	"eventnet/internal/apps"
 	"eventnet/internal/ctrl"
+	"eventnet/internal/dataplane"
 	"eventnet/internal/obs"
 	"eventnet/internal/stateful"
 	"eventnet/internal/syntax"
@@ -272,7 +274,7 @@ func (s *server) handleProgram(w http.ResponseWriter, r *http.Request) {
 	// cross-generation cache, so the later swap is a pure cache hit.
 	p, err := s.c.Compile(name, prog)
 	if err != nil {
-		fail(w, http.StatusUnprocessableEntity, "%v", err)
+		fail(w, rejected(err, http.StatusUnprocessableEntity), "%v", err)
 		return
 	}
 	s.mu.Lock()
@@ -285,6 +287,15 @@ func (s *server) handleProgram(w http.ResponseWriter, r *http.Request) {
 		"rules":      p.NES.TotalRules(),
 		"compile_ms": float64(p.Compile.Microseconds()) / 1000,
 	})
+}
+
+// rejected is the status of a failed compile or swap: 400 for a program
+// the engine can never install, otherwise the handler's own code.
+func rejected(err error, code int) int {
+	if errors.Is(err, dataplane.ErrFieldLimit) {
+		return http.StatusBadRequest
+	}
+	return code
 }
 
 func (s *server) handleSwap(w http.ResponseWriter, r *http.Request) {
@@ -318,7 +329,7 @@ func (s *server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// The staged program is kept: a failed swap (e.g. one already in
 		// progress) must not force the client to resubmit.
-		fail(w, http.StatusConflict, "%v", err)
+		fail(w, rejected(err, http.StatusConflict), "%v", err)
 		return
 	}
 	if fromStaged {

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"eventnet/internal/apps"
+	"eventnet/internal/dataplane"
 	"eventnet/internal/ets"
 	"eventnet/internal/flowtable"
 	"eventnet/internal/optimize"
@@ -74,6 +75,10 @@ func report(e *ets.ETS, name string, doOpt, showTables bool) {
 	n, err := e.ToNES()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "snkc: NES:", err)
+		os.Exit(1)
+	}
+	if err := dataplane.CheckFields(dataplane.ProgramFields(n)); err != nil {
+		fmt.Fprintln(os.Stderr, "snkc:", err)
 		os.Exit(1)
 	}
 	ld, err := n.LocallyDetermined()

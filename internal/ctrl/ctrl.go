@@ -79,7 +79,8 @@ type Program struct {
 	Stats   ets.Stats
 	Compile time.Duration
 
-	key string // progKey(Prog), rendered once when the generation is memoized
+	key    string   // progKey(Prog), rendered once when the generation is memoized
+	fields []string // dataplane.ProgramFields(NES), scanned once
 }
 
 // StateOf returns the state vector behind a configuration tag (tags are
@@ -198,6 +199,7 @@ func (c *Controller) Compile(name string, p stateful.Program) (*Program, error) 
 			return g, nil
 		}
 	}
+	running := c.cur
 	c.mu.Unlock()
 
 	start := time.Now()
@@ -209,7 +211,17 @@ func (c *Controller) Compile(name string, p stateful.Program) (*Program, error) 
 	if err != nil {
 		return nil, fmt.Errorf("ctrl: converting %s: %w", name, err)
 	}
-	g := &Program{Name: name, Prog: p, ETS: e, NES: n, Stats: stats, Compile: time.Since(start), key: key}
+	// A swap installs the program beside the running one, so the header
+	// fields of both must fit one schema (dataplane.SchemaForPair).
+	fields := dataplane.ProgramFields(n)
+	both := fields
+	if running != nil {
+		both = append(both[:len(both):len(both)], running.fields...)
+	}
+	if err := dataplane.CheckFields(both); err != nil {
+		return nil, fmt.Errorf("ctrl: compiling %s: %w", name, err)
+	}
+	g := &Program{Name: name, Prog: p, ETS: e, NES: n, Stats: stats, Compile: time.Since(start), key: key, fields: fields}
 	if m := c.metrics(); m != nil {
 		// Memo hits above return before this point, so these record fresh
 		// builds only. stats.Cache hit/miss counters are already this
@@ -221,6 +233,9 @@ func (c *Controller) Compile(name string, p stateful.Program) (*Program, error) 
 		m.Add(obs.CtrCompileTableMisses, stats.Cache.TableMisses)
 		m.Add(obs.CtrCompileSegHits, stats.Cache.SegmentHits)
 		m.Add(obs.CtrCompileSegMisses, stats.Cache.SegmentMisses)
+		m.Add(obs.CtrCompileTemplateHits, stats.Cache.TemplateHits)
+		m.Add(obs.CtrCompileTemplateMisses, stats.Cache.TemplateMisses)
+		m.SetGauge(obs.GaugeCompileCacheResets, int64(c.cache.Resets()))
 		m.SetGauge(obs.GaugeFDDNodes, stats.Cache.FDDNodes)
 		m.SetGauge(obs.GaugeStrands, stats.Cache.Strands)
 		m.SetGauge(obs.GaugeInternEntries, stats.Cache.InternEntries)
@@ -267,8 +282,9 @@ func (c *Controller) Load(name string, p stateful.Program) error {
 	return nil
 }
 
-// EventMapping matches the events of two programs by identity — guard,
-// location, and occurrence number — returning old-ID -> new-ID (-1 for
+// EventMapping matches the events of two programs by identity — guard
+// and location (the label the ETS rendered once per template) and
+// occurrence number — returning old-ID -> new-ID (-1 for
 // no counterpart) and the number of mapped events. This is the canonical
 // correspondence behind the swap's state mapping: an old event and its
 // counterpart denote the *same observable packet arrival*, so knowledge
@@ -300,13 +316,15 @@ func EventMapping(old, new_ *nes.NES) ([]int, int) {
 
 // eventKey is an event's swap-stable identity.
 type eventKey struct {
-	guard string
-	loc   netkat.Location
+	label string
 	occ   int
 }
 
 func keyOf(ev nes.Event) eventKey {
-	return eventKey{guard: ev.Guard.Key(), loc: ev.Loc, occ: ev.Occurrence}
+	if ev.Label == "" { // built by hand, not by ets
+		ev.Label = ev.Guard.Key() + "@" + ev.Loc.String()
+	}
+	return eventKey{label: ev.Label, occ: ev.Occurrence}
 }
 
 // Swap hot-swaps the running program: compile, stage, flip at a barrier,

@@ -84,6 +84,42 @@ func TestControllerObsSwapPhases(t *testing.T) {
 	}
 }
 
+// TestCompileCacheResetIsVisible: the compiler cache holds 32 programs and
+// resets wholesale on the 33rd, which then compiles cold. An operator
+// sees that as compile_cache_resets moving, and the template memo's
+// effect as compile_template_hits against _misses — the revisions before
+// the reset walk Figure 6 for what they add, the one after it for all.
+func TestCompileCacheResetIsVisible(t *testing.T) {
+	o := &obs.Obs{Metrics: obs.NewMetrics(1)}
+	c := ctrl.New(apps.BandwidthCap(40).Topo, ctrl.Options{Obs: o})
+	defer c.Close()
+	misses := func() int64 { return o.Metrics.Counter(obs.CtrCompileTemplateMisses) }
+	var warm, cold int64
+	for n := 40; n < 73; n++ {
+		a := apps.BandwidthCap(n)
+		before := misses()
+		if _, err := c.Compile(a.Name, a.Prog); err != nil {
+			t.Fatal(err)
+		}
+		switch resets := o.Metrics.Gauge(obs.GaugeCompileCacheResets); {
+		case n < 72 && resets != 0:
+			t.Fatalf("compile %d of 33: compile_cache_resets = %d, want 0", n-39, resets)
+		case n == 71:
+			warm = misses() - before
+		case n == 72 && resets != 1:
+			t.Fatalf("33rd distinct program: compile_cache_resets = %d, want 1", resets)
+		case n == 72:
+			cold = misses() - before
+		}
+	}
+	if o.Metrics.Counter(obs.CtrCompileTemplateHits) == 0 {
+		t.Fatal("compile_template_hits = 0 after 33 revisions")
+	}
+	if warm > 4 || cold < 10*warm || cold == 0 {
+		t.Fatalf("template walks: %d for the revision before the reset, %d for the one after; want <= 4 and at least ten times that", warm, cold)
+	}
+}
+
 // TestControllerHealth pins the no-round-trip health probe across the
 // controller lifecycle: degraded before Load, healthy while serving,
 // degraded again once the engine stops.

@@ -35,6 +35,23 @@ type Schema struct {
 	index  map[string]int // name -> index
 }
 
+// ErrFieldLimit is what CheckFields' error wraps.
+var ErrFieldLimit = fmt.Errorf("the flat packet representation caps at %d", maxSchemaFields)
+
+// CheckFields reports field names — ProgramFields of one program, or of
+// the two a staged swap installs side by side — that outnumber what a
+// schema holds. NewSchema's panic is the assertion behind it.
+func CheckFields(names []string) error {
+	uniq := map[string]bool{}
+	for _, f := range names {
+		uniq[f] = true
+	}
+	if len(uniq) > maxSchemaFields {
+		return fmt.Errorf("program uses %d header fields; %w", len(uniq), ErrFieldLimit)
+	}
+	return nil
+}
+
 // NewSchema interns the given field names (deduplicated, sorted). It
 // panics beyond maxSchemaFields; see the constant.
 func NewSchema(names []string) *Schema {
@@ -48,7 +65,7 @@ func NewSchema(names []string) *Schema {
 	}
 	sort.Strings(s.fields)
 	if len(s.fields) > maxSchemaFields {
-		panic(fmt.Sprintf("dataplane: program uses %d header fields; the flat packet representation caps at %d", len(s.fields), maxSchemaFields))
+		panic(fmt.Sprintf("dataplane: program uses %d header fields; %v", len(s.fields), ErrFieldLimit))
 	}
 	for i, f := range s.fields {
 		s.index[f] = i
@@ -62,7 +79,7 @@ func NewSchema(names []string) *Schema {
 // resolved statically against each event's location — see compileEvents —
 // and never interned).
 func SchemaFor(n *nes.NES) *Schema {
-	return NewSchema(programFields(n))
+	return NewSchema(ProgramFields(n))
 }
 
 // SchemaForPair builds one schema spanning both programs of a staged
@@ -70,12 +87,12 @@ func SchemaFor(n *nes.NES) *Schema {
 // single physical table holding both programs' rules, so its compiled
 // form must intern both field universes consistently.
 func SchemaForPair(old, new_ *nes.NES) *Schema {
-	return NewSchema(append(programFields(old), programFields(new_)...))
+	return NewSchema(append(ProgramFields(old), ProgramFields(new_)...))
 }
 
-// programFields collects the field names of one program (with possible
-// duplicates; NewSchema dedups), reading each distinct table once.
-func programFields(n *nes.NES) []string {
+// ProgramFields collects the field names of one program (with possible
+// duplicates; NewSchema dedups), reading each distinct table and guard once.
+func ProgramFields(n *nes.NES) []string {
 	var out []string
 	seen := map[*flowtable.Table]bool{}
 	for ci := range n.Configs {
@@ -86,7 +103,12 @@ func programFields(n *nes.NES) []string {
 			}
 		}
 	}
+	prev := ""
 	for _, ev := range n.Events {
+		if ev.Label != "" && ev.Label == prev {
+			continue // the occurrences of one event: one label, one guard
+		}
+		prev = ev.Label
 		for _, f := range ev.Guard.EqFields() {
 			if f != netkat.FieldSw && f != netkat.FieldPt {
 				out = append(out, f)

@@ -192,6 +192,8 @@ func BuildWithOptions(p stateful.Program, t *topo.Topology, o Options) (*ETS, St
 	stats.Cache.TableMisses -= before.TableMisses
 	stats.Cache.SegmentHits -= before.SegmentHits
 	stats.Cache.SegmentMisses -= before.SegmentMisses
+	stats.Cache.TemplateHits -= before.TemplateHits
+	stats.Cache.TemplateMisses -= before.TemplateMisses
 	return e, stats, nil
 }
 
@@ -353,46 +355,29 @@ func (b *builder) finishBuild() {
 // (identical to the old serial explorer), edges are sorted by canonical
 // key, and occurrence renaming runs as before.
 func (b *builder) assemble() (*ETS, Stats, error) {
+	e := &ETS{Init: 0, Topo: b.topo}
 	order := []string{b.prog.Init.Key()}
 	pos := map[string]int{order[0]: 0}
-	var all []stateful.Edge
+	var raw []rawEdge
 	for qi := 0; qi < len(order); qi++ {
 		v, ok := b.out.Load(order[qi])
 		if !ok {
 			return nil, Stats{}, fmt.Errorf("ets: state %s explored but not recorded", order[qi])
 		}
 		res := v.(*explored)
-		for _, e := range res.edges {
-			all = append(all, e)
-			key := e.To.Key()
-			if _, ok := pos[key]; !ok {
-				pos[key] = len(order)
+		e.Vertices = append(e.Vertices, Vertex{ID: qi, State: res.state, Tables: res.tables})
+		for _, ed := range res.edges {
+			key := ed.To.Key()
+			to, ok := pos[key]
+			if !ok {
+				to = len(order)
+				pos[key] = to
 				order = append(order, key)
 			}
+			raw = append(raw, rawEdge{from: qi, to: to, ed: ed})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Key() < all[j].Key() })
-
-	e := &ETS{Init: 0, Topo: b.topo}
-	e.Vertices = make([]Vertex, len(order))
-	for i, key := range order {
-		v, _ := b.out.Load(key)
-		res := v.(*explored)
-		e.Vertices[i] = Vertex{ID: i, State: res.state, Tables: res.tables}
-	}
-
-	var raw []rawEdge
-	for _, ed := range all {
-		f, ok := pos[ed.From.Key()]
-		if !ok {
-			continue
-		}
-		t2, ok := pos[ed.To.Key()]
-		if !ok {
-			return nil, Stats{}, fmt.Errorf("ets: edge target state %v not reachable", ed.To)
-		}
-		raw = append(raw, rawEdge{from: f, to: t2, guardKey: ed.Guard.Key() + "@" + ed.Loc.String(), guard: ed.Guard, loc: ed.Loc})
-	}
+	sort.Slice(raw, func(i, j int) bool { return raw[i].ed.Key() < raw[j].ed.Key() })
 
 	if err := e.finish(raw); err != nil {
 		return nil, Stats{}, err

@@ -19,7 +19,6 @@ import (
 
 	"eventnet/internal/flowtable"
 	"eventnet/internal/nes"
-	"eventnet/internal/netkat"
 	"eventnet/internal/stateful"
 	"eventnet/internal/topo"
 )
@@ -64,12 +63,11 @@ func Build(p stateful.Program, t *topo.Topology) (*ETS, error) {
 	return e, err
 }
 
-// rawEdge is an un-renamed transition during ETS construction.
+// rawEdge is an un-renamed transition during ETS construction: the
+// extracted edge between vertex IDs.
 type rawEdge struct {
 	from, to int
-	guardKey string
-	guard    *netkat.Conj
-	loc      netkat.Location
+	ed       stateful.Edge
 }
 
 // ErrLoop is what Build's error wraps when the reachable state graph has

@@ -307,6 +307,48 @@ func TestDiamondNES(t *testing.T) {
 	}
 }
 
+// TestOccurrenceCountsAcrossRoutes: three events at one link, the second
+// and third independent, the first enabled by the second. The state after
+// the second and third is reached two ways: second-then-third leaves a
+// state that also offers the first event (an earlier out-edge, by label),
+// third-then-second never meets it. Occurrence counting must see the same
+// counts along both — a count taken back to zero is no count at all —
+// and the family is the six event-sets that keep the first event behind
+// the second. (The distributed firewall's diamond has no third edge to
+// leave a trace in between.)
+func TestOccurrenceCountsAcrossRoutes(t *testing.T) {
+	var strands []stateful.Cmd
+	for i := 0; i < 3; i++ {
+		var idle stateful.Pred = stateful.PState{Index: i, Value: 0}
+		if i == 0 {
+			idle = stateful.PAnd{L: idle, R: stateful.PState{Index: 1, Value: 1}}
+		}
+		strands = append(strands, stateful.SeqC(
+			stateful.CPred{P: stateful.PAnd{L: stateful.PTest{Field: netkat.FieldPt, Value: 2}, R: stateful.PTest{Field: apps.FieldDst, Value: apps.H(i + 1)}}},
+			stateful.CAssign{Field: netkat.FieldPt, Value: 1},
+			stateful.UnionC(
+				stateful.SeqC(stateful.CPred{P: idle}, stateful.CLinkState{Src: netkat.Location{Switch: 1, Port: 1}, Dst: netkat.Location{Switch: 4, Port: 1}, Sets: []stateful.StateSet{{Index: i, Value: 1}}}),
+				stateful.SeqC(stateful.CPred{P: stateful.PNot{P: idle}}, stateful.CLink{Src: netkat.Location{Switch: 1, Port: 1}, Dst: netkat.Location{Switch: 4, Port: 1}}),
+			),
+			stateful.CAssign{Field: netkat.FieldPt, Value: 2},
+		))
+	}
+	e, err := Build(stateful.Program{Cmd: stateful.UnionC(strands...), Init: stateful.State{0, 0, 0}}, topo.Firewall())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.Vertices) != 6 || len(e.Edges) != 7 || len(e.Events) != 3 {
+		t.Fatalf("%d states, %d transitions, %d events; want 6, 7, 3", len(e.Vertices), len(e.Edges), len(e.Events))
+	}
+	n, err := e.ToNES()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(n.Family()) != 6 {
+		t.Fatalf("family %v, want six event-sets", n.Family())
+	}
+}
+
 // TestWalledGardenNES: two event-sets, valid and local.
 func TestWalledGardenNES(t *testing.T) {
 	n, err := build(t, apps.WalledGarden()).ToNES()

@@ -229,13 +229,7 @@ func BuildUnrolled(p stateful.Program, t *topo.Topology, maxRounds int) (*ETS, e
 			if err != nil {
 				return nil, err
 			}
-			raw = append(raw, rawEdge{
-				from:     cur.id,
-				to:       toID,
-				guardKey: ed.Guard.Key() + "@" + ed.Loc.String(),
-				guard:    ed.Guard,
-				loc:      ed.Loc,
-			})
+			raw = append(raw, rawEdge{from: cur.id, to: toID, ed: ed})
 		}
 	}
 	if err := e.finish(raw); err != nil {
@@ -255,23 +249,31 @@ func (e *ETS) finish(raw []rawEdge) error {
 	counts[e.Init] = map[string]int{}
 	order := []int{e.Init}
 	for qi := 0; qi < len(order); qi++ {
-		v := order[qi]
-		for _, r := range out[v] {
-			next := maps.Clone(counts[v])
-			next[r.guardKey]++
+		base := counts[order[qi]]
+		for _, r := range out[order[qi]] {
+			// The counts along this path: base with r's event once more,
+			// counted in place and taken back, copied only for a new vertex.
+			label := r.ed.Label()
+			base[label]++
 			if counts[r.to] == nil {
-				counts[r.to] = next
+				counts[r.to] = maps.Clone(base)
 				order = append(order, r.to)
-			} else if !maps.Equal(counts[r.to], next) {
+			} else if !maps.Equal(counts[r.to], base) {
 				return fmt.Errorf("ets: ambiguous event occurrence counts at state %v (two paths disagree)", e.Vertices[r.to].State)
+			}
+			if base[label]--; base[label] == 0 {
+				delete(base, label)
 			}
 		}
 	}
-	eventID := map[string]int{}
+	type occurrence struct {
+		label string
+		occ   int
+	}
+	eventID := map[occurrence]int{}
 	for _, v := range order {
 		for _, r := range out[v] {
-			occ := counts[v][r.guardKey] + 1
-			key := fmt.Sprintf("%s#%d", r.guardKey, occ)
+			key := occurrence{r.ed.Label(), counts[v][r.ed.Label()] + 1}
 			id, ok := eventID[key]
 			if !ok {
 				id = len(e.Events)
@@ -279,7 +281,7 @@ func (e *ETS) finish(raw []rawEdge) error {
 					return fmt.Errorf("ets: program needs more than %d events", nes.MaxEvents)
 				}
 				eventID[key] = id
-				e.Events = append(e.Events, nes.Event{ID: id, Guard: r.guard, Loc: r.loc, Occurrence: occ})
+				e.Events = append(e.Events, nes.Event{ID: id, Guard: r.ed.Guard, Loc: r.ed.Loc, Occurrence: key.occ, Label: key.label})
 			}
 			e.Edges = append(e.Edges, Edge{From: r.from, To: r.to, Event: id})
 		}

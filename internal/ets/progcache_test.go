@@ -1,21 +1,35 @@
 package ets_test
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"eventnet/internal/apps"
 	"eventnet/internal/ets"
 	"eventnet/internal/flowtable"
+	"eventnet/internal/netkat"
 	"eventnet/internal/nkc"
+	"eventnet/internal/stateful"
+	"eventnet/internal/topo"
 )
 
-// assertSameETS compares two builds structurally (states, tables, edges,
-// events).
+// assertSameETS compares two builds structurally: states, tables, edges,
+// and the events with their guards, locations, occurrences and labels.
 func assertSameETS(t *testing.T, a, b *ets.ETS, ctx string) {
 	t.Helper()
 	if len(a.Vertices) != len(b.Vertices) || len(a.Edges) != len(b.Edges) || len(a.Events) != len(b.Events) {
 		t.Fatalf("%s: shape differs: %d/%d/%d vs %d/%d/%d", ctx,
 			len(a.Vertices), len(a.Edges), len(a.Events), len(b.Vertices), len(b.Edges), len(b.Events))
+	}
+	for i, ev := range a.Events {
+		o := b.Events[i]
+		if ev.ID != o.ID || ev.Guard.Key() != o.Guard.Key() || ev.Loc != o.Loc || ev.Occurrence != o.Occurrence || ev.Label != o.Label {
+			t.Fatalf("%s: event %d differs: %+v (%s) vs %+v (%s)", ctx, i, ev, ev.Guard.Key(), o, o.Guard.Key())
+		}
+		if want := ev.Guard.Key() + "@" + ev.Loc.String(); ev.Label != want {
+			t.Fatalf("%s: event %d carries label %q, its guard and location render %q", ctx, i, ev.Label, want)
+		}
 	}
 	for i := range a.Vertices {
 		if a.Vertices[i].State.Key() != b.Vertices[i].State.Key() {
@@ -111,4 +125,187 @@ func TestBuildWithProgramCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameETS(t, plain, multi, "cached 4-worker")
+}
+
+// TestTemplateMemoBound is the count behind the template memo: the
+// Figure 6 walk runs once per distinct (strand prefix, truth vector) pair
+// of a cache generation, not once per visited strand. bandwidth-cap-200
+// looks templates up 602 times — every counting strand for the reference
+// state, two per later state — and a revision compiled after it on the
+// same cache walks only for the strands it added; without the memo each
+// lookup was a walk (605 for cap-201).
+func TestTemplateMemoBound(t *testing.T) {
+	cache := nkc.NewProgramCache()
+	a, b := apps.BandwidthCap(200), apps.BandwidthCap(201)
+	_, cold, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{Workers: 1, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, warm, err := ets.BuildWithOptions(b.Prog, b.Topo, ets.Options{Workers: 1, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("cap-200 cold: %d template lookups, %d walks; cap-201 after it: %d lookups, %d walks",
+		cold.Cache.TemplateHits+cold.Cache.TemplateMisses, cold.Cache.TemplateMisses,
+		warm.Cache.TemplateHits+warm.Cache.TemplateMisses, warm.Cache.TemplateMisses)
+	if n := cold.Cache.TemplateHits + cold.Cache.TemplateMisses; n != 602 {
+		t.Fatalf("cap-200 looked templates up %d times, want 602", n)
+	}
+	if cold.Cache.TemplateMisses > 410 {
+		t.Fatalf("cap-200 cold walked Figure 6 %d times, want <= 410", cold.Cache.TemplateMisses)
+	}
+	if n := warm.Cache.TemplateHits + warm.Cache.TemplateMisses; n != 605 {
+		t.Fatalf("cap-201 looked templates up %d times, want 605", n)
+	}
+	if warm.Cache.TemplateMisses > 4 {
+		t.Fatalf("cap-201 after cap-200 walked Figure 6 %d times, want <= 4: the memo is not shared across programs", warm.Cache.TemplateMisses)
+	}
+}
+
+// aliasProgram is a one-strand program whose only state-dependent part
+// is the state-updating link: every segment of it renders the same
+// whatever dst and sets are.
+func aliasProgram(dst netkat.Location, index, value int) stateful.Program {
+	return stateful.Program{Init: stateful.State{0, 0}, Cmd: stateful.SeqC(
+		stateful.CPred{P: stateful.PAnd{L: stateful.PTest{Field: netkat.FieldPt, Value: 2}, R: stateful.PTest{Field: apps.FieldDst, Value: apps.H(4)}}},
+		stateful.CAssign{Field: netkat.FieldPt, Value: 1},
+		stateful.CLinkState{Src: netkat.Location{Switch: 1, Port: 1}, Dst: dst, Sets: []stateful.StateSet{{Index: index, Value: value}}},
+		stateful.CAssign{Field: netkat.FieldPt, Value: 2},
+	)}
+}
+
+// TestTemplateMemoKeyCoversTheLink: the template memo's key is made of
+// segment ids, and no segment covers the link that raises the event — so
+// programs that differ only in what that link assigns, or where it
+// lands, must not read each other's templates. Each is compiled after
+// each other one through one cache, and must come out as it does alone.
+func TestTemplateMemoKeyCoversTheLink(t *testing.T) {
+	tp := topo.Firewall()
+	progs := map[string]stateful.Program{
+		"state(0)<-1":         aliasProgram(netkat.Location{Switch: 4, Port: 1}, 0, 1),
+		"state(0)<-2":         aliasProgram(netkat.Location{Switch: 4, Port: 1}, 0, 2),
+		"state(1)<-1":         aliasProgram(netkat.Location{Switch: 4, Port: 1}, 1, 1),
+		"state(0)<-1 at 4:2":  aliasProgram(netkat.Location{Switch: 4, Port: 2}, 0, 1),
+		"state(0)<-1 at sw 1": aliasProgram(netkat.Location{Switch: 1, Port: 2}, 0, 1),
+	}
+	alone := map[string]*ets.ETS{}
+	for name, p := range progs {
+		e, err := ets.Build(p, tp)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(e.Events) != 1 {
+			t.Fatalf("%s: %d events, want the one its link raises", name, len(e.Events))
+		}
+		alone[name] = e
+	}
+	for first := range progs {
+		for second := range progs {
+			cache := nkc.NewProgramCache()
+			for _, name := range []string{first, second} {
+				e, _, err := ets.BuildWithOptions(progs[name], tp, ets.Options{Workers: 1, Cache: cache})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameETS(t, alone[name], e, fmt.Sprintf("%q compiled in the order %q, %q", name, first, second))
+			}
+		}
+	}
+}
+
+// randProgram is a random union of strands over three switches, drawn
+// from a vocabulary small enough that successive programs share most of
+// their segments and many of their strands: header and state tests,
+// port rewrites, and one to three links, each plain or state-updating
+// (usually guarded so that the state graph stays acyclic).
+func randProgram(r *rand.Rand) stateful.Program {
+	loc := func() netkat.Location { return netkat.Location{Switch: 1 + r.Intn(3), Port: 1 + r.Intn(2)} }
+	test := func(p stateful.Pred) stateful.Cmd { return stateful.CPred{P: p} }
+	field := func() stateful.Pred {
+		return stateful.PTest{Field: []string{"a", "b"}[r.Intn(2)], Value: r.Intn(2)}
+	}
+	var strands []stateful.Cmd
+	for n := 1 + r.Intn(4); n > 0; n-- {
+		seq := []stateful.Cmd{test(stateful.PAnd{L: stateful.PTest{Field: netkat.FieldPt, Value: 1 + r.Intn(2)}, R: field()})}
+		for links := 1 + r.Intn(3); links > 0; links-- {
+			seq = append(seq, stateful.CAssign{Field: netkat.FieldPt, Value: 1 + r.Intn(2)})
+			i, v := r.Intn(2), 1+r.Intn(2)
+			switch r.Intn(4) {
+			case 0:
+				seq = append(seq, stateful.CLink{Src: loc(), Dst: loc()})
+			case 1:
+				seq = append(seq, stateful.CLinkState{Src: loc(), Dst: loc(), Sets: []stateful.StateSet{{Index: i, Value: v}}})
+			default:
+				seq = append(seq, test(stateful.PState{Index: i, Value: v - 1}),
+					stateful.CLinkState{Src: loc(), Dst: loc(), Sets: []stateful.StateSet{{Index: i, Value: v}}})
+			}
+			switch r.Intn(3) {
+			case 0:
+				seq = append(seq, test(field()))
+			case 1:
+				seq = append(seq, test(stateful.PNot{P: stateful.PState{Index: r.Intn(2), Value: r.Intn(3)}}))
+			}
+		}
+		strands = append(strands, stateful.SeqC(seq...))
+	}
+	return stateful.Program{Cmd: stateful.UnionC(strands...), Init: stateful.State{0, 0}}
+}
+
+// TestAnyProgramAfterAnyOtherMatchesAlone: a program compiled through a
+// cache that other programs have warmed — segments, hops, tables and
+// event-edge templates all shared — is the ETS it is compiled alone,
+// events included; stateful.Events stays the oracle for the edges
+// themselves (nkc.TestSparseMatchesFull). The sequence is the bench's
+// compile set, three failover horizons, a revision of the cap, then 200
+// random programs (the cache resets wholesale several times on the way),
+// at 1, 2 and 4 workers.
+func TestAnyProgramAfterAnyOtherMatchesAlone(t *testing.T) {
+	seq := []apps.App{
+		apps.Firewall(), apps.LearningSwitch(), apps.Authentication(), apps.BandwidthCap(10), apps.IDS(),
+		apps.BandwidthCap(200), apps.IDSFatTree(4), apps.IDSFatTree(10), apps.FailoverWAN(4).App, apps.BandwidthCap(2000),
+		apps.FailoverWAN(2).App, apps.FailoverWAN(6).App, apps.FailoverWAN(4).App, apps.BandwidthCap(201),
+	}
+	if testing.Short() {
+		seq = append(seq[:7], seq[8], seq[10], seq[13])
+	}
+	three := topo.New()
+	for sw := 1; sw <= 3; sw++ {
+		three.AddSwitch(sw)
+	}
+	r := rand.New(rand.NewSource(22))
+	for i := 0; i < 200; i++ {
+		seq = append(seq, apps.App{Name: fmt.Sprintf("random-%d", i), Prog: randProgram(r), Topo: three})
+	}
+	type outcome struct {
+		e   *ets.ETS
+		err error
+	}
+	alone := make([]outcome, len(seq))
+	built := 0
+	for i, a := range seq {
+		alone[i].e, alone[i].err = ets.Build(a.Prog, a.Topo)
+		if alone[i].err == nil {
+			built++
+		}
+	}
+	if built < len(seq)/2 {
+		t.Fatalf("only %d of %d programs compile; the random ones are mostly invalid", built, len(seq))
+	}
+	for _, workers := range []int{1, 2, 4} {
+		cache := nkc.NewProgramCache()
+		var hits int64
+		for i, a := range seq {
+			e, st, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{Workers: workers, Cache: cache})
+			if (err == nil) != (alone[i].err == nil) || (err != nil && err.Error() != alone[i].err.Error()) {
+				t.Fatalf("workers=%d %s: error %v after its predecessors, %v alone", workers, a.Name, err, alone[i].err)
+			}
+			if err == nil {
+				assertSameETS(t, alone[i].e, e, fmt.Sprintf("workers=%d %s after its predecessors vs alone", workers, a.Name))
+				hits += st.Cache.TemplateHits
+			}
+		}
+		if hits == 0 || cache.Resets() == 0 {
+			t.Fatalf("workers=%d: %d template hits, %d cache resets; the sequence exercises neither", workers, hits, cache.Resets())
+		}
+	}
 }

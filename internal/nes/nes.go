@@ -18,6 +18,9 @@ type Event struct {
 	Guard      *netkat.Conj
 	Loc        netkat.Location
 	Occurrence int // 1-based
+	// Label is "ϕ@loc" as the ETS rendered it once (stateful.Edge.Label); with
+	// Occurrence, the event's identity across programs. Empty if built by hand.
+	Label string
 }
 
 // Matches reports whether the located packet matches the event:

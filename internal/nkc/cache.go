@@ -21,6 +21,11 @@ type CacheStats struct {
 	// reference state, those testing a flipped guard afterwards), so the
 	// misses count distinct projections and the hits count visits.
 	SegmentHits, SegmentMisses int64
+	// TemplateHits/TemplateMisses count event-edge template lookups, one
+	// per visited strand that can raise an event, keyed by (strand prefix
+	// up to its last state-updating link, truth vector of its tests): a
+	// miss is a Figure 6 walk, a hit reuses another state's or program's.
+	TemplateHits, TemplateMisses int64
 	// Strands is the number of distinct symbolic strand executions
 	// performed (the hop-cache population); FDDNodes is the hash-consed
 	// node-store size. Both grow monotonically and are bounded by the
@@ -49,6 +54,8 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.TableMisses += o.TableMisses
 	s.SegmentHits += o.SegmentHits
 	s.SegmentMisses += o.SegmentMisses
+	s.TemplateHits += o.TemplateHits
+	s.TemplateMisses += o.TemplateMisses
 	if o.Strands > s.Strands {
 		s.Strands = o.Strands
 	}

@@ -26,6 +26,7 @@ import (
 
 	"eventnet/internal/flowtable"
 	"eventnet/internal/netkat"
+	"eventnet/internal/stateful"
 )
 
 // fieldRank gives the coarse field order: the location pseudo-fields come
@@ -204,6 +205,13 @@ type FDDCtx struct {
 	hopCache  map[string][]cachedHop
 	strandKey []byte
 
+	// segMemo memoizes segment diagrams and tmplMemo the event-edge
+	// templates of a strand prefix, each under a structural key (interned
+	// identity, packed truth vector of the state tests inside) that holds
+	// for every program sharing this context and its interners (evalStrand).
+	segMemo  map[segMemoKey]*FDD
+	tmplMemo map[segMemoKey][]stateful.EdgeTemplate
+
 	// foldCache memoizes the per-switch union fold over hop diagrams by
 	// the packed hop identity sequence, and tableMemo memoizes the
 	// extracted table by switch-diagram identity: every state — and, when
@@ -236,6 +244,8 @@ func NewFDDCtx() *FDDCtx {
 		pushMemo:  map[fddPair]*FDD{},
 		notMemo:   map[int]*FDD{},
 		hopCache:  map[string][]cachedHop{},
+		segMemo:   map[segMemoKey]*FDD{},
+		tmplMemo:  map[segMemoKey][]stateful.EdgeTemplate{},
 		foldCache: map[string]*FDD{},
 		tableMemo: map[int]*flowtable.Table{},
 	}

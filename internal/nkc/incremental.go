@@ -38,6 +38,7 @@ package nkc
 // plain policy goes through it as a one-state program (Compile).
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -74,6 +75,10 @@ type progStrand struct {
 	links      []netkat.Link
 	updates    []*stateful.CLinkState
 	lastUpdate int
+	// An event-raising strand's tmplMemo key halves (indexSegments): its
+	// prefix up to lastUpdate, interned, and the guard positions tested there.
+	prefixID  uint32
+	prefixPos []int32
 }
 
 // cmdNode kinds.
@@ -284,16 +289,17 @@ type segMemoKey struct {
 type compilerInterns struct {
 	segKeys *Interner // segment canonical rendering -> id
 	sigs    *Interner // whole-program guard signature -> id
-	segSigs *Interner // oversized per-segment signature bytes -> id
+	segSigs *Interner // oversized per-segment or per-strand signature bytes -> id
+	strands *Interner // event-raising strand prefix (appendSkeleton) -> id
 }
 
 func newCompilerInterns() *compilerInterns {
-	return &compilerInterns{segKeys: NewInterner(), sigs: NewInterner(), segSigs: NewInterner()}
+	return &compilerInterns{segKeys: NewInterner(), sigs: NewInterner(), segSigs: NewInterner(), strands: NewInterner()}
 }
 
 // entries returns the total interner population.
 func (ci *compilerInterns) entries() int {
-	return ci.segKeys.Len() + ci.sigs.Len() + ci.segSigs.Len()
+	return ci.segKeys.Len() + ci.sigs.Len() + ci.segSigs.Len() + ci.strands.Len()
 }
 
 // ProgramCompiler compiles the per-state configurations of one Stateful
@@ -302,7 +308,7 @@ func (ci *compilerInterns) entries() int {
 // them through one SharedCache (CompileAll arranges exactly that), with
 // the interners shared so signature ids agree across workers.
 type ProgramCompiler struct {
-	topo *topo.Topology
+	switches []int // all the compiler reads of the topology
 
 	ctx     *FDDCtx
 	strands []progStrand
@@ -313,9 +319,8 @@ type ProgramCompiler struct {
 	segTestPos  [][]int32 // per segment id: positions of its guards in the whole-program index
 	atomStrands [][]int32 // per whole-program guard position: the strands testing it, ascending
 
-	segMemo map[segMemoKey]*FDD
-	local   map[uint32]flowtable.Tables // interned signature id -> tables
-	shared  *SharedCache
+	local  map[uint32]flowtable.Tables // interned signature id -> tables
+	shared *SharedCache
 
 	ref *refState // the state walked in full; nil until the first Explore
 
@@ -336,6 +341,12 @@ type ProgramCompiler struct {
 // the state vector, since projection only replaces state tests by
 // true/false.
 func NewProgramCompiler(c stateful.Cmd, t *topo.Topology, sc *SharedCache) (*ProgramCompiler, error) {
+	return newProgramCompiler(c, t, sc, NewFDDCtx(), newCompilerInterns())
+}
+
+// newProgramCompiler builds the compiler on an FDD context and interner
+// set: fresh ones, or the pair every program of a ProgramCache shares.
+func newProgramCompiler(c stateful.Cmd, t *topo.Topology, sc *SharedCache, ctx *FDDCtx, in *compilerInterns) (*ProgramCompiler, error) {
 	if err := netkat.Validate(stateful.Project(c, stateful.State{})); err != nil {
 		return nil, err
 	}
@@ -344,25 +355,23 @@ func NewProgramCompiler(c stateful.Cmd, t *topo.Topology, sc *SharedCache) (*Pro
 		return nil, err
 	}
 	pc := &ProgramCompiler{
-		topo:    t,
-		shared:  sc,
-		ctx:     NewFDDCtx(),
-		strands: strands,
-		guards:  stateful.CollectGuards(c),
-		intern:  newCompilerInterns(),
-		segMemo: map[segMemoKey]*FDD{},
-		local:   map[uint32]flowtable.Tables{},
+		switches: t.Switches,
+		shared:   sc,
+		ctx:      ctx,
+		strands:  strands,
+		guards:   stateful.CollectGuards(c),
+		intern:   in,
+		local:    map[uint32]flowtable.Tables{},
 	}
 	pc.indexSegments()
 	return pc, nil
 }
 
 // indexSegments computes the per-segment interned key ids, the
-// positions of each segment's guards within the whole-program index, and
-// the inverse of the latter by strand. All are pure functions of the
-// skeleton: forks share the resulting slices, and adoptInterns
-// recomputes the ids when a ProgramCache swaps in its persistent
-// interner.
+// positions of each segment's guards within the whole-program index, the
+// inverse of the latter by strand, and the template-memo identity of
+// every event-raising strand. All are pure functions of the skeleton and
+// the interner set; forks share the resulting slices.
 func (pc *ProgramCompiler) indexSegments() {
 	nsegs := 0
 	for _, s := range pc.strands {
@@ -386,19 +395,41 @@ func (pc *ProgramCompiler) indexSegments() {
 			pc.segTestPos[seg.id] = ps
 		}
 	}
-}
-
-// adoptInterns re-homes the compiler onto a shared interner set (the
-// ProgramCache's persistent one), recomputing the interned segment key
-// ids so segMemo keys stay consistent with every other program sharing
-// the interner.
-func (pc *ProgramCompiler) adoptInterns(in *compilerInterns) {
-	pc.intern = in
-	for _, s := range pc.strands {
-		for _, seg := range s.segs {
-			pc.segKeyIDs[seg.id] = in.segKeys.ID(seg.key)
+	var key []byte
+	for si := range pc.strands {
+		s := &pc.strands[si]
+		if s.lastUpdate < 0 {
+			continue
+		}
+		key = pc.appendSkeleton(key[:0], s, s.lastUpdate+1)
+		s.prefixID = pc.intern.strands.IDBytes(key)
+		for _, seg := range s.segs[:s.lastUpdate+1] {
+			s.prefixPos = append(s.prefixPos, pc.segTestPos[seg.id]...)
 		}
 	}
+}
+
+// appendSkeleton appends the structural identity of strand s up to and
+// including its n-th link: each segment's interned key id, then the link
+// after it with its state assignments — which no segment key covers and
+// which alone tell <state(0)<-1> from <state(0)<-2>. Varints are
+// self-delimiting, so equal bytes imply equal sequences.
+func (pc *ProgramCompiler) appendSkeleton(b []byte, s *progStrand, n int) []byte {
+	for j := 0; j < n; j++ {
+		b = binary.AppendUvarint(b, uint64(pc.segKeyIDs[s.segs[j].id]))
+		for _, v := range [4]int{s.links[j].Src.Switch, s.links[j].Src.Port, s.links[j].Dst.Switch, s.links[j].Dst.Port} {
+			b = binary.AppendVarint(b, int64(v))
+		}
+		if u := s.updates[j]; u == nil {
+			b = append(b, 0)
+		} else {
+			b = binary.AppendUvarint(b, uint64(len(u.Sets))+1)
+			for _, set := range u.Sets {
+				b = binary.AppendVarint(binary.AppendVarint(b, int64(set.Index)), int64(set.Value))
+			}
+		}
+	}
+	return b
 }
 
 // Fork returns a compiler for use on another goroutine of a worker
@@ -411,7 +442,7 @@ func (pc *ProgramCompiler) adoptInterns(in *compilerInterns) {
 // walks the skeleton in full for the first state it is given.
 func (pc *ProgramCompiler) Fork() *ProgramCompiler {
 	return &ProgramCompiler{
-		topo:        pc.topo,
+		switches:    pc.switches,
 		shared:      pc.shared,
 		ctx:         NewFDDCtx(),
 		strands:     pc.strands,
@@ -420,7 +451,6 @@ func (pc *ProgramCompiler) Fork() *ProgramCompiler {
 		segKeyIDs:   pc.segKeyIDs,
 		segTestPos:  pc.segTestPos,
 		atomStrands: pc.atomStrands,
-		segMemo:     map[segMemoKey]*FDD{},
 		local:       map[uint32]flowtable.Tables{},
 	}
 }
@@ -437,12 +467,12 @@ func (pc *ProgramCompiler) Stats() CacheStats {
 	return s
 }
 
-// segSig packs the truth vector of segment segID's guards under the
-// whole-program signature bytes into the tagged segMemoKey.sig form:
-// segments with at most 63 guards carry their bits inline (low tag bit
-// 1); larger segments intern the gathered bytes (low tag bit 0).
-func (pc *ProgramCompiler) segSig(segID int, whole []byte) uint64 {
-	pos := pc.segTestPos[segID]
+// packSig packs the truth vector of the guards at positions pos (one
+// segment's, or one strand prefix's) under the whole-program signature
+// bytes into the tagged segMemoKey.sig form: at most 63 guards carry
+// their bits inline (low tag bit 1); more intern the gathered bytes (low
+// tag bit 0).
+func (pc *ProgramCompiler) packSig(pos []int32, whole []byte) uint64 {
 	if len(pos) <= 63 {
 		var bits uint64
 		for i, p := range pos {
@@ -538,6 +568,8 @@ func (pc *ProgramCompiler) CompileAll(states []stateful.State, workers int) ([]f
 		pc.stats.TableMisses += pcs[w].stats.TableMisses
 		pc.stats.SegmentHits += pcs[w].stats.SegmentHits
 		pc.stats.SegmentMisses += pcs[w].stats.SegmentMisses
+		pc.stats.TemplateHits += pcs[w].stats.TemplateHits
+		pc.stats.TemplateMisses += pcs[w].stats.TemplateMisses
 	}
 	return out, nil
 }

@@ -4,14 +4,16 @@ package nkc
 // swaps. A long-lived controller (internal/ctrl) compiles a *sequence* of
 // programs over one topology — P, then a revision P', sometimes P again —
 // and per-build caches would pay full price for every swap. This cache
-// keeps three layers alive across builds:
+// keeps four layers alive across builds:
 //
 //   - one persistent hash-consing FDD context shared by every cached
 //     program, so structurally identical link-free segments compile to
 //     the *same* FDD nodes no matter which program they appear in;
-//   - one structural segment memo (segMemoKey carries the segment's
-//     canonical rendering, not a per-program position), so a revision
-//     re-enters ToFDD only for the segments it actually changed;
+//   - in that context, one structural segment memo (segMemoKey carries
+//     the segment's canonical rendering, not a per-program position), so
+//     a revision re-enters ToFDD only for the segments it changed;
+//   - beside it, one event-edge template memo keyed the same way by
+//     strand prefix, so a revision walks Figure 6 only for new strands;
 //   - one SharedCache of whole configurations *per program*, keyed by
 //     program identity, because guard signatures are only meaningful
 //     relative to one program's guard index.
@@ -23,20 +25,11 @@ package nkc
 // context is single-goroutine by design.
 
 import (
-	"strconv"
-	"strings"
+	"encoding/binary"
 
 	"eventnet/internal/stateful"
 	"eventnet/internal/topo"
 )
-
-// progEntry is one cached program: its root incremental compiler (whose
-// FDD context and segment memo are the cache's shared ones) and its
-// whole-configuration cache.
-type progEntry struct {
-	root   *ProgramCompiler
-	shared *SharedCache
-}
 
 // programCacheLimit bounds the number of distinct programs cached; past
 // it the cache resets wholesale (entries pin FDD nodes in the shared
@@ -50,50 +43,37 @@ const programCacheLimit = 32
 type ProgramCache struct {
 	mu      chan struct{} // 1-buffered semaphore: held from Acquire to Release
 	ctx     *FDDCtx
-	segMemo map[segMemoKey]*FDD
 	intern  *compilerInterns
-	entries map[string]*progEntry
+	entries map[string]*ProgramCompiler // root compilers, on ctx and intern; each owns its SharedCache
 	resets  int
 	arenaHW int64 // largest arena seen across generations
 }
 
 // NewProgramCache returns an empty cross-generation compiler cache.
 func NewProgramCache() *ProgramCache {
-	c := &ProgramCache{
+	return &ProgramCache{
 		mu:      make(chan struct{}, 1),
 		ctx:     NewFDDCtx(),
-		segMemo: map[segMemoKey]*FDD{},
 		intern:  newCompilerInterns(),
-		entries: map[string]*progEntry{},
+		entries: map[string]*ProgramCompiler{},
 	}
-	return c
 }
 
-// programKey identifies a compilation unit: canonical program rendering
-// and the topology's full structure.
-func programKey(cmd stateful.Cmd, t *topo.Topology) string {
-	var sb strings.Builder
-	sb.WriteString(cmd.String())
-	sb.WriteByte('|')
-	for _, sw := range t.Switches {
-		sb.WriteString("s")
-		sb.WriteString(strconv.Itoa(sw))
+// programKey identifies a compilation unit by all the compiler reads:
+// every strand's skeleton over the cache's segment ids (equal keys mean
+// equal strand lists, hence equal programs; the segments were rendered
+// once, for those ids, and nothing renders the program) and the switches.
+func programKey(pc *ProgramCompiler) string {
+	b := binary.AppendUvarint(make([]byte, 0, 8*len(pc.segKeyIDs)), uint64(len(pc.strands)))
+	for _, s := range pc.strands {
+		b = binary.AppendUvarint(b, uint64(len(s.links)))
+		b = pc.appendSkeleton(b, &s, len(s.links))
+		b = binary.AppendUvarint(b, uint64(pc.segKeyIDs[s.segs[len(s.links)].id]))
 	}
-	for _, h := range t.Hosts {
-		sb.WriteString(";h")
-		sb.WriteString(strconv.Itoa(h.ID))
-		sb.WriteString("=")
-		sb.WriteString(h.Name)
-		sb.WriteString("@")
-		sb.WriteString(h.Attach.String())
+	for _, sw := range pc.switches {
+		b = binary.AppendVarint(b, int64(sw))
 	}
-	for _, lk := range t.Links {
-		sb.WriteString(";l")
-		sb.WriteString(lk.Src.String())
-		sb.WriteString(">")
-		sb.WriteString(lk.Dst.String())
-	}
-	return sb.String()
+	return string(b)
 }
 
 // Acquire locks the cache and returns the root compiler and
@@ -107,35 +87,32 @@ func programKey(cmd stateful.Cmd, t *topo.Topology) string {
 // persist, only the root and the SharedCache accumulate.
 func (c *ProgramCache) Acquire(cmd stateful.Cmd, t *topo.Topology) (*ProgramCompiler, *SharedCache, error) {
 	c.mu <- struct{}{}
-	key := programKey(cmd, t)
-	if e, ok := c.entries[key]; ok {
-		return e.root, e.shared, nil
-	}
-	if len(c.entries) >= programCacheLimit {
+	for {
+		root, err := newProgramCompiler(cmd, t, NewSharedCache(), c.ctx, c.intern)
+		if err != nil {
+			<-c.mu
+			return nil, nil, err
+		}
+		key := programKey(root)
+		if cached, ok := c.entries[key]; ok {
+			return cached, cached.shared, nil
+		}
+		if len(c.entries) < programCacheLimit {
+			c.entries[key] = root
+			return root, root.shared, nil
+		}
 		// Entries hold FDD pointers into the shared context, and interned
-		// ids are pinned by segMemo keys and SharedCache keys: evicting any
+		// ids are pinned by memo keys and SharedCache keys: evicting any
 		// entry safely means dropping the context and interners with it, so
 		// reset wholesale. A controller cycling through more than
 		// programCacheLimit live programs simply starts a fresh cache
-		// generation.
+		// generation, and the skeleton is built again on its ids.
 		c.noteArena()
 		c.ctx = NewFDDCtx()
-		c.segMemo = map[segMemoKey]*FDD{}
 		c.intern = newCompilerInterns()
-		c.entries = map[string]*progEntry{}
+		c.entries = map[string]*ProgramCompiler{}
 		c.resets++
 	}
-	root, err := NewProgramCompiler(cmd, t, NewSharedCache())
-	if err != nil {
-		<-c.mu
-		return nil, nil, err
-	}
-	root.ctx = c.ctx
-	root.segMemo = c.segMemo
-	root.adoptInterns(c.intern)
-	e := &progEntry{root: root, shared: root.shared}
-	c.entries[key] = e
-	return e.root, e.shared, nil
 }
 
 // noteArena records the current arena size into the high-water mark.
@@ -166,16 +143,6 @@ func (c *ProgramCache) ArenaHighWater() int64 {
 func (c *ProgramCache) Len() int {
 	c.mu <- struct{}{}
 	n := len(c.entries)
-	<-c.mu
-	return n
-}
-
-// Segments returns the size of the shared structural segment memo — the
-// cross-program FDD reuse surface (grows with structural variety, not
-// with the number of builds).
-func (c *ProgramCache) Segments() int {
-	c.mu <- struct{}{}
-	n := len(c.segMemo)
 	<-c.mu
 	return n
 }

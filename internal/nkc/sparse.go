@@ -153,7 +153,9 @@ func (pc *ProgramCompiler) Explore(k stateful.State) (flowtable.Tables, []statef
 
 // evalStrand evaluates strand si under the truth vector in sigScratch
 // (that of state k): its hops through the segment memo and the strand
-// cache when wantHops, and the templates of the event-edges it raises.
+// cache when wantHops, and the templates of the event-edges it raises
+// through the template memo: Figure 6 is walked only for a (strand
+// prefix, truth vector) pair this context has not seen, in any program.
 func (pc *ProgramCompiler) evalStrand(si int, k stateful.State, wantHops bool) (strandEval, error) {
 	s := &pc.strands[si]
 	var ev strandEval
@@ -161,8 +163,8 @@ func (pc *ProgramCompiler) evalStrand(si int, k stateful.State, wantHops bool) (
 		fdds := pc.fddBuf[:0]
 		for j := range s.segs {
 			seg := &s.segs[j]
-			key := segMemoKey{key: pc.segKeyIDs[seg.id], sig: pc.segSig(seg.id, pc.sigScratch)}
-			d, ok := pc.segMemo[key]
+			key := segMemoKey{key: pc.segKeyIDs[seg.id], sig: pc.packSig(pc.segTestPos[seg.id], pc.sigScratch)}
+			d, ok := pc.ctx.segMemo[key]
 			if ok {
 				pc.stats.SegmentHits++
 			} else {
@@ -171,18 +173,30 @@ func (pc *ProgramCompiler) evalStrand(si int, k stateful.State, wantHops bool) (
 				if d, err = pc.ctx.ToFDD(stateful.Project(seg.cmd, k)); err != nil {
 					return ev, err
 				}
-				pc.segMemo[key] = d
+				pc.ctx.segMemo[key] = d
 			}
 			fdds = append(fdds, d)
 		}
 		pc.fddBuf = fdds
 		var err error
-		if ev.hops, err = pc.ctx.hopsFor(fdds, s.links, pc.topo.Switches); err != nil {
+		if ev.hops, err = pc.ctx.hopsFor(fdds, s.links, pc.switches); err != nil {
 			return ev, err
 		}
 	}
+	if s.lastUpdate < 0 {
+		return ev, nil
+	}
+	key := segMemoKey{key: s.prefixID, sig: pc.packSig(s.prefixPos, pc.sigScratch)}
+	var ok bool
+	if ev.edges, ok = pc.ctx.tmplMemo[key]; ok {
+		pc.stats.TemplateHits++
+		return ev, nil
+	}
+	pc.stats.TemplateMisses++
 	var err error
-	ev.edges, err = s.edgeTemplates(k)
+	if ev.edges, err = s.edgeTemplates(k); err == nil {
+		pc.ctx.tmplMemo[key] = ev.edges
+	}
 	return ev, err
 }
 
@@ -192,9 +206,6 @@ func (pc *ProgramCompiler) evalStrand(si int, k stateful.State, wantHops bool) (
 // it. ⟪p + q⟫ is a union and ';' distributes over it, so the templates of
 // all strands together are those of the whole program, as a set.
 func (s *progStrand) edgeTemplates(k stateful.State) ([]stateful.EdgeTemplate, error) {
-	if s.lastUpdate < 0 {
-		return nil, nil
-	}
 	var out []stateful.EdgeTemplate
 	phis := []*netkat.Conj{netkat.NewConj()}
 	for j := 0; j <= s.lastUpdate && len(phis) > 0; j++ {

@@ -92,7 +92,8 @@ func oracleFor(t *testing.T, a apps.App, k stateful.State) stateOracle {
 // the independent oracle is TestCompileFDDMatchesDNFOnApps) and its edges
 // key-equal, in order, to stateful.Events. The reachable states are compiled in BFS order,
 // reversed, and shuffled; the small hand-written program additionally
-// takes every state as the reference.
+// takes every state as the reference. Each order is walked twice, the
+// second time with the template memo warm.
 func TestSparseMatchesFull(t *testing.T) {
 	for _, a := range sparseApps() {
 		a := a
@@ -120,22 +121,30 @@ func TestSparseMatchesFull(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, k := range order {
-					tables, edges, err := pc.Explore(k)
-					if err != nil {
-						t.Fatalf("order %d state %v: %v", oi, k, err)
+				// Twice over: the second pass finds every strand's templates in
+				// the memo the first one filled, and must read the same edges.
+				for pass := 0; pass < 2; pass++ {
+					misses := pc.Stats().TemplateMisses
+					for _, k := range order {
+						tables, edges, err := pc.Explore(k)
+						if err != nil {
+							t.Fatalf("order %d state %v: %v", oi, k, err)
+						}
+						want := oracle[k.Key()]
+						if got := tables.String(); got != want.tables {
+							t.Fatalf("order %d (reference %v) state %v: sparse tables differ from a fresh full walk\nsparse:\n%s\nscratch:\n%s",
+								oi, order[0], k, got, want.tables)
+						}
+						var got []string
+						for _, e := range edges {
+							got = append(got, e.Key())
+						}
+						if !slices.Equal(got, want.edges) {
+							t.Fatalf("order %d (reference %v) pass %d state %v: edges\n%v\nwant stateful.Events\n%v", oi, order[0], pass, k, got, want.edges)
+						}
 					}
-					want := oracle[k.Key()]
-					if got := tables.String(); got != want.tables {
-						t.Fatalf("order %d (reference %v) state %v: sparse tables differ from a fresh full walk\nsparse:\n%s\nscratch:\n%s",
-							oi, order[0], k, got, want.tables)
-					}
-					var got []string
-					for _, e := range edges {
-						got = append(got, e.Key())
-					}
-					if !slices.Equal(got, want.edges) {
-						t.Fatalf("order %d (reference %v) state %v: edges\n%v\nwant stateful.Events\n%v", oi, order[0], k, got, want.edges)
+					if st := pc.Stats(); pass == 1 && st.TemplateMisses != misses {
+						t.Fatalf("order %d: the second pass walked Figure 6 %d times; every (strand, truth vector) pair was already seen", oi, st.TemplateMisses-misses)
 					}
 				}
 			}

@@ -29,6 +29,8 @@ const (
 	CtrCompileTableMisses
 	CtrCompileSegHits
 	CtrCompileSegMisses
+	CtrCompileTemplateHits
+	CtrCompileTemplateMisses
 	CtrChaosRuns
 	CtrChaosAudited
 	CtrChaosMixed
@@ -41,55 +43,59 @@ const (
 )
 
 var counterNames = [numCounters]string{
-	CtrHops:               "hops",
-	CtrGenerations:        "generations",
-	CtrInjections:         "injections",
-	CtrDeliveries:         "deliveries",
-	CtrRuleDrops:          "rule_drops",
-	CtrTTLDrops:           "ttl_drops",
-	CtrDrainedHops:        "drained_hops",
-	CtrEventsFired:        "events_fired",
-	CtrSwapFlips:          "swap_flips",
-	CtrSwapRetires:        "swap_retires",
-	CtrCompiles:           "compiles",
-	CtrCompileTableHits:   "compile_table_hits",
-	CtrCompileTableMisses: "compile_table_misses",
-	CtrCompileSegHits:     "compile_segment_hits",
-	CtrCompileSegMisses:   "compile_segment_misses",
-	CtrChaosRuns:          "chaos_runs",
-	CtrChaosAudited:       "chaos_audited",
-	CtrChaosMixed:         "chaos_mixed",
-	CtrChaosDropped:       "chaos_dropped",
-	CtrTraces:             "traces",
-	CtrTracesTruncated:    "traces_truncated",
-	CtrTraceRecDrops:      "trace_record_drops",
-	CtrAlerts:             "alerts",
+	CtrHops:                  "hops",
+	CtrGenerations:           "generations",
+	CtrInjections:            "injections",
+	CtrDeliveries:            "deliveries",
+	CtrRuleDrops:             "rule_drops",
+	CtrTTLDrops:              "ttl_drops",
+	CtrDrainedHops:           "drained_hops",
+	CtrEventsFired:           "events_fired",
+	CtrSwapFlips:             "swap_flips",
+	CtrSwapRetires:           "swap_retires",
+	CtrCompiles:              "compiles",
+	CtrCompileTableHits:      "compile_table_hits",
+	CtrCompileTableMisses:    "compile_table_misses",
+	CtrCompileSegHits:        "compile_segment_hits",
+	CtrCompileSegMisses:      "compile_segment_misses",
+	CtrCompileTemplateHits:   "compile_template_hits",
+	CtrCompileTemplateMisses: "compile_template_misses",
+	CtrChaosRuns:             "chaos_runs",
+	CtrChaosAudited:          "chaos_audited",
+	CtrChaosMixed:            "chaos_mixed",
+	CtrChaosDropped:          "chaos_dropped",
+	CtrTraces:                "traces",
+	CtrTracesTruncated:       "traces_truncated",
+	CtrTraceRecDrops:         "trace_record_drops",
+	CtrAlerts:                "alerts",
 }
 
 var counterHelp = [numCounters]string{
-	CtrHops:               "Switch-hops executed by the forwarding engine.",
-	CtrGenerations:        "Bulk-synchronous generations executed.",
-	CtrInjections:         "Packets admitted at ingress.",
-	CtrDeliveries:         "Packets delivered to hosts.",
-	CtrRuleDrops:          "Packets dropped by a default-drop table lookup.",
-	CtrTTLDrops:           "Packets discarded by the forwarding-loop TTL.",
-	CtrDrainedHops:        "Old-epoch hops executed while a swap drained.",
-	CtrEventsFired:        "Event detections (counted per event, not per packet).",
-	CtrSwapFlips:          "Program swaps flipped at a generation barrier.",
-	CtrSwapRetires:        "Program swaps fully drained and retired.",
-	CtrCompiles:           "Program compilations through the controller.",
-	CtrCompileTableHits:   "Whole-configuration compiler cache hits (nkc.CacheStats).",
-	CtrCompileTableMisses: "Whole-configuration compiler cache misses.",
-	CtrCompileSegHits:     "Per-segment FDD cache hits.",
-	CtrCompileSegMisses:   "Per-segment FDD cache misses.",
-	CtrChaosRuns:          "Chaos-audit runs recorded.",
-	CtrChaosAudited:       "Chaos-audited deliveries (each checked against Eval).",
-	CtrChaosMixed:         "Chaos audit violations: mis-stamped or unpredicted deliveries.",
-	CtrChaosDropped:       "Chaos audit violations: predicted deliveries that never arrived.",
-	CtrTraces:             "Sampled packet journeys stitched and emitted.",
-	CtrTracesTruncated:    "Journeys emitted incomplete (trace-ring drop or age-out).",
-	CtrTraceRecDrops:      "Trace hop records dropped to per-worker ring overflow.",
-	CtrAlerts:             "Watchdog alerts raised (transitions to firing, not boundaries spent firing).",
+	CtrHops:                  "Switch-hops executed by the forwarding engine.",
+	CtrGenerations:           "Bulk-synchronous generations executed.",
+	CtrInjections:            "Packets admitted at ingress.",
+	CtrDeliveries:            "Packets delivered to hosts.",
+	CtrRuleDrops:             "Packets dropped by a default-drop table lookup.",
+	CtrTTLDrops:              "Packets discarded by the forwarding-loop TTL.",
+	CtrDrainedHops:           "Old-epoch hops executed while a swap drained.",
+	CtrEventsFired:           "Event detections (counted per event, not per packet).",
+	CtrSwapFlips:             "Program swaps flipped at a generation barrier.",
+	CtrSwapRetires:           "Program swaps fully drained and retired.",
+	CtrCompiles:              "Program compilations through the controller.",
+	CtrCompileTableHits:      "Whole-configuration compiler cache hits (nkc.CacheStats).",
+	CtrCompileTableMisses:    "Whole-configuration compiler cache misses.",
+	CtrCompileSegHits:        "Per-segment FDD cache hits.",
+	CtrCompileSegMisses:      "Per-segment FDD cache misses.",
+	CtrCompileTemplateHits:   "Event-edge template memo hits (strands whose Figure 6 walk was reused).",
+	CtrCompileTemplateMisses: "Event-edge template memo misses (Figure 6 walks performed).",
+	CtrChaosRuns:             "Chaos-audit runs recorded.",
+	CtrChaosAudited:          "Chaos-audited deliveries (each checked against Eval).",
+	CtrChaosMixed:            "Chaos audit violations: mis-stamped or unpredicted deliveries.",
+	CtrChaosDropped:          "Chaos audit violations: predicted deliveries that never arrived.",
+	CtrTraces:                "Sampled packet journeys stitched and emitted.",
+	CtrTracesTruncated:       "Journeys emitted incomplete (trace-ring drop or age-out).",
+	CtrTraceRecDrops:         "Trace hop records dropped to per-worker ring overflow.",
+	CtrAlerts:                "Watchdog alerts raised (transitions to firing, not boundaries spent firing).",
 }
 
 // Gauge identifies one point-in-time value, set at engine boundaries or
@@ -97,16 +103,17 @@ var counterHelp = [numCounters]string{
 type Gauge int
 
 const (
-	GaugePending        Gauge = iota // packets queued in rings
-	GaugeEpoch                       // current ingress program epoch
-	GaugePrograms                    // live program epochs (2 while draining)
-	GaugeSwapDraining                // 1 while a transition is draining
-	GaugeDeliveryLog                 // retained deliveries (incl. unmerged tails)
-	GaugeFDDNodes                    // compiler hash-consed node store size
-	GaugeStrands                     // compiler distinct strand executions
-	GaugeInternEntries               // compiler interner entries (atoms + keys + sigs)
-	GaugeArenaBytes                  // compiler FDD arena slab bytes
-	GaugeArenaHighWater              // largest arena across cache generations
+	GaugePending            Gauge = iota // packets queued in rings
+	GaugeEpoch                           // current ingress program epoch
+	GaugePrograms                        // live program epochs (2 while draining)
+	GaugeSwapDraining                    // 1 while a transition is draining
+	GaugeDeliveryLog                     // retained deliveries (incl. unmerged tails)
+	GaugeFDDNodes                        // compiler hash-consed node store size
+	GaugeStrands                         // compiler distinct strand executions
+	GaugeInternEntries                   // compiler interner entries (atoms + keys + sigs)
+	GaugeArenaBytes                      // compiler FDD arena slab bytes
+	GaugeArenaHighWater                  // largest arena across cache generations
+	GaugeCompileCacheResets              // compiler cache generations dropped
 	GaugeWatchSubscribers
 	GaugeWatchDropped  // events dropped across all /watch subscribers
 	GaugeTracePending  // journeys currently being stitched
@@ -117,41 +124,43 @@ const (
 )
 
 var gaugeNames = [numGauges]string{
-	GaugePending:          "pending_packets",
-	GaugeEpoch:            "epoch",
-	GaugePrograms:         "live_programs",
-	GaugeSwapDraining:     "swap_draining",
-	GaugeDeliveryLog:      "delivery_log",
-	GaugeFDDNodes:         "compiler_fdd_nodes",
-	GaugeStrands:          "compiler_strands",
-	GaugeInternEntries:    "compiler_intern_entries",
-	GaugeArenaBytes:       "compiler_arena_bytes",
-	GaugeArenaHighWater:   "compiler_arena_high_water_bytes",
-	GaugeWatchSubscribers: "watch_subscribers",
-	GaugeWatchDropped:     "watch_dropped",
-	GaugeTracePending:     "trace_pending_journeys",
-	GaugeTraceOrphans:     "trace_orphan_records",
-	GaugeFlightEvicted:    "flight_evicted_records",
-	GaugeAlertsActive:     "alerts_active",
+	GaugePending:            "pending_packets",
+	GaugeEpoch:              "epoch",
+	GaugePrograms:           "live_programs",
+	GaugeSwapDraining:       "swap_draining",
+	GaugeDeliveryLog:        "delivery_log",
+	GaugeFDDNodes:           "compiler_fdd_nodes",
+	GaugeStrands:            "compiler_strands",
+	GaugeInternEntries:      "compiler_intern_entries",
+	GaugeArenaBytes:         "compiler_arena_bytes",
+	GaugeArenaHighWater:     "compiler_arena_high_water_bytes",
+	GaugeCompileCacheResets: "compile_cache_resets",
+	GaugeWatchSubscribers:   "watch_subscribers",
+	GaugeWatchDropped:       "watch_dropped",
+	GaugeTracePending:       "trace_pending_journeys",
+	GaugeTraceOrphans:       "trace_orphan_records",
+	GaugeFlightEvicted:      "flight_evicted_records",
+	GaugeAlertsActive:       "alerts_active",
 }
 
 var gaugeHelp = [numGauges]string{
-	GaugePending:          "Packets currently queued in switch ingress rings.",
-	GaugeEpoch:            "Current ingress program epoch.",
-	GaugePrograms:         "Live program epochs (2 while a swap drains).",
-	GaugeSwapDraining:     "1 while a program transition is draining, else 0.",
-	GaugeDeliveryLog:      "Deliveries retained in the engine log.",
-	GaugeFDDNodes:         "Hash-consed FDD node store size of the compiler cache.",
-	GaugeStrands:          "Distinct symbolic strand executions in the compiler cache.",
-	GaugeInternEntries:    "Dense-interner entries in the compiler cache (field/value atoms, segment keys, guard signatures).",
-	GaugeArenaBytes:       "FDD arena slab bytes allocated by the compiler cache.",
-	GaugeArenaHighWater:   "Largest FDD arena observed across compiler cache generations.",
-	GaugeWatchSubscribers: "Active /watch stream subscribers.",
-	GaugeWatchDropped:     "Events dropped to slow /watch consumers (cumulative).",
-	GaugeTracePending:     "Sampled journeys currently being stitched.",
-	GaugeTraceOrphans:     "Trace hop records arriving after their journey was evicted (cumulative).",
-	GaugeFlightEvicted:    "Flight-recorder records overwritten across all rings (cumulative).",
-	GaugeAlertsActive:     "Watchdog alerts currently firing.",
+	GaugePending:            "Packets currently queued in switch ingress rings.",
+	GaugeEpoch:              "Current ingress program epoch.",
+	GaugePrograms:           "Live program epochs (2 while a swap drains).",
+	GaugeSwapDraining:       "1 while a program transition is draining, else 0.",
+	GaugeDeliveryLog:        "Deliveries retained in the engine log.",
+	GaugeFDDNodes:           "Hash-consed FDD node store size of the compiler cache.",
+	GaugeStrands:            "Distinct symbolic strand executions in the compiler cache.",
+	GaugeInternEntries:      "Dense-interner entries in the compiler cache (field/value atoms, segment keys, guard signatures).",
+	GaugeArenaBytes:         "FDD arena slab bytes allocated by the compiler cache.",
+	GaugeArenaHighWater:     "Largest FDD arena observed across compiler cache generations.",
+	GaugeCompileCacheResets: "Wholesale compiler-cache resets so far: the compile after one is cold.",
+	GaugeWatchSubscribers:   "Active /watch stream subscribers.",
+	GaugeWatchDropped:       "Events dropped to slow /watch consumers (cumulative).",
+	GaugeTracePending:       "Sampled journeys currently being stitched.",
+	GaugeTraceOrphans:       "Trace hop records arriving after their journey was evicted (cumulative).",
+	GaugeFlightEvicted:      "Flight-recorder records overwritten across all rings (cumulative).",
+	GaugeAlertsActive:       "Watchdog alerts currently firing.",
 }
 
 // Hist identifies one fixed-bucket histogram. All histograms share the

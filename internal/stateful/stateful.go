@@ -391,22 +391,19 @@ func liftPred(p netkat.Pred) Pred {
 // arrival at Loc of a packet satisfying Guard moves the system to state To
 // (the tuple (~k, (ϕ, s2, p2), ~k[m ↦ n]) of Figure 6).
 type Edge struct {
-	From  State
-	Guard *netkat.Conj
-	Loc   netkat.Location
-	To    State
-	key   string // canonical identity, cached at construction (Edge is immutable after)
+	From       State
+	Guard      *netkat.Conj
+	Loc        netkat.Location
+	To         State
+	label, key string // event and edge identity, cached at construction (Edge is immutable after)
 }
 
-// Key returns a canonical identity for deduplication. Edges built by
-// event extraction carry a precomputed key; zero-value edges (e.g. built
-// directly in tests) fall back to computing it.
-func (e Edge) Key() string {
-	if e.key != "" {
-		return e.key
-	}
-	return e.From.Key() + "|" + e.Guard.Key() + "@" + e.Loc.String() + "|" + e.To.Key()
-}
+// Key returns a canonical identity for deduplication and Label the
+// identity of the edge's event, "ϕ@loc" — what the ETS counts occurrences
+// of and a program swap matches events by, one string per template. Both
+// are fixed by EdgeTemplate.At, which builds every Edge there is.
+func (e Edge) Key() string   { return e.key }
+func (e Edge) Label() string { return e.label }
 
 // String renders the edge.
 func (e Edge) String() string {
@@ -422,13 +419,13 @@ type EdgeTemplate struct {
 	Guard *netkat.Conj
 	Loc   netkat.Location
 	Sets  []StateSet
-	label string // "|ϕ@loc|": the state-independent middle of Edge.Key
+	label string // "ϕ@loc": Edge.Label, the state-independent middle of Edge.Key
 }
 
 // NewEdgeTemplate builds the template of a state-updating link reached
 // under guard. The guard is retained, not copied.
 func NewEdgeTemplate(guard *netkat.Conj, loc netkat.Location, sets []StateSet) EdgeTemplate {
-	return EdgeTemplate{Guard: guard, Loc: loc, Sets: sets, label: "|" + guard.Key() + "@" + loc.String() + "|"}
+	return EdgeTemplate{Guard: guard, Loc: loc, Sets: sets, label: guard.Key() + "@" + loc.String()}
 }
 
 // At instantiates the template at source state k: the edge to
@@ -438,7 +435,7 @@ func (t EdgeTemplate) At(k State) Edge {
 	for _, s := range t.Sets {
 		to = to.With(s.Index, s.Value)
 	}
-	return Edge{From: k.Clone(), Guard: t.Guard, Loc: t.Loc, To: to, key: k.Key() + t.label + to.Key()}
+	return Edge{From: k.Clone(), Guard: t.Guard, Loc: t.Loc, To: to, label: t.label, key: k.Key() + "|" + t.label + "|" + to.Key()}
 }
 
 // result is the (D, P) pair threaded through the Figure 6 recursion:

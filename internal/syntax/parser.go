@@ -81,7 +81,10 @@ func (p *Parser) peekAt(k int) Token {
 	}
 	return p.toks[p.pos+k]
 }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+
+// next consumes a token, except the final EOF: a production that reads two
+// before it checks either ("state(0)" ending the input) gets EOF twice.
+func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos = min(p.pos+1, len(p.toks)-1); return t }
 
 func (p *Parser) expect(k TokKind) (Token, error) {
 	t := p.next()

@@ -164,8 +164,12 @@ pt=2 & dst=H4; pt<-1; (state=[0]; (1:1)=>(4:1)<state<-[1]>
 	}
 }
 
+// chooser makes randCmd's choices: a *rand.Rand, or the bytes of a fuzz
+// input (byteChooser).
+type chooser interface{ Intn(n int) int }
+
 // randCmd generates a random command for round-trip testing.
-func randCmd(r *rand.Rand, depth int) stateful.Cmd {
+func randCmd(r chooser, depth int) stateful.Cmd {
 	if depth <= 0 {
 		switch r.Intn(5) {
 		case 0:
@@ -196,7 +200,7 @@ func randCmd(r *rand.Rand, depth int) stateful.Cmd {
 	}
 }
 
-func randPred(r *rand.Rand, depth int) stateful.Pred {
+func randPred(r chooser, depth int) stateful.Pred {
 	if depth <= 0 {
 		switch r.Intn(4) {
 		case 0:
