@@ -708,76 +708,6 @@ func (e *Engine) prog(epoch int) *progState {
 	return e.progs[i]
 }
 
-// Inject stamps a packet entering from the named host with the current
-// program's ingress-switch configuration tag (the IN rule) and queues it.
-// Synchronous mode only: Inject must not race with Run or a served
-// engine; use InjectAsync (or Do) there. The fields are copied out at
-// the call.
-func (e *Engine) Inject(host string, fields netkat.Packet) error {
-	_, err := e.InjectStamped(host, fields)
-	return err
-}
-
-// InjectStamped is Inject returning the (epoch, version) stamp the packet
-// was pinned to — the identity of the exact rule set that will carry it,
-// which swap-consistency checks verify deliveries against. Same
-// synchronization contract as Inject.
-func (e *Engine) InjectStamped(host string, fields netkat.Packet) (Stamp, error) {
-	hi, ok := e.hostIdx[host]
-	if !ok {
-		return Stamp{}, fmt.Errorf("dataplane: unknown host %q", host)
-	}
-	// Validation precedes the seq increment: the chunked generation
-	// machinery relies on the queued packets forming a dense seq window
-	// (ringLo, seq], so a rejected injection must not consume a seq.
-	if err := ValidateDomain(fields); err != nil {
-		return Stamp{}, err
-	}
-	cp := e.cur()
-	h := &e.hosts[hi]
-	st := Stamp{Epoch: cp.epoch, Version: cp.nes.ConfigFor(cp.views[h.sw])}
-	// The ingress boundary: one pass interns the schema fields into the
-	// flat array and collects the inert remainder (usually none). The
-	// value array comes from worker 0's free list when one of the right
-	// width is available — injection runs at boundaries, when workers are
-	// quiescent — so a workload whose packets expire in the network
-	// recirculates arrays instead of growing a free list forever.
-	vals := e.ws[0].takeVals(cp.schema.Len())
-	pres, inert := cp.schema.intern(fields, vals, nil, len(fields))
-	var tns int64
-	if e.met != nil {
-		e.ws[0].ms.Inc(obs.CtrInjections)
-		tns = time.Now().UnixNano()
-		e.nowNs = tns
-	}
-	e.ingress(cp, h, st.Version, vals, pres, inert.since(0), tns)
-	return st, nil
-}
-
-// ingress queues one interned packet entering at h, stamped (cp.epoch,
-// version): the tail every injection path shares. Boundary context only
-// (it consumes a seq and samples the tracer).
-func (e *Engine) ingress(cp *progState, h *hostPort, version int, vals []int32, pres uint64, inert inertRef, tns int64) {
-	e.seq++
-	var tid int32
-	if e.tracer != nil {
-		tid = e.tracer.Sample(h.name, e.seq, e.gen, cp.epoch, version)
-	}
-	e.rings[h.sw].push(&qpkt{
-		vals:    vals,
-		pres:    pres,
-		inert:   inert,
-		inPort:  h.port,
-		epoch:   cp.epoch,
-		version: version,
-		digest:  nes.Empty,
-		seq:     e.seq,
-		tns:     tns,
-		trace:   tid,
-	})
-	cp.inflight++
-}
-
 // maxGenerations bounds Run against forwarding loops.
 const maxGenerations = 1 << 16
 
@@ -874,34 +804,6 @@ func (e *Engine) runControl() {
 			close(r.done)
 		}
 	}
-}
-
-// admitInbox admits the queued flat batches (served mode) in arrival
-// order, all stamped with one clock read.
-func (e *Engine) admitInbox() {
-	e.wmu.Lock()
-	batches := e.inbox
-	e.inbox = e.admitting[:0]
-	e.wmu.Unlock()
-	if len(batches) > 0 {
-		now := e.ingressClock()
-		for i, b := range batches {
-			e.admit(b, now)
-			batches[i] = nil
-		}
-	}
-	e.admitting = batches
-}
-
-// ingressClock reads the injection timestamp for one admission (0 with
-// metrics off) and refreshes the delivery-latency clock cache.
-func (e *Engine) ingressClock() int64 {
-	if e.met == nil {
-		return 0
-	}
-	now := time.Now().UnixNano()
-	e.nowNs = now
-	return now
 }
 
 // retireIfDrained completes an active transition once the old epoch has
