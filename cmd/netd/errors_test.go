@@ -3,12 +3,15 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"eventnet/internal/apps"
 	"eventnet/internal/ctrl"
+	"eventnet/internal/obs"
 )
 
 // TestNetdErrorPaths drives every client-error path of the API and
@@ -19,12 +22,13 @@ import (
 // produce.
 func TestNetdErrorPaths(t *testing.T) {
 	a := apps.Firewall()
-	c := ctrl.New(a.Topo, ctrl.Options{Workers: 2})
+	o := &obs.Obs{Metrics: obs.NewMetrics(2)} // counters only: the shed count below
+	c := ctrl.New(a.Topo, ctrl.Options{Workers: 2, Obs: o})
 	defer c.Close()
 	if err := c.Load(a.Name, a.Prog); err != nil {
 		t.Fatal(err)
 	}
-	_, handler := newServer(c, nil)
+	_, handler := newServer(c, o)
 	ts := httptest.NewServer(handler)
 	defer ts.Close()
 
@@ -156,6 +160,45 @@ func TestNetdErrorPaths(t *testing.T) {
 	}}, 200)
 	if rej, _ := out["rejected"].([]any); out["injected"].(float64) != 1 || len(rej) != 1 || rej[0].(map[string]any)["index"].(float64) != 1 {
 		t.Fatalf("out-of-domain packet in a batch: %v", out)
+	}
+	serviceable()
+
+	// A full inbox sheds instead of growing. With the supervisor held (a
+	// Do that waits) nothing is admitted, so sixteen requests of 65536
+	// packets fill the engine's inbox to its bound of 2^20 and the next is
+	// refused whole: 429, Retry-After, the error envelope. /healthz never
+	// crosses a barrier and stays 200 throughout.
+	release, held := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	defer free()
+	go c.Engine().Do(func() { close(held); <-release })
+	<-held
+	flood := fmt.Sprintf(`{"host":"H1","fields":{"dst":7},"count":%d}`, maxInjectPackets)
+	for i := 0; i < 1<<20/maxInjectPackets; i++ {
+		rawCall("/inject", flood, 200)
+		call(t, ts, "GET", "/healthz", nil, 200)
+	}
+	resp, err = ts.Client().Post(ts.URL+"/inject", "application/json", strings.NewReader(flood))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shed struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&shed); err != nil || resp.StatusCode != 429 || resp.Header.Get("Retry-After") != "1" || !strings.Contains(shed.Error, "ingress queue full") {
+		t.Fatalf("inject into a full inbox: status %d, Retry-After %q, body %+v, decode error %v", resp.StatusCode, resp.Header.Get("Retry-After"), shed, err)
+	}
+	resp.Body.Close()
+	call(t, ts, "GET", "/healthz", nil, 200)
+	free()
+	call(t, ts, "POST", "/quiesce", nil, 200)
+	resp, err = ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := fmt.Sprintf("eventnet_ingress_shed_total %d\n", maxInjectPackets); !strings.Contains(string(metrics), want) {
+		t.Fatalf("/metrics after one refused request of %d packets lacks %q", maxInjectPackets, want)
 	}
 	serviceable()
 

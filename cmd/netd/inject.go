@@ -413,10 +413,16 @@ func (in *ingest) read(body io.Reader) error {
 	}
 }
 
-// submit hands the filled batch to the engine.
-func (in *ingest) submit() {
-	in.b.Submit()
+// submit hands the filled batch to the engine; false when the engine's
+// inbox was full and the request has been answered 429.
+func (in *ingest) submit(w http.ResponseWriter) bool {
+	err := in.b.Submit()
 	in.b = nil
+	if err != nil {
+		w.Header()["Retry-After"] = retryAfter
+		in.fail(w, http.StatusTooManyRequests, err.Error())
+	}
+	return err == nil
 }
 
 // release returns the request state (and an unsubmitted batch) to
@@ -455,7 +461,9 @@ func (s *server) handleInject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	injected := in.b.Packets()
-	in.submit()
+	if !in.submit(w) {
+		return
+	}
 	in.out = strconv.AppendInt(append(in.out[:0], `{"injected":`...), int64(injected), 10)
 	in.out = append(in.out, "}\n"...)
 	writeRaw(w, http.StatusOK, in.out)
@@ -481,7 +489,9 @@ func (s *server) handleInjectBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	injected := in.b.Packets()
-	in.submit()
+	if !in.submit(w) {
+		return
+	}
 	out := strconv.AppendInt(append(in.out[:0], `{"injected":`...), int64(injected), 10)
 	out = append(out, `,"rejected":`...)
 	if len(in.rejects) == 0 {
@@ -524,7 +534,10 @@ func limitBody(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-var jsonContentType = []string{"application/json"}
+var (
+	jsonContentType = []string{"application/json"}
+	retryAfter      = []string{"1"} // seconds; boundaries turn in microseconds, a held supervisor may not
+)
 
 // writeRaw writes an already encoded JSON response.
 func writeRaw(w http.ResponseWriter, code int, body []byte) {

@@ -108,7 +108,10 @@ func FuzzInjectDecode(f *testing.F) {
 		}
 		next, nextRej := 0, 0
 		for i, p := range want.Packets {
-			bad := !hosts[p.Host] || dataplane.ValidateDomain(p.Fields) != nil
+			bad := !hosts[p.Host]
+			for _, v := range p.Fields {
+				bad = bad || int(int32(v)) != v // outside the flat-value domain
+			}
 			if bad {
 				if nextRej >= len(rejects) || rejects[nextRej].index != i {
 					t.Fatalf("packet %d (%+v) should be rejected; rejects %+v", i, p, rejects)

@@ -56,6 +56,8 @@
 //
 // Every POST body is limited to 1 MiB; a longer one is answered 413
 // {"error":"request body exceeds 1048576 bytes","limit_bytes":1048576}.
+// An inject request that would take the engine's ingress queue past
+// 2^20 packets is refused whole: 429, Retry-After: 1, the error envelope.
 //
 // Programs submitted by name reuse the built-in applications; programs
 // submitted as source are parsed over the daemon's topology. Successive

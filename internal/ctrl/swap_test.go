@@ -248,6 +248,7 @@ func TestSwapUnderServedFeed(t *testing.T) {
 				}
 				progs = append(progs, c.Current())
 			}
+			feed() // the last generation too, even if the feeder has hit its bound
 			close(stop)
 			<-done
 			c.Quiesce()

@@ -49,6 +49,7 @@ type qpkt struct {
 // The engine's generation barrier makes every ring single-producer (the
 // merge step) single-consumer (the owning worker), so no locking is
 // needed; the barrier's happens-before edge publishes the contents.
+// Capacities are 8·2^k (push), so positions wrap with a mask.
 type ring struct {
 	buf        []qpkt
 	head, tail int // tail is one past the last element; len = tail-head
@@ -62,7 +63,7 @@ func (r *ring) push(p *qpkt) {
 		n := r.copyOut(grown)
 		r.buf, r.head, r.tail = grown, 0, n
 	}
-	r.buf[r.tail%len(r.buf)] = *p
+	r.buf[r.tail&(len(r.buf)-1)] = *p
 	r.tail++
 }
 
@@ -71,11 +72,11 @@ func (r *ring) push(p *qpkt) {
 // outboxes, never to the ring it is draining) and then drop releases the
 // slot — saving the ~100-byte struct copy a by-value pop would make on
 // every hop.
-func (r *ring) peekRef() *qpkt { return &r.buf[r.head%len(r.buf)] }
+func (r *ring) peekRef() *qpkt { return &r.buf[r.head&(len(r.buf)-1)] }
 
 // drop releases the head slot after peekRef processing.
 func (r *ring) drop() {
-	r.buf[r.head%len(r.buf)] = qpkt{} // release references
+	r.buf[r.head&(len(r.buf)-1)] = qpkt{} // release references
 	r.head++
 	if r.head == r.tail {
 		r.head, r.tail = 0, 0
@@ -86,7 +87,7 @@ func (r *ring) drop() {
 func (r *ring) copyOut(dst []qpkt) int {
 	n := 0
 	for i := r.head; i < r.tail; i++ {
-		dst[n] = r.buf[i%len(r.buf)]
+		dst[n] = r.buf[i&(len(r.buf)-1)]
 		n++
 	}
 	return n
@@ -558,14 +559,18 @@ type Engine struct {
 
 	// Served-mode coordination. wmu guards inbox, ctl, serving, stopping
 	// and idle; cond (on wmu) wakes the supervisor and Quiesce/waiters.
-	// The inbox is a queue of flat batches (batch.go); admitting is the
-	// supervisor's half of its double buffer, slots its field-id -> schema
-	// slot scratch, and batches the pool filled batches return to.
+	// The inbox is a queue of flat batches (ingress.go) holding inboxPkts
+	// packets, at most maxInboxPackets; admitting is the supervisor's half
+	// of its double buffer, slots its field-id -> schema slot scratch,
+	// versions the per-call ingress-tag scratch (versionAt), and batches
+	// the pool filled batches return to.
 	wmu       sync.Mutex
 	cond      *sync.Cond
 	inbox     []*Batch
+	inboxPkts int
 	admitting []*Batch
 	slots     []int16
+	versions  []int32
 	batches   sync.Pool
 	ctl       []ctlReq
 	serving   bool
@@ -611,6 +616,7 @@ func NewEngine(n *nes.NES, t *topo.Topology, opts Options) *Engine {
 		e.rings[i] = &ring{}
 	}
 	e.hops = make([]int64, len(e.switches))
+	e.versions = make([]int32, len(e.switches))
 	e.dests = make([][]portDest, len(e.switches))
 	hosts := map[int]topo.Host{}
 	e.hostIdx = make(map[string]int32, len(t.Hosts))
@@ -1465,12 +1471,10 @@ func (e *Engine) CopyDeliveries(from int) []Delivery {
 	var out []Delivery
 	e.Do(func() {
 		e.mergeDeliveries()
-		i := from - e.deliveryBase
-		if i < 0 {
-			i = 0
-		}
-		for ; i < len(e.deliveries); i++ {
-			out = append(out, e.deliveries[i].materialize())
+		i := min(max(from-e.deliveryBase, 0), len(e.deliveries))
+		out = make([]Delivery, len(e.deliveries)-i)
+		for k := range out {
+			out[k] = e.deliveries[i+k].materialize()
 		}
 	})
 	return out
@@ -1478,17 +1482,9 @@ func (e *Engine) CopyDeliveries(from int) []Delivery {
 
 // ---- Synchronous-mode accessors --------------------------------------
 
-// Deliveries returns every packet delivered to a host, in the engine's
-// deterministic delivery order, materialized from the flat retention.
-// Synchronous mode only; use CopyDeliveries on a serving engine.
-func (e *Engine) Deliveries() []Delivery {
-	e.mergeDeliveries()
-	out := make([]Delivery, len(e.deliveries))
-	for i := range e.deliveries {
-		out[i] = e.deliveries[i].materialize()
-	}
-	return out
-}
+// Deliveries returns every retained delivery, in the engine's
+// deterministic delivery order: CopyDeliveries from the start.
+func (e *Engine) Deliveries() []Delivery { return e.CopyDeliveries(0) }
 
 // DeliveredTo returns the packets delivered to the named host.
 func (e *Engine) DeliveredTo(host string) []netkat.Packet {

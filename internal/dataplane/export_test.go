@@ -29,3 +29,29 @@ func (p *Plan) DistinctFlats() int {
 	}
 	return len(seen)
 }
+
+// MaxInboxPackets is the served-mode inbox bound.
+const MaxInboxPackets = maxInboxPackets
+
+// IngressState reads, at a barrier, what a rejected injection must leave
+// untouched: the engine's seq, the length of worker 0's free list, and
+// the slack of the queued packets' inert sets — how many pairs the sets
+// hold beyond the shares of the packets that reference them (a rejected
+// packet's pairs left in its call's set).
+func (e *Engine) IngressState() (seq int64, free, slack int) {
+	e.Do(func() {
+		seq, free = e.seq, len(e.ws[0].free)
+		sets := map[*inertSet]int{}
+		for _, r := range e.rings {
+			for i := r.head; i < r.tail; i++ {
+				if in := r.buf[i&(len(r.buf)-1)].inert; in.set != nil {
+					sets[in.set] += int(in.hi - in.lo)
+				}
+			}
+		}
+		for set, shares := range sets {
+			slack += len(set.pairs) - shares
+		}
+	})
+	return seq, free, slack
+}

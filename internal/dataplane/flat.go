@@ -460,13 +460,13 @@ func (m FlatMatcher) Len() int { return len(m.ft.rules) }
 func (m FlatMatcher) Process(dst []flowtable.Output, pkt netkat.Packet, inPort int, tag uint32) []flowtable.Output {
 	var buf [maxSchemaFields]int32
 	vals := buf[:m.schema.Len()]
-	if err := ValidateDomain(pkt); err != nil {
+	pres, set, err := m.schema.intern(pkt, vals, nil, len(pkt))
+	if err != nil {
 		// Truncating would silently diverge from the reference semantics,
 		// so refuse loudly; the Engine rejects such packets at injection
 		// with an error.
 		panic("dataplane: FlatMatcher.Process: " + err.Error())
 	}
-	pres, set := m.schema.intern(pkt, vals, nil, len(pkt))
 	ri := m.ft.lookup(vals, pres, inPort, tag)
 	if ri < 0 {
 		return dst

@@ -1,10 +1,13 @@
 package dataplane_test
 
 import (
+	"strings"
 	"testing"
 
+	"eventnet/internal/apps"
 	"eventnet/internal/dataplane"
 	"eventnet/internal/flowtable"
+	"eventnet/internal/nes"
 	"eventnet/internal/netkat"
 )
 
@@ -107,6 +110,105 @@ func FuzzFlatIndex(f *testing.F) {
 			want := tbl.AppendProcess(nil, p.Fields, p.InPort, p.Tag)
 			if !sameOutputs(got, want) {
 				t.Fatalf("pkt %v port %d tag %d:\nflat %v\nscan %v\ntable:\n%v", p.Fields, p.InPort, p.Tag, got, want, flowtable.Tables{0: tbl})
+			}
+		}
+	})
+}
+
+// Vocabulary of FuzzIngressEquivalence: hosts the topologies have and
+// one they lack; field names in some schema, in none, empty, and longer
+// than a wire decoder would accept.
+var (
+	ingressHosts = [5]string{"H1", "H2", "H3", "H4", "H9"}
+	ingressNames = [6]string{"dst", "src", "id", "sig", "", strings.Repeat("n", 70)}
+)
+
+// fuzzIngress decodes batches of injections from fuzz bytes, at most 32
+// packets in all. Each packet is a head byte — host in bits 0-2 (%5),
+// field count in bits 3-4, bit 7 ends the batch after it — and a byte
+// per field: name in bits 0-2 (%6), and in bits 3-4 the kind of value,
+// with bits 5-7 choosing among a host address (so packets route), a
+// small negative, 1<<31 and -(1<<31)-1. Missing bytes read as zero.
+func fuzzIngress(data []byte) [][]dataplane.Injection {
+	at := 0
+	next := func() int {
+		if at >= len(data) {
+			return 0
+		}
+		at++
+		return int(data[at-1])
+	}
+	var batches [][]dataplane.Injection
+	var batch []dataplane.Injection
+	for n := 0; at < len(data) && n < 32; n++ {
+		head := next()
+		fields := netkat.Packet{}
+		for k := head >> 3 & 3; k > 0; k-- {
+			b := next()
+			fields[ingressNames[b&7%6]] = [4]int{apps.H(1 + b>>5%4), -1 - b>>5, 1 << 31, -(1 << 31) - 1}[b>>3&3]
+		}
+		batch = append(batch, dataplane.Injection{Host: ingressHosts[head&7%5], Fields: fields})
+		if head>>7 == 1 {
+			batches, batch = append(batches, batch), nil
+		}
+	}
+	if batch != nil {
+		batches = append(batches, batch)
+	}
+	return batches
+}
+
+// FuzzIngressEquivalence: the three map-form ways in agree. Any batches —
+// unknown hosts, out-of-domain values in any field and any number of
+// them, empty and oversized names, empty packets — admitted by
+// sequential InjectStamped, by InjectBatch, and through a flat Batch by
+// InjectAsyncBatch on a non-serving engine, reject the same packets,
+// stamp the rest alike, and deliver the same sequence in the same number
+// of hops. Byte 0 picks the program. The seed corpus
+// (testdata/fuzz/FuzzIngressEquivalence) holds the four shapes of
+// rejected packet TestRejectedPacketLeavesNothing replays.
+func FuzzIngressEquivalence(f *testing.F) {
+	progs := []apps.App{apps.DistributedFirewall(), apps.WalledGarden()}
+	nets := []*nes.NES{buildNES(f, progs[0]), buildNES(f, progs[1])}
+	f.Add([]byte{0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		a, n := progs[data[0]%2], nets[data[0]%2]
+		var es [3]*dataplane.Engine
+		for i := range es {
+			es[i] = dataplane.NewEngine(n, a.Topo, dataplane.Options{Workers: 1})
+		}
+		for bi, batch := range fuzzIngress(data[1:]) {
+			seqStamps, seqErrs := make([]dataplane.Stamp, len(batch)), make([]error, len(batch))
+			for i, in := range batch {
+				seqStamps[i], seqErrs[i] = es[0].InjectStamped(in.Host, in.Fields)
+			}
+			stamps, errs := es[1].InjectBatch(batch)
+			flatErrs := es[2].InjectAsyncBatch(batch)
+			for i := range batch {
+				bad := seqErrs[i] != nil
+				if bad != (errs != nil && errs[i] != nil) || bad != (flatErrs != nil && flatErrs[i] != nil) {
+					t.Fatalf("batch %d packet %d (%v): InjectStamped %v, InjectBatch %v, flat %v", bi, i, batch[i], seqErrs[i], errs, flatErrs)
+				}
+				if stamps[i] != seqStamps[i] || (bad && stamps[i] != dataplane.Stamp{}) {
+					t.Fatalf("batch %d packet %d (%v): stamped %+v sequentially, %+v in the batch, error %v", bi, i, batch[i], seqStamps[i], stamps[i], seqErrs[i])
+				}
+			}
+			for _, e := range es {
+				if err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want := es[0].Deliveries()
+		for i, e := range es[1:] {
+			if at := sameStamped(want, e.Deliveries()); at != -1 {
+				t.Fatalf("way %d delivers differently from sequential injection at %d", i+1, at)
+			}
+			if e.Processed() != es[0].Processed() {
+				t.Fatalf("way %d took %d hops, sequential injection %d", i+1, e.Processed(), es[0].Processed())
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -9,18 +10,21 @@ import (
 	"eventnet/internal/obs"
 )
 
-// Batched ingress: the per-packet Inject boundary (host resolution,
-// schema interning, domain validation, and — in served mode — one
-// lock/boundary round trip per packet) is the measured bottleneck ahead
-// of the ~100ns hop loop. A batch amortizes the program lookup and the
+// Every way a packet gets in. The per-packet boundary — host resolution,
+// the one walk of the header map that interns it and checks its values,
+// the ingress stamp, and in served mode a lock/boundary round trip — is
+// the measured cost ahead of the ~100ns hop loop, so everything that is
+// constant per call (the program, the clock, each ingress switch's
+// configuration tag) is read once per call, and a batch amortizes the
 // admission boundary over the whole slice while keeping per-packet
 // semantics bit-identical to sequential injection.
 //
-// The synchronous InjectBatch takes map-form packets and interns them on
-// the spot. The served-mode inbox carries one representation from the
-// socket to the rings: the flat Batch below, which a wire decoder (or the
-// InjectAsync adapters) fills without building a map, and which admit
-// interns against whatever program is current at the boundary.
+// The synchronous Inject, InjectStamped and InjectBatch take map-form
+// packets and intern them on the spot (injectMap). The served-mode inbox
+// carries one representation from the socket to the rings: the flat Batch
+// below, which a wire decoder (or the InjectAsync adapters) fills without
+// building a map, and which admit interns against whatever program is
+// current at the boundary.
 
 // Inject stamps a packet entering from the named host with the current
 // program's ingress-switch configuration tag (the IN rule) and queues it.
@@ -37,35 +41,57 @@ func (e *Engine) Inject(host string, fields netkat.Packet) error {
 // which swap-consistency checks verify deliveries against. Same
 // synchronization contract as Inject.
 func (e *Engine) InjectStamped(host string, fields netkat.Packet) (Stamp, error) {
+	clear(e.versions)
+	st, _, err := e.injectMap(e.cur(), host, fields, nil, len(fields), e.ingressClock())
+	return st, err
+}
+
+// injectMap is the per-packet body of the synchronous entry points, the
+// IN rule on a map-form packet: resolve the host, walk the fields once
+// (Schema.intern: flat values, inert remainder, domain check), stamp with
+// the ingress switch's configuration tag, queue. inert is the call's
+// inert set so far and comes back grown; room sizes it on first need.
+//
+// A packet is rejected before anything of it is kept: the chunked
+// generation machinery relies on the queued packets forming a dense seq
+// window (ringLo, seq], so no seq is consumed and no injection counted
+// until the walk has succeeded, intern has truncated the inert pairs to
+// their length before the packet, and the value array goes back where it
+// came from — worker 0's free list, which injection may use because it
+// runs at boundaries, when workers are quiescent, and which lets a
+// workload whose packets expire in the network recirculate arrays.
+func (e *Engine) injectMap(cp *progState, host string, fields netkat.Packet, inert *inertSet, room int, now int64) (Stamp, *inertSet, error) {
 	hi, ok := e.hostIdx[host]
 	if !ok {
-		return Stamp{}, fmt.Errorf("dataplane: unknown host %q", host)
+		return Stamp{}, inert, fmt.Errorf("dataplane: unknown host %q", host)
 	}
-	// Validation precedes the seq increment: the chunked generation
-	// machinery relies on the queued packets forming a dense seq window
-	// (ringLo, seq], so a rejected injection must not consume a seq.
-	if err := ValidateDomain(fields); err != nil {
-		return Stamp{}, err
-	}
-	cp := e.cur()
 	h := &e.hosts[hi]
-	st := Stamp{Epoch: cp.epoch, Version: cp.nes.ConfigFor(cp.views[h.sw])}
-	// The ingress boundary: one pass interns the schema fields into the
-	// flat array and collects the inert remainder (usually none). The
-	// value array comes from worker 0's free list when one of the right
-	// width is available — injection runs at boundaries, when workers are
-	// quiescent — so a workload whose packets expire in the network
-	// recirculates arrays instead of growing a free list forever.
-	vals := e.ws[0].takeVals(cp.schema.Len())
-	pres, inert := cp.schema.intern(fields, vals, nil, len(fields))
-	var tns int64
-	if e.met != nil {
-		e.ws[0].ms.Inc(obs.CtrInjections)
-		tns = time.Now().UnixNano()
-		e.nowNs = tns
+	wk := e.ws[0]
+	vals := wk.takeVals(cp.schema.Len())
+	lo := inert.len()
+	pres, inert, err := cp.schema.intern(fields, vals, inert, room)
+	if err != nil {
+		wk.recycle(vals)
+		return Stamp{}, inert, err
 	}
-	e.ingress(cp, h, st.Version, vals, pres, inert.since(0), tns)
-	return st, nil
+	version := e.versionAt(cp, h.sw)
+	if e.met != nil {
+		wk.ms.Inc(obs.CtrInjections)
+	}
+	e.ingress(cp, h, version, vals, pres, inert.since(lo), now)
+	return Stamp{Epoch: cp.epoch, Version: version}, inert, nil
+}
+
+// versionAt returns the configuration tag of packets entering at switch
+// index sw: ConfigFor hashes the switch's whole view, and no view can
+// change inside an injection call, so each call computes it once per
+// ingress switch into a scratch (tag+1; 0 = not yet) that the entry
+// points clear.
+func (e *Engine) versionAt(cp *progState, sw int) int {
+	if e.versions[sw] == 0 {
+		e.versions[sw] = int32(cp.nes.ConfigFor(cp.views[sw])) + 1
+	}
+	return int(e.versions[sw] - 1)
 }
 
 // ingress queues one interned packet entering at h, stamped (cp.epoch,
@@ -114,8 +140,7 @@ func (e *Engine) InjectBatch(ins []Injection) ([]Stamp, []error) {
 	stamps := make([]Stamp, len(ins))
 	var errs []error
 	cp := e.cur()
-	width := cp.schema.Len()
-	wk := e.ws[0]
+	clear(e.versions)
 	// One clock read stamps the whole batch (they are admitted at one
 	// boundary anyway).
 	now := e.ingressClock()
@@ -125,26 +150,11 @@ func (e *Engine) InjectBatch(ins []Injection) ([]Stamp, []error) {
 	var inert *inertSet
 	for bi := range ins {
 		in := &ins[bi]
-		hi, ok := e.hostIdx[in.Host]
-		if !ok {
-			errs = batchErr(errs, len(ins), bi, fmt.Errorf("dataplane: unknown host %q", in.Host))
-			continue
-		}
-		if err := ValidateDomain(in.Fields); err != nil {
+		var err error
+		stamps[bi], inert, err = e.injectMap(cp, in.Host, in.Fields, inert, len(in.Fields)*(len(ins)-bi), now)
+		if err != nil {
 			errs = batchErr(errs, len(ins), bi, err)
-			continue
 		}
-		h := &e.hosts[hi]
-		st := Stamp{Epoch: cp.epoch, Version: cp.nes.ConfigFor(cp.views[h.sw])}
-		vals := wk.takeVals(width)
-		lo := inert.len()
-		var pres uint64
-		pres, inert = cp.schema.intern(in.Fields, vals, inert, len(in.Fields)*(len(ins)-bi))
-		if e.met != nil {
-			wk.ms.Inc(obs.CtrInjections)
-		}
-		e.ingress(cp, h, st.Version, vals, pres, inert.since(lo), now)
-		stamps[bi] = st
 	}
 	return stamps, errs
 }
@@ -283,38 +293,62 @@ func (b *Batch) Injections() ([]Injection, []int) {
 	return ins, counts
 }
 
+// maxInboxPackets bounds what a serving engine queues between
+// boundaries. Boundaries turn every few generations, so the inbox holds
+// a few batches unless clients post faster than the engine admits or a
+// Do holds the supervisor; then memory must not follow the clients.
+const maxInboxPackets = 1 << 20
+
+// ErrInboxFull refuses a batch that would take a serving engine's inbox
+// past maxInboxPackets: none of its packets was queued. Retry later.
+var ErrInboxFull = errors.New("dataplane: ingress queue full")
+
 // Submit queues the batch for admission at the next boundary of a
-// serving engine — one lock, one supervisor wake-up — and gives it up.
-// On a non-serving engine it is admitted inline (synchronous contract).
-func (b *Batch) Submit() {
+// serving engine — one lock, one supervisor wake-up — and gives it up,
+// whether it is queued or refused with ErrInboxFull (the shed packets
+// are counted in obs.CtrIngressShed). On a non-serving engine it is
+// admitted inline (synchronous contract).
+func (b *Batch) Submit() error {
 	e := b.e
 	if len(b.recs) == 0 {
 		b.Release()
-		return
+		return nil
 	}
 	e.wmu.Lock()
 	if !e.serving {
 		e.wmu.Unlock()
 		e.admit(b, e.ingressClock())
-		return
+		return nil
 	}
+	if e.inboxPkts+b.packets > maxInboxPackets {
+		e.wmu.Unlock()
+		if e.met != nil {
+			e.met.Add(obs.CtrIngressShed, int64(b.packets))
+		}
+		b.Release()
+		return ErrInboxFull
+	}
+	e.inboxPkts += b.packets
 	e.inbox = append(e.inbox, b)
 	e.boundReq.Store(true)
 	e.cond.Broadcast()
 	e.wmu.Unlock()
+	return nil
 }
 
-// add fills one record from a map-form packet, validating it as Inject
-// does.
+// add fills one record from a map-form packet in one walk, checking the
+// value domain as Schema.intern does; a rejected packet's record is
+// aborted.
 func (b *Batch) add(host string, fields netkat.Packet) error {
 	hi, ok := b.e.hostIdx[host]
 	if !ok {
 		return fmt.Errorf("dataplane: unknown host %q", host)
 	}
-	if err := ValidateDomain(fields); err != nil {
-		return err
-	}
 	for f, v := range fields {
+		if int(int32(v)) != v {
+			b.Abort()
+			return domainErr(f, v)
+		}
 		b.Field(b.FieldID([]byte(f)), int32(v))
 	}
 	b.Commit(hi, 1)
@@ -331,16 +365,16 @@ func (e *Engine) InjectAsync(host string, fields netkat.Packet) error {
 		b.Release()
 		return err
 	}
-	b.Submit()
-	return nil
+	return b.Submit()
 }
 
 // InjectAsyncBatch queues a batch for admission at one boundary of a
 // serving engine: validation (host and value domain) happens here,
 // per-packet, outside the boundary, and the admissible packets cost one
 // supervisor round trip for the whole batch instead of one per packet.
-// errs follows the InjectBatch convention (nil = all admitted). On a
-// non-serving engine the batch is admitted inline.
+// errs follows the InjectBatch convention (nil = all admitted); when the
+// inbox refuses the batch, every packet that was admissible reports
+// ErrInboxFull. On a non-serving engine the batch is admitted inline.
 func (e *Engine) InjectAsyncBatch(ins []Injection) []error {
 	var errs []error
 	b := e.NewBatch()
@@ -349,7 +383,13 @@ func (e *Engine) InjectAsyncBatch(ins []Injection) []error {
 			errs = batchErr(errs, len(ins), bi, err)
 		}
 	}
-	b.Submit()
+	if err := b.Submit(); err != nil {
+		for bi := range ins {
+			if errs == nil || errs[bi] == nil {
+				errs = batchErr(errs, len(ins), bi, err)
+			}
+		}
+	}
 	return errs
 }
 
@@ -367,15 +407,14 @@ func (e *Engine) admit(b *Batch, now int64) {
 	cp := e.cur()
 	width := cp.schema.Len()
 	wk := e.ws[0]
+	clear(e.versions)
 
 	slots := e.slots[:0]
 	anyInert := false
 	lo := int32(0)
 	for _, end := range b.nameEnd {
-		slot := int16(-1)
-		if i, ok := cp.schema.index[string(b.names[lo:end])]; ok {
-			slot = int16(i)
-		} else {
+		slot := int16(cp.schema.slot(string(b.names[lo:end])))
+		if slot < 0 {
 			anyInert = true
 		}
 		slots = append(slots, slot)
@@ -399,7 +438,7 @@ func (e *Engine) admit(b *Batch, now int64) {
 	for ri := range b.recs {
 		r := &b.recs[ri]
 		h := &e.hosts[r.host]
-		version := cp.nes.ConfigFor(cp.views[h.sw])
+		version := e.versionAt(cp, h.sw)
 		pairs := b.pairs[r.lo:r.hi]
 		// shared is the record's inert fields less the numbered one: what
 		// every copy carries, unless the numbered field is itself inert.
@@ -450,7 +489,7 @@ func (e *Engine) admit(b *Batch, now int64) {
 func (e *Engine) admitInbox() {
 	e.wmu.Lock()
 	batches := e.inbox
-	e.inbox = e.admitting[:0]
+	e.inbox, e.inboxPkts = e.admitting[:0], 0
 	e.wmu.Unlock()
 	if len(batches) > 0 {
 		now := e.ingressClock()

@@ -35,6 +35,30 @@ type Schema struct {
 	index  map[string]int // name -> index
 }
 
+// scanFields is the widest schema whose names slot resolves by scanning
+// fields instead of hashing into index. Every shipped program has one to
+// three fields, and comparing a packet's field name against three short
+// strings costs less than hashing it once.
+const scanFields = 8
+
+// slot returns the interned index of a field name, or -1 when the
+// program cannot see the field. It is the one resolver intern, admit and
+// Index share.
+func (s *Schema) slot(f string) int {
+	if len(s.fields) > scanFields {
+		if i, ok := s.index[f]; ok {
+			return i
+		}
+		return -1
+	}
+	for i, name := range s.fields {
+		if name == f {
+			return i
+		}
+	}
+	return -1
+}
+
 // ErrFieldLimit is what CheckFields' error wraps.
 var ErrFieldLimit = fmt.Errorf("the flat packet representation caps at %d", maxSchemaFields)
 
@@ -157,8 +181,8 @@ func (s *Schema) Len() int { return len(s.fields) }
 
 // Index returns the interned index of a field name.
 func (s *Schema) Index(f string) (int, bool) {
-	i, ok := s.index[f]
-	return i, ok
+	i := s.slot(f)
+	return i, i >= 0
 }
 
 // Field returns the name behind an interned index.
@@ -222,26 +246,36 @@ func (is *inertSet) since(lo int) inertRef {
 	return inertRef{set: is, lo: int32(lo), hi: int32(len(is.pairs))}
 }
 
-// intern loads a packet's schema fields into the flat value array in one
-// pass, returning the presence bitmap (bit i set ⇔ field i present), and
-// appends its fields outside the schema (usually none) to the inert set,
-// which it returns — allocated on first need, with room for that many
-// pairs, when the caller had none. vals must be at least Len() long;
-// slots without a presence bit are left as-is (matching and
-// materialization read values only under their bit, so recycled arrays
-// need no zeroing). This is the ingress conversion of the synchronous,
-// map-form entry points; the served-mode inbox carries flat batches and
-// interns them by table lookup instead (Engine.admit).
+// intern is the one walk a map-form packet gets at the boundary: every
+// value is checked against the int32 flat-value domain as it is visited,
+// schema fields are loaded into the flat value array (the returned
+// presence bitmap has bit i set ⇔ field i present), and fields outside
+// the schema (usually none) are appended to the inert set, which it
+// returns — allocated on first need, with room for that many pairs, when
+// the caller had none. vals must be at least Len() long; slots without a
+// presence bit are left as-is (matching and materialization read values
+// only under their bit, so recycled arrays need no zeroing).
+//
 // Flat values are int32: header values in this system are host
 // addresses, ports and small program constants. The boundaries enforce
-// the domain — ValidateDomain runs at every map-form injection entry
-// point, wire decoders check as they parse, and lowerValue panics on
-// out-of-range rule constants at compile time — so interning can never
-// silently truncate and diverge from the reference semantics.
-func (s *Schema) intern(fields netkat.Packet, vals []int32, inert *inertSet, room int) (uint64, *inertSet) {
+// the domain — here for map-form packets, in Batch.add and the wire
+// decoders for flat batches, and lowerValue panics on out-of-range rule
+// constants at compile time — so interning can never silently truncate
+// and diverge from the reference semantics. The offending field may be
+// the first visited or the last (Go randomizes map order), so on error
+// the pairs this packet appended are truncated away; the caller recycles
+// vals, and nothing of the packet remains.
+func (s *Schema) intern(fields netkat.Packet, vals []int32, inert *inertSet, room int) (uint64, *inertSet, error) {
 	pres := uint64(0)
+	lo := inert.len()
 	for f, v := range fields {
-		if i, ok := s.index[f]; ok {
+		if int(int32(v)) != v {
+			if inert != nil {
+				inert.pairs = inert.pairs[:lo]
+			}
+			return 0, inert, domainErr(f, v)
+		}
+		if i := s.slot(f); i >= 0 {
 			vals[i] = int32(v)
 			pres |= 1 << uint(i)
 			continue
@@ -251,20 +285,12 @@ func (s *Schema) intern(fields netkat.Packet, vals []int32, inert *inertSet, roo
 		}
 		inert.pairs = append(inert.pairs, fieldPair{id: inert.nameID(f), val: int32(v)})
 	}
-	return pres, inert
+	return pres, inert, nil
 }
 
-// ValidateDomain rejects packets with header values outside the int32
-// flat-value domain (uniformly, inert fields included). Every map-form
-// injection entry point calls it, so a served-mode client gets the
-// error back rather than a silent drop at the admission barrier.
-func ValidateDomain(fields netkat.Packet) error {
-	for f, v := range fields {
-		if int(int32(v)) != v {
-			return fmt.Errorf("dataplane: header field %q value %d outside the int32 flat-value domain", f, v)
-		}
-	}
-	return nil
+// domainErr is the rejection of a header value no flat packet can carry.
+func domainErr(f string, v int) error {
+	return fmt.Errorf("dataplane: header field %q value %d outside the int32 flat-value domain", f, v)
 }
 
 // materialize rebuilds the full header map of a flat packet: its inert

@@ -17,6 +17,7 @@ const (
 	CtrHops Counter = iota // switch-hops executed
 	CtrGenerations
 	CtrInjections
+	CtrIngressShed // packets refused by a full served-mode inbox
 	CtrDeliveries
 	CtrRuleDrops   // packets dropped by a default-drop lookup
 	CtrTTLDrops    // packets discarded by the forwarding-loop TTL
@@ -46,6 +47,7 @@ var counterNames = [numCounters]string{
 	CtrHops:                  "hops",
 	CtrGenerations:           "generations",
 	CtrInjections:            "injections",
+	CtrIngressShed:           "ingress_shed",
 	CtrDeliveries:            "deliveries",
 	CtrRuleDrops:             "rule_drops",
 	CtrTTLDrops:              "ttl_drops",
@@ -74,6 +76,7 @@ var counterHelp = [numCounters]string{
 	CtrHops:                  "Switch-hops executed by the forwarding engine.",
 	CtrGenerations:           "Bulk-synchronous generations executed.",
 	CtrInjections:            "Packets admitted at ingress.",
+	CtrIngressShed:           "Packets refused because the served-mode inbox was full (429 from netd).",
 	CtrDeliveries:            "Packets delivered to hosts.",
 	CtrRuleDrops:             "Packets dropped by a default-drop table lookup.",
 	CtrTTLDrops:              "Packets discarded by the forwarding-loop TTL.",

@@ -121,7 +121,7 @@ func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 func isLetter(c byte) bool { return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_' }
 
 // errDomain rejects a value written at byte offset pos that no packet can
-// carry: header values are int32 (dataplane.ValidateDomain enforces the
+// carry: header values are int32 (dataplane's Schema.intern enforces the
 // same domain on injected packets) and the syntax has no negative
 // literals. The compiler's interner treats a wider value as a bug and
 // panics, so it has to stop here.
