@@ -67,12 +67,10 @@ type System struct {
 // extracted (Figure 6), the ETS conditions of Section 3.1 are checked,
 // and the NES is constructed and verified locally determined.
 //
-// Construction runs on the incremental sharded engine: exploration and
-// compilation overlap on a work-stealing pool, and per-state
-// configurations compile as deltas — only sub-policies whose state
-// guards changed re-enter FDD translation, with unchanged strands and
-// tables reused across states and workers (see docs/PIPELINE.md). The
-// result is deterministic for any worker count.
+// Construction is one serial breadth-first walk of the reachable states,
+// and per-state configurations compile as deltas — only sub-policies whose
+// state guards changed re-enter FDD translation, with unchanged strands
+// and tables reused across states (see docs/PIPELINE.md).
 func Compile(p Program, t *Topology) (*System, error) {
 	e, err := ets.Build(p, t)
 	if err != nil {

@@ -30,17 +30,6 @@ func deepCopy(t *flowtable.Table) *flowtable.Table {
 		for gi := range r.Groups {
 			r.Groups[gi].Sets = maps.Clone(r.Groups[gi].Sets)
 		}
-		if r.IR != nil {
-			ir := *r.IR
-			ir.EqFields, ir.EqValues = slices.Clone(ir.EqFields), slices.Clone(ir.EqValues)
-			ir.NeqFields, ir.NeqValues = slices.Clone(ir.NeqFields), slices.Clone(ir.NeqValues)
-			ir.Groups = slices.Clone(ir.Groups)
-			for gi := range ir.Groups {
-				ir.Groups[gi].SetFields = slices.Clone(ir.Groups[gi].SetFields)
-				ir.Groups[gi].SetValues = slices.Clone(ir.Groups[gi].SetValues)
-			}
-			r.IR = &ir
-		}
 	}
 	return out
 }

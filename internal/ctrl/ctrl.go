@@ -42,8 +42,7 @@ import (
 
 // Options configure a Controller.
 type Options struct {
-	// Workers is the engine's forwarding worker count (and the compile
-	// pool size). Defaults to 1.
+	// Workers is the engine's forwarding workers. Defaults to 1.
 	Workers int
 	// SwapTimeout bounds how long Swap waits for the old program to
 	// drain. Defaults to 30s.
@@ -203,7 +202,7 @@ func (c *Controller) Compile(name string, p stateful.Program) (*Program, error) 
 	c.mu.Unlock()
 
 	start := time.Now()
-	e, stats, err := ets.BuildWithOptions(p, c.topo, ets.Options{Workers: c.opts.Workers, Cache: c.cache})
+	e, stats, err := ets.BuildWithOptions(p, c.topo, ets.Options{Cache: c.cache})
 	if err != nil {
 		return nil, fmt.Errorf("ctrl: compiling %s: %w", name, err)
 	}

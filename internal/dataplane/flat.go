@@ -10,10 +10,9 @@ import (
 
 // This file is the compiled form of a flow table — the only one. Every
 // flowtable.Rule of a plan is lowered once, at plan-build time, from its
-// flat IR (flowtable.RuleIR: the compiler's, or derived from the maps for
-// rules that carry none) into integer-indexed match/action arrays, and the
-// lowered rules are indexed three ways, mirroring how a packet narrows the
-// search:
+// flat IR (flowtable.RuleIR, derived from the maps) into integer-indexed
+// match/action arrays, and the lowered rules are indexed three ways,
+// mirroring how a packet narrows the search:
 //
 //  1. Version-guard partition: rules are grouped by guard mask, and within
 //     a mask by their masked value, so a packet's tag selects the (at most
@@ -293,9 +292,9 @@ func newFlatBucket(rules []flatRule, ranks []int32) *flatBucket {
 }
 
 // lowerRule translates one rule to flat form: guard and ports from the
-// Match, field literals and action groups from the rule's IR — a straight
-// array walk, the IR's canonical order (see flowtable.RuleIR) becoming the
-// flat rule's.
+// Match, field literals and action groups from the rule's derived IR — a
+// straight array walk, the IR's canonical order (see flowtable.RuleIR)
+// becoming the flat rule's.
 func lowerRule(r *flowtable.Rule, s *Schema) flatRule {
 	m := &r.Match
 	fr := flatRule{
@@ -306,10 +305,7 @@ func lowerRule(r *flowtable.Rule, s *Schema) flatRule {
 	for _, p := range m.ExcludePorts {
 		fr.exPorts = append(fr.exPorts, int32(p))
 	}
-	ir := r.IR
-	if ir == nil {
-		ir = flowtable.DeriveIR(r)
-	}
+	ir := flowtable.DeriveIR(r)
 	for fi, f := range ir.EqFields {
 		i := mustIndex(s, f)
 		fr.eqIdx = append(fr.eqIdx, i)

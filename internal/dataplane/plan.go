@@ -171,8 +171,7 @@ func merged(progs ...*nes.NES) flowtable.Tables {
 				for _, r := range t.Rules {
 					m := r.Match.Clone()
 					m.Guard = guard
-					// The IR is guard-free, so the re-guarded copy shares it.
-					rs = append(rs, flowtable.Rule{Priority: r.Priority, Match: m, Groups: r.Groups, IR: r.IR})
+					rs = append(rs, flowtable.Rule{Priority: r.Priority, Match: m, Groups: r.Groups})
 				}
 				rules[sw] = rs
 			}

@@ -262,12 +262,11 @@ func mergedRef(progs ...*nes.NES) flowtable.Tables {
 // switch behaves identically the same *flowtable.Table (bandwidth-cap-200
 // is 202 configurations of 2 switches drawn from 4 tables), newPlan
 // lowers each once, and a revision compiled through the same cache reuses
-// the tables of the switches it did not change. One worker: a forked
-// worker memoizes tables in a context of its own.
+// the tables of the switches it did not change.
 func TestPlanLowersDistinctTables(t *testing.T) {
 	cache := nkc.NewProgramCache()
 	compile := func(a apps.App) *nes.NES {
-		e, _, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{Workers: 1, Cache: cache})
+		e, _, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}

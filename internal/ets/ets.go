@@ -5,12 +5,11 @@
 // under which the ETS's family of event-sets forms a valid NES
 // (Section 3.1), and performs the conversion to an NES.
 //
-// Construction runs on an incremental, sharded engine (build.go):
-// reachable-state exploration and per-state configuration compilation
-// overlap on a work-stealing pool, and per-worker nkc.ProgramCompilers
-// reuse FDDs and tables across states through guard-signature caches —
-// see docs/PIPELINE.md for the full pipeline, the cache design, and the
-// sharding/dedup invariants.
+// Construction is one serial breadth-first walk (build.go): each state's
+// configuration and event-edges come from one call into one
+// nkc.ProgramCompiler, which reuses FDDs and tables across states through
+// guard-signature caches — see docs/PIPELINE.md for the full pipeline and
+// the cache design.
 package ets
 
 import (
@@ -55,9 +54,8 @@ type ETS struct {
 // (the ETS(p) function of Section 3.3): vertices are the reachable state
 // vectors with their projected-and-compiled configurations; edges carry
 // occurrence-renamed events (Section 3.1's renaming for events encountered
-// multiple times along an execution). Exploration and compilation run on
-// the incremental sharded engine (see BuildWithOptions); the result is
-// deterministic regardless of worker count.
+// multiple times along an execution). Vertices are numbered in
+// breadth-first discovery order.
 func Build(p stateful.Program, t *topo.Topology) (*ETS, error) {
 	e, _, err := BuildWithOptions(p, t, Options{})
 	return e, err

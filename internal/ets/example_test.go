@@ -8,19 +8,18 @@ import (
 )
 
 // ExampleBuild compiles the bandwidth-cap application with cap 20 (22
-// reachable states) on a single worker and reports the incremental
-// engine's cache statistics. The first state walks all 23 strands (46
+// reachable states) and reports the incremental compiler's cache
+// statistics. The first state walks all 23 strands (46
 // segment lookups); adjacent states differ only in which counter guard
 // holds, so each later state looks up only the segments of the few
 // strands testing a flipped guard, and every strand segment it does look
 // up is reused by its structural (segment rendering, guard signature)
 // key — including across strand positions that contain the same
 // link-free command. The whole run performs just four distinct symbolic
-// strand executions. (With the default worker count the same tables come
-// out, but hit/miss attribution across workers is scheduling-dependent.)
+// strand executions.
 func ExampleBuild() {
 	a := apps.BandwidthCap(20)
-	e, stats, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{Workers: 1})
+	e, stats, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -69,43 +69,41 @@ func TestIncrementalMatchesDNFRuleCounts(t *testing.T) {
 	}
 }
 
-// TestBuildDeterministic: the sharded work-stealing engine produces the
-// same ETS — vertex numbering, tables, edges, and renamed events — for
-// any worker count, including oversubscribed pools.
+// TestBuildDeterministic: building twice gives the same ETS — vertex
+// numbering, tables, edges, and renamed events (no map iteration order
+// reaches the output).
 func TestBuildDeterministic(t *testing.T) {
 	for _, a := range incrementalApps() {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
-			ref, _, err := BuildWithOptions(a.Prog, a.Topo, Options{Workers: 1})
+			ref, err := Build(a.Prog, a.Topo)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{2, 4, 7} {
-				e, _, err := BuildWithOptions(a.Prog, a.Topo, Options{Workers: workers})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if e.String() != ref.String() {
-					t.Fatalf("workers=%d: ETS differs from single-worker build\n%s\nvs\n%s", workers, e.String(), ref.String())
-				}
-				if len(e.Vertices) != len(ref.Vertices) {
-					t.Fatalf("workers=%d: vertex count", workers)
-				}
-				for i := range e.Vertices {
-					if e.Vertices[i].Tables.String() != ref.Vertices[i].Tables.String() {
-						t.Fatalf("workers=%d: tables of vertex %d differ", workers, i)
-					}
+			e, err := Build(a.Prog, a.Topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.String() != ref.String() {
+				t.Fatalf("second build differs from the first\n%s\nvs\n%s", e.String(), ref.String())
+			}
+			if len(e.Vertices) != len(ref.Vertices) {
+				t.Fatal("vertex count")
+			}
+			for i := range e.Vertices {
+				if e.Vertices[i].Tables.String() != ref.Vertices[i].Tables.String() {
+					t.Fatalf("tables of vertex %d differ", i)
 				}
 			}
 		})
 	}
 }
 
-// TestBuildStats: the stats of a single-worker build account exactly for
-// the explored graph.
+// TestBuildStats: the stats of a build account exactly for the explored
+// graph.
 func TestBuildStats(t *testing.T) {
 	a := apps.BandwidthCap(10)
-	e, stats, err := BuildWithOptions(a.Prog, a.Topo, Options{Workers: 1})
+	e, stats, err := BuildWithOptions(a.Prog, a.Topo, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +116,5 @@ func TestBuildStats(t *testing.T) {
 	if stats.Cache.TableHits+stats.Cache.TableMisses != int64(stats.States) {
 		t.Fatalf("table lookups %d+%d do not cover %d states",
 			stats.Cache.TableHits, stats.Cache.TableMisses, stats.States)
-	}
-	if stats.Steals != 0 {
-		t.Fatalf("single worker stole %d items", stats.Steals)
 	}
 }

@@ -171,66 +171,15 @@ func BuildUnrolled(p stateful.Program, t *topo.Topology, maxRounds int) (*ETS, e
 	if maxRounds < 1 {
 		return nil, fmt.Errorf("ets: maxRounds must be positive")
 	}
-	e := &ETS{Init: 0, Topo: t}
-
-	type key struct {
-		state string
-		round int
-	}
-	vid := map[key]int{}
-	// Unrolled copies of a state share its configuration and its edges:
-	// each distinct state is explored once.
-	seen := map[string]*explored{}
 	pc, err := nkc.NewProgramCompiler(p.Cmd, t, nil)
 	if err != nil {
 		return nil, err
 	}
-	var raw []rawEdge
-
-	type qitem struct {
-		res   *explored
-		round int
-		id    int
-	}
-	var queue []qitem
-	addVertex := func(k stateful.State, round int) (int, error) {
-		kk := key{state: k.Key(), round: round}
-		if id, ok := vid[kk]; ok {
-			return id, nil
-		}
-		res, ok := seen[kk.state]
-		if !ok {
-			var err error
-			if res, err = explore(pc, k); err != nil {
-				return 0, err
-			}
-			seen[kk.state] = res
-		}
-		id := len(e.Vertices)
-		if id >= maxUnrollVertices {
-			return 0, fmt.Errorf("ets: unrolled state space exceeds %d vertices", maxUnrollVertices)
-		}
-		e.Vertices = append(e.Vertices, Vertex{ID: id, State: res.state, Tables: res.tables})
-		vid[kk] = id
-		queue = append(queue, qitem{res: res, round: round, id: id})
-		return id, nil
-	}
-
-	if _, err := addVertex(p.Init, 0); err != nil {
+	// The raw edges stay in discovery order: the copies of a state share
+	// their edges' keys, so sorting by key would need to be stable.
+	e, raw, err := walk(pc, p.Init, t, maxRounds)
+	if err != nil {
 		return nil, err
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		cur := queue[qi]
-		if cur.round >= maxRounds {
-			continue
-		}
-		for _, ed := range cur.res.edges {
-			toID, err := addVertex(ed.To, cur.round+1)
-			if err != nil {
-				return nil, err
-			}
-			raw = append(raw, rawEdge{from: cur.id, to: toID, ed: ed})
-		}
 	}
 	if err := e.finish(raw); err != nil {
 		return nil, err

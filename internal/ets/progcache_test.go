@@ -56,11 +56,11 @@ func TestBuildWithProgramCache(t *testing.T) {
 	cache := nkc.NewProgramCache()
 	a := apps.BandwidthCap(40)
 
-	cached, s1, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{Workers: 1, Cache: cache})
+	cached, s1, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{Workers: 1})
+	plain, err := ets.Build(a.Prog, a.Topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestBuildWithProgramCache(t *testing.T) {
 	}
 
 	// Same program again: the swap-back path. Nothing recompiles.
-	again, s2, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{Workers: 1, Cache: cache})
+	again, s2, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func TestBuildWithProgramCache(t *testing.T) {
 	// A revision: cap 41 shares every counter segment up to 40 with the
 	// cached program, so warm segment misses are strictly fewer than cold.
 	b := apps.BandwidthCap(41)
-	if warm, s3, err := ets.BuildWithOptions(b.Prog, b.Topo, ets.Options{Workers: 1, Cache: cache}); err != nil {
+	if warm, s3, err := ets.BuildWithOptions(b.Prog, b.Topo, ets.Options{Cache: cache}); err != nil {
 		t.Fatal(err)
 	} else {
 		cold := nkc.NewProgramCache()
-		alone, s4, err := ets.BuildWithOptions(b.Prog, b.Topo, ets.Options{Workers: 1, Cache: cold})
+		alone, s4, err := ets.BuildWithOptions(b.Prog, b.Topo, ets.Options{Cache: cold})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,13 +118,6 @@ func TestBuildWithProgramCache(t *testing.T) {
 	if cache.Len() != 2 {
 		t.Fatalf("cache holds %d programs, want 2", cache.Len())
 	}
-
-	// Multi-worker cached builds stay deterministic.
-	multi, _, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{Workers: 4, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameETS(t, plain, multi, "cached 4-worker")
 }
 
 // TestTemplateMemoBound is the count behind the template memo: the
@@ -137,11 +130,11 @@ func TestBuildWithProgramCache(t *testing.T) {
 func TestTemplateMemoBound(t *testing.T) {
 	cache := nkc.NewProgramCache()
 	a, b := apps.BandwidthCap(200), apps.BandwidthCap(201)
-	_, cold, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{Workers: 1, Cache: cache})
+	_, cold, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, warm, err := ets.BuildWithOptions(b.Prog, b.Topo, ets.Options{Workers: 1, Cache: cache})
+	_, warm, err := ets.BuildWithOptions(b.Prog, b.Topo, ets.Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +196,7 @@ func TestTemplateMemoKeyCoversTheLink(t *testing.T) {
 		for second := range progs {
 			cache := nkc.NewProgramCache()
 			for _, name := range []string{first, second} {
-				e, _, err := ets.BuildWithOptions(progs[name], tp, ets.Options{Workers: 1, Cache: cache})
+				e, _, err := ets.BuildWithOptions(progs[name], tp, ets.Options{Cache: cache})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -257,8 +250,7 @@ func randProgram(r *rand.Rand) stateful.Program {
 // events included; stateful.Events stays the oracle for the edges
 // themselves (nkc.TestSparseMatchesFull). The sequence is the bench's
 // compile set, three failover horizons, a revision of the cap, then 200
-// random programs (the cache resets wholesale several times on the way),
-// at 1, 2 and 4 workers.
+// random programs (the cache resets wholesale several times on the way).
 func TestAnyProgramAfterAnyOtherMatchesAlone(t *testing.T) {
 	seq := []apps.App{
 		apps.Firewall(), apps.LearningSwitch(), apps.Authentication(), apps.BandwidthCap(10), apps.IDS(),
@@ -291,21 +283,19 @@ func TestAnyProgramAfterAnyOtherMatchesAlone(t *testing.T) {
 	if built < len(seq)/2 {
 		t.Fatalf("only %d of %d programs compile; the random ones are mostly invalid", built, len(seq))
 	}
-	for _, workers := range []int{1, 2, 4} {
-		cache := nkc.NewProgramCache()
-		var hits int64
-		for i, a := range seq {
-			e, st, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{Workers: workers, Cache: cache})
-			if (err == nil) != (alone[i].err == nil) || (err != nil && err.Error() != alone[i].err.Error()) {
-				t.Fatalf("workers=%d %s: error %v after its predecessors, %v alone", workers, a.Name, err, alone[i].err)
-			}
-			if err == nil {
-				assertSameETS(t, alone[i].e, e, fmt.Sprintf("workers=%d %s after its predecessors vs alone", workers, a.Name))
-				hits += st.Cache.TemplateHits
-			}
+	cache := nkc.NewProgramCache()
+	var hits int64
+	for i, a := range seq {
+		e, st, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{Cache: cache})
+		if (err == nil) != (alone[i].err == nil) || (err != nil && err.Error() != alone[i].err.Error()) {
+			t.Fatalf("%s: error %v after its predecessors, %v alone", a.Name, err, alone[i].err)
 		}
-		if hits == 0 || cache.Resets() == 0 {
-			t.Fatalf("workers=%d: %d template hits, %d cache resets; the sequence exercises neither", workers, hits, cache.Resets())
+		if err == nil {
+			assertSameETS(t, alone[i].e, e, a.Name+" after its predecessors vs alone")
+			hits += st.Cache.TemplateHits
 		}
+	}
+	if hits == 0 || cache.Resets() == 0 {
+		t.Fatalf("%d template hits, %d cache resets; the sequence exercises neither", hits, cache.Resets())
 	}
 }

@@ -340,21 +340,16 @@ type Output struct {
 // RuleIR is the flat intermediate form of a rule: the match's field
 // literals and the groups' assignments as canonically ordered parallel
 // arrays — the one form dataplane lowering reads, translating names to
-// schema indices by direct array walks. The FDD backend's table extraction
-// walks root-leaf paths in canonical test order (ports first, then fields
-// alphabetically with ascending values), so it emits the match half for
-// free; rules built any other way (the DNF oracle, the optimizer, tables
-// written by hand) carry none and get theirs from DeriveIR. The map form
-// on Match and Groups remains authoritative — the linear-scan reference
-// and the rule algebra (Intersect, Subsumes, the optimizer) read only the
-// maps, and the emitted IR is property-tested equal to the derived one.
+// schema indices by direct array walks. A rule has one form, the maps on
+// Match and Groups — what the linear-scan reference and the rule algebra
+// (Intersect, Subsumes, the optimizer) read — and DeriveIR flattens it
+// when a table is lowered, once per distinct table.
 //
 // Invariants: EqFields is strictly ascending; (NeqFields[i],
 // NeqValues[i]) pairs are sorted by field then value (and a compiled
 // rule has none for a field present in EqFields); Groups is parallel to
-// Rule.Groups with each SetFields sorted. An IR is immutable once
-// attached and may be shared across rule copies whose Match differs only
-// in Guard (guards and ports are lowered from the Match itself).
+// Rule.Groups with each SetFields sorted. Guards and ports are lowered
+// from the Match itself.
 type RuleIR struct {
 	EqFields  []string
 	EqValues  []int
@@ -391,15 +386,10 @@ func DeriveIR(r *Rule) *RuleIR {
 		}
 	}
 	for _, g := range r.Groups {
-		ir.Groups = append(ir.Groups, DeriveGroupIR(g))
+		fs, vs := sortedAssignments(g.Sets)
+		ir.Groups = append(ir.Groups, GroupIR{SetFields: fs, SetValues: vs})
 	}
 	return ir
-}
-
-// DeriveGroupIR is the action-group half of DeriveIR.
-func DeriveGroupIR(g ActionGroup) GroupIR {
-	fs, vs := sortedAssignments(g.Sets)
-	return GroupIR{SetFields: fs, SetValues: vs}
 }
 
 // sortedAssignments flattens a field->value map into parallel arrays,
@@ -421,13 +411,10 @@ func sortedAssignments(m map[string]int) ([]string, []int) {
 }
 
 // Rule is one prioritized match-action entry. Higher Priority wins.
-// IR, when non-nil, is the compiler-emitted flat form (see RuleIR);
-// consumers must treat it as read-only.
 type Rule struct {
 	Priority int
 	Match    Match
 	Groups   []ActionGroup // empty means drop
-	IR       *RuleIR
 }
 
 // Key returns a canonical identity for the rule ignoring its version guard

@@ -160,20 +160,6 @@ func (c *Conj) MergeWith(d *Conj) bool {
 	return true
 }
 
-// ToPred converts the conjunction to an equivalent Pred.
-func (c *Conj) ToPred() Pred {
-	var parts []Pred
-	for _, f := range c.EqFields() {
-		parts = append(parts, Test{Field: f, Value: c.eq[f]})
-	}
-	for _, f := range c.NeqFields() {
-		for _, v := range c.Neq(f) {
-			parts = append(parts, Not{Test{Field: f, Value: v}})
-		}
-	}
-	return AndAll(parts...)
-}
-
 // Key returns a canonical string; equal conjunctions have equal keys.
 // It is on the hot path of event extraction and compilation, so it is
 // written with appends rather than fmt.

@@ -72,18 +72,6 @@ func ID() Policy { return Filter{True{}} }
 // Drop is the empty policy (the test false).
 func Drop() Policy { return Filter{False{}} }
 
-// UnionAll folds policies with Union; the empty list is Drop.
-func UnionAll(ps ...Policy) Policy {
-	if len(ps) == 0 {
-		return Drop()
-	}
-	out := ps[0]
-	for _, p := range ps[1:] {
-		out = Union{out, p}
-	}
-	return out
-}
-
 // SeqAll folds policies with Seq; the empty list is ID.
 func SeqAll(ps ...Policy) Policy {
 	if len(ps) == 0 {
@@ -188,62 +176,5 @@ func HasLinks(p Policy) bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// FieldsOf returns every header field name mentioned by the policy
-// (excluding the pseudo-fields sw and pt), sorted.
-func FieldsOf(p Policy) []string {
-	set := map[string]bool{}
-	var walkPred func(Pred)
-	walkPred = func(p Pred) {
-		switch q := p.(type) {
-		case Test:
-			if q.Field != FieldSw && q.Field != FieldPt {
-				set[q.Field] = true
-			}
-		case Not:
-			walkPred(q.P)
-		case And:
-			walkPred(q.L)
-			walkPred(q.R)
-		case Or:
-			walkPred(q.L)
-			walkPred(q.R)
-		}
-	}
-	var walk func(Policy)
-	walk = func(p Policy) {
-		switch q := p.(type) {
-		case Filter:
-			walkPred(q.P)
-		case Assign:
-			if q.Field != FieldSw && q.Field != FieldPt {
-				set[q.Field] = true
-			}
-		case Union:
-			walk(q.L)
-			walk(q.R)
-		case Seq:
-			walk(q.L)
-			walk(q.R)
-		case Star:
-			walk(q.P)
-		}
-	}
-	walk(p)
-	out := make([]string, 0, len(set))
-	for f := range set {
-		out = append(out, f)
-	}
-	sortStrings(out)
-	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }

@@ -95,29 +95,3 @@ func parenPred(p Pred, level int) string {
 	}
 	return p.String()
 }
-
-// AndAll folds a list of predicates with And; the empty list is True.
-func AndAll(ps ...Pred) Pred {
-	var out Pred = True{}
-	for i, p := range ps {
-		if i == 0 {
-			out = p
-		} else {
-			out = And{out, p}
-		}
-	}
-	return out
-}
-
-// OrAll folds a list of predicates with Or; the empty list is False.
-func OrAll(ps ...Pred) Pred {
-	var out Pred = False{}
-	for i, p := range ps {
-		if i == 0 {
-			out = p
-		} else {
-			out = Or{out, p}
-		}
-	}
-	return out
-}

@@ -24,13 +24,13 @@ func acquireCosts(t *testing.T, c *ProgramCache, b apps.App) (excess, ctx float6
 	t.Helper()
 	acquire := allocBytes(func() {
 		var err error
-		if root, _, err = c.Acquire(b.Prog.Cmd, b.Topo); err != nil {
+		if root, err = c.Acquire(b.Prog.Cmd, b.Topo); err != nil {
 			t.Fatal(err)
 		}
 	})
 	c.Release()
 	fresh := allocBytes(func() {
-		if _, err := NewProgramCompiler(b.Prog.Cmd, b.Topo, NewSharedCache()); err != nil {
+		if _, err := NewProgramCompiler(b.Prog.Cmd, b.Topo, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -46,7 +46,7 @@ func acquireCosts(t *testing.T, c *ProgramCache, b apps.App) (excess, ctx float6
 func TestAcquireBuildsOnCacheContext(t *testing.T) {
 	a, b := apps.BandwidthCap(200), apps.BandwidthCap(201)
 	c := NewProgramCache()
-	if _, _, err := c.Acquire(a.Prog.Cmd, a.Topo); err != nil {
+	if _, err := c.Acquire(a.Prog.Cmd, a.Topo); err != nil {
 		t.Fatal(err)
 	}
 	c.Release()

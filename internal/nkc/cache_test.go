@@ -64,47 +64,6 @@ func TestProgramCompilerHitMissAccounting(t *testing.T) {
 	}
 }
 
-// TestSharedCacheAcrossCompilers: a second compiler attached to the same
-// SharedCache gets whole-table hits for states the first already
-// compiled, and the shared tables are the same instance.
-func TestSharedCacheAcrossCompilers(t *testing.T) {
-	a := apps.IDS()
-	sc := NewSharedCache()
-	pc1, err := NewProgramCompiler(a.Prog.Cmd, a.Topo, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc2, err := NewProgramCompiler(a.Prog.Cmd, a.Topo, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	states, _, err := a.Prog.ReachableStates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range states {
-		t1, err := pc1.Compile(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t2, err := pc2.Compile(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for sw, tbl := range t1 {
-			if t2[sw] != tbl {
-				t.Fatalf("state %v switch %d: shared cache returned distinct table instances", k, sw)
-			}
-		}
-	}
-	if st := pc2.Stats(); st.TableHits != int64(len(states)) || st.TableMisses != 0 {
-		t.Fatalf("second compiler should only hit: %+v", st)
-	}
-	if sc.Len() != len(states) {
-		t.Fatalf("shared cache holds %d configs for %d states", sc.Len(), len(states))
-	}
-}
-
 // TestCacheGrowthBound: the caches are eviction-free, so their only
 // soundness risk is unbounded growth. Growth is bounded by the program's
 // structural variety, not by the number of states compiled: on
@@ -168,66 +127,4 @@ func TestCacheGrowthBound(t *testing.T) {
 	if after.TableHits != before.TableHits+int64(len(states)) {
 		t.Fatalf("recompilation was not all table hits: before %+v after %+v", before, after)
 	}
-}
-
-// TestForkSharesSkeletonNotContext: a forked compiler produces identical
-// tables while keeping its own context, and merged stats deduplicate the
-// store sizes.
-func TestForkSharesSkeletonNotContext(t *testing.T) {
-	a := apps.BandwidthCap(5)
-	sc := NewSharedCache()
-	pc, err := NewProgramCompiler(a.Prog.Cmd, a.Topo, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fk := pc.Fork()
-	states, _, err := a.Prog.ReachableStates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Interleave compiles across the original and the fork; the shared
-	// cache must keep them byte-identical.
-	for i, k := range states {
-		var t1, t2 interface{ String() string }
-		if i%2 == 0 {
-			x, err := pc.Compile(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			y, err := fk.Compile(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t1, t2 = x, y
-		} else {
-			x, err := fk.Compile(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			y, err := pc.Compile(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t1, t2 = x, y
-		}
-		if t1.String() != t2.String() {
-			t.Fatalf("state %v: fork and original disagree", k)
-		}
-	}
-	// Merging both workers' stats must not double-count store sizes.
-	merged := pc.Stats()
-	merged.Add(fk.Stats())
-	if merged.Strands != maxI64(pc.Stats().Strands, fk.Stats().Strands) {
-		t.Fatalf("strand stores not merged by max: %d", merged.Strands)
-	}
-	if merged.FDDNodes != maxI64(pc.Stats().FDDNodes, fk.Stats().FDDNodes) {
-		t.Fatalf("node stores not merged by max: %d", merged.FDDNodes)
-	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,24 +4,23 @@ import (
 	"testing"
 
 	"eventnet/internal/apps"
+	"eventnet/internal/flowtable"
 	"eventnet/internal/stateful"
 )
 
-// compileAllApps is the correctness set for the sharded/interned compile
-// path: the five paper applications, the ring, and the scale-family
-// workloads at test-sized parameters (same shapes as the cap-2000 and
-// 125-switch benchmarks, smaller counters).
+// compileAllApps is the correctness set for the interned compile path:
+// the five paper applications, the ring, and the scale-family workloads
+// at test-sized parameters (same shapes as the cap-2000 and 125-switch
+// benchmarks, smaller counters).
 func compileAllApps() []apps.App {
 	out := apps.All()
 	out = append(out, apps.Ring(3), apps.IDSFatTree(4), apps.BandwidthCap(40))
 	return out
 }
 
-// TestCompileAllDeterministicAcrossWorkers is the acceptance property for
-// the in-compiler sharding: CompileAll over every reachable state is
-// byte-identical at 1, 2, 4, and 8 workers. Workers meet only through
-// the SharedCache, whose publish step canonicalizes per signature, so
-// scheduling cannot leak into the output.
+// TestCompileAllDeterministicAcrossWorkers: CompileAll's worker count is
+// accepted and ignored (bench/ names it), so the tables are the same
+// whatever is passed. The test and the parameter go together.
 func TestCompileAllDeterministicAcrossWorkers(t *testing.T) {
 	for _, a := range compileAllApps() {
 		a := a
@@ -30,16 +29,9 @@ func TestCompileAllDeterministicAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refPC, err := NewProgramCompiler(a.Prog.Cmd, a.Topo, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := refPC.CompileAll(states, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 4, 8} {
-				pc, err := NewProgramCompiler(a.Prog.Cmd, a.Topo, NewSharedCache())
+			var ref []flowtable.Tables
+			for _, workers := range []int{1, 8} {
+				pc, err := NewProgramCompiler(a.Prog.Cmd, a.Topo, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -47,9 +39,12 @@ func TestCompileAllDeterministicAcrossWorkers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
+				if ref == nil {
+					ref = got
+				}
 				for i := range states {
 					if got[i].String() != ref[i].String() {
-						t.Fatalf("workers=%d: state %v tables differ from single-worker build\ngot:\n%s\nwant:\n%s",
+						t.Fatalf("workers=%d: state %v tables differ\ngot:\n%s\nwant:\n%s",
 							workers, states[i], got[i].String(), ref[i].String())
 					}
 				}
@@ -85,7 +80,7 @@ func TestProgramCacheMatchesScratchAndDNF(t *testing.T) {
 			// Two passes through the cache: the second resolves entirely from
 			// the interned memos and must reproduce the first byte-for-byte.
 			for pass := 0; pass < 2; pass++ {
-				root, _, err := cache.Acquire(a.Prog.Cmd, a.Topo)
+				root, err := cache.Acquire(a.Prog.Cmd, a.Topo)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -111,32 +111,8 @@ type FDD struct {
 	acts   []*Action // leaf payload, sorted by action key, deduplicated
 }
 
-// Leaf reports whether the node is a leaf.
-func (d *FDD) Leaf() bool { return d.leaf }
-
-// Actions returns a leaf's action set (nil for internal nodes).
-func (d *FDD) Actions() []*Action { return d.acts }
-
 // isDropLeaf reports whether d is the empty (drop-everything) leaf.
 func (d *FDD) isDropLeaf() bool { return d.leaf && len(d.acts) == 0 }
-
-// Size returns the number of distinct nodes reachable from d.
-func (d *FDD) Size() int {
-	seen := map[int]bool{}
-	var walk func(n *FDD)
-	walk = func(n *FDD) {
-		if seen[n.id] {
-			return
-		}
-		seen[n.id] = true
-		if !n.leaf {
-			walk(n.hi)
-			walk(n.lo)
-		}
-	}
-	walk(d)
-	return len(seen)
-}
 
 // String renders the diagram as nested if-expressions (for debugging).
 func (d *FDD) String() string {
@@ -174,8 +150,7 @@ type fddPair struct{ a, b int }
 // FDDCtx owns the hash-consing tables and combinator memos for one
 // compilation. Nodes live in a chunked arena (intern.go); every cache
 // below is keyed by dense ids or packed atoms, never by rendered text.
-// A context is not safe for concurrent use; parallel compiles (e.g. the
-// per-state worker pool in internal/ets) each build their own.
+// A context is not safe for concurrent use.
 type FDDCtx struct {
 	arena  fddArena
 	nextID int

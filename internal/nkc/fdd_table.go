@@ -199,14 +199,6 @@ func extractRules(d *FDD) ([]flowtable.Rule, error) {
 				return nil
 			}
 			m := flowtable.Match{InPort: flowtable.Wildcard, Fields: map[string]int{}, Excludes: map[string][]int{}}
-			// The literal stack arrives in canonical test order (ports
-			// first, then fields alphabetically with ascending values), so
-			// the flat IR is emitted directly: equality fields come out
-			// strictly ascending and exclusion pairs sorted by (field,
-			// value). An equality on a field supersedes its accumulated
-			// exclusions — in a canonical path those are exactly the
-			// contiguous tail entries for that field.
-			ir := &flowtable.RuleIR{}
 			for _, l := range lits {
 				switch {
 				case l.f == netkat.FieldPt && l.eq:
@@ -216,16 +208,8 @@ func extractRules(d *FDD) ([]flowtable.Rule, error) {
 				case l.eq:
 					m.Fields[l.f] = l.v
 					delete(m.Excludes, l.f) // the equality subsumes prior exclusions
-					for k := len(ir.NeqFields); k > 0 && ir.NeqFields[k-1] == l.f; k = len(ir.NeqFields) {
-						ir.NeqFields = ir.NeqFields[:k-1]
-						ir.NeqValues = ir.NeqValues[:k-1]
-					}
-					ir.EqFields = append(ir.EqFields, l.f)
-					ir.EqValues = append(ir.EqValues, l.v)
 				default:
 					m.Excludes[l.f] = append(m.Excludes[l.f], l.v)
-					ir.NeqFields = append(ir.NeqFields, l.f)
-					ir.NeqValues = append(ir.NeqValues, l.v)
 				}
 			}
 			if m.InPort != flowtable.Wildcard {
@@ -244,10 +228,7 @@ func extractRules(d *FDD) ([]flowtable.Rule, error) {
 				groups = append(groups, flowtable.ActionGroup{Sets: sets, OutPort: out})
 			}
 			sort.Slice(groups, func(i, j int) bool { return groups[i].Key() < groups[j].Key() })
-			for _, g := range groups {
-				ir.Groups = append(ir.Groups, flowtable.DeriveGroupIR(g))
-			}
-			rules = append(rules, flowtable.Rule{Priority: m.Specificity(), Match: m, Groups: groups, IR: ir})
+			rules = append(rules, flowtable.Rule{Priority: m.Specificity(), Match: m, Groups: groups})
 			return nil
 		}
 		if n.field == netkat.FieldSw {

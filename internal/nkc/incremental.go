@@ -23,8 +23,8 @@ package nkc
 // ToFDD only for segments whose guard signature — the truth vector of
 // the state tests inside that segment — has not been seen before, and
 // reuses its symbolic execution and extracted tables by structural key.
-// Whole configurations are additionally shared across states (and, via
-// SharedCache, across a compiler pool) by program-level signature.
+// Whole configurations are additionally shared across states by
+// program-level signature.
 //
 // A state reached by such a delta walk gets tables byte-identical to
 // those of a fresh compiler walking that state in full, and edges
@@ -41,8 +41,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"eventnet/internal/flowtable"
 	"eventnet/internal/netkat"
@@ -281,11 +279,9 @@ type segMemoKey struct {
 	sig uint64
 }
 
-// compilerInterns groups the concurrency-safe interners shared by every
-// fork of one ProgramCompiler — and, through ProgramCache, by every
-// cached program of one cache generation. Sharing is what lets the
-// SharedCache key on dense signature ids: all workers agree on the id
-// of a signature because they intern through the same table.
+// compilerInterns groups the interners of one ProgramCompiler — or,
+// through ProgramCache, of every cached program of one cache generation,
+// which is what lets their memo keys meet in one FDD context.
 type compilerInterns struct {
 	segKeys *Interner // segment canonical rendering -> id
 	sigs    *Interner // whole-program guard signature -> id
@@ -303,10 +299,7 @@ func (ci *compilerInterns) entries() int {
 }
 
 // ProgramCompiler compiles the per-state configurations of one Stateful
-// NetKAT program incrementally. It is not safe for concurrent use; a
-// worker pool gives each worker its own ProgramCompiler and connects
-// them through one SharedCache (CompileAll arranges exactly that), with
-// the interners shared so signature ids agree across workers.
+// NetKAT program incrementally. It is not safe for concurrent use.
 type ProgramCompiler struct {
 	switches []int // all the compiler reads of the topology
 
@@ -319,8 +312,7 @@ type ProgramCompiler struct {
 	segTestPos  [][]int32 // per segment id: positions of its guards in the whole-program index
 	atomStrands [][]int32 // per whole-program guard position: the strands testing it, ascending
 
-	local  map[uint32]flowtable.Tables // interned signature id -> tables
-	shared *SharedCache
+	tables map[uint32]flowtable.Tables // interned whole-program signature id -> configuration
 
 	ref *refState // the state walked in full; nil until the first Explore
 
@@ -335,18 +327,20 @@ type ProgramCompiler struct {
 	stats CacheStats
 }
 
+// SharedCache is the type of NewProgramCompiler's ignored parameter.
+type SharedCache struct{}
+
 // NewProgramCompiler builds an incremental compiler for a program over a
-// topology, optionally attached to a shared cross-compiler cache (sc may
-// be nil). The command is validated once — validity is independent of
+// topology. The command is validated once — validity is independent of
 // the state vector, since projection only replaces state tests by
 // true/false.
-func NewProgramCompiler(c stateful.Cmd, t *topo.Topology, sc *SharedCache) (*ProgramCompiler, error) {
-	return newProgramCompiler(c, t, sc, NewFDDCtx(), newCompilerInterns())
+func NewProgramCompiler(c stateful.Cmd, t *topo.Topology, _ *SharedCache) (*ProgramCompiler, error) { // accepted and ignored; named by bench/
+	return newProgramCompiler(c, t, NewFDDCtx(), newCompilerInterns())
 }
 
 // newProgramCompiler builds the compiler on an FDD context and interner
 // set: fresh ones, or the pair every program of a ProgramCache shares.
-func newProgramCompiler(c stateful.Cmd, t *topo.Topology, sc *SharedCache, ctx *FDDCtx, in *compilerInterns) (*ProgramCompiler, error) {
+func newProgramCompiler(c stateful.Cmd, t *topo.Topology, ctx *FDDCtx, in *compilerInterns) (*ProgramCompiler, error) {
 	if err := netkat.Validate(stateful.Project(c, stateful.State{})); err != nil {
 		return nil, err
 	}
@@ -356,12 +350,11 @@ func newProgramCompiler(c stateful.Cmd, t *topo.Topology, sc *SharedCache, ctx *
 	}
 	pc := &ProgramCompiler{
 		switches: t.Switches,
-		shared:   sc,
 		ctx:      ctx,
 		strands:  strands,
 		guards:   stateful.CollectGuards(c),
 		intern:   in,
-		local:    map[uint32]flowtable.Tables{},
+		tables:   map[uint32]flowtable.Tables{},
 	}
 	pc.indexSegments()
 	return pc, nil
@@ -371,7 +364,7 @@ func newProgramCompiler(c stateful.Cmd, t *topo.Topology, sc *SharedCache, ctx *
 // positions of each segment's guards within the whole-program index, the
 // inverse of the latter by strand, and the template-memo identity of
 // every event-raising strand. All are pure functions of the skeleton and
-// the interner set; forks share the resulting slices.
+// the interner set.
 func (pc *ProgramCompiler) indexSegments() {
 	nsegs := 0
 	for _, s := range pc.strands {
@@ -432,31 +425,10 @@ func (pc *ProgramCompiler) appendSkeleton(b []byte, s *progStrand, n int) []byte
 	return b
 }
 
-// Fork returns a compiler for use on another goroutine of a worker
-// pool: it shares this compiler's immutable program skeleton (validated
-// command, strands with their guard indexes, segment index, interners,
-// shared cache) but owns a fresh hash-consing context and
-// memos, so the per-program extraction work is paid once per pool
-// rather than once per worker. The reference state is not shared: its
-// remembered hops are diagrams of the context that built them, so a fork
-// walks the skeleton in full for the first state it is given.
-func (pc *ProgramCompiler) Fork() *ProgramCompiler {
-	return &ProgramCompiler{
-		switches:    pc.switches,
-		shared:      pc.shared,
-		ctx:         NewFDDCtx(),
-		strands:     pc.strands,
-		guards:      pc.guards,
-		intern:      pc.intern,
-		segKeyIDs:   pc.segKeyIDs,
-		segTestPos:  pc.segTestPos,
-		atomStrands: pc.atomStrands,
-		local:       map[uint32]flowtable.Tables{},
-	}
-}
+// Configs returns the number of distinct configurations compiled.
+func (pc *ProgramCompiler) Configs() int { return len(pc.tables) }
 
-// Stats returns this compiler's cache statistics. In a pool, sum the
-// workers' stats for the run total.
+// Stats returns this compiler's cache statistics.
 func (pc *ProgramCompiler) Stats() CacheStats {
 	s := pc.stats
 	s.Strands = int64(pc.ctx.StrandCount())
@@ -500,76 +472,16 @@ func (pc *ProgramCompiler) packSig(pos []int32, whole []byte) uint64 {
 	return uint64(pc.intern.segSigs.IDBytes(buf)) << 1
 }
 
-// CompileAll compiles the configurations of all given states, sharding
-// the state list across workers inside the compiler itself (the layer
-// below a pool like internal/ets, which shards whole states the same
-// way but owns discovery too). Results are positional: out[i] is the
-// tables for states[i]. Workers are this compiler plus workers-1 forks
-// connected through the SharedCache, so every worker returns the
-// canonical shared instance per signature and the output is
-// byte-identical at any worker count — the same canonical-reassembly
-// argument as ets.Build, property-tested at 1/2/4/8 workers.
-func (pc *ProgramCompiler) CompileAll(states []stateful.State, workers int) ([]flowtable.Tables, error) {
+// CompileAll compiles the configurations of all given states. Results
+// are positional: out[i] is the tables for states[i].
+func (pc *ProgramCompiler) CompileAll(states []stateful.State, _ int) ([]flowtable.Tables, error) { // accepted and ignored; named by bench/
 	out := make([]flowtable.Tables, len(states))
-	if workers > len(states) {
-		workers = len(states)
-	}
-	if workers <= 1 {
-		for i, k := range states {
-			t, err := pc.Compile(k)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = t
-		}
-		return out, nil
-	}
-	if pc.shared == nil {
-		// Cross-worker sharing needs a meeting point; attach one for this
-		// and future compiles.
-		pc.shared = NewSharedCache()
-	}
-	pcs := make([]*ProgramCompiler, workers)
-	pcs[0] = pc
-	for w := 1; w < workers; w++ {
-		pcs[w] = pc.Fork()
-	}
-	var next atomic.Int64
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(states) {
-					return
-				}
-				t, err := pcs[w].Compile(states[i])
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				out[i] = t
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	for i, k := range states {
+		t, err := pc.Compile(k)
 		if err != nil {
 			return nil, err
 		}
-	}
-	// Fold the forks' lookup counters into the root so Stats() reflects
-	// the whole run (store sizes remain the root context's own).
-	for w := 1; w < workers; w++ {
-		pc.stats.TableHits += pcs[w].stats.TableHits
-		pc.stats.TableMisses += pcs[w].stats.TableMisses
-		pc.stats.SegmentHits += pcs[w].stats.SegmentHits
-		pc.stats.SegmentMisses += pcs[w].stats.SegmentMisses
-		pc.stats.TemplateHits += pcs[w].stats.TemplateHits
-		pc.stats.TemplateMisses += pcs[w].stats.TemplateMisses
+		out[i] = t
 	}
 	return out, nil
 }

@@ -3,13 +3,13 @@ package nkc
 // Dense interning and arena allocation: the compiler's memory/keying
 // layer. Three structures live here:
 //
-//   - Interner: a concurrency-safe string -> dense uint32 id table. Guard
-//     signatures and segment renderings are interned once, so every cache
-//     keyed by them (segment memo, SharedCache, ProgramCache entries)
-//     becomes an integer lookup with no string hashing on the per-state
-//     hot path. Ids are assigned in first-intern order and never reused;
-//     injectivity is what makes them sound cache keys (see
-//     docs/PIPELINE.md, "Interning and arena soundness").
+//   - Interner: a string -> dense uint32 id table. Guard signatures and
+//     segment renderings are interned once, so every cache keyed by them
+//     (segment memo, table memo, ProgramCache entries) becomes an integer
+//     lookup with no string hashing on the per-state hot path. Ids are
+//     assigned in first-intern order and never reused; injectivity is
+//     what makes them sound cache keys (see docs/PIPELINE.md, "Interning
+//     and arena soundness").
 //
 //   - fieldIntern: a per-context (single-goroutine) field-name table used
 //     to pack (field, value) test atoms into one uint64 for hash-consing
@@ -23,17 +23,13 @@ package nkc
 //     assigned at allocation; the slab index of a node is id itself,
 //     making id -> node resolution array indexing.
 
-import (
-	"sync"
-	"unsafe"
-)
+import "unsafe"
 
-// Interner assigns dense uint32 ids to strings. It is safe for
-// concurrent use: one Interner is shared by every fork of a
-// ProgramCompiler (and by every program in a ProgramCache generation),
-// so ids agree across workers and the SharedCache can key on them.
+// Interner assigns dense uint32 ids to strings. Like the FDD context it
+// is single-goroutine: one Interner belongs to one ProgramCompiler, or to
+// the programs of one ProgramCache generation, whose builds the cache's
+// semaphore serializes.
 type Interner struct {
-	mu  sync.Mutex
 	ids map[string]uint32
 }
 
@@ -44,13 +40,11 @@ func NewInterner() *Interner {
 
 // ID returns the dense id for s, assigning the next id on first sight.
 func (in *Interner) ID(s string) uint32 {
-	in.mu.Lock()
 	id, ok := in.ids[s]
 	if !ok {
 		id = uint32(len(in.ids))
 		in.ids[s] = id
 	}
-	in.mu.Unlock()
 	return id
 }
 
@@ -58,23 +52,16 @@ func (in *Interner) ID(s string) uint32 {
 // (Go's map[string] lookup accepts string(b) without allocating); the
 // key is materialized only on first intern.
 func (in *Interner) IDBytes(b []byte) uint32 {
-	in.mu.Lock()
 	id, ok := in.ids[string(b)]
 	if !ok {
 		id = uint32(len(in.ids))
 		in.ids[string(b)] = id
 	}
-	in.mu.Unlock()
 	return id
 }
 
 // Len returns the number of interned entries.
-func (in *Interner) Len() int {
-	in.mu.Lock()
-	n := len(in.ids)
-	in.mu.Unlock()
-	return n
-}
+func (in *Interner) Len() int { return len(in.ids) }
 
 // fieldIntern is the per-context field-atom table. Not safe for
 // concurrent use — it lives inside FDDCtx, which is single-goroutine by

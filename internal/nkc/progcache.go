@@ -14,15 +14,15 @@ package nkc
 //     a revision re-enters ToFDD only for the segments it changed;
 //   - beside it, one event-edge template memo keyed the same way by
 //     strand prefix, so a revision walks Figure 6 only for new strands;
-//   - one SharedCache of whole configurations *per program*, keyed by
-//     program identity, because guard signatures are only meaningful
-//     relative to one program's guard index.
+//   - one compiler *per program* with its memo of whole configurations,
+//     because guard signatures are only meaningful relative to one
+//     program's guard index.
 //
 // Swapping P -> P' -> P therefore recompiles nothing on the way back, and
 // P -> P' compiles as a delta proportional to the textual difference
 // between the programs. The cache is handed to ets.BuildWithOptions via
 // Options.Cache; Acquire/Release bracket a build because the shared FDD
-// context is single-goroutine by design.
+// context and interners are single-goroutine by design.
 
 import (
 	"encoding/binary"
@@ -44,7 +44,7 @@ type ProgramCache struct {
 	mu      chan struct{} // 1-buffered semaphore: held from Acquire to Release
 	ctx     *FDDCtx
 	intern  *compilerInterns
-	entries map[string]*ProgramCompiler // root compilers, on ctx and intern; each owns its SharedCache
+	entries map[string]*ProgramCompiler // on ctx and intern
 	resets  int
 	arenaHW int64 // largest arena seen across generations
 }
@@ -76,33 +76,30 @@ func programKey(pc *ProgramCompiler) string {
 	return string(b)
 }
 
-// Acquire locks the cache and returns the root compiler and
-// whole-configuration cache for (program, topology), creating
-// and memoizing them on first use. The root compiler shares the cache's
-// FDD context and structural segment memo with every other cached
-// program, so revisions reuse the segments they did not change. The
-// caller must hold the acquisition for the entire build (the shared
-// context is single-goroutine) and end it with Release; Fork the root
-// for additional workers as usual — forks own fresh contexts and do not
-// persist, only the root and the SharedCache accumulate.
-func (c *ProgramCache) Acquire(cmd stateful.Cmd, t *topo.Topology) (*ProgramCompiler, *SharedCache, error) {
+// Acquire locks the cache and returns the compiler for (program,
+// topology), creating and memoizing it on first use. The compiler shares
+// the cache's FDD context and structural segment memo with every other
+// cached program, so revisions reuse the segments they did not change.
+// The caller must hold the acquisition for the entire build (the shared
+// context is single-goroutine) and end it with Release.
+func (c *ProgramCache) Acquire(cmd stateful.Cmd, t *topo.Topology) (*ProgramCompiler, error) {
 	c.mu <- struct{}{}
 	for {
-		root, err := newProgramCompiler(cmd, t, NewSharedCache(), c.ctx, c.intern)
+		pc, err := newProgramCompiler(cmd, t, c.ctx, c.intern)
 		if err != nil {
 			<-c.mu
-			return nil, nil, err
+			return nil, err
 		}
-		key := programKey(root)
+		key := programKey(pc)
 		if cached, ok := c.entries[key]; ok {
-			return cached, cached.shared, nil
+			return cached, nil
 		}
 		if len(c.entries) < programCacheLimit {
-			c.entries[key] = root
-			return root, root.shared, nil
+			c.entries[key] = pc
+			return pc, nil
 		}
 		// Entries hold FDD pointers into the shared context, and interned
-		// ids are pinned by memo keys and SharedCache keys: evicting any
+		// ids are pinned by memo keys and table-memo keys: evicting any
 		// entry safely means dropping the context and interners with it, so
 		// reset wholesale. A controller cycling through more than
 		// programCacheLimit live programs simply starts a fresh cache

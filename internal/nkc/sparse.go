@@ -37,9 +37,9 @@ type refState struct {
 
 // Compile returns the flow tables of the configuration projected at state
 // k. The result is read-only, map and tables both: the map may be shared
-// with other states, other workers (via the SharedCache) and later calls,
-// each *flowtable.Table with every configuration compiled in this FDD
-// context whose switch behaves the same. To edit a table, clone it first.
+// with other states and later calls, each *flowtable.Table with every
+// configuration compiled in this FDD context whose switch behaves the
+// same. To edit a table, clone it first.
 func (pc *ProgramCompiler) Compile(k stateful.State) (flowtable.Tables, error) {
 	t, _, err := pc.Explore(k)
 	return t, err
@@ -68,10 +68,7 @@ func (pc *ProgramCompiler) Explore(k stateful.State) (flowtable.Tables, []statef
 		pc.touched = slices.Compact(pc.touched)
 	}
 	sig := pc.intern.sigs.IDBytes(pc.sigScratch)
-	tables, hit := pc.local[sig]
-	if !hit && pc.shared != nil {
-		tables, hit = pc.shared.lookup(sig)
-	}
+	tables, hit := pc.tables[sig]
 	if hit {
 		pc.stats.TableHits++
 	} else {
@@ -140,12 +137,8 @@ func (pc *ProgramCompiler) Explore(k stateful.State) (flowtable.Tables, []statef
 		if tables, err = assembleTablesFDD(pc.ctx, hops); err != nil {
 			return nil, nil, err
 		}
-		if pc.shared != nil {
-			// The shared cache returns the canonical instance per signature.
-			tables = pc.shared.publish(sig, tables)
-		}
+		pc.tables[sig] = tables
 	}
-	pc.local[sig] = tables
 	slices.SortFunc(edges, func(a, b stateful.Edge) int { return strings.Compare(a.Key(), b.Key()) })
 	edges = slices.CompactFunc(edges, func(a, b stateful.Edge) bool { return a.Key() == b.Key() })
 	return tables, edges, nil

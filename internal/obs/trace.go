@@ -166,9 +166,6 @@ func NewTracer(every, workers int) *Tracer {
 	return t
 }
 
-// Every returns the sampling interval.
-func (t *Tracer) Every() int { return int(t.every) }
-
 // EnsureShards grows the shard set to at least n.
 func (t *Tracer) EnsureShards(n int) {
 	for len(t.shards) < n {

@@ -12,8 +12,7 @@ type Program struct {
 	Init State
 }
 
-// MaxStates bounds reachable-state enumeration, here and in the sharded
-// explorer of internal/ets.
+// MaxStates bounds reachable-state enumeration, here and in internal/ets.
 const MaxStates = 4096
 
 // ReachableStates explores the state space from the initial vector via the
