@@ -84,7 +84,6 @@ func TestSharedTablesReadOnly(t *testing.T) {
 	// The lowering, both deployment shapes, the Section 5.3 optimizer.
 	for _, n := range gens {
 		dataplane.PlanFor(n)
-		defer dataplane.Invalidate(n)
 		dataplane.Merged(n)
 		var configs []flowtable.Tables
 		for ci := range n.Configs {

@@ -77,9 +77,10 @@ func (r *Result) Violations() int { return r.Mixed + r.Dropped }
 
 // prog is one compiled program of a scenario rotation.
 type prog struct {
-	app apps.App
-	et  *ets.ETS
-	n   *nes.NES
+	app  apps.App
+	et   *ets.ETS
+	n    *nes.NES
+	plan *dataplane.Plan // n lowered once, for every swap to it in every run
 }
 
 // injRecord is one injection's audit record.
@@ -103,7 +104,7 @@ func compileScenario(sc *scenario) ([]prog, error) {
 		if err != nil {
 			return nil, fmt.Errorf("chaos: %s: %w", a.Name, err)
 		}
-		out = append(out, prog{app: a, et: et, n: n})
+		out = append(out, prog{app: a, et: et, n: n, plan: dataplane.PlanFor(n)})
 	}
 	return out, nil
 }
@@ -232,7 +233,7 @@ func runOn(sc *scenario, progs []prog, s Schedule, o Options) (*Result, error) {
 			e.Step(1)
 			next := (cur + 1) % len(progs)
 			mapping, _ := ctrl.EventMapping(progs[cur].n, progs[next].n)
-			if _, err = e.StageSwap(dataplane.SwapSpec{NES: progs[next].n, MapEvent: mapping}); err != nil {
+			if _, err = e.StageSwap(dataplane.SwapSpec{Plan: progs[next].plan, MapEvent: mapping}); err != nil {
 				break
 			}
 			epochProg = append(epochProg, next)

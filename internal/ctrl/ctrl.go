@@ -18,7 +18,9 @@
 //  4. drain: in-flight P-tagged packets finish their journeys under P
 //     rules exclusively, while detections they still make are carried
 //     into P' views through the event mapping;
-//  5. once nothing P-tagged remains, retire P and invalidate its plan.
+//  5. once nothing P-tagged remains, retire P: the engine keeps nothing
+//     of it, and its lowered plan lives on only with its memoized
+//     generation, for a swap back.
 //
 // Forwarding never pauses, and no packet journey ever mixes P and P'
 // rules. See docs/CONTROLLER.md for the state-mapping rule and why the
@@ -27,6 +29,7 @@ package ctrl
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -80,6 +83,9 @@ type Program struct {
 
 	key    string   // progKey(Prog), rendered once when the generation is memoized
 	fields []string // dataplane.ProgramFields(NES), scanned once
+	// plan is NES lowered, set by the first Swap to this generation and
+	// read only under swapMu: a swap back to it lowers nothing.
+	plan *dataplane.Plan
 }
 
 // StateOf returns the state vector behind a configuration tag (tags are
@@ -147,11 +153,10 @@ type Controller struct {
 
 	// progs memoizes compiled program generations by canonical program
 	// text, most-recently-used last. Swapping back to a recent program is
-	// then allocation-free: the same NES instance returns and its compiled
-	// plan is still cached — on a busy controller the A<->B ping-pong costs
-	// no compile work and no GC debt at all. Plans are invalidated when
-	// their generation falls out of this window (or at Close: the plan
-	// cache would otherwise pin it), never while it might swap back in.
+	// then allocation-free: the same *Program returns, lowered plan and
+	// all — on a busy controller the A<->B ping-pong costs no compile work
+	// and no GC debt at all. A generation that falls out of this window
+	// is garbage once the engine has retired it.
 	progs []*Program
 
 	// swapStart is the wall time of the in-flight swap's StageSwap call,
@@ -187,7 +192,7 @@ func progKey(p stateful.Program) string {
 // Compile runs a program through the incremental pipeline, sharing the
 // controller's cross-generation compiler cache, and memoizes whole
 // generations: recompiling an unchanged program returns the same
-// *Program — same NES identity, same cached plan.
+// *Program — same NES identity, same plan once a Swap has lowered it.
 func (c *Controller) Compile(name string, p stateful.Program) (*Program, error) {
 	key := progKey(p)
 	c.mu.Lock()
@@ -247,12 +252,8 @@ func (c *Controller) Compile(name string, p stateful.Program) (*Program, error) 
 	}
 	c.mu.Lock()
 	c.progs = append(c.progs, g)
-	for len(c.progs) > progMemoLimit {
-		evicted := c.progs[0]
-		c.progs = c.progs[1:]
-		if evicted != c.cur {
-			dataplane.Invalidate(evicted.NES)
-		}
+	if len(c.progs) > progMemoLimit {
+		c.progs = slices.Delete(c.progs, 0, 1) // clears the vacated slot
 	}
 	c.mu.Unlock()
 	return g, nil
@@ -358,12 +359,12 @@ func (c *Controller) Swap(name string, p stateful.Program) (SwapReport, error) {
 	// install, and the controller only accounts for it: its size, the
 	// transition's rule-memory cost, is the two programs' rule counts
 	// summed, and the new program's tags start past the old one's. The
-	// new plan is built *before* the flip: PlanFor returns with the
-	// schema built and every table lowered and indexed, and the engine's
-	// flip takes that plan from the cache, so the barrier — every worker
-	// parked — installs and never compiles. Plans are memoized, so a swap
-	// back is free.
-	dataplane.PlanFor(np.NES)
+	// new plan is lowered *before* the flip and handed over whole, so the
+	// barrier — every worker parked — installs and never compiles. The
+	// generation keeps it, so a swap back is free.
+	if np.plan == nil {
+		np.plan = dataplane.PlanFor(np.NES)
+	}
 
 	mapping, mapped := EventMapping(old.NES, np.NES)
 	if b := c.bus(); b.Active() {
@@ -381,7 +382,7 @@ func (c *Controller) Swap(name string, p stateful.Program) (SwapReport, error) {
 	c.mu.Lock()
 	c.swapStart = time.Now()
 	c.mu.Unlock()
-	sw, err := eng.StageSwap(dataplane.SwapSpec{NES: np.NES, MapEvent: mapping})
+	sw, err := eng.StageSwap(dataplane.SwapSpec{Plan: np.plan, MapEvent: mapping})
 	if err != nil {
 		c.mu.Lock()
 		c.swapStart = time.Time{}
@@ -416,10 +417,9 @@ func (c *Controller) Swap(name string, p stateful.Program) (SwapReport, error) {
 	}
 	st := sw.Stats()
 
-	// Phase two complete. The retired generation stays memoized for a
-	// swap back; its plan is invalidated when it falls out of the memo
-	// window (dropGeneration) rather than eagerly, so the A<->B ping-pong
-	// of a busy controller never recompiles anything.
+	// Phase two complete. The retired generation stays memoized, plan
+	// and all, for a swap back until it falls out of the memo window, so
+	// the A<->B ping-pong of a busy controller never recompiles anything.
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -647,18 +647,11 @@ func (c *Controller) wedgeDump() {
 	}()
 }
 
-// Close stops the engine and releases every memoized generation's cached
-// plan. Idempotent; safe before Load.
+// Close stops the engine. Idempotent; safe before Load.
 func (c *Controller) Close() {
 	c.close.Do(func() {
 		if eng := c.engine(); eng != nil {
 			eng.Stop()
 		}
-		c.mu.Lock()
-		for _, g := range c.progs {
-			dataplane.Invalidate(g.NES)
-		}
-		c.progs = nil
-		c.mu.Unlock()
 	})
 }

@@ -1,7 +1,9 @@
 package ctrl_test
 
 import (
+	"runtime"
 	"testing"
+	"weak"
 
 	"eventnet/internal/apps"
 	"eventnet/internal/ctrl"
@@ -37,5 +39,36 @@ func TestCompileMemoHitRendersOnce(t *testing.T) {
 	})
 	if hit > 2*render {
 		t.Fatalf("a memo hit allocates %.0f, the submitted program's rendering %.0f: the memoized programs are being rendered too", hit, render)
+	}
+}
+
+// TestEvictedGenerationIsCollectable: a program that has fallen out of
+// the memo while it was running, and has then been retired by a swap, is
+// garbage — checked with the controller still live, before Close. The
+// memo evicts bandwidth-cap-10 while it is current; nothing of the
+// controller (its memo's backing array included) or its engine may keep
+// it after the swap retires it.
+func TestEvictedGenerationIsCollectable(t *testing.T) {
+	base := apps.BandwidthCap(10)
+	c := ctrl.New(base.Topo, ctrl.Options{Workers: 1})
+	defer c.Close()
+	if err := c.Load(base.Name, base.Prog); err != nil {
+		t.Fatal(err)
+	}
+	initial := weak.Make(c.Current().NES)
+	for k := 11; k <= 18; k++ { // eight revisions push the running program out of the memo
+		a := apps.BandwidthCap(k)
+		if _, err := c.Compile(a.Name, a.Prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := apps.BandwidthCap(19) // a novel revision: the memo evicts again, in place
+	if _, err := c.Swap(next.Name, next.Prog); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	if initial.Value() != nil {
+		t.Fatal("the evicted, retired initial program is still reachable")
 	}
 }

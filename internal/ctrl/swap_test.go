@@ -82,7 +82,7 @@ func runSwapScenario(t *testing.T, old, new_ *ctrl.Program, tp *topo.Topology, s
 	for round := 0; round < rounds; round++ {
 		if round == swapRound {
 			var err error
-			sw, err = e.StageSwap(dataplane.SwapSpec{NES: new_.NES, MapEvent: mapping})
+			sw, err = e.StageSwap(dataplane.SwapSpec{Plan: dataplane.PlanFor(new_.NES), MapEvent: mapping})
 			if err != nil {
 				t.Fatalf("StageSwap: %v", err)
 			}
@@ -371,10 +371,10 @@ func TestSwapRejectsConcurrent(t *testing.T) {
 	}
 	e.Step(1)
 	mapping, _ := ctrl.EventMapping(fw.NES, cap8.NES)
-	if _, err := e.StageSwap(dataplane.SwapSpec{NES: cap8.NES, MapEvent: mapping}); err != nil {
+	if _, err := e.StageSwap(dataplane.SwapSpec{Plan: dataplane.PlanFor(cap8.NES), MapEvent: mapping}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.StageSwap(dataplane.SwapSpec{NES: fw.NES}); err == nil {
+	if _, err := e.StageSwap(dataplane.SwapSpec{Plan: dataplane.PlanFor(fw.NES)}); err == nil {
 		t.Fatal("second concurrent swap accepted")
 	}
 	if err := e.Run(); err != nil {

@@ -11,8 +11,8 @@ import (
 
 // BenchmarkEngineForwardCold measures first-batch engine forwarding: a
 // fresh engine per iteration (built outside the timed region), so every
-// iteration pays the cold-start costs — ring growth, matcher plan
-// warm-up, free-list population — that the steady-state benchmark below
+// iteration pays the cold-start costs — ring growth, per-switch event
+// memos, free-list population — that the steady-state benchmark below
 // deliberately excludes. ns/op divided by hops/op gives per-hop cost;
 // hops/op is stable because the workload is seeded.
 func BenchmarkEngineForwardCold(b *testing.B) {

@@ -223,7 +223,7 @@ type worker struct {
 
 	// curPS memoizes the last epoch's progState within one generation
 	// (reset at the generation start: the progs list only changes at
-	// rendezvous points).
+	// rendezvous points; and at retire, so no memo pins a retired epoch).
 	curPS    *progState
 	curEpoch int
 }
@@ -353,12 +353,11 @@ type armedSlot struct {
 // newProgState builds the engine-resident form of a program: the plan's
 // compiled tables resolved against the engine's switch indexing, and the
 // per-switch event candidate lists with guards lowered to interned
-// literals. The plan comes from the cache, so when the caller warmed it
-// (PlanFor before staging, as ctrl.Swap does) no table is lowered here —
-// which matters because a flip runs at a generation barrier with every
-// worker parked.
-func (e *Engine) newProgState(epoch int, n *nes.NES) *progState {
-	plan := PlanFor(n)
+// literals. No table is lowered here — the plan arrives lowered — which
+// matters because a flip runs at a generation barrier with every worker
+// parked.
+func (e *Engine) newProgState(epoch int, plan *Plan) *progState {
+	n := plan.nes
 	ps := &progState{
 		epoch:  epoch,
 		nes:    n,
@@ -427,8 +426,9 @@ func (ps *progState) detect(swIdx, inPort int, vals []int32, pres uint64, known 
 
 // SwapSpec describes a staged program replacement.
 type SwapSpec struct {
-	// NES is the incoming program, fully compiled.
-	NES *nes.NES
+	// Plan is the incoming program, lowered (PlanFor): the flip installs
+	// it and lowers nothing while every worker is parked.
+	Plan *Plan
 	// MapEvent maps old-program event IDs to new-program event IDs (-1 =
 	// no counterpart); len must equal the old program's event count. A nil
 	// map carries no knowledge across the swap.
@@ -491,12 +491,6 @@ func (s *Swap) Stats() SwapStats { return s.stats }
 // Snapshot and Quiesce, all of which are applied atomically at generation
 // barriers. Stop shuts the supervisor down idempotently and leak-free.
 type Engine struct {
-	// NES and Topo are the engine's initial program and its topology.
-	// After a swap NES still names the *initial* program; use Snapshot
-	// for the live state.
-	NES  *nes.NES
-	Topo *topo.Topology
-
 	workers  int
 	switches []int            // sorted switch IDs; shard w owns indices i ≡ w (mod workers)
 	swIdx    map[int]int      // switch ID -> index
@@ -598,8 +592,6 @@ func NewEngine(n *nes.NES, t *topo.Topology, opts Options) *Engine {
 		w = 1
 	}
 	e := &Engine{
-		NES:         n,
-		Topo:        t,
 		workers:     w,
 		swIdx:       map[int]int{},
 		switches:    append([]int{}, t.Switches...),
@@ -644,7 +636,7 @@ func NewEngine(n *nes.NES, t *topo.Topology, opts Options) *Engine {
 			d.port = int32(lk.Dst.Port)
 		}
 	}
-	e.progs = []*progState{e.newProgState(0, n)}
+	e.progs = []*progState{e.newProgState(0, PlanFor(n))}
 	e.ws = make([]*worker, w)
 	for i := range e.ws {
 		e.ws[i] = &worker{id: int32(i)}
@@ -822,7 +814,13 @@ func (e *Engine) retireIfDrained() {
 	if old.inflight > 0 {
 		return
 	}
+	// Nothing the engine keeps may outlive the epoch: not the progs
+	// backing array, not a worker's memo (the workers are parked here).
+	e.progs[0] = nil
 	e.progs = e.progs[1:]
+	for _, wk := range e.ws {
+		wk.curPS = nil
+	}
 	s := e.swap.s
 	s.stats.RetiredAt = time.Now()
 	s.stats.RetireGen = e.gen
@@ -832,21 +830,26 @@ func (e *Engine) retireIfDrained() {
 		e.met.Observe(obs.HistSwapDrainNs, s.stats.RetiredAt.Sub(s.stats.FlipAt).Nanoseconds())
 		e.met.SetGauge(obs.GaugeSwapDraining, 0)
 	}
+	e.swapPhase("retire", 0, e.cur().epoch, s.stats.DrainedHops)
+	close(s.done)
+}
+
+// swapPhase records one phase of a transition on the bus and in the
+// flight recorder (whichever are attached). Serial context only.
+func (e *Engine) swapPhase(phase string, from, to int, inflight int64) {
 	if e.bus != nil {
 		e.bus.Publish(obs.Event{
-			Kind: obs.KindSwap, Phase: "retire",
-			To: e.cur().epoch, Gen: e.gen, Epoch: e.cur().epoch,
-			Inflight: s.stats.DrainedHops,
+			Kind: obs.KindSwap, Phase: phase,
+			From: from, To: to, Gen: e.gen, Epoch: to, Inflight: inflight,
 		})
 	}
 	if e.flight != nil {
 		e.flight.Serial(obs.FlightRec{
-			Kind: obs.FlightSwap, Phase: "retire",
-			To: int32(e.cur().epoch), Epoch: int32(e.cur().epoch),
+			Kind: obs.FlightSwap, Phase: phase,
+			From: int32(from), To: int32(to), Epoch: int32(to),
 			Gen: e.gen, Seq: e.seq,
 		})
 	}
-	close(s.done)
 }
 
 // drain processes every packet queued at switch index i (the SWITCH rule,
@@ -1118,8 +1121,8 @@ func mapEvents(s nes.Set, mapEvent []int) nes.Set {
 // quiescent between calls by contract); in served mode it applies at the
 // next barrier, and StageSwap returns once it has.
 func (e *Engine) StageSwap(spec SwapSpec) (*Swap, error) {
-	if spec.NES == nil {
-		return nil, fmt.Errorf("dataplane: StageSwap needs a compiled NES")
+	if spec.Plan == nil {
+		return nil, fmt.Errorf("dataplane: StageSwap needs a lowered Plan")
 	}
 	s := &Swap{done: make(chan struct{})}
 	s.stats.StagedAt = time.Now()
@@ -1140,11 +1143,11 @@ func (e *Engine) flip(spec SwapSpec, s *Swap) error {
 	if spec.MapEvent != nil && len(spec.MapEvent) != len(old.nes.Events) {
 		return fmt.Errorf("dataplane: MapEvent has %d entries for %d old events", len(spec.MapEvent), len(old.nes.Events))
 	}
-	np := e.newProgState(old.epoch+1, spec.NES)
+	np := e.newProgState(old.epoch+1, spec.Plan)
 	carried := 0
 	for i := range np.views {
 		if spec.MapEvent != nil {
-			np.views[i] = spec.NES.Replay(mapEvents(old.views[i], spec.MapEvent))
+			np.views[i] = np.nes.Replay(mapEvents(old.views[i], spec.MapEvent))
 			carried += np.views[i].Count()
 		} else {
 			np.views[i] = nes.Empty
@@ -1159,35 +1162,10 @@ func (e *Engine) flip(spec SwapSpec, s *Swap) error {
 		e.met.Inc(obs.CtrSwapFlips)
 		e.met.SetGauge(obs.GaugeSwapDraining, 1)
 	}
-	if e.bus != nil {
-		e.bus.Publish(obs.Event{
-			Kind: obs.KindSwap, Phase: "flip",
-			From: old.epoch, To: np.epoch, Gen: e.gen, Epoch: np.epoch,
-		})
-	}
-	if e.flight != nil {
-		e.flight.Serial(obs.FlightRec{
-			Kind: obs.FlightSwap, Phase: "flip",
-			From: int32(old.epoch), To: int32(np.epoch), Epoch: int32(np.epoch),
-			Gen: e.gen, Seq: e.seq,
-		})
-	}
+	e.swapPhase("flip", old.epoch, np.epoch, 0)
 	e.retireIfDrained() // nothing in flight: flip and retire at one barrier
 	if e.swap != nil {
-		if e.bus != nil {
-			e.bus.Publish(obs.Event{
-				Kind: obs.KindSwap, Phase: "drain",
-				From: old.epoch, To: np.epoch, Gen: e.gen, Epoch: np.epoch,
-				Inflight: old.inflight,
-			})
-		}
-		if e.flight != nil {
-			e.flight.Serial(obs.FlightRec{
-				Kind: obs.FlightSwap, Phase: "drain",
-				From: int32(old.epoch), To: int32(np.epoch), Epoch: int32(np.epoch),
-				Gen: e.gen, Seq: e.seq,
-			})
-		}
+		e.swapPhase("drain", old.epoch, np.epoch, old.inflight)
 	}
 	return nil
 }
@@ -1501,9 +1479,6 @@ func (e *Engine) DeliveredTo(host string) []netkat.Packet {
 
 // View returns a switch's current event view (of the current program).
 func (e *Engine) View(sw int) nes.Set { return e.cur().views[e.swIdx[sw]] }
-
-// Epoch returns the current ingress program epoch.
-func (e *Engine) Epoch() int { return e.cur().epoch }
 
 // Serving reports whether the supervisor goroutine is running. Unlike
 // Snapshot it never does a barrier round trip, so it stays answerable

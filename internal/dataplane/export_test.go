@@ -18,7 +18,7 @@ func (e *Engine) ForwardsWith(p *Plan) bool {
 	return true
 }
 
-// DistinctFlats counts the plan's distinct compiled tables: what newPlan
+// DistinctFlats counts the plan's distinct compiled tables: what PlanFor
 // lowered, as opposed to the (configuration, switch) slots that hold them.
 func (p *Plan) DistinctFlats() int {
 	seen := map[*flatTable]bool{}

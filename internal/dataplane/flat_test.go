@@ -163,7 +163,6 @@ func TestMatcherEquivalence(t *testing.T) {
 		t.Run(a.Name, func(t *testing.T) {
 			n := buildNES(t, a)
 			plan := dataplane.PlanFor(n)
-			defer dataplane.Invalidate(n)
 			hosts := hostAddrs(a.Topo)
 			r := rand.New(rand.NewSource(23))
 			probed := 0
@@ -351,7 +350,6 @@ func TestMatcherEvalEquivalence(t *testing.T) {
 		t.Run(a.Name, func(t *testing.T) {
 			e, n := buildETS(t, a)
 			plan := dataplane.PlanFor(n)
-			defer dataplane.Invalidate(n)
 			for ci := range n.Configs {
 				flat := switchConfig{ms: map[int]processor{}, topo: a.Topo}
 				scan := switchConfig{ms: map[int]processor{}, topo: a.Topo}

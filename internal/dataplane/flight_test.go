@@ -121,7 +121,7 @@ func TestEngineFlightSwapPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	n2 := buildNES(t, apps.BandwidthCap(8))
-	sw, err := e.StageSwap(dataplane.SwapSpec{NES: n2})
+	sw, err := e.StageSwap(dataplane.SwapSpec{Plan: dataplane.PlanFor(n2)})
 	if err != nil {
 		t.Fatal(err)
 	}

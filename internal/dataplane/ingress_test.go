@@ -132,7 +132,7 @@ func TestFlatIngressSwapBeforeAdmission(t *testing.T) {
 		for _, mode := range []string{"synchronous", "served"} {
 			t.Run(fmt.Sprintf("%s/workers-%d", mode, workers), func(t *testing.T) {
 				ref := dataplane.NewEngine(old, a.Topo, dataplane.Options{Workers: workers})
-				if _, err := ref.StageSwap(dataplane.SwapSpec{NES: next}); err != nil {
+				if _, err := ref.StageSwap(dataplane.SwapSpec{Plan: dataplane.PlanFor(next)}); err != nil {
 					t.Fatal(err)
 				}
 				if _, errs := ref.InjectBatch(batch); errs != nil {
@@ -148,7 +148,7 @@ func TestFlatIngressSwapBeforeAdmission(t *testing.T) {
 					defer e.Stop()
 				}
 				b := fillBatch(t, e, batch) // decoded under the firewall
-				if _, err := e.StageSwap(dataplane.SwapSpec{NES: next}); err != nil {
+				if _, err := e.StageSwap(dataplane.SwapSpec{Plan: dataplane.PlanFor(next)}); err != nil {
 					t.Fatal(err)
 				}
 				b.Submit() // admitted under its successor

@@ -72,7 +72,7 @@ func runCell(t *testing.T, a apps.App, batches [][]dataplane.Injection, mr matri
 			e.Step(1)
 			next := buildNES(t, swapTo)
 			mapping, _ := ctrl.EventMapping(n, next)
-			if _, err := e.StageSwap(dataplane.SwapSpec{NES: next, MapEvent: mapping}); err != nil {
+			if _, err := e.StageSwap(dataplane.SwapSpec{Plan: dataplane.PlanFor(next), MapEvent: mapping}); err != nil {
 				t.Fatalf("%v: stage swap: %v", mr, err)
 			}
 		}

@@ -107,31 +107,8 @@ func (e *Engine) flushObs() {
 		}
 	}
 	if e.bus != nil && e.met != nil && e.bus.Active() {
-		var cur [obsDeltaCounters]int64
-		any := false
-		for i, c := range deltaCtrs {
-			cur[i] = e.met.Counter(c)
-			if cur[i] != e.lastPub[i] {
-				any = true
-			}
-		}
-		if any {
-			e.bus.Publish(obs.Event{
-				Kind: obs.KindStats, Gen: e.gen, Epoch: e.cur().epoch,
-				Stats: &obs.StatsDelta{
-					Generations: cur[0] - e.lastPub[0],
-					Hops:        cur[1] - e.lastPub[1],
-					Injections:  cur[2] - e.lastPub[2],
-					Deliveries:  cur[3] - e.lastPub[3],
-					RuleDrops:   cur[4] - e.lastPub[4],
-					TTLDrops:    cur[5] - e.lastPub[5],
-					Events:      cur[6] - e.lastPub[6],
-					DrainedHops: cur[7] - e.lastPub[7],
-					Pending:     e.met.Gauge(obs.GaugePending),
-					DeliveryLog: e.met.Gauge(obs.GaugeDeliveryLog),
-				},
-			})
-			e.lastPub = cur
+		if d := e.statsDelta(&e.lastPub); d != nil {
+			e.bus.Publish(obs.Event{Kind: obs.KindStats, Gen: e.gen, Epoch: e.cur().epoch, Stats: d})
 		}
 	}
 	// The flight recorder gets its own boundary stats record, on its own
@@ -141,37 +118,42 @@ func (e *Engine) flushObs() {
 	// executions). The recorded deltas are engine totals — worker-count
 	// independent by the fold.
 	if e.flight != nil && e.met != nil {
-		var cur [obsDeltaCounters]int64
-		any := false
-		for i, c := range deltaCtrs {
-			cur[i] = e.met.Counter(c)
-			if cur[i] != e.lastFl[i] {
-				any = true
-			}
-		}
-		if any {
-			e.flight.Serial(obs.FlightRec{
-				Kind: obs.FlightStats, Gen: e.gen, Seq: e.seq,
-				Epoch: int32(e.cur().epoch),
-				Stats: &obs.StatsDelta{
-					Generations: cur[0] - e.lastFl[0],
-					Hops:        cur[1] - e.lastFl[1],
-					Injections:  cur[2] - e.lastFl[2],
-					Deliveries:  cur[3] - e.lastFl[3],
-					RuleDrops:   cur[4] - e.lastFl[4],
-					TTLDrops:    cur[5] - e.lastFl[5],
-					Events:      cur[6] - e.lastFl[6],
-					DrainedHops: cur[7] - e.lastFl[7],
-					Pending:     int64(e.pending()),
-					DeliveryLog: e.met.Gauge(obs.GaugeDeliveryLog),
-				},
-			})
-			e.lastFl = cur
+		if d := e.statsDelta(&e.lastFl); d != nil {
+			e.flight.Serial(obs.FlightRec{Kind: obs.FlightStats, Gen: e.gen, Seq: e.seq, Epoch: int32(e.cur().epoch), Stats: d})
 		}
 	}
 	if e.watch != nil {
 		e.watch.Check(e.gen, e.met, e.bus)
 	}
+}
+
+// statsDelta reads the delta counters against the baseline at base and
+// advances it: the counters' movement since, with the pending and
+// delivery-log gauges flushObs just set, or nil when nothing moved.
+func (e *Engine) statsDelta(base *[obsDeltaCounters]int64) *obs.StatsDelta {
+	var cur [obsDeltaCounters]int64
+	moved := false
+	for i, c := range deltaCtrs {
+		cur[i] = e.met.Counter(c)
+		moved = moved || cur[i] != base[i]
+	}
+	if !moved {
+		return nil
+	}
+	d := &obs.StatsDelta{
+		Generations: cur[0] - base[0],
+		Hops:        cur[1] - base[1],
+		Injections:  cur[2] - base[2],
+		Deliveries:  cur[3] - base[3],
+		RuleDrops:   cur[4] - base[4],
+		TTLDrops:    cur[5] - base[5],
+		Events:      cur[6] - base[6],
+		DrainedHops: cur[7] - base[7],
+		Pending:     e.met.Gauge(obs.GaugePending),
+		DeliveryLog: e.met.Gauge(obs.GaugeDeliveryLog),
+	}
+	*base = cur
+	return d
 }
 
 // FlightDump stitches the flight recorder's rings at a generation

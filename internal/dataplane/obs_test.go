@@ -1,6 +1,8 @@
 package dataplane_test
 
 import (
+	"encoding/json"
+	"hash/fnv"
 	"testing"
 
 	"eventnet/internal/apps"
@@ -134,7 +136,7 @@ func TestEngineObsBusFeed(t *testing.T) {
 	}
 	// Swap to a different program mid-life, then drain.
 	n2 := buildNES(t, apps.BandwidthCap(8))
-	sw, err := e.StageSwap(dataplane.SwapSpec{NES: n2})
+	sw, err := e.StageSwap(dataplane.SwapSpec{Plan: dataplane.PlanFor(n2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,5 +183,68 @@ func TestEngineObsBusFeed(t *testing.T) {
 	}
 	if got := o.Metrics.HistCount(obs.HistSwapDrainNs); got != 1 {
 		t.Fatalf("HistSwapDrainNs count = %d, want 1", got)
+	}
+}
+
+// TestObsRecordGolden pins the bytes the engine's observability records
+// carry across a swap: firewall at 2 workers, 40 packets in flight when
+// the program flips to bandwidth-cap-8. The bus events (Seq and TNs, the
+// bus's own stamps, zeroed) and the flight dump are hashed as JSON, so
+// swapPhase and statsDelta, which each feed both sinks, must keep every
+// record byte for byte.
+func TestObsRecordGolden(t *testing.T) {
+	const wantBus, wantFlight = 0x7b371880302becf3, 0xc088c513fdfb43c1
+	a := apps.Firewall()
+	n := buildNES(t, a)
+	o := &obs.Obs{
+		Metrics:        obs.NewMetrics(2),
+		Bus:            obs.NewBus(),
+		Flight:         obs.NewFlight(1<<16, 2),
+		DeliverySample: 1,
+	}
+	sub := o.Bus.Subscribe(1 << 14)
+	e := dataplane.NewEngine(n, a.Topo, dataplane.Options{Workers: 2, Obs: o})
+	for _, in := range dataplane.NewLoadGen(n, a.Topo, 1).Injections(40) {
+		if err := e.Inject(in.Host, in.Fields); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Step(1)
+	sw, err := e.StageSwap(dataplane.SwapSpec{Plan: dataplane.PlanFor(buildNES(t, apps.BandwidthCap(8)))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	<-sw.Done()
+	dump := e.FlightDump()
+	sub.Close()
+
+	bus := fnv.New64a()
+	kinds := map[string]int{}
+	for ev := range sub.C {
+		ev.Seq, ev.TNs = 0, 0
+		kinds[ev.Kind]++
+		b, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bus.Write(b)
+	}
+	if kinds[obs.KindSwap] != 3 || kinds[obs.KindStats] == 0 {
+		t.Fatalf("bus carried %v: want flip, drain and retire and a stats delta", kinds)
+	}
+	flight := fnv.New64a()
+	b, err := json.Marshal(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flight.Write(b)
+	if got := bus.Sum64(); got != wantBus {
+		t.Errorf("bus events hash to %016x, want %016x", got, uint64(wantBus))
+	}
+	if got := flight.Sum64(); got != wantFlight {
+		t.Errorf("flight dump hashes to %016x, want %016x", got, uint64(wantFlight))
 	}
 }

@@ -1,8 +1,6 @@
 package dataplane
 
 import (
-	"sync"
-
 	"eventnet/internal/flowtable"
 	"eventnet/internal/nes"
 )
@@ -17,10 +15,13 @@ type Plan struct {
 	flats  []map[int]*flatTable // [config][switch]
 }
 
-// newPlan compiles every table of the NES: each distinct *flowtable.Table
-// is lowered once, and the configurations holding it (the compiler hands
-// identically-behaving switches one table) share the immutable flatTable.
-func newPlan(n *nes.NES) *Plan {
+// PlanFor lowers the NES into its forwarding plan — schema, lowering and
+// index, nothing deferred — and the caller owns the result: nothing else
+// keeps it, so a plan lives exactly as long as whoever forwards or may
+// swap back with it. Each distinct *flowtable.Table is lowered once, and
+// the configurations holding it (the compiler hands identically-behaving
+// switches one table) share the immutable flatTable.
+func PlanFor(n *nes.NES) *Plan {
 	p := &Plan{nes: n, schema: SchemaFor(n), flats: make([]map[int]*flatTable, len(n.Configs))}
 	lowered := map[*flowtable.Table]*flatTable{}
 	for ci := range n.Configs {
@@ -41,86 +42,7 @@ func newPlan(n *nes.NES) *Plan {
 // Schema returns the plan's header schema.
 func (p *Plan) Schema() *Schema { return p.schema }
 
-// planCache memoizes plans keyed by program identity (the *nes.NES value:
-// one compiled program = one NES instance), so every engine over one NES —
-// and the controller's pre-flip warm-up — compiles it exactly once.
-//
-// The multi-program world of the live controller makes the lifecycle
-// explicit: a retired program's plan must be droppable (Invalidate), a
-// dropped entry must recompile from the NES's *current* tables on the next
-// PlanFor, and filling the cache must never evict the plans that active
-// programs are forwarding with mid-swap — so eviction removes the
-// least-recently-used half instead of clearing wholesale.
-var (
-	planMu    sync.Mutex
-	planCache = map[*nes.NES]*planEntry{}
-	planTick  uint64
-)
-
-// planEntry stamps a cached plan with its last use for LRU eviction.
-type planEntry struct {
-	plan *Plan
-	used uint64
-}
-
-// planCacheLimit bounds planCache; past it the least-recently-used half
-// is evicted.
-const planCacheLimit = 128
-
-// PlanFor returns the cached plan for the NES, compiling it — schema,
-// lowering and index, nothing deferred — on first use.
-func PlanFor(n *nes.NES) *Plan {
-	planMu.Lock()
-	defer planMu.Unlock()
-	planTick++
-	if e, ok := planCache[n]; ok {
-		e.used = planTick
-		return e.plan
-	}
-	if len(planCache) >= planCacheLimit {
-		evictOldestLocked(len(planCache) / 2)
-	}
-	p := newPlan(n)
-	planCache[n] = &planEntry{plan: p, used: planTick}
-	return p
-}
-
-// evictOldestLocked drops the k least-recently-used entries.
-func evictOldestLocked(k int) {
-	for ; k > 0; k-- {
-		var victim *nes.NES
-		oldest := uint64(0)
-		for n, e := range planCache {
-			if victim == nil || e.used < oldest {
-				victim, oldest = n, e.used
-			}
-		}
-		if victim == nil {
-			return
-		}
-		delete(planCache, victim)
-	}
-}
-
-// Invalidate drops the cached plan for a program, releasing the NES and
-// its compiled indexes. The live controller calls this after retiring a
-// program: the cache key is the NES identity, so without invalidation the
-// cache would pin every program a long-lived process ever ran — and a
-// later PlanFor for the same NES would serve the stale pre-swap plan
-// rather than compiling the tables as they stand.
-func Invalidate(n *nes.NES) {
-	planMu.Lock()
-	delete(planCache, n)
-	planMu.Unlock()
-}
-
-// PlanCacheLen reports the number of cached plans (for tests and
-// monitoring).
-func PlanCacheLen() int {
-	planMu.Lock()
-	defer planMu.Unlock()
-	return len(planCache)
-}
+func Invalidate(*nes.NES) {} // accepted and ignored; named by bench/
 
 // Matcher returns the reference view of a configuration's switch: the
 // linear scan over the NES's own table as it stands now (not the PlanFor

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"eventnet/internal/apps"
 	"eventnet/internal/dataplane"
@@ -88,19 +89,53 @@ func TestEngineQuiesceUnderLoad(t *testing.T) {
 	}
 }
 
-// TestPlanInvalidation: plans are keyed by program identity and must be
-// explicitly droppable — after a swap retires a program, a stale plan
-// must not be servable for its NES. Without Invalidate the cache would
-// keep serving the tables compiled from the old rules (a plan is a
-// snapshot taken by PlanFor); with it, the next PlanFor compiles the
-// tables as they stand.
-func TestPlanInvalidation(t *testing.T) {
+// TestRetiredProgramIsCollectable: once a swap retires a program, nothing
+// the engine keeps — no field, no slot of its epoch list, no worker's
+// memo — may pin it. The flip lands with packets of the old epoch in
+// flight, so it retires mid-run, and the engine stays referenced
+// throughout the check.
+func TestRetiredProgramIsCollectable(t *testing.T) {
+	a := apps.Firewall()
+	for _, w := range []int{1, 2} {
+		e, retired := func() (*dataplane.Engine, weak.Pointer[nes.NES]) {
+			n := buildNES(t, a)
+			e := dataplane.NewEngine(n, a.Topo, dataplane.Options{Workers: w})
+			for _, in := range dataplane.NewLoadGen(n, a.Topo, 1).Injections(8) {
+				if err := e.Inject(in.Host, in.Fields); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e.Step(1)
+			sw, err := e.StageSwap(dataplane.SwapSpec{Plan: dataplane.PlanFor(buildNES(t, a))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			<-sw.Done()
+			if st := sw.Stats(); st.RetireGen == st.FlipGen {
+				t.Fatalf("%d workers: nothing was in flight at the flip; test is vacuous", w)
+			}
+			return e, weak.Make(n)
+		}()
+		runtime.GC()
+		runtime.GC()
+		if retired.Value() != nil {
+			t.Errorf("%d workers: the retired program is still reachable", w)
+		}
+		runtime.KeepAlive(e)
+	}
+}
+
+// TestPlanIsSnapshot: a plan is the tables as they stood when PlanFor
+// lowered them. A table mutated afterwards leaves that plan forwarding as
+// before, and the next PlanFor — which lowers afresh, nothing is cached —
+// sees the change.
+func TestPlanIsSnapshot(t *testing.T) {
 	a := apps.Firewall()
 	n := buildNES(t, a)
 	p1 := dataplane.PlanFor(n)
-	if dataplane.PlanFor(n) != p1 {
-		t.Fatal("PlanFor did not cache by program identity")
-	}
 
 	// Find a probe that forwards under configuration 0.
 	var probeSw, probePort int
@@ -141,45 +176,12 @@ func TestPlanInvalidation(t *testing.T) {
 		Match:    flowtable.Match{InPort: flowtable.Wildcard},
 	})
 
-	// The cache still serves the stale pre-change plan — this is exactly
-	// why retirement must invalidate.
-	if stale := dataplane.PlanFor(n); stale != p1 {
-		t.Fatal("cache rebuilt without invalidation; staleness test is vacuous")
-	}
 	if !forwards(p1) {
 		t.Fatal("the plan is not a snapshot: mutating the NES's table changed it")
 	}
-
-	dataplane.Invalidate(n)
-	p2 := dataplane.PlanFor(n)
-	if p2 == p1 {
-		t.Fatal("Invalidate did not drop the plan")
+	if forwards(dataplane.PlanFor(n)) {
+		t.Fatal("a fresh PlanFor still serves the pre-change rules")
 	}
-	if forwards(p2) {
-		t.Fatal("recompiled plan still serves the stale rules")
-	}
-	dataplane.Invalidate(n) // idempotent
-}
-
-// TestPlanCacheEvictionKeepsHot: filling the cache past its limit evicts
-// least-recently-used plans, never the ones in active use — a swap's two
-// live programs must survive arbitrary cache pressure.
-func TestPlanCacheEvictionKeepsHot(t *testing.T) {
-	hot := &nes.NES{}
-	ph := dataplane.PlanFor(hot)
-	for i := 0; i < 400; i++ {
-		dataplane.PlanFor(&nes.NES{})
-		if i%40 == 0 && dataplane.PlanFor(hot) != ph {
-			t.Fatalf("hot plan evicted at insert %d", i)
-		}
-	}
-	if dataplane.PlanFor(hot) != ph {
-		t.Fatal("hot plan evicted under cache pressure")
-	}
-	if l := dataplane.PlanCacheLen(); l > 129 {
-		t.Fatalf("cache grew without bound: %d entries", l)
-	}
-	dataplane.Invalidate(hot)
 }
 
 // TestMergedPairStagedInstall: the phase-one staged table — both
@@ -260,7 +262,7 @@ func mergedRef(progs ...*nes.NES) flowtable.Tables {
 // TestPlanLowersDistinctTables is the count gate behind "a plan holds one
 // flat table per distinct table": the compiler hands every state whose
 // switch behaves identically the same *flowtable.Table (bandwidth-cap-200
-// is 202 configurations of 2 switches drawn from 4 tables), newPlan
+// is 202 configurations of 2 switches drawn from 4 tables), PlanFor
 // lowers each once, and a revision compiled through the same cache reuses
 // the tables of the switches it did not change.
 func TestPlanLowersDistinctTables(t *testing.T) {
@@ -295,7 +297,6 @@ func TestPlanLowersDistinctTables(t *testing.T) {
 		t.Errorf("bandwidth-cap-200 holds %d distinct tables in 404 slots, want <= 8", len(distinct))
 	}
 	p := dataplane.PlanFor(n200)
-	defer dataplane.Invalidate(n200)
 	if got := p.DistinctFlats(); got > 8 {
 		t.Errorf("the plan of bandwidth-cap-200 lowered %d flat tables, want <= 8", got)
 	}
@@ -392,12 +393,12 @@ func TestDeliveryLogBound(t *testing.T) {
 	}
 }
 
-// TestStageSwapLowersNothingAtFlip pins the warm-up contract ctrl.Swap
-// relies on: once PlanFor(n) has returned, the first staging of n forwards
-// through that very plan's schema and tables, and the work left for the
-// flip — which runs at a generation barrier with every worker parked — is
-// the per-engine wiring (a row per configuration, a guard per event), not
-// a pass over the rules.
+// TestStageSwapLowersNothingAtFlip pins what SwapSpec.Plan guarantees and
+// ctrl.Swap relies on: staging a plan forwards through that very plan's
+// schema and tables, and the work left for the flip — which runs at a
+// generation barrier with every worker parked — is the per-engine wiring
+// (a row per configuration, a guard per event), not a pass over the
+// rules.
 func TestStageSwapLowersNothingAtFlip(t *testing.T) {
 	a := apps.Firewall()
 	e := dataplane.NewEngine(buildNES(t, a), a.Topo, dataplane.Options{Workers: 2})
@@ -407,7 +408,7 @@ func TestStageSwapLowersNothingAtFlip(t *testing.T) {
 
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		sw, err := e.StageSwap(dataplane.SwapSpec{NES: next})
+		sw, err := e.StageSwap(dataplane.SwapSpec{Plan: plan})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -415,7 +416,7 @@ func TestStageSwapLowersNothingAtFlip(t *testing.T) {
 		<-sw.Done() // nothing in flight: flipped and retired at one barrier
 
 		if !e.ForwardsWith(plan) {
-			t.Fatalf("cap-%d: the engine does not forward through the plan PlanFor returned before staging", capN)
+			t.Fatalf("cap-%d: the engine does not forward through the plan it was handed", capN)
 		}
 		// One row per configuration, a few arrays per event guard, the swap
 		// handle. Lowering even one table costs more than this whole budget
@@ -425,6 +426,5 @@ func TestStageSwapLowersNothingAtFlip(t *testing.T) {
 			t.Fatalf("cap-%d: staging allocates %d times, budget %d (%d configs, %d events): something is lowered at the flip",
 				capN, allocs, budget, len(next.Configs), len(next.Events))
 		}
-		dataplane.Invalidate(next)
 	}
 }
