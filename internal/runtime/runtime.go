@@ -10,6 +10,9 @@
 // Every execution records the corresponding network trace (Section 4.3:
 // a single packet is processed at each step, so the network trace can be
 // read off the execution), which the oracle in internal/trace judges.
+// Trace points share read-only header maps with the packets in flight:
+// Inject copies the caller's map once, rules never write a map, and
+// Deliveries hold copies of their own.
 package runtime
 
 import (
@@ -197,9 +200,11 @@ func (m *Machine) layout() {
 }
 
 // record appends a directed trace point with the given parent (-1 for a
-// root) and returns its index.
+// root) and returns its index. The point keeps the header map it is
+// given: no rule writes a packet's map (flowtable's AppendApply builds a
+// new one for every modification), so the map is read-only from here on.
 func (m *Machine) record(fields netkat.Packet, loc netkat.Location, out bool, parent int) int {
-	idx := m.nt.Append(netkat.DPacket{Pkt: fields.Clone(), Loc: loc, Out: out})
+	idx := m.nt.Append(netkat.DPacket{Pkt: fields, Loc: loc, Out: out})
 	m.parents = append(m.parents, parent)
 	return idx
 }
@@ -217,9 +222,10 @@ func (m *Machine) Inject(host string, fields netkat.Packet) error {
 		return fmt.Errorf("runtime: host %q attaches to unknown switch %d", host, h.Attach.Switch)
 	}
 	in := &m.slots[i]
+	fields = fields.Clone() // the caller keeps its map
 	root := m.record(fields, h.Loc(), true, -1)
 	in.push(Packet{
-		Fields: fields.Clone(),
+		Fields: fields,
 		Config: m.NES.ConfigFor(in.sw.Events),
 		Digest: nes.Empty,
 		tidx:   root,
@@ -363,36 +369,9 @@ func (m *Machine) RunToQuiescence() error {
 
 // NetTrace reconstructs the recorded network trace: the located-packet
 // sequence plus the family of packet trees (one root-to-leaf index path
-// per tree branch).
+// per tree branch). Its points share header maps with the machine.
 func (m *Machine) NetTrace() *trace.NetTrace {
-	children := map[int][]int{}
-	hasChild := make([]bool, len(m.nt.Packets))
-	for i, p := range m.parents {
-		if p >= 0 {
-			children[p] = append(children[p], i)
-			hasChild[p] = true
-		}
-	}
-	nt := &trace.NetTrace{Packets: m.nt.Packets}
-	var path []int
-	var walk func(i int)
-	walk = func(i int) {
-		path = append(path, i)
-		if !hasChild[i] {
-			nt.Trees = append(nt.Trees, append([]int{}, path...))
-		} else {
-			for _, c := range children[i] {
-				walk(c)
-			}
-		}
-		path = path[:len(path)-1]
-	}
-	for i, p := range m.parents {
-		if p == -1 {
-			walk(i)
-		}
-	}
-	return nt
+	return trace.FromParents(m.nt.Packets, m.parents)
 }
 
 // DeliveredTo returns the packets delivered to the named host.

@@ -11,7 +11,7 @@ import (
 	"eventnet/internal/trace"
 )
 
-func buildNES(t *testing.T, a apps.App) *nes.NES {
+func buildNES(t testing.TB, a apps.App) *nes.NES {
 	t.Helper()
 	e, err := ets.Build(a.Prog, a.Topo)
 	if err != nil {

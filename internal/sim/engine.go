@@ -247,34 +247,7 @@ func (s *Sim) record(fields netkat.Packet, loc netkat.Location, out bool, parent
 // set before the run): the point sequence plus one root-to-leaf index
 // path per packet-tree branch.
 func (s *Sim) NetTrace() *trace.NetTrace {
-	children := map[int][]int{}
-	hasChild := make([]bool, len(s.nt.Packets))
-	for i, p := range s.parents {
-		if p >= 0 {
-			children[p] = append(children[p], i)
-			hasChild[p] = true
-		}
-	}
-	nt := &trace.NetTrace{Packets: s.nt.Packets}
-	var path []int
-	var walk func(i int)
-	walk = func(i int) {
-		path = append(path, i)
-		if !hasChild[i] {
-			nt.Trees = append(nt.Trees, append([]int{}, path...))
-		} else {
-			for _, c := range children[i] {
-				walk(c)
-			}
-		}
-		path = path[:len(path)-1]
-	}
-	for i, p := range s.parents {
-		if p == -1 {
-			walk(i)
-		}
-	}
-	return nt
+	return trace.FromParents(s.nt.Packets, s.parents)
 }
 
 // wireBytes is the on-the-wire size of a packet.

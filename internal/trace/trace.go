@@ -11,7 +11,9 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"eventnet/internal/nes"
 	"eventnet/internal/netkat"
@@ -20,6 +22,11 @@ import (
 // NetTrace is a network trace ntr = (lp0 lp1 ..., T): an interleaved
 // sequence of located packets together with the set T of packet traces,
 // each an increasing sequence of indices into the located-packet sequence.
+//
+// Trace points are read-only: internal/runtime records the header map a
+// packet carries, not a copy, so a point shares it with the machine and
+// with the packet's other points. A caller that alters a point's headers
+// replaces Pkt with a clone.
 type NetTrace struct {
 	Packets []netkat.DPacket
 	Trees   [][]int
@@ -29,6 +36,67 @@ type NetTrace struct {
 func (nt *NetTrace) Append(d netkat.DPacket) int {
 	nt.Packets = append(nt.Packets, d)
 	return len(nt.Packets) - 1
+}
+
+// FromParents builds the network trace of a recorded execution: points
+// in recording order, and parents[i] the index of point i's predecessor
+// in its packet tree, -1 for a root. A parent always precedes its child.
+// Trees are the root-to-leaf paths, roots ascending and each root's
+// leaves in depth-first order with children ascending.
+func FromParents(points []netkat.DPacket, parents []int) *NetTrace {
+	n := len(parents)
+	// Ascending child lists in CSR form: the children of i are
+	// kids[off[i]:off[i+1]]. Counting into off[p+2] and filling through
+	// off[p+1] leaves off[i] at the start of i's list.
+	off := make([]int, n+2)
+	depth := make([]int, n)
+	for i, p := range parents {
+		if p >= 0 {
+			off[p+2]++
+			depth[i] = depth[p] + 1
+		}
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	kids := make([]int, off[n+1])
+	for i, p := range parents {
+		if p >= 0 {
+			kids[off[p+1]] = i
+			off[p+1]++
+		}
+	}
+	total, leaves := 0, 0
+	for i := range parents {
+		if off[i] == off[i+1] {
+			total += depth[i] + 1
+			leaves++
+		}
+	}
+	nt := &NetTrace{Packets: points, Trees: make([][]int, 0, leaves)}
+	buf := make([]int, 0, total) // every path, back to back
+	var path, stack []int
+	for r, p := range parents {
+		if p != -1 {
+			continue
+		}
+		stack = append(stack[:0], r)
+		for len(stack) > 0 {
+			i := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			path = append(path[:depth[i]], i)
+			if off[i] == off[i+1] {
+				a := len(buf)
+				buf = append(buf, path...)
+				nt.Trees = append(nt.Trees, buf[a:len(buf):len(buf)])
+				continue
+			}
+			for j := off[i+1] - 1; j >= off[i]; j-- {
+				stack = append(stack, kids[j])
+			}
+		}
+	}
+	return nt
 }
 
 // PacketTrace returns the trace points of tree t.
@@ -295,60 +363,298 @@ func CheckUpdate(nt *NetTrace, u Update, pending []nes.Event, hosts map[netkat.L
 	return nil
 }
 
+// maxVisits bounds the candidate sequences one CheckNES examines.
+const maxVisits = 200000
+
+// SearchBoundError reports that CheckNES examined more than Limit
+// candidate event sequences without finding one that makes the trace
+// correct.
+type SearchBoundError struct{ Limit int }
+
+func (e *SearchBoundError) Error() string {
+	return fmt.Sprintf("trace: more than %d candidate event sequences", e.Limit)
+}
+
+var errNoFO = errors.New("trace: FO(ntr, U) does not exist")
+
 // CheckNES verifies Definition 6: the network trace is correct with
 // respect to the NES — some event sequence allowed by the NES (possibly
-// empty) makes the trace correct per Definition 2. For each candidate
-// sequence, the forbidden "pending" events are those enabled at the
-// sequence's final event-set but not consumed by it: their occurrence
-// would have extended the update.
+// empty) makes the trace correct per Definition 2. A sequence's
+// forbidden "pending" events are those armed at its final event-set
+// (nes.ArmedFrom): their occurrence would have extended the update.
+//
+// The verdict is that of CheckUpdate run on every allowed sequence, but
+// the trace is judged once: one depth-first search over the allowed
+// sequences, in nes.AllowedSequences order, that prunes a prefix — and
+// with it every extension, whose first occurrences extend the prefix's —
+// as soon as its newest event has no first occurrence or was not
+// triggered by a packet tree of the preceding configuration. Membership
+// of a packet tree in Traces(C) is decided at most once per
+// configuration and tree, and the happens-before cones of Definition 1
+// are computed only around the first occurrences a candidate uses.
+//
+// The trace's trees must be increasing paths in which each point has at
+// most one predecessor (Validate's conditions); a trace whose trees are
+// not is rejected.
 func CheckNES(nt *NetTrace, n *nes.NES, hosts map[netkat.Location]bool) error {
-	seqs, err := n.AllowedSequences()
+	c0, _ := n.ConfigAt(nes.Empty) // nes.New requires the empty event-set
+	s, err := newSearch(nt, n, hosts)
 	if err != nil {
 		return err
 	}
-	all := append([][]int{{}}, seqs...)
-	var lastErr error
-	for _, seq := range all {
-		u, final, ok := updateFor(n, seq)
+	if found, err := s.visit(nes.Empty, []int{c0}, nil); found || err != nil {
+		return err
+	}
+	return fmt.Errorf("trace: no allowed sequence of the NES makes the trace correct (last: %v)", s.lastErr)
+}
+
+// search is one CheckNES: the trace's structure, derived once, and the
+// memos the candidate sequences share.
+type search struct {
+	nt    *NetTrace
+	n     *nes.NES
+	hosts map[netkat.Location]bool
+
+	parent []int // point -> its predecessor in its packet tree, -1 for none
+	prevAt []int // point -> the previous point at the same node, -1 for none
+	// The trees through point k are thrTree[thrOff[k]:thrOff[k+1]], ascending.
+	thrOff, thrTree []int
+
+	inTr  [][]uint8        // config -> tree -> 0 unknown, 1 not in Traces(C), 2 in; rows made on first use
+	occ   map[int][]int    // event ID -> ascending indices of the points matching it
+	cones map[int]*hbCones // point -> its happens-before cones
+	pt    []netkat.DPacket // InTraces argument scratch
+
+	visits  int
+	lastErr error
+}
+
+// hbCones are the points that happen before a point and after it.
+type hbCones struct{ before, after bitset }
+
+type bitset []uint64
+
+func (b bitset) has(i int) bool { return b[i/64]&(1<<uint(i%64)) != 0 }
+func (b bitset) set(i int)      { b[i/64] |= 1 << uint(i%64) }
+
+func newSearch(nt *NetTrace, n *nes.NES, hosts map[netkat.Location]bool) (*search, error) {
+	np := len(nt.Packets)
+	s := &search{
+		nt: nt, n: n, hosts: hosts,
+		parent: make([]int, np),
+		prevAt: make([]int, np),
+		thrOff: make([]int, np+2),
+		inTr:   make([][]uint8, len(n.Configs)),
+		occ:    map[int][]int{},
+		cones:  map[int]*hbCones{},
+	}
+	last := map[int]int{}
+	for i, d := range nt.Packets {
+		s.parent[i] = -1
+		s.prevAt[i] = -1
+		if j, ok := last[d.Loc.Switch]; ok {
+			s.prevAt[i] = j
+		}
+		last[d.Loc.Switch] = i
+	}
+	for ti, t := range nt.Trees {
+		for i, k := range t {
+			if k < 0 || k >= np {
+				return nil, fmt.Errorf("trace: tree %d index %d out of range", ti, k)
+			}
+			s.thrOff[k+2]++
+			if i == 0 {
+				continue
+			}
+			if p := s.parent[k]; k <= t[i-1] || p >= 0 && p != t[i-1] {
+				return nil, fmt.Errorf("trace: tree %d is not an increasing path with one predecessor per point (position %d)", ti, i)
+			}
+			s.parent[k] = t[i-1]
+		}
+	}
+	for i := 2; i < len(s.thrOff); i++ {
+		s.thrOff[i] += s.thrOff[i-1]
+	}
+	s.thrTree = make([]int, s.thrOff[np+1])
+	for ti, t := range nt.Trees {
+		for _, k := range t {
+			s.thrTree[s.thrOff[k+1]] = ti
+			s.thrOff[k+1]++
+		}
+	}
+	return s, nil
+}
+
+// visit examines the candidate sequence that reached event-set set —
+// configurations cfgs (C0..Cm), first occurrences ks (k0..k(m-1)) — and
+// then its extensions. It reports whether some candidate among them
+// makes the trace correct.
+func (s *search) visit(set nes.Set, cfgs, ks []int) (bool, error) {
+	if s.visits++; s.visits > maxVisits {
+		return false, &SearchBoundError{Limit: maxVisits}
+	}
+	last := -1
+	if len(ks) > 0 {
+		last = ks[len(ks)-1]
+	}
+	armed := s.n.ArmedFrom(set).Elems()
+	if !s.quietAfter(armed, last) {
+		s.lastErr = errNoFO
+	} else if err := s.correct(cfgs, ks); err != nil {
+		s.lastErr = err
+	} else {
+		return true, nil
+	}
+	for _, e := range armed {
+		next := set.With(e)
+		c, ok := s.n.ConfigAt(next)
 		if !ok {
 			continue
 		}
-		var pending []nes.Event
-		for _, ev := range n.Events {
-			if !final.Has(ev.ID) && n.Enables(final, ev.ID) && n.Con(final.With(ev.ID)) {
-				pending = append(pending, ev)
-			}
+		k := s.firstAfter(e, last)
+		if k < 0 || !s.triggered(k, cfgs[len(cfgs)-1]) {
+			continue
 		}
-		if err := CheckUpdate(nt, u, pending, hosts); err == nil {
-			return nil
-		} else {
-			lastErr = err
+		if found, err := s.visit(next, append(cfgs, c), append(ks, k)); found || err != nil {
+			return found, err
 		}
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("no allowed event sequence matches the trace")
-	}
-	return fmt.Errorf("trace: no allowed sequence of the NES makes the trace correct (last: %v)", lastErr)
+	return false, nil
 }
 
-// updateFor builds the update g(∅) -e0-> g({e0}) -e1-> ... for an allowed
-// sequence, returning also the sequence's final event-set.
-func updateFor(n *nes.NES, seq []int) (Update, nes.Set, bool) {
-	u := Update{}
-	s := nes.Empty
-	c, ok := n.ConfigAt(s)
-	if !ok {
-		return Update{}, s, false
+// occurrences returns the ascending indices of the points matching event e.
+func (s *search) occurrences(e int) []int {
+	if m, ok := s.occ[e]; ok {
+		return m
 	}
-	u.Configs = append(u.Configs, n.Configs[c].Rel)
-	for _, e := range seq {
-		s = s.With(e)
-		c, ok := n.ConfigAt(s)
-		if !ok {
-			return Update{}, s, false
+	var m []int
+	ev := &s.n.Events[e]
+	for j, d := range s.nt.Packets {
+		if ev.MatchesD(d) {
+			m = append(m, j)
 		}
-		u.Configs = append(u.Configs, n.Configs[c].Rel)
-		u.Events = append(u.Events, n.Events[e])
 	}
-	return u, s, true
+	s.occ[e] = m
+	return m
+}
+
+// firstAfter returns the first occurrence of event e after index last,
+// or -1.
+func (s *search) firstAfter(e, last int) int {
+	m := s.occurrences(e)
+	if i, _ := slices.BinarySearch(m, last+1); i < len(m) {
+		return m[i]
+	}
+	return -1
+}
+
+// quietAfter reports that no event of pending occurs after index last.
+func (s *search) quietAfter(pending []int, last int) bool {
+	for _, e := range pending {
+		if m := s.occurrences(e); len(m) > 0 && m[len(m)-1] > last {
+			return false
+		}
+	}
+	return true
+}
+
+// triggered reports that some packet tree through point k is in
+// Traces(C) for configuration c.
+func (s *search) triggered(k, c int) bool {
+	for _, ti := range s.thrTree[s.thrOff[k]:s.thrOff[k+1]] {
+		if s.in(c, ti) {
+			return true
+		}
+	}
+	return false
+}
+
+// in reports whether tree ti is in Traces(C) for configuration c.
+func (s *search) in(c, ti int) bool {
+	if s.inTr[c] == nil {
+		s.inTr[c] = make([]uint8, len(s.nt.Trees))
+	}
+	m := &s.inTr[c][ti]
+	if *m == 0 {
+		s.pt = s.pt[:0]
+		for _, k := range s.nt.Trees[ti] {
+			s.pt = append(s.pt, s.nt.Packets[k])
+		}
+		*m = 1
+		if InTraces(s.n.Configs[c].Rel, s.pt, s.hosts) {
+			*m = 2
+		}
+	}
+	return *m == 2
+}
+
+// correct is CheckUpdate's per-tree test for the update with
+// configurations cfgs and first occurrences ks. A tree is a chain of
+// Definition 1, so it happens wholly before k iff its last point does,
+// and wholly after k iff its first point does.
+func (s *search) correct(cfgs, ks []int) error {
+	for ti, t := range s.nt.Trees {
+		first := 0
+		for first < len(cfgs) && !s.in(cfgs[first], ti) {
+			first++
+		}
+		if first == len(cfgs) {
+			return &Violation{Tree: ti, Reason: "not processed entirely by any single configuration"}
+		}
+		// Only events before the first configuration that processes the
+		// tree can find it too early, and only the latest event it
+		// happens wholly after decides whether it is too late.
+		for i := 0; i < first && i < len(ks); i++ {
+			if s.cone(ks[i]).before.has(t[len(t)-1]) {
+				return &Violation{Tree: ti, Reason: fmt.Sprintf("happens wholly before event %d (index %d) but is not processed by any of C0..C%d (update too early)", i, ks[i], i)}
+			}
+		}
+		for i := len(ks) - 1; i >= 0; i-- {
+			if !s.cone(ks[i]).after.has(t[0]) {
+				continue
+			}
+			c := max(first, i+1)
+			for c < len(cfgs) && !s.in(cfgs[c], ti) {
+				c++
+			}
+			if c == len(cfgs) {
+				return &Violation{Tree: ti, Reason: fmt.Sprintf("happens wholly after event %d (index %d) but is not processed by any of C%d..C%d (update too late)", i, ks[i], i+1, len(cfgs)-1)}
+			}
+			break
+		}
+	}
+	return nil
+}
+
+// cone returns the points that happen before point k and after it. A
+// point's predecessors in Definition 1 are its tree parent and the
+// previous point at its node: the before-cone is their closure from k,
+// and, as predecessors precede, one forward sweep decides the
+// after-cone.
+func (s *search) cone(k int) *hbCones {
+	if c, ok := s.cones[k]; ok {
+		return c
+	}
+	w := (len(s.parent) + 63) / 64
+	c := &hbCones{before: make(bitset, w), after: make(bitset, w)}
+	for stack := []int{k}; len(stack) > 0; {
+		j := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range [2]int{s.parent[j], s.prevAt[j]} {
+			if p >= 0 && !c.before.has(p) {
+				c.before.set(p)
+				stack = append(stack, p)
+			}
+		}
+	}
+	for j := k + 1; j < len(s.parent); j++ {
+		for _, p := range [2]int{s.parent[j], s.prevAt[j]} {
+			if p == k || p > k && c.after.has(p) {
+				c.after.set(j)
+				break
+			}
+		}
+	}
+	s.cones[k] = c
+	return c
 }

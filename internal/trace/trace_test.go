@@ -256,3 +256,52 @@ func TestFirstOccurrencesPendingRejects(t *testing.T) {
 		t.Error("consumed event rejected")
 	}
 }
+
+// TestCheckNESEventNeedsPrecedingConfig: an event's first occurrence
+// counts only if a packet tree through it was processed by the
+// configuration before the event. C0 drops dst=104 where the event
+// matches it, C1 delivers it: the drop is a correct trace, but the same
+// packet delivered has no first occurrence under any allowed sequence,
+// although C1 processes every one of its trees.
+func TestCheckNESEventNeedsPrecedingConfig(t *testing.T) {
+	hosts := map[netkat.Location]bool{loc(101, 0): true, loc(104, 0): true}
+	out := netkat.Packet{"dst": 104}
+	path := []netkat.DPacket{
+		dp(out, loc(101, 0), true),
+		dp(out, loc(1, 2), false),
+		dp(out, loc(1, 1), true),
+		dp(out, loc(4, 1), false), // the event
+		dp(out, loc(4, 2), true),
+		dp(out, loc(104, 0), false),
+	}
+	mk := func(hops int) tableConfig {
+		c := tableConfig{}
+		for i := 0; i < hops; i++ {
+			c.add(path[i], path[i+1])
+		}
+		return c
+	}
+	g := netkat.NewConj()
+	g.AddEq("dst", 104)
+	n, err := nes.New(
+		[]nes.Event{{ID: 0, Guard: g, Loc: loc(4, 1), Occurrence: 1}},
+		map[nes.Set]int{nes.Empty: 0, nes.Singleton(0): 1},
+		[]nes.Config{{ID: 0, Rel: mk(3)}, {ID: 1, Rel: mk(5)}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(points int) *NetTrace {
+		nt := &NetTrace{Packets: path[:points], Trees: [][]int{make([]int, points)}}
+		for i := range nt.Trees[0] {
+			nt.Trees[0][i] = i
+		}
+		return nt
+	}
+	if err := CheckNES(run(4), n, hosts); err != nil {
+		t.Errorf("C0's drop at the event rejected: %v", err)
+	}
+	if err := CheckNES(run(6), n, hosts); err == nil {
+		t.Error("an event triggered only under C1 accepted")
+	}
+}
