@@ -13,6 +13,16 @@
 //
 // Workload drivers (ping with echo responders, bulk transfers) and
 // measurement hooks reproduce the quantities plotted in Figures 10-16.
+//
+// Ordering contract: every scheduled action has a key (at, seq), its
+// time and a sequence number unique within the run, and the queue pops in
+// the total order on those keys (time, then seq). At, After and each hop
+// take the next seq when they schedule. StartBulk and StartPings reserve
+// their whole block of seq values when called and queue one send at a
+// time on it, so the queue holds only in-flight work and every send pops
+// exactly where it would had all been queued up front. The slice a
+// Plane's Process returns belongs to the plane and is valid until its
+// next Process call.
 package sim
 
 import (
@@ -79,7 +89,9 @@ type Out struct {
 type Plane interface {
 	// Inject stamps a packet entering the network at the given edge switch.
 	Inject(s *Sim, sw int, fields netkat.Packet) Meta
-	// Process handles a packet arriving at a switch ingress port.
+	// Process handles a packet arriving at a switch ingress port. The
+	// returned slice may be the plane's own buffer, valid until the next
+	// Process call.
 	Process(s *Sim, sw, inPort int, fields netkat.Packet, meta Meta) []Out
 	// HeaderOverhead is the extra on-the-wire bytes per packet.
 	HeaderOverhead() int
@@ -95,11 +107,37 @@ type Delivery struct {
 	Time   float64
 }
 
-// event is one scheduled action.
+// actionKind says what a scheduled action does when it runs.
+type actionKind uint8
+
+const (
+	actFn      actionKind = iota // call fn (At, After, a generator's next send)
+	actArrive                    // a packet reaches a link's far end: a switch ingress port or a host
+	actProcess                   // a switch finishes processing a packet
+)
+
+// action is one piece of scheduled work. Hop work is typed rather than a
+// closure: an arrival carries the far switch and port (or the host), a
+// process the switch and its ingress port, and both carry the packet, its
+// metadata and its latest trace point.
+type action struct {
+	kind   actionKind
+	sw     int
+	port   int
+	host   *topo.Host
+	fields netkat.Packet
+	meta   Meta
+	tidx   int
+	fn     func()
+}
+
+// event is one heap entry: the (at, seq) key of an action and its slot in
+// the action slab. It holds no pointer, so moving it costs no write
+// barrier and the collector does not scan the heap.
 type event struct {
-	at  float64
-	seq int64
-	fn  func()
+	at   float64
+	seq  int64
+	slot int32
 }
 
 // before orders events by time, then by scheduling order. seq is unique,
@@ -127,15 +165,12 @@ func (h *eventHeap) push(ev event) {
 	*h = q
 }
 
-// pop removes and returns the earliest event. The vacated slot is zeroed,
-// so the backing array does not keep a popped closure (and the packets it
-// captured) reachable.
+// pop removes and returns the earliest event.
 func (h *eventHeap) pop() event {
 	q := *h
 	n := len(q) - 1
 	top := q[0]
 	q[0] = q[n]
-	q[n] = event{}
 	q = q[:n]
 	for i := 0; ; {
 		least := 2*i + 1
@@ -165,6 +200,8 @@ type Sim struct {
 	now      float64
 	seq      int64
 	queue    eventHeap
+	acts     []action                    // the actions queue slots name
+	free     []int32                     // vacant slots of acts
 	linkFree map[netkat.Location]float64 // egress serialization availability
 	swFree   map[int]float64             // switch processing availability
 
@@ -198,27 +235,93 @@ func New(t *topo.Topology, plane Plane, p Params, seed int64) *Sim {
 // Now returns the current simulation time in seconds.
 func (s *Sim) Now() float64 { return s.now }
 
-// At schedules fn at an absolute time (clamped to now).
-func (s *Sim) At(t float64, fn func()) {
+// push queues a under the key (t, seq) in a vacant slab slot.
+func (s *Sim) push(t float64, seq int64, a action) {
+	var slot int32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		slot = int32(len(s.acts))
+		s.acts = append(s.acts, action{})
+	}
+	s.acts[slot] = a
+	s.queue.push(event{at: t, seq: seq, slot: slot})
+}
+
+// schedule queues a at an absolute time (clamped to now) under the next
+// sequence number.
+func (s *Sim) schedule(t float64, a action) {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
-	s.queue.push(event{at: t, seq: s.seq, fn: fn})
+	s.push(t, s.seq, a)
 }
+
+// At schedules fn at an absolute time (clamped to now).
+func (s *Sim) At(t float64, fn func()) { s.schedule(t, action{kind: actFn, fn: fn}) }
 
 // After schedules fn after a relative delay.
 func (s *Sim) After(d float64, fn func()) { s.At(s.now+d, fn) }
 
+// generate calls send(i) for i in [0, n) at start+i*interval (clamped
+// to now). It reserves the n sequence numbers the sends would have had if
+// each were scheduled now, so every send pops exactly where it would
+// have, but only the next send is on the queue: running one schedules
+// the one after.
+func (s *Sim) generate(start, interval float64, n int, send func(i int)) {
+	if n <= 0 {
+		return
+	}
+	floor, base := s.now, s.seq
+	s.seq += int64(n)
+	i := 0
+	var next func()
+	pushNext := func() {
+		at := start + float64(i)*interval
+		if at < floor {
+			at = floor
+		}
+		s.push(at, base+int64(i)+1, action{kind: actFn, fn: next})
+	}
+	next = func() {
+		cur := i
+		if i++; i < n {
+			pushNext()
+		}
+		send(cur)
+	}
+	pushNext()
+}
+
 // Run processes events until the queue is empty or the horizon is
-// reached.
+// reached, then advances the clock to the horizon (never back). A
+// popped slot is zeroed before its action runs, so the slab keeps no
+// packet or closure reachable once its work is done.
 func (s *Sim) Run(horizon float64) {
 	for len(s.queue) > 0 && s.queue[0].at <= horizon {
 		ev := s.queue.pop()
 		s.now = ev.at
-		ev.fn()
+		a := s.acts[ev.slot]
+		s.acts[ev.slot] = action{}
+		s.free = append(s.free, ev.slot)
+		switch a.kind {
+		case actFn:
+			a.fn()
+		case actArrive:
+			if a.host != nil {
+				s.deliver(a.host, a.fields, a.tidx)
+			} else {
+				s.arriveAtSwitch(a.sw, a.port, a.fields, a.meta, a.tidx)
+			}
+		case actProcess:
+			s.process(a.sw, a.port, a.fields, a.meta, a.tidx)
+		}
 	}
-	s.now = horizon
+	if horizon > s.now {
+		s.now = horizon
+	}
 }
 
 // OnReceive registers a handler invoked when the named host receives a
@@ -272,17 +375,16 @@ func (s *Sim) transmit(src netkat.Location, fields netkat.Packet, meta Meta, tid
 	tx := float64(s.wireBytes()) / s.Params.LinkBandwidth
 	s.linkFree[src] = free + tx
 	arrive := free + tx + s.Params.LinkLatency
-	s.At(arrive, func() {
-		if h != nil {
-			s.record(fields, h.Loc(), false, tidx)
-			s.Delivered = append(s.Delivered, Delivery{Host: h.Name, Fields: fields, Time: s.now})
-			if fn := s.onReceive[h.Name]; fn != nil {
-				fn(s, fields, s.now)
-			}
-			return
-		}
-		s.arriveAtSwitch(far.Switch, far.Port, fields, meta, tidx)
-	})
+	s.schedule(arrive, action{kind: actArrive, sw: far.Switch, port: far.Port, host: h, fields: fields, meta: meta, tidx: tidx})
+}
+
+// deliver hands a packet to a host.
+func (s *Sim) deliver(h *topo.Host, fields netkat.Packet, tidx int) {
+	s.record(fields, h.Loc(), false, tidx)
+	s.Delivered = append(s.Delivered, Delivery{Host: h.Name, Fields: fields, Time: s.now})
+	if fn := s.onReceive[h.Name]; fn != nil {
+		fn(s, fields, s.now)
+	}
 }
 
 // arriveAtSwitch queues the packet for processing at a switch, dropping
@@ -301,13 +403,17 @@ func (s *Sim) arriveAtSwitch(sw, port int, fields netkat.Packet, meta Meta, tidx
 	}
 	done := start + s.Params.SwitchProcTime*s.Plane.ProcFactor()
 	s.swFree[sw] = done
-	s.At(done, func() {
-		ingress := s.record(fields, netkat.Location{Switch: sw, Port: port}, false, tidx)
-		for _, o := range s.Plane.Process(s, sw, port, fields, meta) {
-			egress := s.record(o.Fields, netkat.Location{Switch: sw, Port: o.Port}, true, ingress)
-			s.transmit(netkat.Location{Switch: sw, Port: o.Port}, o.Fields, o.Meta, egress)
-		}
-	})
+	s.schedule(done, action{kind: actProcess, sw: sw, port: port, fields: fields, meta: meta, tidx: tidx})
+}
+
+// process runs the plane's switch step on a packet whose processing is
+// done and transmits what it emits.
+func (s *Sim) process(sw, port int, fields netkat.Packet, meta Meta, tidx int) {
+	ingress := s.record(fields, netkat.Location{Switch: sw, Port: port}, false, tidx)
+	for _, o := range s.Plane.Process(s, sw, port, fields, meta) {
+		egress := s.record(o.Fields, netkat.Location{Switch: sw, Port: o.Port}, true, ingress)
+		s.transmit(netkat.Location{Switch: sw, Port: o.Port}, o.Fields, o.Meta, egress)
+	}
 }
 
 // Send emits a packet from the named host into the network.
@@ -330,9 +436,7 @@ func (s *Sim) Send(host string, fields netkat.Packet) {
 	s.linkFree[h.Loc()] = free + tx
 	root := s.record(fields, h.Loc(), true, -1)
 	arrive := free + tx + s.Params.LinkLatency
-	s.At(arrive, func() {
-		s.arriveAtSwitch(h.Attach.Switch, h.Attach.Port, fields, meta, root)
-	})
+	s.schedule(arrive, action{kind: actArrive, sw: h.Attach.Switch, port: h.Attach.Port, fields: fields, meta: meta, tidx: root})
 }
 
 // DeliveredTo returns deliveries to a host.

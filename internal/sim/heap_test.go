@@ -4,6 +4,8 @@ import (
 	"container/heap"
 	"math/rand"
 	"testing"
+
+	"eventnet/internal/apps"
 )
 
 // refHeap is container/heap over the same ordering: the reference the
@@ -29,7 +31,7 @@ func TestEventHeapOrder(t *testing.T) {
 		}
 	}
 	for seq := int64(1); seq <= 10000; seq++ {
-		ev := event{at: float64(r.Intn(50)), seq: seq, fn: func() {}}
+		ev := event{at: float64(r.Intn(50)), seq: seq, slot: int32(seq)}
 		q.push(ev)
 		heap.Push(&ref, ev)
 		for len(q) > 0 && r.Intn(3) == 0 {
@@ -47,21 +49,24 @@ func TestEventHeapOrder(t *testing.T) {
 	}
 }
 
-// TestDrainedQueueReleasesClosures: a popped event's closure (and the
-// packet maps it captured) must not stay reachable from the queue's
-// backing array.
+// TestDrainedQueueReleasesClosures: once a run has drained the queue, no
+// slot of the action slab, vacant capacity included, keeps a closure, a
+// packet map or a digest reachable.
 func TestDrainedQueueReleasesClosures(t *testing.T) {
-	s := New(nil, nil, DefaultParams(), 1)
+	s := firewallPings(buildNES(t, apps.Firewall()), PlaneKindTagged)
 	for i := 0; i < 100; i++ {
-		s.At(float64(i%7), func() {})
+		s.At(s.Now()+float64(i%7), func() {})
 	}
-	s.Run(10)
+	s.Run(s.Now() + 10)
 	if len(s.queue) != 0 {
 		t.Fatalf("queue holds %d events after the run", len(s.queue))
 	}
-	for i, ev := range s.queue[:cap(s.queue)] {
-		if ev.fn != nil {
-			t.Fatalf("vacated slot %d still holds a closure", i)
+	if len(s.free) != len(s.acts) {
+		t.Fatalf("%d of %d slab slots still in use", len(s.acts)-len(s.free), len(s.acts))
+	}
+	for i, a := range s.acts[:cap(s.acts)] {
+		if a.fn != nil || a.fields != nil || a.host != nil || a.meta != (Meta{}) {
+			t.Fatalf("vacated slot %d still holds work: %+v", i, a)
 		}
 	}
 }

@@ -22,6 +22,7 @@ type TaggedPlane struct {
 	discovered map[int]map[int]float64 // switch -> event -> first-known time
 	ctrl       nes.Set
 	obuf       []flowtable.Output // per-sim scratch; Sim is single-goroutine
+	outs       []Out              // Process's result, reused by the next call
 }
 
 // NewTaggedPlane builds the correct plane with default overhead figures
@@ -99,15 +100,15 @@ func (p *TaggedPlane) Process(s *Sim, sw, inPort int, fields netkat.Packet, meta
 	}
 
 	p.obuf = p.NES.Configs[meta.Version].Tables[sw].AppendProcess(p.obuf[:0], fields, inPort, 0)
-	var outs []Out
+	p.outs = p.outs[:0]
 	for _, o := range p.obuf {
-		outs = append(outs, Out{
+		p.outs = append(p.outs, Out{
 			Fields: o.Pkt,
 			Port:   o.Port,
 			Meta:   Meta{Version: meta.Version, Digest: outDigest},
 		})
 	}
-	return outs
+	return p.outs
 }
 
 // UncoordPlane is the uncoordinated-update baseline of Section 5: events
@@ -123,6 +124,7 @@ type UncoordPlane struct {
 	pendingEv nes.Set     // events already reported (avoid duplicates)
 	installAt map[int]map[int]float64
 	obuf      []flowtable.Output
+	outs      []Out // Process's result, reused by the next call
 }
 
 // NewUncoordPlane builds the baseline plane.
@@ -192,11 +194,11 @@ func (p *UncoordPlane) Process(s *Sim, sw, inPort int, fields netkat.Packet, _ M
 	}
 
 	p.obuf = p.NES.Configs[p.installed[sw]].Tables[sw].AppendProcess(p.obuf[:0], fields, inPort, 0)
-	var outs []Out
+	p.outs = p.outs[:0]
 	for _, o := range p.obuf {
-		outs = append(outs, Out{Fields: o.Pkt, Port: o.Port})
+		p.outs = append(p.outs, Out{Fields: o.Pkt, Port: o.Port})
 	}
-	return outs
+	return p.outs
 }
 
 // PlaneKind selects a data-plane implementation.

@@ -10,7 +10,7 @@ import (
 	"eventnet/internal/trace"
 )
 
-func buildNES(t *testing.T, a apps.App) *nes.NES {
+func buildNES(t testing.TB, a apps.App) *nes.NES {
 	t.Helper()
 	e, err := ets.Build(a.Prog, a.Topo)
 	if err != nil {
@@ -301,6 +301,17 @@ func TestRunHorizon(t *testing.T) {
 	s.Run(3)
 	if len(fired) != 2 || fired[1] != 2.0 {
 		t.Fatalf("after second horizon: fired=%v", fired)
+	}
+	// A horizon already behind the clock runs nothing and leaves the
+	// clock where it is.
+	s.At(4.0, func() { fired = append(fired, s.Now()) })
+	s.Run(1)
+	if len(fired) != 2 || s.Now() != 3 {
+		t.Fatalf("after an earlier horizon: fired=%v now=%v, want 2 fired and now 3", fired, s.Now())
+	}
+	s.Run(5)
+	if len(fired) != 3 || fired[2] != 4.0 || s.Now() != 5 {
+		t.Fatalf("after resuming: fired=%v now=%v", fired, s.Now())
 	}
 }
 

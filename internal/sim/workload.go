@@ -103,20 +103,17 @@ func StartPings(s *Sim, src, dst string, start, interval float64, count, idBase 
 			stats.Pings[i].ReplyAt = at
 		}
 	})
-	for i := 0; i < count; i++ {
+	s.generate(start, interval, count, func(i int) {
 		id := idBase + i
-		at := start + float64(i)*interval
-		s.At(at, func() {
-			stats.byID[id] = len(stats.Pings)
-			stats.Pings = append(stats.Pings, Ping{ID: id, SentAt: s.Now()})
-			s.Send(src, netkat.Packet{
-				FieldDst:  hd.ID,
-				FieldSrc:  hs.ID,
-				FieldKind: KindRequest,
-				FieldID:   id,
-			})
+		stats.byID[id] = len(stats.Pings)
+		stats.Pings = append(stats.Pings, Ping{ID: id, SentAt: s.Now()})
+		s.Send(src, netkat.Packet{
+			FieldDst:  hd.ID,
+			FieldSrc:  hs.ID,
+			FieldKind: KindRequest,
+			FieldID:   id,
 		})
-	}
+	})
 	return stats
 }
 
@@ -169,12 +166,9 @@ func StartBulk(s *Sim, src, dst string, start, duration, rate float64, idBase in
 	})
 	interval := 1.0 / rate
 	n := int(duration * rate)
-	for i := 0; i < n; i++ {
-		id := idBase + i
-		s.At(start+float64(i)*interval, func() {
-			b.PacketsSent++
-			s.Send(src, netkat.Packet{FieldDst: hd.ID, FieldSrc: hs.ID, FieldID: id})
-		})
-	}
+	s.generate(start, interval, n, func(i int) {
+		b.PacketsSent++
+		s.Send(src, netkat.Packet{FieldDst: hd.ID, FieldSrc: hs.ID, FieldID: idBase + i})
+	})
 	return b
 }
