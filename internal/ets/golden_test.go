@@ -28,7 +28,10 @@ func etsDigest(e *ETS) uint64 {
 // where these constants were generated: vertex numbering, edge order,
 // event ids and tables. distributed-firewall is the one shipped program
 // with two states on a BFS level; the unrolled toggle is the only ETS
-// whose vertices are (state, round) pairs.
+// whose vertices are (state, round) pairs. cap-200 and cap-2000 were
+// added at 61b29db, before the segment memo was keyed by shape: their
+// 201 and 2001 counter branches share one segment diagram per truth
+// value.
 func TestETSGolden(t *testing.T) {
 	want := map[string]uint64{
 		"firewall":             0x5fd024fd7bb01258,
@@ -45,10 +48,13 @@ func TestETSGolden(t *testing.T) {
 		"failover-wan-4":       0x110228e56b1f0be6,
 		"failover-fattree-4-2": 0xd0d3b3b649804b99,
 		"toggle-unrolled-3":    0x6eb5eb6353db2202,
+		"bandwidth-cap-200":    0x3080618ca8994df8,
+		"bandwidth-cap-2000":   0xf1bd15af9a4bdc6a,
 	}
 	got := map[string]uint64{}
 	cases := incrementalApps()
-	cases = append(cases, apps.FailoverDiamond(2).App, apps.FailoverWAN(4).App, apps.FailoverFatTree(4, 2).App)
+	cases = append(cases, apps.FailoverDiamond(2).App, apps.FailoverWAN(4).App, apps.FailoverFatTree(4, 2).App,
+		apps.BandwidthCap(200), apps.BandwidthCap(2000))
 	for _, a := range cases {
 		e, err := Build(a.Prog, a.Topo)
 		if err != nil {

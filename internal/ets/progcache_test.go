@@ -120,13 +120,14 @@ func TestBuildWithProgramCache(t *testing.T) {
 	}
 }
 
-// TestTemplateMemoBound is the count behind the template memo: the
-// Figure 6 walk runs once per distinct (strand prefix, truth vector) pair
-// of a cache generation, not once per visited strand. bandwidth-cap-200
-// looks templates up 602 times — every counting strand for the reference
-// state, two per later state — and a revision compiled after it on the
-// same cache walks only for the strands it added; without the memo each
-// lookup was a walk (605 for cap-201).
+// TestTemplateMemoBound is the count behind the walk memo: Figure 6 is
+// walked once per distinct (prefix shape, truth vector) pair of a cache
+// generation, not once per visited strand. bandwidth-cap-200 looks its
+// walks up 602 times — every counting strand for the reference state,
+// two per later state — and its 201 counter branches share one prefix
+// shape, so it walks twice (the test holds, or not); a revision compiled
+// after it on the same cache has the same shapes and walks at most as
+// often. Without the memo each lookup was a walk (605 for cap-201).
 func TestTemplateMemoBound(t *testing.T) {
 	cache := nkc.NewProgramCache()
 	a, b := apps.BandwidthCap(200), apps.BandwidthCap(201)
@@ -144,8 +145,8 @@ func TestTemplateMemoBound(t *testing.T) {
 	if n := cold.Cache.TemplateHits + cold.Cache.TemplateMisses; n != 602 {
 		t.Fatalf("cap-200 looked templates up %d times, want 602", n)
 	}
-	if cold.Cache.TemplateMisses > 410 {
-		t.Fatalf("cap-200 cold walked Figure 6 %d times, want <= 410", cold.Cache.TemplateMisses)
+	if cold.Cache.TemplateMisses > 2 {
+		t.Fatalf("cap-200 cold walked Figure 6 %d times, want <= 2", cold.Cache.TemplateMisses)
 	}
 	if n := warm.Cache.TemplateHits + warm.Cache.TemplateMisses; n != 605 {
 		t.Fatalf("cap-201 looked templates up %d times, want 605", n)
@@ -155,31 +156,74 @@ func TestTemplateMemoBound(t *testing.T) {
 	}
 }
 
-// aliasProgram is a one-strand program whose only state-dependent part
-// is the state-updating link: every segment of it renders the same
-// whatever dst and sets are.
-func aliasProgram(dst netkat.Location, index, value int) stateful.Program {
+// TestColdCompileWorkIndependentOfCap is the count behind shape keys: a
+// cold build of bandwidth-cap-N translates the same segments and walks
+// Figure 6 the same number of times whatever N is — five segment
+// diagrams and two walks — because its N+1 counter branches differ only
+// in the value their state test compares against, and so share one
+// shape, one diagram per truth value and one walk per truth value. Keyed
+// by rendering, cap-2000 translated 4 007 segments and cap-200 walked
+// 402 times.
+func TestColdCompileWorkIndependentOfCap(t *testing.T) {
+	for _, n := range []int{10, 200, 2000} {
+		a := apps.BandwidthCap(n)
+		_, st, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s cold: %d segment misses, %d Figure 6 walks", a.Name, st.Cache.SegmentMisses, st.Cache.TemplateMisses)
+		if st.Cache.SegmentMisses != 5 || st.Cache.TemplateMisses != 2 {
+			t.Errorf("%s cold: %d segment misses and %d Figure 6 walks, want 5 and 2 at every cap", a.Name, st.Cache.SegmentMisses, st.Cache.TemplateMisses)
+		}
+	}
+}
+
+// aliasProgram is a one-strand program whose only state-dependent parts
+// are an optional state test before the state-updating link and the
+// link itself: every segment of it has the same shape whatever dst and
+// sets are, and whatever value the test compares against.
+func aliasProgram(test stateful.Pred, dst netkat.Location, index, value int) stateful.Program {
 	return stateful.Program{Init: stateful.State{0, 0}, Cmd: stateful.SeqC(
 		stateful.CPred{P: stateful.PAnd{L: stateful.PTest{Field: netkat.FieldPt, Value: 2}, R: stateful.PTest{Field: apps.FieldDst, Value: apps.H(4)}}},
+		stateful.CPred{P: test},
 		stateful.CAssign{Field: netkat.FieldPt, Value: 1},
 		stateful.CLinkState{Src: netkat.Location{Switch: 1, Port: 1}, Dst: dst, Sets: []stateful.StateSet{{Index: index, Value: value}}},
 		stateful.CAssign{Field: netkat.FieldPt, Value: 2},
 	)}
 }
 
-// TestTemplateMemoKeyCoversTheLink: the template memo's key is made of
-// segment ids, and no segment covers the link that raises the event — so
-// programs that differ only in what that link assigns, or where it
-// lands, must not read each other's templates. Each is compiled after
-// each other one through one cache, and must come out as it does alone.
+// TestTemplateMemoKeyCoversTheLink: the walk memo's key is made of
+// segment shapes, and no segment covers the link that raises the event,
+// nor the value a state test compares against — so programs that differ
+// only in what that link assigns, where it lands, or which state it
+// requires must not read each other's events or compilers. The program
+// cache's key carries links and tests, and the walk memo holds only the
+// conjunctions reaching a link; from the initial state [0,0] the
+// programs testing state(0)=1, state(1)=1 or !state(0)=0 raise nothing,
+// their twins testing 0 raise one event. Each is compiled after each
+// other one through one cache, and must come out as it does alone.
 func TestTemplateMemoKeyCoversTheLink(t *testing.T) {
 	tp := topo.Firewall()
+	at41 := netkat.Location{Switch: 4, Port: 1}
+	st := func(i, v int) stateful.Pred { return stateful.PState{Index: i, Value: v} }
 	progs := map[string]stateful.Program{
-		"state(0)<-1":         aliasProgram(netkat.Location{Switch: 4, Port: 1}, 0, 1),
-		"state(0)<-2":         aliasProgram(netkat.Location{Switch: 4, Port: 1}, 0, 2),
-		"state(1)<-1":         aliasProgram(netkat.Location{Switch: 4, Port: 1}, 1, 1),
-		"state(0)<-1 at 4:2":  aliasProgram(netkat.Location{Switch: 4, Port: 2}, 0, 1),
-		"state(0)<-1 at sw 1": aliasProgram(netkat.Location{Switch: 1, Port: 2}, 0, 1),
+		"state(0)<-1":                    aliasProgram(stateful.PTrue{}, at41, 0, 1),
+		"state(0)<-2":                    aliasProgram(stateful.PTrue{}, at41, 0, 2),
+		"state(1)<-1":                    aliasProgram(stateful.PTrue{}, at41, 1, 1),
+		"state(0)<-1 at 4:2":             aliasProgram(stateful.PTrue{}, netkat.Location{Switch: 4, Port: 2}, 0, 1),
+		"state(0)<-1 at sw 1":            aliasProgram(stateful.PTrue{}, netkat.Location{Switch: 1, Port: 2}, 0, 1),
+		"state(0)=0; state(0)<-1":        aliasProgram(st(0, 0), at41, 0, 1),
+		"state(0)=1; state(0)<-1":        aliasProgram(st(0, 1), at41, 0, 1),
+		"state(1)=0; state(0)<-1":        aliasProgram(st(1, 0), at41, 0, 1),
+		"state(1)=1; state(0)<-1":        aliasProgram(st(1, 1), at41, 0, 1),
+		"!state(0)=0; state(0)<-1":       aliasProgram(stateful.PNot{P: st(0, 0)}, at41, 0, 1),
+		"!state(0)=1; state(0)<-1":       aliasProgram(stateful.PNot{P: st(0, 1)}, at41, 0, 1),
+		"state(0)=0; state(0)<-1 at 4:2": aliasProgram(st(0, 0), netkat.Location{Switch: 4, Port: 2}, 0, 1),
+	}
+	events := map[string]int{
+		"state(0)=1; state(0)<-1":  0,
+		"state(1)=1; state(0)<-1":  0,
+		"!state(0)=0; state(0)<-1": 0,
 	}
 	alone := map[string]*ets.ETS{}
 	for name, p := range progs {
@@ -187,8 +231,12 @@ func TestTemplateMemoKeyCoversTheLink(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(e.Events) != 1 {
-			t.Fatalf("%s: %d events, want the one its link raises", name, len(e.Events))
+		want, ok := events[name]
+		if !ok {
+			want = 1
+		}
+		if len(e.Events) != want || len(e.Vertices) != want+1 {
+			t.Fatalf("%s: %d states and %d events, want %d and %d", name, len(e.Vertices), len(e.Events), want+1, want)
 		}
 		alone[name] = e
 	}

@@ -9,16 +9,18 @@ type CacheStats struct {
 	// from an earlier state with the same projected policy.
 	TableHits, TableMisses int64
 	// SegmentHits/SegmentMisses count per-segment FDD lookups keyed by
-	// (segment, guard signature): a hit means a link-free strand segment
-	// skipped ToFDD entirely because no guard inside it changed. Only the
+	// (segment shape, truth vector over its state tests): a hit means a
+	// link-free strand segment skipped ToFDD entirely because a segment of
+	// the same shape was translated under the same truth vector. Only the
 	// strands a state visits are looked up (all of them for a compiler's
 	// reference state, those testing a flipped guard afterwards), so the
 	// misses count distinct projections and the hits count visits.
 	SegmentHits, SegmentMisses int64
-	// TemplateHits/TemplateMisses count event-edge template lookups, one
-	// per visited strand that can raise an event, keyed by (strand prefix
-	// up to its last state-updating link, truth vector of its tests): a
-	// miss is a Figure 6 walk, a hit reuses another state's or program's.
+	// TemplateHits/TemplateMisses count Figure 6 walk lookups, one per
+	// visited strand that can raise an event, keyed by (shapes of the
+	// strand's segments up to its last state-updating link, truth vector
+	// over their state tests): a miss is a Figure 6 walk, a hit reuses the
+	// test conjunctions of another strand's, state's or program's walk.
 	TemplateHits, TemplateMisses int64
 	// Strands is the number of distinct symbolic strand executions
 	// performed (the hop-cache population); FDDNodes is the hash-consed

@@ -26,7 +26,6 @@ import (
 
 	"eventnet/internal/flowtable"
 	"eventnet/internal/netkat"
-	"eventnet/internal/stateful"
 )
 
 // fieldRank gives the coarse field order: the location pseudo-fields come
@@ -180,12 +179,13 @@ type FDDCtx struct {
 	hopCache  map[string][]cachedHop
 	strandKey []byte
 
-	// segMemo memoizes segment diagrams and tmplMemo the event-edge
-	// templates of a strand prefix, each under a structural key (interned
-	// identity, packed truth vector of the state tests inside) that holds
-	// for every program sharing this context and its interners (evalStrand).
+	// segMemo memoizes segment diagrams and walkMemo the test
+	// conjunctions reaching each link of a strand prefix (Figure 6), each
+	// under a structural key (interned shape, packed truth vector over its
+	// placeholders) that holds for every program sharing this context and
+	// its interners (evalStrand).
 	segMemo  map[segMemoKey]*FDD
-	tmplMemo map[segMemoKey][]stateful.EdgeTemplate
+	walkMemo map[segMemoKey][][]*netkat.Conj
 
 	// foldCache memoizes the per-switch union fold over hop diagrams by
 	// the packed hop identity sequence, and tableMemo memoizes the
@@ -220,7 +220,7 @@ func NewFDDCtx() *FDDCtx {
 		notMemo:   map[int]*FDD{},
 		hopCache:  map[string][]cachedHop{},
 		segMemo:   map[segMemoKey]*FDD{},
-		tmplMemo:  map[segMemoKey][]stateful.EdgeTemplate{},
+		walkMemo:  map[segMemoKey][][]*netkat.Conj{},
 		foldCache: map[string]*FDD{},
 		tableMemo: map[int]*flowtable.Table{},
 	}

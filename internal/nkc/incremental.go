@@ -20,9 +20,11 @@ package nkc
 // the reference, looks those atoms up in an inverted index atom ->
 // strands, re-evaluates just the strands it finds, and splices them in
 // strand order into the reference's list. A re-evaluated strand enters
-// ToFDD only for segments whose guard signature — the truth vector of
-// the state tests inside that segment — has not been seen before, and
-// reuses its symbolic execution and extracted tables by structural key.
+// ToFDD only for segments whose shape — the rendering with every state
+// test a placeholder — has not been seen before under the same truth
+// vector over those placeholders, walks Figure 6 only for a prefix of
+// shapes and truth vector not seen before, and reuses its symbolic
+// execution and extracted tables by structural key.
 // Whole configurations are additionally shared across states by
 // program-level signature.
 //
@@ -49,17 +51,19 @@ import (
 )
 
 // progSeg is one link-free segment of the program skeleton. key is the
-// segment's canonical rendering: together with a guard signature it
-// identifies the projected policy structurally, so segment FDDs memoized
-// under it are shareable not just across the states of one program but —
-// through nkc.ProgramCache — across *programs* that contain the same
-// link-free segment (successive revisions of a live-updated program
-// typically share most of them).
+// segment's shape (stateful.Shape) and tests the state tests its
+// placeholders stand for, in order. Under the truth vector of those
+// tests the shape identifies the projected policy, so segment FDDs
+// memoized under (shape, truth vector) are shared across the states of
+// one program, across its branches that differ only in the values their
+// state tests compare against (the N+1 counter branches of
+// bandwidth-cap-N are one shape), and — through nkc.ProgramCache —
+// across *programs* that contain the same link-free segment.
 type progSeg struct {
-	id     int
-	key    string
-	cmd    stateful.Cmd
-	guards *stateful.GuardIndex // state tests inside this segment
+	id    int
+	key   string
+	tests []stateful.GuardTest
+	cmd   stateful.Cmd
 }
 
 // progStrand is one end-to-end alternative of the program: alternating
@@ -73,10 +77,11 @@ type progStrand struct {
 	links      []netkat.Link
 	updates    []*stateful.CLinkState
 	lastUpdate int
-	// An event-raising strand's tmplMemo key halves (indexSegments): its
-	// prefix up to lastUpdate, interned, and the guard positions tested there.
-	prefixID  uint32
-	prefixPos []int32
+	// An event-raising strand's walk-memo key halves (indexSegments): the
+	// shape ids of segs[:lastUpdate+1], interned, and the whole-program
+	// positions of the tests in those segments, in order.
+	walkID  uint32
+	walkPos []int32
 }
 
 // cmdNode kinds.
@@ -89,9 +94,10 @@ const (
 
 // cmdNode is the command re-shaped around its links: link-free subtrees
 // collapse to atoms, so only union/sequence structure that actually
-// contains links remains. text and seqText are the atom's rendering alone
-// and as an operand of ';', filled on first use: an atom shared by many
-// strands is rendered once.
+// contains links remains. shape and seqShape are the atom's shape alone
+// and as an operand of ';', and tests the state tests its placeholders
+// stand for, filled on first use: an atom shared by many strands is
+// rendered once.
 type cmdNode struct {
 	kind   int // lnAtom, lnLink, lnUnion, lnSeq
 	cmd    stateful.Cmd
@@ -99,21 +105,22 @@ type cmdNode struct {
 	update *stateful.CLinkState // lnLink written with state assignments
 	l, r   *cmdNode
 
-	text, seqText string
+	shape, seqShape string
+	tests           []stateful.GuardTest
 }
 
-// render fills text and seqText. The forms must stay byte-identical to
-// Cmd.String of the atom and of a CSeq around it (the segment key built
-// from them is the cross-program segMemo key): ';' parenthesizes only a
-// union operand.
+// render fills shape, seqShape and tests. The forms must stay
+// byte-identical to stateful.Shape of the atom and of a CSeq around it
+// (the segment key built from them is the cross-program segMemo key):
+// ';' parenthesizes only a union operand.
 func (n *cmdNode) render() {
-	if n.text != "" {
+	if n.shape != "" {
 		return
 	}
-	n.text = n.cmd.String()
-	n.seqText = n.text
+	n.shape, n.tests = stateful.Shape(n.cmd)
+	n.seqShape = n.shape
 	if _, ok := n.cmd.(stateful.CUnion); ok {
-		n.seqText = "(" + n.text + ")"
+		n.seqShape = "(" + n.shape + ")"
 	}
 }
 
@@ -207,7 +214,6 @@ func extractCmdStrands(c stateful.Cmd) ([]progStrand, error) {
 		for i := range s.segs {
 			s.segs[i].id = segID
 			segID++
-			s.segs[i].guards = stateful.CollectGuards(s.segs[i].cmd)
 		}
 		out = append(out, s)
 		return nil
@@ -219,9 +225,9 @@ func extractCmdStrands(c stateful.Cmd) ([]progStrand, error) {
 }
 
 // assembleCmdStrand coalesces consecutive link-free elements with CSeq
-// and inserts identity segments around links. Each segment's key is its
-// command's rendering, joined from the elements' cached text in the
-// caller's builder.
+// and inserts identity segments around links. Each segment's key and
+// tests are its command's shape, joined from the elements' cached
+// shapes in the caller's builder.
 func assembleCmdStrand(es []*cmdNode, key *strings.Builder) progStrand {
 	seg := func(run []*cmdNode) progSeg {
 		switch len(run) {
@@ -230,10 +236,11 @@ func assembleCmdStrand(es []*cmdNode, key *strings.Builder) progStrand {
 			return progSeg{cmd: id, key: id.String()}
 		case 1:
 			run[0].render()
-			return progSeg{cmd: run[0].cmd, key: run[0].text}
+			return progSeg{cmd: run[0].cmd, key: run[0].shape, tests: run[0].tests}
 		}
 		key.Reset()
 		var cmd stateful.Cmd
+		var tests []stateful.GuardTest
 		for i, e := range run {
 			e.render()
 			if i == 0 {
@@ -242,9 +249,10 @@ func assembleCmdStrand(es []*cmdNode, key *strings.Builder) progStrand {
 				cmd = stateful.CSeq{L: cmd, R: e.cmd}
 				key.WriteString("; ")
 			}
-			key.WriteString(e.seqText)
+			key.WriteString(e.seqShape)
+			tests = append(tests, e.tests...)
 		}
-		return progSeg{cmd: cmd, key: key.String()}
+		return progSeg{cmd: cmd, key: key.String(), tests: tests}
 	}
 	s := progStrand{lastUpdate: -1}
 	start := 0 // first element after the last link
@@ -265,15 +273,18 @@ func assembleCmdStrand(es []*cmdNode, key *strings.Builder) progStrand {
 }
 
 // segMemoKey identifies a segment FDD structurally: the interned id of
-// the segment's canonical rendering plus the packed truth vector of the
-// state tests inside it. The pair determines the projected policy
-// exactly, so the key is sound across states, across compiler
-// generations, and across different programs sharing an FDD context and
-// interner (nkc.ProgramCache): the interner never reuses ids, so equal
-// keys imply equal (rendering, truth vector) pairs. sig is tagged in
-// its low bit — segments with at most 63 guards pack their truth bits
-// inline (tag 1); larger segments intern the packed bytes and carry the
-// dense id (tag 0) — so the two encodings cannot alias.
+// the segment's shape plus the packed truth vector over its placeholders,
+// in rendering order. The pair determines the projected policy exactly
+// (projection turns each placeholder into true or false by that bit and
+// changes nothing else), so the key is sound across states, across the
+// branches of a program that differ only in the values they test, across
+// compiler generations, and across different programs sharing an FDD
+// context and interner (nkc.ProgramCache): the interner never reuses
+// ids, so equal keys imply equal (shape, truth vector) pairs. The walk
+// memo uses the same form over a strand prefix. sig is tagged in its low
+// bit — at most 63 placeholders pack their truth bits inline (tag 1);
+// more intern the packed bytes and carry the dense id (tag 0) — so the
+// two encodings cannot alias.
 type segMemoKey struct {
 	key uint32
 	sig uint64
@@ -283,19 +294,19 @@ type segMemoKey struct {
 // through ProgramCache, of every cached program of one cache generation,
 // which is what lets their memo keys meet in one FDD context.
 type compilerInterns struct {
-	segKeys *Interner // segment canonical rendering -> id
+	segKeys *Interner // segment shape -> id
 	sigs    *Interner // whole-program guard signature -> id
-	segSigs *Interner // oversized per-segment or per-strand signature bytes -> id
-	strands *Interner // event-raising strand prefix (appendSkeleton) -> id
+	segSigs *Interner // oversized per-segment or per-prefix signature bytes -> id
+	walks   *Interner // event-raising strand prefix, as its segments' shape ids -> id
 }
 
 func newCompilerInterns() *compilerInterns {
-	return &compilerInterns{segKeys: NewInterner(), sigs: NewInterner(), segSigs: NewInterner(), strands: NewInterner()}
+	return &compilerInterns{segKeys: NewInterner(), sigs: NewInterner(), segSigs: NewInterner(), walks: NewInterner()}
 }
 
 // entries returns the total interner population.
 func (ci *compilerInterns) entries() int {
-	return ci.segKeys.Len() + ci.sigs.Len() + ci.segSigs.Len() + ci.strands.Len()
+	return ci.segKeys.Len() + ci.sigs.Len() + ci.segSigs.Len() + ci.walks.Len()
 }
 
 // ProgramCompiler compiles the per-state configurations of one Stateful
@@ -308,8 +319,8 @@ type ProgramCompiler struct {
 	guards  *stateful.GuardIndex // whole-program index
 
 	intern      *compilerInterns
-	segKeyIDs   []uint32  // per segment id: interned rendering
-	segTestPos  [][]int32 // per segment id: positions of its guards in the whole-program index
+	segKeyIDs   []uint32  // per segment id: interned shape
+	segTestPos  [][]int32 // per segment id: whole-program positions of its tests, in shape order
 	atomStrands [][]int32 // per whole-program guard position: the strands testing it, ascending
 
 	tables map[uint32]flowtable.Tables // interned whole-program signature id -> configuration
@@ -360,11 +371,10 @@ func newProgramCompiler(c stateful.Cmd, t *topo.Topology, ctx *FDDCtx, in *compi
 	return pc, nil
 }
 
-// indexSegments computes the per-segment interned key ids, the
-// positions of each segment's guards within the whole-program index, the
-// inverse of the latter by strand, and the template-memo identity of
-// every event-raising strand. All are pure functions of the skeleton and
-// the interner set.
+// indexSegments computes the per-segment interned shape ids, the
+// whole-program positions of each segment's tests, the inverse of the
+// latter by strand, and the walk-memo identity of every event-raising
+// strand. All are pure functions of the skeleton and the interner set.
 func (pc *ProgramCompiler) indexSegments() {
 	nsegs := 0
 	for _, s := range pc.strands {
@@ -376,9 +386,8 @@ func (pc *ProgramCompiler) indexSegments() {
 	for si, s := range pc.strands {
 		for _, seg := range s.segs {
 			pc.segKeyIDs[seg.id] = pc.intern.segKeys.ID(seg.key)
-			tests := seg.guards.Tests()
-			ps := make([]int32, len(tests))
-			for i, t := range tests {
+			ps := make([]int32, len(seg.tests))
+			for i, t := range seg.tests {
 				p, _ := pc.guards.Pos(t) // a segment's tests are the program's
 				ps[i] = int32(p)
 				if on := pc.atomStrands[p]; len(on) == 0 || on[len(on)-1] != int32(si) {
@@ -388,41 +397,24 @@ func (pc *ProgramCompiler) indexSegments() {
 			pc.segTestPos[seg.id] = ps
 		}
 	}
+	// A link passes every test conjunction through unchanged, so the
+	// conjunctions reaching a strand's links are a function of its
+	// segments' shapes and truth vectors alone: the walk memo's key leaves
+	// the links out, and the counter branches of bandwidth-cap-N share one
+	// walk per truth value.
 	var key []byte
 	for si := range pc.strands {
 		s := &pc.strands[si]
 		if s.lastUpdate < 0 {
 			continue
 		}
-		key = pc.appendSkeleton(key[:0], s, s.lastUpdate+1)
-		s.prefixID = pc.intern.strands.IDBytes(key)
+		key = key[:0]
 		for _, seg := range s.segs[:s.lastUpdate+1] {
-			s.prefixPos = append(s.prefixPos, pc.segTestPos[seg.id]...)
+			key = binary.AppendUvarint(key, uint64(pc.segKeyIDs[seg.id]))
+			s.walkPos = append(s.walkPos, pc.segTestPos[seg.id]...)
 		}
+		s.walkID = pc.intern.walks.IDBytes(key)
 	}
-}
-
-// appendSkeleton appends the structural identity of strand s up to and
-// including its n-th link: each segment's interned key id, then the link
-// after it with its state assignments — which no segment key covers and
-// which alone tell <state(0)<-1> from <state(0)<-2>. Varints are
-// self-delimiting, so equal bytes imply equal sequences.
-func (pc *ProgramCompiler) appendSkeleton(b []byte, s *progStrand, n int) []byte {
-	for j := 0; j < n; j++ {
-		b = binary.AppendUvarint(b, uint64(pc.segKeyIDs[s.segs[j].id]))
-		for _, v := range [4]int{s.links[j].Src.Switch, s.links[j].Src.Port, s.links[j].Dst.Switch, s.links[j].Dst.Port} {
-			b = binary.AppendVarint(b, int64(v))
-		}
-		if u := s.updates[j]; u == nil {
-			b = append(b, 0)
-		} else {
-			b = binary.AppendUvarint(b, uint64(len(u.Sets))+1)
-			for _, set := range u.Sets {
-				b = binary.AppendVarint(binary.AppendVarint(b, int64(set.Index)), int64(set.Value))
-			}
-		}
-	}
-	return b
 }
 
 // Configs returns the number of distinct configurations compiled.
@@ -439,11 +431,12 @@ func (pc *ProgramCompiler) Stats() CacheStats {
 	return s
 }
 
-// packSig packs the truth vector of the guards at positions pos (one
-// segment's, or one strand prefix's) under the whole-program signature
-// bytes into the tagged segMemoKey.sig form: at most 63 guards carry
-// their bits inline (low tag bit 1); more intern the gathered bytes (low
-// tag bit 0).
+// packSig packs the truth vector of the tests at positions pos (one
+// segment's, or one strand prefix's, in shape order; a test written
+// twice is two positions) under the whole-program signature bytes into
+// the tagged segMemoKey.sig form: at most 63 positions carry their bits
+// inline (low tag bit 1); more intern the gathered bytes (low tag bit
+// 0).
 func (pc *ProgramCompiler) packSig(pos []int32, whole []byte) uint64 {
 	if len(pos) <= 63 {
 		var bits uint64

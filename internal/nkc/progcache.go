@@ -10,13 +10,18 @@ package nkc
 //     program, so structurally identical link-free segments compile to
 //     the *same* FDD nodes no matter which program they appear in;
 //   - in that context, one structural segment memo (segMemoKey carries
-//     the segment's canonical rendering, not a per-program position), so
-//     a revision re-enters ToFDD only for the segments it changed;
-//   - beside it, one event-edge template memo keyed the same way by
-//     strand prefix, so a revision walks Figure 6 only for new strands;
+//     the segment's shape — its rendering with every state test a
+//     placeholder — and the truth vector over those placeholders, not a
+//     per-program position), so a revision re-enters ToFDD only for
+//     segments whose shape and truth vector it has not met;
+//   - beside it, one Figure 6 walk memo keyed the same way by the
+//     shapes of a strand prefix, so a revision walks Figure 6 only for
+//     a prefix shape it added;
 //   - one compiler *per program* with its memo of whole configurations,
 //     because guard signatures are only meaningful relative to one
-//     program's guard index.
+//     program's guard index. Its key (programKey) carries each segment's
+//     tests beside its shape id, since programs that differ only in the
+//     value a state test compares against share every shape.
 //
 // Swapping P -> P' -> P therefore recompiles nothing on the way back, and
 // P -> P' compiles as a delta proportional to the textual difference
@@ -60,15 +65,39 @@ func NewProgramCache() *ProgramCache {
 }
 
 // programKey identifies a compilation unit by all the compiler reads:
-// every strand's skeleton over the cache's segment ids (equal keys mean
+// every strand over the cache's shape ids — each segment's shape id and
+// the state tests its placeholders stand for, each link with its state
+// assignments — and the switches. The shape id alone would not do:
+// programs that differ only in the value a state test compares against
+// share every shape, and would share one compiler. Equal keys mean
 // equal strand lists, hence equal programs; the segments were rendered
-// once, for those ids, and nothing renders the program) and the switches.
+// once, for those ids, and nothing renders the program. Varints are
+// self-delimiting, and a shape fixes how many tests follow it.
 func programKey(pc *ProgramCompiler) string {
 	b := binary.AppendUvarint(make([]byte, 0, 8*len(pc.segKeyIDs)), uint64(len(pc.strands)))
 	for _, s := range pc.strands {
 		b = binary.AppendUvarint(b, uint64(len(s.links)))
-		b = pc.appendSkeleton(b, &s, len(s.links))
-		b = binary.AppendUvarint(b, uint64(pc.segKeyIDs[s.segs[len(s.links)].id]))
+		for j, seg := range s.segs {
+			b = binary.AppendUvarint(b, uint64(pc.segKeyIDs[seg.id]))
+			for _, t := range seg.tests {
+				b = binary.AppendVarint(binary.AppendVarint(b, int64(t.Index)), int64(t.Value))
+			}
+			if j == len(s.links) {
+				break
+			}
+			l := s.links[j]
+			for _, v := range [4]int{l.Src.Switch, l.Src.Port, l.Dst.Switch, l.Dst.Port} {
+				b = binary.AppendVarint(b, int64(v))
+			}
+			if u := s.updates[j]; u == nil {
+				b = append(b, 0)
+			} else {
+				b = binary.AppendUvarint(b, uint64(len(u.Sets))+1)
+				for _, set := range u.Sets {
+					b = binary.AppendVarint(binary.AppendVarint(b, int64(set.Index)), int64(set.Value))
+				}
+			}
+		}
 	}
 	for _, sw := range pc.switches {
 		b = binary.AppendVarint(b, int64(sw))

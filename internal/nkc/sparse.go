@@ -147,8 +147,9 @@ func (pc *ProgramCompiler) Explore(k stateful.State) (flowtable.Tables, []statef
 // evalStrand evaluates strand si under the truth vector in sigScratch
 // (that of state k): its hops through the segment memo and the strand
 // cache when wantHops, and the templates of the event-edges it raises
-// through the template memo: Figure 6 is walked only for a (strand
-// prefix, truth vector) pair this context has not seen, in any program.
+// from the test conjunctions reaching its links, through the walk memo:
+// Figure 6 is walked only for a (prefix shape, truth vector) pair this
+// context has not seen, in any strand of any program.
 func (pc *ProgramCompiler) evalStrand(si int, k stateful.State, wantHops bool) (strandEval, error) {
 	s := &pc.strands[si]
 	var ev strandEval
@@ -179,38 +180,45 @@ func (pc *ProgramCompiler) evalStrand(si int, k stateful.State, wantHops bool) (
 	if s.lastUpdate < 0 {
 		return ev, nil
 	}
-	key := segMemoKey{key: s.prefixID, sig: pc.packSig(s.prefixPos, pc.sigScratch)}
-	var ok bool
-	if ev.edges, ok = pc.ctx.tmplMemo[key]; ok {
+	key := segMemoKey{key: s.walkID, sig: pc.packSig(s.walkPos, pc.sigScratch)}
+	reach, ok := pc.ctx.walkMemo[key]
+	if ok {
 		pc.stats.TemplateHits++
-		return ev, nil
+	} else {
+		pc.stats.TemplateMisses++
+		var err error
+		if reach, err = s.walk(k); err != nil {
+			return ev, err
+		}
+		pc.ctx.walkMemo[key] = reach
 	}
-	pc.stats.TemplateMisses++
-	var err error
-	if ev.edges, err = s.edgeTemplates(k); err == nil {
-		pc.ctx.tmplMemo[key] = ev.edges
+	// Every state-updating link raises one event per conjunction reaching
+	// it. ⟪p + q⟫ is a union and ';' distributes over it, so the templates
+	// of all strands together are those of the whole program, as a set.
+	for j, phis := range reach {
+		if u := s.updates[j]; u != nil {
+			for _, phi := range phis {
+				ev.edges = append(ev.edges, stateful.NewEdgeTemplate(phi, u.Dst, u.Sets))
+			}
+		}
 	}
-	return ev, err
+	return ev, nil
 }
 
-// edgeTemplates is Figure 6 along one strand: the test conjunctions are
-// threaded through the segments (the Kleisli composition of ⟪p; q⟫), and
-// every state-updating link raises one event per conjunction reaching
-// it. ⟪p + q⟫ is a union and ';' distributes over it, so the templates of
-// all strands together are those of the whole program, as a set.
-func (s *progStrand) edgeTemplates(k stateful.State) ([]stateful.EdgeTemplate, error) {
-	var out []stateful.EdgeTemplate
+// walk is Figure 6 along the segments of a strand up to its last
+// state-updating link: the test conjunctions are threaded through the
+// segments (the Kleisli composition of ⟪p; q⟫), and a link passes them
+// through unchanged. out[j] holds those reaching link j; the walk stops
+// early once none do.
+func (s *progStrand) walk(k stateful.State) ([][]*netkat.Conj, error) {
+	out := make([][]*netkat.Conj, 0, s.lastUpdate+1)
 	phis := []*netkat.Conj{netkat.NewConj()}
 	for j := 0; j <= s.lastUpdate && len(phis) > 0; j++ {
 		var err error
 		if phis, err = stateful.Tests(s.segs[j].cmd, k, phis); err != nil {
 			return nil, err
 		}
-		if u := s.updates[j]; u != nil {
-			for _, phi := range phis {
-				out = append(out, stateful.NewEdgeTemplate(phi, u.Dst, u.Sets))
-			}
-		}
+		out = append(out, phis)
 	}
 	return out, nil
 }

@@ -1,13 +1,16 @@
 package nkc
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"eventnet/internal/apps"
 	"eventnet/internal/netkat"
 	"eventnet/internal/stateful"
+	"eventnet/internal/stateful/statefultest"
 	"eventnet/internal/topo"
 )
 
@@ -202,22 +205,93 @@ func TestSparseLookupBound(t *testing.T) {
 	}
 }
 
-// TestSegmentKeyIsRendering: the segment key joined from per-element
-// text is byte-identical to the segment command's own rendering — it is
+// TestSegmentKeyIsShape: a segment's memo key is its shape id and the
+// truth vector over the shape's placeholders. First, the shape joined
+// from per-atom text is stateful.Shape of the segment command — it is
 // the cross-program segMemo key, so a drift would silently split the
-// memo between programs.
-func TestSegmentKeyIsRendering(t *testing.T) {
+// memo between programs — and filling its placeholders with its tests,
+// in order, gives back the reference rendering: shape and tests together
+// identify the command, which is what programKey relies on. Second, over
+// the shipped apps at their reachable states and 200 random programs at
+// every vector in {0..3}², compiled on one interner set as the programs
+// of a ProgramCache are, segments with equal keys project to identical
+// policies: segments whose projections differ never share a key. The key
+// must also merge: some key is shared by segments that test different
+// values (the counter branches of bandwidth-cap-40).
+func TestSegmentKeyIsShape(t *testing.T) {
+	type prog struct {
+		name   string
+		cmd    stateful.Cmd
+		topo   *topo.Topology
+		states []stateful.State
+	}
+	var progs []prog
 	for _, a := range sparseApps() {
-		strands, err := extractCmdStrands(a.Prog.Cmd)
+		states, _, err := a.Prog.ReachableStates()
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
 		}
-		for si, s := range strands {
+		progs = append(progs, prog{a.Name, a.Prog.Cmd, a.Topo, states})
+	}
+	var grid []stateful.State
+	for v0 := 0; v0 < 4; v0++ {
+		for v1 := 0; v1 < 4; v1++ {
+			grid = append(grid, stateful.State{v0, v1})
+		}
+	}
+	three := topo.New()
+	for sw := 1; sw <= 3; sw++ {
+		three.AddSwitch(sw)
+	}
+	r := rand.New(rand.NewSource(28))
+	for i := 0; len(progs) < len(sparseApps())+200; i++ {
+		if i == 2000 {
+			t.Fatalf("only %d of 2000 random commands compile", len(progs)-len(sparseApps()))
+		}
+		c := statefultest.RandCmd(r, 1+i%4)
+		if _, err := NewProgramCompiler(c, three, nil); err == nil {
+			progs = append(progs, prog{fmt.Sprintf("random-%d", i), c, three, grid})
+		}
+	}
+
+	ctx, in := NewFDDCtx(), newCompilerInterns()
+	projection := map[segMemoKey]string{} // key -> the policy it was first seen to project to
+	first := map[segMemoKey]string{}      // key -> the first segment rendering seen under it
+	merged := 0
+	for _, p := range progs {
+		pc, err := newProgramCompiler(p.cmd, p.topo, ctx, in)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		for si, s := range pc.strands {
 			for _, seg := range s.segs {
-				if want := seg.cmd.String(); seg.key != want {
-					t.Fatalf("%s strand %d segment %d: key %q, rendering %q", a.Name, si, seg.id, seg.key, want)
+				shape, tests := stateful.Shape(seg.cmd)
+				if seg.key != shape || !slices.Equal(seg.tests, tests) {
+					t.Fatalf("%s strand %d segment %d: key %q %v, stateful.Shape %q %v", p.name, si, seg.id, seg.key, seg.tests, shape, tests)
+				}
+				filled := shape
+				for _, g := range tests {
+					filled = strings.Replace(filled, "\x00", fmt.Sprintf("state(%d)=%d", g.Index, g.Value), 1)
+				}
+				text := statefultest.StringRef(seg.cmd)
+				if filled != text {
+					t.Fatalf("%s strand %d segment %d: shape %q filled with %v is %q, rendering %q", p.name, si, seg.id, shape, tests, filled, text)
+				}
+				for _, k := range p.states {
+					key := segMemoKey{key: pc.segKeyIDs[seg.id], sig: pc.packSig(pc.segTestPos[seg.id], pc.guards.AppendSig(nil, k))}
+					proj := stateful.Project(seg.cmd, k).String()
+					if prev, ok := projection[key]; !ok {
+						projection[key], first[key] = proj, text
+					} else if prev != proj {
+						t.Fatalf("%s segment %q at %v projects to %q; %q shares its key and projects to %q", p.name, text, k, proj, first[key], prev)
+					} else if first[key] != text {
+						merged++
+					}
 				}
 			}
 		}
+	}
+	if merged == 0 {
+		t.Fatal("no key is shared by segments that test different values; the property above is vacuous")
 	}
 }

@@ -121,10 +121,35 @@ func (a PAnd) String() string   { return new(text).pred(a, 0).String() }
 func (o POr) String() string    { return new(text).pred(o, 0).String() }
 
 // text renders tests and commands in one pass over the tree into one
-// buffer. The rendering is a cache key for whole programs (ctrl,
-// nkc.ProgramCache, the segment memo); building it by concatenating the
-// operands' renderings copies every leaf once per enclosing operator.
-type text struct{ strings.Builder }
+// buffer. The rendering is a cache key for whole programs (ctrl), and
+// its shape mode the compiler's segment key (Shape); building it by
+// concatenating the operands' renderings copies every leaf once per
+// enclosing operator.
+type text struct {
+	strings.Builder
+	shape bool        // render each state test as shapeHole and record it in tests
+	tests []GuardTest // shape mode: the state tests replaced, in rendering order
+}
+
+// shapeHole is the placeholder Shape writes for a state test. The lexer
+// rejects NUL, so no program text contains it.
+const shapeHole = "\x00"
+
+// Shape renders c with every state test replaced by shapeHole and
+// returns the tests it replaced in rendering order, duplicates kept.
+// Projection changes nothing but the state tests, each to true or false
+// by whether it holds, so two commands of equal shape whose tests have
+// equal truth values, position by position, project to the same policy
+// and raise the same test conjunctions (Figure 6): the shape and the
+// truth vector over its tests are the compiler's segment key, shared by
+// every counter branch that differs only in the value it compares
+// against. The shape alone does not identify the command; with its tests
+// it does.
+func Shape(c Cmd) (string, []GuardTest) {
+	t := text{shape: true}
+	t.cmd(c, 0)
+	return t.String(), t.tests
+}
 
 // s appends the parts. Grow doubles a buffer that runs short; append
 // alone grows a long text a quarter at a time and copies it five times.
@@ -170,6 +195,10 @@ func (t *text) pred(p Pred, lv int) *text {
 	case PTest:
 		return t.s(q.Field, "=").i(q.Value)
 	case PState:
+		if t.shape {
+			t.tests = append(t.tests, GuardTest{Index: q.Index, Value: q.Value})
+			return t.s(shapeHole)
+		}
 		return t.s("state(").i(q.Index).s(")=").i(q.Value)
 	case PNot:
 		return t.s("!").pred(q.P, 3)

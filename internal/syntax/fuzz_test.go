@@ -4,11 +4,14 @@ import (
 	"regexp"
 	"strconv"
 	"testing"
+
+	"eventnet/internal/stateful/statefultest"
 )
 
-// byteChooser makes randCmd's choices from the bytes of a fuzz input, one
-// byte a choice, so that a mutated byte is a mutated subtree; an exhausted
-// input chooses 0 and the depth bound ends the recursion.
+// byteChooser makes statefultest.RandCmd's choices from the bytes of a
+// fuzz input, one byte a choice, so that a mutated byte is a mutated
+// subtree; an exhausted input chooses 0 and the depth bound ends the
+// recursion.
 type byteChooser struct{ b []byte }
 
 func (c *byteChooser) Intn(n int) int {
@@ -24,8 +27,9 @@ var errOffset = regexp.MustCompile(`offset (\d+)`)
 
 // FuzzParseRoundTrip holds the printer and the parser against each other
 // on both kinds of input a daemon sees. Generated: the bytes drive
-// randCmd (the first one picks the depth), and the command's rendering
-// equals the reference renderer's, parses, and prints back unchanged —
+// statefultest.RandCmd (the first one picks the depth), and the
+// command's rendering equals the reference renderer's, parses, and
+// prints back unchanged —
 // the rendering is a cache key and the parser's input. Raw: the bytes
 // are the source text; Parse returns, it does not panic, and what it
 // rejects it locates by a byte offset inside the input (with a line, for
@@ -36,9 +40,9 @@ var errOffset = regexp.MustCompile(`offset (\d+)`)
 func FuzzParseRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		gen := &byteChooser{b: data}
-		c := randCmd(gen, gen.Intn(6))
+		c := statefultest.RandCmd(gen, gen.Intn(6))
 		text := c.String()
-		if ref := stringRef(c); text != ref {
+		if ref := statefultest.StringRef(c); text != ref {
 			t.Fatalf("generated command renders %q, the reference renderer %q", text, ref)
 		}
 		parsed, err := Parse(text)
@@ -62,7 +66,7 @@ func FuzzParseRoundTrip(f *testing.F) {
 			return
 		}
 		text = parsed.String()
-		if ref := stringRef(parsed); text != ref {
+		if ref := statefultest.StringRef(parsed); text != ref {
 			t.Fatalf("Parse(%q) renders %q, the reference renderer %q", src, text, ref)
 		}
 		again, err := Parse(text)

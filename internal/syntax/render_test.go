@@ -9,98 +9,8 @@ import (
 
 	"eventnet/internal/apps"
 	"eventnet/internal/stateful"
+	"eventnet/internal/stateful/statefultest"
 )
-
-// stringRef is the renderer Cmd.String replaced: every operator
-// concatenates its operands' renderings, so a leaf is copied once per
-// enclosing operator. It stays as the reference the one-pass renderer
-// must match byte for byte — the text is a cache key (ctrl.progKey,
-// nkc.programKey, the segment memo) and the parser's input.
-func stringRef(c stateful.Cmd) string {
-	paren := func(c stateful.Cmd, level int) string {
-		l := 3
-		switch c.(type) {
-		case stateful.CUnion:
-			l = 1
-		case stateful.CSeq:
-			l = 2
-		}
-		if l < level {
-			return "(" + stringRef(c) + ")"
-		}
-		return stringRef(c)
-	}
-	switch q := c.(type) {
-	case stateful.CPred:
-		return predRef(q.P)
-	case stateful.CAssign:
-		return fmt.Sprintf("%s<-%d", q.Field, q.Value)
-	case stateful.CUnion:
-		return paren(q.L, 1) + " + " + paren(q.R, 1)
-	case stateful.CSeq:
-		return paren(q.L, 2) + "; " + paren(q.R, 2)
-	case stateful.CStar:
-		safe := false
-		switch p := q.P.(type) {
-		case stateful.CAssign, stateful.CLink, stateful.CLinkState:
-			safe = true
-		case stateful.CPred:
-			switch p.P.(type) {
-			case stateful.PAnd, stateful.POr:
-			default:
-				safe = true
-			}
-		}
-		if safe {
-			return stringRef(q.P) + "*"
-		}
-		return "(" + stringRef(q.P) + ")*"
-	case stateful.CLink:
-		return fmt.Sprintf("(%v)=>(%v)", q.Src, q.Dst)
-	case stateful.CLinkState:
-		parts := make([]string, len(q.Sets))
-		for i, s := range q.Sets {
-			parts[i] = fmt.Sprintf("state(%d)<-%d", s.Index, s.Value)
-		}
-		return fmt.Sprintf("(%v)=>(%v)<%s>", q.Src, q.Dst, strings.Join(parts, ", "))
-	}
-	panic(fmt.Sprintf("unknown command %T", c))
-}
-
-func predRef(p stateful.Pred) string {
-	paren := func(p stateful.Pred, level int) string {
-		l := 4
-		switch p.(type) {
-		case stateful.POr:
-			l = 1
-		case stateful.PAnd:
-			l = 2
-		case stateful.PNot:
-			l = 3
-		}
-		if l < level {
-			return "(" + predRef(p) + ")"
-		}
-		return predRef(p)
-	}
-	switch q := p.(type) {
-	case stateful.PTrue:
-		return "true"
-	case stateful.PFalse:
-		return "false"
-	case stateful.PTest:
-		return fmt.Sprintf("%s=%d", q.Field, q.Value)
-	case stateful.PState:
-		return fmt.Sprintf("state(%d)=%d", q.Index, q.Value)
-	case stateful.PNot:
-		return "!" + paren(q.P, 3)
-	case stateful.PAnd:
-		return paren(q.L, 2) + " & " + paren(q.R, 2)
-	case stateful.POr:
-		return paren(q.L, 1) + " | " + paren(q.R, 1)
-	}
-	panic(fmt.Sprintf("unknown predicate %T", p))
-}
 
 // bytesPerRun is the mean number of bytes f allocates.
 func bytesPerRun(runs int, f func()) float64 {
@@ -118,7 +28,7 @@ func bytesPerRun(runs int, f func()) float64 {
 // the text it returns — not a copy of every subtree per enclosing
 // operator, which for the right-nested union of bandwidth-cap-2000 is
 // hundreds of times the text — and the text is unchanged: byte-identical
-// to stringRef on every application family at benchmark size and on
+// to statefultest.StringRef on every application family at benchmark size and on
 // random commands, and a fixpoint of Parse -> String.
 func TestCmdStringLinear(t *testing.T) {
 	big := apps.BandwidthCap(2000).Prog.Cmd
@@ -136,11 +46,11 @@ func TestCmdStringLinear(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(20))
 	for i := 0; i < 300; i++ {
-		cmds[fmt.Sprintf("random-%d", i)] = randCmd(r, 1+i%4)
+		cmds[fmt.Sprintf("random-%d", i)] = statefultest.RandCmd(r, 1+i%4)
 	}
 	for name, c := range cmds {
 		got := c.String()
-		if want := stringRef(c); got != want {
+		if want := statefultest.StringRef(c); got != want {
 			t.Fatalf("%s: rendering changed:\n got %s\nwant %s", name, got, want)
 		}
 		parsed, err := Parse(got)
@@ -153,9 +63,24 @@ func TestCmdStringLinear(t *testing.T) {
 	}
 	// Tests render on their own too (guard keys, diagnostics).
 	for i := 0; i < 300; i++ {
-		p := randPred(r, i%4)
-		if got, want := p.String(), predRef(p); got != want {
+		p := statefultest.RandPred(r, i%4)
+		if got, want := p.String(), statefultest.PredRef(p); got != want {
 			t.Fatalf("predicate rendering changed: got %s want %s", got, want)
+		}
+	}
+}
+
+// TestShapeIsNotSource: the placeholder stateful.Shape writes for a state
+// test is a character the lexer rejects, so a shape never reads as a
+// program and no program's shape can be spelled in source.
+func TestShapeIsNotSource(t *testing.T) {
+	for _, a := range apps.All() {
+		shape, tests := stateful.Shape(a.Prog.Cmd)
+		if len(tests) == 0 {
+			t.Fatalf("%s: no state tests; the check is vacuous", a.Name)
+		}
+		if _, err := Parse(shape); err == nil || !strings.Contains(err.Error(), "unexpected character") {
+			t.Fatalf("%s: parsing the shape gives %v, want the lexer's rejection", a.Name, err)
 		}
 	}
 }

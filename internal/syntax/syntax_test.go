@@ -12,6 +12,7 @@ import (
 	"eventnet/internal/apps"
 	"eventnet/internal/netkat"
 	"eventnet/internal/stateful"
+	"eventnet/internal/stateful/statefultest"
 )
 
 func mustParse(t *testing.T, src string) stateful.Cmd {
@@ -164,71 +165,12 @@ pt=2 & dst=H4; pt<-1; (state=[0]; (1:1)=>(4:1)<state<-[1]>
 	}
 }
 
-// chooser makes randCmd's choices: a *rand.Rand, or the bytes of a fuzz
-// input (byteChooser).
-type chooser interface{ Intn(n int) int }
-
-// randCmd generates a random command for round-trip testing.
-func randCmd(r chooser, depth int) stateful.Cmd {
-	if depth <= 0 {
-		switch r.Intn(5) {
-		case 0:
-			return stateful.CPred{P: randPred(r, 0)}
-		case 1:
-			return stateful.CAssign{Field: []string{"a", "b", "pt"}[r.Intn(3)], Value: r.Intn(4)}
-		case 2:
-			return stateful.CLink{Src: netkat.Location{Switch: 1 + r.Intn(3), Port: 1 + r.Intn(3)}, Dst: netkat.Location{Switch: 1 + r.Intn(3), Port: 1 + r.Intn(3)}}
-		case 3:
-			return stateful.CLinkState{
-				Src:  netkat.Location{Switch: 1 + r.Intn(3), Port: 1 + r.Intn(3)},
-				Dst:  netkat.Location{Switch: 1 + r.Intn(3), Port: 1 + r.Intn(3)},
-				Sets: []stateful.StateSet{{Index: r.Intn(2), Value: r.Intn(3)}},
-			}
-		default:
-			return stateful.CPred{P: stateful.PState{Index: r.Intn(2), Value: r.Intn(3)}}
-		}
-	}
-	switch r.Intn(4) {
-	case 0:
-		return stateful.CUnion{L: randCmd(r, depth-1), R: randCmd(r, depth-1)}
-	case 1:
-		return stateful.CSeq{L: randCmd(r, depth-1), R: randCmd(r, depth-1)}
-	case 2:
-		return stateful.CStar{P: randCmd(r, depth-1)}
-	default:
-		return stateful.CPred{P: randPred(r, depth)}
-	}
-}
-
-func randPred(r chooser, depth int) stateful.Pred {
-	if depth <= 0 {
-		switch r.Intn(4) {
-		case 0:
-			return stateful.PTrue{}
-		case 1:
-			return stateful.PFalse{}
-		case 2:
-			return stateful.PState{Index: r.Intn(2), Value: r.Intn(3)}
-		default:
-			return stateful.PTest{Field: []string{"a", "b", "pt"}[r.Intn(3)], Value: r.Intn(4)}
-		}
-	}
-	switch r.Intn(3) {
-	case 0:
-		return stateful.PNot{P: randPred(r, depth-1)}
-	case 1:
-		return stateful.PAnd{L: randPred(r, depth-1), R: randPred(r, depth-1)}
-	default:
-		return stateful.POr{L: randPred(r, depth-1), R: randPred(r, depth-1)}
-	}
-}
-
 // TestRoundTrip: parse(print(c)) prints identically to c, for random
 // commands.
 func TestRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for i := 0; i < 500; i++ {
-		c := randCmd(r, 3)
+		c := statefultest.RandCmd(r, 3)
 		src := c.String()
 		parsed, err := Parse(src)
 		if err != nil {
@@ -385,7 +327,7 @@ func TestLexMatchesReference(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(23))
 	for i := 0; i < 300; i++ {
-		srcs = append(srcs, randCmd(r, 3).String()+" # c\n")
+		srcs = append(srcs, statefultest.RandCmd(r, 3).String()+" # c\n")
 	}
 	for _, src := range srcs {
 		want, err := lexRef(src)
