@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"eventnet/internal/nes"
-	"eventnet/internal/netkat"
 	"eventnet/internal/obs"
 	"eventnet/internal/topo"
 )
@@ -101,13 +100,6 @@ type Stamp struct {
 	Version int
 }
 
-// Delivery is a packet received by a host, with the stamp that carried it.
-type Delivery struct {
-	Host   string
-	Fields netkat.Packet
-	Stamp  Stamp
-}
-
 // outEntry is one ring-bound packet emitted during a generation, tagged
 // with its destination switch index. Host deliveries never enter the
 // outbox: the producing worker appends them straight to its private
@@ -158,30 +150,6 @@ type portDest struct {
 	idx  int32 // destination switch index (destSwitch)
 	port int32 // destination ingress port (destSwitch)
 	host string
-}
-
-// flatDelivery is a host delivery retained in the flat representation;
-// the header map is materialized at the accessor boundary
-// (Deliveries/DeliveredTo/CopyDeliveries), keeping the hop loop
-// allocation-free. seq and branch are the delivery's genealogy key (the
-// parent packet's seq and the emitting group index): the lazy merge
-// sorts per-worker logs by (seq, branch), which reproduces the canonical
-// delivery sequence the eager per-generation merge used to materialize
-// (see docs/DATAPLANE.md, "Lazy delivery logs").
-type flatDelivery struct {
-	host   string
-	vals   []int32
-	pres   uint64
-	inert  inertRef
-	schema *Schema
-	stamp  Stamp
-	seq    int64
-	branch int32
-}
-
-// materialize converts the retained delivery to its public form.
-func (d *flatDelivery) materialize() Delivery {
-	return Delivery{Host: d.host, Fields: d.schema.materialize(d.inert, d.vals, d.pres), Stamp: d.stamp}
 }
 
 // worker owns a shard of switches during a generation. All its fields are
@@ -389,79 +357,6 @@ func (e *Engine) newProgState(epoch int, plan *Plan) *progState {
 	return ps
 }
 
-// detect is nes.NewlyEnabled on the flat form: the per-switch candidate
-// list restricts the scan to events located here (preserving ascending
-// event order, so the result is identical), guard evaluation runs on
-// interned indices, and the enabled-and-consistent filter comes from the
-// per-switch armed memo. Whether e joins the result is decided per event
-// against `known` alone (exactly as NewlyEnabled: the out-set check there
-// is pure deduplication, and each candidate appears once here), so
-// factoring the Enables/Con part through the memo cannot change the
-// result. Steady state — no new knowledge, no firing event — the hop
-// performs no allocation.
-func (ps *progState) detect(swIdx, inPort int, vals []int32, pres uint64, known nes.Set) nes.Set {
-	cands := ps.evAt[swIdx]
-	if len(cands) == 0 {
-		return nes.Empty
-	}
-	sl := &ps.armed[swIdx]
-	if !sl.valid || sl.known != known {
-		sl.known, sl.armed, sl.valid = known, ps.nes.ArmedFrom(known), true
-	}
-	if sl.armed == nes.Empty {
-		return nes.Empty
-	}
-	out := nes.Empty
-	for ci := range cands {
-		fe := &cands[ci]
-		if fe.port != inPort || !sl.armed.Has(fe.id) || out.Has(fe.id) {
-			continue
-		}
-		if fe.matches(vals, pres) {
-			out = out.With(fe.id)
-		}
-	}
-	return out
-}
-
-// SwapSpec describes a staged program replacement.
-type SwapSpec struct {
-	// Plan is the incoming program, lowered (PlanFor): the flip installs
-	// it and lowers nothing while every worker is parked.
-	Plan *Plan
-	// MapEvent maps old-program event IDs to new-program event IDs (-1 =
-	// no counterpart); len must equal the old program's event count. A nil
-	// map carries no knowledge across the swap.
-	MapEvent []int
-}
-
-// SwapStats reports what one completed swap did.
-type SwapStats struct {
-	StagedAt, FlipAt, RetiredAt time.Time
-	FlipGen, RetireGen          int64 // engine generation numbers
-	// TransitionHops is the number of switch-hops executed between flip
-	// and retire (both epochs); DrainedHops counts only old-epoch hops.
-	TransitionHops int64
-	DrainedHops    int64
-	// CarriedEvents is the total event knowledge admitted into the new
-	// program's switch views at the flip barrier (summed over switches).
-	CarriedEvents int
-}
-
-// Swap is the handle for one staged program replacement. Done is closed
-// when the old program has fully drained and been retired; Stats is valid
-// after Done.
-type Swap struct {
-	done  chan struct{}
-	stats SwapStats
-}
-
-// Done returns a channel closed when the swap has completed.
-func (s *Swap) Done() <-chan struct{} { return s.done }
-
-// Stats returns the swap's statistics; call only after Done.
-func (s *Swap) Stats() SwapStats { return s.stats }
-
 // Engine is the sharded forwarding engine: per-switch state (event view,
 // ingress ring) sharded over worker goroutines, processing packets in
 // bulk-synchronous generations (one generation = every queued packet
@@ -572,12 +467,6 @@ type Engine struct {
 	idle      bool
 	started   bool
 	doneCh    chan struct{}
-}
-
-// swapHandle is the engine-internal state of an active transition.
-type swapHandle struct {
-	spec SwapSpec
-	s    *Swap
 }
 
 type ctlReq struct {
@@ -709,17 +598,6 @@ func (e *Engine) prog(epoch int) *progState {
 // maxGenerations bounds Run against forwarding loops.
 const maxGenerations = 1 << 16
 
-// maxPacketHops is the per-packet TTL: a packet that has taken this many
-// switch-hops is discarded at its next pop. No legitimate journey in the
-// supported (loop-free-ETS) fragment approaches it — topology diameters
-// are single digits — but a submitted program whose *rules* forward in a
-// topology cycle would otherwise keep one packet circulating forever,
-// and in served mode that would wedge the daemon: the serve loop runs
-// generations while packets are pending, a draining epoch could never
-// retire, and Quiesce would never return. The TTL bounds every packet's
-// lifetime, so quiescence (and swap drains) always arrive.
-const maxPacketHops = 1024
-
 // pending returns the number of packets queued in the rings.
 func (e *Engine) pending() int {
 	n := 0
@@ -804,690 +682,8 @@ func (e *Engine) runControl() {
 	}
 }
 
-// retireIfDrained completes an active transition once the old epoch has
-// no packets left in flight.
-func (e *Engine) retireIfDrained() {
-	if e.swap == nil || len(e.progs) < 2 {
-		return
-	}
-	old := e.progs[0]
-	if old.inflight > 0 {
-		return
-	}
-	// Nothing the engine keeps may outlive the epoch: not the progs
-	// backing array, not a worker's memo (the workers are parked here).
-	e.progs[0] = nil
-	e.progs = e.progs[1:]
-	for _, wk := range e.ws {
-		wk.curPS = nil
-	}
-	s := e.swap.s
-	s.stats.RetiredAt = time.Now()
-	s.stats.RetireGen = e.gen
-	e.swap = nil
-	if e.met != nil {
-		e.met.Inc(obs.CtrSwapRetires)
-		e.met.Observe(obs.HistSwapDrainNs, s.stats.RetiredAt.Sub(s.stats.FlipAt).Nanoseconds())
-		e.met.SetGauge(obs.GaugeSwapDraining, 0)
-	}
-	e.swapPhase("retire", 0, e.cur().epoch, s.stats.DrainedHops)
-	close(s.done)
-}
-
-// swapPhase records one phase of a transition on the bus and in the
-// flight recorder (whichever are attached). Serial context only.
-func (e *Engine) swapPhase(phase string, from, to int, inflight int64) {
-	if e.bus != nil {
-		e.bus.Publish(obs.Event{
-			Kind: obs.KindSwap, Phase: phase,
-			From: from, To: to, Gen: e.gen, Epoch: to, Inflight: inflight,
-		})
-	}
-	if e.flight != nil {
-		e.flight.Serial(obs.FlightRec{
-			Kind: obs.FlightSwap, Phase: phase,
-			From: int32(from), To: int32(to), Epoch: int32(to),
-			Gen: e.gen, Seq: e.seq,
-		})
-	}
-}
-
-// drain processes every packet queued at switch index i (the SWITCH rule,
-// one hop) on the calling worker. This is the engine's hot loop, and it
-// runs entirely on the flat representation: matching, event detection and
-// field writes touch only interned indices, value arrays mutate in place
-// (copied only when one emission fans out), and every early exit recycles
-// the packet's value array — steady state, the loop allocates nothing.
-func (e *Engine) drain(wk *worker, i int) {
-	r := e.rings[i]
-	if r.len() == 0 {
-		return
-	}
-	if wk.ms != nil {
-		wk.ms.Observe(obs.HistQueueDepth, int64(r.len()))
-	}
-	oldEpoch := -1
-	var newPS *progState
-	if e.swap != nil && len(e.progs) == 2 {
-		oldEpoch = e.progs[0].epoch
-		newPS = e.progs[1]
-	}
-	dests := e.dests[i]
-	for r.len() > 0 {
-		p := r.peekRef()
-		rec := &e.emitBuf[p.seq-e.genLo-1]
-		rec.w, rec.start = wk.id, int32(len(wk.outbox))
-		e.hop(wk, i, dests, p, oldEpoch, newPS)
-		rec.n = int32(len(wk.outbox)) - rec.start
-		r.drop()
-	}
-}
-
-// hop forwards one queued packet one switch-hop: the body of the drain
-// loop, factored so every early exit releases the ring slot through one
-// drop call.
-func (e *Engine) hop(wk *worker, i int, dests []portDest, p *qpkt, oldEpoch int, newPS *progState) {
-	if p.hops >= maxPacketHops {
-		wk.ttlDropped++
-		if wk.ms != nil {
-			wk.ms.Inc(obs.CtrTTLDrops)
-		}
-		if p.trace != 0 {
-			wk.traceRec(p, i, obs.HopTTLDrop, -1, 0, "")
-		}
-		wk.recycle(p.vals)
-		return // forwarding loop: discard (see maxPacketHops)
-	}
-	wk.processed++
-	e.hops[i]++
-
-	ps := wk.curPS
-	if ps == nil || p.epoch != wk.curEpoch {
-		ps = e.prog(p.epoch)
-		if ps == nil {
-			if p.trace != 0 {
-				wk.traceRec(p, i, obs.HopStale, -1, 0, "")
-			}
-			wk.recycle(p.vals)
-			return // stamped by a retired epoch; cannot happen post-drain
-		}
-		wk.curPS, wk.curEpoch = ps, p.epoch
-	}
-
-	// Event handling: learn from the digest, detect newly enabled
-	// events this packet's arrival matches, update the local view.
-	view := ps.views[i]
-	known := view.Union(p.digest)
-	newly := ps.detect(i, p.inPort, p.vals, p.pres, known)
-	ps.views[i] = known.Union(newly)
-	outDigest := p.digest.Union(view).Union(newly)
-	if newly != nes.Empty {
-		// Detection is rare; both records are plain stores, drained at
-		// the next boundary.
-		if wk.ms != nil {
-			wk.ms.Add(obs.CtrEventsFired, int64(newly.Count()))
-		}
-		if wk.detRing != nil {
-			if wk.detN < len(wk.detRing) {
-				wk.detRing[wk.detN] = detRec{
-					sw: int32(e.switches[i]), epoch: int32(p.epoch),
-					version: int32(p.version), seq: p.seq, gen: wk.gen,
-					events: newly,
-				}
-				wk.detN++
-			} else {
-				wk.detDrops++
-			}
-		}
-		if wk.fs != nil {
-			wk.fs.Add(obs.FlightRec{
-				Kind: obs.FlightDetect, Switch: int32(e.switches[i]),
-				Branch: p.branch, Epoch: int32(p.epoch), Version: int32(p.version),
-				Gen: wk.gen, Seq: p.seq, Bits: string(newly),
-			})
-		}
-	}
-
-	// Live knowledge transfer during a transition: an event the old
-	// program detects at this switch is admitted into the *new*
-	// program's view here too (through the event mapping), so
-	// detections made by draining packets are not lost to the
-	// successor. Detection happens exactly once per event, at one
-	// switch, so this rule together with the flip-time replay is the
-	// complete carry-over discipline (docs/CONTROLLER.md).
-	if newPS != nil && p.epoch == oldEpoch {
-		wk.drained++
-		if newly != nes.Empty {
-			if mapped := mapEvents(newly, e.swap.spec.MapEvent); mapped != nes.Empty {
-				newPS.views[i] = newPS.nes.Admit(newPS.views[i], mapped)
-			}
-		}
-	}
-
-	// Forward with the packet's tagged configuration of its epoch.
-	ft := ps.flat[p.version][i]
-	if ft == nil {
-		if wk.ms != nil {
-			wk.ms.Inc(obs.CtrRuleDrops)
-		}
-		if p.trace != 0 {
-			wk.traceRec(p, i, obs.HopStale, -1, 0, "")
-		}
-		wk.recycle(p.vals)
-		return
-	}
-	ri := ft.lookup(p.vals, p.pres, p.inPort, 0)
-	if ri < 0 {
-		if wk.ms != nil {
-			wk.ms.Inc(obs.CtrRuleDrops)
-		}
-		if p.trace != 0 {
-			wk.traceRec(p, i, obs.HopRuleDrop, -1, 0, "")
-		}
-		wk.recycle(p.vals)
-		return // default drop
-	}
-	groups := ft.rules[ri].groups
-	// Each group applies its writes to the packet *as it arrived*, so
-	// the last emitting group inherits p.vals in place and earlier
-	// ones copy the pristine array first.
-	last := -1
-	for gi := range groups {
-		if pt := int(groups[gi].outPort); pt >= 0 && pt < len(dests) && dests[pt].kind != destNone {
-			last = gi
-		}
-	}
-	if last < 0 {
-		if wk.ms != nil {
-			wk.ms.Inc(obs.CtrRuleDrops)
-		}
-		if p.trace != 0 {
-			wk.traceRec(p, i, obs.HopRuleDrop, ri, 0, "")
-		}
-		wk.recycle(p.vals)
-		return // drop, or every copy leaves the modeled network
-	}
-	outStart := len(wk.outbox)
-	for gi := 0; gi <= last; gi++ {
-		g := &groups[gi]
-		pt := int(g.outPort)
-		if pt < 0 || pt >= len(dests) {
-			continue // unconnected port: leaves the modeled network
-		}
-		d := &dests[pt]
-		if d.kind == destNone {
-			continue
-		}
-		vals := p.vals
-		if gi != last {
-			vals = wk.copyVals(p.vals)
-		}
-		for si, fi := range g.setIdx {
-			vals[fi] = g.setVal[si]
-		}
-		if d.kind == destHost {
-			// Host deliveries bypass the merge entirely: retention stays
-			// flat in the worker's private log, keyed (parent seq, branch)
-			// for the lazy canonical sort. The packet's progState is live
-			// here, so its schema resolves.
-			wk.dlog = append(wk.dlog, flatDelivery{
-				host:   d.host,
-				vals:   vals,
-				pres:   p.pres | g.setMask,
-				inert:  p.inert,
-				schema: ps.schema,
-				stamp:  Stamp{Epoch: p.epoch, Version: p.version},
-				seq:    p.seq,
-				branch: int32(gi),
-			})
-			if wk.ms != nil {
-				wk.ms.Inc(obs.CtrDeliveries)
-				if p.tns != 0 {
-					wk.ms.Observe(obs.HistDeliveryNs, e.nowNs-p.tns)
-				}
-			}
-			if wk.fs != nil {
-				wk.fs.Add(obs.FlightRec{
-					Kind: obs.FlightDeliver, Switch: int32(e.switches[i]),
-					Branch: int32(gi), Epoch: int32(p.epoch), Version: int32(p.version),
-					Gen: wk.gen, Seq: p.seq, Host: d.host,
-				})
-			}
-			if p.trace != 0 {
-				wk.traceRecB(p, i, obs.HopDeliver, ri, 0, int32(gi), d.host)
-			}
-			continue
-		}
-		wk.outbox = append(wk.outbox, outEntry{dst: d.idx, pkt: qpkt{
-			vals:    vals,
-			pres:    p.pres | g.setMask,
-			inert:   p.inert,
-			inPort:  int(d.port),
-			epoch:   p.epoch,
-			version: p.version,
-			digest:  outDigest,
-			seq:     p.seq,
-			branch:  int32(gi),
-			hops:    p.hops + 1,
-			tns:     p.tns,
-			trace:   p.trace,
-		}})
-	}
-	if p.trace != 0 {
-		wk.traceRec(p, i, obs.HopForward, ri, int32(len(wk.outbox)-outStart), "")
-	}
-}
-
-// traceRec appends one trace record for the packet being consumed at
-// switch index i (the record's Branch is the packet's own branch).
-func (wk *worker) traceRec(p *qpkt, i int, kind obs.HopKind, rank int32, out int32, host string) {
-	wk.traceRecB(p, i, kind, rank, out, p.branch, host)
-}
-
-// traceRecB is traceRec with an explicit branch (deliver records carry
-// the emitting group index instead of the packet's branch). The switch
-// index is translated to its ID through the worker's engine-shared
-// switches slice at flush-readability cost zero: the slice is immutable
-// after construction.
-func (wk *worker) traceRecB(p *qpkt, i int, kind obs.HopKind, rank int32, out, branch int32, host string) {
-	wk.ts.Add(obs.HopRec{
-		Trace: p.trace, Kind: kind, Switch: wk.swID[i], InPort: int32(p.inPort),
-		Rank: rank, Out: out, Branch: branch,
-		Epoch: int32(p.epoch), Version: int32(p.version),
-		Gen: wk.gen, Seq: p.seq, Host: host,
-	})
-}
-
-// mapEvents maps an old-program event set through a MapEvent table.
-func mapEvents(s nes.Set, mapEvent []int) nes.Set {
-	out := nes.Empty
-	for _, ev := range s.Elems() {
-		if ev < len(mapEvent) && mapEvent[ev] >= 0 {
-			out = out.With(mapEvent[ev])
-		}
-	}
-	return out
-}
-
-// StageSwap stages a live program replacement. At the next generation
-// barrier the engine installs the new program's plan, computes the new
-// per-switch views by canonical event-history replay of the mapped old
-// views, and flips ingress stamping to the new epoch; old-epoch packets
-// keep draining through the old rules until none remain, at which point
-// the old program is retired and the returned handle's Done channel
-// closes. Forwarding never pauses. Only one swap may be active at a time.
-//
-// In synchronous mode the flip applies immediately (the engine is
-// quiescent between calls by contract); in served mode it applies at the
-// next barrier, and StageSwap returns once it has.
-func (e *Engine) StageSwap(spec SwapSpec) (*Swap, error) {
-	if spec.Plan == nil {
-		return nil, fmt.Errorf("dataplane: StageSwap needs a lowered Plan")
-	}
-	s := &Swap{done: make(chan struct{})}
-	s.stats.StagedAt = time.Now()
-	var err error
-	e.Do(func() { err = e.flip(spec, s) })
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// flip runs at a generation barrier: phase one and two of the update.
-func (e *Engine) flip(spec SwapSpec, s *Swap) error {
-	if e.swap != nil {
-		return fmt.Errorf("dataplane: a swap is already in progress")
-	}
-	old := e.cur()
-	if spec.MapEvent != nil && len(spec.MapEvent) != len(old.nes.Events) {
-		return fmt.Errorf("dataplane: MapEvent has %d entries for %d old events", len(spec.MapEvent), len(old.nes.Events))
-	}
-	np := e.newProgState(old.epoch+1, spec.Plan)
-	carried := 0
-	for i := range np.views {
-		if spec.MapEvent != nil {
-			np.views[i] = np.nes.Replay(mapEvents(old.views[i], spec.MapEvent))
-			carried += np.views[i].Count()
-		} else {
-			np.views[i] = nes.Empty
-		}
-	}
-	e.progs = append(e.progs, np)
-	e.swap = &swapHandle{spec: spec, s: s}
-	s.stats.FlipAt = time.Now()
-	s.stats.FlipGen = e.gen
-	s.stats.CarriedEvents = carried
-	if e.met != nil {
-		e.met.Inc(obs.CtrSwapFlips)
-		e.met.SetGauge(obs.GaugeSwapDraining, 1)
-	}
-	e.swapPhase("flip", old.epoch, np.epoch, 0)
-	e.retireIfDrained() // nothing in flight: flip and retire at one barrier
-	if e.swap != nil {
-		e.swapPhase("drain", old.epoch, np.epoch, old.inflight)
-	}
-	return nil
-}
-
-// ---- Served mode ----------------------------------------------------
-
-// Start launches the supervisor goroutine: the engine runs generations
-// continuously, admitting InjectAsync packets and control requests at
-// barriers. Start is idempotent; after Stop the engine stays stopped.
-func (e *Engine) Start() {
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	if e.started || e.stopping {
-		return
-	}
-	e.started = true
-	e.serving = true
-	go e.serve()
-}
-
-// Stop shuts the supervisor down: a running chunk ends at its next
-// generation edge, remaining control requests are honored, queued
-// packets stay in the rings, and every engine goroutine exits. Stop is
-// idempotent —
-// stopping twice, stopping mid-batch, or stopping a never-started engine
-// are all safe — and returns only when the supervisor has exited.
-func (e *Engine) Stop() {
-	e.wmu.Lock()
-	if !e.started {
-		e.stopping = true // a later Start stays a no-op
-		e.wmu.Unlock()
-		return
-	}
-	e.stopping = true
-	e.boundReq.Store(true) // end a running chunk at the next generation edge
-	e.cond.Broadcast()
-	e.wmu.Unlock()
-	<-e.doneCh
-}
-
-// serve is the supervisor loop: boundaries (control, admissions, swap
-// bookkeeping) interleaved with chunks of up to ChunkGens generations.
-// Requests arriving mid-chunk raise boundReq, so the chunk ends at the
-// next generation edge and boundary latency stays ~one generation.
-func (e *Engine) serve() {
-	defer close(e.doneCh)
-	for {
-		e.boundary()
-		e.wmu.Lock()
-		if e.stopping {
-			e.serving = false
-			e.cond.Broadcast()
-			e.wmu.Unlock()
-			e.runControl() // honor requests racing with Stop
-			return
-		}
-		e.wmu.Unlock()
-		if e.pending() > 0 {
-			e.runChunk(e.chunkGens)
-			continue
-		}
-		// Idle: wait for injections, control requests, or stop.
-		e.wmu.Lock()
-		for !e.stopping && len(e.inbox) == 0 && len(e.ctl) == 0 {
-			e.idle = true
-			e.cond.Broadcast()
-			e.cond.Wait()
-		}
-		e.idle = false
-		e.wmu.Unlock()
-	}
-}
-
-// Do runs f atomically with respect to generations: on a serving engine
-// it executes at the next barrier (blocking until done), otherwise
-// inline. f sees quiescent engine state and may call the synchronous API
-// (Inject, StageSwap internals, state accessors).
-func (e *Engine) Do(f func()) {
-	e.wmu.Lock()
-	if !e.serving {
-		e.wmu.Unlock()
-		f()
-		return
-	}
-	req := ctlReq{f: f, done: make(chan struct{})}
-	e.ctl = append(e.ctl, req)
-	e.boundReq.Store(true)
-	e.cond.Broadcast()
-	e.wmu.Unlock()
-	<-req.done
-}
-
-// Quiesce blocks until the serving engine has no queued packets, no
-// pending injections, and no active transition (it returns immediately on
-// a non-serving engine, which is quiescent between calls by contract).
-func (e *Engine) Quiesce() {
-	for {
-		e.wmu.Lock()
-		if !e.serving {
-			e.wmu.Unlock()
-			return
-		}
-		for !(e.idle && len(e.inbox) == 0 && len(e.ctl) == 0) {
-			if !e.serving {
-				e.wmu.Unlock()
-				return
-			}
-			e.cond.Wait()
-		}
-		e.wmu.Unlock()
-		// The supervisor is idle: confirm nothing is in flight (it only
-		// parks when rings are empty and no swap is draining).
-		done := true
-		e.Do(func() { done = e.pending() == 0 && e.swap == nil })
-		if done {
-			return
-		}
-	}
-}
-
-// Snapshot is a barrier-consistent view of the engine for monitoring.
-type Snapshot struct {
-	Epoch      int   // current ingress epoch
-	Programs   int   // live program epochs (2 during a transition)
-	Swapping   bool  // a transition is draining
-	Generation int64 // generations executed
-	Pending    int   // packets queued in rings
-	Processed  int64 // total switch-hops executed
-	Deliveries int   // packets delivered to hosts (total, beyond log retention)
-	TTLDropped int64 // packets discarded by the forwarding-loop TTL
-	States     int   // configurations of the current program
-	Events     int   // events of the current program
-	Switches   []SwitchStat
-}
-
-// SwitchStat is one switch's live state.
-type SwitchStat struct {
-	ID    int
-	Hops  int64 // switch-hops executed here
-	View  []int // current program's event view
-	Queue int   // packets queued
-}
-
-// Snapshot returns a barrier-consistent snapshot (safe while serving).
-func (e *Engine) Snapshot() Snapshot {
-	var s Snapshot
-	e.Do(func() {
-		cp := e.cur()
-		delivered := e.deliveryBase + len(e.deliveries)
-		for _, wk := range e.ws {
-			delivered += len(wk.dlog) // not yet folded; counting stays lazy
-		}
-		s = Snapshot{
-			Epoch:      cp.epoch,
-			Programs:   len(e.progs),
-			Swapping:   e.swap != nil,
-			Generation: e.gen,
-			Pending:    e.pending(),
-			Processed:  e.processed,
-			Deliveries: delivered,
-			TTLDropped: e.dropped,
-			States:     len(cp.nes.Configs),
-			Events:     len(cp.nes.Events),
-		}
-		for i, sw := range e.switches {
-			s.Switches = append(s.Switches, SwitchStat{
-				ID:    sw,
-				Hops:  e.hops[i],
-				View:  cp.views[i].Elems(),
-				Queue: e.rings[i].len(),
-			})
-		}
-	})
-	return s
-}
-
-// mergeDeliveries folds the per-worker delivery logs into the global
-// canonical sequence. Each worker appended its shard's deliveries
-// lock-free during chunks, keyed (parent seq, branch) — the same
-// genealogy keys the old eager merge sorted every generation. Parent
-// seqs grow strictly across generations, so everything gathered here
-// sorts after everything gathered before: sorting just the new tail
-// yields the globally sorted log, and the merged prefix never moves.
-// Must run with workers quiescent (synchronous mode, or inside Do).
-func (e *Engine) mergeDeliveries() {
-	n := 0
-	for _, wk := range e.ws {
-		n += len(wk.dlog)
-	}
-	if n == 0 {
-		return
-	}
-	if e.eobs != nil {
-		e.flushDeliverySamples() // the sampler's dlog cursors reset below
-	}
-	start := len(e.deliveries)
-	for _, wk := range e.ws {
-		e.deliveries = append(e.deliveries, wk.dlog...)
-		for i := range wk.dlog {
-			wk.dlog[i] = flatDelivery{} // release references
-		}
-		wk.dlog = wk.dlog[:0]
-		wk.dlogFlushed = 0
-	}
-	tail := e.deliveries[start:]
-	// (parent seq, branch) keys are unique per delivery, so the unstable
-	// sort is deterministic.
-	slices.SortFunc(tail, func(a, b flatDelivery) int {
-		if a.seq != b.seq {
-			if a.seq < b.seq {
-				return -1
-			}
-			return 1
-		}
-		return int(a.branch) - int(b.branch)
-	})
-	rehomeInert(tail)
-	// Trim to the bound (absolute indexing preserved via deliveryBase) so
-	// a long-running service does not retain every packet it delivered.
-	if e.deliveryCap > 0 && len(e.deliveries) > e.deliveryCap {
-		drop := len(e.deliveries) - e.deliveryCap/2
-		e.deliveryBase += drop
-		e.deliveries = append(e.deliveries[:0], e.deliveries[drop:]...)
-	}
-}
-
-// maxHomeNames bounds the name table of a delivery-log inert set (names
-// are found by linear scan); past it the merge continues in a fresh set.
-const maxHomeNames = 256
-
-// rehomeInert copies the inert fields of the deliveries being merged
-// into sets of the log's own. An ingress set holds the fields of every
-// packet that entered together; on a drop-heavy program a delivery may
-// be the only one of hundreds that arrived, and would otherwise keep
-// the whole set alive for as long as the log retains it.
-func rehomeInert(tail []flatDelivery) {
-	n := 0
-	for i := range tail {
-		n += int(tail[i].inert.hi - tail[i].inert.lo)
-	}
-	if n == 0 {
-		return
-	}
-	home := &inertSet{pairs: make([]fieldPair, 0, n)}
-	var from *inertSet
-	var ids []int32 // from's name ids -> home's, -1 until first used
-	for i := range tail {
-		in := &tail[i].inert
-		if in.set == nil {
-			continue
-		}
-		if in.set != from || len(home.names) > maxHomeNames {
-			if len(home.names) > maxHomeNames {
-				home = &inertSet{pairs: make([]fieldPair, 0, n)}
-			}
-			from = in.set
-			ids = ids[:0]
-			for range from.names {
-				ids = append(ids, -1)
-			}
-		}
-		lo := len(home.pairs)
-		for _, p := range from.pairs[in.lo:in.hi] {
-			if ids[p.id] < 0 {
-				ids[p.id] = home.nameID(from.names[p.id])
-			}
-			home.pairs = append(home.pairs, fieldPair{id: ids[p.id], val: p.val})
-		}
-		n -= len(home.pairs) - lo
-		*in = home.since(lo)
-	}
-}
-
-// CopyDeliveries returns a barrier-consistent copy of the retained
-// deliveries from absolute index `from` on (safe while serving), with
-// header maps materialized from the flat retention — the egress
-// conversion happens here, once per delivery read, not on the hop loop.
-// With a bounded delivery log, deliveries older than the retention
-// window are gone; Snapshot.Deliveries still counts them.
-func (e *Engine) CopyDeliveries(from int) []Delivery {
-	var out []Delivery
-	e.Do(func() {
-		e.mergeDeliveries()
-		i := min(max(from-e.deliveryBase, 0), len(e.deliveries))
-		out = make([]Delivery, len(e.deliveries)-i)
-		for k := range out {
-			out[k] = e.deliveries[i+k].materialize()
-		}
-	})
-	return out
-}
-
-// ---- Synchronous-mode accessors --------------------------------------
-
-// Deliveries returns every retained delivery, in the engine's
-// deterministic delivery order: CopyDeliveries from the start.
-func (e *Engine) Deliveries() []Delivery { return e.CopyDeliveries(0) }
-
-// DeliveredTo returns the packets delivered to the named host.
-func (e *Engine) DeliveredTo(host string) []netkat.Packet {
-	e.mergeDeliveries()
-	var out []netkat.Packet
-	for i := range e.deliveries {
-		if e.deliveries[i].host == host {
-			d := &e.deliveries[i]
-			out = append(out, d.schema.materialize(d.inert, d.vals, d.pres))
-		}
-	}
-	return out
-}
-
 // View returns a switch's current event view (of the current program).
 func (e *Engine) View(sw int) nes.Set { return e.cur().views[e.swIdx[sw]] }
-
-// Serving reports whether the supervisor goroutine is running. Unlike
-// Snapshot it never does a barrier round trip, so it stays answerable
-// even when the engine is wedged — health checks depend on that.
-func (e *Engine) Serving() bool {
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	return e.serving
-}
 
 // Processed returns how many switch-hops the engine has executed — the
 // numerator of a packets/sec measurement.
