@@ -205,8 +205,8 @@ func TestCmdWatchRaw(t *testing.T) {
 // and -json passes the wire form through.
 func TestCmdDump(t *testing.T) {
 	f := obs.NewFlight(16, 1)
-	f.Shard(0).Add(obs.FlightRec{Kind: obs.FlightDeliver, Gen: 3, Seq: 7, Switch: 2, Host: "H4", Epoch: 1})
-	f.Shard(0).Add(obs.FlightRec{Kind: obs.FlightDetect, Gen: 3, Seq: 7, Switch: 2, Bits: "\x04", Epoch: 1})
+	f.Add(obs.FlightRec{Kind: obs.FlightDeliver, Gen: 3, Seq: 7, Switch: 2, Host: "H4", Epoch: 1})
+	f.Add(obs.FlightRec{Kind: obs.FlightDetect, Gen: 3, Seq: 7, Switch: 2, Bits: "\x04", Epoch: 1})
 	f.Serial(obs.FlightRec{Kind: obs.FlightSwap, Phase: "flip", From: 0, To: 1, Gen: 4})
 	d := f.Dump()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

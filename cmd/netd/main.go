@@ -180,48 +180,7 @@ func failBody(w http.ResponseWriter, err error) {
 
 // appByName resolves a built-in application.
 func appByName(req programRequest) (apps.App, error) {
-	switch req.App {
-	case "firewall":
-		return apps.Firewall(), nil
-	case "learning-switch":
-		return apps.LearningSwitch(), nil
-	case "authentication":
-		return apps.Authentication(), nil
-	case "bandwidth-cap":
-		n := req.Cap
-		if n <= 0 {
-			n = 10
-		}
-		return apps.BandwidthCap(n), nil
-	case "ids":
-		return apps.IDS(), nil
-	case "walled-garden":
-		return apps.WalledGarden(), nil
-	case "distributed-firewall":
-		return apps.DistributedFirewall(), nil
-	case "ring":
-		d := req.Diameter
-		if d <= 0 {
-			d = 3
-		}
-		return apps.Ring(d), nil
-	case "ids-fattree":
-		return apps.IDSFatTree(4), nil
-	case "failover-diamond":
-		return apps.FailoverDiamond(cyclesOrDefault(req)).App, nil
-	case "failover-wan":
-		return apps.FailoverWAN(cyclesOrDefault(req)).App, nil
-	case "failover-fattree":
-		return apps.FailoverFatTree(4, cyclesOrDefault(req)).App, nil
-	}
-	return apps.App{}, fmt.Errorf("unknown app %q", req.App)
-}
-
-func cyclesOrDefault(req programRequest) int {
-	if req.Cycles > 0 {
-		return req.Cycles
-	}
-	return 4
+	return apps.ByName(req.App, apps.Params{Cap: req.Cap, Diameter: req.Diameter, Cycles: req.Cycles})
 }
 
 // topoKey fingerprints a topology for compatibility checks: programs can
@@ -389,7 +348,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleFlight serves the flight-recorder dump: the bounded recent
 // history of deliveries, detections, swap phases and boundary stats, in
 // canonical deterministic order. The dump runs at an engine barrier, so
-// it is a consistent snapshot, and it does not consume the rings.
+// it is a consistent snapshot, and it does not consume the ring.
 func (s *server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	d := s.c.FlightDump()
 	if d == nil {
@@ -549,7 +508,7 @@ func main() {
 	traceSample := flag.Int("trace-sample", 64, "trace every Nth injected packet (0 disables journey tracing)")
 	deliverySample := flag.Int("delivery-sample", 16, "publish every Nth delivery on /watch (0 disables the delivery feed)")
 	watchBuf := flag.Int("watch-buf", 256, "default per-subscriber /watch event buffer")
-	flightCap := flag.Int("flight-cap", obs.DefaultFlightCap, "flight-recorder ring capacity per worker (0 uses the default)")
+	flightCap := flag.Int("flight-cap", obs.DefaultFlightCap, "flight-recorder records per worker; the one ring holds one more share for swap and stats records (0 uses the default)")
 	debugAddr := flag.String("debug-addr", "", "listen address for the pprof/expvar debug server (empty disables it)")
 	flag.Parse()
 

@@ -29,22 +29,9 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Parse()
 
-	var a apps.App
-	switch *appName {
-	case "firewall":
-		a = apps.Firewall()
-	case "learning-switch":
-		a = apps.LearningSwitch()
-	case "authentication":
-		a = apps.Authentication()
-	case "bandwidth-cap":
-		a = apps.BandwidthCap(*capN)
-	case "ids":
-		a = apps.IDS()
-	case "ring":
-		a = apps.Ring(*ringD)
-	default:
-		fmt.Fprintf(os.Stderr, "netsim: unknown app %q\n", *appName)
+	a, err := apps.ByName(*appName, apps.Params{Cap: *capN, Diameter: *ringD})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "netsim:", err)
 		os.Exit(1)
 	}
 	kind := sim.PlaneKindTagged
@@ -92,6 +79,9 @@ func main() {
 	case "ring":
 		sim.EnableEcho(s, "H2")
 		flows = []flow{{"H1", "H2", 0.5}}
+	default:
+		fmt.Fprintf(os.Stderr, "netsim: no flow script for app %q\n", *appName)
+		os.Exit(1)
 	}
 
 	var stats []*sim.PingStats

@@ -29,13 +29,13 @@ import (
 )
 
 func main() {
-	appName := flag.String("app", "", "built-in application: firewall, learning-switch, authentication, bandwidth-cap, ids, ring, walled-garden, distributed-firewall, ids-fattree")
+	appName := flag.String("app", "", "built-in application: firewall, learning-switch, authentication, bandwidth-cap, ids, ring, walled-garden, distributed-firewall, ids-fattree, failover-diamond, failover-wan, failover-fattree")
 	srcPath := flag.String("src", "", "Stateful NetKAT source file")
 	topoName := flag.String("topo", "firewall", "topology for -src: firewall, learning-switch, star, ring")
 	initVec := flag.String("init", "0", "initial state vector for -src, e.g. 0,0")
 	ringD := flag.Int("diameter", 3, "ring diameter (for ring app/topology)")
 	capN := flag.Int("cap", 10, "bandwidth cap n")
-	arity := flag.Int("arity", 4, "fat-tree arity k for ids-fattree (k=10 is the 125-switch 10x workload)")
+	arity := flag.Int("arity", 4, "fat-tree arity k for ids-fattree and failover-fattree (k=10 is the 125-switch 10x workload)")
 	doOpt := flag.Bool("optimize", false, "run the Section 5.3 rule-sharing heuristic")
 	showTables := flag.Bool("tables", false, "print per-configuration flow tables")
 	unroll := flag.Int("unroll", 4, "unrolling bound for programs with state-graph loops")
@@ -123,28 +123,9 @@ func report(e *ets.ETS, name string, doOpt, showTables bool) {
 
 func loadProgram(appName, srcPath, topoName, initVec string, ringD, capN, arity int) (stateful.Program, *topo.Topology, string, error) {
 	if appName != "" {
-		var a apps.App
-		switch appName {
-		case "firewall":
-			a = apps.Firewall()
-		case "learning-switch":
-			a = apps.LearningSwitch()
-		case "authentication":
-			a = apps.Authentication()
-		case "bandwidth-cap":
-			a = apps.BandwidthCap(capN)
-		case "ids":
-			a = apps.IDS()
-		case "ring":
-			a = apps.Ring(ringD)
-		case "walled-garden":
-			a = apps.WalledGarden()
-		case "distributed-firewall":
-			a = apps.DistributedFirewall()
-		case "ids-fattree":
-			a = apps.IDSFatTree(arity)
-		default:
-			return stateful.Program{}, nil, "", fmt.Errorf("unknown app %q", appName)
+		a, err := apps.ByName(appName, apps.Params{Cap: capN, Diameter: ringD, Arity: arity})
+		if err != nil {
+			return stateful.Program{}, nil, "", err
 		}
 		return a.Prog, a.Topo, a.Name, nil
 	}

@@ -309,3 +309,54 @@ func Ring(diameter int) App {
 func All() []App {
 	return []App{Firewall(), LearningSwitch(), Authentication(), BandwidthCap(10), IDS()}
 }
+
+// Params sizes the parameterised applications; a zero or negative field
+// takes its default.
+type Params struct {
+	Cap      int // bandwidth-cap's n (default 10)
+	Diameter int // ring's diameter (default 3)
+	Arity    int // fat-tree arity k of ids-fattree and failover-fattree (default 4)
+	Cycles   int // fail/recover cycles of the failover apps (default 4)
+}
+
+// ByName resolves a built-in application by name.
+func ByName(name string, p Params) (App, error) {
+	orDefault := func(v, d int) int {
+		if v > 0 {
+			return v
+		}
+		return d
+	}
+	capN, diameter := orDefault(p.Cap, 10), orDefault(p.Diameter, 3)
+	arity, cycles := orDefault(p.Arity, 4), orDefault(p.Cycles, 4)
+	if (name == "ids-fattree" || name == "failover-fattree") && (arity < 4 || arity%2 != 0) {
+		return App{}, fmt.Errorf("fat-tree arity %d is not an even number >= 4", arity)
+	}
+	switch name {
+	case "firewall":
+		return Firewall(), nil
+	case "learning-switch":
+		return LearningSwitch(), nil
+	case "authentication":
+		return Authentication(), nil
+	case "bandwidth-cap":
+		return BandwidthCap(capN), nil
+	case "ids":
+		return IDS(), nil
+	case "walled-garden":
+		return WalledGarden(), nil
+	case "distributed-firewall":
+		return DistributedFirewall(), nil
+	case "ring":
+		return Ring(diameter), nil
+	case "ids-fattree":
+		return IDSFatTree(arity), nil
+	case "failover-diamond":
+		return FailoverDiamond(cycles).App, nil
+	case "failover-wan":
+		return FailoverWAN(cycles).App, nil
+	case "failover-fattree":
+		return FailoverFatTree(arity, cycles).App, nil
+	}
+	return App{}, fmt.Errorf("unknown app %q", name)
+}

@@ -131,3 +131,42 @@ func TestRingSignalEdge(t *testing.T) {
 		t.Errorf("event guard: %v", e.Guard)
 	}
 }
+
+// TestByName: every built-in name resolves to a valid program, zero
+// Params take the defaults, and anything else is an error naming it.
+func TestByName(t *testing.T) {
+	for _, c := range []struct{ name, want string }{
+		{"firewall", "firewall"},
+		{"learning-switch", "learning-switch"},
+		{"authentication", "authentication"},
+		{"bandwidth-cap", "bandwidth-cap-10"},
+		{"ids", "ids"},
+		{"walled-garden", "walled-garden"},
+		{"distributed-firewall", "distributed-firewall"},
+		{"ring", "ring-3"},
+		{"ids-fattree", "ids-fattree-4"},
+		{"failover-diamond", "failover-diamond-4"},
+		{"failover-wan", "failover-wan-4"},
+		{"failover-fattree", "failover-fattree-4-4"},
+	} {
+		a, err := ByName(c.name, Params{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if a.Name != c.want {
+			t.Errorf("%s resolved to %q, want %q", c.name, a.Name, c.want)
+		}
+		if err := a.Topo.Validate(); err != nil {
+			t.Errorf("%s: topology: %v", c.name, err)
+		}
+	}
+	if a, _ := ByName("bandwidth-cap", Params{Cap: 7}); a.Name != "bandwidth-cap-7" {
+		t.Errorf("Params.Cap 7 resolved to %q", a.Name)
+	}
+	if _, err := ByName("ids-fattree", Params{Arity: 3}); err == nil {
+		t.Error("ids-fattree at arity 3 resolved")
+	}
+	if _, err := ByName("nope", Params{}); err == nil || err.Error() != `unknown app "nope"` {
+		t.Errorf("unknown name: err = %v", err)
+	}
+}

@@ -500,13 +500,7 @@ func (c *Controller) DeliveredTo(host string) []netkat.Packet {
 	if eng == nil {
 		return nil
 	}
-	var out []netkat.Packet
-	for _, d := range eng.CopyDeliveries(0) {
-		if d.Host == host {
-			out = append(out, d.Fields)
-		}
-	}
-	return out
+	return eng.DeliveredTo(host)
 }
 
 // Status returns the controller's monitoring view.
@@ -589,9 +583,9 @@ func (c *Controller) Alerts() []obs.Alert {
 	return w.Active()
 }
 
-// FlightDump stitches the flight recorder's rings, through an engine
-// barrier when one is serving (quiescent worker rings) and directly
-// otherwise. Nil without a recorder.
+// FlightDump dumps the flight recorder: through the engine, which feeds
+// it the workers' logs at a barrier first, when there is one, and
+// directly otherwise. Nil without a recorder.
 func (c *Controller) FlightDump() *obs.FlightDump {
 	f := c.flight()
 	if f == nil {

@@ -174,8 +174,9 @@ func (e *Engine) chunkLead(budget int) int {
 
 // chunkWorker is a non-lead worker's side of a chunk. gen0 is the
 // engine generation at chunk entry: each worker advances its own copy
-// (wk.gen) in lockstep with the lead's e.gen++, so trace records can
-// carry the generation without any worker reading e.gen mid-chunk.
+// (wk.gen) in lockstep with the lead's e.gen++, so the delivery log and
+// trace records carry the generation without any worker reading e.gen
+// mid-chunk.
 func (e *Engine) chunkWorker(w int, gen0 int64) {
 	wk := e.ws[w]
 	ticket := uint64(0)
@@ -297,7 +298,7 @@ func (e *Engine) genFinish() bool {
 			ms.Add(obs.CtrDrainedHops, genDrained)
 		}
 		if e.gen&7 == 0 {
-			e.nowNs = time.Now().UnixNano()
+			e.setNow(time.Now().UnixNano())
 		}
 	}
 	e.retireIfDrained()

@@ -13,7 +13,7 @@
 //     bitmap — in-place field writes, no maps or strings on the hop loop,
 //     conversion exactly once at ingress and delivery.
 //   - Compiled table (flat.go): one switch's table, lowered from its
-//     rules' flat IR (flowtable.RuleIR) to (fieldIdx, value) arrays and
+//     rules' Match and Groups maps to (fieldIdx, value) arrays and
 //     indexed per (version-guard partition, in-port) by an exact-match
 //     hash over the discriminating header fields, with a rank-merged
 //     fallback list for wildcard/exclusion rules. Lookup is
@@ -26,12 +26,13 @@
 //     Merged builds the Section 5.3 deployment shape — one table per
 //     switch holding all configurations' rules behind exact version
 //     guards — whose guard partitions are where indexing pays off most.
-//   - Engine (engine.go): per-switch forwarding workers fed by ring-buffer
-//     queues, processing packets in deterministic bulk-synchronous
-//     generations. Switches keep local event views, react to locally
-//     detected events immediately, and gossip digests on every emitted
-//     packet, so ETS transitions remain event-driven consistent under
-//     concurrent load.
+//   - Engine (engine.go; the hop in hop.go, swaps in swap.go, the
+//     delivery log in deliveries.go, served mode in serve.go): per-switch
+//     forwarding workers fed by ring-buffer queues, processing packets in
+//     deterministic bulk-synchronous generations. Switches keep local
+//     event views, react to locally detected events immediately, and
+//     gossip digests on every emitted packet, so ETS transitions remain
+//     event-driven consistent under concurrent load.
 //   - LoadGen (loadgen.go): a deterministic line-rate traffic source for
 //     the benchmark (bench/), the chaos audit and the package benchmarks.
 //

@@ -30,6 +30,8 @@ type flatDelivery struct {
 	stamp  Stamp
 	seq    int64
 	branch int32
+	sw     int32 // ID of the switch that delivered it
+	gen    int64 // generation it was delivered in
 }
 
 // materialize converts the retained delivery to its public form.
@@ -54,7 +56,8 @@ func (e *Engine) mergeDeliveries() {
 		return
 	}
 	if e.eobs != nil {
-		e.flushDeliverySamples() // the sampler's dlog cursors reset below
+		e.flushDeliverySamples() // the dlog cursors reset below
+		e.feedFlight()
 	}
 	start := len(e.deliveries)
 	for _, wk := range e.ws {
@@ -63,7 +66,7 @@ func (e *Engine) mergeDeliveries() {
 			wk.dlog[i] = flatDelivery{} // release references
 		}
 		wk.dlog = wk.dlog[:0]
-		wk.dlogFlushed = 0
+		wk.dlogFlushed, wk.dlogFed = 0, 0
 	}
 	tail := e.deliveries[start:]
 	// (parent seq, branch) keys are unique per delivery, so the unstable
@@ -159,14 +162,13 @@ func (e *Engine) CopyDeliveries(from int) []Delivery {
 // deterministic delivery order: CopyDeliveries from the start.
 func (e *Engine) Deliveries() []Delivery { return e.CopyDeliveries(0) }
 
-// DeliveredTo returns the packets delivered to the named host.
+// DeliveredTo returns the packets delivered to the named host, in
+// delivery order (barrier-consistent, like CopyDeliveries).
 func (e *Engine) DeliveredTo(host string) []netkat.Packet {
-	e.mergeDeliveries()
 	var out []netkat.Packet
-	for i := range e.deliveries {
-		if e.deliveries[i].host == host {
-			d := &e.deliveries[i]
-			out = append(out, d.schema.materialize(d.inert, d.vals, d.pres))
+	for _, d := range e.CopyDeliveries(0) {
+		if d.Host == host {
+			out = append(out, d.Fields)
 		}
 	}
 	return out

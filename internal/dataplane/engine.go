@@ -163,25 +163,29 @@ type worker struct {
 	drained    int64 // old-epoch hops during a transition
 	ttlDropped int64 // packets discarded by the hop TTL
 
+	// gen mirrors the engine generation for the delivery log and trace
+	// records (each worker advances its own copy inside a chunk, so no
+	// worker ever reads the engine's e.gen mid-chunk).
+	gen int64
+
 	// Observability state, nil/zero when the layer is off. ms and ts are
 	// this worker's private metric and trace shards (plain writes on the
-	// hop loop, folded at boundaries); detRing is the preallocated
-	// event-detection ring drained into the bus at boundaries; gen
-	// mirrors the engine generation for trace records (each worker
-	// advances its own copy inside a chunk, so no worker ever reads the
-	// engine's e.gen mid-chunk); chunkHops accumulates hops over a chunk
-	// for the per-chunk hop-latency fold; dlogFlushed is the
-	// delivery-sampling cursor into dlog.
+	// hop loop, folded at boundaries); det logs this boundary's event
+	// detections for the bus and the flight recorder (nil when neither
+	// is attached); dlogFed and detFed are the flight recorder's cursors
+	// into dlog and det, dlogFlushed the delivery sampler's; nowNs is a
+	// coarse wall-clock cache for delivery-latency stamps, written only
+	// in serial phases (setNow), so the hop loop never calls time.Now;
+	// chunkHops accumulates hops over a chunk for the per-chunk
+	// hop-latency fold.
 	ms          *obs.Shard
 	ts          *obs.TraceShard
-	fs          *obs.FlightShard
-	swID        []int32 // switch index -> ID, shared immutable (trace records)
-	detRing     []detRec
-	detN        int
-	detDrops    int64
-	gen         int64
-	chunkHops   int64
+	det         []obs.FlightRec
+	dlogFed     int
+	detFed      int
 	dlogFlushed int
+	nowNs       int64
+	chunkHops   int64
 
 	// pushE/pushN tally this worker's ring pushes by program epoch during
 	// the consume phase (at most two epochs are ever live); the serial
@@ -428,20 +432,15 @@ type Engine struct {
 	boundReq  atomic.Bool
 	ph        phaser
 
-	// Observability (all nil when Options.Obs was nil). nowNs is a
-	// coarse wall-clock cache for delivery-latency stamps: written only
-	// in serial phases (boundaries and every 8th generation tail), read
-	// by workers through the phaser's happens-before edges, so the hop
-	// loop never calls time.Now. lastPub holds the counter values of the
-	// previous stats-delta bus event.
+	// Observability (all nil when Options.Obs was nil). lastPub holds the
+	// counter values of the previous stats-delta bus event.
 	eobs    *obs.Obs
 	met     *obs.Metrics
 	bus     *obs.Bus
 	tracer  *obs.Tracer
 	flight  *obs.Flight
 	watch   *obs.Watchdog
-	dsample int // publish every Nth delivery on the bus (0 = none)
-	nowNs   int64
+	dsample int   // publish every Nth delivery on the bus (0 = none)
 	dcount  int64 // deliveries seen by the boundary sampler
 	lastPub [obsDeltaCounters]int64
 	lastFl  [obsDeltaCounters]int64 // previous flight stats record's counters
@@ -541,8 +540,8 @@ func NewEngine(n *nes.NES, t *topo.Topology, opts Options) *Engine {
 }
 
 // attachObs wires the observability layer: every worker gets its
-// preallocated metric shard, trace ring, and detection ring up front, so
-// nothing on the hot path ever allocates observability state.
+// preallocated metric shard and trace ring up front, so nothing on the
+// hot path ever allocates observability state.
 func (e *Engine) attachObs(o *obs.Obs) {
 	e.eobs = o
 	e.met = o.Metrics
@@ -557,29 +556,18 @@ func (e *Engine) attachObs(o *obs.Obs) {
 	if e.tracer != nil {
 		e.tracer.EnsureShards(e.workers)
 	}
-	if e.flight != nil {
-		e.flight.EnsureShards(e.workers)
-	}
-	swID := make([]int32, len(e.switches))
-	for i, sw := range e.switches {
-		swID[i] = int32(sw)
-	}
 	for i, wk := range e.ws {
-		wk.swID = swID
 		if e.met != nil {
 			wk.ms = e.met.Shard(i)
 		}
 		if e.tracer != nil {
 			wk.ts = e.tracer.Shard(i)
 		}
-		if e.flight != nil {
-			wk.fs = e.flight.Shard(i)
-		}
-		if e.bus != nil {
-			wk.detRing = make([]detRec, detRingCap)
+		if e.bus != nil || e.flight != nil {
+			wk.det = []obs.FlightRec{}
 		}
 	}
-	e.nowNs = time.Now().UnixNano()
+	e.setNow(time.Now().UnixNano())
 }
 
 // cur returns the program current for ingress stamping.
@@ -613,17 +601,14 @@ func (e *Engine) pending() int {
 // staged while the engine was idle (e.g. StageSwap in synchronous mode)
 // are applied at the first boundary.
 func (e *Engine) Run() error {
-	total := 0
-	for {
+	if e.Step(maxGenerations) == maxGenerations {
+		// Step ends without a boundary once it has run n generations.
 		e.boundary()
-		if e.pending() == 0 {
-			return nil
-		}
-		if total >= maxGenerations {
+		if e.pending() > 0 {
 			return fmt.Errorf("dataplane: no quiescence within %d generations", maxGenerations)
 		}
-		total += e.runChunk(min(e.chunkGens, maxGenerations-total))
 	}
+	return nil
 }
 
 // Step runs at most n generations and returns the number executed,

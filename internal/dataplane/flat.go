@@ -1,6 +1,8 @@
 package dataplane
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"eventnet/internal/flowtable"
@@ -10,7 +12,7 @@ import (
 
 // This file is the compiled form of a flow table — the only one. Every
 // flowtable.Rule of a plan is lowered once, at plan-build time, from its
-// flat IR (flowtable.RuleIR, derived from the maps) into integer-indexed
+// Match and Groups maps into integer-indexed
 // match/action arrays, and the lowered rules are indexed three ways,
 // mirroring how a packet narrows the search:
 //
@@ -292,9 +294,9 @@ func newFlatBucket(rules []flatRule, ranks []int32) *flatBucket {
 }
 
 // lowerRule translates one rule to flat form: guard and ports from the
-// Match, field literals and action groups from the rule's derived IR — a
-// straight array walk, the IR's canonical order (see flowtable.RuleIR)
-// becoming the flat rule's.
+// Match, field literals and action groups from its maps, each list in
+// field-name order — which is ascending schema index, as schema indices
+// follow sorted names — and exclusions of one field by value.
 func lowerRule(r *flowtable.Rule, s *Schema) flatRule {
 	m := &r.Match
 	fr := flatRule{
@@ -305,29 +307,34 @@ func lowerRule(r *flowtable.Rule, s *Schema) flatRule {
 	for _, p := range m.ExcludePorts {
 		fr.exPorts = append(fr.exPorts, int32(p))
 	}
-	ir := flowtable.DeriveIR(r)
-	for fi, f := range ir.EqFields {
+	fr.eqIdx, fr.eqVal, fr.eqMask = lowerAssignments(m.Fields, s)
+	for _, f := range slices.Sorted(maps.Keys(m.Excludes)) {
 		i := mustIndex(s, f)
-		fr.eqIdx = append(fr.eqIdx, i)
-		fr.eqVal = append(fr.eqVal, lowerValue(ir.EqValues[fi]))
-		fr.eqMask |= 1 << uint(i)
-	}
-	for fi, f := range ir.NeqFields {
-		fr.neqIdx = append(fr.neqIdx, mustIndex(s, f))
-		fr.neqVal = append(fr.neqVal, lowerValue(ir.NeqValues[fi]))
-	}
-	for gi := range ir.Groups {
-		g := &ir.Groups[gi]
-		fg := flatGroup{outPort: int32(r.Groups[gi].OutPort)}
-		for fi, f := range g.SetFields {
-			i := mustIndex(s, f)
-			fg.setIdx = append(fg.setIdx, i)
-			fg.setVal = append(fg.setVal, lowerValue(g.SetValues[fi]))
-			fg.setMask |= 1 << uint(i)
+		for _, v := range slices.Sorted(slices.Values(m.Excludes[f])) {
+			fr.neqIdx = append(fr.neqIdx, i)
+			fr.neqVal = append(fr.neqVal, lowerValue(v))
 		}
+	}
+	for gi := range r.Groups {
+		g := &r.Groups[gi]
+		fg := flatGroup{outPort: int32(g.OutPort)}
+		fg.setIdx, fg.setVal, fg.setMask = lowerAssignments(g.Sets, s)
 		fr.groups = append(fr.groups, fg)
 	}
 	return fr
+}
+
+// lowerAssignments lowers a field->value map to parallel (schema index,
+// value) arrays in field-name order, with their presence mask (nil, nil,
+// 0 for an empty map).
+func lowerAssignments(m map[string]int, s *Schema) (idx, val []int32, mask uint64) {
+	for _, f := range slices.Sorted(maps.Keys(m)) {
+		i := mustIndex(s, f)
+		idx = append(idx, i)
+		val = append(val, lowerValue(m[f]))
+		mask |= 1 << uint(i)
+	}
+	return idx, val, mask
 }
 
 // lowerValue checks a rule/guard constant into the int32 flat-value

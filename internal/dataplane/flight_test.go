@@ -139,3 +139,42 @@ func TestEngineFlightSwapPhases(t *testing.T) {
 		t.Fatalf("swap phases in flight record = %v, want flip ... retire", phases)
 	}
 }
+
+// TestFlightDumpBetweenBoundaries: Step ends without a boundary, so a
+// dump taken right after it must itself feed the recorder what the
+// workers logged since the last one; and a delivery read between
+// boundaries merges, and so resets, those logs, so the merge must feed
+// it first. Either way every delivery the engine made is in the dump,
+// at every worker count.
+func TestFlightDumpBetweenBoundaries(t *testing.T) {
+	a := apps.Firewall()
+	n := buildNES(t, a)
+	for _, w := range []int{1, 2} {
+		for _, dumpFirst := range []bool{true, false} {
+			e := dataplane.NewEngine(n, a.Topo, dataplane.Options{Workers: w, Obs: &obs.Obs{Flight: obs.NewFlight(0, w)}})
+			for _, in := range dataplane.NewLoadGen(n, a.Topo, 3).Injections(200) {
+				if err := e.Inject(in.Host, in.Fields); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e.Step(2)
+			var d *obs.FlightDump
+			if dumpFirst {
+				d = e.FlightDump()
+			}
+			want := len(e.Deliveries())
+			if !dumpFirst {
+				d = e.FlightDump()
+			}
+			got := 0
+			for _, r := range d.Records {
+				if r.Kind == "deliver" {
+					got++
+				}
+			}
+			if got != want || want == 0 {
+				t.Errorf("%d workers, dump first %v: flight dump holds %d deliveries, engine delivered %d", w, dumpFirst, got, want)
+			}
+		}
+	}
+}

@@ -51,6 +51,15 @@ func (ps *progState) detect(swIdx, inPort int, vals []int32, pres uint64, known 
 	return out
 }
 
+// transition is the swap a hop runs under: while epoch old drains,
+// whatever one of its packets detects is also admitted, through
+// mapEvent, into next's view of the same switch.
+type transition struct {
+	old      int
+	next     *progState
+	mapEvent []int
+}
+
 // drain processes every packet queued at switch index i (the SWITCH rule,
 // one hop) on the calling worker. This is the engine's hot loop, and it
 // runs entirely on the flat representation: matching, event detection and
@@ -65,52 +74,42 @@ func (e *Engine) drain(wk *worker, i int) {
 	if wk.ms != nil {
 		wk.ms.Observe(obs.HistQueueDepth, int64(r.len()))
 	}
-	oldEpoch := -1
-	var newPS *progState
+	var tr *transition
 	if e.swap != nil && len(e.progs) == 2 {
-		oldEpoch = e.progs[0].epoch
-		newPS = e.progs[1]
+		tr = &transition{old: e.progs[0].epoch, next: e.progs[1], mapEvent: e.swap.spec.MapEvent}
 	}
-	dests := e.dests[i]
+	sw, dests := int32(e.switches[i]), e.dests[i]
+	processed := wk.processed
 	for r.len() > 0 {
 		p := r.peekRef()
 		rec := &e.emitBuf[p.seq-e.genLo-1]
 		rec.w, rec.start = wk.id, int32(len(wk.outbox))
-		e.hop(wk, i, dests, p, oldEpoch, newPS)
+		if wk.curPS == nil || p.epoch != wk.curEpoch {
+			wk.curPS, wk.curEpoch = e.prog(p.epoch), p.epoch
+		}
+		hop(wk, wk.curPS, i, sw, dests, p, tr)
 		rec.n = int32(len(wk.outbox)) - rec.start
 		r.drop()
 	}
+	e.hops[i] += wk.processed - processed
 }
 
-// hop forwards one queued packet one switch-hop: the body of the drain
-// loop, factored so every early exit releases the ring slot through one
-// drop call.
-func (e *Engine) hop(wk *worker, i int, dests []portDest, p *qpkt, oldEpoch int, newPS *progState) {
+// hop forwards packet p one switch-hop at switch index i, whose ID is sw
+// and whose egress ports lead to dests: Figure 7's SWITCH rule. ps is the
+// program epoch p is stamped with (nil once retired), tr the swap in
+// progress (nil when none). It forwards by p's tag, detects what p's
+// arrival enables, updates the switch's view and gossips the digest on
+// every copy. All it reads arrives as an argument, and all it writes
+// lands in wk, p, ps's views and detection memo, or tr.next's views.
+func hop(wk *worker, ps *progState, i int, sw int32, dests []portDest, p *qpkt, tr *transition) {
 	if p.hops >= maxPacketHops {
-		wk.ttlDropped++
-		if wk.ms != nil {
-			wk.ms.Inc(obs.CtrTTLDrops)
-		}
-		if p.trace != 0 {
-			wk.traceRec(p, i, obs.HopTTLDrop, -1, 0, "")
-		}
-		wk.recycle(p.vals)
-		return // forwarding loop: discard (see maxPacketHops)
+		wk.drop(p, sw, obs.HopTTLDrop, -1) // forwarding loop (see maxPacketHops)
+		return
 	}
 	wk.processed++
-	e.hops[i]++
-
-	ps := wk.curPS
-	if ps == nil || p.epoch != wk.curEpoch {
-		ps = e.prog(p.epoch)
-		if ps == nil {
-			if p.trace != 0 {
-				wk.traceRec(p, i, obs.HopStale, -1, 0, "")
-			}
-			wk.recycle(p.vals)
-			return // stamped by a retired epoch; cannot happen post-drain
-		}
-		wk.curPS, wk.curEpoch = ps, p.epoch
+	if ps == nil {
+		wk.drop(p, sw, obs.HopStale, -1) // stamped by a retired epoch; cannot happen post-drain
+		return
 	}
 
 	// Event handling: learn from the digest, detect newly enabled
@@ -121,30 +120,12 @@ func (e *Engine) hop(wk *worker, i int, dests []portDest, p *qpkt, oldEpoch int,
 	ps.views[i] = known.Union(newly)
 	outDigest := p.digest.Union(view).Union(newly)
 	if newly != nes.Empty {
-		// Detection is rare; both records are plain stores, drained at
-		// the next boundary.
+		// Detection is rare: a plain store and an append to the
+		// worker's log, read at the next boundary.
 		if wk.ms != nil {
 			wk.ms.Add(obs.CtrEventsFired, int64(newly.Count()))
 		}
-		if wk.detRing != nil {
-			if wk.detN < len(wk.detRing) {
-				wk.detRing[wk.detN] = detRec{
-					sw: int32(e.switches[i]), epoch: int32(p.epoch),
-					version: int32(p.version), seq: p.seq, gen: wk.gen,
-					events: newly,
-				}
-				wk.detN++
-			} else {
-				wk.detDrops++
-			}
-		}
-		if wk.fs != nil {
-			wk.fs.Add(obs.FlightRec{
-				Kind: obs.FlightDetect, Switch: int32(e.switches[i]),
-				Branch: p.branch, Epoch: int32(p.epoch), Version: int32(p.version),
-				Gen: wk.gen, Seq: p.seq, Bits: string(newly),
-			})
-		}
+		wk.logDetect(p, sw, newly)
 	}
 
 	// Live knowledge transfer during a transition: an event the old
@@ -154,11 +135,11 @@ func (e *Engine) hop(wk *worker, i int, dests []portDest, p *qpkt, oldEpoch int,
 	// successor. Detection happens exactly once per event, at one
 	// switch, so this rule together with the flip-time replay is the
 	// complete carry-over discipline (docs/CONTROLLER.md).
-	if newPS != nil && p.epoch == oldEpoch {
+	if tr != nil && p.epoch == tr.old {
 		wk.drained++
 		if newly != nes.Empty {
-			if mapped := mapEvents(newly, e.swap.spec.MapEvent); mapped != nes.Empty {
-				newPS.views[i] = newPS.nes.Admit(newPS.views[i], mapped)
+			if mapped := mapEvents(newly, tr.mapEvent); mapped != nes.Empty {
+				tr.next.views[i] = tr.next.nes.Admit(tr.next.views[i], mapped)
 			}
 		}
 	}
@@ -166,25 +147,13 @@ func (e *Engine) hop(wk *worker, i int, dests []portDest, p *qpkt, oldEpoch int,
 	// Forward with the packet's tagged configuration of its epoch.
 	ft := ps.flat[p.version][i]
 	if ft == nil {
-		if wk.ms != nil {
-			wk.ms.Inc(obs.CtrRuleDrops)
-		}
-		if p.trace != 0 {
-			wk.traceRec(p, i, obs.HopStale, -1, 0, "")
-		}
-		wk.recycle(p.vals)
+		wk.drop(p, sw, obs.HopStale, -1)
 		return
 	}
 	ri := ft.lookup(p.vals, p.pres, p.inPort, 0)
 	if ri < 0 {
-		if wk.ms != nil {
-			wk.ms.Inc(obs.CtrRuleDrops)
-		}
-		if p.trace != 0 {
-			wk.traceRec(p, i, obs.HopRuleDrop, -1, 0, "")
-		}
-		wk.recycle(p.vals)
-		return // default drop
+		wk.drop(p, sw, obs.HopRuleDrop, -1) // default drop
+		return
 	}
 	groups := ft.rules[ri].groups
 	// Each group applies its writes to the packet *as it arrived*, so
@@ -197,14 +166,8 @@ func (e *Engine) hop(wk *worker, i int, dests []portDest, p *qpkt, oldEpoch int,
 		}
 	}
 	if last < 0 {
-		if wk.ms != nil {
-			wk.ms.Inc(obs.CtrRuleDrops)
-		}
-		if p.trace != 0 {
-			wk.traceRec(p, i, obs.HopRuleDrop, ri, 0, "")
-		}
-		wk.recycle(p.vals)
-		return // drop, or every copy leaves the modeled network
+		wk.drop(p, sw, obs.HopRuleDrop, ri) // drop, or every copy leaves the modeled network
+		return
 	}
 	outStart := len(wk.outbox)
 	for gi := 0; gi <= last; gi++ {
@@ -238,22 +201,17 @@ func (e *Engine) hop(wk *worker, i int, dests []portDest, p *qpkt, oldEpoch int,
 				stamp:  Stamp{Epoch: p.epoch, Version: p.version},
 				seq:    p.seq,
 				branch: int32(gi),
+				sw:     sw,
+				gen:    wk.gen,
 			})
 			if wk.ms != nil {
 				wk.ms.Inc(obs.CtrDeliveries)
 				if p.tns != 0 {
-					wk.ms.Observe(obs.HistDeliveryNs, e.nowNs-p.tns)
+					wk.ms.Observe(obs.HistDeliveryNs, wk.nowNs-p.tns)
 				}
 			}
-			if wk.fs != nil {
-				wk.fs.Add(obs.FlightRec{
-					Kind: obs.FlightDeliver, Switch: int32(e.switches[i]),
-					Branch: int32(gi), Epoch: int32(p.epoch), Version: int32(p.version),
-					Gen: wk.gen, Seq: p.seq, Host: d.host,
-				})
-			}
 			if p.trace != 0 {
-				wk.traceRecB(p, i, obs.HopDeliver, ri, 0, int32(gi), d.host)
+				wk.traceRec(p, sw, obs.HopDeliver, ri, 0, int32(gi), d.host)
 			}
 			continue
 		}
@@ -273,24 +231,35 @@ func (e *Engine) hop(wk *worker, i int, dests []portDest, p *qpkt, oldEpoch int,
 		}})
 	}
 	if p.trace != 0 {
-		wk.traceRec(p, i, obs.HopForward, ri, int32(len(wk.outbox)-outStart), "")
+		wk.traceRec(p, sw, obs.HopForward, ri, int32(len(wk.outbox)-outStart), p.branch, "")
 	}
 }
 
-// traceRec appends one trace record for the packet being consumed at
-// switch index i (the record's Branch is the packet's own branch).
-func (wk *worker) traceRec(p *qpkt, i int, kind obs.HopKind, rank int32, out int32, host string) {
-	wk.traceRecB(p, i, kind, rank, out, p.branch, host)
+// drop discards the packet being consumed at switch sw, the hop's one
+// exit without emissions: it counts the drop (TTL, or a rule drop for
+// every other kind), records it on a traced journey, and returns the
+// packet's value array to the free list.
+func (wk *worker) drop(p *qpkt, sw int32, kind obs.HopKind, rank int32) {
+	if kind == obs.HopTTLDrop {
+		wk.ttlDropped++
+		if wk.ms != nil {
+			wk.ms.Inc(obs.CtrTTLDrops)
+		}
+	} else if wk.ms != nil {
+		wk.ms.Inc(obs.CtrRuleDrops)
+	}
+	if p.trace != 0 {
+		wk.traceRec(p, sw, kind, rank, 0, p.branch, "")
+	}
+	wk.recycle(p.vals)
 }
 
-// traceRecB is traceRec with an explicit branch (deliver records carry
-// the emitting group index instead of the packet's branch). The switch
-// index is translated to its ID through the worker's engine-shared
-// switches slice at flush-readability cost zero: the slice is immutable
-// after construction.
-func (wk *worker) traceRecB(p *qpkt, i int, kind obs.HopKind, rank int32, out, branch int32, host string) {
+// traceRec appends one trace record for the packet being consumed at
+// switch sw. branch is the packet's own, except on a deliver record,
+// which carries the emitting group's index.
+func (wk *worker) traceRec(p *qpkt, sw int32, kind obs.HopKind, rank, out, branch int32, host string) {
 	wk.ts.Add(obs.HopRec{
-		Trace: p.trace, Kind: kind, Switch: wk.swID[i], InPort: int32(p.inPort),
+		Trace: p.trace, Kind: kind, Switch: sw, InPort: int32(p.inPort),
 		Rank: rank, Out: out, Branch: branch,
 		Epoch: int32(p.epoch), Version: int32(p.version),
 		Gen: wk.gen, Seq: p.seq, Host: host,

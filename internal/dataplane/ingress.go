@@ -508,6 +508,6 @@ func (e *Engine) ingressClock() int64 {
 		return 0
 	}
 	now := time.Now().UnixNano()
-	e.nowNs = now
+	e.setNow(now)
 	return now
 }

@@ -10,25 +10,10 @@ import (
 // Boundary-time observability: everything here runs in serial engine
 // contexts (boundary(), Do closures, the generation tail), where
 // workers are quiescent and allocation is fine. The hop loop's only
-// observability work is the plain shard stores in hop/drain; this file
-// is where those shards are folded, the bus is fed, and journeys are
-// stitched.
-
-// detRec is one event detection captured on the hop loop for the bus: a
-// plain struct store into the worker's preallocated ring (nes.Set is a
-// string, so the copy does not allocate).
-type detRec struct {
-	sw      int32
-	epoch   int32
-	version int32
-	seq     int64
-	gen     int64
-	events  nes.Set
-}
-
-// detRingCap bounds each worker's per-boundary detection ring;
-// overflow is counted and folded into the bus drop counter.
-const detRingCap = 256
+// observability work is the plain shard stores and the detection log in
+// hop/drain; this file
+// is where those shards are folded, the bus and the flight recorder
+// are fed from the workers' logs, and journeys are stitched.
 
 // obsDeltaCounters is the number of counters tracked for stats-delta
 // bus events; deltaCtrs names them in StatsDelta field order.
@@ -40,10 +25,12 @@ var deltaCtrs = [obsDeltaCounters]obs.Counter{
 }
 
 // flushObs is the boundary fold: publish shard deltas into the metrics
-// atomics, refresh gauges, drain detection rings and delivery samples
-// onto the bus, stitch and emit completed journeys, and publish a stats
-// delta when anything moved. Serial context only.
+// atomics, refresh gauges, feed the flight recorder, publish the
+// detection logs and delivery samples on the bus, stitch and emit
+// completed journeys, and publish a stats delta when anything moved.
+// Serial context only.
 func (e *Engine) flushObs() {
+	e.feedFlight()
 	if e.met != nil {
 		e.met.Fold()
 		e.met.SetGauge(obs.GaugePending, int64(e.pending()))
@@ -61,25 +48,21 @@ func (e *Engine) flushObs() {
 		if e.flight != nil {
 			e.met.SetGauge(obs.GaugeFlightEvicted, e.flight.Evicted())
 		}
-		e.nowNs = time.Now().UnixNano()
+		e.setNow(time.Now().UnixNano())
 	}
-	if e.bus != nil {
-		for _, wk := range e.ws {
-			for i := 0; i < wk.detN; i++ {
-				r := &wk.detRing[i]
+	for _, wk := range e.ws {
+		if e.bus != nil {
+			for i := range wk.det {
+				r := &wk.det[i]
 				e.bus.Publish(obs.Event{
-					Kind: obs.KindEvent, Gen: r.gen,
-					Epoch: int(r.epoch), Version: int(r.version),
-					Switch: int(r.sw), PacketSeq: r.seq,
-					Events: r.events.Elems(),
+					Kind: obs.KindEvent, Gen: r.Gen,
+					Epoch: int(r.Epoch), Version: int(r.Version),
+					Switch: int(r.Switch), PacketSeq: r.Seq,
+					Events: nes.Set(r.Bits).Elems(),
 				})
 			}
-			wk.detN = 0
-			if wk.detDrops != 0 {
-				e.bus.CountDropped(wk.detDrops)
-				wk.detDrops = 0
-			}
 		}
+		wk.det, wk.detFed = wk.det[:0], 0
 	}
 	e.flushDeliverySamples()
 	if e.tracer != nil {
@@ -156,17 +139,69 @@ func (e *Engine) statsDelta(base *[obsDeltaCounters]int64) *obs.StatsDelta {
 	return d
 }
 
-// FlightDump stitches the flight recorder's rings at a generation
-// barrier (Do), where worker-ring writers are quiescent. Nil when no
-// recorder is attached. The dump is repeatable — the rings are not
-// consumed.
+// FlightDump dumps the flight recorder at a generation barrier (Do),
+// after feeding it what the workers logged since the last boundary: Step
+// ends without one. Nil when no recorder is attached. The dump is
+// repeatable — the ring is not consumed.
 func (e *Engine) FlightDump() *obs.FlightDump {
 	if e.flight == nil {
 		return nil
 	}
 	var d *obs.FlightDump
-	e.Do(func() { d = e.flight.Dump() })
+	e.Do(func() {
+		e.feedFlight()
+		d = e.flight.Dump()
+	})
 	return d
+}
+
+// feedFlight copies the deliveries and detections the workers logged
+// since the last feed into the flight ring, so the hop loop records each
+// event once. Serial context only. It runs before anything resets a log
+// (the boundary fold, mergeDeliveries) and before every serial record
+// the engine writes, which keeps the ring's writes close to generation
+// order and its truncation cutoff low.
+func (e *Engine) feedFlight() {
+	if e.flight == nil {
+		return
+	}
+	for _, wk := range e.ws {
+		for i := wk.dlogFed; i < len(wk.dlog); i++ {
+			d := &wk.dlog[i]
+			e.flight.Add(obs.FlightRec{
+				Kind: obs.FlightDeliver, Switch: d.sw,
+				Branch: d.branch, Epoch: int32(d.stamp.Epoch), Version: int32(d.stamp.Version),
+				Gen: d.gen, Seq: d.seq, Host: d.host,
+			})
+		}
+		for _, r := range wk.det[wk.detFed:] {
+			e.flight.Add(r)
+		}
+		wk.dlogFed, wk.detFed = len(wk.dlog), len(wk.det)
+	}
+}
+
+// logDetect appends the events p's arrival at switch sw enabled to the
+// worker's detection log, when a bus or flight recorder reads it. An
+// event is detected once per epoch, at its own switch, so the log stays
+// within events × live epochs between boundaries.
+func (wk *worker) logDetect(p *qpkt, sw int32, newly nes.Set) {
+	if wk.det == nil {
+		return
+	}
+	wk.det = append(wk.det, obs.FlightRec{
+		Kind: obs.FlightDetect, Switch: sw,
+		Branch: p.branch, Epoch: int32(p.epoch), Version: int32(p.version),
+		Gen: wk.gen, Seq: p.seq, Bits: string(newly),
+	})
+}
+
+// setNow refreshes every worker's delivery-latency clock. Serial
+// context only: boundaries, admissions and every 8th generation tail.
+func (e *Engine) setNow(ns int64) {
+	for _, wk := range e.ws {
+		wk.nowNs = ns
+	}
 }
 
 // flushDeliverySamples publishes every Nth delivery (N =

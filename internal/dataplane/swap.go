@@ -153,6 +153,7 @@ func (e *Engine) swapPhase(phase string, from, to int, inflight int64) {
 		})
 	}
 	if e.flight != nil {
+		e.feedFlight()
 		e.flight.Serial(obs.FlightRec{
 			Kind: obs.FlightSwap, Phase: phase,
 			From: int32(from), To: int32(to), Epoch: int32(to),

@@ -337,79 +337,6 @@ type Output struct {
 	Port int
 }
 
-// RuleIR is the flat intermediate form of a rule: the match's field
-// literals and the groups' assignments as canonically ordered parallel
-// arrays — the one form dataplane lowering reads, translating names to
-// schema indices by direct array walks. A rule has one form, the maps on
-// Match and Groups — what the linear-scan reference and the rule algebra
-// (Intersect, Subsumes, the optimizer) read — and DeriveIR flattens it
-// when a table is lowered, once per distinct table.
-//
-// Invariants: EqFields is strictly ascending; (NeqFields[i],
-// NeqValues[i]) pairs are sorted by field then value (and a compiled
-// rule has none for a field present in EqFields); Groups is parallel to
-// Rule.Groups with each SetFields sorted. Guards and ports are lowered
-// from the Match itself.
-type RuleIR struct {
-	EqFields  []string
-	EqValues  []int
-	NeqFields []string
-	NeqValues []int
-	Groups    []GroupIR
-}
-
-// GroupIR is one action group's assignments in flat form.
-type GroupIR struct {
-	SetFields []string
-	SetValues []int
-}
-
-// DeriveIR builds a rule's flat IR from its Match and Groups maps, in
-// the RuleIR order. It transcribes the maps as they are: a hand-built
-// match that both pins and excludes a field (the rule algebra never
-// produces one) keeps the exclusion, so it stays as unsatisfiable as
-// Matches finds it.
-func DeriveIR(r *Rule) *RuleIR {
-	ir := &RuleIR{}
-	ir.EqFields, ir.EqValues = sortedAssignments(r.Match.Fields)
-	exFields := make([]string, 0, len(r.Match.Excludes))
-	for f := range r.Match.Excludes {
-		exFields = append(exFields, f)
-	}
-	sort.Strings(exFields)
-	for _, f := range exFields {
-		vs := append([]int{}, r.Match.Excludes[f]...)
-		sort.Ints(vs)
-		for _, v := range vs {
-			ir.NeqFields = append(ir.NeqFields, f)
-			ir.NeqValues = append(ir.NeqValues, v)
-		}
-	}
-	for _, g := range r.Groups {
-		fs, vs := sortedAssignments(g.Sets)
-		ir.Groups = append(ir.Groups, GroupIR{SetFields: fs, SetValues: vs})
-	}
-	return ir
-}
-
-// sortedAssignments flattens a field->value map into parallel arrays,
-// fields ascending (nil, nil for an empty map).
-func sortedAssignments(m map[string]int) ([]string, []int) {
-	if len(m) == 0 {
-		return nil, nil
-	}
-	fs := make([]string, 0, len(m))
-	for f := range m {
-		fs = append(fs, f)
-	}
-	sort.Strings(fs)
-	vs := make([]int, len(fs))
-	for i, f := range fs {
-		vs[i] = m[f]
-	}
-	return fs, vs
-}
-
 // Rule is one prioritized match-action entry. Higher Priority wins.
 type Rule struct {
 	Priority int

@@ -161,10 +161,6 @@ func (b *Bus) Subscribers() int {
 // Dropped returns the cumulative bus-wide drop count.
 func (b *Bus) Dropped() int64 { return b.dropped.Load() }
 
-// CountDropped folds externally-dropped events (e.g. detection-ring
-// overflow in the engine) into the bus-wide drop count.
-func (b *Bus) CountDropped(n int64) { b.dropped.Add(n) }
-
 // Active reports whether any subscriber is listening — publishers can
 // skip building payloads when nobody is watching.
 func (b *Bus) Active() bool {

@@ -5,30 +5,28 @@ import (
 	"sync"
 )
 
-// Flight recorder: bounded per-worker rings of full-fidelity recent
-// history — every delivery with its stamp, every detection, every swap
-// phase, and the chunk-boundary stats deltas — always on, overwritten
-// circularly so the moments *before* an anomaly are recoverable after
-// the fact (a wedged swap, a chaos violation, a SIGQUIT).
+// Flight recorder: one bounded ring of full-fidelity recent history —
+// every delivery with its stamp, every detection, every swap phase, and
+// the chunk-boundary stats deltas — always on, overwritten circularly so
+// the moments *before* an anomaly are recoverable after the fact (a
+// wedged swap, a chaos violation, a SIGQUIT).
 //
-// The write contract is the metrics Shard contract: FlightShard.Add is
-// a plain store into a preallocated ring, written by exactly one worker
-// goroutine between boundaries, so the hop loop stays zero-alloc with
-// the recorder enabled (CI-pinned by TestEngineHopLoopZeroAllocObs).
-// Serial engine contexts (swap flips, boundary stats) and the
-// controller's stage phase write through a mutex-guarded serial ring
-// instead — they are off the hot path, and the stage record arrives
-// from the Swap caller's goroutine.
+// The hop loop writes nothing here. The engine already logs every
+// delivery and detection in its workers' own logs, and feeds the records
+// logged since its last feed into the ring from serial contexts:
+// boundaries, dumps, the delivery merge, and ahead of each serial record
+// it writes. The controller's stage phase writes from the Swap caller's
+// goroutine, so one mutex guards the ring.
 //
-// Dump stitches every ring into the canonical (Gen, Seq, Kind, Branch)
-// order — the same total order the delivery merge and the tracer use —
-// and normalizes ring overflow to a *generation cutoff*: because each
-// ring is written in nondecreasing generation order, every record newer
-// than the newest evicted generation (across all rings) is provably
-// still present in its ring, so the dump after the cutoff is a
-// complete, execution-deterministic suffix of history. Records carry no
-// wall-clock stamps, so equal executions dump bit-identically at any
-// worker count (TestEngineFlightDeterminism).
+// Dump sorts the ring into the canonical (Gen, Seq, Kind, Branch) order —
+// the same total order the delivery merge and the tracer use — and
+// normalizes overflow to a *generation cutoff*: the largest generation
+// among the evicted records. Every record of a newer generation that was
+// ever written is still in the ring, whatever order the records arrived
+// in, so the dump after the cutoff is a complete, execution-deterministic
+// suffix of history. Records carry no wall-clock stamps, so equal
+// executions that evict nothing dump bit-identically at any worker
+// count (TestEngineFlightDeterminism).
 
 // FlightKind classifies one flight record. The numeric order is the
 // canonical-sort tiebreak at equal (Gen, Seq): a detection sorts before
@@ -58,12 +56,12 @@ func (k FlightKind) String() string {
 	return "unknown"
 }
 
-// FlightRec is one flat flight record, shaped for a plain-store ring
-// write on the hop loop (the only pointers are string headers, copied
-// without allocating, and the Stats pointer, set only by serial-context
-// records). It deliberately carries no timestamp: flight dumps must be
-// bit-identical across equal executions, and wall-clock stamps are the
-// one field that never is.
+// FlightRec is one flat flight record, copied without allocating (the
+// only pointers are string headers and the Stats pointer, set only by
+// serial-context records), so the engine's workers log detections in
+// this form on the hop loop. It deliberately carries no timestamp:
+// flight dumps must be bit-identical across equal executions, and
+// wall-clock stamps are the one field that never is.
 type FlightRec struct {
 	Kind    FlightKind
 	Switch  int32
@@ -80,93 +78,63 @@ type FlightRec struct {
 	Stats   *StatsDelta // FlightStats only (serial context)
 }
 
-// FlightShard is one worker's circular record ring. Unlike a TraceShard
-// (which drops new records on overflow, because a journey missing its
-// oldest hops can never be stitched), a flight ring overwrites its
-// *oldest* records: the recorder's job is to retain the most recent
-// history at the moment someone asks for it.
-type FlightShard struct {
+// DefaultFlightCap is the per-worker record capacity default.
+const DefaultFlightCap = 4096
+
+// Flight is the recorder: one circular ring that overwrites its *oldest*
+// records, because its job is to retain the most recent history at the
+// moment someone asks for it. Every method is safe from any goroutine.
+type Flight struct {
+	cap int // per-worker capacity; the ring holds cap × (workers+1)
+
+	mu      sync.Mutex
 	recs    []FlightRec
 	n       uint64 // total records ever written
 	evicted int64  // records overwritten
-	// lastEvictGen is the generation of the newest overwritten record.
-	// Ring writes arrive in nondecreasing generation order (each worker's
-	// gen only advances), so this is the shard's truncation watermark:
-	// every record with Gen > lastEvictGen is still in the ring.
-	lastEvictGen int64
-}
-
-// Add appends a record, overwriting the oldest on overflow. A plain
-// store plus ring arithmetic; never allocates.
-func (s *FlightShard) Add(r FlightRec) {
-	i := int(s.n % uint64(len(s.recs)))
-	if s.n >= uint64(len(s.recs)) {
-		s.evicted++
-		s.lastEvictGen = s.recs[i].Gen
-	}
-	s.recs[i] = r
-	s.n++
-}
-
-// DefaultFlightCap is the per-ring record capacity default.
-const DefaultFlightCap = 4096
-
-// Flight is the recorder: per-worker rings written with plain stores on
-// the hot path, plus one mutex-guarded serial ring for boundary and
-// controller records. Dump requires worker-ring writers to be quiescent
-// (the engine dumps inside Do); the serial ring is safe at any time.
-type Flight struct {
-	cap    int
-	shards []*FlightShard
-
-	mu        sync.Mutex // guards the serial ring and its counters
-	serial    FlightShard
+	// cutGen is the largest generation among the overwritten records,
+	// the truncation watermark: every record with Gen > cutGen that was
+	// ever written is still in the ring, in whatever order it came.
+	cutGen    int64
 	serialSeq int32 // deterministic Branch tiebreak for serial records
-	serialGen int64 // newest generation seen by the serial ring
+	serialGen int64 // newest generation of a serial record
 }
 
-// NewFlight builds a recorder with per-ring capacity capPerRing
-// (<=0 uses DefaultFlightCap) and `workers` preallocated worker rings.
+// NewFlight builds a recorder holding capPerRing (<=0 uses
+// DefaultFlightCap) records for each of `workers` engine workers plus
+// one more share for serial records.
 func NewFlight(capPerRing, workers int) *Flight {
 	if capPerRing <= 0 {
 		capPerRing = DefaultFlightCap
 	}
-	f := &Flight{cap: capPerRing}
-	f.serial.recs = make([]FlightRec, capPerRing)
-	f.EnsureShards(workers)
-	return f
+	return &Flight{cap: capPerRing, recs: make([]FlightRec, capPerRing*(max(workers, 0)+1))}
 }
 
-// Cap returns the per-ring record capacity.
+// Cap returns the per-worker record capacity.
 func (f *Flight) Cap() int { return f.cap }
 
-// EnsureShards grows the worker-ring set to at least n.
-func (f *Flight) EnsureShards(n int) {
+// Add appends a record, overwriting the oldest once the ring is full. It
+// never allocates.
+func (f *Flight) Add(r FlightRec) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	for len(f.shards) < n {
-		f.shards = append(f.shards, &FlightShard{recs: make([]FlightRec, f.cap)})
+	f.add(r)
+	f.mu.Unlock()
+}
+
+func (f *Flight) add(r FlightRec) {
+	i := int(f.n % uint64(len(f.recs)))
+	if f.n >= uint64(len(f.recs)) {
+		f.evicted++
+		f.cutGen = max(f.cutGen, f.recs[i].Gen)
 	}
+	f.recs[i] = r
+	f.n++
 }
 
-// Shard returns worker i's ring (EnsureShards must have covered i).
-func (f *Flight) Shard(i int) *FlightShard {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.shards[i]
-}
-
-// Evicted returns the total records overwritten across every ring.
-// Worker rings are read without synchronization, so call only where
-// ring writers are quiescent (the engine's boundary, or Do).
+// Evicted returns the total records overwritten.
 func (f *Flight) Evicted() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	n := f.serial.evicted
-	for _, s := range f.shards {
-		n += s.evicted
-	}
-	return n
+	return f.evicted
 }
 
 // Serial records from a serial context: engine boundaries (flips,
@@ -175,8 +143,7 @@ func (f *Flight) Evicted() int64 {
 // serial records a deterministic canonical-sort tiebreak. A negative
 // Gen (a writer with no engine generation in hand, like the
 // controller's stage phase) is backfilled with the newest generation
-// the ring has seen, which also keeps the ring's writes nondecreasing
-// in Gen — the invariant the truncation watermark rests on.
+// of a serial record so far.
 func (f *Flight) Serial(r FlightRec) {
 	f.mu.Lock()
 	f.serialSeq++
@@ -186,7 +153,7 @@ func (f *Flight) Serial(r FlightRec) {
 	} else if r.Gen > f.serialGen {
 		f.serialGen = r.Gen
 	}
-	f.serial.Add(r)
+	f.add(r)
 	f.mu.Unlock()
 }
 
@@ -207,10 +174,11 @@ type FlightWireRec struct {
 	Stats   *StatsDelta `json:"stats,omitempty"`
 }
 
-// FlightDump is the stitched recorder state. When any ring overflowed,
+// FlightDump is the sorted recorder state. When the ring overflowed,
 // Truncated is set, TruncatedGen is the cutoff generation, and Records
 // holds only the complete suffix with Gen > TruncatedGen; Evicted
-// counts every record lost to overwriting or the cutoff filter.
+// counts every record lost to overwriting or the cutoff filter. RingCap
+// is the per-worker capacity.
 type FlightDump struct {
 	RingCap      int             `json:"ring_cap"`
 	Records      []FlightWireRec `json:"records"`
@@ -219,43 +187,19 @@ type FlightDump struct {
 	Evicted      int64           `json:"evicted,omitempty"`
 }
 
-// Dump stitches every ring into canonical order. The caller must
-// guarantee worker-ring writers are quiescent (the engine runs Dump at
-// a barrier via Do); Serial writers need no coordination. The recorder
-// is not consumed: dumping is repeatable and never clears a ring.
+// Dump returns the ring in canonical order. The recorder is not
+// consumed: dumping is repeatable and never clears the ring.
 func (f *Flight) Dump() *FlightDump {
 	f.mu.Lock()
-	shards := make([]*FlightShard, 0, len(f.shards)+1)
-	shards = append(shards, f.shards...)
-	shards = append(shards, &f.serial)
-
-	var recs []FlightRec
-	evicted := int64(0)
-	cutGen := int64(-1)
-	truncated := false
-	for _, s := range shards {
-		n := int(s.n)
-		if n > len(s.recs) {
-			n = len(s.recs)
-		}
-		recs = append(recs, s.recs[:n]...)
-		if s.evicted > 0 {
-			truncated = true
-			evicted += s.evicted
-			if s.lastEvictGen > cutGen {
-				cutGen = s.lastEvictGen
-			}
-		}
-	}
+	recs := slices.Clone(f.recs[:min(f.n, uint64(len(f.recs)))])
+	evicted, cutGen := f.evicted, f.cutGen
 	f.mu.Unlock()
 
 	d := &FlightDump{RingCap: f.cap}
-	if truncated {
-		// Apply the generation cutoff: a shard that overflowed retains an
-		// unknown prefix of each generation at or below its watermark, but
-		// every generation above the *maximum* watermark is complete in
-		// every shard. Records at or below it are discarded (and counted)
-		// so the dump is a deterministic suffix, not a ragged sample.
+	if evicted > 0 {
+		// Apply the generation cutoff: records at or below it are a
+		// ragged remainder of their generations, so they are discarded
+		// (and counted) and the dump is a deterministic suffix.
 		kept := recs[:0]
 		for _, r := range recs {
 			if r.Gen > cutGen {

@@ -2,26 +2,20 @@ package obs
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 )
 
 // TestFlightShardOverflow: the ring keeps the most recent records,
-// counts evictions, and tracks the newest evicted generation (the
+// counts evictions, and tracks the largest evicted generation (the
 // truncation watermark).
 func TestFlightShardOverflow(t *testing.T) {
-	f := NewFlight(4, 1)
-	s := f.Shard(0)
+	f := NewFlight(4, 0)
 	for g := int64(1); g <= 10; g++ {
-		s.Add(FlightRec{Kind: FlightDeliver, Gen: g, Seq: g})
+		f.Add(FlightRec{Kind: FlightDeliver, Gen: g, Seq: g})
 	}
-	if s.evicted != 6 {
-		t.Errorf("evicted = %d, want 6", s.evicted)
-	}
-	if s.lastEvictGen != 6 {
-		t.Errorf("lastEvictGen = %d, want 6 (the newest overwritten record)", s.lastEvictGen)
-	}
-	if f.Evicted() != 6 {
-		t.Errorf("Flight.Evicted = %d, want 6", f.Evicted())
+	if f.Evicted() != 6 || f.cutGen != 6 {
+		t.Errorf("evicted = %d, cutGen = %d; want 6 and 6", f.Evicted(), f.cutGen)
 	}
 	d := f.Dump()
 	if !d.Truncated || d.TruncatedGen != 6 {
@@ -40,33 +34,38 @@ func TestFlightShardOverflow(t *testing.T) {
 	}
 }
 
-// TestFlightDumpCutoffSpansShards: one overflowing shard truncates the
-// *whole* dump at its watermark — records other shards still hold below
-// the cutoff are discarded and counted, so the dump is a complete
-// suffix, never a ragged sample.
-func TestFlightDumpCutoffSpansShards(t *testing.T) {
-	f := NewFlight(4, 2)
-	a, b := f.Shard(0), f.Shard(1)
-	for g := int64(1); g <= 8; g++ {
-		a.Add(FlightRec{Kind: FlightDeliver, Gen: g, Seq: g})
+// TestFlightDumpCutoffByValue: records reach the ring out of generation
+// order (the engine feeds one worker's log after another), so the cutoff
+// is the largest evicted generation, not the last one. Here the gen-5
+// record is evicted before the gen-2 one; a watermark of 2 would pass
+// off a dump missing gen 5 as complete. The dump must be exactly the
+// records written above the cutoff, and a record written below it
+// after the eviction is cut and counted.
+func TestFlightDumpCutoffByValue(t *testing.T) {
+	f := NewFlight(4, 0)
+	written := []int64{5, 2, 6, 7, 8, 3}
+	for i, g := range written {
+		f.Add(FlightRec{Kind: FlightDeliver, Gen: g, Seq: int64(i)})
 	}
-	// Shard b never overflows but holds old generations.
-	b.Add(FlightRec{Kind: FlightDeliver, Gen: 2, Seq: 100})
-	b.Add(FlightRec{Kind: FlightDeliver, Gen: 7, Seq: 101})
 	d := f.Dump()
-	if !d.Truncated || d.TruncatedGen != 4 {
-		t.Fatalf("truncation = (%v, gen %d), want (true, gen 4)", d.Truncated, d.TruncatedGen)
+	if !d.Truncated || d.TruncatedGen != 5 {
+		t.Fatalf("truncation = (%v, gen %d), want (true, gen 5)", d.Truncated, d.TruncatedGen)
 	}
-	for _, r := range d.Records {
-		if r.Gen <= 4 {
-			t.Errorf("record at gen %d survived below the cutoff", r.Gen)
+	var want []int64
+	for _, g := range written {
+		if g > d.TruncatedGen {
+			want = append(want, g)
 		}
 	}
-	// 4 evicted by ring overwrite + shard a's gen<=4 survivors... all
-	// overwritten already; shard b contributes its gen-2 record to the
-	// cutoff count.
-	if d.Evicted != 5 {
-		t.Errorf("Evicted = %d, want 5 (4 overwritten + 1 cut)", d.Evicted)
+	var got []int64
+	for _, r := range d.Records {
+		got = append(got, r.Gen)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("dump gens = %v, want the complete suffix %v", got, want)
+	}
+	if d.Evicted != 3 {
+		t.Errorf("Evicted = %d, want 3 (2 overwritten + the gen-3 record cut)", d.Evicted)
 	}
 }
 
@@ -101,7 +100,7 @@ func TestFlightSerial(t *testing.T) {
 // TestFlightDumpRepeatable: dumping does not consume the recorder.
 func TestFlightDumpRepeatable(t *testing.T) {
 	f := NewFlight(8, 1)
-	f.Shard(0).Add(FlightRec{Kind: FlightDetect, Gen: 1, Seq: 1, Bits: "\x05"})
+	f.Add(FlightRec{Kind: FlightDetect, Gen: 1, Seq: 1, Bits: "\x05"})
 	a, _ := json.Marshal(f.Dump())
 	b, _ := json.Marshal(f.Dump())
 	if string(a) != string(b) {
@@ -113,7 +112,7 @@ func TestFlightDumpRepeatable(t *testing.T) {
 // bitset into ascending event IDs on the wire.
 func TestFlightBitsetDecode(t *testing.T) {
 	f := NewFlight(8, 1)
-	f.Shard(0).Add(FlightRec{Kind: FlightDetect, Gen: 1, Seq: 1, Bits: "\x05\x01"}) // bits 0,2,8
+	f.Add(FlightRec{Kind: FlightDetect, Gen: 1, Seq: 1, Bits: "\x05\x01"}) // bits 0,2,8
 	d := f.Dump()
 	got := d.Records[0].Events
 	if len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 8 {
@@ -121,27 +120,25 @@ func TestFlightBitsetDecode(t *testing.T) {
 	}
 }
 
-// TestFlightShardAddDoesNotAllocate: the hot-path write contract. The
-// hop loop stays zero-alloc with the recorder on only if Add is a plain
-// store.
+// TestFlightShardAddDoesNotAllocate: the engine feeds the ring a record
+// per delivery and detection, so Add must be a locked plain store.
 func TestFlightShardAddDoesNotAllocate(t *testing.T) {
 	f := NewFlight(64, 1)
-	s := f.Shard(0)
 	r := FlightRec{Kind: FlightDeliver, Gen: 1, Seq: 2, Host: "H1"}
-	if n := testing.AllocsPerRun(1000, func() { s.Add(r) }); n != 0 {
-		t.Fatalf("FlightShard.Add allocates %.1f/op, want 0", n)
+	if n := testing.AllocsPerRun(1000, func() { f.Add(r) }); n != 0 {
+		t.Fatalf("Flight.Add allocates %.1f/op, want 0", n)
 	}
 }
 
-// TestFlightDefaults: capacity defaulting and shard growth.
+// TestFlightDefaults: capacity defaulting, and a ring holding the
+// per-worker capacity once for each worker and once for serial records.
 func TestFlightDefaults(t *testing.T) {
-	f := NewFlight(0, 0)
+	f := NewFlight(0, 3)
 	if f.Cap() != DefaultFlightCap {
 		t.Errorf("Cap = %d, want DefaultFlightCap", f.Cap())
 	}
-	f.EnsureShards(3)
-	if f.Shard(2) == nil {
-		t.Error("EnsureShards(3) did not create shard 2")
+	if got, want := len(f.recs), 4*DefaultFlightCap; got != want {
+		t.Errorf("ring holds %d records, want %d", got, want)
 	}
 	if d := f.Dump(); len(d.Records) != 0 || d.Truncated {
 		t.Errorf("fresh recorder dumps %+v, want empty untruncated", d)

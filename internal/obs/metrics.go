@@ -121,7 +121,7 @@ const (
 	GaugeWatchDropped  // events dropped across all /watch subscribers
 	GaugeTracePending  // journeys currently being stitched
 	GaugeTraceOrphans  // hop records whose journey was already evicted
-	GaugeFlightEvicted // flight records overwritten across all rings
+	GaugeFlightEvicted // flight records overwritten
 	GaugeAlertsActive  // watchdog alerts currently firing
 	numGauges
 )
@@ -162,7 +162,7 @@ var gaugeHelp = [numGauges]string{
 	GaugeWatchDropped:       "Events dropped to slow /watch consumers (cumulative).",
 	GaugeTracePending:       "Sampled journeys currently being stitched.",
 	GaugeTraceOrphans:       "Trace hop records arriving after their journey was evicted (cumulative).",
-	GaugeFlightEvicted:      "Flight-recorder records overwritten across all rings (cumulative).",
+	GaugeFlightEvicted:      "Flight-recorder records overwritten (cumulative).",
 	GaugeAlertsActive:       "Watchdog alerts currently firing.",
 }
 

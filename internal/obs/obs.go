@@ -43,8 +43,8 @@ type Obs struct {
 	Bus *Bus
 	// Trace samples packet journeys (nil = tracing off).
 	Trace *Tracer
-	// Flight is the always-on flight recorder: bounded per-worker rings
-	// of full-fidelity recent history, dumped on demand (nil = off).
+	// Flight is the always-on flight recorder: one bounded ring of
+	// full-fidelity recent history, dumped on demand (nil = off).
 	Flight *Flight
 	// Watch derives alert events from metric deltas at chunk boundaries
 	// (nil = no watchdog). Requires Metrics to do anything.

@@ -33,8 +33,8 @@ type WatchOptions struct {
 	// reaches it. Default 32768.
 	PendingMax int64
 	// DropWindowMax raises drop_rate when the drops accrued since the
-	// previous boundary — bus-wide /watch drops, detection-ring overflow,
-	// trace-ring overflow, and truncated journeys — reach it. Default 256.
+	// previous boundary — bus-wide /watch drops, trace-ring overflow,
+	// and truncated journeys — reach it. Default 256.
 	DropWindowMax int64
 	// SwapDrainGens raises swap_drain_overrun when a swap stays draining
 	// across this many generations. Default 65536.
@@ -145,9 +145,8 @@ func (w *Watchdog) Check(gen int64, m *Metrics, b *Bus) {
 	w.set(m, b, gen, AlertQueueSaturation, pending >= w.opts.PendingMax, pending, w.opts.PendingMax)
 
 	// Drop rate: everything the telemetry layer sheds under pressure —
-	// /watch subscriber overflow (bus-wide, including folded
-	// detection-ring overflow), trace-ring overflow, and journeys emitted
-	// truncated — as one per-window delta.
+	// /watch subscriber overflow (bus-wide), trace-ring overflow, and
+	// journeys emitted truncated — as one per-window delta.
 	drops := m.Gauge(GaugeWatchDropped) + m.Counter(CtrTraceRecDrops) + m.Counter(CtrTracesTruncated)
 	d := drops - w.lastDrops
 	w.lastDrops = drops
