@@ -56,9 +56,15 @@ func parseMetrics(r io.Reader) (*snapshot, error) {
 			continue
 		}
 		key, valStr := line[:sp], line[sp+1:]
-		val, err := strconv.ParseFloat(valStr, 64)
+		// Engine values are integers, read exactly; the runtime families'
+		// %g gauges are truncated.
+		val, err := strconv.ParseInt(valStr, 10, 64)
 		if err != nil {
-			continue
+			f, ferr := strconv.ParseFloat(valStr, 64)
+			if ferr != nil {
+				continue
+			}
+			val = int64(f)
 		}
 		name, labels := key, ""
 		if i := strings.IndexByte(key, '{'); i >= 0 {
@@ -88,9 +94,8 @@ func parseMetrics(r io.Reader) (*snapshot, error) {
 				h = &obs.Histogram{}
 				s.hists[hname] = h
 			}
-			cum := int64(val)
-			h.Count[idx] = cum - lastCum[hname]
-			lastCum[hname] = cum
+			h.Count[idx] = val - lastCum[hname]
+			lastCum[hname] = val
 		case strings.HasSuffix(name, "_sum"):
 			hname := shortName(strings.TrimSuffix(name, "_sum"))
 			if types[strings.TrimSuffix(name, "_sum")] == "histogram" || s.hists[hname] != nil {
@@ -99,14 +104,14 @@ func parseMetrics(r io.Reader) (*snapshot, error) {
 					h = &obs.Histogram{}
 					s.hists[hname] = h
 				}
-				h.Sum = int64(val)
+				h.Sum = val
 			}
 		case strings.HasSuffix(name, "_count"):
 			// Recomputable from the buckets; skip.
 		case types[name] == "counter" || strings.HasSuffix(name, "_total"):
-			s.counters[shortName(strings.TrimSuffix(name, "_total"))] = int64(val)
+			s.counters[shortName(strings.TrimSuffix(name, "_total"))] = val
 		default:
-			s.gauges[shortName(name)] = int64(val)
+			s.gauges[shortName(name)] = val
 		}
 	}
 	return s, sc.Err()

@@ -30,9 +30,9 @@ import (
 //
 // Between the phases the lead worker (the calling goroutine, shard 0)
 // runs two tiny serial steps: the prefix sums, and the generation tail
-// (counter folds, swap accounting, retirement, continue/stop). See
-// docs/DATAPLANE.md for why this is observationally identical to the
-// one-generation-per-rendezvous engine it replaced.
+// (count folds, retirement, continue/stop). See docs/DATAPLANE.md for
+// why this is observationally identical to the one-generation-per-
+// rendezvous engine it replaced.
 
 // defaultChunkGens is the Options.ChunkGens default: long enough to
 // amortize chunk entry/exit, short enough that a bounded delivery log
@@ -247,13 +247,13 @@ func (e *Engine) genConsume(w int) {
 }
 
 // genFinish is the serial generation tail, run with all workers at the
-// rendezvous: fold per-worker counters into engine totals and per-epoch
-// inflight counts, advance the seq window, account the transition, and
-// decide retirement exactly where the counts are freshly exact (the
-// transition window closes at the generation that drained the last old
-// packet, not at the next boundary). Returns false at quiescence.
+// rendezvous: fold per-worker counts into the engine's and per-epoch
+// inflight counts, advance the seq window, and decide retirement exactly
+// where the counts are freshly exact (the transition window closes at
+// the generation that drained the last old packet, not at the next
+// boundary). Returns false at quiescence.
 func (e *Engine) genFinish() bool {
-	genHops, genDrained := int64(0), int64(0)
+	hops0 := e.n[obs.CtrHops]
 	// The generation consumed every queued packet; the rings now hold
 	// exactly what consume pushed back, so per-epoch inflight counts are
 	// recomputed from scratch.
@@ -261,14 +261,13 @@ func (e *Engine) genFinish() bool {
 		ps.inflight = 0
 	}
 	for _, wk := range e.ws {
-		e.processed += wk.processed
-		genHops += wk.processed
-		genDrained += wk.drained
-		e.dropped += wk.ttlDropped
 		if wk.ms != nil {
-			wk.chunkHops += wk.processed // folded by foldChunkTime at chunk exit
+			wk.chunkHops += wk.n[obs.CtrHops] // folded by foldChunkTime at chunk exit
 		}
-		wk.processed, wk.drained, wk.ttlDropped = 0, 0, 0
+		for c, v := range wk.n {
+			e.n[c] += v
+		}
+		wk.n = counts{}
 		for s := 0; s < 2; s++ {
 			if wk.pushN[s] != 0 {
 				if ps := e.prog(wk.pushE[s]); ps != nil {
@@ -280,23 +279,17 @@ func (e *Engine) genFinish() bool {
 	}
 	e.ringLo = e.seq
 	e.seq += e.genPushes
-	if e.swap != nil {
-		e.swap.s.stats.TransitionHops += genHops
-		e.swap.s.stats.DrainedHops += genDrained
+	genHops := e.n[obs.CtrHops] - hops0
+	if genHops > 0 {
+		e.n[obs.CtrGenerations]++
 	}
-	// Serial metrics tail: plain stores into the lead's shard (the lead
-	// *is* worker 0, and every other worker is parked at the rendezvous),
-	// so the per-generation cost is a handful of array writes. The
-	// wall-clock cache refreshes every 8th generation — delivery-latency
-	// stamps trade that much resolution for keeping time.Now off the
-	// per-generation path (the log2 buckets absorb it).
+	// Serial histogram tail: a plain store into the lead's shard (the
+	// lead *is* worker 0, and every other worker is parked at the
+	// rendezvous). The wall-clock cache refreshes every 8th generation —
+	// delivery-latency stamps trade that much resolution for keeping
+	// time.Now off the per-generation path (the log2 buckets absorb it).
 	if ms := e.ws[0].ms; ms != nil && genHops > 0 {
-		ms.Inc(obs.CtrGenerations)
-		ms.Add(obs.CtrHops, genHops)
 		ms.Observe(obs.HistGenOccupancy, genHops)
-		if genDrained != 0 {
-			ms.Add(obs.CtrDrainedHops, genDrained)
-		}
 		if e.gen&7 == 0 {
 			e.setNow(time.Now().UnixNano())
 		}

@@ -56,8 +56,7 @@ func (e *Engine) mergeDeliveries() {
 		return
 	}
 	if e.eobs != nil {
-		e.flushDeliverySamples() // the dlog cursors reset below
-		e.feedFlight()
+		e.feed() // the dlog cursors reset below
 	}
 	start := len(e.deliveries)
 	for _, wk := range e.ws {
@@ -66,7 +65,7 @@ func (e *Engine) mergeDeliveries() {
 			wk.dlog[i] = flatDelivery{} // release references
 		}
 		wk.dlog = wk.dlog[:0]
-		wk.dlogFlushed, wk.dlogFed = 0, 0
+		wk.dlogFed = 0
 	}
 	tail := e.deliveries[start:]
 	// (parent seq, branch) keys are unique per delivery, so the unstable

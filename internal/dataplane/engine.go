@@ -155,13 +155,11 @@ type portDest struct {
 // worker owns a shard of switches during a generation. All its fields are
 // private to one goroutine between rendezvous points.
 type worker struct {
-	id         int32
-	outbox     []outEntry
-	dlog       []flatDelivery // private delivery log, merged lazily
-	free       [][]int32      // recycled flat value arrays
-	processed  int64
-	drained    int64 // old-epoch hops during a transition
-	ttlDropped int64 // packets discarded by the hop TTL
+	id     int32
+	outbox []outEntry
+	dlog   []flatDelivery // private delivery log, merged lazily
+	free   [][]int32      // recycled flat value arrays
+	n      counts         // this generation's counts, folded by genFinish
 
 	// gen mirrors the engine generation for the delivery log and trace
 	// records (each worker advances its own copy inside a chunk, so no
@@ -169,23 +167,20 @@ type worker struct {
 	gen int64
 
 	// Observability state, nil/zero when the layer is off. ms and ts are
-	// this worker's private metric and trace shards (plain writes on the
-	// hop loop, folded at boundaries); det logs this boundary's event
-	// detections for the bus and the flight recorder (nil when neither
-	// is attached); dlogFed and detFed are the flight recorder's cursors
-	// into dlog and det, dlogFlushed the delivery sampler's; nowNs is a
-	// coarse wall-clock cache for delivery-latency stamps, written only
-	// in serial phases (setNow), so the hop loop never calls time.Now;
-	// chunkHops accumulates hops over a chunk for the per-chunk
-	// hop-latency fold.
-	ms          *obs.Shard
-	ts          *obs.TraceShard
-	det         []obs.FlightRec
-	dlogFed     int
-	detFed      int
-	dlogFlushed int
-	nowNs       int64
-	chunkHops   int64
+	// this worker's private histogram and trace shards (plain writes on
+	// the hop loop, folded at boundaries); det logs the event detections
+	// since the last feed, for the bus and the flight recorder (nil when
+	// neither is attached); dlogFed is the feed's cursor into dlog; nowNs
+	// is a coarse wall-clock cache for delivery-latency stamps, written
+	// only in serial phases (setNow), so the hop loop never calls
+	// time.Now; chunkHops accumulates hops over a chunk for the
+	// per-chunk hop-latency fold.
+	ms        *obs.Shard
+	ts        *obs.TraceShard
+	det       []obs.FlightRec
+	dlogFed   int
+	nowNs     int64
+	chunkHops int64
 
 	// pushE/pushN tally this worker's ring pushes by program epoch during
 	// the consume phase (at most two epochs are ever live); the serial
@@ -409,11 +404,10 @@ type Engine struct {
 
 	seq          int64
 	gen          int64
-	processed    int64
+	n            counts // the engine's counters: workers' folded by genFinish, plus ingress
 	deliveries   []flatDelivery
 	deliveryBase int // absolute index of deliveries[0] (log trimming)
 	deliveryCap  int
-	dropped      int64 // packets discarded by the hop TTL
 	ws           []*worker
 
 	// Chunked-generation state. ringLo/genLo delimit the dense seq window
@@ -432,8 +426,8 @@ type Engine struct {
 	boundReq  atomic.Bool
 	ph        phaser
 
-	// Observability (all nil when Options.Obs was nil). lastPub holds the
-	// counter values of the previous stats-delta bus event.
+	// Observability (all nil when Options.Obs was nil). folded is n as
+	// of the previous boundary fold.
 	eobs    *obs.Obs
 	met     *obs.Metrics
 	bus     *obs.Bus
@@ -441,9 +435,8 @@ type Engine struct {
 	flight  *obs.Flight
 	watch   *obs.Watchdog
 	dsample int   // publish every Nth delivery on the bus (0 = none)
-	dcount  int64 // deliveries seen by the boundary sampler
-	lastPub [obsDeltaCounters]int64
-	lastFl  [obsDeltaCounters]int64 // previous flight stats record's counters
+	dcount  int64 // deliveries seen by the bus sampler
+	folded  counts
 
 	// Served-mode coordination. wmu guards inbox, ctl, serving, stopping
 	// and idle; cond (on wmu) wakes the supervisor and Quiesce/waiters.
@@ -540,7 +533,7 @@ func NewEngine(n *nes.NES, t *topo.Topology, opts Options) *Engine {
 }
 
 // attachObs wires the observability layer: every worker gets its
-// preallocated metric shard and trace ring up front, so nothing on the
+// preallocated histogram shard and trace ring up front, so nothing on the
 // hot path ever allocates observability state.
 func (e *Engine) attachObs(o *obs.Obs) {
 	e.eobs = o
@@ -672,4 +665,4 @@ func (e *Engine) View(sw int) nes.Set { return e.cur().views[e.swIdx[sw]] }
 
 // Processed returns how many switch-hops the engine has executed — the
 // numerator of a packets/sec measurement.
-func (e *Engine) Processed() int64 { return e.processed }
+func (e *Engine) Processed() int64 { return e.n[obs.CtrHops] }

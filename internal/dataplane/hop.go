@@ -79,7 +79,7 @@ func (e *Engine) drain(wk *worker, i int) {
 		tr = &transition{old: e.progs[0].epoch, next: e.progs[1], mapEvent: e.swap.spec.MapEvent}
 	}
 	sw, dests := int32(e.switches[i]), e.dests[i]
-	processed := wk.processed
+	hops := wk.n[obs.CtrHops]
 	for r.len() > 0 {
 		p := r.peekRef()
 		rec := &e.emitBuf[p.seq-e.genLo-1]
@@ -91,7 +91,7 @@ func (e *Engine) drain(wk *worker, i int) {
 		rec.n = int32(len(wk.outbox)) - rec.start
 		r.drop()
 	}
-	e.hops[i] += wk.processed - processed
+	e.hops[i] += wk.n[obs.CtrHops] - hops
 }
 
 // hop forwards packet p one switch-hop at switch index i, whose ID is sw
@@ -106,7 +106,7 @@ func hop(wk *worker, ps *progState, i int, sw int32, dests []portDest, p *qpkt, 
 		wk.drop(p, sw, obs.HopTTLDrop, -1) // forwarding loop (see maxPacketHops)
 		return
 	}
-	wk.processed++
+	wk.n[obs.CtrHops]++
 	if ps == nil {
 		wk.drop(p, sw, obs.HopStale, -1) // stamped by a retired epoch; cannot happen post-drain
 		return
@@ -120,11 +120,9 @@ func hop(wk *worker, ps *progState, i int, sw int32, dests []portDest, p *qpkt, 
 	ps.views[i] = known.Union(newly)
 	outDigest := p.digest.Union(view).Union(newly)
 	if newly != nes.Empty {
-		// Detection is rare: a plain store and an append to the
-		// worker's log, read at the next boundary.
-		if wk.ms != nil {
-			wk.ms.Add(obs.CtrEventsFired, int64(newly.Count()))
-		}
+		// Detection is rare: a count and an append to the worker's
+		// log, read at the next feed.
+		wk.n[obs.CtrEventsFired] += int64(newly.Count())
 		wk.logDetect(p, sw, newly)
 	}
 
@@ -136,7 +134,7 @@ func hop(wk *worker, ps *progState, i int, sw int32, dests []portDest, p *qpkt, 
 	// switch, so this rule together with the flip-time replay is the
 	// complete carry-over discipline (docs/CONTROLLER.md).
 	if tr != nil && p.epoch == tr.old {
-		wk.drained++
+		wk.n[obs.CtrDrainedHops]++
 		if newly != nes.Empty {
 			if mapped := mapEvents(newly, tr.mapEvent); mapped != nes.Empty {
 				tr.next.views[i] = tr.next.nes.Admit(tr.next.views[i], mapped)
@@ -204,11 +202,9 @@ func hop(wk *worker, ps *progState, i int, sw int32, dests []portDest, p *qpkt, 
 				sw:     sw,
 				gen:    wk.gen,
 			})
-			if wk.ms != nil {
-				wk.ms.Inc(obs.CtrDeliveries)
-				if p.tns != 0 {
-					wk.ms.Observe(obs.HistDeliveryNs, wk.nowNs-p.tns)
-				}
+			wk.n[obs.CtrDeliveries]++
+			if wk.ms != nil && p.tns != 0 {
+				wk.ms.Observe(obs.HistDeliveryNs, wk.nowNs-p.tns)
 			}
 			if p.trace != 0 {
 				wk.traceRec(p, sw, obs.HopDeliver, ri, 0, int32(gi), d.host)
@@ -241,12 +237,9 @@ func hop(wk *worker, ps *progState, i int, sw int32, dests []portDest, p *qpkt, 
 // packet's value array to the free list.
 func (wk *worker) drop(p *qpkt, sw int32, kind obs.HopKind, rank int32) {
 	if kind == obs.HopTTLDrop {
-		wk.ttlDropped++
-		if wk.ms != nil {
-			wk.ms.Inc(obs.CtrTTLDrops)
-		}
-	} else if wk.ms != nil {
-		wk.ms.Inc(obs.CtrRuleDrops)
+		wk.n[obs.CtrTTLDrops]++
+	} else {
+		wk.n[obs.CtrRuleDrops]++
 	}
 	if p.trace != 0 {
 		wk.traceRec(p, sw, kind, rank, 0, p.branch, "")

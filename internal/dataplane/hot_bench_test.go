@@ -75,7 +75,7 @@ func BenchmarkEngineHopLoop(b *testing.B) {
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
 	}
-	start := e.processed
+	start := e.Processed()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -89,7 +89,7 @@ func BenchmarkEngineHopLoop(b *testing.B) {
 		e.generation()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(e.processed-start)/float64(b.N), "hops/op")
+	b.ReportMetric(float64(e.Processed()-start)/float64(b.N), "hops/op")
 	_ = e.Run() // reclaim the in-flight packet
 }
 

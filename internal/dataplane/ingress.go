@@ -75,9 +75,7 @@ func (e *Engine) injectMap(cp *progState, host string, fields netkat.Packet, ine
 		return Stamp{}, inert, err
 	}
 	version := e.versionAt(cp, h.sw)
-	if e.met != nil {
-		wk.ms.Inc(obs.CtrInjections)
-	}
+	e.n[obs.CtrInjections]++
 	e.ingress(cp, h, version, vals, pres, inert.since(lo), now)
 	return Stamp{Epoch: cp.epoch, Version: version}, inert, nil
 }
@@ -478,9 +476,7 @@ func (e *Engine) admit(b *Batch, now int64) {
 			e.ingress(cp, h, version, vals, pres, own, now)
 		}
 	}
-	if e.met != nil {
-		wk.ms.Add(obs.CtrInjections, int64(b.packets))
-	}
+	e.n[obs.CtrInjections] += int64(b.packets)
 	b.Release()
 }
 

@@ -9,38 +9,45 @@ import (
 
 // Boundary-time observability: everything here runs in serial engine
 // contexts (boundary(), Do closures, the generation tail), where
-// workers are quiescent and allocation is fine. The hop loop's only
-// observability work is the plain shard stores and the detection log in
-// hop/drain; this file
-// is where those shards are folded, the bus and the flight recorder
-// are fed from the workers' logs, and journeys are stitched.
+// workers are quiescent and allocation is fine. The hop loop counts into
+// its worker's counts and logs deliveries and detections; this file
+// folds the counts into the metrics and the stats deltas, feeds the
+// workers' logs to the bus and the flight recorder, and stitches
+// journeys.
 
-// obsDeltaCounters is the number of counters tracked for stats-delta
-// bus events; deltaCtrs names them in StatsDelta field order.
-const obsDeltaCounters = 8
+// counts is one set of the engine's counters, indexed by obs.Counter
+// from CtrHops through CtrEventsFired. Each worker counts its hops into
+// its own set, the generation tail adds them into the engine's, and
+// Snapshot, Processed, the metrics, the stats deltas and SwapStats all
+// read that one set.
+type counts [obs.CtrEventsFired + 1]int64
 
-var deltaCtrs = [obsDeltaCounters]obs.Counter{
-	obs.CtrGenerations, obs.CtrHops, obs.CtrInjections, obs.CtrDeliveries,
-	obs.CtrRuleDrops, obs.CtrTTLDrops, obs.CtrEventsFired, obs.CtrDrainedHops,
-}
-
-// flushObs is the boundary fold: publish shard deltas into the metrics
-// atomics, refresh gauges, feed the flight recorder, publish the
-// detection logs and delivery samples on the bus, stitch and emit
-// completed journeys, and publish a stats delta when anything moved.
-// Serial context only.
+// flushObs is the boundary fold: feed the workers' logs, add the counts
+// since the previous fold to the metrics, refresh gauges, stitch and
+// emit completed journeys, and record one stats delta, on the bus and
+// in the flight recorder, when anything moved. Serial context only.
 func (e *Engine) flushObs() {
-	e.feedFlight()
+	e.feed()
+	var d counts
+	for i, v := range e.n {
+		d[i] = v - e.folded[i]
+	}
+	e.folded = e.n
+	pending, dlog := int64(e.pending()), int64(len(e.deliveries))
+	for _, wk := range e.ws {
+		dlog += int64(len(wk.dlog))
+	}
 	if e.met != nil {
+		for c, v := range d {
+			if v != 0 {
+				e.met.Add(obs.Counter(c), v)
+			}
+		}
 		e.met.Fold()
-		e.met.SetGauge(obs.GaugePending, int64(e.pending()))
+		e.met.SetGauge(obs.GaugePending, pending)
 		e.met.SetGauge(obs.GaugeEpoch, int64(e.cur().epoch))
 		e.met.SetGauge(obs.GaugePrograms, int64(len(e.progs)))
-		dl := len(e.deliveries)
-		for _, wk := range e.ws {
-			dl += len(wk.dlog)
-		}
-		e.met.SetGauge(obs.GaugeDeliveryLog, int64(dl))
+		e.met.SetGauge(obs.GaugeDeliveryLog, dlog)
 		if e.bus != nil {
 			e.met.SetGauge(obs.GaugeWatchSubscribers, int64(e.bus.Subscribers()))
 			e.met.SetGauge(obs.GaugeWatchDropped, e.bus.Dropped())
@@ -50,21 +57,6 @@ func (e *Engine) flushObs() {
 		}
 		e.setNow(time.Now().UnixNano())
 	}
-	for _, wk := range e.ws {
-		if e.bus != nil {
-			for i := range wk.det {
-				r := &wk.det[i]
-				e.bus.Publish(obs.Event{
-					Kind: obs.KindEvent, Gen: r.Gen,
-					Epoch: int(r.Epoch), Version: int(r.Version),
-					Switch: int(r.Switch), PacketSeq: r.Seq,
-					Events: nes.Set(r.Bits).Elems(),
-				})
-			}
-		}
-		wk.det, wk.detFed = wk.det[:0], 0
-	}
-	e.flushDeliverySamples()
 	if e.tracer != nil {
 		done, drops := e.tracer.Flush(e.gen)
 		if e.met != nil {
@@ -89,20 +81,27 @@ func (e *Engine) flushObs() {
 			}
 		}
 	}
-	if e.bus != nil && e.met != nil && e.bus.Active() {
-		if d := e.statsDelta(&e.lastPub); d != nil {
-			e.bus.Publish(obs.Event{Kind: obs.KindStats, Gen: e.gen, Epoch: e.cur().epoch, Stats: d})
+	// One delta per boundary, the same on the bus and in the flight
+	// recorder: engine totals, so worker-count independent, and a flight
+	// dump reads the same whether or not a /watch client was attached.
+	if d != (counts{}) && (e.bus != nil || e.flight != nil) {
+		st := &obs.StatsDelta{
+			Generations: d[obs.CtrGenerations],
+			Hops:        d[obs.CtrHops],
+			Injections:  d[obs.CtrInjections],
+			Deliveries:  d[obs.CtrDeliveries],
+			RuleDrops:   d[obs.CtrRuleDrops],
+			TTLDrops:    d[obs.CtrTTLDrops],
+			Events:      d[obs.CtrEventsFired],
+			DrainedHops: d[obs.CtrDrainedHops],
+			Pending:     pending,
+			DeliveryLog: dlog,
 		}
-	}
-	// The flight recorder gets its own boundary stats record, on its own
-	// delta baseline: the bus delta above only advances while someone is
-	// subscribed, and a flight dump must read the same whether or not a
-	// /watch client happened to be attached (determinism across equal
-	// executions). The recorded deltas are engine totals — worker-count
-	// independent by the fold.
-	if e.flight != nil && e.met != nil {
-		if d := e.statsDelta(&e.lastFl); d != nil {
-			e.flight.Serial(obs.FlightRec{Kind: obs.FlightStats, Gen: e.gen, Seq: e.seq, Epoch: int32(e.cur().epoch), Stats: d})
+		if e.bus.Active() {
+			e.bus.Publish(obs.Event{Kind: obs.KindStats, Gen: e.gen, Epoch: e.cur().epoch, Stats: st})
+		}
+		if e.flight != nil {
+			e.flight.Serial(obs.FlightRec{Kind: obs.FlightStats, Gen: e.gen, Seq: e.seq, Epoch: int32(e.cur().epoch), Stats: st})
 		}
 	}
 	if e.watch != nil {
@@ -110,38 +109,9 @@ func (e *Engine) flushObs() {
 	}
 }
 
-// statsDelta reads the delta counters against the baseline at base and
-// advances it: the counters' movement since, with the pending and
-// delivery-log gauges flushObs just set, or nil when nothing moved.
-func (e *Engine) statsDelta(base *[obsDeltaCounters]int64) *obs.StatsDelta {
-	var cur [obsDeltaCounters]int64
-	moved := false
-	for i, c := range deltaCtrs {
-		cur[i] = e.met.Counter(c)
-		moved = moved || cur[i] != base[i]
-	}
-	if !moved {
-		return nil
-	}
-	d := &obs.StatsDelta{
-		Generations: cur[0] - base[0],
-		Hops:        cur[1] - base[1],
-		Injections:  cur[2] - base[2],
-		Deliveries:  cur[3] - base[3],
-		RuleDrops:   cur[4] - base[4],
-		TTLDrops:    cur[5] - base[5],
-		Events:      cur[6] - base[6],
-		DrainedHops: cur[7] - base[7],
-		Pending:     e.met.Gauge(obs.GaugePending),
-		DeliveryLog: e.met.Gauge(obs.GaugeDeliveryLog),
-	}
-	*base = cur
-	return d
-}
-
 // FlightDump dumps the flight recorder at a generation barrier (Do),
-// after feeding it what the workers logged since the last boundary: Step
-// ends without one. Nil when no recorder is attached. The dump is
+// after feeding it what the workers logged since the last feed: Step
+// ends without a boundary. Nil when no recorder is attached. The dump is
 // repeatable — the ring is not consumed.
 func (e *Engine) FlightDump() *obs.FlightDump {
 	if e.flight == nil {
@@ -149,35 +119,64 @@ func (e *Engine) FlightDump() *obs.FlightDump {
 	}
 	var d *obs.FlightDump
 	e.Do(func() {
-		e.feedFlight()
+		e.feed()
 		d = e.flight.Dump()
 	})
 	return d
 }
 
-// feedFlight copies the deliveries and detections the workers logged
-// since the last feed into the flight ring, so the hop loop records each
-// event once. Serial context only. It runs before anything resets a log
-// (the boundary fold, mergeDeliveries) and before every serial record
-// the engine writes, which keeps the ring's writes close to generation
-// order and its truncation cutoff low.
-func (e *Engine) feedFlight() {
-	if e.flight == nil {
-		return
+// feed hands what the workers logged since the last feed to the flight
+// recorder, every record, and to the bus, every detection and every Nth
+// delivery (N = Obs.DeliverySample, counted in the merged order of
+// appearance) with its fields materialized — never on the hop loop.
+// Detections go first, then deliveries: the flight's canonical kind
+// order. Serial context only; it runs at the boundary fold, before
+// mergeDeliveries resets the delivery logs, and in FlightDump, so each
+// record is fed exactly once.
+func (e *Engine) feed() {
+	for _, wk := range e.ws {
+		for i := range wk.det {
+			r := &wk.det[i]
+			if e.flight != nil {
+				e.flight.Add(*r)
+			}
+			if e.bus != nil {
+				e.bus.Publish(obs.Event{
+					Kind: obs.KindEvent, Gen: r.Gen,
+					Epoch: int(r.Epoch), Version: int(r.Version),
+					Switch: int(r.Switch), PacketSeq: r.Seq,
+					Events: nes.Set(r.Bits).Elems(),
+				})
+			}
+		}
+		wk.det = wk.det[:0]
 	}
+	sample := e.bus != nil && e.dsample > 0
+	active := sample && e.bus.Active()
 	for _, wk := range e.ws {
 		for i := wk.dlogFed; i < len(wk.dlog); i++ {
 			d := &wk.dlog[i]
-			e.flight.Add(obs.FlightRec{
-				Kind: obs.FlightDeliver, Switch: d.sw,
-				Branch: d.branch, Epoch: int32(d.stamp.Epoch), Version: int32(d.stamp.Version),
-				Gen: d.gen, Seq: d.seq, Host: d.host,
-			})
+			if e.flight != nil {
+				e.flight.Add(obs.FlightRec{
+					Kind: obs.FlightDeliver, Switch: d.sw,
+					Branch: d.branch, Epoch: int32(d.stamp.Epoch), Version: int32(d.stamp.Version),
+					Gen: d.gen, Seq: d.seq, Host: d.host,
+				})
+			}
+			if !sample {
+				continue
+			}
+			e.dcount++
+			if active && e.dcount%int64(e.dsample) == 0 {
+				e.bus.Publish(obs.Event{
+					Kind: obs.KindDelivery, Gen: e.gen,
+					Epoch: d.stamp.Epoch, Version: d.stamp.Version,
+					Host: d.host, PacketSeq: d.seq, Branch: d.branch,
+					Fields: map[string]int(d.schema.materialize(d.inert, d.vals, d.pres)),
+				})
+			}
 		}
-		for _, r := range wk.det[wk.detFed:] {
-			e.flight.Add(r)
-		}
-		wk.dlogFed, wk.detFed = len(wk.dlog), len(wk.det)
+		wk.dlogFed = len(wk.dlog)
 	}
 }
 
@@ -201,37 +200,6 @@ func (wk *worker) logDetect(p *qpkt, sw int32, newly nes.Set) {
 func (e *Engine) setNow(ns int64) {
 	for _, wk := range e.ws {
 		wk.nowNs = ns
-	}
-}
-
-// flushDeliverySamples publishes every Nth delivery (N =
-// Obs.DeliverySample, counted across the merged order of appearance)
-// from the per-worker log tails. It runs at boundaries and at the top
-// of mergeDeliveries — the cursors index into dlog, which the merge
-// resets — so every delivery is counted exactly once. Field maps are
-// materialized here, never on the hop loop.
-func (e *Engine) flushDeliverySamples() {
-	if e.bus == nil || e.dsample <= 0 {
-		for _, wk := range e.ws {
-			wk.dlogFlushed = len(wk.dlog)
-		}
-		return
-	}
-	active := e.bus.Active()
-	for _, wk := range e.ws {
-		for i := wk.dlogFlushed; i < len(wk.dlog); i++ {
-			e.dcount++
-			if active && e.dcount%int64(e.dsample) == 0 {
-				d := &wk.dlog[i]
-				e.bus.Publish(obs.Event{
-					Kind: obs.KindDelivery, Gen: e.gen,
-					Epoch: d.stamp.Epoch, Version: d.stamp.Version,
-					Host: d.host, PacketSeq: d.seq, Branch: d.branch,
-					Fields: map[string]int(d.schema.materialize(d.inert, d.vals, d.pres)),
-				})
-			}
-		}
-		wk.dlogFlushed = len(wk.dlog)
 	}
 }
 

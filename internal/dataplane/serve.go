@@ -1,5 +1,7 @@
 package dataplane
 
+import "eventnet/internal/obs"
+
 // Start launches the supervisor goroutine: the engine runs generations
 // continuously, admitting InjectAsync packets and control requests at
 // barriers. Start is idempotent; after Stop the engine stays stopped.
@@ -142,19 +144,15 @@ func (e *Engine) Snapshot() Snapshot {
 	var s Snapshot
 	e.Do(func() {
 		cp := e.cur()
-		delivered := e.deliveryBase + len(e.deliveries)
-		for _, wk := range e.ws {
-			delivered += len(wk.dlog) // not yet folded; counting stays lazy
-		}
 		s = Snapshot{
 			Epoch:      cp.epoch,
 			Programs:   len(e.progs),
 			Swapping:   e.swap != nil,
 			Generation: e.gen,
 			Pending:    e.pending(),
-			Processed:  e.processed,
-			Deliveries: delivered,
-			TTLDropped: e.dropped,
+			Processed:  e.n[obs.CtrHops],
+			Deliveries: int(e.n[obs.CtrDeliveries]),
+			TTLDropped: e.n[obs.CtrTTLDrops],
 			States:     len(cp.nes.Configs),
 			Events:     len(cp.nes.Events),
 		}

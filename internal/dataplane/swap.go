@@ -46,10 +46,12 @@ func (s *Swap) Done() <-chan struct{} { return s.done }
 // Stats returns the swap's statistics; call only after Done.
 func (s *Swap) Stats() SwapStats { return s.stats }
 
-// swapHandle is the engine-internal state of an active transition.
+// swapHandle is the engine-internal state of an active transition: at
+// holds the engine's counts at the flip, which the retire subtracts.
 type swapHandle struct {
 	spec SwapSpec
 	s    *Swap
+	at   counts
 }
 
 // StageSwap stages a live program replacement. At the next generation
@@ -97,7 +99,7 @@ func (e *Engine) flip(spec SwapSpec, s *Swap) error {
 		}
 	}
 	e.progs = append(e.progs, np)
-	e.swap = &swapHandle{spec: spec, s: s}
+	e.swap = &swapHandle{spec: spec, s: s, at: e.n}
 	s.stats.FlipAt = time.Now()
 	s.stats.FlipGen = e.gen
 	s.stats.CarriedEvents = carried
@@ -133,6 +135,8 @@ func (e *Engine) retireIfDrained() {
 	s := e.swap.s
 	s.stats.RetiredAt = time.Now()
 	s.stats.RetireGen = e.gen
+	s.stats.TransitionHops = e.n[obs.CtrHops] - e.swap.at[obs.CtrHops]
+	s.stats.DrainedHops = e.n[obs.CtrDrainedHops] - e.swap.at[obs.CtrDrainedHops]
 	e.swap = nil
 	if e.met != nil {
 		e.met.Inc(obs.CtrSwapRetires)
@@ -153,7 +157,6 @@ func (e *Engine) swapPhase(phase string, from, to int, inflight int64) {
 		})
 	}
 	if e.flight != nil {
-		e.feedFlight()
 		e.flight.Serial(obs.FlightRec{
 			Kind: obs.FlightSwap, Phase: phase,
 			From: int32(from), To: int32(to), Epoch: int32(to),

@@ -428,3 +428,47 @@ func TestStageSwapLowersNothingAtFlip(t *testing.T) {
 		}
 	}
 }
+
+// TestSwapStatsHopCounts pins what a swap reports it forwarded: 400
+// firewall packets one generation in when the program flips to
+// bandwidth-cap-8, and 100 more stamped by the new program. The
+// transition's hops (both epochs) and the old epoch's drained hops are
+// engine counts taken between flip and retire, so they do not depend on
+// the worker count or on whether observability is attached.
+func TestSwapStatsHopCounts(t *testing.T) {
+	const wantTransition, wantDrained = 207, 107
+	a := apps.Firewall()
+	n := buildNES(t, a)
+	n2 := buildNES(t, apps.BandwidthCap(8))
+	for _, w := range []int{1, 2, 4} {
+		for _, withObs := range []bool{false, true} {
+			opts := dataplane.Options{Workers: w}
+			if withObs {
+				opts.Obs = fullObs(w)
+			}
+			e := dataplane.NewEngine(n, a.Topo, opts)
+			inject := func(seed int64, k int) {
+				for _, in := range dataplane.NewLoadGen(n, a.Topo, seed).Injections(k) {
+					if err := e.Inject(in.Host, in.Fields); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			inject(1, 400)
+			e.Step(1)
+			sw, err := e.StageSwap(dataplane.SwapSpec{Plan: dataplane.PlanFor(n2)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inject(2, 100)
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			<-sw.Done()
+			if st := sw.Stats(); st.TransitionHops != wantTransition || st.DrainedHops != wantDrained {
+				t.Errorf("%d workers, obs %v: TransitionHops %d, DrainedHops %d; want %d, %d",
+					w, withObs, st.TransitionHops, st.DrainedHops, wantTransition, wantDrained)
+			}
+		}
+	}
+}

@@ -14,9 +14,8 @@ import (
 // The hop loop writes nothing here. The engine already logs every
 // delivery and detection in its workers' own logs, and feeds the records
 // logged since its last feed into the ring from serial contexts:
-// boundaries, dumps, the delivery merge, and ahead of each serial record
-// it writes. The controller's stage phase writes from the Swap caller's
-// goroutine, so one mutex guards the ring.
+// boundaries, dumps and the delivery merge. The controller's stage phase
+// writes from the Swap caller's goroutine, so one mutex guards the ring.
 //
 // Dump sorts the ring into the canonical (Gen, Seq, Kind, Branch) order —
 // the same total order the delivery merge and the tracer use — and

@@ -229,21 +229,15 @@ type histShard struct {
 	sum   int64
 }
 
-// Shard is one worker's private metrics shard. All methods are plain
+// Shard is one worker's private histogram shard. All methods are plain
 // writes with no synchronization: a shard must be written by exactly
 // one goroutine between folds, and Fold must run with shard writers
 // quiescent (the engine folds at chunk boundaries). No method
-// allocates.
+// allocates. Counters have no shard: the engine counts in its own set
+// and adds the boundary's delta with Metrics.Add.
 type Shard struct {
-	ctr  [numCounters]int64
 	hist [numHists]histShard
 }
-
-// Inc adds one to a counter.
-func (s *Shard) Inc(c Counter) { s.ctr[c]++ }
-
-// Add adds n to a counter.
-func (s *Shard) Add(c Counter, n int64) { s.ctr[c] += n }
 
 // Observe records one observation.
 func (s *Shard) Observe(h Hist, v int64) {
@@ -267,12 +261,13 @@ type histAtomic struct {
 	sum   atomic.Int64
 }
 
-// Metrics is the process-wide registry: per-worker shards written on
-// the hot path, folded into atomics at engine boundaries, scraped by
+// Metrics is the process-wide registry: per-worker histogram shards
+// written on the hot path and folded into atomics at engine boundaries,
+// counters and gauges written at those boundaries, all scraped by
 // WritePrometheus at any time. Direct methods (Add, Observe, SetGauge)
 // write the atomics and are safe from any goroutine — they are for
-// serial/boundary contexts (controller, chaos harness, netd handlers),
-// not the hop loop.
+// serial/boundary contexts (the engine's fold, controller, chaos
+// harness, netd handlers), not the hop loop.
 type Metrics struct {
 	mu     sync.Mutex
 	shards []*Shard
@@ -307,20 +302,14 @@ func (m *Metrics) Shard(i int) *Shard {
 	return m.shards[i]
 }
 
-// Fold publishes and zeroes every shard's deltas. The caller must
-// guarantee shard writers are quiescent (the engine calls it at chunk
-// boundaries); concurrent readers are always safe.
+// Fold publishes and zeroes every shard's histogram deltas. The caller
+// must guarantee shard writers are quiescent (the engine calls it at
+// chunk boundaries); concurrent readers are always safe.
 func (m *Metrics) Fold() {
 	m.mu.Lock()
 	shards := m.shards
 	m.mu.Unlock()
 	for _, s := range shards {
-		for c := Counter(0); c < numCounters; c++ {
-			if v := s.ctr[c]; v != 0 {
-				m.ctr[c].Add(v)
-				s.ctr[c] = 0
-			}
-		}
 		for h := Hist(0); h < numHists; h++ {
 			hs := &s.hist[h]
 			for b := 0; b < HistBuckets; b++ {

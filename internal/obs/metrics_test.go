@@ -28,18 +28,12 @@ func TestBucketOf(t *testing.T) {
 
 func TestShardFoldAndDirect(t *testing.T) {
 	m := NewMetrics(2)
-	m.Shard(0).Inc(CtrHops)
-	m.Shard(0).Add(CtrHops, 9)
-	m.Shard(1).Add(CtrHops, 5)
 	m.Shard(1).Observe(HistHopNs, 100)
 	m.Shard(0).ObserveN(HistHopNs, 100, 3)
-	if got := m.Counter(CtrHops); got != 0 {
-		t.Fatalf("counter visible before fold: %d", got)
+	if got := m.HistCount(HistHopNs); got != 0 {
+		t.Fatalf("histogram visible before fold: %d", got)
 	}
 	m.Fold()
-	if got := m.Counter(CtrHops); got != 15 {
-		t.Fatalf("CtrHops = %d, want 15", got)
-	}
 	if got := m.HistCount(HistHopNs); got != 4 {
 		t.Fatalf("HistHopNs count = %d, want 4", got)
 	}
@@ -48,13 +42,17 @@ func TestShardFoldAndDirect(t *testing.T) {
 	}
 	// Folding is a delta publish: a second fold adds nothing.
 	m.Fold()
-	if got := m.Counter(CtrHops); got != 15 {
-		t.Fatalf("second fold changed CtrHops to %d", got)
+	if got := m.HistCount(HistHopNs); got != 4 {
+		t.Fatalf("second fold changed the HistHopNs count to %d", got)
 	}
 	// Direct writes compose with folded ones.
+	m.Observe(HistHopNs, 100)
+	if got := m.HistSum(HistHopNs); got != 500 {
+		t.Fatalf("direct Observe: HistHopNs sum = %d, want 500", got)
+	}
 	m.Add(CtrHops, 5)
-	if got := m.Counter(CtrHops); got != 20 {
-		t.Fatalf("direct Add: CtrHops = %d, want 20", got)
+	if got := m.Counter(CtrHops); got != 5 {
+		t.Fatalf("direct Add: CtrHops = %d, want 5", got)
 	}
 	m.SetGauge(GaugePending, 7)
 	if got := m.Gauge(GaugePending); got != 7 {
@@ -66,8 +64,6 @@ func TestShardOpsDoNotAllocate(t *testing.T) {
 	m := NewMetrics(1)
 	s := m.Shard(0)
 	if n := testing.AllocsPerRun(1000, func() {
-		s.Inc(CtrHops)
-		s.Add(CtrDeliveries, 3)
 		s.Observe(HistHopNs, 120)
 		s.ObserveN(HistDeliveryNs, 4096, 7)
 	}); n != 0 {
@@ -112,14 +108,14 @@ func TestWritePrometheus(t *testing.T) {
 func TestEnsureShardsKeepsIdentity(t *testing.T) {
 	m := NewMetrics(1)
 	s0 := m.Shard(0)
-	s0.Inc(CtrHops)
+	s0.Observe(HistHopNs, 8)
 	m.EnsureShards(4)
 	if m.Shard(0) != s0 {
 		t.Fatal("EnsureShards replaced an existing shard")
 	}
 	m.Fold()
-	if got := m.Counter(CtrHops); got != 1 {
-		t.Fatalf("CtrHops = %d after growth, want 1", got)
+	if got := m.HistCount(HistHopNs); got != 1 {
+		t.Fatalf("HistHopNs count = %d after growth, want 1", got)
 	}
 }
 

@@ -1,20 +1,21 @@
-// Package obs is the zero-dependency observability layer: sharded
-// counters and fixed-bucket histograms (metrics.go), a bounded
+// Package obs is the zero-dependency observability layer: counters and
+// sharded fixed-bucket histograms (metrics.go), a bounded
 // drop-counting event bus for the streaming ops feed (bus.go), and
 // sampled packet journey tracing (trace.go).
 //
 // The package is designed around the engine's bulk-synchronous
 // execution model, and its concurrency contract mirrors the engine's:
 //
-//   - Hot-path writes (Shard counter/histogram updates, Tracer.Add) are
-//     plain stores into preallocated per-worker shards — no locks, no
+//   - Hot-path writes (Shard histogram updates, Tracer.Add) are plain
+//     stores into preallocated per-worker shards — no locks, no
 //     atomics, no maps, no interface boxing, and no allocation, so the
 //     engine's zero-alloc hop-loop guarantee holds with metrics and
 //     tracing enabled (CI-gated by TestEngineHopLoopZeroAllocObs).
 //   - Folding (Metrics.Fold, Tracer.Flush) happens at the engine's
 //     chunk boundaries, where workers are quiescent; the fold publishes
-//     shard values into atomics that readers (the /metrics handler, the
-//     stats-delta publisher) may scrape at any time.
+//     shard values into atomics that readers (the /metrics handler)
+//     may scrape at any time. The engine counts in its own counters and
+//     adds each boundary's delta with Metrics.Add.
 //   - Bus.Publish never blocks: a slow consumer overflows its own
 //     bounded buffer and the overflow is counted, never propagated back
 //     into a generation barrier.
