@@ -58,6 +58,41 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
+// TestChaosHashPin pins the synchronous delivery sequence across
+// commits: seed 7, 200 rounds, two workers, with per-packet and batched
+// ingress alike. The other determinism tests compare runs within one
+// build; this one fails if a change to the runner, the engine or a
+// scenario moves what the audit sees.
+func TestChaosHashPin(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		hash                    uint64
+		audited, injected, swap int
+		hops                    int64
+	}{
+		{"failover-diamond", 0x07163bab9d092640, 2815, 3872, 0, 9502},
+		{"storm-swap", 0xb1141614df7ed67f, 12644, 27069, 32, 39713},
+		{"wan-failover", 0x5352fae6e662f8ab, 2766, 3777, 32, 12075},
+		{"fattree-failover", 0xf04d219268df2266, 6285, 9392, 0, 34532},
+	} {
+		s, err := NewSchedule(tc.name, 7, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, batched := range []bool{false, true} {
+			r, err := Run(s, Options{Workers: 2, Batched: batched})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Hash != tc.hash || r.Audited != tc.audited || r.Injected != tc.injected || r.Swaps != tc.swap || r.Hops != tc.hops {
+				t.Errorf("%s batched=%v: hash %016x audited %d injected %d swaps %d hops %d, want %016x %d %d %d %d",
+					tc.name, batched, r.Hash, r.Audited, r.Injected, r.Swaps, r.Hops,
+					tc.hash, tc.audited, tc.injected, tc.swap, tc.hops)
+			}
+		}
+	}
+}
+
 // TestChaosServed: the schedule replayed through a served engine with
 // controller-driven swaps stays violation-free (scheduling is
 // timing-dependent there, so only the audit — not the hash — is
