@@ -5,7 +5,6 @@ import (
 
 	"eventnet/internal/dataplane"
 	"eventnet/internal/netkat"
-	"eventnet/internal/stateful"
 	"eventnet/internal/topo"
 )
 
@@ -185,13 +184,7 @@ func TestAuditDetectsTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stateOf := func(epoch, version int) (stateful.Cmd, stateful.State, string, bool) {
-		p := progs[0]
-		if epoch != 0 || version < 0 || version >= len(p.et.Vertices) {
-			return nil, nil, "", false
-		}
-		return p.app.Prog.Cmd, p.et.Vertices[version].State, p.app.Name, true
-	}
+	epochs := []epoch{progs[0].epoch}
 	// In state 0, H1 -> H4 is routed: Eval predicts exactly one delivery.
 	rec := injRecord{
 		host:   "H1",
@@ -203,27 +196,27 @@ func TestAuditDetectsTampering(t *testing.T) {
 		Fields: netkat.Packet{"dst": topo.HostID(4), "id": 0},
 		Stamp:  rec.stamp,
 	}
-	if m, d := audit(sc.tp, stateOf, []injRecord{rec}, []dataplane.Delivery{good}); m != 0 || d != 0 {
+	if m, d := audit(sc.tp, epochs, []injRecord{rec}, []dataplane.Delivery{good}); m != 0 || d != 0 {
 		t.Fatalf("clean log flagged: mixed=%d dropped=%d", m, d)
 	}
 	// Missing delivery -> dropped.
-	if m, d := audit(sc.tp, stateOf, []injRecord{rec}, nil); m != 0 || d != 1 {
+	if m, d := audit(sc.tp, epochs, []injRecord{rec}, nil); m != 0 || d != 1 {
 		t.Fatalf("missing delivery: mixed=%d dropped=%d, want 0/1", m, d)
 	}
 	// Wrong host -> mixed (and the predicted one is also missing).
 	bad := good
 	bad.Host = "H1"
-	if m, d := audit(sc.tp, stateOf, []injRecord{rec}, []dataplane.Delivery{bad}); m != 1 || d != 1 {
+	if m, d := audit(sc.tp, epochs, []injRecord{rec}, []dataplane.Delivery{bad}); m != 1 || d != 1 {
 		t.Fatalf("diverted delivery: mixed=%d dropped=%d, want 1/1", m, d)
 	}
 	// Wrong stamp -> mixed.
 	bad = good
 	bad.Stamp.Version = 1
-	if m, _ := audit(sc.tp, stateOf, []injRecord{rec}, []dataplane.Delivery{bad}); m != 1 {
+	if m, _ := audit(sc.tp, epochs, []injRecord{rec}, []dataplane.Delivery{bad}); m != 1 {
 		t.Fatalf("restamped delivery: mixed=%d, want 1", m)
 	}
 	// Duplicate delivery -> mixed.
-	if m, _ := audit(sc.tp, stateOf, []injRecord{rec}, []dataplane.Delivery{good, good}); m != 1 {
+	if m, _ := audit(sc.tp, epochs, []injRecord{rec}, []dataplane.Delivery{good, good}); m != 1 {
 		t.Fatalf("duplicated delivery: mixed=%d, want 1", m)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"eventnet/internal/apps"
 	"eventnet/internal/ctrl"
 	"eventnet/internal/dataplane"
 	"eventnet/internal/ets"
@@ -75,10 +74,18 @@ type Result struct {
 // Violations is the total audit failure count.
 func (r *Result) Violations() int { return r.Mixed + r.Dropped }
 
+// epoch is the audit view of one program generation: the name that
+// keys the prediction memo, the command Eval projects, and the ETS whose
+// vertices the stamps' configuration tags index.
+type epoch struct {
+	name string
+	cmd  stateful.Cmd
+	et   *ets.ETS
+}
+
 // prog is one compiled program of a scenario rotation.
 type prog struct {
-	app  apps.App
-	et   *ets.ETS
+	epoch
 	n    *nes.NES
 	plan *dataplane.Plan // n lowered once, for every swap to it in every run
 }
@@ -104,7 +111,7 @@ func compileScenario(sc *scenario) ([]prog, error) {
 		if err != nil {
 			return nil, fmt.Errorf("chaos: %s: %w", a.Name, err)
 		}
-		out = append(out, prog{app: a, et: et, n: n, plan: dataplane.PlanFor(n)})
+		out = append(out, prog{epoch: epoch{a.Name, a.Prog.Cmd, et}, n: n, plan: dataplane.PlanFor(n)})
 	}
 	return out, nil
 }
@@ -125,149 +132,154 @@ func Run(s Schedule, o Options) (*Result, error) {
 	return runOn(sc, progs, s, o)
 }
 
-// runOn is Run over an already compiled rotation.
+// runOn is Run over an already compiled rotation: the player drives the
+// engine itself, stepping and draining after every op.
 func runOn(sc *scenario, progs []prog, s Schedule, o Options) (*Result, error) {
-	workers := o.Workers
-	if workers <= 0 {
-		workers = 1
-	}
+	workers := max(o.Workers, 1)
 	e := dataplane.NewEngine(progs[0].n, sc.tp, dataplane.Options{Workers: workers, ChunkGens: o.ChunkGens, Obs: o.Obs})
+	return play(sc, s, o, workers, driver{
+		e: e, nes: progs[0].n, first: progs[0].epoch,
+		advance: func(n int) error {
+			e.Step(n)
+			return e.Run()
+		},
+		swap: func(from, to int) (epoch, error) {
+			// One generation into its journey, the swap's burst is in
+			// flight when the flip lands.
+			e.Step(1)
+			mapping, _ := ctrl.EventMapping(progs[from].n, progs[to].n)
+			_, err := e.StageSwap(dataplane.SwapSpec{Plan: progs[to].plan, MapEvent: mapping})
+			return progs[to].epoch, err
+		},
+	})
+}
 
+// driver is what a synchronous and a served run do differently: who
+// advances the engine, and how a swap reaches it.
+type driver struct {
+	e     *dataplane.Engine
+	nes   *nes.NES // the initial program, which the traffic is drawn against
+	first epoch    // the initial program's audit view
+	// advance runs n generations and then drains; nil when a supervisor
+	// goroutine advances the engine.
+	advance func(n int) error
+	// swap hot-swaps rotation entry from to entry to and returns the new
+	// generation's audit view.
+	swap func(from, to int) (epoch, error)
+}
+
+// play replays a schedule through a driver and audits every delivery.
+// Injections run inside e.Do, so the stamps are recorded serially with
+// the engine's own bookkeeping in either mode.
+func play(sc *scenario, s Schedule, o Options, workers int, d driver) (*Result, error) {
+	e := d.e
 	// Two independent traffic streams derived from the schedule seed: one
 	// for injection contents, one for arrival (batch-size) draws. The
 	// derivation rule (dataplane.LoadGen.Derive) guarantees neighboring
 	// seeds cannot alias.
-	lg := dataplane.NewLoadGen(progs[0].n, sc.tp, s.Seed)
+	lg := dataplane.NewLoadGen(d.nes, sc.tp, s.Seed)
 	traffic, arrivals := lg.Derive(1), lg.Derive(2)
 
 	res := &Result{Scenario: s.Scenario, Seed: s.Seed, Workers: workers, Ops: len(s.Ops)}
 	var recs []injRecord
-	epochProg := []int{0} // epoch -> index into progs
+	epochs := []epoch{d.first}
 	cur := 0
 
-	inject := func(host string, fields netkat.Packet) error {
-		fields["id"] = len(recs)
-		st, err := e.InjectStamped(host, fields)
-		if err != nil {
-			return err
-		}
-		recs = append(recs, injRecord{host: host, fields: fields, stamp: st})
-		res.Injected++
-		return nil
-	}
-	// injectAll admits a pre-built batch either per-packet or through the
-	// batched ingress, per Options.Batched; both paths must be
+	// inject admits a batch either per-packet or through the batched
+	// ingress, per Options.Batched; both paths must be
 	// delivery-equivalent.
-	injectAll := func(ins []dataplane.Injection) error {
-		if !o.Batched {
-			for _, in := range ins {
-				if err := inject(in.Host, in.Fields); err != nil {
-					return err
+	inject := func(ins ...dataplane.Injection) error {
+		var err error
+		e.Do(func() {
+			for i := range ins {
+				ins[i].Fields["id"] = len(recs) + i
+			}
+			stamps, errs := make([]dataplane.Stamp, len(ins)), []error(nil)
+			if o.Batched {
+				stamps, errs = e.InjectBatch(ins)
+			} else {
+				for i, in := range ins {
+					if stamps[i], err = e.InjectStamped(in.Host, in.Fields); err != nil {
+						return
+					}
 				}
 			}
-			return nil
-		}
-		for i := range ins {
-			ins[i].Fields["id"] = len(recs) + i
-		}
-		stamps, errs := e.InjectBatch(ins)
-		for i := range ins {
-			if errs != nil && errs[i] != nil {
-				return errs[i]
+			for i, in := range ins {
+				if errs != nil && errs[i] != nil {
+					err = errs[i]
+					return
+				}
+				recs = append(recs, injRecord{host: in.Host, fields: in.Fields, stamp: stamps[i]})
 			}
-			recs = append(recs, injRecord{host: ins[i].Host, fields: ins[i].Fields, stamp: stamps[i]})
-			res.Injected++
-		}
-		return nil
+		})
+		return err
 	}
 	burst := func() error {
 		k := arrivals.BatchSizes(1, sc.dist, sc.mean)[0]
-		return injectAll(steer(sc, traffic.Injections(k)))
+		return inject(steer(sc, traffic.Injections(k))...)
 	}
-	drain := func() error { return e.Run() }
 
 	for _, op := range s.Ops {
 		kind := op.Kind
 		// Ops a scenario cannot express degrade to plain bursts so any
 		// schedule replays on any scenario.
-		if sc.monitor == "" && (kind == OpFail || kind == OpRecover) {
-			kind = OpBurst
-		}
-		if len(progs) == 1 && kind == OpSwap {
+		if (sc.monitor == "" && (kind == OpFail || kind == OpRecover)) || (len(sc.progs) == 1 && kind == OpSwap) {
 			kind = OpBurst
 		}
 		var err error
+		gens := 0
 		switch kind {
 		case OpBurst:
-			if err = burst(); err == nil {
-				err = drain()
-			}
+			err = burst()
 		case OpFail:
 			res.Fails++
-			if err = inject(sc.monitor, sc.failPkt.Clone()); err == nil {
-				err = drain()
-			}
+			err = inject(dataplane.Injection{Host: sc.monitor, Fields: sc.failPkt.Clone()})
 		case OpRecover:
 			res.Recovers++
-			if err = inject(sc.monitor, sc.recoverPkt.Clone()); err == nil {
-				err = drain()
-			}
+			err = inject(dataplane.Injection{Host: sc.monitor, Fields: sc.recoverPkt.Clone()})
 		case OpStorm:
 			res.Storms++
-			k := sc.mean + arrivals.BatchSizes(1, sc.dist, sc.mean)[0]
-			ins := make([]dataplane.Injection, k)
+			ins := make([]dataplane.Injection, sc.mean+arrivals.BatchSizes(1, sc.dist, sc.mean)[0])
 			for i := range ins {
-				h, f := sc.storm(i)
-				ins[i] = dataplane.Injection{Host: h, Fields: f}
+				ins[i].Host, ins[i].Fields = sc.storm(i)
 			}
-			if err = injectAll(ins); err == nil {
-				err = drain()
-			}
+			err = inject(ins...)
 		case OpSwap:
 			res.Swaps++
-			// A fresh batch one generation into its journey guarantees
-			// the flip lands with old-epoch packets in flight.
+			// A fresh burst keeps old-epoch packets in flight across the
+			// flip.
 			if err = burst(); err != nil {
 				break
 			}
-			e.Step(1)
-			next := (cur + 1) % len(progs)
-			mapping, _ := ctrl.EventMapping(progs[cur].n, progs[next].n)
-			if _, err = e.StageSwap(dataplane.SwapSpec{Plan: progs[next].plan, MapEvent: mapping}); err != nil {
-				break
+			next := (cur + 1) % len(sc.progs)
+			var ep epoch
+			if ep, err = d.swap(cur, next); err == nil {
+				epochs = append(epochs, ep)
+				cur = next
 			}
-			epochProg = append(epochProg, next)
-			cur = next
-			err = drain()
 		case OpStep:
-			if err = burst(); err != nil {
-				break
-			}
-			e.Step(op.N)
-			err = drain()
+			err = burst()
+			gens = op.N
+		}
+		if err == nil && d.advance != nil {
+			err = d.advance(gens)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("chaos: %s seed %d: %w", s.Scenario, s.Seed, err)
 		}
 	}
-	if err := drain(); err != nil {
-		return nil, err
+	if d.advance != nil {
+		if err := d.advance(0); err != nil {
+			return nil, err
+		}
 	}
+	e.Quiesce()
 
-	ds := e.Deliveries()
-	stateOf := func(epoch, version int) (stateful.Cmd, stateful.State, string, bool) {
-		if epoch < 0 || epoch >= len(epochProg) {
-			return nil, nil, "", false
-		}
-		p := progs[epochProg[epoch]]
-		if version < 0 || version >= len(p.et.Vertices) {
-			return nil, nil, "", false
-		}
-		return p.app.Prog.Cmd, p.et.Vertices[version].State, p.app.Name, true
-	}
-	res.Mixed, res.Dropped = audit(sc.tp, stateOf, recs, ds)
+	ds := e.CopyDeliveries(0)
+	res.Mixed, res.Dropped = audit(sc.tp, epochs, recs, ds)
+	res.Injected = len(recs)
 	res.Audited = len(ds)
-	res.Hops = e.Processed()
+	res.Hops = e.Snapshot().Processed
 	res.Hash = deliveryHash(ds)
 	o.record(res)
 	return res, nil
@@ -312,8 +324,7 @@ func deliveryHash(ds []dataplane.Delivery) uint64 {
 // injection's stamp, and every injection's delivery set must equal
 // exactly what netkat.Eval predicts for the stamped program generation
 // and configuration, over arbitrary program rotations.
-func audit(tp *topo.Topology, stateOf func(epoch, version int) (stateful.Cmd, stateful.State, string, bool),
-	recs []injRecord, ds []dataplane.Delivery) (mixed, dropped int) {
+func audit(tp *topo.Topology, epochs []epoch, recs []injRecord, ds []dataplane.Delivery) (mixed, dropped int) {
 	byID := map[int][]dataplane.Delivery{}
 	for _, d := range ds {
 		id, ok := d.Fields["id"]
@@ -328,17 +339,18 @@ func audit(tp *topo.Topology, stateOf func(epoch, version int) (stateful.Cmd, st
 	// version, host, header fields).
 	memo := map[string]map[string]bool{}
 	for i, r := range recs {
-		cmd, state, progKey, ok := stateOf(r.stamp.Epoch, r.stamp.Version)
-		if !ok {
+		ep, v := r.stamp.Epoch, r.stamp.Version
+		if ep < 0 || ep >= len(epochs) || v < 0 || v >= len(epochs[ep].et.Vertices) {
 			mixed++
 			continue
 		}
+		p := epochs[ep]
 		base := r.fields.Clone()
 		delete(base, "id")
-		mk := fmt.Sprintf("%s|%d|%s|%s", progKey, r.stamp.Version, r.host, base.Key())
+		mk := fmt.Sprintf("%s|%d|%s|%s", p.name, v, r.host, base.Key())
 		want, hit := memo[mk]
 		if !hit {
-			want = evalPredict(tp, cmd, state, r.host, base)
+			want = evalPredict(tp, p.cmd, p.et.Vertices[v].State, r.host, base)
 			memo[mk] = want
 		}
 		got := map[string]bool{}
