@@ -268,11 +268,6 @@ func play(sc *scenario, s Schedule, o Options, workers int, d driver) (*Result, 
 			return nil, fmt.Errorf("chaos: %s seed %d: %w", s.Scenario, s.Seed, err)
 		}
 	}
-	if d.advance != nil {
-		if err := d.advance(0); err != nil {
-			return nil, err
-		}
-	}
 	e.Quiesce()
 
 	ds := e.CopyDeliveries(0)
