@@ -14,6 +14,7 @@ import (
 	"eventnet/internal/nes"
 	"eventnet/internal/netkat"
 	"eventnet/internal/nkc"
+	"eventnet/internal/optimize"
 )
 
 // TestEngineStopIdempotentLeakFree: netd restarts engines around swaps,
@@ -305,6 +306,54 @@ func TestPlanLowersDistinctTables(t *testing.T) {
 	tablesOf(compile(apps.BandwidthCap(264)), distinct)
 	if added := len(distinct) - before; added > 4 {
 		t.Errorf("bandwidth-cap-264 compiled after cap-200 on one cache added %d table pointers, want <= 4", added)
+	}
+}
+
+// TestInstallShapeCounts pins the numbers that chose the engine's install
+// shape. naive is every configuration's rules under an exact guard (what
+// optimize.rules_saved_pct is relative to), trie is the Section 5.3
+// greedy trie of masked version guards, and lowered is what PlanFor
+// actually holds: the rules of each distinct *flowtable.Table, lowered
+// once and shared by every configuration that names it. lowered is within
+// 24 rules of trie over the nine families, so the engine installs per
+// table and the flat index needs no guard-mask partition.
+func TestInstallShapeCounts(t *testing.T) {
+	for _, c := range []struct {
+		app                           apps.App
+		configs, naive, trie, lowered int
+	}{
+		{apps.Firewall(), 2, 6, 4, 6},
+		{apps.LearningSwitch(), 2, 13, 8, 11},
+		{apps.Authentication(), 3, 24, 12, 15},
+		{apps.BandwidthCap(10), 12, 46, 6, 6},
+		{apps.IDS(), 3, 34, 12, 14},
+		{apps.BandwidthCap(200), 202, 806, 8, 6},
+		{apps.IDSFatTree(4), 3, 64, 23, 30},
+		{apps.WalledGarden(), 2, 20, 12, 13},
+		{apps.DistributedFirewall(), 4, 24, 10, 18},
+	} {
+		n := buildNES(t, c.app)
+		var configs []flowtable.Tables
+		lowered := 0
+		seen := map[*flowtable.Table]bool{}
+		for ci := range n.Configs {
+			configs = append(configs, n.Configs[ci].Tables)
+			for _, tbl := range n.Configs[ci].Tables {
+				if !seen[tbl] {
+					seen[tbl] = true
+					lowered += len(tbl.Rules)
+				}
+			}
+		}
+		sets, _ := optimize.FromTables(configs)
+		trie, err := optimize.Greedy(sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [4]int{len(n.Configs), optimize.Naive(sets), trie.TotalRules(), lowered}
+		if want := [4]int{c.configs, c.naive, c.trie, c.lowered}; got != want {
+			t.Errorf("%s: configs/naive/trie/lowered = %v, want %v", c.app.Name, got, want)
+		}
 	}
 }
 
