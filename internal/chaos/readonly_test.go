@@ -84,7 +84,7 @@ func TestSharedTablesReadOnly(t *testing.T) {
 	// The lowering, both deployment shapes, the Section 5.3 optimizer.
 	for _, n := range gens {
 		dataplane.PlanFor(n)
-		dataplane.Merged(n)
+		dataplane.MergedPair(n, n)
 		var configs []flowtable.Tables
 		for ci := range n.Configs {
 			configs = append(configs, n.Configs[ci].Tables)

@@ -3,7 +3,6 @@ package dataplane
 import (
 	"maps"
 	"slices"
-	"sort"
 
 	"eventnet/internal/flowtable"
 	"eventnet/internal/nes"
@@ -13,23 +12,25 @@ import (
 // This file is the compiled form of a flow table — the only one. Every
 // flowtable.Rule of a plan is lowered once, at plan-build time, from its
 // Match and Groups maps into integer-indexed
-// match/action arrays, and the lowered rules are indexed three ways,
+// match/action arrays, and the lowered rules are indexed two ways,
 // mirroring how a packet narrows the search:
 //
-//  1. Version-guard partition: rules are grouped by guard mask, and within
-//     a mask by their masked value, so a packet's tag selects the (at most
-//     one per mask) group of rules whose guards admit it — an O(#masks)
-//     step instead of a per-rule guard check. Per-configuration tables
-//     have a single all-pass group; merged Section 5.3 tables have one
-//     group per configuration.
-//  2. In-port: within a group, rules split into exact-port buckets plus
-//     one wildcard bucket (whose ExcludePorts are verified per rule).
-//  3. Discriminating fields: within a bucket, the equality-tested fields
+//  1. In-port: rules split into exact-port buckets plus one wildcard
+//     bucket (whose ExcludePorts are verified per rule).
+//  2. Discriminating fields: within a bucket, the equality-tested fields
 //     shared by all rules (or, failing that, the single most-tested field,
 //     ties to the lowest schema index) key a hash of the rules' required
 //     values. Rules not constraining every key field form a small
 //     rank-ordered fallback list — the decision-tree residue for
 //     wildcard/exclusion rules.
+//
+// The version guard is not an index level: it is checked per candidate,
+// with the rule's other literals. A plan's tables are per configuration
+// (PlanFor lowers each distinct table once and the configurations holding
+// it share it), so their guards are all-pass; a merged table — MergedPair's
+// staged install, or one a FlatMatcher embedder builds — finds every
+// configuration's copy of a rule in the same hash slot and skips the
+// copies whose guard rejects the tag, exactly as the linear scan does.
 //
 // Lookup runs directly on a flat packet's value array and presence bitmap
 // — no map lookups, no string hashing, no per-packet allocation: it folds
@@ -105,26 +106,16 @@ func (r *flatRule) matches(vals []int32, pres uint64, inPort int, tag uint32) bo
 }
 
 // flatTable is one switch's compiled table: rules in priority rank order
-// plus the guard-partition/port/hash index over them.
+// plus the port/hash index over them.
 type flatTable struct {
 	rules []flatRule
-	parts []flatPart // ascending mask
+	exact []flatBucket // one per exact in-port, ascending port
+	wild  flatBucket   // InPort == Wildcard rules (empty if none)
 }
 
-// flatPart is one guard-mask partition.
-type flatPart struct {
-	mask   uint32
-	groups map[uint32]*flatPortIndex // masked guard value -> rules
-}
-
-// flatPortIndex splits a guard group by ingress port.
-type flatPortIndex struct {
-	byPort map[int]*flatBucket
-	wild   *flatBucket // InPort == Wildcard rules, or nil
-}
-
-// flatBucket indexes the rules of one (guard group, in-port) cell.
+// flatBucket indexes the rules of one in-port cell.
 type flatBucket struct {
+	port     int32              // the exact in-port; unused by the wildcard bucket
 	keyIdx   []int32            // nil: no index, everything in fallback
 	index    map[uint64][]int32 // value hash -> ranks, ascending
 	fallback []int32            // ranks, ascending
@@ -156,9 +147,6 @@ func hashFlat(vals []int32, pres uint64, keyIdx []int32) (uint64, bool) {
 // lists are rank-ascending, so each list is scanned only until its first
 // full match (or past bound).
 func (b *flatBucket) bestIn(rules []flatRule, vals []int32, pres uint64, inPort int, tag uint32, bound int32) int32 {
-	if b == nil {
-		return bound
-	}
 	if b.keyIdx != nil {
 		if h, ok := hashFlat(vals, pres, b.keyIdx); ok {
 			for _, r := range b.index[h] {
@@ -185,19 +173,17 @@ func (b *flatBucket) bestIn(rules []flatRule, vals []int32, pres uint64, inPort 
 }
 
 // lookup returns the winning rule's rank, or -1 on default drop: the
-// minimum-rank match over every bucket the packet's tag and in-port
-// select.
+// minimum-rank match over the packet's in-port bucket and the wildcard
+// bucket.
 func (ft *flatTable) lookup(vals []int32, pres uint64, inPort int, tag uint32) int32 {
 	best := int32(len(ft.rules))
-	for pi := range ft.parts {
-		p := &ft.parts[pi]
-		g := p.groups[tag&p.mask]
-		if g == nil {
-			continue
+	for i := range ft.exact { // a switch has a port or few
+		if int(ft.exact[i].port) == inPort {
+			best = ft.exact[i].bestIn(ft.rules, vals, pres, inPort, tag, best)
+			break
 		}
-		best = g.byPort[inPort].bestIn(ft.rules, vals, pres, inPort, tag, best)
-		best = g.wild.bestIn(ft.rules, vals, pres, inPort, tag, best)
 	}
+	best = ft.wild.bestIn(ft.rules, vals, pres, inPort, tag, best)
 	if best == int32(len(ft.rules)) {
 		return -1
 	}
@@ -209,44 +195,28 @@ func (ft *flatTable) lookup(vals []int32, pres uint64, inPort int, tag uint32) i
 // affect the compiled table.
 func newFlatTable(t *flowtable.Table, s *Schema) *flatTable {
 	ft := &flatTable{rules: make([]flatRule, len(t.Rules))}
-	type cell struct {
-		mask, value uint32
-		port        int32 // flowtable.Wildcard for the wildcard bucket
-	}
-	cells := map[cell][]int32{} // ranks ascending: rules are walked in order
+	cells := map[int32][]int32{} // in-port -> ranks ascending: rules are walked in order
 	for i := range t.Rules {
 		ft.rules[i] = lowerRule(&t.Rules[i], s)
-		r := &ft.rules[i]
-		c := cell{mask: r.guardMask, value: r.guardValue, port: r.inPort}
-		cells[c] = append(cells[c], int32(i))
+		p := ft.rules[i].inPort
+		cells[p] = append(cells[p], int32(i))
 	}
-	for c, ranks := range cells {
-		pi := 0 // a table has a mask or two: find this cell's by scanning
-		for pi < len(ft.parts) && ft.parts[pi].mask != c.mask {
-			pi++
-		}
-		if pi == len(ft.parts) {
-			ft.parts = append(ft.parts, flatPart{mask: c.mask, groups: map[uint32]*flatPortIndex{}})
-		}
-		g := ft.parts[pi].groups[c.value]
-		if g == nil {
-			g = &flatPortIndex{byPort: map[int]*flatBucket{}}
-			ft.parts[pi].groups[c.value] = g
-		}
-		if b := newFlatBucket(ft.rules, ranks); c.port == flowtable.Wildcard {
-			g.wild = b
+	for _, p := range slices.Sorted(maps.Keys(cells)) {
+		b := newFlatBucket(ft.rules, cells[p])
+		if p == flowtable.Wildcard {
+			ft.wild = b
 		} else {
-			g.byPort[int(c.port)] = b
+			b.port = p
+			ft.exact = append(ft.exact, b)
 		}
 	}
-	sort.Slice(ft.parts, func(i, j int) bool { return ft.parts[i].mask < ft.parts[j].mask })
 	return ft
 }
 
 // newFlatBucket picks the cell's discriminating fields and hashes its
 // rules by them.
-func newFlatBucket(rules []flatRule, ranks []int32) *flatBucket {
-	b := &flatBucket{}
+func newFlatBucket(rules []flatRule, ranks []int32) flatBucket {
+	var b flatBucket
 
 	// How many of the cell's rules equality-test each schema field.
 	var freq [maxSchemaFields]int

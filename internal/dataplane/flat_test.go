@@ -366,16 +366,18 @@ func TestMatcherEvalEquivalence(t *testing.T) {
 	}
 }
 
-// TestMergedGuardEquivalence checks the Section 5.3 deployment shape: a
-// merged table looked up under tag c behaves exactly like configuration
-// c's own table, through both the guard-partitioned index and the linear
-// scan of the merged table.
+// TestMergedGuardEquivalence checks a merged table that holds every
+// configuration's rules twice over (MergedPair of a program with itself):
+// looked up under tag c or under c's second copy, it behaves exactly like
+// configuration c's own table, through both the compiled index — whose
+// hash slots then hold every configuration's copy, told apart by each
+// rule's guard — and the linear scan of the merged table.
 func TestMergedGuardEquivalence(t *testing.T) {
 	for _, a := range []apps.App{apps.Firewall(), apps.BandwidthCap(10), apps.IDS()} {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
 			n := buildNES(t, a)
-			merged := dataplane.Merged(n)
+			merged, off := dataplane.MergedPair(n, n)
 			schema := dataplane.SchemaForTables(merged)
 			hosts := hostAddrs(a.Topo)
 			r := rand.New(rand.NewSource(31))
@@ -386,13 +388,13 @@ func TestMergedGuardEquivalence(t *testing.T) {
 					ref := refOf(n, ci, sw)
 					for i := 0; i < 100; i++ {
 						pkt, port, _ := randProbe(r, hosts)
-						tag := uint32(ci)
+						tag := uint32(ci + i%2*off)
 						got := flat.Process(nil, pkt, port, tag)
 						viaScan := mscan.Process(nil, pkt, port, tag)
 						want := ref.Process(nil, pkt, port, 0)
 						if !sameOutputs(got, want) || !sameOutputs(viaScan, want) {
-							t.Fatalf("sw %d config %d pkt %v port %d:\nflat-merged %v\nmerged-scan %v\nper-config %v",
-								sw, ci, pkt, port, got, viaScan, want)
+							t.Fatalf("sw %d config %d tag %d pkt %v port %d:\nflat-merged %v\nmerged-scan %v\nper-config %v",
+								sw, ci, tag, pkt, port, got, viaScan, want)
 						}
 					}
 				}

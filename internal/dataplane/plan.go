@@ -56,35 +56,31 @@ func (p *Plan) Matcher(version, sw int) Scan {
 	return Scan{Table: p.nes.Configs[version].Tables[sw]}
 }
 
-// Merged builds the Section 5.3 deployment shape: one table per switch
-// holding every configuration's rules behind an exact version guard, so a
-// single physical table serves all configurations and a packet's tag
-// selects its slice. Looking up (pkt, port, tag c) in a merged table is
-// equivalent to looking up (pkt, port, 0) in configuration c's own table:
-// guards with the same mask and different values never admit the same
-// tag, and the stable priority sort preserves each configuration's
-// internal rule order. This is where guard partitioning pays off most —
-// the linear scan walks every configuration's rules, the compiled table
-// jumps straight to the tag's partition.
-func Merged(n *nes.NES) flowtable.Tables { return merged(n) }
-
-// merged gathers the configurations of the programs in turn — tags run on
-// from one program into the next under exact guards wide enough for all —
-// into one rule list per switch, then installs each with a single priority
+// MergedPair builds the staged-install deployment shape of a live program
+// swap: one physical table per switch holding *both* programs' rules —
+// the running program's configurations at tags [0, |P|) and the incoming
+// program's behind fresh exact version guards at tags [off, off+|P'|),
+// with off = |P|. Installing this table is phase one of the two-phase
+// update: it changes the forwarding of no in-flight packet (their tags
+// all lie below off and exact guards with the same mask never admit
+// another program's tags), yet the moment ingress tagging flips to
+// off+c, packets follow P' rules exclusively. The returned offset is the
+// tag displacement of the new program's configurations.
+//
+// The configurations are gathered in turn — tags run on from the old
+// program into the new under exact guards wide enough for both — into one
+// rule list per switch, then each is installed with a single priority
 // sort: stable over the append order, which is where sorting after every
 // configuration arrives too.
-func merged(progs ...*nes.NES) flowtable.Tables {
-	tags := 0
-	for _, n := range progs {
-		tags += len(n.Configs)
-	}
+func MergedPair(old, new_ *nes.NES) (flowtable.Tables, int) {
+	tags := len(old.Configs) + len(new_.Configs)
 	bits := 1
 	for 1<<uint(bits) < tags {
 		bits++
 	}
 	rules := map[int][]flowtable.Rule{}
 	tag := uint32(0)
-	for _, n := range progs {
+	for _, n := range []*nes.NES{old, new_} {
 		for ci := range n.Configs {
 			guard := flowtable.ExactGuard(tag, bits)
 			tag++
@@ -103,21 +99,7 @@ func merged(progs ...*nes.NES) flowtable.Tables {
 	for sw, rs := range rules {
 		dst.Get(sw).AddAll(rs)
 	}
-	return dst
-}
-
-// MergedPair builds the staged-install deployment shape of a live program
-// swap: one physical table per switch holding *both* programs' rules —
-// the running program's configurations at tags [0, |P|) and the incoming
-// program's behind fresh exact version guards at tags [off, off+|P'|),
-// with off = |P|. Installing this table is phase one of the two-phase
-// update: it changes the forwarding of no in-flight packet (their tags
-// all lie below off and exact guards with the same mask never admit
-// another program's tags), yet the moment ingress tagging flips to
-// off+c, packets follow P' rules exclusively. The returned offset is the
-// tag displacement of the new program's configurations.
-func MergedPair(old, new_ *nes.NES) (flowtable.Tables, int) {
-	return merged(old, new_), len(old.Configs)
+	return dst, len(old.Configs)
 }
 
 // Flat returns the plan's compiled matcher for a configuration's switch
