@@ -10,7 +10,8 @@
 //	GET  /healthz   liveness; 503 with a reason when the engine stopped
 //	                or a swap has wedged past its drain timeout; active
 //	                watchdog alerts ride along as degradation reasons
-//	GET  /status    program, epoch, swap history, engine snapshot
+//	GET  /status    program, epoch, the last ctrl.SwapHistory (64) swap
+//	                reports, engine snapshot
 //	GET  /stats     engine counters, uptime, build and runtime info
 //	GET  /metrics   Prometheus text exposition, including Go runtime
 //	                metrics (see docs/OBSERVABILITY.md)
@@ -269,12 +270,10 @@ func (s *server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	}
 	var name string
 	var prog stateful.Program
+	var st *stagedProgram
 	fromStaged := req.App == "" && req.Source == ""
 	if fromStaged {
-		s.mu.Lock()
-		st := s.staged
-		s.mu.Unlock()
-		if st == nil {
+		if st = s.stagedNow(); st == nil {
 			fail(w, http.StatusBadRequest, "no staged program; POST /program first or inline one")
 			return
 		}
@@ -294,13 +293,27 @@ func (s *server) handleSwap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if fromStaged {
-		s.mu.Lock()
-		if s.staged != nil && s.staged.name == name {
-			s.staged = nil // consumed on success only
-		}
-		s.mu.Unlock()
+		s.consumeStaged(st) // on success only
 	}
 	writeJSON(w, http.StatusOK, rep)
+}
+
+// stagedNow returns the program a bare /swap would install, or nil.
+func (s *server) stagedNow() *stagedProgram {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.staged
+}
+
+// consumeStaged clears the staged program if it is still st. A program
+// staged while st's swap ran survives, even under the same name (every
+// source submission defaults to "submitted"), for its own /swap.
+func (s *server) consumeStaged(st *stagedProgram) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.staged == st {
+		s.staged = nil
+	}
 }
 
 func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {

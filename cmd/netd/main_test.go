@@ -160,3 +160,33 @@ func TestNetdInjectBatch(t *testing.T) {
 	}, 400)
 	call(t, ts, "POST", "/inject-batch", map[string]any{"packets": []map[string]any{}}, 400)
 }
+
+// TestSwapKeepsNewerStagedProgram: a /swap consumes the staged program it
+// took, not whatever is staged under the same name when it finishes. A
+// program submitted while the swap ran — under the same name, as every
+// unnamed source submission is — stays staged for its own /swap.
+func TestSwapKeepsNewerStagedProgram(t *testing.T) {
+	a := apps.Firewall()
+	c := ctrl.New(a.Topo, ctrl.Options{Workers: 1})
+	defer c.Close()
+	if err := c.Load(a.Name, a.Prog); err != nil {
+		t.Fatal(err)
+	}
+	s, handler := newServer(c, nil)
+	ts := httptest.NewServer(handler)
+	defer ts.Close()
+
+	call(t, ts, "POST", "/program", map[string]any{"name": "p", "app": "bandwidth-cap", "cap": 8}, 200)
+	taken := s.stagedNow()
+	call(t, ts, "POST", "/program", map[string]any{"name": "p", "app": "bandwidth-cap", "cap": 9}, 200)
+	s.consumeStaged(taken) // the first swap finishes after the resubmission
+	if s.stagedNow() == nil {
+		t.Fatal("finishing a swap dropped the program staged after it began")
+	}
+	if rep := call(t, ts, "POST", "/swap", nil, 200); rep["states"] != float64(11) {
+		t.Fatalf("the swap installed a %v-configuration program, want bandwidth-cap-9's 11", rep["states"])
+	}
+	if s.stagedNow() != nil {
+		t.Fatal("a successful /swap left its staged program behind")
+	}
+}

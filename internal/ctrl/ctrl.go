@@ -134,7 +134,7 @@ type Status struct {
 	Program  string             `json:"program"`
 	Epoch    int                `json:"epoch"`
 	Swapping bool               `json:"swapping"`
-	Swaps    []SwapReport       `json:"swaps,omitempty"`
+	Swaps    []SwapReport       `json:"swaps,omitempty"` // the newest SwapHistory, oldest first
 	Engine   dataplane.Snapshot `json:"engine"`
 }
 
@@ -170,6 +170,11 @@ type Controller struct {
 
 // progMemoLimit bounds the retained program generations.
 const progMemoLimit = 8
+
+// SwapHistory bounds Status's swap reports: the controller keeps the
+// newest SwapHistory, so a long-running daemon's memory and /status body
+// stay constant however many swaps it serves.
+const SwapHistory = 64
 
 // New builds a controller for a topology. Load a first program before
 // injecting traffic.
@@ -353,8 +358,8 @@ func (c *Controller) Swap(name string, p stateful.Program) (SwapReport, error) {
 
 	// Phase one: the staged install — both programs' rules behind
 	// disjoint exact version guards. The engine forwards through the
-	// equivalent per-epoch compiled plans (the guard-partition
-	// equivalence is property-tested in internal/dataplane); the merged
+	// equivalent per-epoch compiled plans (the merged-table equivalence
+	// is property-tested in internal/dataplane); the merged
 	// shape (dataplane.MergedPair) is what a switch deployment would
 	// install, and the controller only accounts for it: its size, the
 	// transition's rule-memory cost, is the two programs' rule counts
@@ -441,6 +446,9 @@ func (c *Controller) Swap(name string, p stateful.Program) (SwapReport, error) {
 		RetireGen:      st.RetireGen,
 		TransitionHops: st.TransitionHops,
 		DrainedHops:    st.DrainedHops,
+	}
+	if len(c.swaps) == SwapHistory {
+		c.swaps = slices.Delete(c.swaps, 0, 1)
 	}
 	c.swaps = append(c.swaps, rep)
 	return rep, nil

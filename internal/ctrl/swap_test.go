@@ -3,6 +3,7 @@ package ctrl_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"eventnet/internal/apps"
@@ -379,5 +380,38 @@ func TestSwapRejectsConcurrent(t *testing.T) {
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStatusSwapHistoryBounded: Status keeps the newest SwapHistory swap
+// reports, oldest first, however many swaps the controller has served —
+// a long-running netd's memory and /status body do not grow with them.
+// The swaps ping-pong between two memoized programs, with no traffic.
+func TestStatusSwapHistoryBounded(t *testing.T) {
+	a, b := apps.Firewall(), apps.BandwidthCap(8)
+	c := ctrl.New(a.Topo, ctrl.Options{Workers: 1})
+	defer c.Close()
+	if err := c.Load(a.Name, a.Prog); err != nil {
+		t.Fatal(err)
+	}
+	var reps []ctrl.SwapReport
+	for i := 0; i < ctrl.SwapHistory+6; i++ {
+		next := b
+		if i%2 == 1 {
+			next = a
+		}
+		rep, err := c.Swap(next.Name, next.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, rep)
+	}
+	got := c.Status().Swaps
+	if len(got) != ctrl.SwapHistory {
+		t.Fatalf("Status holds %d swap reports after %d swaps, want %d", len(got), len(reps), ctrl.SwapHistory)
+	}
+	if want := reps[6:]; !slices.Equal(got, want) {
+		t.Fatalf("Status's swaps are not the newest %d, oldest first:\n got first/last %+v / %+v\nwant first/last %+v / %+v",
+			ctrl.SwapHistory, got[0], got[len(got)-1], want[0], want[len(want)-1])
 	}
 }
