@@ -1,6 +1,7 @@
 package dataplane_test
 
 import (
+	"slices"
 	"testing"
 
 	"eventnet/internal/apps"
@@ -162,5 +163,90 @@ func TestInjectAsyncBatchServed(t *testing.T) {
 	}
 	if len(got) == 0 {
 		t.Fatal("served batch delivered nothing; equivalence is vacuous")
+	}
+}
+
+// TestInjectBatchInsideDoServed pins the contract the swap-under-load
+// feeder and the chaos player's served mode rest on: InjectBatch called
+// inside Do on a serving engine runs at a barrier exactly as it runs on a
+// synchronous engine between Runs — same stamps (the rejected packets'
+// zero stamps included), same rejected indices, same stamped deliveries.
+// Every third packet carries an inert field, and each round holds an
+// unknown-host and an out-of-int32 packet: 264 stamps per app.
+func TestInjectBatchInsideDoServed(t *testing.T) {
+	for _, c := range []struct {
+		app        apps.App
+		deliveries int
+	}{{apps.Firewall(), 97}, {apps.BandwidthCap(10), 91}, {apps.IDSFatTree(4), 3}} {
+		a := c.app
+		t.Run(a.Name, func(t *testing.T) {
+			var rounds [][]dataplane.Injection
+			for _, b := range loadBatches(t, a, 4, 64) {
+				for i := range b {
+					if i%3 == 0 {
+						b[i].Fields["inert_marker"] = 1000 + i
+					}
+				}
+				r := append([]dataplane.Injection{}, b[:16]...)
+				r = append(r, dataplane.Injection{Host: "NoSuchHost", Fields: netkat.Packet{"dst": apps.H(1)}})
+				r = append(r, b[16:48]...)
+				r = append(r, dataplane.Injection{Host: b[0].Host, Fields: netkat.Packet{"dst": 1 << 40}})
+				rounds = append(rounds, append(r, b[48:]...))
+			}
+
+			type run struct {
+				stamps []dataplane.Stamp
+				rej    []int
+			}
+			record := func(r *run, stamps []dataplane.Stamp, errs []error) {
+				r.stamps = append(r.stamps, stamps...)
+				for i, err := range errs {
+					if err != nil {
+						r.rej = append(r.rej, len(r.stamps)-len(stamps)+i)
+					}
+				}
+			}
+
+			var sync run
+			ref := dataplane.NewEngine(buildNES(t, a), a.Topo, dataplane.Options{Workers: 2})
+			for _, r := range rounds {
+				stamps, errs := ref.InjectBatch(r)
+				record(&sync, stamps, errs)
+				if err := ref.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			var served run
+			e := dataplane.NewEngine(buildNES(t, a), a.Topo, dataplane.Options{Workers: 2})
+			e.Start()
+			defer e.Stop()
+			for _, r := range rounds {
+				var stamps []dataplane.Stamp
+				var errs []error
+				e.Do(func() { stamps, errs = e.InjectBatch(r) })
+				record(&served, stamps, errs)
+				e.Quiesce()
+			}
+
+			if len(served.stamps) != 264 || !slices.Equal(sync.stamps, served.stamps) {
+				t.Fatalf("served stamps %v\nsynchronous %v", served.stamps, sync.stamps)
+			}
+			if len(served.rej) != 2*len(rounds) || !slices.Equal(sync.rej, served.rej) {
+				t.Fatalf("rejected indices: served %v, synchronous %v", served.rej, sync.rej)
+			}
+			for _, k := range served.rej {
+				if i := k % len(rounds[0]); i != 16 && i != 49 {
+					t.Fatalf("packet %d rejected, want only the unknown-host and out-of-int32 packets", k)
+				}
+			}
+			want, got := ref.Deliveries(), e.CopyDeliveries(0)
+			if i := sameStamped(want, got); i != -1 {
+				t.Fatalf("served deliveries diverge from synchronous at %d of %d/%d", i, len(got), len(want))
+			}
+			if len(got) != c.deliveries {
+				t.Fatalf("%d deliveries, want %d", len(got), c.deliveries)
+			}
+		})
 	}
 }
