@@ -14,18 +14,19 @@
 //     conversion exactly once at ingress and delivery.
 //   - Compiled table (flat.go): one switch's table, lowered from its
 //     rules' Match and Groups maps to (fieldIdx, value) arrays and
-//     indexed per (version-guard partition, in-port) by an exact-match
-//     hash over the discriminating header fields, with a rank-merged
-//     fallback list for wildcard/exclusion rules. Lookup is
+//     indexed per in-port by an exact-match hash over the discriminating
+//     header fields, with a rank-merged fallback list for
+//     wildcard/exclusion rules; each candidate's version guard is checked
+//     with its other literals. Lookup is
 //     O(1)+verification instead of O(rules). This is the only compiled
 //     form; flowtable.Table's linear scan is the reference it is tested
 //     against, and what the proof machinery (runtime, sim, the trace
 //     oracle) forwards with.
 //   - Plan (plan.go): every (configuration, switch) table of an NES
-//     compiled against the program's schema, whole, once, cached per NES.
-//     Merged builds the Section 5.3 deployment shape — one table per
-//     switch holding all configurations' rules behind exact version
-//     guards — whose guard partitions are where indexing pays off most.
+//     compiled against the program's schema, whole, each distinct table
+//     once. MergedPair builds a swap's staged-install shape — both
+//     programs' rules behind exact version guards — for accounting and
+//     tests; the engine forwards through per-configuration plans.
 //   - Engine (engine.go; the hop in hop.go, swaps in swap.go, the
 //     delivery log in deliveries.go, served mode in serve.go): per-switch
 //     forwarding workers fed by ring-buffer queues, processing packets in

@@ -177,7 +177,7 @@ func (b *flatBucket) bestIn(rules []flatRule, vals []int32, pres uint64, inPort 
 // bucket.
 func (ft *flatTable) lookup(vals []int32, pres uint64, inPort int, tag uint32) int32 {
 	best := int32(len(ft.rules))
-	for i := range ft.exact { // a switch has a port or few
+	for i := range ft.exact { // no app's table has more than four: a scan, not a map
 		if int(ft.exact[i].port) == inPort {
 			best = ft.exact[i].bestIn(ft.rules, vals, pres, inPort, tag, best)
 			break
