@@ -156,3 +156,55 @@ func BenchmarkEngineForwardObs(b *testing.B) {
 		})
 	})
 }
+
+// BenchmarkInjectBatch measures ingress alone — host resolution, the
+// intern of every field, the stamp and the queueing — for the two
+// map-form batch entry points on a non-serving engine, where both admit
+// inline. Each iteration injects one 512-packet LoadGen batch (eight
+// are cycled) with the timer running and drains it with the timer
+// stopped, so ns/pkt is the per-packet ingress cost the engine-forward
+// benchmark's cost_a_us and cost_b_us include.
+func BenchmarkInjectBatch(b *testing.B) {
+	for _, a := range []apps.App{apps.BandwidthCap(200), apps.IDSFatTree(4)} {
+		n := buildNES(b, a)
+		lg := dataplane.NewLoadGen(n, a.Topo, 13)
+		var batches [8][]dataplane.Injection
+		for i := range batches {
+			batches[i] = lg.Injections(512)
+		}
+		ways := []struct {
+			name   string
+			inject func(*dataplane.Engine, []dataplane.Injection) []error
+		}{
+			{"InjectBatch", func(e *dataplane.Engine, ins []dataplane.Injection) []error {
+				_, errs := e.InjectBatch(ins)
+				return errs
+			}},
+			{"InjectAsyncBatch", (*dataplane.Engine).InjectAsyncBatch},
+		}
+		for _, way := range ways {
+			b.Run(a.Name+"/"+way.name, func(b *testing.B) {
+				e := dataplane.NewEngine(n, a.Topo, dataplane.Options{Workers: 1, DeliveryLog: 1 << 14})
+				round := func(i int) {
+					if errs := way.inject(e, batches[i%len(batches)]); errs != nil {
+						b.Fatal(errs)
+					}
+					b.StopTimer()
+					if err := e.Run(); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				for i := 0; i < 2*len(batches); i++ {
+					round(i)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					round(i)
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*512), "ns/pkt")
+			})
+		}
+	}
+}
