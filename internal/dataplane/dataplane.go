@@ -11,7 +11,8 @@
 //     the program can test or write to a dense integer; the engine's
 //     packets become fixed-width []int32 value arrays with a presence
 //     bitmap — in-place field writes, no maps or strings on the hop loop,
-//     conversion exactly once at ingress and delivery.
+//     conversion exactly once at delivery and at ingress, where every
+//     entry point fills a flat Batch that admit interns (ingress.go).
 //   - Compiled table (flat.go): one switch's table, lowered from its
 //     rules' Match and Groups maps to (fieldIdx, value) arrays and
 //     indexed per in-port by an exact-match hash over the discriminating

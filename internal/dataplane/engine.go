@@ -443,7 +443,7 @@ type Engine struct {
 	// The inbox is a queue of flat batches (ingress.go) holding inboxPkts
 	// packets, at most maxInboxPackets; admitting is the supervisor's half
 	// of its double buffer, slots its field-id -> schema slot scratch,
-	// versions the per-call ingress-tag scratch (versionAt), and batches
+	// versions the per-admission ingress-tag scratch (versionAt), and batches
 	// the pool filled batches return to.
 	wmu       sync.Mutex
 	cond      *sync.Cond

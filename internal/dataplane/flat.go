@@ -433,7 +433,7 @@ func (m FlatMatcher) Len() int { return len(m.ft.rules) }
 func (m FlatMatcher) Process(dst []flowtable.Output, pkt netkat.Packet, inPort int, tag uint32) []flowtable.Output {
 	var buf [maxSchemaFields]int32
 	vals := buf[:m.schema.Len()]
-	pres, set, err := m.schema.intern(pkt, vals, nil, len(pkt))
+	pres, set, err := m.schema.intern(pkt, vals)
 	if err != nil {
 		// Truncating would silently diverge from the reference semantics,
 		// so refuse loudly; the Engine rejects such packets at injection

@@ -1,6 +1,7 @@
 package dataplane_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"eventnet/internal/flowtable"
 	"eventnet/internal/nes"
 	"eventnet/internal/netkat"
+	"eventnet/internal/runtime"
 )
 
 // fuzzFields are the header fields a fuzzed table may test or write; "z"
@@ -158,15 +160,20 @@ func fuzzIngress(data []byte) [][]dataplane.Injection {
 	return batches
 }
 
-// FuzzIngressEquivalence: the three map-form ways in agree. Any batches —
+// FuzzIngressEquivalence: the map-form ways in agree. Any batches —
 // unknown hosts, out-of-domain values in any field and any number of
 // them, empty and oversized names, empty packets — admitted by
-// sequential InjectStamped, by InjectBatch, and through a flat Batch by
-// InjectAsyncBatch on a non-serving engine, reject the same packets,
-// stamp the rest alike, and deliver the same sequence in the same number
-// of hops. Byte 0 picks the program. The seed corpus
-// (testdata/fuzz/FuzzIngressEquivalence) holds the four shapes of
-// rejected packet TestRejectedPacketLeavesNothing replays.
+// sequential InjectStamped, by InjectBatch, and by InjectAsyncBatch on a
+// non-serving engine, reject the same packets, stamp the rest alike, and
+// deliver the same sequence in the same number of hops. Those three
+// share Batch.fill and admit, so a fourth leg holds them against code
+// that shares neither: an engine given one InjectStamped and one Run at
+// a time delivers what the Figure 7 machine (internal/runtime, which
+// forwards map-form packets by flowtable's scan) delivers from the
+// packets that engine admitted, each run to quiescence. Byte 0 picks the
+// program. The seed corpus (testdata/fuzz/FuzzIngressEquivalence) holds
+// the four shapes of rejected packet TestRejectedPacketLeavesNothing
+// replays.
 func FuzzIngressEquivalence(f *testing.F) {
 	progs := []apps.App{apps.DistributedFirewall(), apps.WalledGarden()}
 	nets := []*nes.NES{buildNES(f, progs[0]), buildNES(f, progs[1])}
@@ -180,6 +187,8 @@ func FuzzIngressEquivalence(f *testing.F) {
 		for i := range es {
 			es[i] = dataplane.NewEngine(n, a.Topo, dataplane.Options{Workers: 1})
 		}
+		one := dataplane.NewEngine(n, a.Topo, dataplane.Options{Workers: 1})
+		m := runtime.New(n, a.Topo, 1, false)
 		for bi, batch := range fuzzIngress(data[1:]) {
 			seqStamps, seqErrs := make([]dataplane.Stamp, len(batch)), make([]error, len(batch))
 			for i, in := range batch {
@@ -194,6 +203,19 @@ func FuzzIngressEquivalence(f *testing.F) {
 				}
 				if stamps[i] != seqStamps[i] || (bad && stamps[i] != dataplane.Stamp{}) {
 					t.Fatalf("batch %d packet %d (%v): stamped %+v sequentially, %+v in the batch, error %v", bi, i, batch[i], seqStamps[i], stamps[i], seqErrs[i])
+				}
+				if _, err := one.InjectStamped(batch[i].Host, batch[i].Fields); (err != nil) != bad {
+					t.Fatalf("batch %d packet %d (%v): InjectStamped %v alone, %v in sequence", bi, i, batch[i], err, seqErrs[i])
+				} else if err == nil {
+					if err := one.Run(); err != nil {
+						t.Fatal(err)
+					}
+					if err := m.Inject(batch[i].Host, batch[i].Fields); err != nil {
+						t.Fatalf("batch %d packet %d (%v): the engine admitted it, the machine says %v", bi, i, batch[i], err)
+					}
+					if err := m.RunToQuiescence(); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			for _, e := range es {
@@ -210,6 +232,13 @@ func FuzzIngressEquivalence(f *testing.F) {
 			if e.Processed() != es[0].Processed() {
 				t.Fatalf("way %d took %d hops, sequential injection %d", i+1, e.Processed(), es[0].Processed())
 			}
+		}
+		var machine []dataplane.Delivery
+		for _, d := range m.Deliveries {
+			machine = append(machine, dataplane.Delivery{Host: d.Host, Fields: d.Fields})
+		}
+		if got, ref := deliveryKeys(one.Deliveries()), deliveryKeys(machine); !slices.Equal(got, ref) {
+			t.Fatalf("one packet at a time, the engine delivered\n%v\nand the machine\n%v", got, ref)
 		}
 	})
 }

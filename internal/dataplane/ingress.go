@@ -10,21 +10,18 @@ import (
 	"eventnet/internal/obs"
 )
 
-// Every way a packet gets in. The per-packet boundary — host resolution,
-// the one walk of the header map that interns it and checks its values,
-// the ingress stamp, and in served mode a lock/boundary round trip — is
-// the measured cost ahead of the ~100ns hop loop, so everything that is
-// constant per call (the program, the clock, each ingress switch's
-// configuration tag) is read once per call, and a batch amortizes the
-// admission boundary over the whole slice while keeping per-packet
-// semantics bit-identical to sequential injection.
-//
-// The synchronous Inject, InjectStamped and InjectBatch take map-form
-// packets and intern them on the spot (injectMap). The served-mode inbox
-// carries one representation from the socket to the rings: the flat Batch
-// below, which a wire decoder (or the InjectAsync adapters) fills without
-// building a map, and which admit interns against whatever program is
-// current at the boundary.
+// Every way a packet gets in, by one path: each entry point fills the
+// flat Batch below — the map-form ones with fill, a wire decoder without
+// building a map — and admit interns, stamps and queues it against the
+// program current at the boundary, inline for the synchronous entry
+// points and a non-serving engine, through the served-mode inbox
+// otherwise. The per-packet boundary — host resolution, the one read of
+// the header fields that checks their values, the intern, the ingress
+// stamp — is the measured cost ahead of the ~100ns hop loop, so what is
+// constant per admission (the program, the clock, each ingress switch's
+// configuration tag) is read once per admission, and a batch amortizes
+// the boundary over the whole slice while keeping per-packet semantics
+// bit-identical to sequential injection.
 
 // Inject stamps a packet entering from the named host with the current
 // program's ingress-switch configuration tag (the IN rule) and queues it.
@@ -41,50 +38,20 @@ func (e *Engine) Inject(host string, fields netkat.Packet) error {
 // which swap-consistency checks verify deliveries against. Same
 // synchronization contract as Inject.
 func (e *Engine) InjectStamped(host string, fields netkat.Packet) (Stamp, error) {
-	clear(e.versions)
-	st, _, err := e.injectMap(e.cur(), host, fields, nil, len(fields), e.ingressClock())
-	return st, err
-}
-
-// injectMap is the per-packet body of the synchronous entry points, the
-// IN rule on a map-form packet: resolve the host, walk the fields once
-// (Schema.intern: flat values, inert remainder, domain check), stamp with
-// the ingress switch's configuration tag, queue. inert is the call's
-// inert set so far and comes back grown; room sizes it on first need.
-//
-// A packet is rejected before anything of it is kept: the chunked
-// generation machinery relies on the queued packets forming a dense seq
-// window (ringLo, seq], so no seq is consumed and no injection counted
-// until the walk has succeeded, intern has truncated the inert pairs to
-// their length before the packet, and the value array goes back where it
-// came from — worker 0's free list, which injection may use because it
-// runs at boundaries, when workers are quiescent, and which lets a
-// workload whose packets expire in the network recirculate arrays.
-func (e *Engine) injectMap(cp *progState, host string, fields netkat.Packet, inert *inertSet, room int, now int64) (Stamp, *inertSet, error) {
-	hi, ok := e.hostIdx[host]
-	if !ok {
-		return Stamp{}, inert, fmt.Errorf("dataplane: unknown host %q", host)
+	b := e.NewBatch()
+	if errs := b.fill([]Injection{{Host: host, Fields: fields}}); errs != nil {
+		b.Release()
+		return Stamp{}, errs[0]
 	}
-	h := &e.hosts[hi]
-	wk := e.ws[0]
-	vals := wk.takeVals(cp.schema.Len())
-	lo := inert.len()
-	pres, inert, err := cp.schema.intern(fields, vals, inert, room)
-	if err != nil {
-		wk.recycle(vals)
-		return Stamp{}, inert, err
-	}
-	version := e.versionAt(cp, h.sw)
-	e.n[obs.CtrInjections]++
-	e.ingress(cp, h, version, vals, pres, inert.since(lo), now)
-	return Stamp{Epoch: cp.epoch, Version: version}, inert, nil
+	var st [1]Stamp
+	e.admit(b, e.ingressClock(), st[:])
+	return st[0], nil
 }
 
 // versionAt returns the configuration tag of packets entering at switch
 // index sw: ConfigFor hashes the switch's whole view, and no view can
-// change inside an injection call, so each call computes it once per
-// ingress switch into a scratch (tag+1; 0 = not yet) that the entry
-// points clear.
+// change inside an admission, so each admission computes it once per
+// ingress switch into a scratch (tag+1; 0 = not yet) that admit clears.
 func (e *Engine) versionAt(cp *progState, sw int) int {
 	if e.versions[sw] == 0 {
 		e.versions[sw] = int32(cp.nes.ConfigFor(cp.views[sw])) + 1
@@ -93,8 +60,8 @@ func (e *Engine) versionAt(cp *progState, sw int) int {
 }
 
 // ingress queues one interned packet entering at h, stamped (cp.epoch,
-// version): the tail every injection path shares. Boundary context only
-// (it consumes a seq and samples the tracer).
+// version). Boundary context only (it consumes a seq and samples the
+// tracer).
 func (e *Engine) ingress(cp *progState, h *hostPort, version int, vals []int32, pres uint64, inert inertRef, tns int64) {
 	e.seq++
 	var tid int32
@@ -136,22 +103,20 @@ func batchErr(errs []error, n, i int, err error) []error {
 // stamps[i] is zero). Synchronous mode only, like Inject.
 func (e *Engine) InjectBatch(ins []Injection) ([]Stamp, []error) {
 	stamps := make([]Stamp, len(ins))
-	var errs []error
-	cp := e.cur()
-	clear(e.versions)
-	// One clock read stamps the whole batch (they are admitted at one
-	// boundary anyway).
-	now := e.ingressClock()
-	// The call's inert set is allocated by its first inert field, with
-	// room for all the fields of as many such packets as remain: one
-	// allocation and no regrowth when the packets are alike.
-	var inert *inertSet
-	for bi := range ins {
-		in := &ins[bi]
-		var err error
-		stamps[bi], inert, err = e.injectMap(cp, in.Host, in.Fields, inert, len(in.Fields)*(len(ins)-bi), now)
-		if err != nil {
-			errs = batchErr(errs, len(ins), bi, err)
+	b := e.NewBatch()
+	errs := b.fill(ins)
+	admitted := len(b.recs)
+	e.admit(b, e.ingressClock(), stamps)
+	if errs != nil {
+		// Record k is the k-th admitted packet: move the stamps out to
+		// their packets, back to front so none is overwritten unread.
+		for i, k := len(ins)-1, admitted; i >= 0; i-- {
+			st := Stamp{}
+			if errs[i] == nil {
+				k--
+				st = stamps[k]
+			}
+			stamps[i] = st
 		}
 	}
 	return stamps, errs
@@ -315,7 +280,7 @@ func (b *Batch) Submit() error {
 	e.wmu.Lock()
 	if !e.serving {
 		e.wmu.Unlock()
-		e.admit(b, e.ingressClock())
+		e.admit(b, e.ingressClock(), nil)
 		return nil
 	}
 	if e.inboxPkts+b.packets > maxInboxPackets {
@@ -334,23 +299,63 @@ func (b *Batch) Submit() error {
 	return nil
 }
 
-// add fills one record from a map-form packet in one walk, checking the
-// value domain as Schema.intern does; a rejected packet's record is
-// aborted.
-func (b *Batch) add(host string, fields netkat.Packet) error {
-	hi, ok := b.e.hostIdx[host]
-	if !ok {
-		return fmt.Errorf("dataplane: unknown host %q", host)
-	}
-	for f, v := range fields {
-		if int(int32(v)) != v {
-			b.Abort()
-			return domainErr(f, v)
+// fill adds the map-form injections to an empty batch, one record each
+// in slice order, checking each packet's host and every value's int32
+// flat-value domain; a rejected packet leaves no record. errs follows
+// the InjectBatch convention (nil = all added). Iterating a Go map costs
+// several times what looking a few keys up does, so a packet with as
+// many fields as the last one added is first read by looking up that
+// packet's names (keys[id]: field id's name); only a packet that lacks
+// one of them is walked.
+func (b *Batch) fill(ins []Injection) []error {
+	var errs []error
+	var buf [8]string
+	keys := buf[:0]
+	pairs, recs := b.pairs, b.recs
+	plo, phi := 0, -1 // the last added packet's pairs
+	for bi := range ins {
+		in := &ins[bi]
+		hi, ok := b.e.hostIdx[in.Host]
+		if !ok {
+			errs = batchErr(errs, len(ins), bi, fmt.Errorf("dataplane: unknown host %q", in.Host))
+			continue
 		}
-		b.Field(b.FieldID([]byte(f)), int32(v))
+		lo := len(pairs)
+		var err error
+		repeat := phi-plo == len(in.Fields)
+		for k := plo; repeat && err == nil && k < phi; k++ {
+			id := pairs[k].id
+			v, ok := in.Fields[keys[id]]
+			if repeat = ok; int(int32(v)) != v {
+				err = domainErr(keys[id], v)
+			}
+			pairs = append(pairs, fieldPair{id: id, val: int32(v)})
+		}
+		if !repeat {
+			pairs = pairs[:lo]
+			for f, v := range in.Fields {
+				if int(int32(v)) != v {
+					err = domainErr(f, v)
+					break
+				}
+				id := b.FieldID([]byte(f))
+				if int(id) == len(keys) {
+					keys = append(keys, f)
+				}
+				pairs = append(pairs, fieldPair{id: id, val: int32(v)})
+			}
+		}
+		if err != nil {
+			pairs = pairs[:lo]
+			errs = batchErr(errs, len(ins), bi, err)
+			continue
+		}
+		recs = append(recs, batchRec{host: hi, count: 1, lo: int32(lo), hi: int32(len(pairs)), numbered: -1})
+		plo, phi = lo, len(pairs)
 	}
-	b.Commit(hi, 1)
-	return nil
+	b.packets += len(recs) - len(b.recs)
+	b.pairs, b.open, b.recs = pairs, int32(len(pairs)), recs
+	return errs
 }
 
 // InjectAsync queues a packet for admission at the next generation
@@ -358,12 +363,10 @@ func (b *Batch) add(host string, fields netkat.Packet) error {
 // non-serving engine the packet is admitted inline. The fields are
 // copied out at the call.
 func (e *Engine) InjectAsync(host string, fields netkat.Packet) error {
-	b := e.NewBatch()
-	if err := b.add(host, fields); err != nil {
-		b.Release()
-		return err
+	if errs := e.InjectAsyncBatch([]Injection{{Host: host, Fields: fields}}); errs != nil {
+		return errs[0]
 	}
-	return b.Submit()
+	return nil
 }
 
 // InjectAsyncBatch queues a batch for admission at one boundary of a
@@ -374,13 +377,8 @@ func (e *Engine) InjectAsync(host string, fields netkat.Packet) error {
 // inbox refuses the batch, every packet that was admissible reports
 // ErrInboxFull. On a non-serving engine the batch is admitted inline.
 func (e *Engine) InjectAsyncBatch(ins []Injection) []error {
-	var errs []error
 	b := e.NewBatch()
-	for bi := range ins {
-		if err := b.add(ins[bi].Host, ins[bi].Fields); err != nil {
-			errs = batchErr(errs, len(ins), bi, err)
-		}
-	}
+	errs := b.fill(ins)
 	if err := b.Submit(); err != nil {
 		for bi := range ins {
 			if errs == nil || errs[bi] == nil {
@@ -392,16 +390,17 @@ func (e *Engine) InjectAsyncBatch(ins []Injection) []error {
 }
 
 // admit stamps and interns a flat batch against the program current
-// now, queues its packets, and recycles it. Boundary context only.
+// now, queues its packets, writes record i's stamp to stamps[i] when
+// stamps is not nil, and recycles the batch. Boundary context only.
 //
 // Interning is a table lookup: each of the batch's field names resolves
-// once to its schema slot (or to none, which makes the field inert for
-// this program), then every pair of every record is an array write. The
-// inert pairs of the whole batch go, as they are, into one inertSet
-// allocated here — its name table is the batch's, indexed by the
-// batch's field ids, as substrings of one copy of the batch's name
-// bytes made only when something is inert.
-func (e *Engine) admit(b *Batch, now int64) {
+// once to its schema slot (or to none: inert for this program), then a
+// record is one pass over its pairs, and each further copy of a counted
+// record a copy of its value array. The inert pairs of the whole batch
+// go into one inertSet allocated here, whose name table is the batch's
+// (substrings of one copy of its name bytes, made only when something
+// is inert).
+func (e *Engine) admit(b *Batch, now int64, stamps []Stamp) {
 	cp := e.cur()
 	width := cp.schema.Len()
 	wk := e.ws[0]
@@ -437,32 +436,31 @@ func (e *Engine) admit(b *Batch, now int64) {
 		r := &b.recs[ri]
 		h := &e.hosts[r.host]
 		version := e.versionAt(cp, h.sw)
-		pairs := b.pairs[r.lo:r.hi]
-		// shared is the record's inert fields less the numbered one: what
-		// every copy carries, unless the numbered field is itself inert.
-		var shared inertRef
-		if anyInert {
-			lo := len(inert.pairs)
-			for _, p := range pairs {
-				if slots[p.id] < 0 && p.id != r.numbered {
-					inert.pairs = append(inert.pairs, p)
-				}
-			}
-			shared = inert.since(lo)
+		if stamps != nil {
+			stamps[ri] = Stamp{Epoch: cp.epoch, Version: version}
 		}
-		for j := int32(0); j < r.count; j++ {
-			vals := wk.takeVals(width)
-			pres := uint64(0)
-			for _, p := range pairs {
-				if slot := slots[p.id]; slot >= 0 {
-					vals[slot] = p.val
-					pres |= 1 << uint(slot)
-				}
+		// The record's values and inert pairs less the numbered field:
+		// what every copy carries.
+		vals := wk.takeVals(width)
+		pres := uint64(0)
+		lo := inert.len()
+		for _, p := range b.pairs[r.lo:r.hi] {
+			if slot := slots[p.id]; slot >= 0 {
+				vals[slot] = p.val
+				pres |= 1 << uint(slot)
+			} else if p.id != r.numbered {
+				inert.pairs = append(inert.pairs, p)
 			}
-			own := shared
+		}
+		shared := inert.since(lo)
+		for j := int32(0); j < r.count; j++ {
+			own, v := shared, vals
+			if j+1 < r.count {
+				v = wk.copyVals(vals) // the last copy takes the original
+			}
 			if r.numbered >= 0 {
 				if slot := slots[r.numbered]; slot >= 0 {
-					vals[slot] = r.base + j
+					v[slot] = r.base + j
 					pres |= 1 << uint(slot)
 				} else {
 					lo := len(inert.pairs)
@@ -473,7 +471,7 @@ func (e *Engine) admit(b *Batch, now int64) {
 					own = inert.since(lo)
 				}
 			}
-			e.ingress(cp, h, version, vals, pres, own, now)
+			e.ingress(cp, h, version, v, pres, own, now)
 		}
 	}
 	e.n[obs.CtrInjections] += int64(b.packets)
@@ -490,7 +488,7 @@ func (e *Engine) admitInbox() {
 	if len(batches) > 0 {
 		now := e.ingressClock()
 		for i, b := range batches {
-			e.admit(b, now)
+			e.admit(b, now, nil)
 			batches[i] = nil
 		}
 	}

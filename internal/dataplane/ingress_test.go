@@ -13,12 +13,15 @@ import (
 	"eventnet/internal/syntax"
 )
 
-// Flat-ingress equivalence: the served path — packets filled into a
-// flat Batch, queued, and interned by table lookup at admission — must
+// Flat-ingress equivalence: every entry point fills a Batch and admit
+// interns it, so what the served path changes is when and where that
+// happens — queued in a serving engine's inbox and admitted by the
+// supervisor at a boundary, instead of inline in the caller. It must
 // yield the delivery sequence (host, fields, stamp) of the synchronous
-// map-form InjectBatch, whatever the worker count, with and without
-// inert fields, and with a program swap landing between the moment a
-// batch is filled and the moment it is admitted.
+// InjectBatch whatever the worker count, with and without inert fields,
+// for a batch filled through the public Field/Commit API, and with a
+// program swap landing between the moment a batch is filled and the
+// moment it is admitted.
 
 // fillBatch writes the injections into a fresh flat batch through the
 // public filling API, the way a wire decoder does.

@@ -42,7 +42,7 @@ type Schema struct {
 const scanFields = 8
 
 // slot returns the interned index of a field name, or -1 when the
-// program cannot see the field. It is the one resolver intern, admit and
+// program cannot see the field. It is the one resolver admit, intern and
 // Index share.
 func (s *Schema) slot(f string) int {
 	if len(s.fields) > scanFields {
@@ -196,9 +196,9 @@ type fieldPair struct {
 }
 
 // inertSet holds the inert fields — those outside the program's schema —
-// of the packets that entered the engine together (one InjectBatch call,
-// one admitted Batch): every packet's pairs in one pointer-free array,
-// their names in a table of the set's own. No rule can test or write an
+// of the packets that entered the engine together (one admitted Batch):
+// every packet's pairs in one pointer-free array, their names in a table
+// of the set's own. No rule can test or write an
 // inert field, so a set is immutable once its packets are queued. It is
 // owned by the garbage collector: an ingress set lives while packets of
 // its call are in flight or wait in a worker's delivery log, and the
@@ -246,34 +246,25 @@ func (is *inertSet) since(lo int) inertRef {
 	return inertRef{set: is, lo: int32(lo), hi: int32(len(is.pairs))}
 }
 
-// intern is the one walk a map-form packet gets at the boundary: every
-// value is checked against the int32 flat-value domain as it is visited,
-// schema fields are loaded into the flat value array (the returned
-// presence bitmap has bit i set ⇔ field i present), and fields outside
-// the schema (usually none) are appended to the inert set, which it
-// returns — allocated on first need, with room for that many pairs, when
-// the caller had none. vals must be at least Len() long; slots without a
-// presence bit are left as-is (matching and materialization read values
-// only under their bit, so recycled arrays need no zeroing).
+// intern is the map-form walk FlatMatcher.Process gives each packet:
+// every value is checked against the int32 flat-value domain, schema
+// fields are loaded into vals (bit i of the returned presence bitmap set
+// ⇔ field i present; other slots are left as-is, since matching and
+// materialization read values only under their bit), and the fields
+// outside the schema go into an inert set of their own.
 //
 // Flat values are int32: header values in this system are host
 // addresses, ports and small program constants. The boundaries enforce
-// the domain — here for map-form packets, in Batch.add and the wire
-// decoders for flat batches, and lowerValue panics on out-of-range rule
+// the domain — here, in Batch.fill and the wire decoders for everything
+// the engine admits, and lowerValue panics on out-of-range rule
 // constants at compile time — so interning can never silently truncate
-// and diverge from the reference semantics. The offending field may be
-// the first visited or the last (Go randomizes map order), so on error
-// the pairs this packet appended are truncated away; the caller recycles
-// vals, and nothing of the packet remains.
-func (s *Schema) intern(fields netkat.Packet, vals []int32, inert *inertSet, room int) (uint64, *inertSet, error) {
+// and diverge from the reference semantics.
+func (s *Schema) intern(fields netkat.Packet, vals []int32) (uint64, *inertSet, error) {
 	pres := uint64(0)
-	lo := inert.len()
+	var inert *inertSet
 	for f, v := range fields {
 		if int(int32(v)) != v {
-			if inert != nil {
-				inert.pairs = inert.pairs[:lo]
-			}
-			return 0, inert, domainErr(f, v)
+			return 0, nil, domainErr(f, v)
 		}
 		if i := s.slot(f); i >= 0 {
 			vals[i] = int32(v)
@@ -281,7 +272,7 @@ func (s *Schema) intern(fields netkat.Packet, vals []int32, inert *inertSet, roo
 			continue
 		}
 		if inert == nil {
-			inert = &inertSet{pairs: make([]fieldPair, 0, room)}
+			inert = &inertSet{pairs: make([]fieldPair, 0, len(fields))}
 		}
 		inert.pairs = append(inert.pairs, fieldPair{id: inert.nameID(f), val: int32(v)})
 	}
