@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"eventnet/internal/apps"
 	"eventnet/internal/ctrl"
@@ -104,6 +105,34 @@ func TestNetdErrorPaths(t *testing.T) {
 			serviceable()
 		})
 	}
+
+	// A built-in app's size parameters are refused before the app is
+	// built: a ring of diameter 100 000 used to take minutes of CPU in
+	// apps.ByName, and failover-wan with 100 000 cycles hundreds of MiB,
+	// before the topology check said no.
+	for _, tc := range []struct {
+		body  map[string]any
+		param string
+	}{
+		{map[string]any{"app": "ring", "diameter": 100000}, "diameter"},
+		{map[string]any{"app": "ring", "diameter": maxAppParam + 1}, "diameter"},
+		{map[string]any{"app": "failover-wan", "cycles": 100000}, "cycles"},
+		{map[string]any{"app": "failover-diamond", "cycles": maxAppParam + 1}, "cycles"},
+		{map[string]any{"app": "bandwidth-cap", "cap": 1 << 40}, "cap"},
+		{map[string]any{"app": "bandwidth-cap", "cap": -1}, "cap"},
+	} {
+		for _, path := range []string{"/program", "/swap"} {
+			start := time.Now()
+			out := call(t, ts, "POST", path, tc.body, 400)
+			if took := time.Since(start); took > 2*time.Second {
+				t.Fatalf("POST %s %v: refused after %v, want promptly", path, tc.body, took)
+			}
+			if msg, _ := out["error"].(string); !strings.Contains(msg, tc.param) {
+				t.Fatalf("POST %s %v: error %v, want it to name %s", path, tc.body, out, tc.param)
+			}
+		}
+	}
+	serviceable()
 
 	// A constant no packet can carry used to panic a compile worker, a
 	// goroutine outside net/http's recover, and take the daemon down; a

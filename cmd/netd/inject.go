@@ -51,6 +51,13 @@ const (
 	// (Σ count over its packets, rejected ones included): the engine's
 	// delivery-log bound, so {"count":1e9} cannot allocate without limit.
 	maxInjectPackets = 1 << 16
+	// maxAppParam bounds a built-in app's cap, diameter and cycles, which
+	// size what apps.ByName builds before the topology check can refuse
+	// it: a ring's build is quadratic in its diameter, a failover app's
+	// memory linear in its cycles, and a cap or cycles count this large
+	// already has more states than the compiler enumerates
+	// (stateful.MaxStates).
+	maxAppParam = 4096
 	// maxNameBytes bounds a host or field name.
 	maxNameBytes = 64
 	// maxFieldNames bounds the distinct field names of one request: the

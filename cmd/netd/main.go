@@ -179,8 +179,17 @@ func failBody(w http.ResponseWriter, err error) {
 	fail(w, http.StatusBadRequest, "bad request: %v", err)
 }
 
-// appByName resolves a built-in application.
+// appByName resolves a built-in application, refusing size parameters
+// past maxAppParam before building anything.
 func appByName(req programRequest) (apps.App, error) {
+	for _, p := range [...]struct {
+		name string
+		v    int
+	}{{"cap", req.Cap}, {"diameter", req.Diameter}, {"cycles", req.Cycles}} {
+		if p.v < 0 || p.v > maxAppParam {
+			return apps.App{}, fmt.Errorf("%s %d outside [0, %d]", p.name, p.v, maxAppParam)
+		}
+	}
 	return apps.ByName(req.App, apps.Params{Cap: req.Cap, Diameter: req.Diameter, Cycles: req.Cycles})
 }
 
