@@ -42,7 +42,7 @@ type Schema struct {
 const scanFields = 8
 
 // slot returns the interned index of a field name, or -1 when the
-// program cannot see the field. It is the one resolver admit, intern and
+// program cannot see the field. It is the one resolver intern, admit and
 // Index share.
 func (s *Schema) slot(f string) int {
 	if len(s.fields) > scanFields {
@@ -198,12 +198,12 @@ type fieldPair struct {
 // inertSet holds the inert fields — those outside the program's schema —
 // of the packets that entered the engine together (one admitted Batch):
 // every packet's pairs in one pointer-free array, their names in a table
-// of the set's own. No rule can test or write an
-// inert field, so a set is immutable once its packets are queued. It is
-// owned by the garbage collector: an ingress set lives while packets of
-// its call are in flight or wait in a worker's delivery log, and the
-// sets the merged log copies their pairs into (rehomeInert) until the
-// deliveries they serve are trimmed.
+// of the set's own. No rule can test or write an inert field, so a set
+// is immutable once its packets are queued. It is owned by the garbage
+// collector: an ingress set lives while packets of its batch are in
+// flight or wait in a worker's delivery log, and the sets the merged log
+// copies their pairs into (rehomeInert) until the deliveries they serve
+// are trimmed.
 type inertSet struct {
 	names []string // pair id -> field name
 	pairs []fieldPair
