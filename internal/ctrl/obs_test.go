@@ -84,8 +84,9 @@ func TestControllerObsSwapPhases(t *testing.T) {
 	}
 }
 
-// TestCompileCacheResetIsVisible: the compiler cache holds 32 programs and
-// resets wholesale on the 33rd, which then compiles cold. An operator
+// TestCompileCacheResetIsVisible: the compiler cache shares one context
+// across 32 builds and resets wholesale before the 33rd, which then
+// compiles cold. An operator
 // sees that as compile_cache_resets moving, and the template memo's
 // effect as compile_template_hits against _misses — the revisions before
 // the reset walk Figure 6 for what they add, the one after it for all.

@@ -22,13 +22,13 @@ import (
 type Options struct {
 	Workers int // accepted and ignored; named by bench/
 	// Cache, when non-nil, is a cross-build compiler cache: the
-	// incremental compiler comes from it instead of being created fresh,
-	// so successive builds — the program revisions of a live controller —
-	// reuse FDDs, segments, and whole tables across generations. The cache
-	// serializes builds; the resulting ETS is byte-identical with and
-	// without a cache. Hit/miss stats reported for a cached build count
-	// only that build's lookups, while Strands/FDDNodes report the cache's
-	// cumulative store sizes.
+	// incremental compiler is built on its FDD context and interners
+	// instead of fresh ones, so successive builds — the program revisions
+	// of a live controller — reuse FDDs, segments, walks and tables across
+	// generations. The cache serializes builds; the resulting ETS is
+	// byte-identical with and without a cache. Every build has a compiler
+	// of its own, so hit/miss stats count that build's lookups, while
+	// Strands/FDDNodes report the cache's cumulative store sizes.
 	Cache *nkc.ProgramCache
 }
 
@@ -63,16 +63,14 @@ type explored struct {
 // build statistics alongside. See Build for semantics.
 func BuildWithOptions(p stateful.Program, t *topo.Topology, o Options) (*ETS, Stats, error) {
 	var (
-		pc     *nkc.ProgramCompiler
-		before nkc.CacheStats
-		err    error
+		pc  *nkc.ProgramCompiler
+		err error
 	)
 	if o.Cache != nil {
 		if pc, err = o.Cache.Acquire(p.Cmd, t); err != nil {
 			return nil, Stats{}, err
 		}
 		defer o.Cache.Release()
-		before = pc.Stats()
 	} else if pc, err = nkc.NewProgramCompiler(p.Cmd, t, nil); err != nil {
 		return nil, Stats{}, err
 	}
@@ -84,16 +82,7 @@ func BuildWithOptions(p stateful.Program, t *topo.Topology, o Options) (*ETS, St
 	if err := e.finish(raw); err != nil {
 		return nil, Stats{}, err
 	}
-	stats := Stats{States: len(e.Vertices), Edges: len(e.Edges), Events: len(e.Events), Configs: pc.Configs(), Cache: pc.Stats()}
-	// A cached compiler's counters accumulate across builds; report only
-	// this build's lookups (store sizes stay absolute by design).
-	stats.Cache.TableHits -= before.TableHits
-	stats.Cache.TableMisses -= before.TableMisses
-	stats.Cache.SegmentHits -= before.SegmentHits
-	stats.Cache.SegmentMisses -= before.SegmentMisses
-	stats.Cache.TemplateHits -= before.TemplateHits
-	stats.Cache.TemplateMisses -= before.TemplateMisses
-	return e, stats, nil
+	return e, Stats{States: len(e.Vertices), Edges: len(e.Edges), Events: len(e.Events), Configs: pc.Configs(), Cache: pc.Stats()}, nil
 }
 
 // explore is the one entry point into per-state work: it asks the

@@ -63,11 +63,11 @@ func TestAcquireBuildsOnCacheContext(t *testing.T) {
 }
 
 // TestOneRenderingPerSubmit: between Swap's entry and return the whole
-// program is rendered once, by ctrl for its generation memo
-// (TestCompileMemoHitRendersOnce pins that side). The compiler's half
-// renders link-free segments only — the text their interned ids stand
-// for — and identifies the program to the cache by those ids: beyond the
-// skeleton, Acquire of cap-2001 allocates less than the 90 KB program
+// program is rendered once, by ctrl for its generation memo, the one
+// whole-program memo (TestCompileMemoHitRendersOnce pins that side). The
+// compiler's half renders link-free segments only — the text their
+// interned ids stand for — and keys nothing by the whole program: beyond
+// the skeleton, Acquire of cap-2001 allocates less than the 90 KB program
 // text, where one more rendering alone is twice it. An empty cache, so
 // that Acquire and the stand-alone compiler intern the same keys.
 func TestOneRenderingPerSubmit(t *testing.T) {

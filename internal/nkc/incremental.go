@@ -278,9 +278,9 @@ func assembleCmdStrand(es []*cmdNode, key *strings.Builder) progStrand {
 // (projection turns each placeholder into true or false by that bit and
 // changes nothing else), so the key is sound across states, across the
 // branches of a program that differ only in the values they test, across
-// compiler generations, and across different programs sharing an FDD
-// context and interner (nkc.ProgramCache): the interner never reuses
-// ids, so equal keys imply equal (shape, truth vector) pairs. The walk
+// builds, and across different programs sharing an FDD context and
+// interner (nkc.ProgramCache): the interner never reuses ids, so equal
+// keys imply equal (shape, truth vector) pairs. The walk
 // memo uses the same form over a strand prefix. sig is tagged in its low
 // bit — at most 63 placeholders pack their truth bits inline (tag 1);
 // more intern the packed bytes and carry the dense id (tag 0) — so the
@@ -291,8 +291,8 @@ type segMemoKey struct {
 }
 
 // compilerInterns groups the interners of one ProgramCompiler — or,
-// through ProgramCache, of every cached program of one cache generation,
-// which is what lets their memo keys meet in one FDD context.
+// through ProgramCache, of every build of one cache generation, which is
+// what lets their memo keys meet in one FDD context.
 type compilerInterns struct {
 	segKeys *Interner // segment shape -> id
 	sigs    *Interner // whole-program guard signature -> id
@@ -350,7 +350,7 @@ func NewProgramCompiler(c stateful.Cmd, t *topo.Topology, _ *SharedCache) (*Prog
 }
 
 // newProgramCompiler builds the compiler on an FDD context and interner
-// set: fresh ones, or the pair every program of a ProgramCache shares.
+// set: fresh ones, or the pair every build of a ProgramCache shares.
 func newProgramCompiler(c stateful.Cmd, t *topo.Topology, ctx *FDDCtx, in *compilerInterns) (*ProgramCompiler, error) {
 	if err := netkat.Validate(stateful.Project(c, stateful.State{})); err != nil {
 		return nil, err

@@ -5,7 +5,7 @@ package nkc
 //
 //   - Interner: a string -> dense uint32 id table. Guard signatures and
 //     segment renderings are interned once, so every cache keyed by them
-//     (segment memo, table memo, ProgramCache entries) becomes an integer
+//     (segment memo, walk memo, configuration memo) becomes an integer
 //     lookup with no string hashing on the per-state hot path. Ids are
 //     assigned in first-intern order and never reused; injectivity is
 //     what makes them sound cache keys (see docs/PIPELINE.md, "Interning
@@ -27,8 +27,8 @@ import "unsafe"
 
 // Interner assigns dense uint32 ids to strings. Like the FDD context it
 // is single-goroutine: one Interner belongs to one ProgramCompiler, or to
-// the programs of one ProgramCache generation, whose builds the cache's
-// semaphore serializes.
+// the builds of one ProgramCache generation, which the cache's semaphore
+// serializes.
 type Interner struct {
 	ids map[string]uint32
 }

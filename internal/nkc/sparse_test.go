@@ -211,13 +211,13 @@ func TestSparseLookupBound(t *testing.T) {
 // the cross-program segMemo key, so a drift would silently split the
 // memo between programs — and filling its placeholders with its tests,
 // in order, gives back the reference rendering: shape and tests together
-// identify the command, which is what programKey relies on. Second, over
-// the shipped apps at their reachable states and 200 random programs at
-// every vector in {0..3}², compiled on one interner set as the programs
-// of a ProgramCache are, segments with equal keys project to identical
-// policies: segments whose projections differ never share a key. The key
-// must also merge: some key is shared by segments that test different
-// values (the counter branches of bandwidth-cap-40).
+// identify the command. Second, over the shipped apps at their reachable
+// states and 200 random programs at every vector in {0..3}², compiled on
+// one interner set as the builds of a ProgramCache are, segments with
+// equal keys project to identical policies: segments whose projections
+// differ never share a key. The key must also merge: some key is shared
+// by segments that test different values (the counter branches of
+// bandwidth-cap-40).
 func TestSegmentKeyIsShape(t *testing.T) {
 	type prog struct {
 		name   string
