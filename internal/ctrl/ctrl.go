@@ -7,7 +7,7 @@
 // A swap of the running program P for an incoming P' proceeds as:
 //
 //  1. compile P' through the incremental pipeline, reusing FDDs,
-//     segments and whole configurations across swap generations
+//     segments, walks and tables across swap generations
 //     (nkc.ProgramCache), so revisions compile as deltas;
 //  2. account for P' tables behind fresh version guards (the
 //     dataplane.MergedPair staged shape — phase one, invisible to
@@ -152,11 +152,12 @@ type Controller struct {
 	close  sync.Once
 
 	// progs memoizes compiled program generations by canonical program
-	// text, most-recently-used last. Swapping back to a recent program is
-	// then allocation-free: the same *Program returns, lowered plan and
-	// all — on a busy controller the A<->B ping-pong costs no compile work
-	// and no GC debt at all. A generation that falls out of this window
-	// is garbage once the engine has retired it.
+	// text, most-recently-used last: the one whole-program memo, since
+	// the compiler cache keeps only structural ones. Swapping back to a
+	// recent program is then allocation-free: the same *Program returns,
+	// lowered plan and all — on a busy controller the A<->B ping-pong
+	// costs no compile work and no GC debt at all. A generation that
+	// falls out of this window is garbage once the engine has retired it.
 	progs []*Program
 
 	// swapStart is the wall time of the in-flight swap's StageSwap call,
@@ -198,18 +199,20 @@ func progKey(p stateful.Program) string {
 // controller's cross-generation compiler cache, and memoizes whole
 // generations: recompiling an unchanged program returns the same
 // *Program — same NES identity, same plan once a Swap has lowered it.
+// Hit or miss, a program whose header fields do not fit one schema
+// beside the running program's is refused.
 func (c *Controller) Compile(name string, p stateful.Program) (*Program, error) {
 	key := progKey(p)
 	c.mu.Lock()
-	for i, g := range c.progs {
-		if g.key == key {
-			c.progs = append(append(c.progs[:i:i], c.progs[i+1:]...), g) // refresh LRU position
-			c.mu.Unlock()
-			return g, nil
-		}
-	}
 	running := c.cur
+	g := c.memoized(key)
 	c.mu.Unlock()
+	if g != nil {
+		if err := fitsBeside(name, g.fields, running); err != nil {
+			return nil, err
+		}
+		return g, nil
+	}
 
 	start := time.Now()
 	e, stats, err := ets.BuildWithOptions(p, c.topo, ets.Options{Cache: c.cache})
@@ -220,22 +223,16 @@ func (c *Controller) Compile(name string, p stateful.Program) (*Program, error) 
 	if err != nil {
 		return nil, fmt.Errorf("ctrl: converting %s: %w", name, err)
 	}
-	// A swap installs the program beside the running one, so the header
-	// fields of both must fit one schema (dataplane.SchemaForPair).
 	fields := dataplane.ProgramFields(n)
-	both := fields
-	if running != nil {
-		both = append(both[:len(both):len(both)], running.fields...)
+	if err := fitsBeside(name, fields, running); err != nil {
+		return nil, err
 	}
-	if err := dataplane.CheckFields(both); err != nil {
-		return nil, fmt.Errorf("ctrl: compiling %s: %w", name, err)
-	}
-	g := &Program{Name: name, Prog: p, ETS: e, NES: n, Stats: stats, Compile: time.Since(start), key: key, fields: fields}
+	g = &Program{Name: name, Prog: p, ETS: e, NES: n, Stats: stats, Compile: time.Since(start), key: key, fields: fields}
 	if m := c.metrics(); m != nil {
 		// Memo hits above return before this point, so these record fresh
-		// builds only. stats.Cache hit/miss counters are already this
-		// build's deltas (ets.BuildWithOptions subtracts the pre-build
-		// snapshot); Strands/FDDNodes are absolute store sizes.
+		// builds only. Every build has a compiler of its own, so the
+		// stats.Cache hit/miss counters are this build's lookups;
+		// Strands/FDDNodes are absolute store sizes.
 		m.Inc(obs.CtrCompiles)
 		m.Observe(obs.HistCompileNs, g.Compile.Nanoseconds())
 		m.Add(obs.CtrCompileTableHits, stats.Cache.TableHits)
@@ -256,12 +253,43 @@ func (c *Controller) Compile(name string, p stateful.Program) (*Program, error) 
 		m.SetGauge(obs.GaugeArenaHighWater, hw)
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	// A concurrent Compile of the same program may have memoized its
+	// build meanwhile: return that one, so equal programs share one
+	// *Program and one slot.
+	if first := c.memoized(key); first != nil {
+		return first, nil
+	}
 	c.progs = append(c.progs, g)
 	if len(c.progs) > progMemoLimit {
 		c.progs = slices.Delete(c.progs, 0, 1) // clears the vacated slot
 	}
-	c.mu.Unlock()
 	return g, nil
+}
+
+// memoized returns the generation memoized under key, refreshing its LRU
+// position, or nil. Callers hold c.mu.
+func (c *Controller) memoized(key string) *Program {
+	for i, g := range c.progs {
+		if g.key == key {
+			c.progs = append(append(c.progs[:i:i], c.progs[i+1:]...), g)
+			return g
+		}
+	}
+	return nil
+}
+
+// fitsBeside refuses a program whose header fields, together with the
+// running program's, exceed one schema: a swap installs the two side by
+// side (dataplane.SchemaForPair).
+func fitsBeside(name string, fields []string, running *Program) error {
+	if running != nil {
+		fields = append(fields[:len(fields):len(fields)], running.fields...)
+	}
+	if err := dataplane.CheckFields(fields); err != nil {
+		return fmt.Errorf("ctrl: compiling %s: %w", name, err)
+	}
+	return nil
 }
 
 // Load compiles and installs the first program and starts the engine in

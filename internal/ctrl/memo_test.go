@@ -1,12 +1,19 @@
 package ctrl_test
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"weak"
 
 	"eventnet/internal/apps"
 	"eventnet/internal/ctrl"
+	"eventnet/internal/dataplane"
+	"eventnet/internal/stateful"
+	"eventnet/internal/topo"
 )
 
 // TestCompileMemoHitRendersOnce: a program is identified in the memo by
@@ -70,5 +77,131 @@ func TestEvictedGenerationIsCollectable(t *testing.T) {
 	runtime.GC()
 	if initial.Value() != nil {
 		t.Fatal("the evicted, retired initial program is still reachable")
+	}
+}
+
+// TestMemoHitChecksFields: whether a program fits one schema beside the
+// running program does not depend on memo history. A and X test 40
+// header fields each, S one: A compiled beside S is a memo hit after the
+// controller moves to X, and is refused as a controller that has always
+// run X refuses it.
+func TestMemoHitChecksFields(t *testing.T) {
+	progs := map[string]stateful.Program{"S": wideProgram("s", 1), "A": wideProgram("f", 40), "X": wideProgram("g", 40)}
+	type step struct {
+		op, prog string // op is load, compile or swap
+		refuse   int    // header fields the refusal counts; 0 when accepted
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []step
+	}{
+		{"A fresh beside X", []step{{"load", "X", 0}, {"compile", "A", 80}}},
+		{"A memoized beside S, X running", []step{{"load", "S", 0}, {"compile", "A", 0}, {"swap", "X", 0}, {"compile", "A", 80}}},
+		{"swap to A memoized beside S, X running", []step{{"load", "S", 0}, {"compile", "A", 0}, {"swap", "X", 0}, {"swap", "A", 80}}},
+		{"A memoized beside S, S running", []step{{"load", "S", 0}, {"compile", "A", 0}, {"compile", "A", 0}}},
+		{"A memoized and running, X refused", []step{{"load", "A", 0}, {"swap", "X", 80}, {"compile", "A", 0}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := ctrl.New(topo.Firewall(), ctrl.Options{})
+			defer c.Close()
+			for i, s := range tc.steps {
+				var err error
+				switch s.op {
+				case "load":
+					err = c.Load(s.prog, progs[s.prog])
+				case "compile":
+					_, err = c.Compile(s.prog, progs[s.prog])
+				case "swap":
+					_, err = c.Swap(s.prog, progs[s.prog])
+				}
+				want := fmt.Sprintf("program uses %d header fields; the flat packet representation caps at 64", s.refuse)
+				switch {
+				case s.refuse == 0 && err != nil:
+					t.Fatalf("step %d, %s %s: %v", i, s.op, s.prog, err)
+				case s.refuse != 0 && (!errors.Is(err, dataplane.ErrFieldLimit) || !strings.HasSuffix(err.Error(), want)):
+					t.Fatalf("step %d, %s %s: got %v, want a refusal ending %q", i, s.op, s.prog, err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestConcurrentCompileMemoizesOnce: goroutines compiling one novel
+// program together all miss the memo and all build it, and must still
+// get one *Program — the documented "same *Program, same plan" — in one
+// memo slot.
+func TestConcurrentCompileMemoizesOnce(t *testing.T) {
+	a := apps.BandwidthCap(2000)
+	c := ctrl.New(a.Topo, ctrl.Options{})
+	defer c.Close()
+	const n = 8
+	got := make([]*ctrl.Program, n)
+	errs := make([]error, n)
+	barrier := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-barrier
+			got[i], errs[i] = c.Compile(a.Name, a.Prog)
+		}()
+	}
+	close(barrier)
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != got[0] {
+			t.Fatalf("compile %d returned a generation of its own", i)
+		}
+	}
+	if m := ctrl.MemoLen(c); m != 1 {
+		t.Fatalf("one program holds %d memo slots", m)
+	}
+}
+
+// TestEvictedProgramRebuildsFromMemos: the controller's generation memo
+// is the one whole-program memo. A program pushed out of it by eight
+// novel revisions compiles again as a new generation, but from the
+// compiler cache's structural memos: no ToFDD call, no Figure 6 walk,
+// and the tables of its first build.
+func TestEvictedProgramRebuildsFromMemos(t *testing.T) {
+	first := apps.BandwidthCap(40)
+	c := ctrl.New(first.Topo, ctrl.Options{})
+	defer c.Close()
+	was, err := c.Compile(first.Name, first.Prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 41; k <= 48; k++ {
+		a := apps.BandwidthCap(k)
+		if _, err := c.Compile(a.Name, a.Prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	again, err := c.Compile(first.Name, first.Prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == was {
+		t.Fatal("eight novel revisions did not push the program out of the memo")
+	}
+	if st := again.Stats.Cache; st.SegmentMisses != 0 || st.TemplateMisses != 0 {
+		t.Fatalf("the rebuild translated %d segments and walked Figure 6 %d times, want 0 and 0", st.SegmentMisses, st.TemplateMisses)
+	}
+	if len(again.ETS.Vertices) != len(was.ETS.Vertices) {
+		t.Fatalf("the rebuild has %d states, the first build %d", len(again.ETS.Vertices), len(was.ETS.Vertices))
+	}
+	for i, v := range again.ETS.Vertices {
+		if len(v.Tables) != len(was.ETS.Vertices[i].Tables) {
+			t.Fatalf("vertex %d: %d tables, the first build %d", i, len(v.Tables), len(was.ETS.Vertices[i].Tables))
+		}
+		for sw, tbl := range v.Tables {
+			if tbl != was.ETS.Vertices[i].Tables[sw] {
+				t.Fatalf("vertex %d switch %d holds a table of its own, not the first build's", i, sw)
+			}
+		}
 	}
 }
