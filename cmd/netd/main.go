@@ -241,8 +241,8 @@ func (s *server) handleProgram(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Compile now: submission validates the program and warms the
-	// cross-generation cache, so the later swap is a pure cache hit.
+	// Compile now: submission validates the program and memoizes its
+	// generation, so the later swap is a memo hit that compiles nothing.
 	p, err := s.c.Compile(name, prog)
 	if err != nil {
 		fail(w, rejected(err, http.StatusUnprocessableEntity), "%v", err)

@@ -157,7 +157,7 @@ var gaugeHelp = [numGauges]string{
 	GaugeInternEntries:      "Dense-interner entries in the compiler cache (field/value atoms, segment keys, guard signatures).",
 	GaugeArenaBytes:         "FDD arena slab bytes allocated by the compiler cache.",
 	GaugeArenaHighWater:     "Largest FDD arena observed across compiler cache generations.",
-	GaugeCompileCacheResets: "Wholesale compiler-cache resets so far: the compile after one is cold.",
+	GaugeCompileCacheResets: "Wholesale compiler-cache resets so far, one per 32 builds: the compile after one is cold.",
 	GaugeWatchSubscribers:   "Active /watch stream subscribers.",
 	GaugeWatchDropped:       "Events dropped to slow /watch consumers (cumulative).",
 	GaugeTracePending:       "Sampled journeys currently being stitched.",
