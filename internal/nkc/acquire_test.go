@@ -42,23 +42,26 @@ func acquireCosts(t *testing.T, c *ProgramCache, b apps.App) (excess, ctx float6
 // TestAcquireBuildsOnCacheContext: the root compiler of a novel revision
 // is constructed on the cache's own FDD context and interners. Building a
 // stand-alone compiler first and re-homing it allocated a whole context
-// (a 327 KB arena) per submit, to throw it away.
+// per submit, to throw it away, and left the skeleton keyed by ids of
+// interners nothing else shares. Both legs run on one cache: empty, then
+// holding the earlier revision.
 func TestAcquireBuildsOnCacheContext(t *testing.T) {
-	a, b := apps.BandwidthCap(200), apps.BandwidthCap(201)
 	c := NewProgramCache()
-	if _, err := c.Acquire(a.Prog.Cmd, a.Topo); err != nil {
-		t.Fatal(err)
-	}
-	c.Release()
-	excess, ctx, root := acquireCosts(t, c, b)
-	if root.ctx != c.ctx || root.intern != c.intern {
-		t.Fatal("the acquired root is not on the cache's context and interners")
-	}
-	if ctx < 300e3 {
-		t.Fatalf("a context allocates %.0f KB; the comparison below assumes about 327", ctx/1e3)
-	}
-	if excess > 150e3 {
-		t.Fatalf("Acquire allocates %.0f KB beyond the skeleton, want < 150 KB: it is building a context of its own", excess/1e3)
+	for _, b := range []apps.App{apps.BandwidthCap(200), apps.BandwidthCap(201)} {
+		excess, ctx, root := acquireCosts(t, c, b)
+		if root.ctx != c.ctx || root.intern != c.intern {
+			t.Fatal("the acquired root is not on the cache's context and interners")
+		}
+		for _, s := range root.strands {
+			for _, seg := range s.segs {
+				if id, ok := c.intern.segKeys.ids[string(seg.key)]; !ok || id != root.segKeyIDs[seg.id] {
+					t.Fatalf("%s: segment %d is keyed %d, the cache's interner has %d (present %v): the skeleton was built on other interners", b.Name, seg.id, root.segKeyIDs[seg.id], id, ok)
+				}
+			}
+		}
+		if excess > ctx/2 {
+			t.Fatalf("%s: Acquire allocates %.1f KB beyond the skeleton, a context and interners %.1f KB: it is building a context of its own", b.Name, excess/1e3, ctx/1e3)
+		}
 	}
 }
 

@@ -31,10 +31,10 @@ type CacheStats struct {
 	FDDNodes int64
 	// InternEntries is the total interner population backing the
 	// compiler's int-keyed caches: guard signatures, segment keys, and
-	// per-context field/action atoms. ArenaBytes is the slab memory
-	// reserved by the FDD node arena; ArenaHighWater is the largest
-	// arena seen (across cache generations, when a ProgramCache resets
-	// wholesale). All three are store sizes, not counters.
+	// per-context field/action atoms. ArenaBytes is what the FDD node
+	// arena's chunks reserve (they double from 64 nodes up to 4096);
+	// ArenaHighWater is the largest arena seen across cache generations,
+	// when a ProgramCache resets wholesale. All are store sizes, not counters.
 	InternEntries  int64
 	ArenaBytes     int64
 	ArenaHighWater int64

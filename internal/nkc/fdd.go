@@ -238,7 +238,7 @@ func (c *FDDCtx) NodeCount() int { return c.nextID }
 // memoized so far.
 func (c *FDDCtx) StrandCount() int { return len(c.hopCache) }
 
-// ArenaBytes returns the slab bytes reserved by the node arena.
+// ArenaBytes returns the bytes reserved by the node arena's chunks.
 func (c *FDDCtx) ArenaBytes() int64 { return c.arena.bytes() }
 
 // AtomCount returns the number of interned field atoms plus actions —

@@ -16,12 +16,12 @@ package nkc
 //     and memo keys. The canonical test *order* still compares field
 //     names (testLess); the packed form is identity only.
 //
-//   - fddArena: chunked slab storage for FDD nodes. Chunks are
-//     append-only and never reallocated, so node pointers stay stable
-//     for the life of the context while the GC sees one object per 4096
-//     nodes instead of one per node. Node identity is the dense id
-//     assigned at allocation; the slab index of a node is id itself,
-//     making id -> node resolution array indexing.
+//   - fddArena: chunked slab storage for FDD nodes. Chunks double from
+//     64 nodes up to 4096 and are never reallocated, so node pointers
+//     stay stable for the life of the context while the GC sees one
+//     object per chunk instead of one per node, and a small program
+//     reserves about what it interns. Node identity is the dense id
+//     assigned at allocation; nothing resolves an id back to a node.
 
 import "unsafe"
 
@@ -99,34 +99,38 @@ func checkAtomValue(v int) {
 	}
 }
 
-// fddChunkBits sizes arena chunks at 4096 nodes.
-const fddChunkBits = 12
+// Arena chunk sizes in nodes: the first chunk, and the cap each later
+// chunk's doubling stops at.
+const (
+	fddFirstChunk = 64
+	fddMaxChunk   = 4096
+)
 
-const fddChunkSize = 1 << fddChunkBits
-
-// fddArena allocates FDD nodes from chunked slabs. Chunks are never
-// grown in place, so &chunk[i] stays valid forever; nodes are therefore
-// addressable both by pointer (the API the combinators and extraction
-// use) and by dense id (chunk = id >> fddChunkBits, slot = id & mask).
+// fddArena allocates FDD nodes from chunks. A chunk is never grown in
+// place, so &cur[i] stays valid forever; the arena keeps only the newest
+// chunk, the older ones live as long as nodes in them are referenced.
 type fddArena struct {
-	chunks [][]FDD
-	n      int
+	cur      []FDD // newest chunk; its length is the nodes handed out
+	n        int   // nodes allocated: the next dense id
+	reserved int   // nodes reserved across all chunks
 }
 
 // alloc returns a zeroed node carrying the next dense id.
 func (a *fddArena) alloc() *FDD {
-	ci := a.n >> fddChunkBits
-	if ci == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]FDD, fddChunkSize))
+	if len(a.cur) == cap(a.cur) {
+		size := min(max(2*cap(a.cur), fddFirstChunk), fddMaxChunk)
+		a.cur = make([]FDD, 0, size)
+		a.reserved += size
 	}
-	d := &a.chunks[ci][a.n&(fddChunkSize-1)]
+	a.cur = a.cur[:len(a.cur)+1]
+	d := &a.cur[len(a.cur)-1]
 	d.id = a.n
 	a.n++
 	return d
 }
 
-// bytes returns the slab bytes reserved so far (whole chunks, the
+// bytes returns the slab bytes reserved so far (every chunk whole, the
 // figure CacheStats reports as ArenaBytes).
 func (a *fddArena) bytes() int64 {
-	return int64(len(a.chunks)) * fddChunkSize * int64(unsafe.Sizeof(FDD{}))
+	return int64(a.reserved) * int64(unsafe.Sizeof(FDD{}))
 }
