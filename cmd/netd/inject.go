@@ -394,10 +394,12 @@ func (in *ingest) begin(w http.ResponseWriter, r *http.Request, s *server) bool 
 		}
 		return false
 	}
-	if in.b = s.c.NewBatch(); in.b == nil {
+	eng := s.c.Engine()
+	if eng == nil {
 		in.fail(w, http.StatusBadRequest, "ctrl: no program loaded")
 		return false
 	}
+	in.b = eng.NewBatch()
 	return true
 }
 

@@ -51,7 +51,7 @@ func oracleDecode(body []byte) (*injectBatchRequest, error) {
 // scanBatch runs the strict scanner over an /inject-batch body and
 // returns what it committed, in map form.
 func scanBatch(c *ctrl.Controller, body []byte) (ins []dataplane.Injection, counts []int, rejects []reject, packets int, err error) {
-	in := &ingest{body: body, b: c.NewBatch()}
+	in := &ingest{body: body, b: c.Engine().NewBatch()}
 	defer in.b.Release()
 	var next atomic.Int64
 	packets, err = in.batch(&next)
@@ -198,7 +198,11 @@ func TestInjectNumbering(t *testing.T) {
 	}
 	call(t, ts, "POST", "/quiesce", nil, 200)
 	var ids []int
-	for _, p := range c.DeliveredTo("H4") {
+	for _, d := range c.Engine().CopyDeliveries(0) {
+		if d.Host != "H4" {
+			continue
+		}
+		p := d.Fields
 		ids = append(ids, p["id"])
 		if p["id"] <= 3 && p["tos"] != 5 {
 			t.Errorf("copy %v lost its inert field", p)
@@ -256,7 +260,7 @@ func TestInjectBatchAllocs(t *testing.T) {
 		rd.Reset(body)
 		r.Body = rc
 		handler.ServeHTTP(w, r)
-		c.Quiesce()
+		c.Engine().Quiesce()
 	}
 	for i := 0; i < 8; i++ { // warm pools, rings and free lists
 		cycle()

@@ -493,7 +493,9 @@ func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleQuiesce(w http.ResponseWriter, r *http.Request) {
-	s.c.Quiesce()
+	if eng := s.c.Engine(); eng != nil {
+		eng.Quiesce()
+	}
 	writeJSON(w, http.StatusOK, map[string]any{"quiesced": true})
 }
 
@@ -546,7 +548,7 @@ func main() {
 		Metrics:        obs.NewMetrics(*workers),
 		Bus:            obs.NewBus(),
 		Flight:         obs.NewFlight(*flightCap, *workers),
-		Watch:          obs.NewWatchdog(obs.WatchOptions{}),
+		Watch:          obs.NewWatchdog(),
 		DeliverySample: *deliverySample,
 	}
 	if *traceSample > 0 {

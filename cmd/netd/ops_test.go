@@ -22,7 +22,7 @@ func TestWatchShutdownEvent(t *testing.T) {
 	// Traffic first, so the terminal event demonstrably arrives after a
 	// live feed (not on an idle stream).
 	call(t, ts, "POST", "/inject", injectRequest{Host: "H1", Fields: map[string]int{"dst": 104, "src": 101}}, 200)
-	c.Quiesce()
+	c.Engine().Quiesce()
 	waitFor(t, snap, "a delivery before shutdown", func(evs []obs.Event) bool {
 		for _, ev := range evs {
 			if ev.Kind == obs.KindDelivery {
@@ -60,7 +60,7 @@ func TestWatchShutdownEvent(t *testing.T) {
 func TestDebugFlightEndpoint(t *testing.T) {
 	ts, _, _, c := watchServer(t)
 	call(t, ts, "POST", "/inject", injectRequest{Host: "H1", Fields: map[string]int{"dst": 104, "src": 101}, Count: 5}, 200)
-	c.Quiesce()
+	c.Engine().Quiesce()
 
 	fetch := func() *obs.FlightDump {
 		t.Helper()

@@ -26,7 +26,7 @@ func watchServer(t *testing.T) (*httptest.Server, *server, *obs.Obs, *ctrl.Contr
 		Bus:            obs.NewBus(),
 		Trace:          obs.NewTracer(1, 2),
 		Flight:         obs.NewFlight(0, 2),
-		Watch:          obs.NewWatchdog(obs.WatchOptions{}),
+		Watch:          obs.NewWatchdog(),
 		DeliverySample: 1,
 	}
 	c := ctrl.New(a.Topo, ctrl.Options{Workers: 2, Obs: o})

@@ -31,10 +31,6 @@ type Failover struct {
 	Cycles     int           // fail/recover cycles before the chain ends
 }
 
-// FailedState reports whether a state vector of the failover program is
-// an odd (failed, backup-routing) state.
-func (f Failover) FailedState(s stateful.State) bool { return s.Get(0)%2 == 1 }
-
 // reversePath reverses a chain of bidirectional-link hops.
 func reversePath(path []topo.Link) []topo.Link {
 	out := make([]topo.Link, len(path))

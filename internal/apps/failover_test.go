@@ -6,7 +6,6 @@ import (
 
 	"eventnet/internal/dataplane"
 	"eventnet/internal/ets"
-	"eventnet/internal/nes"
 	"eventnet/internal/netkat"
 )
 
@@ -43,17 +42,17 @@ func TestFailoverPrograms(t *testing.T) {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
 		fails, recovers := 0, 0
-		for _, id := range n.FailureEvents() {
-			ev := n.Events[id]
-			src, dst, ok := ev.FailedLink()
-			if !ok || src != f.Failed.Src || dst != f.Failed.Dst {
-				t.Fatalf("%s: event %d decodes to (%v,%v), want %v", f.Name, id, src, dst, f.Failed)
-			}
-			switch ev.Kind() {
-			case nes.KindLinkFail:
+		link := netkat.LinkID(f.Failed.Src, f.Failed.Dst)
+		for _, ev := range n.Events {
+			down, isFail := ev.Guard.Eq(netkat.FieldLinkDown)
+			up, isRecover := ev.Guard.Eq(netkat.FieldLinkUp)
+			switch {
+			case isFail && down == link:
 				fails++
-			case nes.KindLinkRecover:
+			case isRecover && up == link:
 				recovers++
+			case isFail || isRecover:
+				t.Fatalf("%s: event %d is about link %d/%d, want %d (%v)", f.Name, ev.ID, down, up, link, f.Failed)
 			}
 		}
 		if fails != cycles || recovers != cycles {
@@ -91,7 +90,7 @@ func TestFailoverNoTrafficOnFailedLink(t *testing.T) {
 		for _, v := range et.Vertices {
 			fwd := emitsOn(v, f.Failed.Src.Switch, f.Failed.Src.Port)
 			rev := emitsOn(v, f.Failed.Dst.Switch, f.Failed.Dst.Port)
-			if f.FailedState(v.State) {
+			if v.State.Get(0)%2 == 1 {
 				if fwd || rev {
 					t.Fatalf("%s: state %v emits onto failed link %v (fwd=%v rev=%v)",
 						f.Name, v.State, f.Failed, fwd, rev)
@@ -200,7 +199,7 @@ func TestFailoverDeliveryDeterminism(t *testing.T) {
 				// the backup path.
 				odd := 0
 				for _, d := range ds {
-					if f.FailedState(et.Vertices[d.Stamp.Version].State) {
+					if et.Vertices[d.Stamp.Version].State.Get(0)%2 == 1 {
 						odd++
 					}
 				}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"testing"
 
 	"eventnet/internal/dataplane"
@@ -58,8 +59,7 @@ func TestChaosDeterminism(t *testing.T) {
 }
 
 // TestChaosHashPin pins the synchronous delivery sequence across
-// commits: seed 7, 200 rounds, two workers, with per-packet and batched
-// ingress alike. The other determinism tests compare runs within one
+// commits: seed 7, 200 rounds, two workers. The other determinism tests compare runs within one
 // build; this one fails if a change to the runner, the engine or a
 // scenario moves what the audit sees.
 func TestChaosHashPin(t *testing.T) {
@@ -78,16 +78,14 @@ func TestChaosHashPin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, batched := range []bool{false, true} {
-			r, err := Run(s, Options{Workers: 2, Batched: batched})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Hash != tc.hash || r.Audited != tc.audited || r.Injected != tc.injected || r.Swaps != tc.swap || r.Hops != tc.hops {
-				t.Errorf("%s batched=%v: hash %016x audited %d injected %d swaps %d hops %d, want %016x %d %d %d %d",
-					tc.name, batched, r.Hash, r.Audited, r.Injected, r.Swaps, r.Hops,
-					tc.hash, tc.audited, tc.injected, tc.swap, tc.hops)
-			}
+		r, err := Run(s, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Hash != tc.hash || r.Audited != tc.audited || r.Injected != tc.injected || r.Swaps != tc.swap || r.Hops != tc.hops {
+			t.Errorf("%s: hash %016x audited %d injected %d swaps %d hops %d, want %016x %d %d %d %d",
+				tc.name, r.Hash, r.Audited, r.Injected, r.Swaps, r.Hops,
+				tc.hash, tc.audited, tc.injected, tc.swap, tc.hops)
 		}
 	}
 }
@@ -95,25 +93,22 @@ func TestChaosHashPin(t *testing.T) {
 // TestChaosServed: the schedule replayed through a served engine with
 // controller-driven swaps stays violation-free (scheduling is
 // timing-dependent there, so only the audit — not the hash — is
-// asserted). Both ingress paths are covered: per-packet InjectStamped
-// and batched InjectBatch inside the boundary.
+// asserted).
 func TestChaosServed(t *testing.T) {
 	for _, name := range []string{"storm-swap", "wan-failover"} {
-		for _, batched := range []bool{false, true} {
-			s, err := NewSchedule(name, 3, 120)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := RunServed(s, Options{Workers: 2, Batched: batched})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Violations() != 0 {
-				t.Errorf("%s served batched=%v: %d mixed, %d dropped", name, batched, res.Mixed, res.Dropped)
-			}
-			if res.Audited == 0 || res.Swaps == 0 {
-				t.Errorf("%s served batched=%v: audited=%d swaps=%d — degenerate run", name, batched, res.Audited, res.Swaps)
-			}
+		s, err := NewSchedule(name, 3, 120)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunServed(s, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Violations() != 0 {
+			t.Errorf("%s served: %d mixed, %d dropped", name, res.Mixed, res.Dropped)
+		}
+		if res.Audited == 0 || res.Swaps == 0 {
+			t.Errorf("%s served: audited=%d swaps=%d — degenerate run", name, res.Audited, res.Swaps)
 		}
 	}
 }
@@ -241,4 +236,28 @@ func BenchmarkChaos(b *testing.B) {
 		audited += res.Audited
 	}
 	b.ReportMetric(float64(audited)/float64(b.N), "audited/op")
+}
+
+// CheckDeterminism replays a schedule at every given worker count and
+// verifies the delivery sequence — hosts, header fields, stamps, order —
+// is bit-identical throughout.
+func CheckDeterminism(s Schedule, workerCounts []int) error {
+	var ref *Result
+	var refDesc string
+	for _, w := range workerCounts {
+		r, err := Run(s, Options{Workers: w})
+		if err != nil {
+			return err
+		}
+		desc := fmt.Sprintf("workers=%d", w)
+		if ref == nil {
+			ref, refDesc = r, desc
+			continue
+		}
+		if r.Hash != ref.Hash || r.Audited != ref.Audited {
+			return fmt.Errorf("chaos: %s seed %d nondeterministic: %s got %d deliveries hash %x, %s got %d hash %x",
+				s.Scenario, s.Seed, refDesc, ref.Audited, ref.Hash, desc, r.Audited, r.Hash)
+		}
+	}
+	return nil
 }

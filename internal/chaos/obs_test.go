@@ -16,7 +16,7 @@ func chaosObs(w int) *obs.Obs {
 		Bus:            obs.NewBus(),
 		Trace:          obs.NewTracer(1, w),
 		Flight:         obs.NewFlight(0, w),
-		Watch:          obs.NewWatchdog(obs.WatchOptions{}),
+		Watch:          obs.NewWatchdog(),
 		DeliverySample: 1,
 	}
 }

@@ -102,14 +102,14 @@ func TestSharedTablesReadOnly(t *testing.T) {
 	}
 	traffic := dataplane.NewLoadGen(gens[0], a.Topo, 9)
 	for _, next := range []apps.App{b, a} {
-		if errs := c.InjectBatch(traffic.Injections(300)); errs != nil {
+		if errs := c.Engine().InjectAsyncBatch(traffic.Injections(300)); errs != nil {
 			t.Fatal(errs)
 		}
 		if _, err := c.Swap(next.Name, next.Prog); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.Quiesce()
+	c.Engine().Quiesce()
 	if len(c.Engine().CopyDeliveries(0)) == 0 {
 		t.Fatal("the served run delivered nothing")
 	}

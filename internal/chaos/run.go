@@ -18,11 +18,6 @@ import (
 // Options configure a chaos run.
 type Options struct {
 	Workers int
-	// Batched drives every burst and storm through InjectBatch instead
-	// of per-packet InjectStamped. The delivery sequence must be
-	// bit-identical either way — the ingress-equivalence axis of the
-	// determinism matrix.
-	Batched bool
 	// ChunkGens overrides the engine's generations-per-chunk cap (0 =
 	// engine default). Chunking must be unobservable in the delivery
 	// sequence; the torture tests randomize it per run.
@@ -185,25 +180,15 @@ func play(sc *scenario, s Schedule, o Options, workers int, d driver) (*Result, 
 	epochs := []epoch{d.first}
 	cur := 0
 
-	// inject admits a batch either per-packet or through the batched
-	// ingress, per Options.Batched; both paths must be
-	// delivery-equivalent.
+	// inject admits a burst through InjectBatch and records each
+	// packet's stamp.
 	inject := func(ins ...dataplane.Injection) error {
 		var err error
 		e.Do(func() {
 			for i := range ins {
 				ins[i].Fields["id"] = len(recs) + i
 			}
-			stamps, errs := make([]dataplane.Stamp, len(ins)), []error(nil)
-			if o.Batched {
-				stamps, errs = e.InjectBatch(ins)
-			} else {
-				for i, in := range ins {
-					if stamps[i], err = e.InjectStamped(in.Host, in.Fields); err != nil {
-						return
-					}
-				}
-			}
+			stamps, errs := e.InjectBatch(ins)
 			for i, in := range ins {
 				if errs != nil && errs[i] != nil {
 					err = errs[i]

@@ -8,8 +8,7 @@ import "eventnet/internal/ctrl"
 // synchronous runner cannot cover. Boundary placement is
 // timing-dependent in served mode, so the delivery Hash is not
 // comparable across runs; the audit invariant (Mixed == Dropped == 0)
-// must hold regardless. Options.Batched and Options.ChunkGens apply as
-// in Run.
+// must hold regardless. Options.ChunkGens applies as in Run.
 func RunServed(s Schedule, o Options) (*Result, error) {
 	sc, err := buildScenario(s.Scenario)
 	if err != nil {

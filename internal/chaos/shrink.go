@@ -62,29 +62,3 @@ func Audit(s Schedule, o Options) (*Result, *Schedule, *obs.FlightDump, error) {
 	}
 	return res, &min, ro.Obs.Flight.Dump(), nil
 }
-
-// CheckDeterminism replays a schedule at every given worker count, with
-// both per-packet and batched ingress, and verifies the delivery sequence
-// — hosts, header fields, stamps, order — is bit-identical throughout.
-func CheckDeterminism(s Schedule, workerCounts []int) error {
-	var ref *Result
-	var refDesc string
-	for _, batched := range []bool{false, true} {
-		for _, w := range workerCounts {
-			r, err := Run(s, Options{Workers: w, Batched: batched})
-			if err != nil {
-				return err
-			}
-			desc := fmt.Sprintf("workers=%d batched=%v", w, batched)
-			if ref == nil {
-				ref, refDesc = r, desc
-				continue
-			}
-			if r.Hash != ref.Hash || r.Audited != ref.Audited {
-				return fmt.Errorf("chaos: %s seed %d nondeterministic: %s got %d deliveries hash %x, %s got %d hash %x",
-					s.Scenario, s.Seed, refDesc, ref.Audited, ref.Hash, desc, r.Audited, r.Hash)
-			}
-		}
-	}
-	return nil
-}

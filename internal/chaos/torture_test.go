@@ -15,7 +15,7 @@ import (
 // diverge or the differential audit would flag mixed/dropped packets.
 
 // TestChunkInvariance: the same schedule hashes bit-identically at
-// every chunk budget × worker count, both ingress paths.
+// every chunk budget × worker count.
 func TestChunkInvariance(t *testing.T) {
 	for _, name := range Scenarios() {
 		s, err := NewSchedule(name, 13, 100)
@@ -26,28 +26,26 @@ func TestChunkInvariance(t *testing.T) {
 		var refDesc string
 		for _, cg := range []int{0, 1, 2, 7, 64} {
 			for _, w := range []int{1, 3} {
-				for _, batched := range []bool{false, true} {
-					r, err := Run(s, Options{Workers: w, ChunkGens: cg, Batched: batched})
-					if err != nil {
-						t.Fatal(err)
-					}
-					desc := fmt.Sprintf("chunk=%d workers=%d batched=%v", cg, w, batched)
-					if refDesc == "" {
-						refHash, refDesc = r.Hash, desc
-						continue
-					}
-					if r.Hash != refHash {
-						t.Fatalf("%s: chunking observable: %s hash %x, %s hash %x",
-							name, refDesc, refHash, desc, r.Hash)
-					}
+				r, err := Run(s, Options{Workers: w, ChunkGens: cg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				desc := fmt.Sprintf("chunk=%d workers=%d", cg, w)
+				if refDesc == "" {
+					refHash, refDesc = r.Hash, desc
+					continue
+				}
+				if r.Hash != refHash {
+					t.Fatalf("%s: chunking observable: %s hash %x, %s hash %x",
+						name, refDesc, refHash, desc, r.Hash)
 				}
 			}
 		}
 	}
 }
 
-// TestChunkTorture: randomized chunk budgets, worker counts, ingress
-// modes and op mixes — heavy on swaps staged while traffic is in flight
+// TestChunkTorture: randomized chunk budgets, worker counts and op
+// mixes — heavy on swaps staged while traffic is in flight
 // — each run fully audited (every delivery checked against Eval,
 // mixed=0 and dropped=0). A violating run is shrunk to its shortest
 // violating prefix and reported as a one-line reproducer.
@@ -63,7 +61,6 @@ func TestChunkTorture(t *testing.T) {
 		o := Options{
 			Workers:   1 + rng.Intn(4),
 			ChunkGens: []int{1, 2, 3, 5, 8, 64}[rng.Intn(6)],
-			Batched:   rng.Intn(2) == 1,
 		}
 		s, err := NewSchedule(name, int64(1000+i), rounds)
 		if err != nil {
@@ -74,8 +71,8 @@ func TestChunkTorture(t *testing.T) {
 			t.Fatalf("%s chunk=%d workers=%d: %v", name, o.ChunkGens, o.Workers, err)
 		}
 		if res.Violations() != 0 {
-			t.Errorf("%s chunk=%d workers=%d batched=%v: %d mixed, %d dropped — reproducer: %s",
-				name, o.ChunkGens, o.Workers, o.Batched, res.Mixed, res.Dropped, repro.Reproducer())
+			t.Errorf("%s chunk=%d workers=%d: %d mixed, %d dropped — reproducer: %s",
+				name, o.ChunkGens, o.Workers, res.Mixed, res.Dropped, repro.Reproducer())
 		}
 		if res.Audited == 0 {
 			t.Fatalf("%s: audited nothing — torture is vacuous", name)
@@ -95,7 +92,7 @@ func TestChunkTortureServed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunServed(s, Options{Workers: 3, ChunkGens: cg, Batched: true})
+			res, err := RunServed(s, Options{Workers: 3, ChunkGens: cg})
 			if err != nil {
 				t.Fatal(err)
 			}

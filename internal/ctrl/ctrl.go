@@ -36,7 +36,6 @@ import (
 	"eventnet/internal/dataplane"
 	"eventnet/internal/ets"
 	"eventnet/internal/nes"
-	"eventnet/internal/netkat"
 	"eventnet/internal/nkc"
 	"eventnet/internal/obs"
 	"eventnet/internal/stateful"
@@ -47,9 +46,6 @@ import (
 type Options struct {
 	// Workers is the engine's forwarding workers. Defaults to 1.
 	Workers int
-	// SwapTimeout bounds how long Swap waits for the old program to
-	// drain. Defaults to 30s.
-	SwapTimeout time.Duration
 	// DeliveryLog bounds the engine's retained delivery log (0 =
 	// unlimited; long-running daemons must set it — see
 	// dataplane.Options.DeliveryLog).
@@ -67,8 +63,8 @@ type Options struct {
 	Obs *obs.Obs
 	// OnWedgeDump, when set alongside Obs.Flight, receives the flight
 	// dump taken automatically the first time Health observes a wedged
-	// swap (draining past SwapTimeout). Called from its own goroutine,
-	// once per wedge.
+	// swap (draining past the 30 s swap timeout). Called from its own
+	// goroutine, once per wedge.
 	OnWedgeDump func(*obs.FlightDump)
 }
 
@@ -167,6 +163,10 @@ type Controller struct {
 	// taken; it resets whenever swapStart clears.
 	swapStart   time.Time
 	wedgeDumped bool
+	// swapTimeout bounds how long Swap waits for the old program to
+	// drain before it reports the swap wedged: 30 s, which only ctrl's
+	// own tests shorten.
+	swapTimeout time.Duration
 }
 
 // progMemoLimit bounds the retained program generations.
@@ -183,10 +183,7 @@ func New(t *topo.Topology, o Options) *Controller {
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
-	if o.SwapTimeout <= 0 {
-		o.SwapTimeout = 30 * time.Second
-	}
-	return &Controller{topo: t, opts: o, cache: nkc.NewProgramCache()}
+	return &Controller{topo: t, opts: o, cache: nkc.NewProgramCache(), swapTimeout: 30 * time.Second}
 }
 
 // progKey is a program's memo identity: its canonical rendering plus the
@@ -281,7 +278,7 @@ func (c *Controller) memoized(key string) *Program {
 
 // fitsBeside refuses a program whose header fields, together with the
 // running program's, exceed one schema: a swap installs the two side by
-// side (dataplane.SchemaForPair).
+// side, under one schema (dataplane.MergedPair).
 func fitsBeside(name string, fields []string, running *Program) error {
 	if running != nil {
 		fields = append(fields[:len(fields):len(fields)], running.fields...)
@@ -362,7 +359,7 @@ func keyOf(ev nes.Event) eventKey {
 
 // Swap hot-swaps the running program: compile, stage, flip at a barrier,
 // drain, retire. It blocks until the old program has fully drained (or
-// SwapTimeout passes) and returns the completed swap's report.
+// the swap timeout passes) and returns the completed swap's report.
 // Forwarding continues throughout. Swaps are fully serialized — a
 // concurrent Swap waits rather than computing its event mapping against
 // a predecessor that is about to change.
@@ -436,7 +433,7 @@ func (c *Controller) Swap(name string, p stateful.Program) (SwapReport, error) {
 		c.swapStart = time.Time{}
 		c.wedgeDumped = false
 		c.mu.Unlock()
-	case <-time.After(c.opts.SwapTimeout):
+	case <-time.After(c.swapTimeout):
 		// Leave swapStart set — Health reports the wedge — but clear it if
 		// the drain does eventually finish.
 		go func() {
@@ -446,7 +443,7 @@ func (c *Controller) Swap(name string, p stateful.Program) (SwapReport, error) {
 			c.wedgeDumped = false
 			c.mu.Unlock()
 		}()
-		return SwapReport{}, fmt.Errorf("ctrl: swap %s -> %s flipped but did not drain within %v", old.Name, name, c.opts.SwapTimeout)
+		return SwapReport{}, fmt.Errorf("ctrl: swap %s -> %s flipped but did not drain within %v", old.Name, name, c.swapTimeout)
 	}
 	st := sw.Stats()
 
@@ -482,63 +479,6 @@ func (c *Controller) Swap(name string, p stateful.Program) (SwapReport, error) {
 	return rep, nil
 }
 
-// Inject queues a packet from the named host; it is admitted and stamped
-// at the engine's next generation barrier.
-func (c *Controller) Inject(host string, fields netkat.Packet) error {
-	eng := c.engine()
-	if eng == nil {
-		return fmt.Errorf("ctrl: no program loaded")
-	}
-	return eng.InjectAsync(host, fields)
-}
-
-// InjectBatch queues a batch of packets for admission at one engine
-// boundary: validation runs here per packet, and the admissible packets
-// cost one supervisor round trip total. The returned slice follows
-// dataplane.InjectAsyncBatch's convention — nil when every packet was
-// admitted, otherwise errs[i] non-nil marks the rejected packets (the
-// rest of the batch is still admitted).
-func (c *Controller) InjectBatch(ins []dataplane.Injection) []error {
-	eng := c.engine()
-	if eng == nil {
-		errs := make([]error, len(ins))
-		for i := range errs {
-			errs[i] = fmt.Errorf("ctrl: no program loaded")
-		}
-		return errs
-	}
-	return eng.InjectAsyncBatch(ins)
-}
-
-// NewBatch returns an empty flat ingress batch bound to the running
-// engine (nil before Load): the allocation-free way in for a decoder,
-// which fills it and hands it over with Batch.Submit. The engine, and
-// with it every host index, outlives all swaps.
-func (c *Controller) NewBatch() *dataplane.Batch {
-	eng := c.engine()
-	if eng == nil {
-		return nil
-	}
-	return eng.NewBatch()
-}
-
-// Quiesce blocks until the engine has drained all queued traffic.
-func (c *Controller) Quiesce() {
-	if eng := c.engine(); eng != nil {
-		eng.Quiesce()
-	}
-}
-
-// DeliveredTo returns the packets delivered to a host so far
-// (barrier-consistent).
-func (c *Controller) DeliveredTo(host string) []netkat.Packet {
-	eng := c.engine()
-	if eng == nil {
-		return nil
-	}
-	return eng.DeliveredTo(host)
-}
-
 // Status returns the controller's monitoring view.
 func (c *Controller) Status() Status {
 	c.mu.Lock()
@@ -565,10 +505,9 @@ func (c *Controller) Current() *Program {
 	return c.cur
 }
 
-// Engine exposes the underlying engine for experiments and tests.
-func (c *Controller) Engine() *dataplane.Engine { return c.engine() }
-
-func (c *Controller) engine() *dataplane.Engine {
+// Engine returns the running engine (nil before Load). It outlives
+// every swap: ingress, Quiesce and delivery reads go to it directly.
+func (c *Controller) Engine() *dataplane.Engine {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.eng
@@ -627,7 +566,7 @@ func (c *Controller) FlightDump() *obs.FlightDump {
 	if f == nil {
 		return nil
 	}
-	if eng := c.engine(); eng != nil {
+	if eng := c.Engine(); eng != nil {
 		return eng.FlightDump()
 	}
 	return f.Dump()
@@ -636,7 +575,7 @@ func (c *Controller) FlightDump() *obs.FlightDump {
 // Health reports liveness without an engine barrier round trip, so it
 // stays truthful even when the engine is wedged: ok is false with a
 // reason when no program is loaded, the engine has stopped serving, or
-// an in-flight swap has been draining longer than SwapTimeout.
+// an in-flight swap has been draining longer than the swap timeout.
 func (c *Controller) Health() (bool, string) {
 	c.mu.Lock()
 	eng := c.eng
@@ -647,9 +586,9 @@ func (c *Controller) Health() (bool, string) {
 		return false, "no program loaded"
 	case !eng.Serving():
 		return false, "engine stopped"
-	case !swapStart.IsZero() && time.Since(swapStart) > c.opts.SwapTimeout:
+	case !swapStart.IsZero() && time.Since(swapStart) > c.swapTimeout:
 		c.wedgeDump()
-		return false, fmt.Sprintf("swap draining for %s (timeout %s)", time.Since(swapStart).Round(time.Millisecond), c.opts.SwapTimeout)
+		return false, fmt.Sprintf("swap draining for %s (timeout %s)", time.Since(swapStart).Round(time.Millisecond), c.swapTimeout)
 	}
 	return true, "ok"
 }
@@ -680,7 +619,7 @@ func (c *Controller) wedgeDump() {
 // Close stops the engine. Idempotent; safe before Load.
 func (c *Controller) Close() {
 	c.close.Do(func() {
-		if eng := c.engine(); eng != nil {
+		if eng := c.Engine(); eng != nil {
 			eng.Stop()
 		}
 	})

@@ -5,6 +5,7 @@ import (
 
 	"eventnet/internal/apps"
 	"eventnet/internal/ctrl"
+	"eventnet/internal/dataplane"
 	"eventnet/internal/netkat"
 )
 
@@ -23,8 +24,8 @@ func Example() {
 	}
 
 	// Outgoing traffic opens the return path under the firewall.
-	c.Inject("H1", netkat.Packet{"dst": apps.H(4), "src": apps.H(1)})
-	c.Quiesce()
+	c.Engine().InjectAsyncBatch([]dataplane.Injection{{Host: "H1", Fields: netkat.Packet{"dst": apps.H(4), "src": apps.H(1)}}})
+	c.Engine().Quiesce()
 
 	capp := apps.BandwidthCap(3)
 	rep, err := c.Swap(capp.Name, capp.Prog)
@@ -35,9 +36,15 @@ func Example() {
 		rep.From, rep.To, rep.MappedEvents, rep.CarriedEvents, rep.StagedRules)
 
 	// The reply flows under the new program without re-establishing state.
-	c.Inject("H4", netkat.Packet{"dst": apps.H(1), "src": apps.H(4)})
-	c.Quiesce()
-	fmt.Printf("H1 received %d after the swap\n", len(c.DeliveredTo("H1")))
+	c.Engine().InjectAsyncBatch([]dataplane.Injection{{Host: "H4", Fields: netkat.Packet{"dst": apps.H(1), "src": apps.H(4)}}})
+	c.Engine().Quiesce()
+	received := 0
+	for _, d := range c.Engine().CopyDeliveries(0) {
+		if d.Host == "H1" {
+			received++
+		}
+	}
+	fmt.Printf("H1 received %d after the swap\n", received)
 
 	st := c.Status()
 	fmt.Printf("running %s at epoch %d\n", st.Program, st.Epoch)

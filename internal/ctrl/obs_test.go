@@ -1,6 +1,8 @@
 package ctrl_test
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,15 +25,13 @@ func TestControllerObsSwapPhases(t *testing.T) {
 	if err := c.Load("firewall", fw.Prog); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Inject("H1", netkat.Packet{"dst": apps.H(4), "src": apps.H(1)}); err != nil {
-		t.Fatal(err)
-	}
-	c.Quiesce()
+	inject(t, c, "H1", netkat.Packet{"dst": apps.H(4), "src": apps.H(1)})
+	c.Engine().Quiesce()
 	capp := apps.BandwidthCap(3)
 	if _, err := c.Swap(capp.Name, capp.Prog); err != nil {
 		t.Fatal(err)
 	}
-	c.Quiesce()
+	c.Engine().Quiesce()
 	sub.Close()
 
 	var phases []string
@@ -126,7 +126,7 @@ func TestCompileCacheResetIsVisible(t *testing.T) {
 // degraded again once the engine stops.
 func TestControllerHealth(t *testing.T) {
 	fw := apps.Firewall()
-	c := ctrl.New(fw.Topo, ctrl.Options{Workers: 1, SwapTimeout: time.Second})
+	c := ctrl.New(fw.Topo, ctrl.Options{Workers: 1})
 	if ok, reason := c.Health(); ok || reason != "no program loaded" {
 		t.Fatalf("pre-Load Health = %v %q", ok, reason)
 	}
@@ -140,4 +140,119 @@ func TestControllerHealth(t *testing.T) {
 	if ok, reason := c.Health(); ok || reason != "engine stopped" {
 		t.Fatalf("post-Close Health = %v %q", ok, reason)
 	}
+}
+
+// TestSwapWedged runs the wedged-swap path: a drain held past the swap
+// timeout makes Swap return its flipped-but-not-drained error and
+// Health report the drain, takes exactly one automatic flight dump
+// however often Health is polled, and clears once the drain completes.
+//
+// The drain is held by an engine barrier (a Do that waits) that must
+// land after the flip and before the old program retires. Which barrier
+// request the supervisor serves first is not the test's to choose, so
+// the holding request checks the swap phases it has seen on the bus and
+// holds only in that window; an attempt that misses it is retried.
+func TestSwapWedged(t *testing.T) {
+	for attempt := 0; attempt < 100; attempt++ {
+		if wedgeSwap(t) {
+			return
+		}
+	}
+	t.Fatal("no attempt held a drain between the flip and the retirement")
+}
+
+func wedgeSwap(t *testing.T) bool {
+	fw, capp := apps.Firewall(), apps.BandwidthCap(3)
+	o := &obs.Obs{Bus: obs.NewBus(), Flight: obs.NewFlight(0, 1)}
+	phases := o.Bus.Subscribe(64, obs.KindSwap)
+	dumps := make(chan *obs.FlightDump, 4)
+	c := ctrl.New(fw.Topo, ctrl.Options{Workers: 1, Obs: o, OnWedgeDump: func(d *obs.FlightDump) { dumps <- d }})
+	defer c.Close()
+	const timeout = 20 * time.Millisecond
+	ctrl.SetSwapTimeout(c, timeout)
+	if err := c.Load("firewall", fw.Prog); err != nil {
+		t.Fatal(err)
+	}
+	e := c.Engine()
+
+	// Hold the engine at a barrier with firewall packets queued, so the
+	// flip finds the old program in flight.
+	release, held := make(chan struct{}), make(chan struct{})
+	go e.Do(func() {
+		for i := 0; i < 8; i++ {
+			if err := e.Inject("H1", netkat.Packet{"dst": apps.H(4), "src": apps.H(1), "id": i}); err != nil {
+				t.Error(err)
+			}
+		}
+		close(held)
+		<-release
+	})
+	<-held
+	swapped := make(chan error, 1)
+	go func() {
+		_, err := c.Swap(capp.Name, capp.Prog)
+		swapped <- err
+	}()
+	if ev := <-phases.C; ev.Phase != "stage" {
+		t.Fatalf("first swap phase %q, want stage", ev.Phase)
+	}
+	for i := 0; i < 10; i++ {
+		runtime.Gosched() // let Swap queue its flip behind the held barrier
+	}
+	wedge, holding := make(chan struct{}), make(chan bool, 1)
+	go e.Do(func() {
+		flipped, retired := false, false
+		for seen := true; seen; {
+			select {
+			case ev := <-phases.C:
+				flipped = flipped || ev.Phase == "flip"
+				retired = retired || ev.Phase == "retire"
+			default:
+				seen = false
+			}
+		}
+		holding <- flipped && !retired
+		if flipped && !retired {
+			<-wedge
+		}
+	})
+	for i := 0; i < 10; i++ {
+		runtime.Gosched() // let the holding request queue behind the flip
+	}
+	close(release)
+	if !<-holding {
+		<-swapped
+		return false
+	}
+
+	if err := <-swapped; err == nil || !strings.Contains(err.Error(), "flipped but did not drain") {
+		t.Fatalf("Swap over a held drain returned %v", err)
+	}
+	for i := 0; i < 20; i++ {
+		if ok, reason := c.Health(); ok || !strings.Contains(reason, "swap draining") {
+			t.Fatalf("Health during a wedged swap = %v %q", ok, reason)
+		}
+	}
+	close(wedge)
+	select {
+	case d := <-dumps:
+		if d == nil {
+			t.Fatal("OnWedgeDump got a nil dump")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no flight dump for the wedged swap")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for ok, reason := c.Health(); !ok; ok, reason = c.Health() {
+		if time.Now().After(deadline) {
+			t.Fatalf("Health after the drain completed = %v %q", ok, reason)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-dumps:
+		t.Fatal("OnWedgeDump ran twice for one wedge")
+	default:
+	}
+	return true
 }

@@ -92,11 +92,11 @@ func runSwapScenario(t *testing.T, old, new_ *ctrl.Program, tp *topo.Topology, s
 			src := hosts[r.Intn(len(hosts))]
 			dst := hosts[r.Intn(len(hosts))]
 			f := netkat.Packet{"dst": dst.ID, "src": src.ID, "id": id}
-			st, err := e.InjectStamped(src.Name, f)
-			if err != nil {
-				t.Fatal(err)
+			st, errs := e.InjectBatch([]dataplane.Injection{{Host: src.Name, Fields: f}})
+			if errs != nil {
+				t.Fatal(errs[0])
 			}
-			stamps[id] = st
+			stamps[id] = st[0]
 			injected[id] = injection{host: src.Name, fields: f.Clone()}
 			id++
 		}
@@ -159,6 +159,25 @@ func auditDeliveries(t *testing.T, tp *topo.Topology, progs []*ctrl.Program, inj
 // swapPairs are the program transitions the properties quantify over:
 // a cross-application swap (firewall -> bandwidth cap, sharing the
 // outgoing-arrival event) and a same-application revision (cap raise).
+// inject queues one packet on the controller's served engine.
+func inject(t *testing.T, c *ctrl.Controller, host string, fields netkat.Packet) {
+	t.Helper()
+	if errs := c.Engine().InjectAsyncBatch([]dataplane.Injection{{Host: host, Fields: fields}}); errs != nil {
+		t.Fatal(errs[0])
+	}
+}
+
+// delivered counts the packets delivered to a host so far.
+func delivered(c *ctrl.Controller, host string) int {
+	n := 0
+	for _, d := range c.Engine().CopyDeliveries(0) {
+		if d.Host == host {
+			n++
+		}
+	}
+	return n
+}
+
 func swapPairs(t *testing.T) [][2]*ctrl.Program {
 	fw := compileProgram(t, apps.Firewall())
 	cap8 := compileProgram(t, apps.BandwidthCap(8))
@@ -215,12 +234,12 @@ func TestSwapUnderServedFeed(t *testing.T) {
 						src, dst := tp.Hosts[r.Intn(len(tp.Hosts))], tp.Hosts[r.Intn(len(tp.Hosts))]
 						id := len(stamps)
 						f := netkat.Packet{"dst": dst.ID, "src": src.ID, "id": id}
-						st, err := e.InjectStamped(src.Name, f)
-						if err != nil {
-							injectErr = err
+						st, errs := e.InjectBatch([]dataplane.Injection{{Host: src.Name, Fields: f}})
+						if errs != nil {
+							injectErr = errs[0]
 							return
 						}
-						stamps[id], injected[id] = st, injection{host: src.Name, fields: f.Clone()}
+						stamps[id], injected[id] = st[0], injection{host: src.Name, fields: f.Clone()}
 					}
 					total = len(stamps)
 				})
@@ -252,7 +271,7 @@ func TestSwapUnderServedFeed(t *testing.T) {
 			feed() // the last generation too, even if the feeder has hit its bound
 			close(stop)
 			<-done
-			c.Quiesce()
+			c.Engine().Quiesce()
 			if injectErr != nil {
 				t.Fatal(injectErr)
 			}
@@ -311,11 +330,9 @@ func TestControllerSwapCarriesKnowledge(t *testing.T) {
 	}
 
 	// Open the return path under the firewall.
-	if err := c.Inject("H1", netkat.Packet{"dst": apps.H(4), "src": apps.H(1)}); err != nil {
-		t.Fatal(err)
-	}
-	c.Quiesce()
-	if got := len(c.DeliveredTo("H4")); got != 1 {
+	inject(t, c, "H1", netkat.Packet{"dst": apps.H(4), "src": apps.H(1)})
+	c.Engine().Quiesce()
+	if got := delivered(c, "H4"); got != 1 {
 		t.Fatalf("outgoing not delivered: %d", got)
 	}
 
@@ -332,11 +349,9 @@ func TestControllerSwapCarriesKnowledge(t *testing.T) {
 	}
 
 	// The cap inherited count=1: the return path is open immediately.
-	if err := c.Inject("H4", netkat.Packet{"dst": apps.H(1), "src": apps.H(4)}); err != nil {
-		t.Fatal(err)
-	}
-	c.Quiesce()
-	if got := len(c.DeliveredTo("H1")); got != 1 {
+	inject(t, c, "H4", netkat.Packet{"dst": apps.H(1), "src": apps.H(4)})
+	c.Engine().Quiesce()
+	if got := delivered(c, "H1"); got != 1 {
 		t.Fatalf("return path closed after swap: carried knowledge lost (%d delivered)", got)
 	}
 
@@ -348,11 +363,9 @@ func TestControllerSwapCarriesKnowledge(t *testing.T) {
 	if rep2.CarriedEvents == 0 {
 		t.Fatalf("swap back carried nothing: %+v", rep2)
 	}
-	if err := c.Inject("H4", netkat.Packet{"dst": apps.H(1), "src": apps.H(4), "id": 2}); err != nil {
-		t.Fatal(err)
-	}
-	c.Quiesce()
-	if got := len(c.DeliveredTo("H1")); got != 2 {
+	inject(t, c, "H4", netkat.Packet{"dst": apps.H(1), "src": apps.H(4), "id": 2})
+	c.Engine().Quiesce()
+	if got := delivered(c, "H1"); got != 2 {
 		t.Fatalf("return path closed after swapping back (%d delivered)", got)
 	}
 	st := c.Status()

@@ -10,7 +10,7 @@ import (
 )
 
 // Batched-ingress equivalence: InjectBatch of N packets must be
-// observationally identical to N sequential InjectStamped calls — same
+// observationally identical to N sequential one-packet batches — same
 // stamps returned, same stamped delivery sequence, same hop and TTL
 // counters — and per-packet failures must reject exactly the bad
 // packets while the rest of the batch is admitted unchanged.
@@ -31,6 +31,16 @@ func runRounds(t *testing.T, a apps.App, batches [][]dataplane.Injection,
 	return e, stamps
 }
 
+// injectOne admits one packet by a one-element InjectBatch: the
+// per-packet side of every ingress equivalence.
+func injectOne(e *dataplane.Engine, in dataplane.Injection) (dataplane.Stamp, error) {
+	st, errs := e.InjectBatch([]dataplane.Injection{in})
+	if errs != nil {
+		return dataplane.Stamp{}, errs[0]
+	}
+	return st[0], nil
+}
+
 // TestInjectBatchEquivalence: batch of N ≡ N sequential injections, for
 // stamps, stamped deliveries, and the engine counters.
 func TestInjectBatchEquivalence(t *testing.T) {
@@ -41,7 +51,7 @@ func TestInjectBatchEquivalence(t *testing.T) {
 			seqEng, seqStamps := runRounds(t, a, batches, func(e *dataplane.Engine, batch []dataplane.Injection) []dataplane.Stamp {
 				var out []dataplane.Stamp
 				for _, in := range batch {
-					st, err := e.InjectStamped(in.Host, in.Fields)
+					st, err := injectOne(e, in)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -114,7 +124,7 @@ func TestInjectBatchPartialErrors(t *testing.T) {
 	// The reference: inject only the good packets sequentially.
 	ref := dataplane.NewEngine(buildNES(t, a), a.Topo, dataplane.Options{Workers: 2})
 	for _, in := range good {
-		if _, err := ref.InjectStamped(in.Host, in.Fields); err != nil {
+		if _, err := injectOne(ref, in); err != nil {
 			t.Fatal(err)
 		}
 	}

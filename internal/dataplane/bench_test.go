@@ -151,7 +151,7 @@ func BenchmarkEngineForwardObs(b *testing.B) {
 			Bus:            obs.NewBus(),
 			Trace:          obs.NewTracer(obs.DefaultSample, 1),
 			Flight:         obs.NewFlight(0, 1),
-			Watch:          obs.NewWatchdog(obs.WatchOptions{}),
+			Watch:          obs.NewWatchdog(),
 			DeliverySample: 16,
 		})
 	})

@@ -82,9 +82,6 @@ func (p *phaser) gather(workers int) {
 // release opens the next phase for the waiting workers.
 func (p *phaser) release() { p.gate.Add(1) }
 
-// generation runs exactly one generation (test and benchmark hook).
-func (e *Engine) generation() { e.runChunk(1) }
-
 // runChunk runs up to budget generations without boundary work, ending
 // early at quiescence or on a boundary request. Returns generations run.
 // An empty engine runs one vacuous generation — callers gate on

@@ -160,15 +160,3 @@ func (e *Engine) CopyDeliveries(from int) []Delivery {
 // Deliveries returns every retained delivery, in the engine's
 // deterministic delivery order: CopyDeliveries from the start.
 func (e *Engine) Deliveries() []Delivery { return e.CopyDeliveries(0) }
-
-// DeliveredTo returns the packets delivered to the named host, in
-// delivery order (barrier-consistent, like CopyDeliveries).
-func (e *Engine) DeliveredTo(host string) []netkat.Packet {
-	var out []netkat.Packet
-	for _, d := range e.CopyDeliveries(0) {
-		if d.Host == host {
-			out = append(out, d.Fields)
-		}
-	}
-	return out
-}

@@ -381,7 +381,7 @@ func (e *Engine) newProgState(epoch int, plan *Plan) *progState {
 // The engine has two driving modes. In synchronous mode (the original
 // API: Inject, Run) the caller owns the engine between calls and nothing
 // is concurrent. In served mode (Start) a supervisor goroutine runs
-// generations continuously; interaction goes through InjectAsync, Do,
+// generations continuously; interaction goes through InjectAsyncBatch, Do,
 // Snapshot and Quiesce, all of which are applied atomically at generation
 // barriers. Stop shuts the supervisor down idempotently and leak-free.
 type Engine struct {
@@ -659,9 +659,6 @@ func (e *Engine) runControl() {
 		}
 	}
 }
-
-// View returns a switch's current event view (of the current program).
-func (e *Engine) View(sw int) nes.Set { return e.cur().views[e.swIdx[sw]] }
 
 // Processed returns how many switch-hops the engine has executed — the
 // numerator of a packets/sec measurement.

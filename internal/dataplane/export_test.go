@@ -1,5 +1,10 @@
 package dataplane
 
+import (
+	"eventnet/internal/flowtable"
+	"eventnet/internal/netkat"
+)
+
 // ForwardsWith reports whether the engine's current program forwards
 // through the plan's own schema and compiled tables — the same objects,
 // not equal copies — i.e. whether adopting the program lowered nothing.
@@ -54,4 +59,41 @@ func (e *Engine) IngressState() (seq int64, free, slack int) {
 		}
 	})
 	return seq, free, slack
+}
+
+// generation runs exactly one generation.
+func (e *Engine) generation() { e.runChunk(1) }
+
+// DeliveredTo returns the packets delivered to the named host, in
+// delivery order.
+func (e *Engine) DeliveredTo(host string) []netkat.Packet {
+	var out []netkat.Packet
+	for _, d := range e.CopyDeliveries(0) {
+		if d.Host == host {
+			out = append(out, d.Fields)
+		}
+	}
+	return out
+}
+
+// Schema returns the plan's header schema.
+func (p *Plan) Schema() *Schema { return p.schema }
+
+// CompileFlat compiles a table against a schema (which must cover every
+// field the table mentions — SchemaForTables or a program schema).
+func CompileFlat(t *flowtable.Table, s *Schema) FlatMatcher {
+	return FlatMatcher{schema: s, ft: newFlatTable(t, s)}
+}
+
+// Len returns the number of rules behind the matcher.
+func (m FlatMatcher) Len() int { return len(m.ft.rules) }
+
+// SchemaForTables builds a schema from flow tables alone (no event
+// guards) — the form standalone matcher tests use for merged tables.
+func SchemaForTables(ts flowtable.Tables) *Schema {
+	var out []string
+	for _, t := range ts {
+		out = appendTableFields(out, t)
+	}
+	return NewSchema(out)
 }

@@ -417,15 +417,6 @@ type FlatMatcher struct {
 	ft     *flatTable
 }
 
-// CompileFlat compiles a table against a schema (which must cover every
-// field the table mentions — SchemaForTables or a program schema).
-func CompileFlat(t *flowtable.Table, s *Schema) FlatMatcher {
-	return FlatMatcher{schema: s, ft: newFlatTable(t, s)}
-}
-
-// Len returns the number of rules behind the matcher.
-func (m FlatMatcher) Len() int { return len(m.ft.rules) }
-
 // Process interns the packet, finds the winning rule on the flat path,
 // applies its groups on flat copies, and materializes the emitted
 // packets back to map form, appending to dst (untouched on default

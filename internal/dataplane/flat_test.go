@@ -124,7 +124,7 @@ func TestFlatMatcherEquivalence(t *testing.T) {
 			r := rand.New(rand.NewSource(71))
 			for _, st := range states {
 				pol := stateful.Project(a.Prog.Cmd, st)
-				tables, err := nkc.Compile(pol, a.Topo)
+				tables, err := compilePolicy(pol, a.Topo)
 				if err != nil {
 					t.Fatalf("state %v: %v", st, err)
 				}
@@ -323,7 +323,7 @@ func TestFlatEvalEquivalence(t *testing.T) {
 			}
 			for _, st := range states {
 				pol := stateful.Project(a.Prog.Cmd, st)
-				tables, err := nkc.Compile(pol, a.Topo)
+				tables, err := compilePolicy(pol, a.Topo)
 				if err != nil {
 					t.Fatalf("state %v: %v", st, err)
 				}
@@ -406,7 +406,7 @@ func TestMergedGuardEquivalence(t *testing.T) {
 // TestMergedPairFlatSharedSchema pins the swap-epoch schema property:
 // the staged MergedPair table — one physical table holding both
 // programs' rules behind disjoint guards — compiles flat under ONE
-// schema spanning both programs (SchemaForPair), and looking up a packet
+// schema spanning both programs' fields, and looking up a packet
 // under either program's tag is byte-equal to that program's own
 // per-config table under the linear scan. Interning through the shared
 // schema cannot change the matched rule.
@@ -414,7 +414,7 @@ func TestMergedPairFlatSharedSchema(t *testing.T) {
 	old := buildNES(t, apps.Firewall())
 	new_ := buildNES(t, apps.BandwidthCap(10))
 	tables, off := dataplane.MergedPair(old, new_)
-	schema := dataplane.SchemaForPair(old, new_)
+	schema := dataplane.NewSchema(append(dataplane.ProgramFields(old), dataplane.ProgramFields(new_)...))
 	hostsOld := hostAddrs(apps.Firewall().Topo)
 	r := rand.New(rand.NewSource(97))
 	for _, sw := range tables.Switches() {
@@ -487,4 +487,14 @@ func TestInjectRejectsOutOfDomainValues(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// compilePolicy compiles a state-free policy from scratch: the one-state
+// program it is the projection of.
+func compilePolicy(p netkat.Policy, t *topo.Topology) (flowtable.Tables, error) {
+	pc, err := nkc.NewProgramCompiler(stateful.Lift(p), t, nil)
+	if err != nil {
+		return nil, err
+	}
+	return pc.Compile(nil)
 }

@@ -163,11 +163,11 @@ func fuzzIngress(data []byte) [][]dataplane.Injection {
 // FuzzIngressEquivalence: the map-form ways in agree. Any batches —
 // unknown hosts, out-of-domain values in any field and any number of
 // them, empty and oversized names, empty packets — admitted by
-// sequential InjectStamped, by InjectBatch, and by InjectAsyncBatch on a
+// one-packet InjectBatch calls, by InjectBatch, and by InjectAsyncBatch on a
 // non-serving engine, reject the same packets, stamp the rest alike, and
 // deliver the same sequence in the same number of hops. Those three
 // share Batch.fill and admit, so a fourth leg holds them against code
-// that shares neither: an engine given one InjectStamped and one Run at
+// that shares neither: an engine given one packet and one Run at
 // a time delivers what the Figure 7 machine (internal/runtime, which
 // forwards map-form packets by flowtable's scan) delivers from the
 // packets that engine admitted, each run to quiescence. Byte 0 picks the
@@ -192,20 +192,20 @@ func FuzzIngressEquivalence(f *testing.F) {
 		for bi, batch := range fuzzIngress(data[1:]) {
 			seqStamps, seqErrs := make([]dataplane.Stamp, len(batch)), make([]error, len(batch))
 			for i, in := range batch {
-				seqStamps[i], seqErrs[i] = es[0].InjectStamped(in.Host, in.Fields)
+				seqStamps[i], seqErrs[i] = injectOne(es[0], in)
 			}
 			stamps, errs := es[1].InjectBatch(batch)
 			flatErrs := es[2].InjectAsyncBatch(batch)
 			for i := range batch {
 				bad := seqErrs[i] != nil
 				if bad != (errs != nil && errs[i] != nil) || bad != (flatErrs != nil && flatErrs[i] != nil) {
-					t.Fatalf("batch %d packet %d (%v): InjectStamped %v, InjectBatch %v, flat %v", bi, i, batch[i], seqErrs[i], errs, flatErrs)
+					t.Fatalf("batch %d packet %d (%v): one at a time %v, InjectBatch %v, flat %v", bi, i, batch[i], seqErrs[i], errs, flatErrs)
 				}
 				if stamps[i] != seqStamps[i] || (bad && stamps[i] != dataplane.Stamp{}) {
 					t.Fatalf("batch %d packet %d (%v): stamped %+v sequentially, %+v in the batch, error %v", bi, i, batch[i], seqStamps[i], stamps[i], seqErrs[i])
 				}
-				if _, err := one.InjectStamped(batch[i].Host, batch[i].Fields); (err != nil) != bad {
-					t.Fatalf("batch %d packet %d (%v): InjectStamped %v alone, %v in sequence", bi, i, batch[i], err, seqErrs[i])
+				if _, err := injectOne(one, batch[i]); (err != nil) != bad {
+					t.Fatalf("batch %d packet %d (%v): %v alone, %v in sequence", bi, i, batch[i], err, seqErrs[i])
 				} else if err == nil {
 					if err := one.Run(); err != nil {
 						t.Fatal(err)

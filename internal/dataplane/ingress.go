@@ -26,26 +26,16 @@ import (
 // Inject stamps a packet entering from the named host with the current
 // program's ingress-switch configuration tag (the IN rule) and queues it.
 // Synchronous mode only: Inject must not race with Run or a served
-// engine; use InjectAsync (or Do) there. The fields are copied out at
-// the call.
+// engine; use InjectAsyncBatch (or Do) there. The fields are copied out
+// at the call.
 func (e *Engine) Inject(host string, fields netkat.Packet) error {
-	_, err := e.InjectStamped(host, fields)
-	return err
-}
-
-// InjectStamped is Inject returning the (epoch, version) stamp the packet
-// was pinned to — the identity of the exact rule set that will carry it,
-// which swap-consistency checks verify deliveries against. Same
-// synchronization contract as Inject.
-func (e *Engine) InjectStamped(host string, fields netkat.Packet) (Stamp, error) {
 	b := e.NewBatch()
 	if errs := b.fill([]Injection{{Host: host, Fields: fields}}); errs != nil {
 		b.Release()
-		return Stamp{}, errs[0]
+		return errs[0]
 	}
-	var st [1]Stamp
-	e.admit(b, e.ingressClock(), st[:])
-	return st[0], nil
+	e.admit(b, e.ingressClock(), nil)
+	return nil
 }
 
 // versionAt returns the configuration tag of packets entering at switch
@@ -94,7 +84,7 @@ func batchErr(errs []error, n, i int, err error) []error {
 }
 
 // InjectBatch admits a batch of packets, semantically identical to
-// calling InjectStamped for each element in order: packets are stamped
+// calling Inject for each element in order: packets are stamped
 // and queued in slice order, a packet that fails validation (unknown
 // host, out-of-domain value) is skipped without consuming a sequence
 // slot, and the rest of the batch is still admitted. stamps[i] is the
@@ -356,17 +346,6 @@ func (b *Batch) fill(ins []Injection) []error {
 	b.packets += len(recs) - len(b.recs)
 	b.pairs, b.open, b.recs = pairs, int32(len(pairs)), recs
 	return errs
-}
-
-// InjectAsync queues a packet for admission at the next generation
-// barrier. Safe for concurrent use while the engine is serving; on a
-// non-serving engine the packet is admitted inline. The fields are
-// copied out at the call.
-func (e *Engine) InjectAsync(host string, fields netkat.Packet) error {
-	if errs := e.InjectAsyncBatch([]Injection{{Host: host, Fields: fields}}); errs != nil {
-		return errs[0]
-	}
-	return nil
 }
 
 // InjectAsyncBatch queues a batch for admission at one boundary of a

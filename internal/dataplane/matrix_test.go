@@ -63,7 +63,7 @@ func runCell(t *testing.T, a apps.App, batches [][]dataplane.Injection, mr matri
 			}
 		} else {
 			for _, in := range batch {
-				if _, err := e.InjectStamped(in.Host, in.Fields); err != nil {
+				if _, err := injectOne(e, in); err != nil {
 					t.Fatalf("%v: %v", mr, err)
 				}
 			}

@@ -19,7 +19,7 @@ func obsFull(sample int) *obs.Obs {
 		Bus:            obs.NewBus(),
 		Trace:          obs.NewTracer(sample, 1),
 		Flight:         obs.NewFlight(0, 1),
-		Watch:          obs.NewWatchdog(obs.WatchOptions{}),
+		Watch:          obs.NewWatchdog(),
 		DeliverySample: 1,
 	}
 }

@@ -20,7 +20,7 @@ func fullObs(w int) *obs.Obs {
 		Bus:            obs.NewBus(),
 		Trace:          obs.NewTracer(1, w),
 		Flight:         obs.NewFlight(1<<16, w),
-		Watch:          obs.NewWatchdog(obs.WatchOptions{}),
+		Watch:          obs.NewWatchdog(),
 		DeliverySample: 1,
 	}
 }

@@ -39,9 +39,6 @@ func PlanFor(n *nes.NES) *Plan {
 	return p
 }
 
-// Schema returns the plan's header schema.
-func (p *Plan) Schema() *Schema { return p.schema }
-
 func Invalidate(*nes.NES) {} // accepted and ignored; named by bench/
 
 // Matcher returns the reference view of a configuration's switch: the

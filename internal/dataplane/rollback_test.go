@@ -63,11 +63,12 @@ var ingressPaths = []struct {
 	{"InjectBatch", false, true, func(e *dataplane.Engine, batch []dataplane.Injection) ([]dataplane.Stamp, []error) {
 		return e.InjectBatch(batch)
 	}},
+	// One packet at a time, each a one-element InjectBatch with its stamp.
 	{"InjectStamped", false, true, func(e *dataplane.Engine, batch []dataplane.Injection) ([]dataplane.Stamp, []error) {
 		stamps := make([]dataplane.Stamp, len(batch))
 		var errs []error
 		for i, in := range batch {
-			st, err := e.InjectStamped(in.Host, in.Fields)
+			st, err := injectOne(e, in)
 			if stamps[i] = st; err != nil {
 				if errs == nil {
 					errs = make([]error, len(batch))
@@ -141,7 +142,7 @@ func TestRejectedPacketLeavesNothing(t *testing.T) {
 
 						var want []dataplane.Stamp
 						for _, in := range good {
-							st, err := ref.InjectStamped(in.Host, in.Fields)
+							st, err := injectOne(ref, in)
 							if err != nil {
 								t.Fatal(err)
 							}

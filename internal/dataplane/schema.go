@@ -31,26 +31,15 @@ const maxSchemaFields = 64
 //
 // Schemas are immutable after construction and safe for concurrent use.
 type Schema struct {
-	fields []string       // index -> name, sorted for determinism
-	index  map[string]int // name -> index
+	fields []string // index -> name, sorted for determinism
 }
-
-// scanFields is the widest schema whose names slot resolves by scanning
-// fields instead of hashing into index. Every shipped program has one to
-// three fields, and comparing a packet's field name against three short
-// strings costs less than hashing it once.
-const scanFields = 8
 
 // slot returns the interned index of a field name, or -1 when the
 // program cannot see the field. It is the one resolver intern, admit and
-// Index share.
+// Index share. It scans: a shipped program's schema is one to three
+// fields wide, and admit resolves each name once per batch, lowering
+// once per literal, so comparing a few short strings beats hashing.
 func (s *Schema) slot(f string) int {
-	if len(s.fields) > scanFields {
-		if i, ok := s.index[f]; ok {
-			return i
-		}
-		return -1
-	}
 	for i, name := range s.fields {
 		if name == f {
 			return i
@@ -83,16 +72,13 @@ func NewSchema(names []string) *Schema {
 	for _, f := range names {
 		uniq[f] = true
 	}
-	s := &Schema{index: make(map[string]int, len(uniq))}
+	s := &Schema{}
 	for f := range uniq {
 		s.fields = append(s.fields, f)
 	}
 	sort.Strings(s.fields)
 	if len(s.fields) > maxSchemaFields {
 		panic(fmt.Sprintf("dataplane: program uses %d header fields; %v", len(s.fields), ErrFieldLimit))
-	}
-	for i, f := range s.fields {
-		s.index[f] = i
 	}
 	return s
 }
@@ -104,14 +90,6 @@ func NewSchema(names []string) *Schema {
 // and never interned).
 func SchemaFor(n *nes.NES) *Schema {
 	return NewSchema(ProgramFields(n))
-}
-
-// SchemaForPair builds one schema spanning both programs of a staged
-// swap: the deployment shape of a live update (dataplane.MergedPair) is a
-// single physical table holding both programs' rules, so its compiled
-// form must intern both field universes consistently.
-func SchemaForPair(old, new_ *nes.NES) *Schema {
-	return NewSchema(append(ProgramFields(old), ProgramFields(new_)...))
 }
 
 // ProgramFields collects the field names of one program (with possible
@@ -147,16 +125,6 @@ func ProgramFields(n *nes.NES) []string {
 	return out
 }
 
-// SchemaForTables builds a schema from flow tables alone (no event
-// guards) — the form standalone matcher tests use for merged tables.
-func SchemaForTables(ts flowtable.Tables) *Schema {
-	var out []string
-	for _, t := range ts {
-		out = appendTableFields(out, t)
-	}
-	return NewSchema(out)
-}
-
 func appendTableFields(out []string, t *flowtable.Table) []string {
 	for ri := range t.Rules {
 		r := &t.Rules[ri]
@@ -184,9 +152,6 @@ func (s *Schema) Index(f string) (int, bool) {
 	i := s.slot(f)
 	return i, i >= 0
 }
-
-// Field returns the name behind an interned index.
-func (s *Schema) Field(i int) string { return s.fields[i] }
 
 // fieldPair is one header field in flat form: the id of its name in
 // some table (an inertSet's, or a Batch's) and its value.

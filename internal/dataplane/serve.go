@@ -3,7 +3,7 @@ package dataplane
 import "eventnet/internal/obs"
 
 // Start launches the supervisor goroutine: the engine runs generations
-// continuously, admitting InjectAsync packets and control requests at
+// continuously, admitting InjectAsyncBatch packets and control requests at
 // barriers. Start is idempotent; after Stop the engine stays stopped.
 func (e *Engine) Start() {
 	e.wmu.Lock()

@@ -38,10 +38,8 @@ func TestEngineStopIdempotentLeakFree(t *testing.T) {
 		e := dataplane.NewEngine(n, a.Topo, dataplane.Options{Workers: 2})
 		e.Start()
 		e.Start() // idempotent
-		for _, in := range lg.Injections(60) {
-			if err := e.InjectAsync(in.Host, in.Fields); err != nil {
-				t.Fatal(err)
-			}
+		if errs := e.InjectAsyncBatch(lg.Injections(60)); errs != nil {
+			t.Fatal(errs)
 		}
 		e.Stop() // mid-batch: traffic likely still queued
 		e.Stop() // idempotent
@@ -75,10 +73,8 @@ func TestEngineQuiesceUnderLoad(t *testing.T) {
 	e.Start()
 	defer e.Stop()
 	lg := dataplane.NewLoadGen(n, a.Topo, 5)
-	for _, in := range lg.Injections(200) {
-		if err := e.InjectAsync(in.Host, in.Fields); err != nil {
-			t.Fatal(err)
-		}
+	if errs := e.InjectAsyncBatch(lg.Injections(200)); errs != nil {
+		t.Fatal(errs)
 	}
 	e.Quiesce()
 	s := e.Snapshot()
@@ -172,10 +168,10 @@ func TestPlanIsSnapshot(t *testing.T) {
 
 	// The program is "recompiled in place": a shadowing drop rule lands at
 	// the top of the table while the NES value is reused.
-	n.Configs[0].Tables[probeSw].Add(flowtable.Rule{
+	n.Configs[0].Tables[probeSw].AddAll([]flowtable.Rule{{
 		Priority: 1 << 30,
 		Match:    flowtable.Match{InPort: flowtable.Wildcard},
-	})
+	}})
 
 	if !forwards(p1) {
 		t.Fatal("the plan is not a snapshot: mutating the NES's table changed it")
@@ -205,7 +201,7 @@ func TestMergedPairStagedInstall(t *testing.T) {
 	}
 	hosts := hostAddrs(apps.Firewall().Topo)
 	r := rand.New(rand.NewSource(17))
-	schema := dataplane.SchemaForPair(old, new_)
+	schema := dataplane.NewSchema(append(dataplane.ProgramFields(old), dataplane.ProgramFields(new_)...))
 	for _, sw := range merged.Switches() {
 		ct := dataplane.CompileFlat(merged[sw], schema)
 		mscan := dataplane.Scan{Table: merged[sw]}
@@ -364,11 +360,11 @@ func loopNES(t *testing.T) *nes.NES {
 	t.Helper()
 	tables := flowtable.Tables{}
 	for _, sw := range []int{1, 4} {
-		tables.Get(sw).Add(flowtable.Rule{
+		tables.Get(sw).AddAll([]flowtable.Rule{{
 			Priority: 1,
 			Match:    flowtable.Match{InPort: flowtable.Wildcard},
 			Groups:   []flowtable.ActionGroup{{OutPort: 1}},
-		})
+		}})
 	}
 	n, err := nes.New(nil, map[nes.Set]int{nes.Empty: 0}, []nes.Config{{ID: 0, Tables: tables}})
 	if err != nil {
@@ -403,8 +399,8 @@ func TestEngineHopTTL(t *testing.T) {
 	es := dataplane.NewEngine(n, tp, dataplane.Options{Workers: 2})
 	es.Start()
 	defer es.Stop()
-	if err := es.InjectAsync("H1", netkat.Packet{"dst": apps.H(4)}); err != nil {
-		t.Fatal(err)
+	if errs := es.InjectAsyncBatch([]dataplane.Injection{{Host: "H1", Fields: netkat.Packet{"dst": apps.H(4)}}}); errs != nil {
+		t.Fatal(errs)
 	}
 	es.Quiesce()
 	if s := es.Snapshot(); s.Pending != 0 || s.TTLDropped != 1 {

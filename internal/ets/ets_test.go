@@ -146,13 +146,13 @@ func TestFirewallNESShape(t *testing.T) {
 	if len(family) != 2 {
 		t.Fatalf("family: %v", family)
 	}
-	if family[0] != nes.Empty || family[1] != nes.Singleton(0) {
+	if family[0] != nes.Empty || family[1] != nes.Empty.With(0) {
 		t.Fatalf("family: %v", family)
 	}
 	if c, ok := n.ConfigAt(nes.Empty); !ok || n.Configs[c].Label != "[0]" {
 		t.Errorf("g(empty) = %v", c)
 	}
-	if c, ok := n.ConfigAt(nes.Singleton(0)); !ok || n.Configs[c].Label != "[1]" {
+	if c, ok := n.ConfigAt(nes.Empty.With(0)); !ok || n.Configs[c].Label != "[1]" {
 		t.Errorf("g({e0}) = %v", c)
 	}
 }

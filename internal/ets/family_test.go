@@ -253,7 +253,13 @@ func TestPowerSetFamily(t *testing.T) {
 			t.Fatalf("k=%d: %d members, want %d", k, len(family), 1<<uint(k))
 		}
 		for s, v := range family {
-			if s != nes.FromMask(uint64(v)) {
+			want := nes.Empty
+			for e := 0; e < k; e++ {
+				if v&(1<<e) != 0 {
+					want = want.With(e)
+				}
+			}
+			if s != want {
 				t.Fatalf("k=%d: event-set %v mapped to vertex %d", k, s, v)
 			}
 		}

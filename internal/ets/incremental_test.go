@@ -32,8 +32,11 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, v := range e.Vertices {
-				pol := stateful.Project(a.Prog.Cmd, v.State)
-				scratch, err := nkc.Compile(pol, a.Topo)
+				pc, err := nkc.NewProgramCompiler(stateful.Lift(stateful.Project(a.Prog.Cmd, v.State)), a.Topo, nil)
+				if err != nil {
+					t.Fatalf("state %v: from-scratch compiler: %v", v.State, err)
+				}
+				scratch, err := pc.Compile(nil)
 				if err != nil {
 					t.Fatalf("state %v: from-scratch compile: %v", v.State, err)
 				}

@@ -67,7 +67,7 @@ func Chaos(rounds int, seeds []int64, workers int) (*ChaosResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := chaos.RunServed(s, chaos.Options{Workers: workers, Batched: true})
+		res, err := chaos.RunServed(s, chaos.Options{Workers: workers})
 		if err != nil {
 			return nil, err
 		}

@@ -37,7 +37,11 @@ func BenchmarkTableScanLookup(b *testing.B) {
 	pkt := netkat.Packet{"dst": 100, "src": 7}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, ok := t.Lookup(pkt, 2, 0); !ok {
+		r := 0
+		for r < len(t.Rules) && !t.Rules[r].Match.Matches(pkt, 2, 0) {
+			r++
+		}
+		if r == len(t.Rules) {
 			b.Fatal("no match")
 		}
 	}

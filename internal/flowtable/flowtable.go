@@ -368,14 +368,6 @@ func (r Rule) String() string {
 	return fmt.Sprintf("[p%d g=%v %s -> %s]", r.Priority, r.Match.Guard, r.Match.Key(), strings.Join(acts, " ; "))
 }
 
-// Apply runs the rule's groups on a packet, returning the emitted copies.
-func (r Rule) Apply(pkt netkat.Packet) []Output {
-	if len(r.Groups) == 0 {
-		return nil
-	}
-	return r.AppendApply(nil, pkt)
-}
-
 // AppendApply appends the rule's emitted copies to dst and returns the
 // extended slice. This is the hot-path form: with a reusable dst buffer the
 // only allocation left is the single right-sized map a rewriting group
@@ -407,12 +399,6 @@ type Table struct {
 	Rules []Rule
 }
 
-// Add appends a rule and restores priority order.
-func (t *Table) Add(r Rule) {
-	t.Rules = append(t.Rules, r)
-	sort.SliceStable(t.Rules, func(i, j int) bool { return t.Rules[i].Priority > t.Rules[j].Priority })
-}
-
 // AddAll appends rules and restores priority order with a single sort;
 // use it when installing a whole compiled table.
 func (t *Table) AddAll(rs []Rule) {
@@ -420,29 +406,9 @@ func (t *Table) AddAll(rs []Rule) {
 	sort.SliceStable(t.Rules, func(i, j int) bool { return t.Rules[i].Priority > t.Rules[j].Priority })
 }
 
-// Lookup returns the highest-priority rule matching the packet, if any.
-func (t *Table) Lookup(pkt netkat.Packet, inPort int, tag uint32) (Rule, bool) {
-	for i := range t.Rules {
-		if t.Rules[i].Match.Matches(pkt, inPort, tag) {
-			return t.Rules[i], true
-		}
-	}
-	return Rule{}, false
-}
-
-// Process runs the packet through the table: the highest-priority matching
-// rule fires. It returns the emitted packets, or nil if no rule matches
-// (default drop) or the matching rule has no groups.
-func (t *Table) Process(pkt netkat.Packet, inPort int, tag uint32) []Output {
-	r, ok := t.Lookup(pkt, inPort, tag)
-	if !ok {
-		return nil
-	}
-	return r.Apply(pkt)
-}
-
-// AppendProcess is Process in append form: emitted packets are appended to
-// dst. With a reused buffer the linear-scan path performs no per-call
+// AppendProcess runs the packet through the table: the highest-priority
+// matching rule fires, and its emitted packets are appended to dst
+// (nothing on default drop or a rule with no groups). With a reused buffer the linear-scan path performs no per-call
 // allocations beyond the clones rewriting groups require, which keeps the
 // scan baseline in throughput comparisons honest. A nil table is a switch
 // the configuration installs nothing on: default drop, so the executors

@@ -151,20 +151,19 @@ func TestIntersectSemantics(t *testing.T) {
 
 func TestTablePriorityAndGroups(t *testing.T) {
 	tbl := &Table{}
-	tbl.Add(Rule{
+	tbl.AddAll([]Rule{{
 		Priority: 1,
 		Match:    Match{InPort: Wildcard, Fields: map[string]int{}, Excludes: map[string][]int{}},
 		Groups:   []ActionGroup{{Sets: map[string]int{}, OutPort: 9}},
-	})
-	tbl.Add(Rule{
+	}, {
 		Priority: 10,
 		Match:    Match{InPort: Wildcard, Fields: map[string]int{"dst": 7}, Excludes: map[string][]int{}},
 		Groups: []ActionGroup{
 			{Sets: map[string]int{"tos": 5}, OutPort: 1},
 			{Sets: map[string]int{}, OutPort: 2},
 		},
-	})
-	outs := tbl.Process(netkat.Packet{"dst": 7}, 0, 0)
+	}})
+	outs := tbl.AppendProcess(nil, netkat.Packet{"dst": 7}, 0, 0)
 	if len(outs) != 2 {
 		t.Fatalf("multicast outputs: %v", outs)
 	}
@@ -176,22 +175,22 @@ func TestTablePriorityAndGroups(t *testing.T) {
 		t.Errorf("group 2 saw group 1's rewrite: %v", outs[1])
 	}
 	// Lower-priority fallback.
-	outs = tbl.Process(netkat.Packet{"dst": 8}, 0, 0)
+	outs = tbl.AppendProcess(nil, netkat.Packet{"dst": 8}, 0, 0)
 	if len(outs) != 1 || outs[0].Port != 9 {
 		t.Errorf("fallback: %v", outs)
 	}
 	// Default drop.
 	empty := &Table{}
-	if outs := empty.Process(netkat.Packet{}, 0, 0); outs != nil {
+	if outs := empty.AppendProcess(nil, netkat.Packet{}, 0, 0); outs != nil {
 		t.Errorf("empty table forwarded: %v", outs)
 	}
 }
 
 func TestTablesAccounting(t *testing.T) {
 	ts := Tables{}
-	ts.Get(4).Add(Rule{Match: Match{InPort: Wildcard}, Groups: nil})
-	ts.Get(1).Add(Rule{Match: Match{InPort: Wildcard}, Groups: nil})
-	ts.Get(1).Add(Rule{Match: Match{InPort: 2}, Groups: nil})
+	ts.Get(4).AddAll([]Rule{{Match: Match{InPort: Wildcard}, Groups: nil}})
+	ts.Get(1).AddAll([]Rule{{Match: Match{InPort: Wildcard}, Groups: nil}})
+	ts.Get(1).AddAll([]Rule{{Match: Match{InPort: 2}, Groups: nil}})
 	if ts.TotalRules() != 3 {
 		t.Errorf("TotalRules: %d", ts.TotalRules())
 	}

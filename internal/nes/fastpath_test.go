@@ -116,7 +116,7 @@ func TestFastPathsChainAndConflict(t *testing.T) {
 	n := chainNES(t, 6)
 	view := Empty
 	for i := 0; i < 6; i++ {
-		if got := n.ArmedFrom(view); got != Singleton(i) {
+		if got := n.ArmedFrom(view); got != Empty.With(i) {
 			t.Fatalf("chain armed from %v = %v, want {%d}", view, got, i)
 		}
 		view = view.With(i)
@@ -132,7 +132,7 @@ func TestFastPathsChainAndConflict(t *testing.T) {
 	}
 
 	c := conflictNES(t, 1, 2)
-	if got := c.Replay(Empty.With(0).With(1)); got != Singleton(0) {
+	if got := c.Replay(Empty.With(0).With(1)); got != Empty.With(0) {
 		t.Fatalf("conflict replay = %v, want {0} (ascending admission, then con fails)", got)
 	}
 }

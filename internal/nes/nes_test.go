@@ -19,10 +19,10 @@ func TestSetOps(t *testing.T) {
 	if got := s.Elems(); len(got) != 2 || got[0] != 0 || got[1] != 3 {
 		t.Errorf("Elems: %v", got)
 	}
-	if !Empty.SubsetOf(s) || !s.SubsetOf(s) || s.SubsetOf(Singleton(0)) {
+	if !Empty.SubsetOf(s) || !s.SubsetOf(s) || s.SubsetOf(Empty.With(0)) {
 		t.Error("SubsetOf broken")
 	}
-	if s.Without(3) != Singleton(0) {
+	if s.Without(3) != Empty.With(0) {
 		t.Error("Without broken")
 	}
 	if s.String() != "{0,3}" {
@@ -83,7 +83,7 @@ func chainNES(t *testing.T, n int) *NES {
 func diamondNES(t *testing.T, sw0, sw1 int) *NES {
 	t.Helper()
 	events := []Event{mkEvent(0, sw0, 1), mkEvent(1, sw1, 1)}
-	family := map[Set]int{Empty: 0, Singleton(0): 1, Singleton(1): 2, Singleton(0).With(1): 3}
+	family := map[Set]int{Empty: 0, Empty.With(0): 1, Empty.With(1): 2, Empty.With(0).With(1): 3}
 	configs := []Config{{ID: 0}, {ID: 1}, {ID: 2}, {ID: 3}}
 	n, err := New(events, family, configs)
 	if err != nil {
@@ -97,7 +97,7 @@ func diamondNES(t *testing.T, sw0, sw1 int) *NES {
 func conflictNES(t *testing.T, sw0, sw1 int) *NES {
 	t.Helper()
 	events := []Event{mkEvent(0, sw0, 1), mkEvent(1, sw1, 1)}
-	family := map[Set]int{Empty: 0, Singleton(0): 1, Singleton(1): 2}
+	family := map[Set]int{Empty: 0, Empty.With(0): 1, Empty.With(1): 2}
 	configs := []Config{{ID: 0}, {ID: 1}, {ID: 2}}
 	n, err := New(events, family, configs)
 	if err != nil {
@@ -149,7 +149,7 @@ func TestChainEnabling(t *testing.T) {
 	if n.Enables(Empty, 1) {
 		t.Error("e1 enabled before e0")
 	}
-	if !n.Enables(Singleton(0), 1) {
+	if !n.Enables(Empty.With(0), 1) {
 		t.Error("e1 not enabled after e0")
 	}
 }
@@ -196,7 +196,7 @@ func TestMinimallyInconsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mis) != 1 || mis[0] != Singleton(0).With(1) {
+	if len(mis) != 1 || mis[0] != Empty.With(0).With(1) {
 		t.Fatalf("minimally inconsistent: %v", mis)
 	}
 	d := diamondNES(t, 1, 2)
@@ -235,14 +235,14 @@ func TestNewlyEnabled(t *testing.T) {
 	n := chainNES(t, 2)
 	lp0 := netkat.LocatedPacket{Pkt: netkat.Packet{"dst": 100}, Loc: netkat.Location{Switch: 1, Port: 1}}
 	lp1 := netkat.LocatedPacket{Pkt: netkat.Packet{"dst": 101}, Loc: netkat.Location{Switch: 2, Port: 1}}
-	if got := n.NewlyEnabled(Empty, lp0); got != Singleton(0) {
+	if got := n.NewlyEnabled(Empty, lp0); got != Empty.With(0) {
 		t.Errorf("e0 not detected: %v", got)
 	}
 	// e1's packet at its location does not fire before e0 is known.
 	if got := n.NewlyEnabled(Empty, lp1); got != Empty {
 		t.Errorf("e1 fired prematurely: %v", got)
 	}
-	if got := n.NewlyEnabled(Singleton(0), lp1); got != Singleton(1) {
+	if got := n.NewlyEnabled(Empty.With(0), lp1); got != Empty.With(1) {
 		t.Errorf("e1 not detected after e0: %v", got)
 	}
 	// Wrong guard, right location: nothing fires.
@@ -260,13 +260,13 @@ func TestNewlyEnabled(t *testing.T) {
 func TestSwitchStepAndConfigFor(t *testing.T) {
 	n := chainNES(t, 3)
 	lp1 := netkat.LocatedPacket{Pkt: netkat.Packet{"dst": 101}, Loc: netkat.Location{Switch: 2, Port: 1}}
-	if newly, next := n.SwitchStep(Empty, Singleton(0), lp1); newly != Singleton(1) || next != Singleton(0).With(1) {
+	if newly, next := n.SwitchStep(Empty, Empty.With(0), lp1); newly != Empty.With(1) || next != Empty.With(0).With(1) {
 		t.Errorf("SwitchStep(∅, {e0}) = %v, %v", newly, next)
 	}
-	if newly, next := n.SwitchStep(Singleton(0), Empty, netkat.LocatedPacket{Loc: lp1.Loc}); newly != Empty || next != Singleton(0) {
+	if newly, next := n.SwitchStep(Empty.With(0), Empty, netkat.LocatedPacket{Loc: lp1.Loc}); newly != Empty || next != Empty.With(0) {
 		t.Errorf("SwitchStep without a match = %v, %v", newly, next)
 	}
-	for view, want := range map[Set]int{Empty: 0, Singleton(0).With(1): 2, Singleton(0).With(2): 1, Singleton(2): 0} {
+	for view, want := range map[Set]int{Empty: 0, Empty.With(0).With(1): 2, Empty.With(0).With(2): 1, Empty.With(2): 0} {
 		if got := n.ConfigFor(view); got != want {
 			t.Errorf("ConfigFor(%v) = %d, want %d", view, got, want)
 		}
@@ -326,4 +326,14 @@ func TestUnionUnchangedReturnsReceiver(t *testing.T) {
 	if got, want := big.Union(FromMask(0b01000000)), FromMask(0b11110111); got != want {
 		t.Fatalf("growing Union = %v, want %v", got, want)
 	}
+}
+
+// FromMask builds a Set from a uint64 bitmask (bit i ⇒ event i).
+func FromMask(m uint64) Set {
+	var b []byte
+	for m != 0 {
+		b = append(b, byte(m))
+		m >>= 8
+	}
+	return Set(b)
 }

@@ -31,24 +31,6 @@ type Set string
 // Empty is the empty event-set.
 const Empty Set = ""
 
-// Singleton returns the set {e}.
-func Singleton(e int) Set {
-	b := make([]byte, e/8+1)
-	b[e/8] = 1 << uint(e%8)
-	return Set(b)
-}
-
-// FromMask builds a Set from a uint64 bitmask (bit i ⇒ event i): the old
-// single-word representation, kept for small-universe tests and tools.
-func FromMask(m uint64) Set {
-	var b []byte
-	for m != 0 {
-		b = append(b, byte(m))
-		m >>= 8
-	}
-	return Set(b)
-}
-
 // Has reports whether e is in the set.
 func (s Set) Has(e int) bool {
 	i := e / 8

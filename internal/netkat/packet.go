@@ -27,14 +27,6 @@ func (l Location) String() string {
 	return strconv.Itoa(l.Switch) + ":" + strconv.Itoa(l.Port)
 }
 
-// Less gives a total order on locations, used for deterministic iteration.
-func (l Location) Less(o Location) bool {
-	if l.Switch != o.Switch {
-		return l.Switch < o.Switch
-	}
-	return l.Port < o.Port
-}
-
 // Packet is a record of numeric header fields {f1; f2; ...; fn}.
 // The map is never mutated in place by the evaluator; use Clone/With.
 type Packet map[string]int
@@ -163,15 +155,4 @@ func LinkID(src, dst Location) int {
 		}
 	}
 	return ((src.Switch*linkIDRadix+src.Port)*linkIDRadix+dst.Switch)*linkIDRadix + dst.Port
-}
-
-// LinkOfID decodes a LinkID back to its directed link endpoints.
-func LinkOfID(id int) (src, dst Location) {
-	dst.Port = id % linkIDRadix
-	id /= linkIDRadix
-	dst.Switch = id % linkIDRadix
-	id /= linkIDRadix
-	src.Port = id % linkIDRadix
-	src.Switch = id / linkIDRadix
-	return src, dst
 }

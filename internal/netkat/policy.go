@@ -69,9 +69,6 @@ func parenPol(p Policy, level int) string {
 // ID is the identity policy (the test true).
 func ID() Policy { return Filter{True{}} }
 
-// Drop is the empty policy (the test false).
-func Drop() Policy { return Filter{False{}} }
-
 // SeqAll folds policies with Seq; the empty list is ID.
 func SeqAll(ps ...Policy) Policy {
 	if len(ps) == 0 {
@@ -161,20 +158,4 @@ func Links(p Policy) []Link {
 	}
 	walk(p)
 	return out
-}
-
-// HasLinks reports whether any Link node occurs in the policy.
-func HasLinks(p Policy) bool {
-	switch q := p.(type) {
-	case Union:
-		return HasLinks(q.L) || HasLinks(q.R)
-	case Seq:
-		return HasLinks(q.L) || HasLinks(q.R)
-	case Star:
-		return HasLinks(q.P)
-	case Link:
-		return true
-	default:
-		return false
-	}
 }

@@ -70,7 +70,7 @@ func BenchmarkTableLookup(b *testing.B) {
 	pkt := netkat.Packet{"dst": 101}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tbl.Process(pkt, 2, 0)
+		tbl.AppendProcess(nil, pkt, 2, 0)
 	}
 }
 

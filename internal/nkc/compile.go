@@ -6,7 +6,6 @@ import (
 
 	"eventnet/internal/flowtable"
 	"eventnet/internal/netkat"
-	"eventnet/internal/stateful"
 	"eventnet/internal/topo"
 )
 
@@ -21,21 +20,6 @@ type hopRule struct {
 // errInfeasible signals a statically contradictory strand instance; such
 // instances simply contribute no rules.
 var errInfeasible = fmt.Errorf("nkc: infeasible strand instance")
-
-// Compile translates a (state-free) policy into per-switch flow tables
-// over the given topology. A plain policy is the one-state case of a
-// program (Figure 5: a configuration is a projection ⟦p⟧k), so it is
-// lifted to the command whose every projection it is and handed to a
-// fresh ProgramCompiler, which walks it in full. The tables realize
-// exactly the relation denoted by the policy, as checked by property
-// tests against netkat.Eval and against CompileDNF.
-func Compile(p netkat.Policy, t *topo.Topology) (flowtable.Tables, error) {
-	pc, err := NewProgramCompiler(stateful.Lift(p), t, nil)
-	if err != nil {
-		return nil, err
-	}
-	return pc.Compile(nil)
-}
 
 // CompileDNF is the reference oracle that tests hold Compile and
 // ProgramCompiler against: predicates are normalized to DNF, link-free

@@ -640,50 +640,6 @@ func (c *FDDCtx) ToFDD(p netkat.Policy) (*FDD, error) {
 	}
 }
 
-// Eval applies the diagram to a located packet, returning the output set
-// in canonical order. Tests resolve "sw" and "pt" against the location.
-func (d *FDD) Eval(lp netkat.LocatedPacket) []netkat.LocatedPacket {
-	n := d
-	for !n.leaf {
-		var cur int
-		ok := true
-		switch n.field {
-		case netkat.FieldSw:
-			cur = lp.Loc.Switch
-		case netkat.FieldPt:
-			cur = lp.Loc.Port
-		default:
-			cur, ok = lp.Pkt[n.field]
-		}
-		if ok && cur == n.value {
-			n = n.hi
-		} else {
-			n = n.lo
-		}
-	}
-	seen := map[string]netkat.LocatedPacket{}
-	for _, a := range n.acts {
-		out := netkat.LocatedPacket{Pkt: lp.Pkt.Clone(), Loc: lp.Loc}
-		for f, v := range a.sets {
-			switch f {
-			case netkat.FieldPt:
-				out.Loc.Port = v
-			case netkat.FieldSw:
-				out.Loc.Switch = v // rejected by Validate; defensive
-			default:
-				out.Pkt[f] = v
-			}
-		}
-		seen[out.Key()] = out
-	}
-	outs := make([]netkat.LocatedPacket, 0, len(seen))
-	for _, v := range seen {
-		outs = append(outs, v)
-	}
-	netkat.SortLocated(outs)
-	return outs
-}
-
 // maxFDDPaths bounds leaf-path enumeration, mirroring maxChoices.
 const maxFDDPaths = maxChoices
 

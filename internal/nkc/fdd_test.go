@@ -352,8 +352,8 @@ func TestCompileFDDMatchesDNFRandom(t *testing.T) {
 			for av := 0; av < 3; av++ {
 				for bv := 0; bv < 3; bv++ {
 					pkt := netkat.Packet{"a": av, "b": bv}
-					outF := tFDD.Get(1).Process(pkt, port, 0)
-					outD := tDNF.Get(1).Process(pkt, port, 0)
+					outF := tFDD.Get(1).AppendProcess(nil, pkt, port, 0)
+					outD := tDNF.Get(1).AppendProcess(nil, pkt, port, 0)
 					if !sameOutputs(outF, outD) {
 						t.Fatalf("policy %v port %d pkt %v: fdd %v dnf %v\nfdd tables:\n%v\ndnf tables:\n%v",
 							p, port, pkt, outF, outD, tFDD, tDNF)
@@ -412,7 +412,7 @@ func TestCompileFDDPortExclusion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Port 2 with sig=1: both strands fire.
-	outs := tables.Get(1).Process(netkat.Packet{"sig": 1}, 2, 0)
+	outs := tables.Get(1).AppendProcess(nil, netkat.Packet{"sig": 1}, 2, 0)
 	ports := map[int]bool{}
 	for _, o := range outs {
 		ports[o.Port] = true
@@ -421,12 +421,12 @@ func TestCompileFDDPortExclusion(t *testing.T) {
 		t.Fatalf("port 2 sig=1: %v\n%v", outs, tables)
 	}
 	// Port 4 with sig=1: only the signal strand.
-	outs = tables.Get(1).Process(netkat.Packet{"sig": 1}, 4, 0)
+	outs = tables.Get(1).AppendProcess(nil, netkat.Packet{"sig": 1}, 4, 0)
 	if len(outs) != 1 || outs[0].Port != 3 {
 		t.Fatalf("port 4 sig=1: %v\n%v", outs, tables)
 	}
 	// Port 4 without sig: drop.
-	if outs = tables.Get(1).Process(netkat.Packet{"sig": 0}, 4, 0); outs != nil {
+	if outs = tables.Get(1).AppendProcess(nil, netkat.Packet{"sig": 0}, 4, 0); outs != nil {
 		t.Fatalf("port 4 sig=0 forwarded: %v", outs)
 	}
 	// Cross-check against the DNF oracle, which supports the same
@@ -438,7 +438,7 @@ func TestCompileFDDPortExclusion(t *testing.T) {
 	for port := 1; port <= 4; port++ {
 		for sig := 0; sig <= 1; sig++ {
 			pkt := netkat.Packet{"sig": sig}
-			if !sameOutputs(tables.Get(1).Process(pkt, port, 0), tDNF.Get(1).Process(pkt, port, 0)) {
+			if !sameOutputs(tables.Get(1).AppendProcess(nil, pkt, port, 0), tDNF.Get(1).AppendProcess(nil, pkt, port, 0)) {
 				t.Fatalf("port %d sig %d: Compile and CompileDNF disagree", port, sig)
 			}
 		}

@@ -173,26 +173,26 @@ func TestCompileFirewall(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Hop 1: packet from H1 (dst=H4) arrives at 1:2, must go out port 1.
-	outs := tables.Get(1).Process(netkat.Packet{"dst": 104}, 2, 0)
+	outs := tables.Get(1).AppendProcess(nil, netkat.Packet{"dst": 104}, 2, 0)
 	if len(outs) != 1 || outs[0].Port != 1 {
 		t.Fatalf("s1 hop: %v", outs)
 	}
 	// Hop 2: arrives at 4:1, must go out port 2 (to H4).
-	outs = tables.Get(4).Process(netkat.Packet{"dst": 104}, 1, 0)
+	outs = tables.Get(4).AppendProcess(nil, netkat.Packet{"dst": 104}, 1, 0)
 	if len(outs) != 1 || outs[0].Port != 2 {
 		t.Fatalf("s4 hop: %v", outs)
 	}
 	// Reverse direction.
-	outs = tables.Get(4).Process(netkat.Packet{"dst": 101}, 2, 0)
+	outs = tables.Get(4).AppendProcess(nil, netkat.Packet{"dst": 101}, 2, 0)
 	if len(outs) != 1 || outs[0].Port != 1 {
 		t.Fatalf("s4 reverse hop: %v", outs)
 	}
-	outs = tables.Get(1).Process(netkat.Packet{"dst": 101}, 1, 0)
+	outs = tables.Get(1).AppendProcess(nil, netkat.Packet{"dst": 101}, 1, 0)
 	if len(outs) != 1 || outs[0].Port != 2 {
 		t.Fatalf("s1 reverse hop: %v", outs)
 	}
 	// A packet to an unknown destination is dropped.
-	if outs = tables.Get(1).Process(netkat.Packet{"dst": 99}, 2, 0); outs != nil {
+	if outs = tables.Get(1).AppendProcess(nil, netkat.Packet{"dst": 99}, 2, 0); outs != nil {
 		t.Fatalf("unknown dst forwarded: %v", outs)
 	}
 }
@@ -259,7 +259,7 @@ func TestCompileMulticastMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := tables.Get(4).Process(netkat.Packet{"dst": 101}, 2, 0)
+	outs := tables.Get(4).AppendProcess(nil, netkat.Packet{"dst": 101}, 2, 0)
 	if len(outs) != 2 {
 		t.Fatalf("flood produced %d outputs, want 2: %v\n%v", len(outs), outs, tables)
 	}
@@ -286,7 +286,7 @@ func TestCompileOverlapResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	// dst=7 packets must be emitted on both ports 1 and 3.
-	outs := tables.Get(1).Process(netkat.Packet{"dst": 7}, 2, 0)
+	outs := tables.Get(1).AppendProcess(nil, netkat.Packet{"dst": 7}, 2, 0)
 	ports := map[int]bool{}
 	for _, o := range outs {
 		ports[o.Port] = true
@@ -295,7 +295,7 @@ func TestCompileOverlapResolution(t *testing.T) {
 		t.Fatalf("overlap outputs: %v (tables:\n%v)", outs, tables)
 	}
 	// Other packets only on port 1.
-	outs = tables.Get(1).Process(netkat.Packet{"dst": 8}, 2, 0)
+	outs = tables.Get(1).AppendProcess(nil, netkat.Packet{"dst": 8}, 2, 0)
 	if len(outs) != 1 || outs[0].Port != 1 {
 		t.Fatalf("broad-only outputs: %v", outs)
 	}
@@ -328,13 +328,13 @@ func TestCompileFieldRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := tables.Get(1).Process(netkat.Packet{"dst": 104}, 2, 0)
+	outs := tables.Get(1).AppendProcess(nil, netkat.Packet{"dst": 104}, 2, 0)
 	if len(outs) != 1 || outs[0].Pkt["tos"] != 5 {
 		t.Fatalf("s1 rewrite: %v", outs)
 	}
 	// The static test tos=5 must not appear as a runtime match at s4 (it
 	// was resolved against the rewrite), and the hop must forward.
-	outs = tables.Get(4).Process(netkat.Packet{"dst": 104, "tos": 5}, 1, 0)
+	outs = tables.Get(4).AppendProcess(nil, netkat.Packet{"dst": 104, "tos": 5}, 1, 0)
 	if len(outs) != 1 || outs[0].Port != 2 {
 		t.Fatalf("s4 hop: %v", outs)
 	}

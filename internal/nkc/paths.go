@@ -33,36 +33,6 @@ func (p Path) Key() string {
 	return b.String()
 }
 
-// Clone returns an independent copy.
-func (p Path) Clone() Path {
-	acts := make(map[string]int, len(p.Acts))
-	for f, v := range p.Acts {
-		acts[f] = v
-	}
-	return Path{Cond: p.Cond.Clone(), Acts: acts}
-}
-
-// Apply runs the path on a located packet, reporting ok=false if the
-// condition fails.
-func (p Path) Apply(lp netkat.LocatedPacket) (netkat.LocatedPacket, bool) {
-	if !p.Cond.Eval(lp) {
-		return netkat.LocatedPacket{}, false
-	}
-	out := netkat.LocatedPacket{Pkt: lp.Pkt.Clone(), Loc: lp.Loc}
-	for f, v := range p.Acts {
-		switch f {
-		case netkat.FieldPt:
-			out.Loc.Port = v
-		case netkat.FieldSw:
-			// Rejected by Validate; defensive.
-			out.Loc.Switch = v
-		default:
-			out.Pkt[f] = v
-		}
-	}
-	return out, true
-}
-
 // PathSet is a link-free policy in path normal form (a set of Paths whose
 // union is the policy's semantics).
 type PathSet struct {
@@ -219,21 +189,4 @@ func StarPS(p PathSet) (PathSet, error) {
 		acc = next
 	}
 	return PathSet{}, fmt.Errorf("nkc: star did not stabilize within %d iterations", starBound)
-}
-
-// Eval applies the path set to a located packet, returning the output set
-// in canonical order. Used by property tests against netkat.Eval.
-func (ps PathSet) Eval(lp netkat.LocatedPacket) []netkat.LocatedPacket {
-	seen := map[string]netkat.LocatedPacket{}
-	for _, p := range ps.Paths {
-		if out, ok := p.Apply(lp); ok {
-			seen[out.Key()] = out
-		}
-	}
-	outs := make([]netkat.LocatedPacket, 0, len(seen))
-	for _, v := range seen {
-		outs = append(outs, v)
-	}
-	netkat.SortLocated(outs)
-	return outs
 }

@@ -108,9 +108,6 @@ func NewFlight(capPerRing, workers int) *Flight {
 	return &Flight{cap: capPerRing, recs: make([]FlightRec, capPerRing*(max(workers, 0)+1))}
 }
 
-// Cap returns the per-worker record capacity.
-func (f *Flight) Cap() int { return f.cap }
-
 // Add appends a record, overwriting the oldest once the ring is full. It
 // never allocates.
 func (f *Flight) Add(r FlightRec) {

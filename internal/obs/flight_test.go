@@ -134,8 +134,8 @@ func TestFlightShardAddDoesNotAllocate(t *testing.T) {
 // per-worker capacity once for each worker and once for serial records.
 func TestFlightDefaults(t *testing.T) {
 	f := NewFlight(0, 3)
-	if f.Cap() != DefaultFlightCap {
-		t.Errorf("Cap = %d, want DefaultFlightCap", f.Cap())
+	if f.cap != DefaultFlightCap {
+		t.Errorf("cap = %d, want DefaultFlightCap", f.cap)
 	}
 	if got, want := len(f.recs), 4*DefaultFlightCap; got != want {
 		t.Errorf("ring holds %d records, want %d", got, want)

@@ -356,9 +356,6 @@ func (m *Metrics) HistCount(h Hist) int64 {
 	return n
 }
 
-// HistSum returns a histogram's folded observation sum.
-func (m *Metrics) HistSum(h Hist) int64 { return m.hist[h].sum.Load() }
-
 // WritePrometheus renders every metric in the Prometheus text
 // exposition format (metric names are prefixed "eventnet_"; histograms
 // emit cumulative buckets up to the highest populated bound plus +Inf).

@@ -37,7 +37,7 @@ func TestShardFoldAndDirect(t *testing.T) {
 	if got := m.HistCount(HistHopNs); got != 4 {
 		t.Fatalf("HistHopNs count = %d, want 4", got)
 	}
-	if got := m.HistSum(HistHopNs); got != 400 {
+	if got := m.hist[HistHopNs].sum.Load(); got != 400 {
 		t.Fatalf("HistHopNs sum = %d, want 400", got)
 	}
 	// Folding is a delta publish: a second fold adds nothing.
@@ -47,7 +47,7 @@ func TestShardFoldAndDirect(t *testing.T) {
 	}
 	// Direct writes compose with folded ones.
 	m.Observe(HistHopNs, 100)
-	if got := m.HistSum(HistHopNs); got != 500 {
+	if got := m.hist[HistHopNs].sum.Load(); got != 500 {
 		t.Fatalf("direct Observe: HistHopNs sum = %d, want 500", got)
 	}
 	m.Add(CtrHops, 5)

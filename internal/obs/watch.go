@@ -27,44 +27,19 @@ type Alert struct {
 	SinceGen  int64  `json:"since_gen"`
 }
 
-// WatchOptions are the watchdog thresholds; zero values take defaults.
-type WatchOptions struct {
-	// PendingMax raises queue_saturation when the pending-packets gauge
-	// reaches it. Default 32768.
-	PendingMax int64
-	// DropWindowMax raises drop_rate when the drops accrued since the
-	// previous boundary — bus-wide /watch drops, trace-ring overflow,
-	// and truncated journeys — reach it. Default 256.
-	DropWindowMax int64
-	// SwapDrainGens raises swap_drain_overrun when a swap stays draining
-	// across this many generations. Default 65536.
-	SwapDrainGens int64
-	// TTLWindowMax raises ttl_spike when the TTL drops accrued since the
-	// previous boundary reach it. Default 512.
-	TTLWindowMax int64
-}
-
-func (o WatchOptions) withDefaults() WatchOptions {
-	if o.PendingMax <= 0 {
-		o.PendingMax = 32768
-	}
-	if o.DropWindowMax <= 0 {
-		o.DropWindowMax = 256
-	}
-	if o.SwapDrainGens <= 0 {
-		o.SwapDrainGens = 65536
-	}
-	if o.TTLWindowMax <= 0 {
-		o.TTLWindowMax = 512
-	}
-	return o
-}
-
 // Watchdog derives alerts from metric deltas at chunk boundaries.
 // Check must be called from one goroutine at a time (the engine's
 // serial boundary); Active and ActiveNames are safe from any goroutine.
 type Watchdog struct {
-	opts WatchOptions
+	// The thresholds (docs/OPS.md lists them). pendingMax raises
+	// queue_saturation when the pending-packets gauge reaches it.
+	// dropWindowMax raises drop_rate when the drops accrued since the
+	// previous boundary — bus-wide /watch drops, trace-ring overflow,
+	// and truncated journeys — reach it. swapDrainGens raises
+	// swap_drain_overrun when a swap stays draining across that many
+	// generations. ttlWindowMax raises ttl_spike when the TTL drops
+	// accrued since the previous boundary reach it.
+	pendingMax, dropWindowMax, swapDrainGens, ttlWindowMax int64
 
 	mu     sync.Mutex
 	active map[string]*Alert
@@ -73,23 +48,14 @@ type Watchdog struct {
 	lastDrops int64
 	lastTTL   int64
 	drainGen  int64 // generation a drain was first observed at; -1 = none
-	fired     int64 // alerts raised, ever
 }
 
-// NewWatchdog builds a watchdog with the given thresholds.
-func NewWatchdog(o WatchOptions) *Watchdog {
-	return &Watchdog{opts: o.withDefaults(), active: map[string]*Alert{}, drainGen: -1}
-}
-
-// Options returns the effective (defaulted) thresholds.
-func (w *Watchdog) Options() WatchOptions { return w.opts }
-
-// Fired returns how many alerts have been raised over the watchdog's
-// lifetime.
-func (w *Watchdog) Fired() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.fired
+// NewWatchdog builds a watchdog with the fixed thresholds.
+func NewWatchdog() *Watchdog {
+	return &Watchdog{
+		pendingMax: 32768, dropWindowMax: 256, swapDrainGens: 65536, ttlWindowMax: 512,
+		active: map[string]*Alert{}, drainGen: -1,
+	}
 }
 
 // Active returns the currently-active alerts, sorted by name.
@@ -113,7 +79,6 @@ func (w *Watchdog) set(m *Metrics, b *Bus, gen int64, name string, firing bool, 
 	case firing && cur == nil:
 		a := &Alert{Name: name, Value: value, Threshold: threshold, SinceGen: gen}
 		w.active[name] = a
-		w.fired++
 		if m != nil {
 			m.Inc(CtrAlerts)
 		}
@@ -142,7 +107,7 @@ func (w *Watchdog) Check(gen int64, m *Metrics, b *Bus) {
 	defer w.mu.Unlock()
 
 	pending := m.Gauge(GaugePending)
-	w.set(m, b, gen, AlertQueueSaturation, pending >= w.opts.PendingMax, pending, w.opts.PendingMax)
+	w.set(m, b, gen, AlertQueueSaturation, pending >= w.pendingMax, pending, w.pendingMax)
 
 	// Drop rate: everything the telemetry layer sheds under pressure —
 	// /watch subscriber overflow (bus-wide), trace-ring overflow, and
@@ -150,7 +115,7 @@ func (w *Watchdog) Check(gen int64, m *Metrics, b *Bus) {
 	drops := m.Gauge(GaugeWatchDropped) + m.Counter(CtrTraceRecDrops) + m.Counter(CtrTracesTruncated)
 	d := drops - w.lastDrops
 	w.lastDrops = drops
-	w.set(m, b, gen, AlertDropRate, d >= w.opts.DropWindowMax, d, w.opts.DropWindowMax)
+	w.set(m, b, gen, AlertDropRate, d >= w.dropWindowMax, d, w.dropWindowMax)
 
 	// Swap drain overrun: generations observed draining, not wall time —
 	// boundary cadence is the watchdog's clock.
@@ -159,16 +124,16 @@ func (w *Watchdog) Check(gen int64, m *Metrics, b *Bus) {
 			w.drainGen = gen
 		}
 		span := gen - w.drainGen
-		w.set(m, b, gen, AlertSwapDrainOverrun, span >= w.opts.SwapDrainGens, span, w.opts.SwapDrainGens)
+		w.set(m, b, gen, AlertSwapDrainOverrun, span >= w.swapDrainGens, span, w.swapDrainGens)
 	} else {
 		w.drainGen = -1
-		w.set(m, b, gen, AlertSwapDrainOverrun, false, 0, w.opts.SwapDrainGens)
+		w.set(m, b, gen, AlertSwapDrainOverrun, false, 0, w.swapDrainGens)
 	}
 
 	ttl := m.Counter(CtrTTLDrops)
 	td := ttl - w.lastTTL
 	w.lastTTL = ttl
-	w.set(m, b, gen, AlertTTLSpike, td >= w.opts.TTLWindowMax, td, w.opts.TTLWindowMax)
+	w.set(m, b, gen, AlertTTLSpike, td >= w.ttlWindowMax, td, w.ttlWindowMax)
 
 	m.SetGauge(GaugeAlertsActive, int64(len(w.active)))
 }

@@ -22,7 +22,8 @@ func TestWatchdogQueueSaturation(t *testing.T) {
 	b := NewBus()
 	sub := b.Subscribe(16, KindAlert)
 	defer sub.Close()
-	w := NewWatchdog(WatchOptions{PendingMax: 10})
+	w := NewWatchdog()
+	w.pendingMax = 10
 
 	m.SetGauge(GaugePending, 5)
 	w.Check(1, m, b)
@@ -65,9 +66,6 @@ func TestWatchdogQueueSaturation(t *testing.T) {
 	if got := m.Gauge(GaugeAlertsActive); got != 0 {
 		t.Errorf("alerts_active = %d, want 0", got)
 	}
-	if w.Fired() != 1 {
-		t.Errorf("Fired = %d, want 1", w.Fired())
-	}
 
 	evs := drainAlerts(sub)
 	if len(evs) != 2 {
@@ -85,7 +83,8 @@ func TestWatchdogQueueSaturation(t *testing.T) {
 // quiet window clears, regardless of lifetime totals.
 func TestWatchdogDropRate(t *testing.T) {
 	m := NewMetrics(0)
-	w := NewWatchdog(WatchOptions{DropWindowMax: 10})
+	w := NewWatchdog()
+	w.dropWindowMax = 10
 
 	m.SetGauge(GaugeWatchDropped, 5)
 	w.Check(1, m, nil)
@@ -113,7 +112,8 @@ func TestWatchdogDropRate(t *testing.T) {
 // draining, cleared the boundary the drain finishes.
 func TestWatchdogSwapDrainOverrun(t *testing.T) {
 	m := NewMetrics(0)
-	w := NewWatchdog(WatchOptions{SwapDrainGens: 10})
+	w := NewWatchdog()
+	w.swapDrainGens = 10
 
 	m.SetGauge(GaugeSwapDraining, 1)
 	w.Check(100, m, nil)
@@ -146,7 +146,8 @@ func TestWatchdogSwapDrainOverrun(t *testing.T) {
 // TestWatchdogTTLSpike: windowed TTL-drop delta.
 func TestWatchdogTTLSpike(t *testing.T) {
 	m := NewMetrics(0)
-	w := NewWatchdog(WatchOptions{TTLWindowMax: 100})
+	w := NewWatchdog()
+	w.ttlWindowMax = 100
 
 	m.Add(CtrTTLDrops, 50)
 	w.Check(1, m, nil)
@@ -165,16 +166,15 @@ func TestWatchdogTTLSpike(t *testing.T) {
 	}
 }
 
-// TestWatchdogDefaults: zero options take the documented defaults, and
-// a nil-metrics Check is a no-op.
+// TestWatchdogDefaults: the thresholds are the documented ones, and a
+// nil-metrics Check is a no-op.
 func TestWatchdogDefaults(t *testing.T) {
-	w := NewWatchdog(WatchOptions{})
-	o := w.Options()
-	if o.PendingMax != 32768 || o.DropWindowMax != 256 || o.SwapDrainGens != 65536 || o.TTLWindowMax != 512 {
-		t.Errorf("defaults = %+v", o)
+	w := NewWatchdog()
+	if w.pendingMax != 32768 || w.dropWindowMax != 256 || w.swapDrainGens != 65536 || w.ttlWindowMax != 512 {
+		t.Errorf("thresholds = %d %d %d %d", w.pendingMax, w.dropWindowMax, w.swapDrainGens, w.ttlWindowMax)
 	}
 	w.Check(1, nil, nil) // must not panic
-	if len(w.Active()) != 0 || w.Fired() != 0 {
+	if len(w.Active()) != 0 {
 		t.Error("nil-metrics Check changed state")
 	}
 }

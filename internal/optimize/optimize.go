@@ -22,15 +22,6 @@ import (
 // RuleSet is a set of rule IDs (indices into a rule universe).
 type RuleSet map[int]bool
 
-// NewRuleSet builds a rule set from IDs.
-func NewRuleSet(ids ...int) RuleSet {
-	s := RuleSet{}
-	for _, id := range ids {
-		s[id] = true
-	}
-	return s
-}
-
 // Clone returns an independent copy.
 func (s RuleSet) Clone() RuleSet {
 	t := make(RuleSet, len(s))
@@ -93,40 +84,6 @@ func (t *Trie) TotalRules() int {
 		return own + walk(n.Children[0], n.Rules) + walk(n.Children[1], n.Rules)
 	}
 	return walk(t.Root, RuleSet{})
-}
-
-// GuardedRules enumerates the (guard, rule-ID) pairs the trie installs —
-// one entry per shared rule with its wildcarded guard.
-func (t *Trie) GuardedRules() []struct {
-	Guard flowtable.VersionGuard
-	Rule  int
-} {
-	var out []struct {
-		Guard flowtable.VersionGuard
-		Rule  int
-	}
-	var walk func(n *Node, parent RuleSet)
-	walk = func(n *Node, parent RuleSet) {
-		if n == nil || !n.HasReal {
-			return
-		}
-		own := n.Rules.Minus(parent)
-		ids := make([]int, 0, len(own))
-		for id := range own {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			out = append(out, struct {
-				Guard flowtable.VersionGuard
-				Rule  int
-			}{n.Guard, id})
-		}
-		walk(n.Children[0], n.Rules)
-		walk(n.Children[1], n.Rules)
-	}
-	walk(t.Root, RuleSet{})
-	return out
 }
 
 // pad rounds the configuration count up to a power of two by adding dummy

@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"eventnet/internal/apps"
@@ -175,7 +176,13 @@ func TestFromTablesFDDRuleSharing(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		compile func(netkat.Policy, *topo.Topology) (flowtable.Tables, error)
-	}{{"fdd", nkc.Compile}, {"dnf", nkc.CompileDNF}} {
+	}{{"fdd", func(p netkat.Policy, t *topo.Topology) (flowtable.Tables, error) {
+		pc, err := nkc.NewProgramCompiler(stateful.Lift(p), t, nil)
+		if err != nil {
+			return nil, err
+		}
+		return pc.Compile(nil)
+	}}, {"dnf", nkc.CompileDNF}} {
 		name, compile := c.name, c.compile
 		for _, a := range []apps.App{apps.Firewall(), apps.IDS()} {
 			states, _, err := a.Prog.ReachableStates()
@@ -252,4 +259,47 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b)
+}
+
+// NewRuleSet builds a rule set from IDs.
+func NewRuleSet(ids ...int) RuleSet {
+	s := RuleSet{}
+	for _, id := range ids {
+		s[id] = true
+	}
+	return s
+}
+
+// GuardedRules enumerates the (guard, rule-ID) pairs the trie installs —
+// one entry per shared rule with its wildcarded guard.
+func (t *Trie) GuardedRules() []struct {
+	Guard flowtable.VersionGuard
+	Rule  int
+} {
+	var out []struct {
+		Guard flowtable.VersionGuard
+		Rule  int
+	}
+	var walk func(n *Node, parent RuleSet)
+	walk = func(n *Node, parent RuleSet) {
+		if n == nil || !n.HasReal {
+			return
+		}
+		own := n.Rules.Minus(parent)
+		ids := make([]int, 0, len(own))
+		for id := range own {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		for _, id := range ids {
+			out = append(out, struct {
+				Guard flowtable.VersionGuard
+				Rule  int
+			}{n.Guard, id})
+		}
+		walk(n.Children[0], n.Rules)
+		walk(n.Children[1], n.Rules)
+	}
+	walk(t.Root, RuleSet{})
+	return out
 }

@@ -30,9 +30,9 @@ func lemma1NES(t *testing.T) *nes.NES {
 		{ID: 1, Guard: g2, Loc: netkat.Location{Switch: 2, Port: 1}, Occurrence: 1},
 	}
 	family := map[nes.Set]int{
-		nes.Empty:        0,
-		nes.Singleton(0): 1,
-		nes.Singleton(1): 2,
+		nes.Empty:         0,
+		nes.Empty.With(0): 1,
+		nes.Empty.With(1): 2,
 	}
 	configs := []nes.Config{{ID: 0, Label: "init"}, {ID: 1, Label: "e1-won"}, {ID: 2, Label: "e2-won"}}
 	n, err := nes.New(events, family, configs)
@@ -59,17 +59,17 @@ func TestLemma1NonLocalNES(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mis) != 1 || mis[0] != nes.Singleton(0).With(1) {
+	if len(mis) != 1 || mis[0] != nes.Empty.With(0).With(1) {
 		t.Fatalf("minimally-inconsistent sets: %v", mis)
 	}
 
 	// Case #2 of the proof sketch: e1 has not occurred; B must fire e2.
 	lpB := netkat.LocatedPacket{Pkt: netkat.Packet{"a": 2}, Loc: netkat.Location{Switch: 2, Port: 1}}
-	if got := n.NewlyEnabled(nes.Empty, lpB); got != nes.Singleton(1) {
+	if got := n.NewlyEnabled(nes.Empty, lpB); got != nes.Empty.With(1) {
 		t.Fatalf("case 2: B should fire e2, got %v", got)
 	}
 	// Case #1: e1 occurred at A — with that knowledge B must NOT fire.
-	if got := n.NewlyEnabled(nes.Singleton(0), lpB); got != nes.Empty {
+	if got := n.NewlyEnabled(nes.Empty.With(0), lpB); got != nes.Empty {
 		t.Fatalf("case 1: B must not fire e2 after e1, got %v", got)
 	}
 	// The two cases are indistinguishable at B without waiting for
@@ -98,7 +98,7 @@ func TestLemma2StrongUpdate(t *testing.T) {
 	if err := m.RunToQuiescence(); err != nil {
 		t.Fatal(err)
 	}
-	if m.SwitchView(4) != nes.Singleton(0) {
+	if m.SwitchView(4) != nes.Empty.With(0) {
 		t.Fatal("event did not fire")
 	}
 
@@ -125,7 +125,7 @@ func TestLemma2StrongUpdate(t *testing.T) {
 	if len(m.DeliveredTo("H1")) != 1 {
 		t.Fatal("post-event incoming packet dropped at the event switch")
 	}
-	if m.SwitchView(1) != nes.Singleton(0) {
+	if m.SwitchView(1) != nes.Empty.With(0) {
 		t.Fatalf("s1 did not hear via the digest: %v", m.SwitchView(1))
 	}
 	nt := m.NetTrace()

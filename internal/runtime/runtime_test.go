@@ -67,7 +67,7 @@ func TestFirewallBehavior(t *testing.T) {
 	if got := m.DeliveredTo("H4"); len(got) != 1 {
 		t.Fatalf("H1->H4 not delivered: %v", got)
 	}
-	if m.SwitchView(4) != nes.Singleton(0) {
+	if m.SwitchView(4) != nes.Empty.With(0) {
 		t.Fatalf("s4 did not record the event: %v", m.SwitchView(4))
 	}
 
@@ -243,7 +243,7 @@ func TestRingBehavior(t *testing.T) {
 	if err := m.RunToQuiescence(); err != nil {
 		t.Fatal(err)
 	}
-	if m.SwitchView(2) != nes.Singleton(0) {
+	if m.SwitchView(2) != nes.Empty.With(0) {
 		t.Fatalf("switch 2 did not record the event: %v", m.SwitchView(2))
 	}
 	// H1->H2 now requires switch 1 to know about the event; it learns via

@@ -45,9 +45,6 @@ func (p *TaggedPlane) HeaderOverhead() int { return p.TagBytes }
 // ProcFactor implements Plane.
 func (p *TaggedPlane) ProcFactor() float64 { return 1 + p.ExtraProc }
 
-// View returns a switch's current event view.
-func (p *TaggedPlane) View(sw int) nes.Set { return p.views[sw] }
-
 // DiscoveryTime returns when a switch first learned about an event, and
 // whether it has.
 func (p *TaggedPlane) DiscoveryTime(sw, event int) (float64, bool) {
@@ -141,16 +138,6 @@ func (p *UncoordPlane) HeaderOverhead() int { return 0 }
 
 // ProcFactor implements Plane.
 func (p *UncoordPlane) ProcFactor() float64 { return 1 }
-
-// Installed returns the switch's current configuration index.
-func (p *UncoordPlane) Installed(sw int) int { return p.installed[sw] }
-
-// InstallTime returns when a switch received the configuration reflecting
-// an event.
-func (p *UncoordPlane) InstallTime(sw, event int) (float64, bool) {
-	t, ok := p.installAt[sw][event]
-	return t, ok
-}
 
 // Inject implements Plane: no stamping.
 func (p *UncoordPlane) Inject(*Sim, int, netkat.Packet) Meta { return Meta{} }

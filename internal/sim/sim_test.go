@@ -393,3 +393,16 @@ func TestOracleEndToEndAllApps(t *testing.T) {
 		})
 	}
 }
+
+// View returns a switch's current event view.
+func (p *TaggedPlane) View(sw int) nes.Set { return p.views[sw] }
+
+// Installed returns the switch's current configuration index.
+func (p *UncoordPlane) Installed(sw int) int { return p.installed[sw] }
+
+// InstallTime returns when a switch received the configuration reflecting
+// an event.
+func (p *UncoordPlane) InstallTime(sw, event int) (float64, bool) {
+	t, ok := p.installAt[sw][event]
+	return t, ok
+}

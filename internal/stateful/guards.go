@@ -74,17 +74,6 @@ func (g *GuardIndex) Len() int { return len(g.tests) }
 // Tests returns the tests in canonical order.
 func (g *GuardIndex) Tests() []GuardTest { return append([]GuardTest{}, g.tests...) }
 
-// Sig returns the truth vector of the indexed tests under state k, packed
-// 8 tests per byte. States with equal signatures have structurally
-// identical projections, so Sig is a sound (and, over reachable states,
-// cheap) cache key for every projection-derived artifact.
-func (g *GuardIndex) Sig(k State) string {
-	if len(g.tests) == 0 {
-		return ""
-	}
-	return string(g.AppendSig(nil, k))
-}
-
 // AppendSig appends the packed truth vector (the Sig encoding) to dst
 // and returns the extended slice. Callers on the compilation hot path
 // reuse one scratch buffer across states instead of allocating a string
@@ -144,16 +133,4 @@ func (g *GuardIndex) AppendDiff(dst []int32, a, b State) []int32 {
 		}
 	}
 	return dst
-}
-
-// Diff returns the tests whose truth value differs between states a and
-// b, in canonical order — the guard delta behind every signature change
-// when moving along an ETS edge (AppendDiff, as tests rather than
-// positions).
-func (g *GuardIndex) Diff(a, b State) []GuardTest {
-	var out []GuardTest
-	for _, p := range g.AppendDiff(nil, a, b) {
-		out = append(out, g.tests[p])
-	}
-	return out
 }

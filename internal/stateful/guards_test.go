@@ -115,3 +115,26 @@ func TestDiffMatchesDenseScan(t *testing.T) {
 		}
 	}
 }
+
+// Sig returns the truth vector of the indexed tests under state k, packed
+// 8 tests per byte. States with equal signatures have structurally
+// identical projections, so Sig is a sound (and, over reachable states,
+// cheap) cache key for every projection-derived artifact.
+func (g *GuardIndex) Sig(k State) string {
+	if len(g.tests) == 0 {
+		return ""
+	}
+	return string(g.AppendSig(nil, k))
+}
+
+// Diff returns the tests whose truth value differs between states a and
+// b, in canonical order — the guard delta behind every signature change
+// when moving along an ETS edge (AppendDiff, as tests rather than
+// positions).
+func (g *GuardIndex) Diff(a, b State) []GuardTest {
+	var out []GuardTest
+	for _, p := range g.AppendDiff(nil, a, b) {
+		out = append(out, g.tests[p])
+	}
+	return out
+}

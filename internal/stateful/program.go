@@ -51,53 +51,6 @@ func (p Program) ReachableStates() ([]State, []Edge, error) {
 	return order, edges, nil
 }
 
-// StateIndices returns the sorted state-vector indices mentioned by the
-// program (tests and link updates).
-func StateIndices(c Cmd) []int {
-	set := map[int]bool{}
-	var walkPred func(Pred)
-	walkPred = func(p Pred) {
-		switch q := p.(type) {
-		case PState:
-			set[q.Index] = true
-		case PNot:
-			walkPred(q.P)
-		case PAnd:
-			walkPred(q.L)
-			walkPred(q.R)
-		case POr:
-			walkPred(q.L)
-			walkPred(q.R)
-		}
-	}
-	var walk func(Cmd)
-	walk = func(c Cmd) {
-		switch q := c.(type) {
-		case CPred:
-			walkPred(q.P)
-		case CUnion:
-			walk(q.L)
-			walk(q.R)
-		case CSeq:
-			walk(q.L)
-			walk(q.R)
-		case CStar:
-			walk(q.P)
-		case CLinkState:
-			for _, s := range q.Sets {
-				set[s.Index] = true
-			}
-		}
-	}
-	walk(c)
-	out := make([]int, 0, len(set))
-	for i := range set {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // VecPred builds the vector-equality test state = [v0, v1, ...] as a
 // conjunction of indexed state tests (the state=[n] sugar of Figure 9).
 func VecPred(vals ...int) Pred {

@@ -188,14 +188,15 @@ func TestReachableStates(t *testing.T) {
 	}
 }
 
+// TestStateIndices: the state components a program's projection reads
+// are those its tests name; a link's state update is not a test.
 func TestStateIndices(t *testing.T) {
 	c := UnionC(
 		CPred{P: PState{Index: 3, Value: 0}},
 		CLinkState{Src: loc(1, 1), Dst: loc(2, 1), Sets: []StateSet{{Index: 1, Value: 1}}},
 	)
-	got := StateIndices(c)
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Errorf("StateIndices: %v", got)
+	if got := CollectGuards(c).Tests(); len(got) != 1 || got[0] != (GuardTest{Index: 3, Value: 0}) {
+		t.Errorf("guards: %v", got)
 	}
 }
 
@@ -213,8 +214,8 @@ func TestProjectEvalAgreement(t *testing.T) {
 		k1 := State{0, 1}
 		k2 := State{0, 1, 9, 9}
 		usesBeyond := false
-		for _, idx := range StateIndices(c) {
-			if idx >= 2 {
+		for _, g := range CollectGuards(c).Tests() {
+			if g.Index >= 2 {
 				usesBeyond = true
 			}
 		}
@@ -347,12 +348,12 @@ func TestProjectLiftIsIdentity(t *testing.T) {
 	withLinks := 0
 	for i := 0; i < 500; i++ {
 		p := pol(r.Intn(5))
-		if netkat.HasLinks(p) {
+		if hasLinks(p) {
 			withLinks++
 		}
 		c := Lift(p)
-		if got := StateIndices(c); len(got) != 0 {
-			t.Fatalf("Lift(%v) tests state components %v", p, got)
+		if g := CollectGuards(c); g.Len() != 0 {
+			t.Fatalf("Lift(%v) tests state components %v", p, g.Tests())
 		}
 		for _, k := range []State{nil, {0}, {3, 1, 4}} {
 			if got := Project(c, k); !reflect.DeepEqual(got, p) {
@@ -362,5 +363,21 @@ func TestProjectLiftIsIdentity(t *testing.T) {
 	}
 	if withLinks < 100 {
 		t.Fatalf("only %d of 500 random policies contain a link", withLinks)
+	}
+}
+
+// hasLinks reports whether any Link node occurs in the policy.
+func hasLinks(p netkat.Policy) bool {
+	switch q := p.(type) {
+	case netkat.Union:
+		return hasLinks(q.L) || hasLinks(q.R)
+	case netkat.Seq:
+		return hasLinks(q.L) || hasLinks(q.R)
+	case netkat.Star:
+		return hasLinks(q.P)
+	case netkat.Link:
+		return true
+	default:
+		return false
 	}
 }

@@ -285,7 +285,7 @@ func TestCheckNESEventNeedsPrecedingConfig(t *testing.T) {
 	g.AddEq("dst", 104)
 	n, err := nes.New(
 		[]nes.Event{{ID: 0, Guard: g, Loc: loc(4, 1), Occurrence: 1}},
-		map[nes.Set]int{nes.Empty: 0, nes.Singleton(0): 1},
+		map[nes.Set]int{nes.Empty: 0, nes.Empty.With(0): 1},
 		[]nes.Config{{ID: 0, Rel: mk(3)}, {ID: 1, Rel: mk(5)}},
 	)
 	if err != nil {
