@@ -1,7 +1,10 @@
 // Command snkc is the Stateful NetKAT compiler driver: it takes a program
 // (a source file, or one of the built-in paper applications), runs the
 // full pipeline — projection, event extraction, ETS checks, NES
-// construction, flow-table generation — and prints the artifacts.
+// construction, flow-table generation — and prints the artifacts. A
+// program whose state graph has loops is compiled as an -unroll-round
+// unrolling, after a note saying whether its loops meet the paper's
+// locality condition (read from the loop report Build returns).
 //
 // Usage:
 //
@@ -48,26 +51,16 @@ func main() {
 	}
 
 	e, err := ets.Build(prog, tp)
-	if errors.Is(err, ets.ErrLoop) {
-		e, err = buildUnrolled(prog, tp, *unroll)
+	var loop *ets.LoopError
+	if errors.As(err, &loop) {
+		fmt.Printf("note: the state graph has loops (locality %v); compiling a %d-round unrolling\n", loop.Report.LocalityOK, *unroll)
+		e, err = ets.BuildUnrolled(prog, tp, *unroll)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "snkc: ETS:", err)
 		os.Exit(1)
 	}
 	report(e, name, *doOpt, *showTables)
-}
-
-// buildUnrolled is the fallback for a program whose state graph Build
-// found cyclic. Only here is AnalyzeLoops' serial oracle BFS worth
-// running: it says whether the loops meet the paper's locality condition.
-func buildUnrolled(prog stateful.Program, tp *topo.Topology, rounds int) (*ets.ETS, error) {
-	rep, err := ets.AnalyzeLoops(prog)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("note: the state graph has loops (locality %v); compiling a %d-round unrolling\n", rep.LocalityOK, rounds)
-	return ets.BuildUnrolled(prog, tp, rounds)
 }
 
 // report prints the compiled artifacts.

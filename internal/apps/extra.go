@@ -81,7 +81,7 @@ func routeChain(tp *topo.Topology, srcHost, dstHost string, dst int, stUpd int) 
 	if !ok {
 		panic(fmt.Sprintf("apps: unknown host %q", dstHost))
 	}
-	links, ok := tp.ShortestPath(hs.Attach.Switch, hd.Attach.Switch)
+	links, ok := tp.ShortestPath(hs.Attach.Switch, hd.Attach.Switch, nil)
 	if !ok || len(links) == 0 {
 		panic(fmt.Sprintf("apps: no multi-hop route from %s to %s", srcHost, dstHost))
 	}

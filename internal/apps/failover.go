@@ -178,7 +178,7 @@ func FailoverFatTree(k, cycles int) Failover {
 	src, _ := tp.HostByName("H1")
 	dstName := fmt.Sprintf("H%d", k*k*k/4)
 	dst, _ := tp.HostByName(dstName)
-	primary, ok := tp.ShortestPath(src.Attach.Switch, dst.Attach.Switch)
+	primary, ok := tp.ShortestPath(src.Attach.Switch, dst.Attach.Switch, nil)
 	if !ok || len(primary) < 3 {
 		panic("apps: fat-tree fabric path missing")
 	}
@@ -187,7 +187,7 @@ func FailoverFatTree(k, cycles int) Failover {
 		primary[failIdx]: true,
 		{Src: primary[failIdx].Dst, Dst: primary[failIdx].Src}: true,
 	}
-	backup, ok := tp.ShortestPathAvoiding(src.Attach.Switch, dst.Attach.Switch, banned)
+	backup, ok := tp.ShortestPath(src.Attach.Switch, dst.Attach.Switch, banned)
 	if !ok {
 		panic("apps: fat-tree has no backup path")
 	}

@@ -91,12 +91,8 @@ func (e *Engine) flip(spec SwapSpec, s *Swap) error {
 	np := e.newProgState(old.epoch+1, spec.Plan)
 	carried := 0
 	for i := range np.views {
-		if spec.MapEvent != nil {
-			np.views[i] = np.nes.Replay(mapEvents(old.views[i], spec.MapEvent))
-			carried += np.views[i].Count()
-		} else {
-			np.views[i] = nes.Empty
-		}
+		np.views[i] = np.nes.Replay(mapEvents(old.views[i], spec.MapEvent))
+		carried += np.views[i].Count()
 	}
 	e.progs = append(e.progs, np)
 	e.swap = &swapHandle{spec: spec, s: s, at: e.n}
@@ -165,7 +161,8 @@ func (e *Engine) swapPhase(phase string, from, to int, inflight int64) {
 	}
 }
 
-// mapEvents maps an old-program event set through a MapEvent table.
+// mapEvents maps an old-program event set through a MapEvent table; a
+// nil table maps every event away.
 func mapEvents(s nes.Set, mapEvent []int) nes.Set {
 	out := nes.Empty
 	for _, ev := range s.Elems() {

@@ -13,9 +13,6 @@
 package ets
 
 import (
-	"errors"
-	"fmt"
-
 	"eventnet/internal/flowtable"
 	"eventnet/internal/nes"
 	"eventnet/internal/stateful"
@@ -68,45 +65,12 @@ type rawEdge struct {
 	ed       stateful.Edge
 }
 
-// ErrLoop is what Build's error wraps when the reachable state graph has
-// a cycle; BuildUnrolled accepts such programs up to a round bound.
-var ErrLoop = errors.New("ets: the transition system has a loop")
-
 // outEdges groups edges by source vertex, keeping their order within a
-// vertex: the one adjacency that checkAcyclic, finish and Family walk.
+// vertex: the one adjacency that finish, its SCC pass and Family walk.
 func outEdges[E any](nv int, edges []E, from func(E) int) [][]E {
 	out := make([][]E, nv)
 	for _, ed := range edges {
 		out[from(ed)] = append(out[from(ed)], ed)
 	}
 	return out
-}
-
-// checkAcyclic rejects ETSs with loops (this paper's implementation, like
-// the paper's prototype, handles loop-free ETSs; Section 3.1 sketches the
-// SCC/timestamp extension).
-func checkAcyclic(out [][]rawEdge, init int) error {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int, len(out))
-	var dfs func(v int) error
-	dfs = func(v int) error {
-		color[v] = gray
-		for _, r := range out[v] {
-			switch color[r.to] {
-			case gray:
-				return fmt.Errorf("%w through state %d (loop-free ETSs required)", ErrLoop, r.to)
-			case white:
-				if err := dfs(r.to); err != nil {
-					return err
-				}
-			}
-		}
-		color[v] = black
-		return nil
-	}
-	return dfs(init)
 }

@@ -3,10 +3,10 @@ package ets
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 
 	"eventnet/internal/nes"
-
 	"eventnet/internal/nkc"
 	"eventnet/internal/stateful"
 	"eventnet/internal/topo"
@@ -17,7 +17,8 @@ import (
 // restriction on every (non-singleton) strongly-connected component so
 // that event occurrences can be timestamped at a single switch, and
 // unrolling loops by renaming repeated events. This file implements both:
-// AnalyzeLoops computes the SCC structure and checks per-SCC locality, and
+// finish finds the SCCs of the graph the walk explored, and a cyclic
+// Build returns them, with per-SCC locality, in a LoopError; and
 // BuildUnrolled produces a loop-free ETS by bounding the number of
 // transitions, with each traversal of a loop yielding fresh renamed event
 // occurrences.
@@ -41,121 +42,99 @@ type LoopReport struct {
 	LocalityOK bool
 }
 
-// AnalyzeLoops computes the SCC structure of the program's reachable
-// state graph.
-func AnalyzeLoops(p stateful.Program) (*LoopReport, error) {
-	states, edges, err := p.ReachableStates()
-	if err != nil {
-		return nil, err
-	}
-	idx := map[string]int{}
-	for i, s := range states {
-		idx[s.Key()] = i
-	}
-	adj := make([][]int, len(states))
-	type edgeInfo struct {
-		from, to int
-		sw       int
-	}
-	var einfo []edgeInfo
-	for _, e := range edges {
-		f, t := idx[e.From.Key()], idx[e.To.Key()]
-		adj[f] = append(adj[f], t)
-		einfo = append(einfo, edgeInfo{from: f, to: t, sw: e.Loc.Switch})
-	}
-
-	comp := tarjan(len(states), adj)
-	nComp := 0
-	for _, c := range comp {
-		if c+1 > nComp {
-			nComp = c + 1
-		}
-	}
-	members := make([][]int, nComp)
-	for v, c := range comp {
-		members[c] = append(members[c], v)
-	}
-
-	report := &LoopReport{LocalityOK: true}
-	for _, vs := range members {
-		scc := SCC{Singleton: len(vs) == 1}
-		for _, v := range vs {
-			scc.States = append(scc.States, states[v].Key())
-		}
-		sort.Strings(scc.States)
-		swSet := map[int]bool{}
-		for _, e := range einfo {
-			if comp[e.from] == comp[e.to] && comp[e.from] == comp[vs[0]] {
-				swSet[e.sw] = true
-				scc.Singleton = false
-			}
-		}
-		for sw := range swSet {
-			scc.EventSwitches = append(scc.EventSwitches, sw)
-		}
-		sort.Ints(scc.EventSwitches)
-		if !scc.Singleton {
-			report.HasLoops = true
-			if len(scc.EventSwitches) > 1 {
-				report.LocalityOK = false
-			}
-		}
-		report.SCCs = append(report.SCCs, scc)
-	}
-	sort.Slice(report.SCCs, func(i, j int) bool { return report.SCCs[i].States[0] < report.SCCs[j].States[0] })
-	return report, nil
+// LoopError is Build's error when the reachable state graph has a cycle;
+// Report is its SCC structure. BuildUnrolled accepts such programs up to
+// a round bound.
+type LoopError struct {
+	Report *LoopReport
 }
 
-// tarjan computes strongly-connected components, returning a component
-// index per vertex.
-func tarjan(n int, adj [][]int) []int {
-	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	comp := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
-		comp[i] = unvisited
+func (e *LoopError) Error() string {
+	return "ets: the transition system has a loop (loop-free ETSs required)"
+}
+
+// loopReport is the SCC structure of the explored graph out, or nil when
+// every SCC is one state (the walk drops self-loops, so the graph is then
+// acyclic).
+func (e *ETS) loopReport(out [][]rawEdge) *LoopReport {
+	comp, n := tarjan(out)
+	if n == len(out) {
+		return nil
 	}
-	var stack []int
-	counter, nComp := 0, 0
+	sccs := make([]SCC, n)
+	for v, c := range comp {
+		sccs[c].States = append(sccs[c].States, e.Vertices[v].State.Key())
+	}
+	switches := make([]map[int]bool, n)
+	for _, rs := range out {
+		for _, r := range rs {
+			if c := comp[r.from]; c == comp[r.to] {
+				if switches[c] == nil {
+					switches[c] = map[int]bool{}
+				}
+				switches[c][r.ed.Loc.Switch] = true
+			}
+		}
+	}
+	report := &LoopReport{HasLoops: true, LocalityOK: true}
+	for c := range sccs {
+		scc := &sccs[c]
+		sort.Strings(scc.States)
+		scc.Singleton = switches[c] == nil
+		scc.EventSwitches = slices.Sorted(maps.Keys(switches[c]))
+		if len(scc.EventSwitches) > 1 {
+			report.LocalityOK = false
+		}
+	}
+	sort.Slice(sccs, func(i, j int) bool { return sccs[i].States[0] < sccs[j].States[0] })
+	report.SCCs = sccs
+	return report
+}
+
+// tarjan numbers the strongly-connected components of out, returning a
+// component per vertex and the number of components. A vertex is on
+// Tarjan's stack exactly when it is indexed and has no component yet.
+func tarjan(out [][]rawEdge) (comp []int, n int) {
+	const unvisited = -1
+	index := make([]int, len(out))
+	low := make([]int, len(out))
+	comp = make([]int, len(out))
+	for i := range index {
+		index[i], comp[i] = unvisited, unvisited
+	}
+	stack := make([]int, 0, len(out))
+	counter := 0
 	var strong func(v int)
 	strong = func(v int) {
-		index[v] = counter
-		low[v] = counter
+		index[v], low[v] = counter, counter
 		counter++
 		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if index[w] == unvisited {
+		for _, r := range out[v] {
+			if w := r.to; index[w] == unvisited {
 				strong(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
+				low[v] = min(low[v], low[w])
+			} else if comp[w] == unvisited {
+				low[v] = min(low[v], index[w])
 			}
 		}
 		if low[v] == index[v] {
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp[w] = nComp
+				comp[w] = n
 				if w == v {
 					break
 				}
 			}
-			nComp++
+			n++
 		}
 	}
-	for v := 0; v < n; v++ {
+	for v := range out {
 		if index[v] == unvisited {
 			strong(v)
 		}
 	}
-	return comp
+	return comp, n
 }
 
 // maxUnrollVertices bounds the unrolled state space.
@@ -187,12 +166,13 @@ func BuildUnrolled(p stateful.Program, t *topo.Topology, maxRounds int) (*ETS, e
 	return e, nil
 }
 
-// finish rejects loops, then performs occurrence renaming and event-ID
-// assignment over raw edges (shared by Build and BuildUnrolled).
+// finish rejects loops with a LoopError, then performs occurrence
+// renaming and event-ID assignment over raw edges (shared by Build and
+// BuildUnrolled).
 func (e *ETS) finish(raw []rawEdge) error {
 	out := outEdges(len(e.Vertices), raw, func(r rawEdge) int { return r.from })
-	if err := checkAcyclic(out, e.Init); err != nil {
-		return err
+	if report := e.loopReport(out); report != nil {
+		return &LoopError{Report: report}
 	}
 	counts := make([]map[string]int, len(e.Vertices))
 	counts[e.Init] = map[string]int{}

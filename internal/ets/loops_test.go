@@ -2,12 +2,17 @@ package ets
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"eventnet/internal/apps"
 	"eventnet/internal/nes"
 	"eventnet/internal/netkat"
 	"eventnet/internal/stateful"
+	"eventnet/internal/stateful/statefultest"
 	"eventnet/internal/topo"
 )
 
@@ -59,19 +64,25 @@ func crossSwitchToggle() (stateful.Program, *topo.Topology) {
 	return stateful.Program{Cmd: prog, Init: stateful.State{0}}, tp
 }
 
+// loopReport returns the report of the LoopError Build returns.
+func loopReport(t *testing.T, prog stateful.Program, tp *topo.Topology) *LoopReport {
+	t.Helper()
+	_, err := Build(prog, tp)
+	var loop *LoopError
+	if !errors.As(err, &loop) {
+		t.Fatalf("cyclic ETS: Build returned %v, want a *LoopError", err)
+	}
+	return loop.Report
+}
+
 func TestBuildRejectsLoops(t *testing.T) {
 	prog, tp := toggleProgram()
-	if _, err := Build(prog, tp); !errors.Is(err, ErrLoop) {
-		t.Fatalf("cyclic ETS: Build returned %v, want an error wrapping ErrLoop", err)
-	}
+	loopReport(t, prog, tp)
 }
 
 func TestAnalyzeLoops(t *testing.T) {
-	prog, _ := toggleProgram()
-	rep, err := AnalyzeLoops(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog, tp := toggleProgram()
+	rep := loopReport(t, prog, tp)
 	if !rep.HasLoops {
 		t.Fatal("toggle loop not detected")
 	}
@@ -91,23 +102,143 @@ func TestAnalyzeLoops(t *testing.T) {
 		t.Fatalf("two-state SCC missing: %+v", rep.SCCs)
 	}
 
-	cross, _ := crossSwitchToggle()
-	rep, err = AnalyzeLoops(cross)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.LocalityOK {
+	cross, tp := crossSwitchToggle()
+	if rep := loopReport(t, cross, tp); rep.LocalityOK {
 		t.Fatal("cross-switch loop passed the locality check")
 	}
 
-	// Loop-free programs report no loops.
+	// Loop-free programs build.
 	a := apps.Firewall()
-	rep, err = AnalyzeLoops(a.Prog)
-	if err != nil {
+	if _, err := Build(a.Prog, a.Topo); err != nil {
 		t.Fatal(err)
 	}
-	if rep.HasLoops {
-		t.Fatal("firewall reported loops")
+}
+
+// analyzeLoops is the loop report computed apart from Build: the
+// program's states and edges from the Figure 6 BFS
+// (stateful.ReachableStates), and as components the classes of mutual
+// reachability.
+func analyzeLoops(p stateful.Program) (*LoopReport, error) {
+	states, edges, err := p.ReachableStates()
+	if err != nil {
+		return nil, err
+	}
+	idx := map[string]int{}
+	for i, s := range states {
+		idx[s.Key()] = i
+	}
+	adj := make([][]int, len(states))
+	for _, e := range edges {
+		adj[idx[e.From.Key()]] = append(adj[idx[e.From.Key()]], idx[e.To.Key()])
+	}
+	reach := make([][]bool, len(states))
+	for v := range states {
+		reach[v] = make([]bool, len(states))
+		reach[v][v] = true
+		for stack := []int{v}; len(stack) > 0; {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, w := range adj[u] {
+				if !reach[v][w] {
+					reach[v][w] = true
+					stack = append(stack, w)
+				}
+			}
+		}
+	}
+	comp := make([]int, len(states)) // the least vertex of v's class
+	for v := range states {
+		for comp[v] = 0; !reach[v][comp[v]] || !reach[comp[v]][v]; comp[v]++ {
+		}
+	}
+
+	report := &LoopReport{LocalityOK: true}
+	for c := range states {
+		if comp[c] != c {
+			continue
+		}
+		scc := SCC{Singleton: true}
+		for v := range states {
+			if comp[v] == c {
+				scc.States = append(scc.States, states[v].Key())
+			}
+		}
+		sort.Strings(scc.States)
+		swSet := map[int]bool{}
+		for _, e := range edges {
+			if comp[idx[e.From.Key()]] == c && comp[idx[e.To.Key()]] == c {
+				swSet[e.Loc.Switch] = true
+				scc.Singleton = false
+			}
+		}
+		for sw := range swSet {
+			scc.EventSwitches = append(scc.EventSwitches, sw)
+		}
+		sort.Ints(scc.EventSwitches)
+		if !scc.Singleton {
+			report.HasLoops = true
+			if len(scc.EventSwitches) > 1 {
+				report.LocalityOK = false
+			}
+		}
+		report.SCCs = append(report.SCCs, scc)
+	}
+	sort.Slice(report.SCCs, func(i, j int) bool { return report.SCCs[i].States[0] < report.SCCs[j].States[0] })
+	return report, nil
+}
+
+// TestLoopReportMatchesOracle holds the report a cyclic Build returns
+// to analyzeLoops, and a Build that succeeds to a report without loops,
+// on every program both accept: the two toggles, every apps.All()
+// program, and 40 000 random commands of depth 4 over three switches.
+// Of these 40 007 programs both sides accept 7 539, and 122 of those
+// (the two toggles among them) are cyclic.
+func TestLoopReportMatchesOracle(t *testing.T) {
+	type program struct {
+		name string
+		prog stateful.Program
+		tp   *topo.Topology
+	}
+	toggle, tp := toggleProgram()
+	cross, _ := crossSwitchToggle()
+	progs := []program{{"toggle", toggle, tp}, {"cross-switch-toggle", cross, tp}}
+	for _, a := range apps.All() {
+		progs = append(progs, program{a.Name, a.Prog, a.Topo})
+	}
+	three := topo.New()
+	for sw := 1; sw <= 3; sw++ {
+		three.AddSwitch(sw)
+	}
+	r := rand.New(rand.NewSource(37))
+	for i := 0; i < 40000; i++ {
+		progs = append(progs, program{fmt.Sprintf("random-%d", i), stateful.Program{Cmd: statefultest.RandCmd(r, 4), Init: stateful.State{0, 0}}, three})
+	}
+
+	accepted, cyclic := 0, 0
+	for _, p := range progs {
+		_, err := Build(p.prog, p.tp)
+		var loop *LoopError
+		if err != nil && !errors.As(err, &loop) {
+			continue
+		}
+		want, oerr := analyzeLoops(p.prog)
+		if oerr != nil {
+			continue
+		}
+		accepted++
+		switch {
+		case loop == nil && want.HasLoops:
+			t.Fatalf("%s: Build accepted a program whose oracle report has loops: %+v", p.name, want)
+		case loop != nil:
+			cyclic++
+			if !reflect.DeepEqual(loop.Report, want) {
+				t.Fatalf("%s: report %+v, oracle %+v", p.name, loop.Report, want)
+			}
+		}
+	}
+	t.Logf("%d programs accepted by both, %d cyclic", accepted, cyclic)
+	if cyclic < 100 {
+		t.Fatalf("only %d cyclic programs compared; the comparison is close to vacuous", cyclic)
 	}
 }
 

@@ -652,11 +652,45 @@ const maxFDDPaths = maxChoices
 // read-only (Path.Clone gives an independent copy).
 func (d *FDD) PathSet() (PathSet, error) {
 	var out []Path
-	type pathLit struct {
-		f  string
-		v  int
-		eq bool
+	err := d.eachPath(func(lits []pathLit, acts []*Action) error {
+		if len(out)+len(acts) > maxFDDPaths {
+			return fmt.Errorf("nkc: fdd expands to more than %d paths", maxFDDPaths)
+		}
+		cond := netkat.NewConj()
+		for _, l := range lits {
+			// Always satisfiable: each (field, value) test occurs at
+			// most once along a canonical root-leaf path.
+			if l.eq {
+				cond.AddEq(l.f, l.v)
+			} else {
+				cond.AddNeq(l.f, l.v)
+			}
+		}
+		for _, a := range acts {
+			out = append(out, Path{Cond: cond, Acts: a.sets})
+		}
+		return nil
+	})
+	if err != nil {
+		return PathSet{}, err
 	}
+	return PathSet{Paths: out}, nil
+}
+
+// pathLit is one test on a root-leaf path: f=v on a hi edge, f!=v on a
+// lo edge.
+type pathLit struct {
+	f  string
+	v  int
+	eq bool
+}
+
+// eachPath walks the diagram's root-leaf paths, hi before lo, and calls
+// leaf at every leaf with actions, with the path's tests in root-to-leaf
+// order. The walk threads one literal stack, restored on backtrack, so
+// lits is valid only during the call. The first error leaf returns
+// stops the walk.
+func (d *FDD) eachPath(leaf func(lits []pathLit, acts []*Action) error) error {
 	var lits []pathLit
 	var walk func(n *FDD) error
 	walk = func(n *FDD) error {
@@ -664,23 +698,7 @@ func (d *FDD) PathSet() (PathSet, error) {
 			if len(n.acts) == 0 {
 				return nil
 			}
-			if len(out)+len(n.acts) > maxFDDPaths {
-				return fmt.Errorf("nkc: fdd expands to more than %d paths", maxFDDPaths)
-			}
-			cond := netkat.NewConj()
-			for _, l := range lits {
-				// Always satisfiable: each (field, value) test occurs at
-				// most once along a canonical root-leaf path.
-				if l.eq {
-					cond.AddEq(l.f, l.v)
-				} else {
-					cond.AddNeq(l.f, l.v)
-				}
-			}
-			for _, a := range n.acts {
-				out = append(out, Path{Cond: cond, Acts: a.sets})
-			}
-			return nil
+			return leaf(lits, n.acts)
 		}
 		lits = append(lits, pathLit{f: n.field, v: n.value, eq: true})
 		if err := walk(n.hi); err != nil {
@@ -693,8 +711,5 @@ func (d *FDD) PathSet() (PathSet, error) {
 		lits = lits[:len(lits)-1]
 		return nil
 	}
-	if err := walk(d); err != nil {
-		return PathSet{}, err
-	}
-	return PathSet{Paths: out}, nil
+	return walk(d)
 }

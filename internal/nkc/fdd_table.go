@@ -181,71 +181,49 @@ func assembleTablesFDD(c *FDDCtx, hops []cachedHop) (flowtable.Tables, error) {
 // exclusions on it), lo edges contribute exclusions, and empty leaves
 // fall through to the table's default drop. The resulting matches
 // partition the packet space, so priorities (assigned by specificity for
-// readability) never change behavior. The traversal threads one mutable
-// literal stack (restored on backtrack) and materializes maps only at
-// leaves.
+// readability) never change behavior. Maps are materialized only at
+// leaves. A switch test is refused at the leaves below it: a node whose
+// branches both drop is reduced away, so every node lies on a path to a
+// leaf with actions.
 func extractRules(d *FDD) ([]flowtable.Rule, error) {
 	var rules []flowtable.Rule
-	type pathLit struct {
-		f  string
-		v  int
-		eq bool
-	}
-	var lits []pathLit
-	var walk func(n *FDD) error
-	walk = func(n *FDD) error {
-		if n.leaf {
-			if len(n.acts) == 0 {
-				return nil
+	err := d.eachPath(func(lits []pathLit, acts []*Action) error {
+		m := flowtable.Match{InPort: flowtable.Wildcard, Fields: map[string]int{}, Excludes: map[string][]int{}}
+		for _, l := range lits {
+			switch {
+			case l.f == netkat.FieldSw:
+				return fmt.Errorf("nkc: switch test %s=%d inside a per-switch diagram", l.f, l.v)
+			case l.f == netkat.FieldPt && l.eq:
+				m.InPort = l.v
+			case l.f == netkat.FieldPt:
+				m.ExcludePorts = append(m.ExcludePorts, l.v)
+			case l.eq:
+				m.Fields[l.f] = l.v
+				delete(m.Excludes, l.f) // the equality subsumes prior exclusions
+			default:
+				m.Excludes[l.f] = append(m.Excludes[l.f], l.v)
 			}
-			m := flowtable.Match{InPort: flowtable.Wildcard, Fields: map[string]int{}, Excludes: map[string][]int{}}
-			for _, l := range lits {
-				switch {
-				case l.f == netkat.FieldPt && l.eq:
-					m.InPort = l.v
-				case l.f == netkat.FieldPt:
-					m.ExcludePorts = append(m.ExcludePorts, l.v)
-				case l.eq:
-					m.Fields[l.f] = l.v
-					delete(m.Excludes, l.f) // the equality subsumes prior exclusions
-				default:
-					m.Excludes[l.f] = append(m.Excludes[l.f], l.v)
-				}
+		}
+		if m.InPort != flowtable.Wildcard {
+			m.ExcludePorts = nil
+		} else {
+			sort.Ints(m.ExcludePorts)
+		}
+		groups := make([]flowtable.ActionGroup, 0, len(acts))
+		for _, a := range acts {
+			out, ok := a.Get(netkat.FieldPt)
+			if !ok {
+				return fmt.Errorf("nkc: table action %v has no egress port", a)
 			}
-			if m.InPort != flowtable.Wildcard {
-				m.ExcludePorts = nil
-			} else {
-				sort.Ints(m.ExcludePorts)
-			}
-			groups := make([]flowtable.ActionGroup, 0, len(n.acts))
-			for _, a := range n.acts {
-				out, ok := a.Get(netkat.FieldPt)
-				if !ok {
-					return fmt.Errorf("nkc: table action %v has no egress port", a)
-				}
-				sets := a.Sets()
-				delete(sets, netkat.FieldPt)
-				groups = append(groups, flowtable.ActionGroup{Sets: sets, OutPort: out})
-			}
-			sort.Slice(groups, func(i, j int) bool { return groups[i].Key() < groups[j].Key() })
-			rules = append(rules, flowtable.Rule{Priority: m.Specificity(), Match: m, Groups: groups})
-			return nil
+			sets := a.Sets()
+			delete(sets, netkat.FieldPt)
+			groups = append(groups, flowtable.ActionGroup{Sets: sets, OutPort: out})
 		}
-		if n.field == netkat.FieldSw {
-			return fmt.Errorf("nkc: switch test %s=%d inside a per-switch diagram", n.field, n.value)
-		}
-		lits = append(lits, pathLit{f: n.field, v: n.value, eq: true})
-		if err := walk(n.hi); err != nil {
-			return err
-		}
-		lits[len(lits)-1].eq = false
-		if err := walk(n.lo); err != nil {
-			return err
-		}
-		lits = lits[:len(lits)-1]
+		sort.Slice(groups, func(i, j int) bool { return groups[i].Key() < groups[j].Key() })
+		rules = append(rules, flowtable.Rule{Priority: m.Specificity(), Match: m, Groups: groups})
 		return nil
-	}
-	if err := walk(d); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return rules, nil

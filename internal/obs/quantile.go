@@ -1,5 +1,7 @@
 package obs
 
+import "math"
+
 // Histogram is a point-in-time snapshot of one histogram's folded
 // state, in the shared power-of-two bucket layout (bucket 0 counts
 // observations <= 1; bucket i>0 counts (2^(i-1), 2^i]). Snapshots are
@@ -58,32 +60,48 @@ func (h Histogram) Mean() float64 {
 // distributions to exactly that tolerance. An empty histogram
 // estimates 0.
 func (h Histogram) Quantile(p float64) float64 {
-	total := h.Total()
+	edge := func(i int) float64 {
+		if i == 0 {
+			return 0
+		}
+		return float64(BucketBound(i - 1))
+	}
+	return quantile(h.Count[:], edge, p, float64(BucketBound(HistBuckets-1)))
+}
+
+// quantile is the bucket-interpolation rule of Histogram.Quantile and
+// the runtime histograms: bucket i spans edge(i) to edge(i+1), p is
+// clamped to [0,1], the target rank's bucket is found on the cumulative
+// counts, and the estimate interpolates linearly between its edges. An
+// infinite lower edge counts as 0 and an infinite upper edge yields the
+// lower one. No counts estimate 0; top is the estimate if no bucket
+// reaches the rank.
+func quantile[C int64 | uint64](counts []C, edge func(i int) float64, p, top float64) float64 {
+	var total C
+	for _, c := range counts {
+		total += c
+	}
 	if total == 0 {
 		return 0
 	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	rank := p * float64(total)
+	rank := min(max(p, 0), 1) * float64(total)
 	cum := float64(0)
-	for i := 0; i < HistBuckets; i++ {
-		c := float64(h.Count[i])
+	for i, n := range counts {
+		c := float64(n)
 		if c == 0 {
 			continue
 		}
 		if cum+c >= rank {
-			lo := float64(0)
-			if i > 0 {
-				lo = float64(BucketBound(i - 1))
+			lo, hi := edge(i), edge(i+1)
+			if math.IsInf(lo, -1) {
+				lo = 0
 			}
-			hi := float64(BucketBound(i))
+			if math.IsInf(hi, 1) {
+				return lo
+			}
 			return lo + (rank-cum)/c*(hi-lo)
 		}
 		cum += c
 	}
-	return float64(BucketBound(HistBuckets - 1))
+	return top
 }

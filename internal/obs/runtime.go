@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"runtime/metrics"
 )
 
@@ -33,40 +32,6 @@ var runtimeScalars = []runtimeSample{
 var runtimeHists = []runtimeSample{
 	{"/gc/pauses:seconds", "eventnet_go_gc_pause", "Stop-the-world GC pause latency.", ""},
 	{"/sched/latencies:seconds", "eventnet_go_sched_latency", "Goroutine scheduling latency (runnable to running).", ""},
-}
-
-// float64HistQuantile estimates the p-th quantile of a runtime/metrics
-// Float64Histogram by the same bucket-interpolation rule as
-// Histogram.Quantile. Infinite edge buckets clamp to their finite
-// bound.
-func float64HistQuantile(h *metrics.Float64Histogram, p float64) float64 {
-	var total uint64
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := p * float64(total)
-	cum := float64(0)
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		fc := float64(c)
-		if cum+fc >= rank {
-			lo, hi := h.Buckets[i], h.Buckets[i+1]
-			if math.IsInf(lo, -1) {
-				lo = 0
-			}
-			if math.IsInf(hi, 1) {
-				return lo
-			}
-			return lo + (rank-cum)/fc*(hi-lo)
-		}
-		cum += fc
-	}
-	return 0
 }
 
 // WriteRuntimeMetrics renders the curated runtime metrics — heap and
@@ -102,13 +67,14 @@ func WriteRuntimeMetrics(w io.Writer) error {
 			continue
 		}
 		h := v.Float64Histogram()
+		edge := func(i int) float64 { return h.Buckets[i] }
 		for _, q := range []struct {
 			p    float64
 			name string
 		}{{0.50, "p50"}, {0.99, "p99"}} {
 			name := fmt.Sprintf("%s_%s_seconds", s.name, q.name)
 			if _, err := fmt.Fprintf(w, "# HELP %s %s (%s estimate)\n# TYPE %s gauge\n%s %g\n",
-				name, s.help, q.name, name, name, float64HistQuantile(h, q.p)); err != nil {
+				name, s.help, q.name, name, name, quantile(h.Counts, edge, q.p, 0)); err != nil {
 				return err
 			}
 		}

@@ -119,7 +119,6 @@ type UncoordPlane struct {
 	installed map[int]int // switch -> installed config index
 	ctrlSet   nes.Set     // controller's view of occurred events
 	pendingEv nes.Set     // events already reported (avoid duplicates)
-	installAt map[int]map[int]float64
 	obuf      []flowtable.Output
 	outs      []Out // Process's result, reused by the next call
 }
@@ -129,7 +128,6 @@ func NewUncoordPlane(n *nes.NES) *UncoordPlane {
 	return &UncoordPlane{
 		NES:       n,
 		installed: map[int]int{},
-		installAt: map[int]map[int]float64{},
 	}
 }
 
@@ -157,25 +155,13 @@ func (p *UncoordPlane) Process(s *Sim, sw, inPort int, fields netkat.Packet, _ M
 		ev := newly
 		s.After(s.Params.CtrlLatency, func() {
 			p.ctrlSet = p.ctrlSet.Union(ev)
-			target := p.ctrlSet
-			cfg, ok := p.NES.ConfigAt(target)
+			cfg, ok := p.NES.ConfigAt(p.ctrlSet)
 			if !ok {
 				return
 			}
-			for _, other := range s.Topo.Switches {
-				osw := other
+			for _, osw := range s.Topo.Switches {
 				delay := s.Params.InstallDelay + s.Rand.Float64()*s.Params.InstallJitter
-				s.After(delay, func() {
-					p.installed[osw] = cfg
-					if p.installAt[osw] == nil {
-						p.installAt[osw] = map[int]float64{}
-					}
-					for _, e := range target.Elems() {
-						if _, seen := p.installAt[osw][e]; !seen {
-							p.installAt[osw][e] = s.Now()
-						}
-					}
-				})
+				s.After(delay, func() { p.installed[osw] = cfg })
 			}
 		})
 	}

@@ -259,30 +259,32 @@ func TestBacklogDrops(t *testing.T) {
 	}
 }
 
-// TestUncoordInstallTime: the baseline records when each switch received
-// the post-event configuration, after the configured delay.
+// TestUncoordInstallTime: the baseline installs the post-event
+// configuration only after the controller latency and the install delay.
+// The first ping leaves H1 at 0.1s, so no switch may have it installed
+// just before 0.1s + CtrlLatency + InstallDelay.
 func TestUncoordInstallTime(t *testing.T) {
 	a := apps.Firewall()
 	n := buildNES(t, a)
 	p := DefaultParams()
 	p.InstallDelay = 0.5
+	p.InstallJitter = 0
 	pl := NewUncoordPlane(n)
 	s := New(a.Topo, pl, p, 1)
 	EnableEcho(s, "H4")
 	StartPings(s, "H1", "H4", 0.1, 0.2, 3, 0)
+	s.At(0.1+p.CtrlLatency+p.InstallDelay-1e-3, func() {
+		for _, sw := range []int{1, 4} {
+			if pl.Installed(sw) != 0 {
+				t.Errorf("switch %d installed the new configuration before the install delay passed", sw)
+			}
+		}
+	})
 	s.Run(5)
 	for _, sw := range []int{1, 4} {
-		at, ok := pl.InstallTime(sw, 0)
-		if !ok {
-			t.Fatalf("switch %d never received the new configuration", sw)
+		if pl.Installed(sw) == 0 {
+			t.Errorf("switch %d never received the new configuration", sw)
 		}
-		// Event ~0.105s + ctrl latency + install delay.
-		if at < 0.1+p.CtrlLatency+p.InstallDelay {
-			t.Errorf("switch %d installed too early: %v", sw, at)
-		}
-	}
-	if pl.Installed(4) == 0 {
-		t.Error("s4 still on the initial configuration")
 	}
 }
 
@@ -399,10 +401,3 @@ func (p *TaggedPlane) View(sw int) nes.Set { return p.views[sw] }
 
 // Installed returns the switch's current configuration index.
 func (p *UncoordPlane) Installed(sw int) int { return p.installed[sw] }
-
-// InstallTime returns when a switch received the configuration reflecting
-// an event.
-func (p *UncoordPlane) InstallTime(sw, event int) (float64, bool) {
-	t, ok := p.installAt[sw][event]
-	return t, ok
-}

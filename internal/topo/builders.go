@@ -121,49 +121,16 @@ func FatTree(k int) *Topology {
 }
 
 // ShortestPath returns a minimum-hop chain of switch-to-switch links from
-// switch `from` to switch `to` (BFS over the link list in declaration
-// order, so the chosen path is deterministic). The second result is false
-// when no path exists; a switch's path to itself is the empty chain.
-func (t *Topology) ShortestPath(from, to int) ([]Link, bool) {
+// switch `from` to switch `to` that uses no link in banned (directed: ban
+// both directions to exclude a bidirectional link; nil bans nothing). The
+// BFS follows the link list in declaration order, so the chosen path is
+// deterministic. The second result is false when no path exists; a
+// switch's path to itself is the empty chain.
+func (t *Topology) ShortestPath(from, to int, banned map[Link]bool) ([]Link, bool) {
 	if from == to {
 		return nil, true
 	}
 	prev := map[int]Link{} // switch -> link that first reached it
-	seen := map[int]bool{from: true}
-	frontier := []int{from}
-	for len(frontier) > 0 {
-		var next []int
-		for _, sw := range frontier {
-			for _, lk := range t.Links {
-				if lk.Src.Switch != sw || seen[lk.Dst.Switch] {
-					continue
-				}
-				seen[lk.Dst.Switch] = true
-				prev[lk.Dst.Switch] = lk
-				if lk.Dst.Switch == to {
-					var path []Link
-					for at := to; at != from; at = prev[at].Src.Switch {
-						path = append([]Link{prev[at]}, path...)
-					}
-					return path, true
-				}
-				next = append(next, lk.Dst.Switch)
-			}
-		}
-		frontier = next
-	}
-	return nil, false
-}
-
-// ShortestPathAvoiding is ShortestPath restricted to links outside
-// `banned` (directed: ban both directions to exclude a bidirectional
-// link). The BFS and tie-breaking are identical to ShortestPath, so the
-// result is deterministic.
-func (t *Topology) ShortestPathAvoiding(from, to int, banned map[Link]bool) ([]Link, bool) {
-	if from == to {
-		return nil, true
-	}
-	prev := map[int]Link{}
 	seen := map[int]bool{from: true}
 	frontier := []int{from}
 	for len(frontier) > 0 {

@@ -17,7 +17,7 @@ func TestDiamondAndWANValidate(t *testing.T) {
 
 func TestDiamondDisjointPaths(t *testing.T) {
 	tp := Diamond()
-	primary, ok := tp.ShortestPath(1, 4)
+	primary, ok := tp.ShortestPath(1, 4, nil)
 	if !ok || len(primary) != 2 {
 		t.Fatalf("primary path: %v, %v", primary, ok)
 	}
@@ -26,7 +26,7 @@ func TestDiamondDisjointPaths(t *testing.T) {
 		banned[l] = true
 		banned[Link{Src: l.Dst, Dst: l.Src}] = true
 	}
-	backup, ok := tp.ShortestPathAvoiding(1, 4, banned)
+	backup, ok := tp.ShortestPath(1, 4, banned)
 	if !ok || len(backup) != 2 {
 		t.Fatalf("backup path: %v, %v", backup, ok)
 	}
@@ -39,7 +39,7 @@ func TestDiamondDisjointPaths(t *testing.T) {
 
 func TestWANEqualCostDisjointPaths(t *testing.T) {
 	tp := WAN()
-	primary, ok := tp.ShortestPath(1, 4)
+	primary, ok := tp.ShortestPath(1, 4, nil)
 	if !ok || len(primary) != 3 {
 		t.Fatalf("primary path: %v, %v", primary, ok)
 	}
@@ -48,7 +48,7 @@ func TestWANEqualCostDisjointPaths(t *testing.T) {
 		banned[l] = true
 		banned[Link{Src: l.Dst, Dst: l.Src}] = true
 	}
-	backup, ok := tp.ShortestPathAvoiding(1, 4, banned)
+	backup, ok := tp.ShortestPath(1, 4, banned)
 	if !ok || len(backup) != len(primary) {
 		t.Fatalf("backup path not equal-cost: %v vs %v", backup, primary)
 	}
@@ -59,11 +59,11 @@ func TestShortestPathAvoidingNoPath(t *testing.T) {
 	banned := map[Link]bool{
 		{Src: loc(1, 1), Dst: loc(4, 1)}: true,
 	}
-	if p, ok := tp.ShortestPathAvoiding(1, 4, banned); ok {
+	if p, ok := tp.ShortestPath(1, 4, banned); ok {
 		t.Fatalf("expected no path, got %v", p)
 	}
 	// Unbanned direction still routes 4 -> 1.
-	if _, ok := tp.ShortestPathAvoiding(4, 1, banned); !ok {
+	if _, ok := tp.ShortestPath(4, 1, banned); !ok {
 		t.Fatal("reverse direction should be unaffected")
 	}
 }
@@ -97,7 +97,7 @@ func TestFatTreeArities(t *testing.T) {
 		// Any two hosts are connected through the fabric.
 		h1 := tp.Hosts[0]
 		hn := tp.Hosts[len(tp.Hosts)-1]
-		path, ok := tp.ShortestPath(h1.Attach.Switch, hn.Attach.Switch)
+		path, ok := tp.ShortestPath(h1.Attach.Switch, hn.Attach.Switch, nil)
 		if !ok || len(path) != 4 {
 			t.Fatalf("k=%d: cross-pod path %v, %v (want 4 hops)", k, path, ok)
 		}

@@ -183,23 +183,3 @@ func TestLookupsDoNotAllocate(t *testing.T) {
 	}
 	_ = sink
 }
-
-// TestBuilderInterleavingDoesNotRebuild: adds that follow a lookup extend
-// the index in place, so a builder that looks up as it goes stays linear.
-func TestBuilderInterleavingDoesNotRebuild(t *testing.T) {
-	tp := New()
-	tp.AddSwitch(1)
-	tp.IsHostNode(1)
-	first := tp.idx.Load()
-	for i := 0; i < 200; i++ {
-		tp.AddBiLink(netkat.Location{Switch: 1, Port: i + 1}, netkat.Location{Switch: i + 2, Port: 1})
-		tp.AddHost(HostID(i), "H", netkat.Location{Switch: i + 2, Port: 2})
-		if _, ok := tp.LinkFrom(netkat.Location{Switch: i + 2, Port: 2}); !ok {
-			t.Fatalf("add %d: host link not indexed", i)
-		}
-	}
-	if tp.idx.Load() != first {
-		t.Error("index was rebuilt during interleaved adds and lookups")
-	}
-	agree(t, "interleaved", tp)
-}

@@ -15,12 +15,12 @@
 //   - First match: where two links leave one location, or two hosts share
 //     an ID or a name, the one earlier in AllLinks (Links, then each
 //     host's pair in Hosts order) or in Hosts wins, as a scan would find.
-//   - Invalidation: AddBiLink and AddHost extend a current index in
-//     place, so a builder that interleaves adds with lookups never
-//     rebuilds. Appending to Links or Hosts directly (or building the
-//     value as a literal) is seen through the slice lengths and costs one
-//     rebuild on the next lookup. Rewriting an element in place is not
-//     seen; nothing in this module does it.
+//   - Invalidation: the index records the lengths of Links and Hosts it
+//     covers, and a lookup after either has grown (through AddBiLink,
+//     AddHost or a direct append) rebuilds it. The builders look up only
+//     once the topology is complete, so each builds its index once.
+//     Rewriting an element in place is not seen; nothing in this module
+//     does it.
 //   - Concurrency: any number of goroutines may look up at once,
 //     including the first lookup (each builds the same index and
 //     publishes it atomically; a published index is only read). A
@@ -64,70 +64,41 @@ type Topology struct {
 // hosts hosts. It is current while those counts equal the slice lengths.
 type index struct {
 	links, hosts int
-	from         map[netkat.Location]outLink
+	from         map[netkat.Location]Link
 	byID         map[int]int // host node ID -> position in Hosts
 	byName       map[string]int
 }
 
-// outLink is the link leaving a location. A link derived from a host
-// attachment follows every Links entry in AllLinks order, so a Links
-// entry from the same location replaces it whenever it is added.
-type outLink struct {
-	Link
-	derived bool
-}
-
-func (ix *index) addLink(lk Link, derived bool) {
-	if e, ok := ix.from[lk.Src]; !ok || (e.derived && !derived) {
-		ix.from[lk.Src] = outLink{lk, derived}
-	}
-}
-
-func (ix *index) addHost(i int, h Host) {
-	if _, ok := ix.byID[h.ID]; !ok {
-		ix.byID[h.ID] = i
-	}
-	if _, ok := ix.byName[h.Name]; !ok {
-		ix.byName[h.Name] = i
-	}
-	ix.addLink(Link{Src: h.Loc(), Dst: h.Attach}, true)
-	ix.addLink(Link{Src: h.Attach, Dst: h.Loc()}, true)
-}
-
-// extend indexes whatever Links and Hosts hold beyond what ix covers.
-func (ix *index) extend(t *Topology) {
-	for _, lk := range t.Links[ix.links:] {
-		ix.addLink(lk, false)
-	}
-	for i, h := range t.Hosts[ix.hosts:] {
-		ix.addHost(ix.hosts+i, h)
-	}
-	ix.links, ix.hosts = len(t.Links), len(t.Hosts)
-}
-
 // lookup returns the current index, building one if the topology has none
-// or has been appended to behind its back.
+// or has grown since. Links and hosts go in AllLinks and Hosts order, and
+// the first entry for a key wins.
 func (t *Topology) lookup() *index {
 	ix := t.idx.Load()
 	if ix != nil && ix.links == len(t.Links) && ix.hosts == len(t.Hosts) {
 		return ix
 	}
 	ix = &index{
-		from:   make(map[netkat.Location]outLink, len(t.Links)+2*len(t.Hosts)),
+		links:  len(t.Links),
+		hosts:  len(t.Hosts),
+		from:   make(map[netkat.Location]Link, len(t.Links)+2*len(t.Hosts)),
 		byID:   make(map[int]int, len(t.Hosts)),
 		byName: make(map[string]int, len(t.Hosts)),
 	}
-	ix.extend(t)
+	for _, lk := range t.AllLinks() {
+		if _, ok := ix.from[lk.Src]; !ok {
+			ix.from[lk.Src] = lk
+		}
+	}
+	for i, h := range t.Hosts {
+		if _, ok := ix.byID[h.ID]; !ok {
+			ix.byID[h.ID] = i
+		}
+		if _, ok := ix.byName[h.Name]; !ok {
+			ix.byName[h.Name] = i
+		}
+	}
 	t.idx.Store(ix)
 	return ix
-}
-
-// grown brings an index that was current before an append up to date; a
-// stale or missing one is left for the next lookup to rebuild.
-func (t *Topology) grown(links, hosts int) {
-	if ix := t.idx.Load(); ix != nil && ix.links == links && ix.hosts == hosts {
-		ix.extend(t)
-	}
 }
 
 // New returns an empty topology.
@@ -149,14 +120,12 @@ func (t *Topology) AddBiLink(a, b netkat.Location) {
 	t.AddSwitch(a.Switch)
 	t.AddSwitch(b.Switch)
 	t.Links = append(t.Links, Link{Src: a, Dst: b}, Link{Src: b, Dst: a})
-	t.grown(len(t.Links)-2, len(t.Hosts))
 }
 
 // AddHost attaches a named host to a switch port.
 func (t *Topology) AddHost(id int, name string, attach netkat.Location) {
 	t.AddSwitch(attach.Switch)
 	t.Hosts = append(t.Hosts, Host{ID: id, Name: name, Attach: attach})
-	t.grown(len(t.Links), len(t.Hosts)-1)
 }
 
 // HostByName returns the host with the given name.
@@ -204,8 +173,8 @@ func (t *Topology) AllLinks() []Link {
 // LinkFrom returns the link leaving the given location, if any. Topologies
 // in this package have at most one link per (node, port) direction.
 func (t *Topology) LinkFrom(src netkat.Location) (Link, bool) {
-	e, ok := t.lookup().from[src]
-	return e.Link, ok
+	lk, ok := t.lookup().from[src]
+	return lk, ok
 }
 
 // Across follows the link leaving src. It returns the link's far end and,

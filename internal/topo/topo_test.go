@@ -132,13 +132,13 @@ func TestFatTree(t *testing.T) {
 	h2, _ := tp.HostByName("H2")   // same edge switch
 	h3, _ := tp.HostByName("H3")   // same pod, other edge
 	h16, _ := tp.HostByName("H16") // other pod
-	if p, ok := tp.ShortestPath(h1.Attach.Switch, h2.Attach.Switch); !ok || len(p) != 0 {
+	if p, ok := tp.ShortestPath(h1.Attach.Switch, h2.Attach.Switch, nil); !ok || len(p) != 0 {
 		t.Fatalf("same-edge path: %v %v", p, ok)
 	}
-	if p, ok := tp.ShortestPath(h1.Attach.Switch, h3.Attach.Switch); !ok || len(p) != 2 {
+	if p, ok := tp.ShortestPath(h1.Attach.Switch, h3.Attach.Switch, nil); !ok || len(p) != 2 {
 		t.Fatalf("intra-pod path: %v %v", p, ok)
 	}
-	p, ok := tp.ShortestPath(h1.Attach.Switch, h16.Attach.Switch)
+	p, ok := tp.ShortestPath(h1.Attach.Switch, h16.Attach.Switch, nil)
 	if !ok || len(p) != 4 {
 		t.Fatalf("inter-pod path: %v %v", p, ok)
 	}
@@ -154,10 +154,10 @@ func TestShortestPathNoRoute(t *testing.T) {
 	tp := New()
 	tp.AddSwitch(1)
 	tp.AddSwitch(2)
-	if _, ok := tp.ShortestPath(1, 2); ok {
+	if _, ok := tp.ShortestPath(1, 2, nil); ok {
 		t.Fatal("found a path in a disconnected graph")
 	}
-	if p, ok := tp.ShortestPath(1, 1); !ok || p != nil {
+	if p, ok := tp.ShortestPath(1, 1, nil); !ok || p != nil {
 		t.Fatal("self path should be the empty chain")
 	}
 }
