@@ -64,8 +64,8 @@ func crossSwitchToggle() (stateful.Program, *topo.Topology) {
 	return stateful.Program{Cmd: prog, Init: stateful.State{0}}, tp
 }
 
-// loopReport returns the report of the LoopError Build returns.
-func loopReport(t *testing.T, prog stateful.Program, tp *topo.Topology) *LoopReport {
+// cyclicReport returns the report of the LoopError Build returns.
+func cyclicReport(t *testing.T, prog stateful.Program, tp *topo.Topology) *LoopReport {
 	t.Helper()
 	_, err := Build(prog, tp)
 	var loop *LoopError
@@ -77,12 +77,12 @@ func loopReport(t *testing.T, prog stateful.Program, tp *topo.Topology) *LoopRep
 
 func TestBuildRejectsLoops(t *testing.T) {
 	prog, tp := toggleProgram()
-	loopReport(t, prog, tp)
+	cyclicReport(t, prog, tp)
 }
 
 func TestAnalyzeLoops(t *testing.T) {
 	prog, tp := toggleProgram()
-	rep := loopReport(t, prog, tp)
+	rep := cyclicReport(t, prog, tp)
 	if !rep.HasLoops {
 		t.Fatal("toggle loop not detected")
 	}
@@ -103,7 +103,7 @@ func TestAnalyzeLoops(t *testing.T) {
 	}
 
 	cross, tp := crossSwitchToggle()
-	if rep := loopReport(t, cross, tp); rep.LocalityOK {
+	if rep := cyclicReport(t, cross, tp); rep.LocalityOK {
 		t.Fatal("cross-switch loop passed the locality check")
 	}
 
