@@ -25,6 +25,7 @@ import (
 	"eventnet/internal/dataplane"
 	"eventnet/internal/ets"
 	"eventnet/internal/flowtable"
+	"eventnet/internal/nkc"
 	"eventnet/internal/optimize"
 	"eventnet/internal/stateful"
 	"eventnet/internal/syntax"
@@ -50,11 +51,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	e, err := ets.Build(prog, tp)
+	// One compiler cache for both builds: the unrolling of a cyclic
+	// program reuses what the build that found its loops compiled.
+	opts := ets.Options{Cache: nkc.NewProgramCache()}
+	e, _, err := ets.BuildWithOptions(prog, tp, opts)
 	var loop *ets.LoopError
 	if errors.As(err, &loop) {
 		fmt.Printf("note: the state graph has loops (locality %v); compiling a %d-round unrolling\n", loop.Report.LocalityOK, *unroll)
-		e, err = ets.BuildUnrolled(prog, tp, *unroll)
+		e, _, err = ets.BuildUnrolled(prog, tp, *unroll, opts)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "snkc: ETS:", err)

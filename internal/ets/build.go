@@ -18,7 +18,7 @@ import (
 	"eventnet/internal/topo"
 )
 
-// Options tunes BuildWithOptions.
+// Options tunes BuildWithOptions and BuildUnrolled.
 type Options struct {
 	Workers int // accepted and ignored; named by bench/
 	// Cache, when non-nil, is a cross-build compiler cache: the
@@ -62,6 +62,13 @@ type explored struct {
 // BuildWithOptions constructs the ETS with explicit options, returning
 // build statistics alongside. See Build for semantics.
 func BuildWithOptions(p stateful.Program, t *topo.Topology, o Options) (*ETS, Stats, error) {
+	return buildETS(p, t, o, 0)
+}
+
+// buildETS walks p's state space, unrolled to maxRounds transitions when
+// maxRounds > 0, on a compiler from o.Cache or a fresh one, and finishes
+// the ETS: the one body of BuildWithOptions and BuildUnrolled.
+func buildETS(p stateful.Program, t *topo.Topology, o Options, maxRounds int) (*ETS, Stats, error) {
 	var (
 		pc  *nkc.ProgramCompiler
 		err error
@@ -74,11 +81,16 @@ func BuildWithOptions(p stateful.Program, t *topo.Topology, o Options) (*ETS, St
 	} else if pc, err = nkc.NewProgramCompiler(p.Cmd, t, nil); err != nil {
 		return nil, Stats{}, err
 	}
-	e, raw, err := walk(pc, p.Init, t, 0)
+	e, raw, err := walk(pc, p.Init, t, maxRounds)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	sort.Slice(raw, func(i, j int) bool { return raw[i].ed.Key() < raw[j].ed.Key() })
+	// An unrolled walk's raw edges stay in discovery order: the copies of
+	// a state share their edges' keys, so sorting by key would need to be
+	// stable.
+	if maxRounds == 0 {
+		sort.Slice(raw, func(i, j int) bool { return raw[i].ed.Key() < raw[j].ed.Key() })
+	}
 	if err := e.finish(raw); err != nil {
 		return nil, Stats{}, err
 	}

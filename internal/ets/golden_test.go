@@ -63,7 +63,7 @@ func TestETSGolden(t *testing.T) {
 		got[a.Name] = etsDigest(e)
 	}
 	prog, tp := toggleProgram()
-	e, err := BuildUnrolled(prog, tp, 3)
+	e, _, err := BuildUnrolled(prog, tp, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"eventnet/internal/nes"
-	"eventnet/internal/nkc"
 	"eventnet/internal/stateful"
 	"eventnet/internal/topo"
 )
@@ -145,25 +144,14 @@ const maxUnrollVertices = 10000
 // (state, transitions-taken) pairs, so each traversal of a loop produces
 // fresh renamed event occurrences — the Section 3.1 unrolling. The
 // resulting NES is a sound under-approximation: it implements the program
-// faithfully for executions with at most maxRounds events.
-func BuildUnrolled(p stateful.Program, t *topo.Topology, maxRounds int) (*ETS, error) {
+// faithfully for executions with at most maxRounds events. o.Cache works
+// as for BuildWithOptions: an unrolling on the cache a failed Build of the
+// same program used reuses every segment and walk that build compiled.
+func BuildUnrolled(p stateful.Program, t *topo.Topology, maxRounds int, o Options) (*ETS, Stats, error) {
 	if maxRounds < 1 {
-		return nil, fmt.Errorf("ets: maxRounds must be positive")
+		return nil, Stats{}, fmt.Errorf("ets: maxRounds must be positive")
 	}
-	pc, err := nkc.NewProgramCompiler(p.Cmd, t, nil)
-	if err != nil {
-		return nil, err
-	}
-	// The raw edges stay in discovery order: the copies of a state share
-	// their edges' keys, so sorting by key would need to be stable.
-	e, raw, err := walk(pc, p.Init, t, maxRounds)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.finish(raw); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return buildETS(p, t, o, maxRounds)
 }
 
 // finish rejects loops with a LoopError, then performs occurrence

@@ -11,6 +11,7 @@ import (
 	"eventnet/internal/apps"
 	"eventnet/internal/nes"
 	"eventnet/internal/netkat"
+	"eventnet/internal/nkc"
 	"eventnet/internal/stateful"
 	"eventnet/internal/stateful/statefultest"
 	"eventnet/internal/topo"
@@ -247,7 +248,7 @@ func TestLoopReportMatchesOracle(t *testing.T) {
 // NES.
 func TestBuildUnrolled(t *testing.T) {
 	prog, tp := toggleProgram()
-	e, err := BuildUnrolled(prog, tp, 3)
+	e, _, err := BuildUnrolled(prog, tp, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,6 +279,39 @@ func TestBuildUnrolled(t *testing.T) {
 	}
 }
 
+// TestBuildUnrolledOnProgramCache: snkc's sequence on a cyclic program,
+// a Build that fails with a LoopError and then BuildUnrolled, through one
+// nkc.ProgramCache. The unrolled ETS is the one an uncached build makes,
+// and the unrolling translates no segment the failed build did not: the
+// unrolled states are copies of the states that build already compiled.
+func TestBuildUnrolledOnProgramCache(t *testing.T) {
+	toggle, tp := toggleProgram()
+	cross, _ := crossSwitchToggle()
+	for _, prog := range []stateful.Program{toggle, cross} {
+		for rounds := 1; rounds <= 4; rounds++ {
+			o := Options{Cache: nkc.NewProgramCache()}
+			var loop *LoopError
+			if _, _, err := BuildWithOptions(prog, tp, o); !errors.As(err, &loop) {
+				t.Fatalf("Build returned %v, want a *LoopError", err)
+			}
+			cached, st, err := BuildUnrolled(prog, tp, rounds, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, _, err := BuildUnrolled(prog, tp, rounds, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if etsDigest(cached) != etsDigest(fresh) {
+				t.Errorf("%d rounds: the unrolled ETS on the cache differs from the uncached one:\n%v\nvs\n%v", rounds, cached, fresh)
+			}
+			if c := st.Cache; c.SegmentMisses != 0 || c.SegmentHits == 0 {
+				t.Errorf("%d rounds: the unrolling on the cache the failed build used: %s, want every segment a hit", rounds, c)
+			}
+		}
+	}
+}
+
 // TestBuildUnrolledMatchesBuild: on a loop-free program with enough
 // rounds, unrolling yields the same shape as the direct builder.
 func TestBuildUnrolledMatchesBuild(t *testing.T) {
@@ -286,7 +320,7 @@ func TestBuildUnrolledMatchesBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unrolled, err := BuildUnrolled(a.Prog, a.Topo, 10)
+	unrolled, _, err := BuildUnrolled(a.Prog, a.Topo, 10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +338,7 @@ func TestBuildUnrolledMatchesBuild(t *testing.T) {
 // is exhausted.
 func TestUnrolledToggleRuns(t *testing.T) {
 	prog, tp := toggleProgram()
-	e, err := BuildUnrolled(prog, tp, 2)
+	e, _, err := BuildUnrolled(prog, tp, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,13 @@
 // take the next seq when they schedule. StartBulk and StartPings reserve
 // their whole block of seq values when called and queue one send at a
 // time on it, so the queue holds only in-flight work and every send pops
-// exactly where it would had all been queued up front. The slice a
-// Plane's Process returns belongs to the plane and is valid until its
-// next Process call.
+// exactly where it would had all been queued up front. Hop work queues on
+// lanes, one FIFO per link and per switch, and only each lane's head is
+// on the heap: keys on one lane never decrease, because a link's or a
+// switch's next free time only advances. Lowering Params.LinkLatency with
+// work queued is the one way to break that; the hop then panics. The
+// slice a Plane's Process returns belongs to the plane and is valid until
+// its next Process call.
 package sim
 
 import (
@@ -116,24 +120,37 @@ const (
 	actProcess                   // a switch finishes processing a packet
 )
 
-// action is one piece of scheduled work. Hop work is typed rather than a
-// closure: an arrival carries the far switch and port (or the host), a
-// process the switch and its ingress port, and both carry the packet, its
-// metadata and its latest trace point.
-type action struct {
-	kind   actionKind
-	sw     int
+// hop is one packet's queued work on a lane: its key, the switch ingress
+// port (a switch lane's), the packet, its metadata and its latest trace
+// point. Hop work is typed rather than a closure.
+type hop struct {
+	at     float64
+	seq    int64
 	port   int
-	host   *topo.Host
 	fields netkat.Packet
 	meta   Meta
 	tidx   int
-	fn     func()
 }
 
-// event is one heap entry: the (at, seq) key of an action and its slot in
-// the action slab. It holds no pointer, so moving it costs no write
-// barrier and the collector does not scan the heap.
+// lane is one link's or one switch's FIFO of hop work: a link's arrivals
+// at its far end (actArrive) or a switch's processing completions
+// (actProcess). Only its head is on the heap.
+type lane struct {
+	kind    actionKind
+	slot    int32      // the lane's heap slot: -1 - its index in Sim.lanes
+	free    float64    // when the link or switch is next idle
+	sw      int        // a switch lane's switch
+	port    int        // the ingress port at a link's far switch
+	host    *topo.Host // a link's far host, nil when a switch is the far end
+	far     *lane      // that switch's lane
+	ring    []hop      // a power-of-two ring; head is the oldest of n
+	head, n int
+}
+
+// event is one heap entry: the (at, seq) key of a callback or of a lane's
+// head, and its slot: the callback's in the slab, or the lane's (negative).
+// It holds no pointer, so moving it costs no write barrier and the
+// collector does not scan the heap.
 type event struct {
 	at   float64
 	seq  int64
@@ -165,29 +182,29 @@ func (h *eventHeap) push(ev event) {
 	*h = q
 }
 
-// pop removes and returns the earliest event.
-func (h *eventHeap) pop() event {
+// pop removes the earliest event.
+func (h *eventHeap) pop() {
 	q := *h
 	n := len(q) - 1
-	top := q[0]
-	q[0] = q[n]
-	q = q[:n]
-	for i := 0; ; {
+	if *h = q[:n]; n > 0 {
+		h.replaceTop(q[n])
+	}
+}
+
+// replaceTop puts ev in the earliest event's place and sifts it down.
+func (h eventHeap) replaceTop(ev event) {
+	h[0] = ev
+	for i, n := 0, len(h); ; {
 		least := 2*i + 1
-		if least >= n {
-			break
-		}
-		if r := least + 1; r < n && q[r].before(q[least]) {
+		if r := least + 1; r < n && h[r].before(h[least]) {
 			least = r
 		}
-		if !q[least].before(q[i]) {
-			break
+		if least >= n || !h[least].before(h[i]) {
+			return
 		}
-		q[i], q[least] = q[least], q[i]
+		h[i], h[least] = h[least], h[i]
 		i = least
 	}
-	*h = q
-	return top
 }
 
 // Sim is the simulation state.
@@ -197,13 +214,14 @@ type Sim struct {
 	Plane  Plane
 	Rand   *rand.Rand
 
-	now      float64
-	seq      int64
-	queue    eventHeap
-	acts     []action                    // the actions queue slots name
-	free     []int32                     // vacant slots of acts
-	linkFree map[netkat.Location]float64 // egress serialization availability
-	swFree   map[int]float64             // switch processing availability
+	now   float64
+	seq   int64
+	queue eventHeap
+	fns   []func() // the callbacks queue slots name
+	free  []int32  // vacant slots of fns
+	lanes []*lane
+	links map[netkat.Location]*lane // egress location -> its link's lane, nil when unconnected
+	sws   map[int]*lane             // switch -> its processing lane
 
 	Delivered []Delivery
 	Dropped   int // packets dropped due to backlog overflow
@@ -226,8 +244,8 @@ func New(t *topo.Topology, plane Plane, p Params, seed int64) *Sim {
 		Params:    p,
 		Plane:     plane,
 		Rand:      rand.New(rand.NewSource(seed)),
-		linkFree:  map[netkat.Location]float64{},
-		swFree:    map[int]float64{},
+		links:     map[netkat.Location]*lane{},
+		sws:       map[int]*lane{},
 		onReceive: map[string]func(*Sim, netkat.Packet, float64){},
 	}
 }
@@ -235,32 +253,79 @@ func New(t *topo.Topology, plane Plane, p Params, seed int64) *Sim {
 // Now returns the current simulation time in seconds.
 func (s *Sim) Now() float64 { return s.now }
 
-// push queues a under the key (t, seq) in a vacant slab slot.
-func (s *Sim) push(t float64, seq int64, a action) {
+// push queues fn under the key (t, seq) in a vacant slab slot.
+func (s *Sim) push(t float64, seq int64, fn func()) {
 	var slot int32
 	if n := len(s.free); n > 0 {
 		slot = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		slot = int32(len(s.acts))
-		s.acts = append(s.acts, action{})
+		slot = int32(len(s.fns))
+		s.fns = append(s.fns, nil)
 	}
-	s.acts[slot] = a
+	s.fns[slot] = fn
 	s.queue.push(event{at: t, seq: seq, slot: slot})
 }
 
-// schedule queues a at an absolute time (clamped to now) under the next
-// sequence number.
-func (s *Sim) schedule(t float64, a action) {
+// newLane adds a lane of the given kind.
+func (s *Sim) newLane(kind actionKind) *lane {
+	l := &lane{kind: kind, slot: -1 - int32(len(s.lanes))}
+	s.lanes = append(s.lanes, l)
+	return l
+}
+
+// link returns the lane of the link leaving src, resolving its far end
+// on first use; nil when no link leaves src.
+func (s *Sim) link(src netkat.Location) *lane {
+	l, ok := s.links[src]
+	if !ok {
+		if far, h, conn := s.Topo.Across(src); conn {
+			l = s.newLane(actArrive)
+			l.port, l.host = far.Port, h
+			if h == nil {
+				if l.far = s.sws[far.Switch]; l.far == nil {
+					l.far = s.newLane(actProcess)
+					l.far.sw = far.Switch
+					s.sws[far.Switch] = l.far
+				}
+			}
+		}
+		s.links[src] = l
+	}
+	return l
+}
+
+// enqueue appends h to lane l under the next sequence number, putting it
+// on the heap when l was idle. Keys on one lane never decrease (see the
+// package doc); a hop that would precede l's tail panics.
+func (s *Sim) enqueue(l *lane, h hop) {
+	s.seq++
+	h.seq = s.seq
+	mask := len(l.ring) - 1
+	switch {
+	case l.n == 0:
+		s.queue.push(event{at: h.at, seq: h.seq, slot: l.slot})
+	case h.at < l.ring[(l.head+l.n-1)&mask].at:
+		panic("sim: a hop would precede its lane's tail; was Params.LinkLatency lowered with work queued?")
+	}
+	if l.n == len(l.ring) {
+		ring := make([]hop, max(8, 2*l.n))
+		copy(ring, l.ring[l.head:])
+		copy(ring[l.n-l.head:], l.ring[:l.head])
+		l.ring, l.head, mask = ring, 0, len(ring)-1
+	}
+	l.ring[(l.head+l.n)&mask] = h
+	l.n++
+}
+
+// At schedules fn at an absolute time (clamped to now).
+func (s *Sim) At(t float64, fn func()) {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
-	s.push(t, s.seq, a)
+	s.push(t, s.seq, fn)
 }
-
-// At schedules fn at an absolute time (clamped to now).
-func (s *Sim) At(t float64, fn func()) { s.schedule(t, action{kind: actFn, fn: fn}) }
 
 // After schedules fn after a relative delay.
 func (s *Sim) After(d float64, fn func()) { s.At(s.now+d, fn) }
@@ -283,7 +348,7 @@ func (s *Sim) generate(start, interval float64, n int, send func(i int)) {
 		if at < floor {
 			at = floor
 		}
-		s.push(at, base+int64(i)+1, action{kind: actFn, fn: next})
+		s.push(at, base+int64(i)+1, next)
 	}
 	next = func() {
 		cur := i
@@ -296,31 +361,48 @@ func (s *Sim) generate(start, interval float64, n int, send func(i int)) {
 }
 
 // Run processes events until the queue is empty or the horizon is
-// reached, then advances the clock to the horizon (never back). A
-// popped slot is zeroed before its action runs, so the slab keeps no
-// packet or closure reachable once its work is done.
+// reached, then advances the clock to the horizon (never back).
 func (s *Sim) Run(horizon float64) {
 	for len(s.queue) > 0 && s.queue[0].at <= horizon {
-		ev := s.queue.pop()
-		s.now = ev.at
-		a := s.acts[ev.slot]
-		s.acts[ev.slot] = action{}
-		s.free = append(s.free, ev.slot)
-		switch a.kind {
-		case actFn:
-			a.fn()
-		case actArrive:
-			if a.host != nil {
-				s.deliver(a.host, a.fields, a.tidx)
-			} else {
-				s.arriveAtSwitch(a.sw, a.port, a.fields, a.meta, a.tidx)
-			}
-		case actProcess:
-			s.process(a.sw, a.port, a.fields, a.meta, a.tidx)
-		}
+		s.step()
 	}
 	if horizon > s.now {
 		s.now = horizon
+	}
+}
+
+// step runs the earliest queued action. A callback's slab slot and a
+// lane's ring slot are zeroed before the action runs, so neither keeps a
+// packet or closure reachable once its work is done; a lane's next hop
+// takes its place on the heap.
+func (s *Sim) step() {
+	ev := s.queue[0]
+	s.now = ev.at
+	if ev.slot >= 0 {
+		s.queue.pop()
+		fn := s.fns[ev.slot]
+		s.fns[ev.slot] = nil
+		s.free = append(s.free, ev.slot)
+		fn()
+		return
+	}
+	l := s.lanes[-1-ev.slot]
+	h := l.ring[l.head]
+	l.ring[l.head] = hop{}
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	if l.n--; l.n > 0 {
+		next := &l.ring[l.head]
+		s.queue.replaceTop(event{at: next.at, seq: next.seq, slot: ev.slot})
+	} else {
+		s.queue.pop()
+	}
+	switch {
+	case l.kind == actProcess:
+		s.process(l.sw, h.port, h.fields, h.meta, h.tidx)
+	case l.host != nil:
+		s.deliver(l.host, h.fields, h.tidx)
+	default:
+		s.arriveAtSwitch(l.far, l.port, h.fields, h.meta, h.tidx)
 	}
 }
 
@@ -356,26 +438,24 @@ func (s *Sim) NetTrace() *trace.NetTrace {
 // wireBytes is the on-the-wire size of a packet.
 func (s *Sim) wireBytes() int { return s.Params.PayloadBytes + s.Plane.HeaderOverhead() }
 
-// transmit sends a packet out of an egress location across its link,
-// modeling serialization, backlog-overflow drops, and propagation. tidx
-// is the packet's latest recorded trace point (-1 when not recording).
-func (s *Sim) transmit(src netkat.Location, fields netkat.Packet, meta Meta, tidx int) {
-	far, h, ok := s.Topo.Across(src)
-	if !ok {
+// transmit sends a packet across link lane l, modeling serialization,
+// backlog-overflow drops, and propagation. tidx is the packet's latest
+// recorded trace point (-1 when not recording); root, when set, records
+// the host's send as the packet's first point once it is not dropped.
+func (s *Sim) transmit(l *lane, fields netkat.Packet, meta Meta, tidx int, root *topo.Host) {
+	if l == nil {
 		return // unconnected port: packet leaves the modeled network
 	}
-	free := s.linkFree[src]
-	if free < s.now {
-		free = s.now
-	}
+	free := max(l.free, s.now)
 	if free-s.now > s.Params.MaxLinkBacklog {
 		s.Dropped++
 		return
 	}
-	tx := float64(s.wireBytes()) / s.Params.LinkBandwidth
-	s.linkFree[src] = free + tx
-	arrive := free + tx + s.Params.LinkLatency
-	s.schedule(arrive, action{kind: actArrive, sw: far.Switch, port: far.Port, host: h, fields: fields, meta: meta, tidx: tidx})
+	l.free = free + float64(s.wireBytes())/s.Params.LinkBandwidth
+	if root != nil {
+		tidx = s.record(fields, root.Loc(), true, -1)
+	}
+	s.enqueue(l, hop{at: l.free + s.Params.LinkLatency, fields: fields, meta: meta, tidx: tidx})
 }
 
 // deliver hands a packet to a host.
@@ -387,23 +467,19 @@ func (s *Sim) deliver(h *topo.Host, fields netkat.Packet, tidx int) {
 	}
 }
 
-// arriveAtSwitch queues the packet for processing at a switch, dropping
-// it if the switch's processing backlog exceeds its queue capacity.
-// Ingress and egress trace points are recorded at processing time, so
-// the recorded order at each switch matches the processing order the
-// happens-before relation depends on.
-func (s *Sim) arriveAtSwitch(sw, port int, fields netkat.Packet, meta Meta, tidx int) {
-	start := s.swFree[sw]
-	if start < s.now {
-		start = s.now
-	}
+// arriveAtSwitch queues the packet for processing on a switch's lane,
+// dropping it if the switch's processing backlog exceeds its queue
+// capacity. Ingress and egress trace points are recorded at processing
+// time, so the recorded order at each switch matches the processing order
+// the happens-before relation depends on.
+func (s *Sim) arriveAtSwitch(l *lane, port int, fields netkat.Packet, meta Meta, tidx int) {
+	start := max(l.free, s.now)
 	if start-s.now > s.Params.MaxSwBacklog {
 		s.Dropped++
 		return
 	}
-	done := start + s.Params.SwitchProcTime*s.Plane.ProcFactor()
-	s.swFree[sw] = done
-	s.schedule(done, action{kind: actProcess, sw: sw, port: port, fields: fields, meta: meta, tidx: tidx})
+	l.free = start + s.Params.SwitchProcTime*s.Plane.ProcFactor()
+	s.enqueue(l, hop{at: l.free, port: port, fields: fields, meta: meta, tidx: tidx})
 }
 
 // process runs the plane's switch step on a packet whose processing is
@@ -411,8 +487,9 @@ func (s *Sim) arriveAtSwitch(sw, port int, fields netkat.Packet, meta Meta, tidx
 func (s *Sim) process(sw, port int, fields netkat.Packet, meta Meta, tidx int) {
 	ingress := s.record(fields, netkat.Location{Switch: sw, Port: port}, false, tidx)
 	for _, o := range s.Plane.Process(s, sw, port, fields, meta) {
-		egress := s.record(o.Fields, netkat.Location{Switch: sw, Port: o.Port}, true, ingress)
-		s.transmit(netkat.Location{Switch: sw, Port: o.Port}, o.Fields, o.Meta, egress)
+		loc := netkat.Location{Switch: sw, Port: o.Port}
+		egress := s.record(o.Fields, loc, true, ingress)
+		s.transmit(s.link(loc), o.Fields, o.Meta, egress, nil)
 	}
 }
 
@@ -424,19 +501,7 @@ func (s *Sim) Send(host string, fields netkat.Packet) {
 	}
 	meta := s.Plane.Inject(s, h.Attach.Switch, fields)
 	// Host link: serialization plus propagation from the host NIC.
-	free := s.linkFree[h.Loc()]
-	if free < s.now {
-		free = s.now
-	}
-	if free-s.now > s.Params.MaxLinkBacklog {
-		s.Dropped++
-		return
-	}
-	tx := float64(s.wireBytes()) / s.Params.LinkBandwidth
-	s.linkFree[h.Loc()] = free + tx
-	root := s.record(fields, h.Loc(), true, -1)
-	arrive := free + tx + s.Params.LinkLatency
-	s.schedule(arrive, action{kind: actArrive, sw: h.Attach.Switch, port: h.Attach.Port, fields: fields, meta: meta, tidx: root})
+	s.transmit(s.link(h.Loc()), fields, meta, -1, &h)
 }
 
 // DeliveredTo returns deliveries to a host.

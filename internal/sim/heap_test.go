@@ -25,7 +25,8 @@ func TestEventHeapOrder(t *testing.T) {
 	var q eventHeap
 	var ref refHeap
 	check := func() {
-		got, want := q.pop(), heap.Pop(&ref).(event)
+		got, want := q[0], heap.Pop(&ref).(event)
+		q.pop()
 		if got.at != want.at || got.seq != want.seq {
 			t.Fatalf("pop = (%v, %d), reference (%v, %d)", got.at, got.seq, want.at, want.seq)
 		}
@@ -50,23 +51,40 @@ func TestEventHeapOrder(t *testing.T) {
 }
 
 // TestDrainedQueueReleasesClosures: once a run has drained the queue, no
-// slot of the action slab, vacant capacity included, keeps a closure, a
-// packet map or a digest reachable.
+// slot of the callback slab and no slot of any lane's ring, vacant
+// capacity included, keeps a closure, a packet map or a digest reachable.
+// A ring slot has no host field: a link's far host is the lane's own.
 func TestDrainedQueueReleasesClosures(t *testing.T) {
-	s := firewallPings(buildNES(t, apps.Firewall()), PlaneKindTagged)
+	fw := firewallPings(buildNES(t, apps.Firewall()), PlaneKindTagged)
 	for i := 0; i < 100; i++ {
-		s.At(s.Now()+float64(i%7), func() {})
+		fw.At(fw.Now()+float64(i%7), func() {})
 	}
-	s.Run(s.Now() + 10)
-	if len(s.queue) != 0 {
-		t.Fatalf("queue holds %d events after the run", len(s.queue))
-	}
-	if len(s.free) != len(s.acts) {
-		t.Fatalf("%d of %d slab slots still in use", len(s.acts)-len(s.free), len(s.acts))
-	}
-	for i, a := range s.acts[:cap(s.acts)] {
-		if a.fn != nil || a.fields != nil || a.host != nil || a.meta != (Meta{}) {
-			t.Fatalf("vacated slot %d still holds work: %+v", i, a)
+	fw.Run(fw.Now() + 10)
+	bulk := ringBulk(buildNES(t, apps.Ring(3)), PlaneKindTagged, 0.2)
+	for _, s := range []*Sim{fw, bulk} {
+		if len(s.queue) != 0 {
+			t.Fatalf("queue holds %d events after the run", len(s.queue))
+		}
+		if len(s.free) != len(s.fns) {
+			t.Fatalf("%d of %d slab slots still in use", len(s.fns)-len(s.free), len(s.fns))
+		}
+		for i, fn := range s.fns[:cap(s.fns)] {
+			if fn != nil {
+				t.Fatalf("vacated slot %d still holds a callback", i)
+			}
+		}
+		if len(s.lanes) == 0 {
+			t.Fatal("no lane was used")
+		}
+		for i, l := range s.lanes {
+			if l.n != 0 {
+				t.Fatalf("lane %d still holds %d hops", i, l.n)
+			}
+			for j, h := range l.ring[:cap(l.ring)] {
+				if h.fields != nil || h.meta != (Meta{}) {
+					t.Fatalf("lane %d: vacated ring slot %d still holds work: %+v", i, j, h)
+				}
+			}
 		}
 	}
 }

@@ -49,9 +49,9 @@ func newRingBulk(n *nes.NES, kind PlaneKind, secs float64) *Sim {
 // fresh Process result (about 16 per delivered packet in all).
 const maxAllocsPerDelivery = 2.25
 
-// maxQueueDepth bounds the queue's high-water mark on a ring(3) bulk run:
-// packets queued at the bottleneck switch and on the wire, plus the
-// generator's one pending send, whatever the number of sends.
+// maxQueueDepth bounds the hops queued on all lanes at once on a ring(3)
+// bulk run: packets queued at the bottleneck switch and on the wire,
+// whatever the number of sends.
 const maxQueueDepth = 256
 
 // TestSimHopAllocs: the event loop allocates nothing per hop of its own,
@@ -71,18 +71,33 @@ func TestSimHopAllocs(t *testing.T) {
 		t.Errorf("%.0f allocations for %d deliveries (%.2f each), want <= %.2f each", allocs, delivered, per, maxAllocsPerDelivery)
 	}
 
-	// The slab grows only when every slot is taken, so its length is the
-	// queue's high-water mark.
+	// Stepping the run by hand, after every step: the heap holds one entry
+	// per busy lane and one per pending callback, and the hops on all
+	// lanes together stay under the bound.
 	for _, secs := range []float64{0.2, 2} {
 		s := newRingBulk(n, PlaneKindTagged, secs)
 		sends := int64(secs * (1.05 / s.Params.SwitchProcTime)) // StartBulk's count
 		if len(s.queue) != 1 || s.queue[0].seq != 1 || s.seq != sends {
 			t.Errorf("%.1f s bulk: before the run %d events queued (first seq %d) and seq at %d, want the first send only on seq 1 of a reserved block of %d", secs, len(s.queue), s.queue[0].seq, s.seq, sends)
 		}
-		s.Run(secs + 0.2)
-		t.Logf("%.1f s bulk: %d delivered, queue high-water mark %d", secs, len(s.Delivered), len(s.acts))
-		if len(s.acts) > maxQueueDepth {
-			t.Errorf("%.1f s bulk: queue reached %d events, want <= %d", secs, len(s.acts), maxQueueDepth)
+		peak, peakHeap := 0, 0
+		for horizon := secs + 0.2; len(s.queue) > 0 && s.queue[0].at <= horizon; {
+			s.step()
+			busy, hops := 0, 0
+			for _, l := range s.lanes {
+				if l.n > 0 {
+					busy++
+				}
+				hops += l.n
+			}
+			if pending := len(s.fns) - len(s.free); len(s.queue) != busy+pending {
+				t.Fatalf("%.1f s bulk at %v: %d heap entries for %d busy lanes (of %d) and %d pending callbacks", secs, s.now, len(s.queue), busy, len(s.lanes), pending)
+			}
+			peak, peakHeap = max(peak, hops), max(peakHeap, len(s.queue))
+		}
+		t.Logf("%.1f s bulk: %d delivered, %d lanes, at most %d hops queued and %d heap entries", secs, len(s.Delivered), len(s.lanes), peak, peakHeap)
+		if peak > maxQueueDepth {
+			t.Errorf("%.1f s bulk: lanes held %d hops at once, want <= %d", secs, peak, maxQueueDepth)
 		}
 	}
 }
