@@ -20,12 +20,7 @@ func deepCopy(t *flowtable.Table) *flowtable.Table {
 	out := &flowtable.Table{Rules: slices.Clone(t.Rules)}
 	for i := range out.Rules {
 		r := &out.Rules[i]
-		r.Match.ExcludePorts = slices.Clone(r.Match.ExcludePorts)
-		r.Match.Fields = maps.Clone(r.Match.Fields)
-		r.Match.Excludes = maps.Clone(r.Match.Excludes)
-		for f, vs := range r.Match.Excludes {
-			r.Match.Excludes[f] = slices.Clone(vs)
-		}
+		r.Match.Cond = r.Match.Cond.Clone()
 		r.Groups = slices.Clone(r.Groups)
 		for gi := range r.Groups {
 			r.Groups[gi].Sets = maps.Clone(r.Groups[gi].Sets)

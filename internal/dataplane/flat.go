@@ -11,12 +11,13 @@ import (
 
 // This file is the compiled form of a flow table — the only one. Every
 // flowtable.Rule of a plan is lowered once, at plan-build time, from its
-// Match and Groups maps into integer-indexed
+// Match's conjunction and its Groups maps into integer-indexed
 // match/action arrays, and the lowered rules are indexed two ways,
 // mirroring how a packet narrows the search:
 //
-//  1. In-port: rules split into exact-port buckets plus one wildcard
-//     bucket (whose ExcludePorts are verified per rule).
+//  1. In-port: rules split into exact-port buckets (a "pt" equality)
+//     plus one wildcard bucket (whose "pt" exclusions are verified per
+//     rule).
 //  2. Discriminating fields: within a bucket, the equality-tested fields
 //     shared by all rules (or, failing that, the single most-tested field,
 //     ties to the lowest schema index) key a hash of the rules' required
@@ -36,7 +37,7 @@ import (
 // — no map lookups, no string hashing, no per-packet allocation: it folds
 // the packet's values of each candidate bucket's key fields (integer FNV
 // mixing), then rank-merges the hash hits with the fallback list, fully
-// verifying each candidate with flatRule.matches, so indexing can never
+// verifying each candidate with flatRule.admits, so indexing can never
 // change semantics, only skip rules that provably cannot win.
 //
 // Lowering is a bijection on rule structure: one flatRule per rule in the
@@ -48,18 +49,65 @@ import (
 // property-tested on every reachable state of every application and
 // fuzzed on hand-shaped tables (flat_test.go, fuzz_test.go).
 
+// flatConj is a conjunction of packet-field literals lowered against a
+// schema: the field tests of a rule's match and of an event's guard.
+type flatConj struct {
+	eqIdx  []int32 // equality literals: field index ...
+	eqVal  []int32 // ... and required value, parallel
+	eqMask uint64  // presence bits of every equality field
+	neqIdx []int32 // exclusion literals: field index ...
+	neqVal []int32 // ... and excluded value, parallel
+}
+
+// matches is netkat.Conj.Eval on the flat form: an absent field (presence
+// bit clear) fails an equality literal and passes an exclusion literal.
+func (c *flatConj) matches(vals []int32, pres uint64) bool {
+	if pres&c.eqMask != c.eqMask {
+		return false
+	}
+	for i, fi := range c.eqIdx {
+		if vals[fi] != c.eqVal[i] {
+			return false
+		}
+	}
+	for i, fi := range c.neqIdx {
+		if pres&(1<<uint(fi)) != 0 && vals[fi] == c.neqVal[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// lowerConj lowers c's packet-field literals, in (field, value) order —
+// ascending schema index, as schema indices follow sorted names. The
+// "sw" and "pt" literals are left to the caller.
+func lowerConj(c *netkat.Conj, s *Schema) flatConj {
+	var fc flatConj
+	for _, l := range c.Lits() {
+		if l.F == netkat.FieldSw || l.F == netkat.FieldPt {
+			continue
+		}
+		i := mustIndex(s, l.F)
+		if l.Eq {
+			fc.eqIdx = append(fc.eqIdx, i)
+			fc.eqVal = append(fc.eqVal, lowerValue(l.V))
+			fc.eqMask |= 1 << uint(i)
+		} else {
+			fc.neqIdx = append(fc.neqIdx, i)
+			fc.neqVal = append(fc.neqVal, lowerValue(l.V))
+		}
+	}
+	return fc
+}
+
 // flatRule is one rule lowered against a schema.
 type flatRule struct {
 	guardValue uint32 // pre-masked
 	guardMask  uint32
 	inPort     int32 // flowtable.Wildcard for the wildcard bucket
 	exPorts    []int32
-	eqIdx      []int32 // equality literals: field index ...
-	eqVal      []int32 // ... and required value, parallel
-	eqMask     uint64  // presence bits of every equality field
-	neqIdx     []int32 // exclusion literals: field index ...
-	neqVal     []int32 // ... and excluded value, parallel
-	groups     []flatGroup
+	flatConj
+	groups []flatGroup
 }
 
 // flatGroup is one action group lowered against a schema: in-place field
@@ -71,10 +119,8 @@ type flatGroup struct {
 	outPort int32
 }
 
-// matches is flowtable.Match.Matches on the flat form: an absent field
-// (presence bit clear) fails an equality literal and passes an exclusion
-// literal.
-func (r *flatRule) matches(vals []int32, pres uint64, inPort int, tag uint32) bool {
+// admits is flowtable.Match.Matches on the flat form.
+func (r *flatRule) admits(vals []int32, pres uint64, inPort int, tag uint32) bool {
 	if tag&r.guardMask != r.guardValue {
 		return false
 	}
@@ -89,20 +135,7 @@ func (r *flatRule) matches(vals []int32, pres uint64, inPort int, tag uint32) bo
 			}
 		}
 	}
-	if pres&r.eqMask != r.eqMask {
-		return false
-	}
-	for i, fi := range r.eqIdx {
-		if vals[fi] != r.eqVal[i] {
-			return false
-		}
-	}
-	for i, fi := range r.neqIdx {
-		if pres&(1<<uint(fi)) != 0 && vals[fi] == r.neqVal[i] {
-			return false
-		}
-	}
-	return true
+	return r.matches(vals, pres)
 }
 
 // flatTable is one switch's compiled table: rules in priority rank order
@@ -153,7 +186,7 @@ func (b *flatBucket) bestIn(rules []flatRule, vals []int32, pres uint64, inPort 
 				if r >= bound {
 					break
 				}
-				if rules[r].matches(vals, pres, inPort, tag) {
+				if rules[r].admits(vals, pres, inPort, tag) {
 					bound = r
 					break
 				}
@@ -164,7 +197,7 @@ func (b *flatBucket) bestIn(rules []flatRule, vals []int32, pres uint64, inPort 
 		if r >= bound {
 			break
 		}
-		if rules[r].matches(vals, pres, inPort, tag) {
+		if rules[r].admits(vals, pres, inPort, tag) {
 			bound = r
 			break
 		}
@@ -263,27 +296,22 @@ func newFlatBucket(rules []flatRule, ranks []int32) flatBucket {
 	return b
 }
 
-// lowerRule translates one rule to flat form: guard and ports from the
-// Match, field literals and action groups from its maps, each list in
-// field-name order — which is ascending schema index, as schema indices
-// follow sorted names — and exclusions of one field by value.
+// lowerRule translates one rule to flat form: guard from the Match, the
+// "pt" literals of its conjunction into the port fields, the other
+// literals by lowerConj, and its action groups.
 func lowerRule(r *flowtable.Rule, s *Schema) flatRule {
 	m := &r.Match
 	fr := flatRule{
 		guardValue: m.Guard.Value & m.Guard.Mask,
 		guardMask:  m.Guard.Mask,
-		inPort:     int32(m.InPort),
+		inPort:     flowtable.Wildcard,
+		flatConj:   lowerConj(m.Cond, s),
 	}
-	for _, p := range m.ExcludePorts {
+	if p, ok := m.Cond.Eq(netkat.FieldPt); ok {
+		fr.inPort = int32(p)
+	}
+	for _, p := range m.Cond.Neq(netkat.FieldPt) {
 		fr.exPorts = append(fr.exPorts, int32(p))
-	}
-	fr.eqIdx, fr.eqVal, fr.eqMask = lowerAssignments(m.Fields, s)
-	for _, f := range slices.Sorted(maps.Keys(m.Excludes)) {
-		i := mustIndex(s, f)
-		for _, v := range slices.Sorted(slices.Values(m.Excludes[f])) {
-			fr.neqIdx = append(fr.neqIdx, i)
-			fr.neqVal = append(fr.neqVal, lowerValue(v))
-		}
 	}
 	for gi := range r.Groups {
 		g := &r.Groups[gi]
@@ -325,83 +353,35 @@ func mustIndex(s *Schema, f string) int32 {
 }
 
 // flatEvent is one NES event precompiled against a schema for the
-// engine's detection step: its guard's packet-field literals as interned
-// index/value arrays. "sw" and "pt" literals are resolved statically
-// against the event's own location (Event.Matches only consults the
-// guard at that location); an event whose guard is statically false
-// there can never fire and is dropped from the per-switch candidate
-// lists entirely.
+// engine's detection step: its guard's packet-field literals lowered by
+// lowerConj. "sw" and "pt" literals are resolved statically against the
+// event's own location (Event.Matches only consults the guard at that
+// location); an event whose guard is statically false there can never
+// fire and is dropped from the per-switch candidate lists entirely.
 type flatEvent struct {
-	id     int
-	port   int
-	eqIdx  []int32
-	eqVal  []int32
-	eqMask uint64
-	neqIdx []int32
-	neqVal []int32
-}
-
-// matches evaluates the precompiled guard on a flat packet (the location
-// was already narrowed by the per-switch candidate list and the port
-// field).
-func (fe *flatEvent) matches(vals []int32, pres uint64) bool {
-	if pres&fe.eqMask != fe.eqMask {
-		return false
-	}
-	for i, fi := range fe.eqIdx {
-		if vals[fi] != fe.eqVal[i] {
-			return false
-		}
-	}
-	for i, fi := range fe.neqIdx {
-		if pres&(1<<uint(fi)) != 0 && vals[fi] == fe.neqVal[i] {
-			return false
-		}
-	}
-	return true
+	id   int
+	port int
+	flatConj
 }
 
 // lowerEvent compiles one event's guard; live is false when the guard is
 // statically unsatisfiable at the event's location.
 func lowerEvent(ev nes.Event, s *Schema) (flatEvent, bool) {
-	fe := flatEvent{id: ev.ID, port: ev.Loc.Port}
-	for _, f := range ev.Guard.EqFields() {
-		v, _ := ev.Guard.Eq(f)
-		switch f {
+	for _, l := range ev.Guard.Lits() {
+		var at int
+		switch l.F {
 		case netkat.FieldSw:
-			if v != ev.Loc.Switch {
-				return flatEvent{}, false
-			}
+			at = ev.Loc.Switch
 		case netkat.FieldPt:
-			if v != ev.Loc.Port {
-				return flatEvent{}, false
-			}
+			at = ev.Loc.Port
 		default:
-			i := mustIndex(s, f)
-			fe.eqIdx = append(fe.eqIdx, i)
-			fe.eqVal = append(fe.eqVal, lowerValue(v))
-			fe.eqMask |= 1 << uint(i)
+			continue
+		}
+		if (at == l.V) != l.Eq {
+			return flatEvent{}, false
 		}
 	}
-	for _, f := range ev.Guard.NeqFields() {
-		for _, v := range ev.Guard.Neq(f) {
-			switch f {
-			case netkat.FieldSw:
-				if v == ev.Loc.Switch {
-					return flatEvent{}, false
-				}
-			case netkat.FieldPt:
-				if v == ev.Loc.Port {
-					return flatEvent{}, false
-				}
-			default:
-				i := mustIndex(s, f)
-				fe.neqIdx = append(fe.neqIdx, i)
-				fe.neqVal = append(fe.neqVal, lowerValue(v))
-			}
-		}
-	}
-	return fe, true
+	return flatEvent{id: ev.ID, port: ev.Loc.Port, flatConj: lowerConj(ev.Guard, s)}, true
 }
 
 // FlatMatcher is the exported face of one compiled table: it accepts

@@ -86,8 +86,10 @@ func aimAt(r *rand.Rand, pkt netkat.Packet, tbl *flowtable.Table) {
 	if tbl.Len() == 0 || r.Intn(2) == 0 {
 		return
 	}
-	for f, v := range tbl.Rules[r.Intn(tbl.Len())].Match.Fields {
-		pkt[f] = v
+	for _, l := range tbl.Rules[r.Intn(tbl.Len())].Match.Cond.Lits() {
+		if l.Eq && l.F != netkat.FieldPt {
+			pkt[l.F] = l.V
+		}
 	}
 }
 

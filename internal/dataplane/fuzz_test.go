@@ -21,7 +21,7 @@ var fuzzFields = [3]string{"a", "b", "c"}
 // from fuzz bytes. Byte 0 picks 1-6 rules; each rule is 8 bytes:
 //
 //	0 priority      %3, so equal priorities are common
-//	1 in-port       %5: 0-3 exact, 4 wildcard with bits 3-6 as ExcludePorts
+//	1 in-port       %5: 0-3 a "pt" equality, 4 bits 3-6 as "pt" exclusions
 //	2 guard         %4: none, mask 1, mask 3, mask 2; value in bits 2-3
 //	3 equalities    2 bits per field: 0 none, 1-3 the value 0-2
 //	4 exclusions    2 bits per field: 0 none, 1 {0}, 2 {1}, 3 {2,0}
@@ -44,24 +44,32 @@ func fuzzTable(data []byte) (*flowtable.Table, []dataplane.Probe) {
 	for n := 1 + next()%6; n > 0; n-- {
 		prio, port, guard, eq, neq, groups := next()%3, next(), next(), next(), next(), next()
 		sets := [2]int{next(), next()}
-		m := flowtable.Match{InPort: port % 5, Fields: map[string]int{}, Excludes: map[string][]int{}}
-		if m.InPort == 4 {
-			m.InPort = flowtable.Wildcard
-			for p := 0; p < 4; p++ {
-				if port>>(3+p)&1 == 1 {
-					m.ExcludePorts = append(m.ExcludePorts, p)
+		c := netkat.NewConj()
+		if port%5 < 4 {
+			c.AddEq(netkat.FieldPt, port%5)
+		}
+		for p := 0; p < 4 && port%5 == 4; p++ {
+			if port>>(3+p)&1 == 1 {
+				c.AddNeq(netkat.FieldPt, p)
+			}
+		}
+		// A contradicted literal makes the rule match nothing, and a rule
+		// that matches nothing is the same table as no rule.
+		sat := true
+		for i, f := range fuzzFields {
+			if v := eq >> (2 * i) & 3; v != 0 {
+				sat = sat && c.AddEq(f, v-1)
+			}
+			if v := neq >> (2 * i) & 3; v != 0 {
+				for _, x := range [][]int{nil, {0}, {1}, {2, 0}}[v] {
+					sat = sat && c.AddNeq(f, x)
 				}
 			}
 		}
-		m.Guard = flowtable.VersionGuard{Value: uint32(guard >> 2 & 3), Mask: [4]uint32{0, 1, 3, 2}[guard%4]}
-		for i, f := range fuzzFields {
-			if v := eq >> (2 * i) & 3; v != 0 {
-				m.Fields[f] = v - 1
-			}
-			if v := neq >> (2 * i) & 3; v != 0 {
-				m.Excludes[f] = [][]int{nil, {0}, {1}, {2, 0}}[v]
-			}
+		if !sat {
+			continue
 		}
+		m := flowtable.Match{Cond: c, Guard: flowtable.VersionGuard{Value: uint32(guard >> 2 & 3), Mask: [4]uint32{0, 1, 3, 2}[guard%4]}}
 		r := flowtable.Rule{Priority: prio, Match: m}
 		for g := 0; g < groups%3; g++ {
 			ag := flowtable.ActionGroup{Sets: map[string]int{}, OutPort: groups >> (2 + 2*g) & 3}

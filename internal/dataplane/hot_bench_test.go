@@ -39,16 +39,16 @@ func loopEngineOpts(tb testing.TB, opts Options) (*Engine, netkat.Packet) {
 	t.AddBiLink(loc(4, 2), loc(1, 1))
 	t.AddHost(topo.HostID(1), "H1", loc(1, 3))
 
+	guard := netkat.NewConj()
+	guard.AddEq("dst", 99)
 	tables := flowtable.Tables{}
 	for sw := 1; sw <= 4; sw++ {
 		tables.Get(sw).AddAll([]flowtable.Rule{{
 			Priority: 1,
-			Match:    flowtable.Match{InPort: flowtable.Wildcard, Fields: map[string]int{"dst": 99}},
+			Match:    flowtable.Match{Cond: guard},
 			Groups:   []flowtable.ActionGroup{{Sets: map[string]int{"hop": sw}, OutPort: 2}},
 		}})
 	}
-	guard := netkat.NewConj()
-	guard.AddEq("dst", 99)
 	n, err := nes.New(
 		[]nes.Event{{ID: 0, Guard: guard, Loc: loc(1, 1), Occurrence: 1}},
 		map[nes.Set]int{nes.Empty: 0, nes.Empty.With(0): 0},

@@ -84,7 +84,7 @@ func MergedPair(old, new_ *nes.NES) (flowtable.Tables, int) {
 			for sw, t := range n.Configs[ci].Tables {
 				rs := rules[sw]
 				for _, r := range t.Rules {
-					m := r.Match.Clone()
+					m := r.Match // Cond is read-only: share it
 					m.Guard = guard
 					rs = append(rs, flowtable.Rule{Priority: r.Priority, Match: m, Groups: r.Groups})
 				}

@@ -111,15 +111,17 @@ func ProgramFields(n *nes.NES) []string {
 			continue // the occurrences of one event: one label, one guard
 		}
 		prev = ev.Label
-		for _, f := range ev.Guard.EqFields() {
-			if f != netkat.FieldSw && f != netkat.FieldPt {
-				out = append(out, f)
-			}
-		}
-		for _, f := range ev.Guard.NeqFields() {
-			if f != netkat.FieldSw && f != netkat.FieldPt {
-				out = append(out, f)
-			}
+		out = appendCondFields(out, ev.Guard)
+	}
+	return out
+}
+
+// appendCondFields appends the packet fields a conjunction tests: every
+// field but the location pseudo-fields "sw" and "pt".
+func appendCondFields(out []string, c *netkat.Conj) []string {
+	for _, l := range c.Lits() {
+		if l.F != netkat.FieldSw && l.F != netkat.FieldPt {
+			out = append(out, l.F)
 		}
 	}
 	return out
@@ -128,12 +130,7 @@ func ProgramFields(n *nes.NES) []string {
 func appendTableFields(out []string, t *flowtable.Table) []string {
 	for ri := range t.Rules {
 		r := &t.Rules[ri]
-		for f := range r.Match.Fields {
-			out = append(out, f)
-		}
-		for f := range r.Match.Excludes {
-			out = append(out, f)
-		}
+		out = appendCondFields(out, r.Match.Cond)
 		for _, g := range r.Groups {
 			for f := range g.Sets {
 				out = append(out, f)

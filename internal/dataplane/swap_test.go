@@ -140,13 +140,16 @@ func TestPlanIsSnapshot(t *testing.T) {
 	found := false
 	for sw, tbl := range n.Configs[0].Tables {
 		for _, r := range tbl.Rules {
-			if len(r.Groups) == 0 || r.Match.InPort == flowtable.Wildcard {
+			pt, ok := r.Match.Cond.Eq(netkat.FieldPt)
+			if len(r.Groups) == 0 || !ok {
 				continue
 			}
-			probeSw, probePort = sw, r.Match.InPort
+			probeSw, probePort = sw, pt
 			probePkt = netkat.Packet{}
-			for f, v := range r.Match.Fields {
-				probePkt[f] = v
+			for _, l := range r.Match.Cond.Lits() {
+				if l.Eq && l.F != netkat.FieldPt {
+					probePkt[l.F] = l.V
+				}
 			}
 			found = true
 			break
@@ -170,7 +173,7 @@ func TestPlanIsSnapshot(t *testing.T) {
 	// the top of the table while the NES value is reused.
 	n.Configs[0].Tables[probeSw].AddAll([]flowtable.Rule{{
 		Priority: 1 << 30,
-		Match:    flowtable.Match{InPort: flowtable.Wildcard},
+		Match:    flowtable.Match{Cond: netkat.NewConj()},
 	}})
 
 	if !forwards(p1) {
@@ -244,7 +247,6 @@ func mergedRef(progs ...*nes.NES) flowtable.Tables {
 			for sw, tbl := range n.Configs[ci].Tables {
 				var rs []flowtable.Rule
 				for _, r := range tbl.Rules {
-					r.Match = r.Match.Clone()
 					r.Match.Guard = flowtable.ExactGuard(tag, bits)
 					rs = append(rs, r)
 				}
@@ -362,7 +364,7 @@ func loopNES(t *testing.T) *nes.NES {
 	for _, sw := range []int{1, 4} {
 		tables.Get(sw).AddAll([]flowtable.Rule{{
 			Priority: 1,
-			Match:    flowtable.Match{InPort: flowtable.Wildcard},
+			Match:    flowtable.Match{Cond: netkat.NewConj()},
 			Groups:   []flowtable.ActionGroup{{OutPort: 1}},
 		}})
 	}

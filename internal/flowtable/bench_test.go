@@ -15,13 +15,13 @@ func benchTable(n int) *Table {
 	for i := 0; i < n; i++ {
 		rs = append(rs, Rule{
 			Priority: 10 + i,
-			Match:    Match{InPort: 2, Fields: map[string]int{"dst": 100 + i}},
+			Match:    Match{Cond: cond(eq(netkat.FieldPt, 2), eq("dst", 100+i))},
 			Groups:   []ActionGroup{{Sets: map[string]int{"pt": 1}, OutPort: 1}},
 		})
 	}
 	rs = append(rs, Rule{
 		Priority: 5,
-		Match:    Match{InPort: Wildcard, ExcludePorts: []int{9}, Excludes: map[string][]int{"dst": {100}}},
+		Match:    Match{Cond: cond(neq(netkat.FieldPt, 9), neq("dst", 100))},
 		Groups:   []ActionGroup{{OutPort: 3}},
 	})
 	t.AddAll(rs)

@@ -1,13 +1,15 @@
 // Package flowtable models OpenFlow-style prioritized match-action tables,
-// extended with the version (configuration-ID) guards of Section 4.1 and
-// the wildcard-masked guards produced by the rule-sharing optimization of
-// Section 5.3.
+// extended with the version (configuration-ID) guards of Section 4.1.
+// Installed tables are per configuration, so their rules carry the
+// all-pass guard, or an exact guard in a staged swap's merged tables; the
+// masked guards of the Section 5.3 trie (internal/optimize) only count
+// rules and are never installed.
 //
-// A rule matches a packet when the version guard matches the packet's tag,
-// the ingress port matches, every equality field matches, and no excluded
-// value matches. Exclusion matches are a simulator convenience standing in
-// for the priority-shadowing encoding a hardware compiler would use; rule
-// counts reported treat each rule as one TCAM entry either way.
+// A rule matches a packet when the version guard matches the packet's tag
+// and the rule's conjunction of field literals holds, "pt" testing the
+// ingress port. Inequality literals are a simulator convenience standing
+// in for the priority-shadowing encoding a hardware compiler would use;
+// rule counts reported treat each rule as one TCAM entry either way.
 //
 // Rule actions are action *groups* (as in OpenFlow group tables): each
 // group applies its field rewrites to the packet as it arrived and emits
@@ -18,12 +20,14 @@ package flowtable
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"eventnet/internal/netkat"
 )
 
-// Wildcard is the "any" value for ingress port matches.
+// Wildcard stands for any ingress port: the port a Match key shows when
+// its Cond does not pin "pt".
 const Wildcard = -1
 
 // VersionGuard matches configuration-ID tags: a tag v matches when
@@ -70,240 +74,52 @@ func (g VersionGuard) String() string {
 	return b.String()
 }
 
-// Match is the match part of a rule.
+// Match is the match part of a rule: a conjunction of field literals, in
+// which "pt" tests the ingress port, under a version guard. Cond is
+// read-only once the rule is built, so rules may share it.
 type Match struct {
-	InPort       int              // ingress port, or Wildcard
-	ExcludePorts []int            // excluded ingress ports (only with a Wildcard InPort)
-	Fields       map[string]int   // required field values
-	Excludes     map[string][]int // excluded field values (f != v)
-	Guard        VersionGuard
+	Cond  *netkat.Conj
+	Guard VersionGuard
 }
 
 // Matches reports whether the match admits a packet with the given fields,
 // ingress port, and version tag. A field absent from the packet fails an
-// equality match and passes an exclusion match.
+// equality literal and passes an inequality literal. No rule tests "sw".
 func (m Match) Matches(pkt netkat.Packet, inPort int, tag uint32) bool {
-	if !m.Guard.Matches(tag) {
-		return false
-	}
-	if m.InPort != Wildcard && m.InPort != inPort {
-		return false
-	}
-	if m.InPort == Wildcard {
-		for _, v := range m.ExcludePorts {
-			if v == inPort {
-				return false
-			}
-		}
-	}
-	for f, v := range m.Fields {
-		w, ok := pkt[f]
-		if !ok || w != v {
-			return false
-		}
-	}
-	for f, vs := range m.Excludes {
-		w, ok := pkt[f]
-		if !ok {
-			continue
-		}
-		for _, v := range vs {
-			if w == v {
-				return false
-			}
-		}
-	}
-	return true
+	return m.Guard.Matches(tag) && m.Cond.Eval(netkat.LocatedPacket{Pkt: pkt, Loc: netkat.Location{Port: inPort}})
 }
 
-// Specificity scores how constrained the match is; more-specific rules get
-// higher priority so that overlap-resolution intersections shadow the rules
-// they refine.
+// Specificity scores how constrained the match is, 10 per equality and 1
+// per inequality; more-specific rules get higher priority so that
+// overlap-resolution intersections shadow the rules they refine.
 func (m Match) Specificity() int {
 	s := 0
-	if m.InPort != Wildcard {
-		s += 10
-	}
-	s += len(m.ExcludePorts)
-	s += 10 * len(m.Fields)
-	for _, vs := range m.Excludes {
-		s += len(vs)
+	for _, l := range m.Cond.Lits() {
+		if l.Eq {
+			s += 10
+		} else {
+			s++
+		}
 	}
 	return s
 }
 
-// Key returns a canonical identity for the match, ignoring the guard.
+// Key returns a canonical identity for the match, ignoring the guard: the
+// ingress port as "in=p;" (p is Wildcard when "pt" is not pinned) and one
+// "in!=p;" per excluded port, then the key of the other literals.
 func (m Match) Key() string {
-	fs := make([]string, 0, len(m.Fields))
-	for f := range m.Fields {
-		fs = append(fs, f)
+	pt, ok := m.Cond.Eq(netkat.FieldPt)
+	if !ok {
+		pt = Wildcard
 	}
-	sort.Strings(fs)
-	var b strings.Builder
-	fmt.Fprintf(&b, "in=%d;", m.InPort)
-	if len(m.ExcludePorts) > 0 {
-		ps := append([]int{}, m.ExcludePorts...)
-		sort.Ints(ps)
-		for _, v := range ps {
-			fmt.Fprintf(&b, "in!=%d;", v)
-		}
+	b := strconv.AppendInt([]byte("in="), int64(pt), 10)
+	b = append(b, ';')
+	for _, v := range m.Cond.Neq(netkat.FieldPt) {
+		b = append(b, "in!="...)
+		b = strconv.AppendInt(b, int64(v), 10)
+		b = append(b, ';')
 	}
-	for _, f := range fs {
-		fmt.Fprintf(&b, "%s=%d;", f, m.Fields[f])
-	}
-	es := make([]string, 0, len(m.Excludes))
-	for f := range m.Excludes {
-		es = append(es, f)
-	}
-	sort.Strings(es)
-	for _, f := range es {
-		vs := append([]int{}, m.Excludes[f]...)
-		sort.Ints(vs)
-		for _, v := range vs {
-			fmt.Fprintf(&b, "%s!=%d;", f, v)
-		}
-	}
-	return b.String()
-}
-
-// Clone returns a deep copy of the match.
-func (m Match) Clone() Match {
-	n := Match{InPort: m.InPort, Guard: m.Guard, Fields: map[string]int{}, Excludes: map[string][]int{}}
-	n.ExcludePorts = append(n.ExcludePorts, m.ExcludePorts...)
-	for f, v := range m.Fields {
-		n.Fields[f] = v
-	}
-	for f, vs := range m.Excludes {
-		n.Excludes[f] = append([]int{}, vs...)
-	}
-	return n
-}
-
-// Intersect computes the intersection of two matches (the region of packets
-// both admit). It reports false if the intersection is empty.
-func (m Match) Intersect(o Match) (Match, bool) {
-	out := m.Clone()
-	if o.InPort != Wildcard {
-		if out.InPort == Wildcard {
-			for _, v := range out.ExcludePorts {
-				if v == o.InPort {
-					return Match{}, false
-				}
-			}
-			out.InPort = o.InPort
-		} else if out.InPort != o.InPort {
-			return Match{}, false
-		}
-	} else {
-		for _, v := range o.ExcludePorts {
-			if out.InPort == v {
-				return Match{}, false
-			}
-			if out.InPort == Wildcard {
-				keep := true
-				for _, w := range out.ExcludePorts {
-					if w == v {
-						keep = false
-						break
-					}
-				}
-				if keep {
-					out.ExcludePorts = append(out.ExcludePorts, v)
-				}
-			}
-		}
-	}
-	if out.InPort != Wildcard {
-		out.ExcludePorts = nil
-	} else {
-		sort.Ints(out.ExcludePorts)
-	}
-	for f, v := range o.Fields {
-		if w, ok := out.Fields[f]; ok {
-			if w != v {
-				return Match{}, false
-			}
-			continue
-		}
-		for _, x := range out.Excludes[f] {
-			if x == v {
-				return Match{}, false
-			}
-		}
-		out.Fields[f] = v
-	}
-	for f, vs := range o.Excludes {
-		for _, v := range vs {
-			if w, ok := out.Fields[f]; ok && w == v {
-				return Match{}, false
-			}
-			out.Excludes[f] = append(out.Excludes[f], v)
-		}
-	}
-	// Drop excludes subsumed by equalities and dedup.
-	for f := range out.Excludes {
-		if _, ok := out.Fields[f]; ok {
-			delete(out.Excludes, f)
-			continue
-		}
-		seen := map[int]bool{}
-		var vs []int
-		for _, v := range out.Excludes[f] {
-			if !seen[v] {
-				seen[v] = true
-				vs = append(vs, v)
-			}
-		}
-		sort.Ints(vs)
-		out.Excludes[f] = vs
-	}
-	return out, true
-}
-
-// Subsumes reports whether every packet admitted by o is admitted by m
-// (sound syntactic approximation: m's constraints are a subset of o's).
-func (m Match) Subsumes(o Match) bool {
-	if m.InPort != Wildcard && m.InPort != o.InPort {
-		return false
-	}
-	for _, v := range m.ExcludePorts {
-		if o.InPort != Wildcard && o.InPort != v {
-			continue // o pins the port to a non-v value; exclusion holds
-		}
-		found := false
-		for _, w := range o.ExcludePorts {
-			if w == v {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	for f, v := range m.Fields {
-		if w, ok := o.Fields[f]; !ok || w != v {
-			return false
-		}
-	}
-	for f, vs := range m.Excludes {
-		for _, v := range vs {
-			if w, ok := o.Fields[f]; ok && w != v {
-				continue // o pins f to a non-v value; exclusion holds
-			}
-			found := false
-			for _, u := range o.Excludes[f] {
-				if u == v {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return false
-			}
-		}
-	}
-	return true
+	return string(m.Cond.AppendKey(b, netkat.FieldPt))
 }
 
 // ActionGroup applies Sets to the packet as it arrived and emits one copy

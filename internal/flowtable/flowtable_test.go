@@ -27,12 +27,30 @@ func TestVersionGuard(t *testing.T) {
 	}
 }
 
-func TestMatchMatches(t *testing.T) {
-	m := Match{
-		InPort:   2,
-		Fields:   map[string]int{"dst": 104},
-		Excludes: map[string][]int{"src": {9}},
+// cond builds the conjunction of the given literals; the tests only
+// build satisfiable ones.
+func cond(lits ...netkat.Lit) *netkat.Conj {
+	c := netkat.NewConj()
+	for _, l := range lits {
+		if !c.Add(l) {
+			panic("unsatisfiable test conjunction")
+		}
 	}
+	return c
+}
+
+func eq(f string, v int) netkat.Lit  { return netkat.Lit{F: f, V: v, Eq: true} }
+func neq(f string, v int) netkat.Lit { return netkat.Lit{F: f, V: v} }
+
+// intersect is the intersection of two matches' regions, as the compiler
+// forms it: a clone of the first conjunction merged with the second.
+func intersect(m, o Match) (Match, bool) {
+	c := m.Cond.Clone()
+	return Match{Cond: c, Guard: m.Guard}, c.MergeWith(o.Cond)
+}
+
+func TestMatchMatches(t *testing.T) {
+	m := Match{Cond: cond(eq(netkat.FieldPt, 2), eq("dst", 104), neq("src", 9))}
 	pkt := netkat.Packet{"dst": 104, "src": 1}
 	if !m.Matches(pkt, 2, 0) {
 		t.Error("match failed")
@@ -53,12 +71,18 @@ func TestMatchMatches(t *testing.T) {
 	if !m.Matches(netkat.Packet{"dst": 104}, 2, 0) {
 		t.Error("absent field failed exclusion")
 	}
+	if got := m.Key(); got != "in=2;dst=104;src!=9;" {
+		t.Errorf("key %q", got)
+	}
+	if got := m.Specificity(); got != 21 {
+		t.Errorf("specificity %d, want 10 per equality and 1 per exclusion", got)
+	}
 }
 
 // TestMatchExcludePorts: wildcard-ingress matches can exclude specific
 // ports (emitted by the FDD backend's lo branches on "pt").
 func TestMatchExcludePorts(t *testing.T) {
-	m := Match{InPort: Wildcard, ExcludePorts: []int{2, 3}, Fields: map[string]int{}, Excludes: map[string][]int{}}
+	m := Match{Cond: cond(neq(netkat.FieldPt, 3), neq(netkat.FieldPt, 2))}
 	pkt := netkat.Packet{"dst": 104}
 	if !m.Matches(pkt, 1, 0) || !m.Matches(pkt, 4, 0) {
 		t.Error("allowed port rejected")
@@ -66,48 +90,45 @@ func TestMatchExcludePorts(t *testing.T) {
 	if m.Matches(pkt, 2, 0) || m.Matches(pkt, 3, 0) {
 		t.Error("excluded port matched")
 	}
-	exact := Match{InPort: 2, Fields: map[string]int{}, Excludes: map[string][]int{}}
-	if _, ok := m.Intersect(exact); ok {
+	exact := Match{Cond: cond(eq(netkat.FieldPt, 2))}
+	if _, ok := intersect(m, exact); ok {
 		t.Error("intersection with excluded exact port accepted")
 	}
-	other := Match{InPort: 4, Fields: map[string]int{}, Excludes: map[string][]int{}}
-	inter, ok := m.Intersect(other)
-	if !ok || inter.InPort != 4 || len(inter.ExcludePorts) != 0 {
+	other := Match{Cond: cond(eq(netkat.FieldPt, 4))}
+	inter, ok := intersect(m, other)
+	if !ok || inter.Key() != "in=4;" {
 		t.Errorf("intersection with allowed exact port: %v %v", inter.Key(), ok)
 	}
-	if !m.Subsumes(other) {
+	if !m.Cond.Subsumes(other.Cond) {
 		t.Error("port exclusion must subsume a pinned non-excluded port")
 	}
-	if m.Subsumes(exact) {
+	if m.Cond.Subsumes(exact.Cond) {
 		t.Error("port exclusion must not subsume its excluded port")
 	}
-	if m.Key() == (Match{InPort: Wildcard, Fields: map[string]int{}, Excludes: map[string][]int{}}).Key() {
-		t.Error("ExcludePorts missing from Key")
-	}
-	if m.Clone().Key() != m.Key() {
-		t.Error("Clone dropped ExcludePorts")
+	if got := m.Key(); got != "in=-1;in!=2;in!=3;" {
+		t.Errorf("port exclusions missing from key: %q", got)
 	}
 }
 
 func TestMatchIntersectSubsumes(t *testing.T) {
-	broad := Match{InPort: 2, Fields: map[string]int{}, Excludes: map[string][]int{}}
-	narrow := Match{InPort: 2, Fields: map[string]int{"dst": 7}, Excludes: map[string][]int{}}
-	if !broad.Subsumes(narrow) {
+	broad := Match{Cond: cond(eq(netkat.FieldPt, 2))}
+	narrow := Match{Cond: cond(eq(netkat.FieldPt, 2), eq("dst", 7))}
+	if !broad.Cond.Subsumes(narrow.Cond) {
 		t.Error("broad must subsume narrow")
 	}
-	if narrow.Subsumes(broad) {
+	if narrow.Cond.Subsumes(broad.Cond) {
 		t.Error("narrow must not subsume broad")
 	}
-	inter, ok := broad.Intersect(narrow)
-	if !ok || inter.Fields["dst"] != 7 {
-		t.Errorf("intersection: %v %v", inter, ok)
+	inter, ok := intersect(broad, narrow)
+	if v, _ := inter.Cond.Eq("dst"); !ok || v != 7 {
+		t.Errorf("intersection: %v %v", inter.Key(), ok)
 	}
-	disjoint := Match{InPort: 2, Fields: map[string]int{"dst": 8}, Excludes: map[string][]int{}}
-	if _, ok := narrow.Intersect(disjoint); ok {
+	disjoint := Match{Cond: cond(eq(netkat.FieldPt, 2), eq("dst", 8))}
+	if _, ok := intersect(narrow, disjoint); ok {
 		t.Error("disjoint matches intersected")
 	}
-	excl := Match{InPort: 2, Fields: map[string]int{}, Excludes: map[string][]int{"dst": {7}}}
-	if _, ok := narrow.Intersect(excl); ok {
+	excl := Match{Cond: cond(eq(netkat.FieldPt, 2), neq("dst", 7))}
+	if _, ok := intersect(narrow, excl); ok {
 		t.Error("exclusion-contradicting intersection accepted")
 	}
 }
@@ -117,25 +138,25 @@ func TestMatchIntersectSubsumes(t *testing.T) {
 func TestIntersectSemantics(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	randMatch := func() Match {
-		m := Match{InPort: Wildcard, Fields: map[string]int{}, Excludes: map[string][]int{}}
+		c := netkat.NewConj()
 		if r.Intn(2) == 0 {
-			m.InPort = 1 + r.Intn(2)
+			c.AddEq(netkat.FieldPt, 1+r.Intn(2))
 		} else if r.Intn(2) == 0 {
-			m.ExcludePorts = []int{1 + r.Intn(2)}
+			c.AddNeq(netkat.FieldPt, 1+r.Intn(2))
 		}
 		for _, f := range []string{"a", "b"} {
 			switch r.Intn(3) {
 			case 0:
-				m.Fields[f] = r.Intn(3)
+				c.AddEq(f, r.Intn(3))
 			case 1:
-				m.Excludes[f] = []int{r.Intn(3)}
+				c.AddNeq(f, r.Intn(3))
 			}
 		}
-		return m
+		return Match{Cond: c}
 	}
 	for i := 0; i < 500; i++ {
 		m1, m2 := randMatch(), randMatch()
-		inter, ok := m1.Intersect(m2)
+		inter, ok := intersect(m1, m2)
 		pkt := netkat.Packet{"a": r.Intn(3), "b": r.Intn(3)}
 		port := 1 + r.Intn(2)
 		both := m1.Matches(pkt, port, 0) && m2.Matches(pkt, port, 0)
@@ -153,11 +174,11 @@ func TestTablePriorityAndGroups(t *testing.T) {
 	tbl := &Table{}
 	tbl.AddAll([]Rule{{
 		Priority: 1,
-		Match:    Match{InPort: Wildcard, Fields: map[string]int{}, Excludes: map[string][]int{}},
+		Match:    Match{Cond: cond()},
 		Groups:   []ActionGroup{{Sets: map[string]int{}, OutPort: 9}},
 	}, {
 		Priority: 10,
-		Match:    Match{InPort: Wildcard, Fields: map[string]int{"dst": 7}, Excludes: map[string][]int{}},
+		Match:    Match{Cond: cond(eq("dst", 7))},
 		Groups: []ActionGroup{
 			{Sets: map[string]int{"tos": 5}, OutPort: 1},
 			{Sets: map[string]int{}, OutPort: 2},
@@ -188,9 +209,9 @@ func TestTablePriorityAndGroups(t *testing.T) {
 
 func TestTablesAccounting(t *testing.T) {
 	ts := Tables{}
-	ts.Get(4).AddAll([]Rule{{Match: Match{InPort: Wildcard}, Groups: nil}})
-	ts.Get(1).AddAll([]Rule{{Match: Match{InPort: Wildcard}, Groups: nil}})
-	ts.Get(1).AddAll([]Rule{{Match: Match{InPort: 2}, Groups: nil}})
+	ts.Get(4).AddAll([]Rule{{Match: Match{Cond: cond()}, Groups: nil}})
+	ts.Get(1).AddAll([]Rule{{Match: Match{Cond: cond()}, Groups: nil}})
+	ts.Get(1).AddAll([]Rule{{Match: Match{Cond: cond(eq(netkat.FieldPt, 2))}, Groups: nil}})
 	if ts.TotalRules() != 3 {
 		t.Errorf("TotalRules: %d", ts.TotalRules())
 	}
@@ -204,7 +225,7 @@ func TestRuleKeyIgnoresGuardAndPriority(t *testing.T) {
 	mk := func(prio int, g VersionGuard) Rule {
 		return Rule{
 			Priority: prio,
-			Match:    Match{InPort: 2, Fields: map[string]int{"dst": 7}, Excludes: map[string][]int{}, Guard: g},
+			Match:    Match{Cond: cond(eq(netkat.FieldPt, 2), eq("dst", 7)), Guard: g},
 			Groups:   []ActionGroup{{Sets: map[string]int{}, OutPort: 1}},
 		}
 	}

@@ -1,142 +1,131 @@
 package netkat
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
+// Lit is one literal of a conjunction: F = V when Eq holds, F != V
+// otherwise.
+type Lit struct {
+	F  string
+	V  int
+	Eq bool
+}
+
 // Conj is a satisfiable-by-construction conjunction of equality and
 // inequality literals over packet fields (including "sw" and "pt"). It is
-// the formula representation used by the compiler's path normal form and by
-// event guards extracted from Stateful NetKAT programs (Figure 6).
+// the one form of a conjunction of field tests: the compiler's path normal
+// form, the event guards extracted from Stateful NetKAT programs (Figure
+// 6), and the match of a flow-table rule (flowtable.Match).
 //
-// The zero value is not ready to use; call NewConj.
+// The literals are one slice sorted by (field, value) with no repeats; a
+// field with an equality carries no inequality. The zero value is the
+// empty (always-true) conjunction.
 type Conj struct {
-	eq  map[string]int          // field -> required value
-	neq map[string]map[int]bool // field -> excluded values
+	lits []Lit
 }
 
 // NewConj returns the empty (always-true) conjunction.
-func NewConj() *Conj {
-	return &Conj{eq: map[string]int{}, neq: map[string]map[int]bool{}}
-}
+func NewConj() *Conj { return &Conj{} }
 
 // Clone returns an independent copy.
-func (c *Conj) Clone() *Conj {
-	d := NewConj()
-	for f, v := range c.eq {
-		d.eq[f] = v
+func (c *Conj) Clone() *Conj { return &Conj{lits: slices.Clone(c.lits)} }
+
+// Lits returns the literals sorted by (field, value). The slice is c's
+// own: callers must not modify it.
+func (c *Conj) Lits() []Lit { return c.lits }
+
+// span returns the range [lo, hi) of c's literals on field f; lo is where
+// they would go when there are none.
+func (c *Conj) span(f string) (lo, hi int) {
+	for lo < len(c.lits) && c.lits[lo].F < f {
+		lo++
 	}
-	for f, vs := range c.neq {
-		m := map[int]bool{}
-		for v := range vs {
-			m[v] = true
-		}
-		d.neq[f] = m
+	hi = lo
+	for hi < len(c.lits) && c.lits[hi].F == f {
+		hi++
 	}
-	return d
+	return lo, hi
+}
+
+// Add conjoins the literal l. It reports false if the result is
+// unsatisfiable (c is left unspecified in that case). An equality drops
+// the inequalities on its field, which it implies.
+func (c *Conj) Add(l Lit) bool {
+	lo, hi := c.span(l.F)
+	if lo < hi && c.lits[lo].Eq {
+		return (c.lits[lo].V == l.V) == l.Eq
+	}
+	i := lo // c holds only inequalities on l.F, ascending by value
+	for i < hi && c.lits[i].V < l.V {
+		i++
+	}
+	has := i < hi && c.lits[i].V == l.V
+	switch {
+	case l.Eq && has:
+		return false
+	case l.Eq:
+		c.lits = slices.Replace(c.lits, lo, hi, l)
+	case !has:
+		c.lits = slices.Insert(c.lits, i, l)
+	}
+	return true
 }
 
 // AddEq conjoins the literal f = v. It reports false if the result is
 // unsatisfiable (c is left unspecified in that case).
-func (c *Conj) AddEq(f string, v int) bool {
-	if w, ok := c.eq[f]; ok {
-		return w == v
-	}
-	if c.neq[f][v] {
-		return false
-	}
-	c.eq[f] = v
-	delete(c.neq, f) // f = v subsumes all inequalities on f
-	return true
-}
+func (c *Conj) AddEq(f string, v int) bool { return c.Add(Lit{F: f, V: v, Eq: true}) }
 
 // AddNeq conjoins the literal f != v. It reports false if the result is
 // unsatisfiable.
-func (c *Conj) AddNeq(f string, v int) bool {
-	if w, ok := c.eq[f]; ok {
-		return w != v
-	}
-	if c.neq[f] == nil {
-		c.neq[f] = map[int]bool{}
-	}
-	c.neq[f][v] = true
-	return true
-}
+func (c *Conj) AddNeq(f string, v int) bool { return c.Add(Lit{F: f, V: v}) }
 
 // Exists strips every literal mentioning field f (the operation written
 // (∃f : ϕ) in Figure 6 of the paper).
 func (c *Conj) Exists(f string) {
-	delete(c.eq, f)
-	delete(c.neq, f)
+	lo, hi := c.span(f)
+	c.lits = slices.Delete(c.lits, lo, hi)
 }
 
 // Eq returns the required value for field f, if any.
 func (c *Conj) Eq(f string) (int, bool) {
-	v, ok := c.eq[f]
-	return v, ok
+	lo, hi := c.span(f)
+	if lo < hi && c.lits[lo].Eq {
+		return c.lits[lo].V, true
+	}
+	return 0, false
 }
 
 // Neq returns the sorted excluded values for field f.
 func (c *Conj) Neq(f string) []int {
 	var out []int
-	for v := range c.neq[f] {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// EqFields returns the sorted fields constrained by equality.
-func (c *Conj) EqFields() []string {
-	out := make([]string, 0, len(c.eq))
-	for f := range c.eq {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// NeqFields returns the sorted fields constrained by inequality.
-func (c *Conj) NeqFields() []string {
-	out := make([]string, 0, len(c.neq))
-	for f := range c.neq {
-		if len(c.neq[f]) > 0 {
-			out = append(out, f)
+	lo, hi := c.span(f)
+	for _, l := range c.lits[lo:hi] {
+		if !l.Eq {
+			out = append(out, l.V)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Eval reports whether the conjunction holds of the located packet,
-// resolving "sw" and "pt" against the location.
+// resolving "sw" and "pt" against the location. A field absent from the
+// packet fails an equality and passes an inequality.
 func (c *Conj) Eval(lp LocatedPacket) bool {
-	get := func(f string) (int, bool) {
-		switch f {
+	for _, l := range c.lits {
+		var w int
+		ok := true
+		switch l.F {
 		case FieldSw:
-			return lp.Loc.Switch, true
+			w = lp.Loc.Switch
 		case FieldPt:
-			return lp.Loc.Port, true
+			w = lp.Loc.Port
 		default:
-			v, ok := lp.Pkt[f]
-			return v, ok
+			w, ok = lp.Pkt[l.F]
 		}
-	}
-	for f, v := range c.eq {
-		w, ok := get(f)
-		if !ok || w != v {
-			return false
-		}
-	}
-	for f, vs := range c.neq {
-		w, ok := get(f)
-		if !ok {
-			continue // an absent field trivially differs from any value
-		}
-		if vs[w] {
+		if (ok && w == l.V) != l.Eq {
 			return false
 		}
 	}
@@ -145,16 +134,27 @@ func (c *Conj) Eval(lp LocatedPacket) bool {
 
 // MergeWith conjoins d into c, reporting false on contradiction.
 func (c *Conj) MergeWith(d *Conj) bool {
-	for f, v := range d.eq {
-		if !c.AddEq(f, v) {
+	for _, l := range d.lits {
+		if !c.Add(l) {
 			return false
 		}
 	}
-	for f, vs := range d.neq {
-		for v := range vs {
-			if !c.AddNeq(f, v) {
+	return true
+}
+
+// Subsumes reports whether every packet satisfying o satisfies c, read
+// syntactically (sound, not complete): each literal of c is a literal of
+// o, or an inequality that an equality of o on the same field implies.
+func (c *Conj) Subsumes(o *Conj) bool {
+	for _, l := range c.lits {
+		lo, hi := o.span(l.F)
+		switch {
+		case lo < hi && o.lits[lo].Eq:
+			if (o.lits[lo].V == l.V) != l.Eq {
 				return false
 			}
+		case l.Eq || !slices.Contains(o.lits[lo:hi], l):
+			return false
 		}
 	}
 	return true
@@ -164,38 +164,37 @@ func (c *Conj) MergeWith(d *Conj) bool {
 // It is on the hot path of event extraction and compilation, so it is
 // written with appends rather than fmt.
 func (c *Conj) Key() string {
-	buf := make([]byte, 0, 16*(len(c.eq)+len(c.neq)))
-	for _, f := range c.EqFields() {
-		buf = append(buf, f...)
-		buf = append(buf, '=')
-		buf = strconv.AppendInt(buf, int64(c.eq[f]), 10)
-		buf = append(buf, ';')
-	}
-	for _, f := range c.NeqFields() {
-		for _, v := range c.Neq(f) {
-			buf = append(buf, f...)
-			buf = append(buf, '!', '=')
-			buf = strconv.AppendInt(buf, int64(v), 10)
-			buf = append(buf, ';')
-		}
-	}
-	return string(buf)
+	return string(c.AppendKey(make([]byte, 0, 16*len(c.lits)), ""))
 }
 
-// String renders the conjunction in concrete syntax; the empty conjunction
-// prints as "true".
-func (c *Conj) String() string {
-	var parts []string
-	for _, f := range c.EqFields() {
-		parts = append(parts, fmt.Sprintf("%s=%d", f, c.eq[f]))
-	}
-	for _, f := range c.NeqFields() {
-		for _, v := range c.Neq(f) {
-			parts = append(parts, fmt.Sprintf("%s!=%d", f, v))
+// AppendKey appends c's key to dst, leaving out the literals on field
+// skip ("" leaves out none): "f=v;" per equality, then "f!=v;" per
+// inequality, each in (field, value) order.
+func (c *Conj) AppendKey(dst []byte, skip string) []byte {
+	for _, eq := range [2]bool{true, false} {
+		for _, l := range c.lits {
+			if l.Eq != eq || l.F == skip {
+				continue
+			}
+			dst = append(dst, l.F...)
+			if !eq {
+				dst = append(dst, '!')
+			}
+			dst = append(dst, '=')
+			dst = strconv.AppendInt(dst, int64(l.V), 10)
+			dst = append(dst, ';')
 		}
 	}
-	if len(parts) == 0 {
+	return dst
+}
+
+// String renders the conjunction in concrete syntax, equalities first;
+// the empty conjunction prints as "true". Field names are identifiers,
+// so ';' in the key only ends literals.
+func (c *Conj) String() string {
+	if len(c.lits) == 0 {
 		return "true"
 	}
-	return strings.Join(parts, " & ")
+	k := c.Key()
+	return strings.ReplaceAll(k[:len(k)-1], ";", " & ")
 }

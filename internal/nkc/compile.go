@@ -93,129 +93,62 @@ func compileStrand(s Strand, allSwitches []int) ([]hopRule, error) {
 // execChoice symbolically executes one concrete strand instance: a path
 // per segment interleaved with the strand's links. It tracks the values of
 // header fields assigned by earlier hops (so later tests against them are
-// resolved statically), the packet's current switch and port, and emits
-// one rule per hop.
+// resolved statically) and what is known of the packet's switch, and
+// emits one rule per hop. A hop's match is built directly from its path's
+// literals; its "pt" literals are the ingress port, pinned after a link.
 func execChoice(paths []Path, links []netkat.Link, allSwitches []int) ([]hopRule, error) {
-	env := map[string]int{}    // header fields assigned so far
-	curSw, arrivalPt := -1, -1 // -1 = unknown
-	swNeq := map[int]bool{}    // excluded switches while curSw unknown
+	env := map[string]int{}  // header fields assigned so far
+	at := netkat.NewConj()   // "sw" literals known of the packet's switch
+	cond := netkat.NewConj() // the hop's match
 	var out []hopRule
 
 	for i, p := range paths {
-		match := flowtable.Match{InPort: flowtable.Wildcard, Fields: map[string]int{}, Excludes: map[string][]int{}}
-		if i > 0 {
-			match.InPort = arrivalPt
-		}
-		// Equality literals.
-		for _, f := range p.Cond.EqFields() {
-			v, _ := p.Cond.Eq(f)
-			switch f {
-			case netkat.FieldSw:
-				if curSw != -1 {
-					if curSw != v {
-						return nil, errInfeasible
-					}
-				} else {
-					if swNeq[v] {
-						return nil, errInfeasible
-					}
-					curSw = v
+		for _, l := range p.Cond.Lits() {
+			w, assigned := env[l.F] // "sw" and "pt" are never assigned here
+			switch {
+			case l.F == netkat.FieldSw:
+				if !at.Add(l) {
+					return nil, errInfeasible
 				}
-			case netkat.FieldPt:
-				if arrivalPt != -1 {
-					if arrivalPt != v {
-						return nil, errInfeasible
-					}
-				} else {
-					arrivalPt = v
-					match.InPort = v
+			case assigned:
+				if (w == l.V) != l.Eq {
+					return nil, errInfeasible
 				}
-			default:
-				if w, ok := env[f]; ok {
-					if w != v {
-						return nil, errInfeasible
-					}
-				} else {
-					match.Fields[f] = v
-				}
-			}
-		}
-		// Inequality literals.
-		for _, f := range p.Cond.NeqFields() {
-			for _, v := range p.Cond.Neq(f) {
-				switch f {
-				case netkat.FieldSw:
-					if curSw != -1 {
-						if curSw == v {
-							return nil, errInfeasible
-						}
-					} else {
-						swNeq[v] = true
-					}
-				case netkat.FieldPt:
-					if arrivalPt == -1 {
-						// Unknown ingress: match any port except v.
-						match.ExcludePorts = appendPortNeq(match.ExcludePorts, v)
-					} else if arrivalPt == v {
-						return nil, errInfeasible
-					}
-				default:
-					if w, ok := env[f]; ok {
-						if w == v {
-							return nil, errInfeasible
-						}
-					} else {
-						match.Excludes[f] = append(match.Excludes[f], v)
-					}
-				}
+			case !cond.Add(l):
+				return nil, errInfeasible
 			}
 		}
 		// Assignments.
 		sets := map[string]int{}
-		assignedPt, hasAssignedPt := -1, false
 		for f, v := range p.Acts {
-			if f == netkat.FieldPt {
-				assignedPt, hasAssignedPt = v, true
-			} else {
+			if f != netkat.FieldPt {
 				sets[f] = v
+				env[f] = v
 			}
 		}
-		for f, v := range sets {
-			env[f] = v
-		}
-		effectivePt := arrivalPt
-		if hasAssignedPt {
-			effectivePt = assignedPt
+		egress, hasEgress := p.Acts[netkat.FieldPt]
+		if !hasEgress {
+			egress, hasEgress = cond.Eq(netkat.FieldPt)
 		}
 
 		if i < len(links) {
 			l := links[i]
-			if curSw == -1 {
-				if swNeq[l.Src.Switch] {
-					return nil, errInfeasible
-				}
-				curSw = l.Src.Switch
-			} else if curSw != l.Src.Switch {
+			if !at.AddEq(netkat.FieldSw, l.Src.Switch) {
 				return nil, errInfeasible
 			}
-			if effectivePt == -1 {
+			if !hasEgress {
 				// No port information: the packet must already be at the
 				// link's source port, so match on it as the ingress port.
-				for _, x := range match.ExcludePorts {
-					if x == l.Src.Port {
-						return nil, errInfeasible
-					}
+				if !cond.AddEq(netkat.FieldPt, l.Src.Port) {
+					return nil, errInfeasible
 				}
-				match.ExcludePorts = nil
-				arrivalPt = l.Src.Port
-				match.InPort = l.Src.Port
-				effectivePt = l.Src.Port
-			} else if effectivePt != l.Src.Port {
+			} else if egress != l.Src.Port {
 				return nil, errInfeasible
 			}
-			out = append(out, hopRule{sw: curSw, match: match, group: flowtable.ActionGroup{Sets: sets, OutPort: l.Src.Port}})
-			curSw, arrivalPt = l.Dst.Switch, l.Dst.Port
-			swNeq = map[int]bool{}
+			out = append(out, hopRule{sw: l.Src.Switch, match: flowtable.Match{Cond: cond}, group: flowtable.ActionGroup{Sets: sets, OutPort: l.Src.Port}})
+			at, cond = netkat.NewConj(), netkat.NewConj()
+			at.AddEq(netkat.FieldSw, l.Dst.Switch)
+			cond.AddEq(netkat.FieldPt, l.Dst.Port)
 			continue
 		}
 
@@ -223,39 +156,26 @@ func execChoice(paths []Path, links []netkat.Link, allSwitches []int) ([]hopRule
 		// tests or rewrites of its own (the ingress port recorded from the
 		// preceding link does not count): the journey then ends at the
 		// link's destination and the previous hop's rule already emitted.
-		segmentEmpty := len(p.Cond.EqFields()) == 0 && len(p.Cond.NeqFields()) == 0 && len(p.Acts) == 0
-		if segmentEmpty && len(links) > 0 {
+		if len(p.Cond.Lits()) == 0 && len(p.Acts) == 0 && len(links) > 0 {
 			return out, nil
 		}
-		if effectivePt == -1 {
+		if !hasEgress {
 			return nil, fmt.Errorf("nkc: strand does not determine an egress port (final segment must assign pt or follow a link)")
 		}
-		group := flowtable.ActionGroup{Sets: sets, OutPort: effectivePt}
-		if curSw != -1 {
-			out = append(out, hopRule{sw: curSw, match: match, group: group})
-			return out, nil
+		match, group := flowtable.Match{Cond: cond}, flowtable.ActionGroup{Sets: sets, OutPort: egress}
+		if sw, ok := at.Eq(netkat.FieldSw); ok {
+			return append(out, hopRule{sw: sw, match: match, group: group}), nil
 		}
 		// Location-agnostic single-hop policy: install on every switch
 		// not explicitly excluded.
 		for _, sw := range allSwitches {
-			if swNeq[sw] {
-				continue
+			if at.Eval(netkat.LocatedPacket{Loc: netkat.Location{Switch: sw}}) {
+				out = append(out, hopRule{sw: sw, match: match, group: group})
 			}
-			out = append(out, hopRule{sw: sw, match: match, group: group})
 		}
 		return out, nil
 	}
 	return out, nil
-}
-
-// appendPortNeq adds an excluded ingress port, deduplicating.
-func appendPortNeq(xs []int, v int) []int {
-	for _, x := range xs {
-		if x == v {
-			return xs
-		}
-	}
-	return append(xs, v)
 }
 
 // ruleAccum accumulates the action groups attached to one match.
@@ -351,8 +271,8 @@ func resolveOverlaps(rules map[string]*ruleAccum) error {
 		for i := 0; i < len(keys); i++ {
 			for j := i + 1; j < len(keys); j++ {
 				a, b := rules[keys[i]], rules[keys[j]]
-				aSubB := a.match.Subsumes(b.match) // b's region inside a's
-				bSubA := b.match.Subsumes(a.match)
+				aSubB := a.match.Cond.Subsumes(b.match.Cond) // b's region inside a's
+				bSubA := b.match.Cond.Subsumes(a.match.Cond)
 				switch {
 				case aSubB && bSubA:
 					// Same region, different keys (syntactic variants):
@@ -372,8 +292,8 @@ func resolveOverlaps(rules map[string]*ruleAccum) error {
 						changed = true
 					}
 				default:
-					inter, ok := a.match.Intersect(b.match)
-					if !ok {
+					inter := flowtable.Match{Cond: a.match.Cond.Clone(), Guard: a.match.Guard}
+					if !inter.Cond.MergeWith(b.match.Cond) {
 						continue
 					}
 					k := inter.Key()

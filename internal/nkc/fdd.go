@@ -652,7 +652,7 @@ const maxFDDPaths = maxChoices
 // read-only (Path.Clone gives an independent copy).
 func (d *FDD) PathSet() (PathSet, error) {
 	var out []Path
-	err := d.eachPath(func(lits []pathLit, acts []*Action) error {
+	err := d.eachPath(func(lits []netkat.Lit, acts []*Action) error {
 		if len(out)+len(acts) > maxFDDPaths {
 			return fmt.Errorf("nkc: fdd expands to more than %d paths", maxFDDPaths)
 		}
@@ -660,11 +660,7 @@ func (d *FDD) PathSet() (PathSet, error) {
 		for _, l := range lits {
 			// Always satisfiable: each (field, value) test occurs at
 			// most once along a canonical root-leaf path.
-			if l.eq {
-				cond.AddEq(l.f, l.v)
-			} else {
-				cond.AddNeq(l.f, l.v)
-			}
+			cond.Add(l)
 		}
 		for _, a := range acts {
 			out = append(out, Path{Cond: cond, Acts: a.sets})
@@ -677,21 +673,13 @@ func (d *FDD) PathSet() (PathSet, error) {
 	return PathSet{Paths: out}, nil
 }
 
-// pathLit is one test on a root-leaf path: f=v on a hi edge, f!=v on a
-// lo edge.
-type pathLit struct {
-	f  string
-	v  int
-	eq bool
-}
-
 // eachPath walks the diagram's root-leaf paths, hi before lo, and calls
 // leaf at every leaf with actions, with the path's tests in root-to-leaf
-// order. The walk threads one literal stack, restored on backtrack, so
+// order: f=v on a hi edge, f!=v on a lo edge. The walk threads one literal stack, restored on backtrack, so
 // lits is valid only during the call. The first error leaf returns
 // stops the walk.
-func (d *FDD) eachPath(leaf func(lits []pathLit, acts []*Action) error) error {
-	var lits []pathLit
+func (d *FDD) eachPath(leaf func(lits []netkat.Lit, acts []*Action) error) error {
+	var lits []netkat.Lit
 	var walk func(n *FDD) error
 	walk = func(n *FDD) error {
 		if n.leaf {
@@ -700,11 +688,11 @@ func (d *FDD) eachPath(leaf func(lits []pathLit, acts []*Action) error) error {
 			}
 			return leaf(lits, n.acts)
 		}
-		lits = append(lits, pathLit{f: n.field, v: n.value, eq: true})
+		lits = append(lits, netkat.Lit{F: n.field, V: n.value, Eq: true})
 		if err := walk(n.hi); err != nil {
 			return err
 		}
-		lits[len(lits)-1].eq = false
+		lits[len(lits)-1].Eq = false
 		if err := walk(n.lo); err != nil {
 			return err
 		}

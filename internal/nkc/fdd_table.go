@@ -15,6 +15,7 @@ package nkc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"eventnet/internal/flowtable"
@@ -87,28 +88,8 @@ func appendStrandKey(buf []byte, fdds []*FDD, links []netkat.Link, switches []in
 // ending in a leaf whose one action encodes the group (the egress port is
 // carried as a "pt" assignment and decoded at extraction).
 func ruleFDD(c *FDDCtx, m flowtable.Match, g flowtable.ActionGroup) *FDD {
-	type lit struct {
-		f  string
-		v  int
-		eq bool
-	}
-	var lits []lit
-	if m.InPort != flowtable.Wildcard {
-		lits = append(lits, lit{f: netkat.FieldPt, v: m.InPort, eq: true})
-	} else {
-		for _, v := range m.ExcludePorts {
-			lits = append(lits, lit{f: netkat.FieldPt, v: v})
-		}
-	}
-	for f, v := range m.Fields {
-		lits = append(lits, lit{f: f, v: v, eq: true})
-	}
-	for f, vs := range m.Excludes {
-		for _, v := range vs {
-			lits = append(lits, lit{f: f, v: v})
-		}
-	}
-	sort.Slice(lits, func(i, j int) bool { return testLess(lits[i].f, lits[i].v, lits[j].f, lits[j].v) })
+	lits := slices.Clone(m.Cond.Lits())
+	sort.Slice(lits, func(i, j int) bool { return testLess(lits[i].F, lits[i].V, lits[j].F, lits[j].V) })
 
 	acts := make(map[string]int, len(g.Sets)+1)
 	for f, v := range g.Sets {
@@ -117,10 +98,10 @@ func ruleFDD(c *FDDCtx, m flowtable.Match, g flowtable.ActionGroup) *FDD {
 	acts[netkat.FieldPt] = g.OutPort
 	acc := c.mkLeaf([]*Action{c.internAction(acts)})
 	for i := len(lits) - 1; i >= 0; i-- {
-		if lits[i].eq {
-			acc = c.mkNode(lits[i].f, lits[i].v, acc, c.Drop)
+		if lits[i].Eq {
+			acc = c.mkNode(lits[i].F, lits[i].V, acc, c.Drop)
 		} else {
-			acc = c.mkNode(lits[i].f, lits[i].v, c.Drop, acc)
+			acc = c.mkNode(lits[i].F, lits[i].V, c.Drop, acc)
 		}
 	}
 	return acc
@@ -181,33 +162,19 @@ func assembleTablesFDD(c *FDDCtx, hops []cachedHop) (flowtable.Tables, error) {
 // exclusions on it), lo edges contribute exclusions, and empty leaves
 // fall through to the table's default drop. The resulting matches
 // partition the packet space, so priorities (assigned by specificity for
-// readability) never change behavior. Maps are materialized only at
-// leaves. A switch test is refused at the leaves below it: a node whose
+// readability) never change behavior. A rule's conjunction is built only
+// at its leaf. A switch test is refused at the leaves below it: a node whose
 // branches both drop is reduced away, so every node lies on a path to a
 // leaf with actions.
 func extractRules(d *FDD) ([]flowtable.Rule, error) {
 	var rules []flowtable.Rule
-	err := d.eachPath(func(lits []pathLit, acts []*Action) error {
-		m := flowtable.Match{InPort: flowtable.Wildcard, Fields: map[string]int{}, Excludes: map[string][]int{}}
+	err := d.eachPath(func(lits []netkat.Lit, acts []*Action) error {
+		cond := netkat.NewConj()
 		for _, l := range lits {
-			switch {
-			case l.f == netkat.FieldSw:
-				return fmt.Errorf("nkc: switch test %s=%d inside a per-switch diagram", l.f, l.v)
-			case l.f == netkat.FieldPt && l.eq:
-				m.InPort = l.v
-			case l.f == netkat.FieldPt:
-				m.ExcludePorts = append(m.ExcludePorts, l.v)
-			case l.eq:
-				m.Fields[l.f] = l.v
-				delete(m.Excludes, l.f) // the equality subsumes prior exclusions
-			default:
-				m.Excludes[l.f] = append(m.Excludes[l.f], l.v)
+			if l.F == netkat.FieldSw {
+				return fmt.Errorf("nkc: switch test %s=%d inside a per-switch diagram", l.F, l.V)
 			}
-		}
-		if m.InPort != flowtable.Wildcard {
-			m.ExcludePorts = nil
-		} else {
-			sort.Ints(m.ExcludePorts)
+			cond.Add(l)
 		}
 		groups := make([]flowtable.ActionGroup, 0, len(acts))
 		for _, a := range acts {
@@ -220,6 +187,7 @@ func extractRules(d *FDD) ([]flowtable.Rule, error) {
 			groups = append(groups, flowtable.ActionGroup{Sets: sets, OutPort: out})
 		}
 		sort.Slice(groups, func(i, j int) bool { return groups[i].Key() < groups[j].Key() })
+		m := flowtable.Match{Cond: cond}
 		rules = append(rules, flowtable.Rule{Priority: m.Specificity(), Match: m, Groups: groups})
 		return nil
 	})

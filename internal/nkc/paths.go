@@ -121,29 +121,15 @@ func UnionPS(a, b PathSet) PathSet {
 func composePaths(p, q Path) (Path, bool) {
 	cond := p.Cond.Clone()
 	// Literals of q.Cond refer to post-p values.
-	for _, f := range q.Cond.EqFields() {
-		v, _ := q.Cond.Eq(f)
-		if w, ok := p.Acts[f]; ok {
-			if w != v {
+	for _, l := range q.Cond.Lits() {
+		if w, ok := p.Acts[l.F]; ok {
+			if (w == l.V) != l.Eq {
 				return Path{}, false
 			}
 			continue
 		}
-		if !cond.AddEq(f, v) {
+		if !cond.Add(l) {
 			return Path{}, false
-		}
-	}
-	for _, f := range q.Cond.NeqFields() {
-		for _, v := range q.Cond.Neq(f) {
-			if w, ok := p.Acts[f]; ok {
-				if w == v {
-					return Path{}, false
-				}
-				continue
-			}
-			if !cond.AddNeq(f, v) {
-				return Path{}, false
-			}
 		}
 	}
 	acts := make(map[string]int, len(p.Acts)+len(q.Acts))
