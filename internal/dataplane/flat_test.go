@@ -239,6 +239,15 @@ func (c switchConfig) DStep(d netkat.DPacket) []netkat.DPacket {
 	return outs
 }
 
+func (c switchConfig) Succ(d, next netkat.DPacket) bool {
+	for _, n := range c.DStep(d) {
+		if n.Equal(next) {
+			return true
+		}
+	}
+	return false
+}
+
 // journey drives a DConfig exhaustively from a start point, returning the
 // visited directed-packet set and the reached located-packet set.
 func journey(t *testing.T, cfg netkat.DConfig, start netkat.DPacket) (map[string]bool, map[string]bool) {

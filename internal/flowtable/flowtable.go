@@ -230,15 +230,61 @@ func (t *Table) AddAll(rs []Rule) {
 // the configuration installs nothing on: default drop, so the executors
 // can index Tables[sw] and call this without a presence check.
 func (t *Table) AppendProcess(dst []Output, pkt netkat.Packet, inPort int, tag uint32) []Output {
+	if r := t.first(pkt, inPort, tag); r != nil {
+		return r.AppendApply(dst, pkt)
+	}
+	return dst
+}
+
+// Emits reports whether AppendProcess(nil, pkt, inPort, tag) holds the
+// output (out, outPort), building none of it.
+func (t *Table) Emits(pkt netkat.Packet, inPort int, tag uint32, out netkat.Packet, outPort int) bool {
+	if r := t.first(pkt, inPort, tag); r != nil {
+		for _, g := range r.Groups {
+			if g.OutPort == outPort && g.yields(pkt, out) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// yields reports whether the group's copy of pkt has exactly out's
+// fields: as many as pkt and Sets name together, each valued as Sets,
+// else pkt, says.
+func (g ActionGroup) yields(pkt, out netkat.Packet) bool {
+	if len(g.Sets) == 0 {
+		return pkt.Equal(out)
+	}
+	n := len(pkt)
+	for f := range g.Sets {
+		if _, had := pkt[f]; !had {
+			n++
+		}
+	}
+	for f, v := range out {
+		w, ok := g.Sets[f]
+		if !ok {
+			w, ok = pkt[f]
+		}
+		if !ok || w != v {
+			return false
+		}
+	}
+	return len(out) == n
+}
+
+// first returns the highest-priority rule matching the packet, or nil.
+func (t *Table) first(pkt netkat.Packet, inPort int, tag uint32) *Rule {
 	if t == nil {
-		return dst
+		return nil
 	}
 	for i := range t.Rules {
 		if t.Rules[i].Match.Matches(pkt, inPort, tag) {
-			return t.Rules[i].AppendApply(dst, pkt)
+			return &t.Rules[i]
 		}
 	}
-	return dst
+	return nil
 }
 
 // Len returns the number of rules.

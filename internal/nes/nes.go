@@ -67,7 +67,8 @@ type NES struct {
 
 	family     map[Set]int // event-set -> config index (the function g)
 	familyList []Set       // sorted for deterministic iteration
-	armed      sync.Map    // Set -> Set: ArmedFrom memo (see ArmedFrom)
+	armedMu    sync.RWMutex
+	armed      map[Set]Set // ArmedFrom memo (see ArmedFrom), under armedMu
 
 	idxOnce sync.Once // lazy inverted family index (see admitIdx)
 	idx     *admitIndex
@@ -105,7 +106,7 @@ func New(events []Event, family map[Set]int, configs []Config) (*NES, error) {
 	if _, ok := family[Empty]; !ok {
 		return nil, fmt.Errorf("nes: family does not contain the empty event-set")
 	}
-	n := &NES{Events: events, Configs: configs, family: map[Set]int{}}
+	n := &NES{Events: events, Configs: configs, family: map[Set]int{}, armed: map[Set]Set{}}
 	for s, c := range family {
 		if c < 0 || c >= len(configs) {
 			return nil, fmt.Errorf("nes: event-set %v maps to unknown config %d", s, c)
@@ -206,8 +207,11 @@ func (n *NES) ConfigFor(view Set) int {
 // case would put e inside known). Only the consistency of each
 // candidate is checked individually, and candidates are few.
 func (n *NES) ArmedFrom(known Set) Set {
-	if a, ok := n.armed.Load(known); ok {
-		return a.(Set)
+	n.armedMu.RLock()
+	a, ok := n.armed[known]
+	n.armedMu.RUnlock()
+	if ok {
+		return a
 	}
 	out := Empty
 	if n.Con(known) {
@@ -217,8 +221,10 @@ func (n *NES) ArmedFrom(known Set) Set {
 			}
 		}
 	}
-	a, _ := n.armed.LoadOrStore(known, out)
-	return a.(Set)
+	n.armedMu.Lock()
+	n.armed[known] = out // a racing miss computed the same set
+	n.armedMu.Unlock()
+	return out
 }
 
 // NewlyEnabled returns the events e ∉ known that the located packet

@@ -49,4 +49,6 @@ func (d DPacket) String() string {
 // egress points to the far end's ingress point.
 type DConfig interface {
 	DStep(d DPacket) []DPacket
+	// Succ reports whether next is in DStep(d), building nothing.
+	Succ(d, next DPacket) bool
 }

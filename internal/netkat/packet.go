@@ -11,6 +11,7 @@ package netkat
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,10 +48,14 @@ func (p Packet) With(f string, v int) Packet {
 	return q
 }
 
-// Equal reports whether two packets have identical fields and values.
+// Equal reports whether two packets have identical fields and values; one
+// map is equal to itself without a walk (hops share read-only maps).
 func (p Packet) Equal(q Packet) bool {
 	if len(p) != len(q) {
 		return false
+	}
+	if reflect.ValueOf(p).UnsafePointer() == reflect.ValueOf(q).UnsafePointer() {
+		return true
 	}
 	for k, v := range p {
 		w, ok := q[k]

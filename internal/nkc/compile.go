@@ -338,24 +338,40 @@ type CompiledConfig struct {
 // switch ingress or into a host), a host emission enters the attachment
 // port, and a switch ingress is processed by the flow table.
 func (c *CompiledConfig) DStep(d netkat.DPacket) []netkat.DPacket {
+	if d.Out || c.Topo.IsHostNode(d.Loc.Switch) {
+		if next, ok := c.link(d); ok {
+			return []netkat.DPacket{next}
+		}
+		return nil
+	}
 	var outs []netkat.DPacket
-	switch h, isHost := c.Topo.HostByID(d.Loc.Switch); {
-	case isHost:
-		if !d.Out {
-			return nil // absorbed by the host
-		}
-		outs = append(outs, netkat.DPacket{Pkt: d.Pkt, Loc: h.Attach})
-	case d.Out:
-		if far, h, ok := c.Topo.Across(d.Loc); ok {
-			if h != nil {
-				far = h.Loc()
-			}
-			outs = append(outs, netkat.DPacket{Pkt: d.Pkt, Loc: far})
-		}
-	default:
-		for _, o := range c.Tables[d.Loc.Switch].AppendProcess(nil, d.Pkt, d.Loc.Port, c.Tag) {
-			outs = append(outs, netkat.DPacket{Pkt: o.Pkt, Loc: netkat.Location{Switch: d.Loc.Switch, Port: o.Port}, Out: true})
-		}
+	for _, o := range c.Tables[d.Loc.Switch].AppendProcess(nil, d.Pkt, d.Loc.Port, c.Tag) {
+		outs = append(outs, netkat.DPacket{Pkt: o.Pkt, Loc: netkat.Location{Switch: d.Loc.Switch, Port: o.Port}, Out: true})
 	}
 	return outs
+}
+
+// Succ implements netkat.DConfig: a link or host hop compares location
+// and headers, and a switch hop asks the flow table whether it emits next.
+func (c *CompiledConfig) Succ(d, next netkat.DPacket) bool {
+	if d.Out || c.Topo.IsHostNode(d.Loc.Switch) {
+		l, ok := c.link(d)
+		return ok && l.Loc == next.Loc && !next.Out && l.Pkt.Equal(next.Pkt)
+	}
+	return next.Out && next.Loc.Switch == d.Loc.Switch &&
+		c.Tables[d.Loc.Switch].Emits(d.Pkt, d.Loc.Port, c.Tag, next.Pkt, next.Loc.Port)
+}
+
+// link returns the successor of an egress or host point: the far end of
+// its link, or a host emission's attachment port. ok is false where a
+// host absorbs the packet or no link leaves the port.
+func (c *CompiledConfig) link(d netkat.DPacket) (netkat.DPacket, bool) {
+	if h, isHost := c.Topo.HostByID(d.Loc.Switch); isHost {
+		return netkat.DPacket{Pkt: d.Pkt, Loc: h.Attach}, d.Out
+	}
+	far, h, ok := c.Topo.Across(d.Loc)
+	if h != nil {
+		far = h.Loc()
+	}
+	return netkat.DPacket{Pkt: d.Pkt, Loc: far}, ok
 }

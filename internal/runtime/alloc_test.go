@@ -28,15 +28,16 @@ func busyRing(t *testing.T, diameter int) *Machine {
 	return m
 }
 
-// TestEnabledDoesNotAllocate: listing the enabled rule instances of a warm
-// machine is a scan of the slot table into a buffer it already owns.
-func TestEnabledDoesNotAllocate(t *testing.T) {
+// TestPickDoesNotAllocate: picking an action on a warm machine — counting
+// the enabled rule instances and drawing one — is a walk of the busy set
+// and the switches into a buffer the machine already owns.
+func TestPickDoesNotAllocate(t *testing.T) {
 	m := busyRing(t, 4)
-	if len(m.enabled()) < 4 {
-		t.Fatalf("machine is not busy: %d enabled instances", len(m.enabled()))
+	if n := m.actions(); n < 4 {
+		t.Fatalf("machine is not busy: %d enabled instances", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { m.enabled() }); n != 0 {
-		t.Errorf("enabled: %v allocs per call, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { m.pick(m.rng.Intn(m.actions())) }); n != 0 {
+		t.Errorf("picking an action: %v allocs, want 0", n)
 	}
 }
 

@@ -10,37 +10,66 @@ import (
 	"eventnet/internal/trace"
 )
 
-// BenchmarkOracleRun is one machine pass of the oracle path over the
-// paper's five applications and ring(4), as the benchmark's oracle-check
-// workload runs it: per application, 24 LoadGen packets, New, Inject,
-// Step to quiescence, NetTrace and the Definition 6 oracle. The seed
-// advances with every pass. Run it with -benchmem.
-func BenchmarkOracleRun(b *testing.B) {
-	type app struct {
-		a     apps.App
-		n     *nes.NES
-		hosts map[netkat.Location]bool
-	}
-	var set []app
+// oracleApp is one application of the oracle pass, compiled once.
+type oracleApp struct {
+	a     apps.App
+	n     *nes.NES
+	hosts map[netkat.Location]bool
+}
+
+// oracleApps are the paper's five applications and ring(4).
+func oracleApps(tb testing.TB) []oracleApp {
+	var set []oracleApp
 	for _, a := range append(apps.All(), apps.Ring(4)) {
-		set = append(set, app{a: a, n: buildNES(b, a), hosts: a.Topo.HostLocs()})
+		set = append(set, oracleApp{a: a, n: buildNES(tb, a), hosts: a.Topo.HostLocs()})
 	}
+	return set
+}
+
+// oraclePass is one machine pass of the oracle path, as the benchmark's
+// oracle-check workload runs it: per application, 24 LoadGen packets,
+// New, Inject, Step to quiescence, NetTrace and the Definition 6 oracle.
+func oraclePass(tb testing.TB, set []oracleApp, seed int64) {
+	for _, x := range set {
+		m := New(x.n, x.a.Topo, seed, seed%2 == 0)
+		for _, in := range dataplane.NewLoadGen(x.n, x.a.Topo, seed).Injections(24) {
+			if err := m.Inject(in.Host, in.Fields); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		for m.Step() {
+		}
+		if err := trace.CheckNES(m.NetTrace(), x.n, x.hosts); err != nil {
+			tb.Fatalf("%s, seed %d: %v", x.a.Name, seed, err)
+		}
+	}
+}
+
+// BenchmarkOracleRun is oraclePass over the paper's five applications
+// and ring(4). The seed advances with every pass. Run it with -benchmem.
+func BenchmarkOracleRun(b *testing.B) {
+	set := oracleApps(b)
 	b.ReportAllocs()
 	seed := int64(0)
 	for b.Loop() {
-		for _, x := range set {
-			m := New(x.n, x.a.Topo, seed, seed%2 == 0)
-			for _, in := range dataplane.NewLoadGen(x.n, x.a.Topo, seed).Injections(24) {
-				if err := m.Inject(in.Host, in.Fields); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for m.Step() {
-			}
-			if err := trace.CheckNES(m.NetTrace(), x.n, x.hosts); err != nil {
-				b.Fatalf("%s, seed %d: %v", x.a.Name, seed, err)
-			}
-		}
+		oraclePass(b, set, seed)
 		seed++
+	}
+}
+
+// TestOracleRunAllocs pins the allocations of one oracle pass, averaged
+// over seeds 1-20: at most 1 600 objects (about 2 570 when the oracle
+// built every DStep successor slice it compared and a delivery cloned
+// its header map).
+func TestOracleRunAllocs(t *testing.T) {
+	set := oracleApps(t)
+	seed := int64(0)
+	n := testing.AllocsPerRun(20, func() {
+		oraclePass(t, set, seed)
+		seed++
+	})
+	t.Logf("%.0f allocations per oracle pass", n)
+	if n > 1600 {
+		t.Errorf("one oracle pass allocates %.0f objects, want <= 1 600", n)
 	}
 }

@@ -10,14 +10,15 @@
 // Every execution records the corresponding network trace (Section 4.3:
 // a single packet is processed at each step, so the network trace can be
 // read off the execution), which the oracle in internal/trace judges.
-// Trace points share read-only header maps with the packets in flight:
-// Inject copies the caller's map once, rules never write a map, and
-// Deliveries hold copies of their own.
+// Trace points and Deliveries share read-only header maps with the
+// packets in flight: Inject copies the caller's map once and rules never
+// write a map.
 package runtime
 
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -61,7 +62,8 @@ const (
 // consumes its head: SWITCH for an ingress queue, LINK or OUT for an
 // egress queue, decided by what the topology puts across the link. The
 // queue is buf[head:]; a pop advances head and a drained queue rewinds to
-// buf[:0], so a steady run appends into capacity it already owns.
+// buf[:0], so a steady run appends into capacity it already owns. The
+// machine's push and pop keep its busy set in step with the queue.
 type slot struct {
 	kind ruleKind
 	sw   *SwitchState
@@ -72,19 +74,25 @@ type slot struct {
 	head int
 }
 
-func (s *slot) push(p Packet) { s.buf = append(s.buf, p) }
+func (m *Machine) push(i int, p Packet) {
+	m.slots[i].buf = append(m.slots[i].buf, p)
+	m.busy[i/64] |= 1 << (i % 64)
+}
 
-func (s *slot) pop() Packet {
+func (m *Machine) pop(i int) Packet {
+	s := &m.slots[i]
 	p := s.buf[s.head]
 	s.buf[s.head] = Packet{} // drop the queue's reference to the header map
 	s.head++
 	if s.head == len(s.buf) {
 		s.buf, s.head = s.buf[:0], 0
+		m.busy[i/64] &^= 1 << (i % 64)
 	}
 	return p
 }
 
-// Delivery is a packet received by a host.
+// Delivery is a packet received by a host. Fields is read-only: it is the
+// map the packet's trace points hold.
 type Delivery struct {
 	Host   string
 	Fields netkat.Packet
@@ -95,8 +103,7 @@ type Machine struct {
 	NES  *nes.NES
 	Topo *topo.Topology
 
-	Q, R     nes.Set
-	Switches map[int]*SwitchState
+	Q, R nes.Set
 
 	// CtrlAssist enables the CTRLRECV/CTRLSEND rules (the optional
 	// controller broadcast optimization of Section 4.1).
@@ -108,11 +115,13 @@ type Machine struct {
 	// order the scheduler enumerates rule instances: switches ascending;
 	// per switch, ingress ports ascending, then linked egress ports
 	// ascending. The order is the domain of rng.Intn in Step, so it is
-	// part of what a seed means; TestSeedTracePin holds it still.
+	// part of what a seed means; TestSeedTracePin holds it still. busy
+	// has bit i set while slots[i] holds a packet.
 	slots   []slot
+	busy    []uint64
 	ingress map[netkat.Location]int // ingress location -> slot
 	sws     []*SwitchState          // ascending by ID
-	acts    []action                // enabled() scratch
+	ctrl    []action                // actions() scratch: the enabled controller rule instances
 
 	nt      trace.NetTrace
 	parents []int
@@ -128,7 +137,6 @@ func New(n *nes.NES, t *topo.Topology, seed int64, ctrlAssist bool) *Machine {
 	m := &Machine{
 		NES:        n,
 		Topo:       t,
-		Switches:   map[int]*SwitchState{},
 		CtrlAssist: ctrlAssist,
 		rng:        rand.New(rand.NewSource(seed)),
 	}
@@ -143,9 +151,7 @@ func (m *Machine) layout() {
 	ids := slices.Clone(t.Switches)
 	slices.Sort(ids)
 	for _, id := range slices.Compact(ids) {
-		sw := &SwitchState{ID: id}
-		m.Switches[id] = sw
-		m.sws = append(m.sws, sw)
+		m.sws = append(m.sws, &SwitchState{ID: id})
 	}
 	// One key per link end at a switch, sorted into table order.
 	type end struct {
@@ -155,10 +161,10 @@ func (m *Machine) layout() {
 	links := t.AllLinks()
 	ends := make([]end, 0, 2*len(links))
 	for _, lk := range links {
-		if m.Switches[lk.Src.Switch] != nil {
+		if m.switchByID(lk.Src.Switch) != nil {
 			ends = append(ends, end{lk.Src, 1})
 		}
-		if m.Switches[lk.Dst.Switch] != nil {
+		if m.switchByID(lk.Dst.Switch) != nil {
 			ends = append(ends, end{lk.Dst, 0})
 		}
 	}
@@ -167,9 +173,10 @@ func (m *Machine) layout() {
 	})
 	ends = slices.Compact(ends)
 	m.slots = make([]slot, 0, len(ends))
+	m.busy = make([]uint64, (len(ends)+63)/64)
 	m.ingress = make(map[netkat.Location]int, len(ends)/2)
 	for _, e := range ends {
-		sw := m.Switches[e.loc.Switch]
+		sw := m.switchByID(e.loc.Switch)
 		kind := ruleSwitch
 		if e.egress == 1 {
 			kind = ruleLink
@@ -221,12 +228,11 @@ func (m *Machine) Inject(host string, fields netkat.Packet) error {
 	if !ok {
 		return fmt.Errorf("runtime: host %q attaches to unknown switch %d", host, h.Attach.Switch)
 	}
-	in := &m.slots[i]
 	fields = fields.Clone() // the caller keeps its map
 	root := m.record(fields, h.Loc(), true, -1)
-	in.push(Packet{
+	m.push(i, Packet{
 		Fields: fields,
-		Config: m.NES.ConfigFor(in.sw.Events),
+		Config: m.NES.ConfigFor(m.slots[i].sw.Events),
 		Digest: nes.Empty,
 		tidx:   root,
 	})
@@ -241,16 +247,11 @@ type action struct {
 	i    int
 }
 
-// enabled lists every enabled rule instance in table order, then
-// CTRLRECV, then CTRLSEND per switch ascending. The result is valid until
-// the next call.
-func (m *Machine) enabled() []action {
-	acts := m.acts[:0]
-	for i := range m.slots {
-		if s := &m.slots[i]; s.head < len(s.buf) {
-			acts = append(acts, action{s.kind, i})
-		}
-	}
+// actions counts the enabled rule instances. Their order, the domain
+// pick draws from, is the busy slots in table order, then CTRLRECV, then
+// CTRLSEND per switch ascending.
+func (m *Machine) actions() int {
+	acts := m.ctrl[:0]
 	if m.CtrlAssist {
 		if m.Q != nes.Empty {
 			acts = append(acts, action{kind: ruleCtrlRecv})
@@ -263,30 +264,51 @@ func (m *Machine) enabled() []action {
 			}
 		}
 	}
-	m.acts = acts
-	return acts
+	m.ctrl = acts
+	n := len(acts)
+	for _, x := range m.busy {
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+// pick returns enabled rule instance r of the order actions counts,
+// 0 <= r < actions(): the r-th busy slot, found a word of the busy set
+// at a time, or a controller instance.
+func (m *Machine) pick(r int) action {
+	for w, x := range m.busy {
+		if c := bits.OnesCount64(x); r >= c {
+			r -= c
+			continue
+		}
+		for ; r > 0; r-- {
+			x &= x - 1
+		}
+		i := w*64 + bits.TrailingZeros64(x)
+		return action{m.slots[i].kind, i}
+	}
+	return m.ctrl[r]
 }
 
 // Step performs one randomly chosen enabled rule instance. It reports
 // false when the machine is quiescent.
 func (m *Machine) Step() bool {
-	acts := m.enabled()
-	if len(acts) == 0 {
+	n := m.actions()
+	if n == 0 {
 		return false
 	}
-	a := acts[m.rng.Intn(len(acts))]
-	m.perform(a)
+	m.perform(m.pick(m.rng.Intn(n)))
 	return true
 }
 
 func (m *Machine) perform(a action) {
 	switch a.kind {
 	case ruleSwitch:
-		m.switchStep(&m.slots[a.i])
+		m.switchStep(a.i)
 	case ruleLink:
-		m.linkStep(&m.slots[a.i])
+		m.linkStep(a.i)
 	case ruleOut:
-		m.outStep(&m.slots[a.i])
+		m.outStep(a.i)
 	case ruleCtrlRecv:
 		// Move one event from the controller queue into the controller.
 		es := m.Q.Elems()
@@ -304,10 +326,10 @@ func (m *Machine) perform(a action) {
 // switchStep is the SWITCH rule: learn from the packet's digest, detect
 // newly enabled events the packet matches, forward using the packet's
 // tagged configuration, and stamp the outputs' digests.
-func (m *Machine) switchStep(in *slot) {
-	sw, loc := in.sw, in.loc
+func (m *Machine) switchStep(i int) {
+	sw, loc := m.slots[i].sw, m.slots[i].loc
 	swid, port := loc.Switch, loc.Port
-	pkt := in.pop()
+	pkt := m.pop(i)
 
 	ingress := m.record(pkt.Fields, loc, false, pkt.tidx)
 
@@ -325,8 +347,8 @@ func (m *Machine) switchStep(in *slot) {
 		// A port nothing is linked to has no queue: no rule could ever
 		// move the packet on, so it ends at its egress point.
 		for j := sw.out; j < sw.end; j++ {
-			if out := &m.slots[j]; out.loc.Port == o.Port {
-				out.push(Packet{
+			if m.slots[j].loc.Port == o.Port {
+				m.push(j, Packet{
 					Fields: o.Pkt,
 					Config: pkt.Config,
 					Digest: outDigest,
@@ -340,18 +362,18 @@ func (m *Machine) switchStep(in *slot) {
 
 // linkStep is the LINK rule: move the head packet across the physical
 // link into the neighbor's input queue.
-func (m *Machine) linkStep(out *slot) {
-	pkt := out.pop()
-	if out.dst >= 0 { // else the link leads out of the modeled network
-		m.slots[out.dst].push(pkt)
+func (m *Machine) linkStep(i int) {
+	pkt := m.pop(i)
+	if dst := m.slots[i].dst; dst >= 0 { // else the link leads out of the modeled network
+		m.push(dst, pkt)
 	}
 }
 
 // outStep is the OUT rule: deliver the head packet to the attached host.
-func (m *Machine) outStep(out *slot) {
-	pkt, h := out.pop(), out.host
+func (m *Machine) outStep(i int) {
+	pkt, h := m.pop(i), m.slots[i].host
 	m.record(pkt.Fields, h.Loc(), false, pkt.tidx)
-	m.Deliveries = append(m.Deliveries, Delivery{Host: h.Name, Fields: pkt.Fields.Clone()})
+	m.Deliveries = append(m.Deliveries, Delivery{Host: h.Name, Fields: pkt.Fields})
 }
 
 // maxSteps bounds RunToQuiescence.
@@ -387,4 +409,13 @@ func (m *Machine) DeliveredTo(host string) []netkat.Packet {
 
 // SwitchView returns switch sw's current event view (for convergence
 // observations).
-func (m *Machine) SwitchView(sw int) nes.Set { return m.Switches[sw].Events }
+func (m *Machine) SwitchView(sw int) nes.Set { return m.switchByID(sw).Events }
+
+// switchByID returns the switch with the given ID, nil if there is none.
+func (m *Machine) switchByID(id int) *SwitchState {
+	i, ok := slices.BinarySearchFunc(m.sws, id, func(sw *SwitchState, id int) int { return cmp.Compare(sw.ID, id) })
+	if !ok {
+		return nil
+	}
+	return m.sws[i]
+}

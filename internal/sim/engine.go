@@ -143,6 +143,7 @@ type lane struct {
 	port    int        // the ingress port at a link's far switch
 	host    *topo.Host // a link's far host, nil when a switch is the far end
 	far     *lane      // that switch's lane
+	out     []*lane    // a switch lane's link lanes by egress port, nil where no link leaves
 	ring    []hop      // a power-of-two ring; head is the oldest of n
 	head, n int
 }
@@ -220,8 +221,7 @@ type Sim struct {
 	fns   []func() // the callbacks queue slots name
 	free  []int32  // vacant slots of fns
 	lanes []*lane
-	links map[netkat.Location]*lane // egress location -> its link's lane, nil when unconnected
-	sws   map[int]*lane             // switch -> its processing lane
+	ports map[int][]*lane // node -> its link lanes by egress port (see New)
 
 	Delivered []Delivery
 	Dropped   int // packets dropped due to backlog overflow
@@ -237,17 +237,50 @@ type Sim struct {
 	onReceive map[string]func(s *Sim, fields netkat.Packet, at float64)
 }
 
-// New builds a simulation over the topology with the given plane.
+// New builds a simulation over the topology with the given plane. Every
+// link gets its lane and every switch a link leads to its processing
+// lane, whose out indexes the switch's link lanes by port, so a hop finds
+// the next lane without a map.
 func New(t *topo.Topology, plane Plane, p Params, seed int64) *Sim {
-	return &Sim{
+	s := &Sim{
 		Topo:      t,
 		Params:    p,
 		Plane:     plane,
 		Rand:      rand.New(rand.NewSource(seed)),
-		links:     map[netkat.Location]*lane{},
-		sws:       map[int]*lane{},
+		ports:     map[int][]*lane{},
 		onReceive: map[string]func(*Sim, netkat.Packet, float64){},
 	}
+	sws := map[int]*lane{} // switch -> its processing lane
+	for _, lk := range t.AllLinks() {
+		src, ports := lk.Src, s.ports[lk.Src.Switch]
+		if src.Port < 0 || egress(ports, src.Port) != nil {
+			continue // Across follows the first link that leaves a port
+		}
+		far, h, _ := t.Across(src)
+		l := s.newLane(actArrive)
+		l.port, l.host = far.Port, h
+		if l.far = sws[far.Switch]; h == nil && l.far == nil {
+			l.far = s.newLane(actProcess)
+			l.far.sw = far.Switch
+			sws[far.Switch] = l.far
+		}
+		ports = append(ports, make([]*lane, max(0, src.Port+1-len(ports)))...)
+		ports[src.Port] = l
+		s.ports[src.Switch] = ports
+	}
+	for sw, l := range sws {
+		l.out = s.ports[sw]
+	}
+	return s
+}
+
+// egress returns the lane of the link leaving a node's port, nil when no
+// link leaves it.
+func egress(ports []*lane, port int) *lane {
+	if uint(port) < uint(len(ports)) {
+		return ports[port]
+	}
+	return nil
 }
 
 // Now returns the current simulation time in seconds.
@@ -271,27 +304,6 @@ func (s *Sim) push(t float64, seq int64, fn func()) {
 func (s *Sim) newLane(kind actionKind) *lane {
 	l := &lane{kind: kind, slot: -1 - int32(len(s.lanes))}
 	s.lanes = append(s.lanes, l)
-	return l
-}
-
-// link returns the lane of the link leaving src, resolving its far end
-// on first use; nil when no link leaves src.
-func (s *Sim) link(src netkat.Location) *lane {
-	l, ok := s.links[src]
-	if !ok {
-		if far, h, conn := s.Topo.Across(src); conn {
-			l = s.newLane(actArrive)
-			l.port, l.host = far.Port, h
-			if h == nil {
-				if l.far = s.sws[far.Switch]; l.far == nil {
-					l.far = s.newLane(actProcess)
-					l.far.sw = far.Switch
-					s.sws[far.Switch] = l.far
-				}
-			}
-		}
-		s.links[src] = l
-	}
 	return l
 }
 
@@ -398,7 +410,7 @@ func (s *Sim) step() {
 	}
 	switch {
 	case l.kind == actProcess:
-		s.process(l.sw, h.port, h.fields, h.meta, h.tidx)
+		s.process(l, h.port, h.fields, h.meta, h.tidx)
 	case l.host != nil:
 		s.deliver(l.host, h.fields, h.tidx)
 	default:
@@ -482,14 +494,14 @@ func (s *Sim) arriveAtSwitch(l *lane, port int, fields netkat.Packet, meta Meta,
 	s.enqueue(l, hop{at: l.free, port: port, fields: fields, meta: meta, tidx: tidx})
 }
 
-// process runs the plane's switch step on a packet whose processing is
-// done and transmits what it emits.
-func (s *Sim) process(sw, port int, fields netkat.Packet, meta Meta, tidx int) {
+// process runs the plane's switch step on a packet whose processing on
+// switch lane l is done and transmits what it emits.
+func (s *Sim) process(l *lane, port int, fields netkat.Packet, meta Meta, tidx int) {
+	sw := l.sw
 	ingress := s.record(fields, netkat.Location{Switch: sw, Port: port}, false, tidx)
 	for _, o := range s.Plane.Process(s, sw, port, fields, meta) {
-		loc := netkat.Location{Switch: sw, Port: o.Port}
-		egress := s.record(o.Fields, loc, true, ingress)
-		s.transmit(s.link(loc), o.Fields, o.Meta, egress, nil)
+		out := s.record(o.Fields, netkat.Location{Switch: sw, Port: o.Port}, true, ingress)
+		s.transmit(egress(l.out, o.Port), o.Fields, o.Meta, out, nil)
 	}
 }
 
@@ -501,7 +513,7 @@ func (s *Sim) Send(host string, fields netkat.Packet) {
 	}
 	meta := s.Plane.Inject(s, h.Attach.Switch, fields)
 	// Host link: serialization plus propagation from the host NIC.
-	s.transmit(s.link(h.Loc()), fields, meta, -1, &h)
+	s.transmit(egress(s.ports[h.ID], 0), fields, meta, -1, &h)
 }
 
 // DeliveredTo returns deliveries to a host.

@@ -306,7 +306,7 @@ func TestCheckNESMatchesDefinition(t *testing.T) {
 	t.Logf("%d traces judged alike, %d rejected by both", all.traces, all.rejected)
 }
 
-// countingConfig counts the DStep calls made on a configuration.
+// countingConfig counts the DStep and Succ calls made on a configuration.
 type countingConfig struct {
 	netkat.DConfig
 	calls *int
@@ -317,9 +317,16 @@ func (c countingConfig) DStep(d netkat.DPacket) []netkat.DPacket {
 	return c.DConfig.DStep(d)
 }
 
+func (c countingConfig) Succ(d, next netkat.DPacket) bool {
+	*c.calls++
+	return c.DConfig.Succ(d, next)
+}
+
 // TestCheckNESWorkBound: the oracle decides each packet tree's
-// membership in Traces(C) at most once per configuration, so its DStep
-// calls stay within |Configs| × Σ|tree| however many sequences it tries;
+// membership in Traces(C) at most once per configuration, one Succ call
+// per step and at most one DStep call at the leaf, so its Succ and DStep
+// calls together stay within |Configs| × Σ|tree| however many sequences
+// it tries;
 // and on a long ring(4) run its allocation stays linear in the trace's
 // points, so no n×n happens-before closure is built.
 func TestCheckNESWorkBound(t *testing.T) {
@@ -347,10 +354,10 @@ func TestCheckNESWorkBound(t *testing.T) {
 			t.Fatalf("machine trace rejected: %v", err)
 		}
 		if bound := len(n.Configs) * steps; calls > bound {
-			t.Errorf("%d DStep calls, want <= |Configs| × Σ|tree| = %d × %d", calls, len(n.Configs), steps)
+			t.Errorf("%d Succ and DStep calls, want <= |Configs| × Σ|tree| = %d × %d", calls, len(n.Configs), steps)
 		}
 		alloc = after.TotalAlloc - before.TotalAlloc
-		t.Logf("%d points, %d trees, %d configs: %d DStep calls (bound %d), %d bytes allocated",
+		t.Logf("%d points, %d trees, %d configs: %d Succ and DStep calls (bound %d), %d bytes allocated",
 			len(nt.Packets), len(nt.Trees), len(n.Configs), calls, len(n.Configs)*steps, alloc)
 		return len(nt.Packets), alloc
 	}

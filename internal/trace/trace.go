@@ -390,8 +390,10 @@ var errNoFO = errors.New("trace: FO(ntr, U) does not exist")
 // as soon as its newest event has no first occurrence or was not
 // triggered by a packet tree of the preceding configuration. Membership
 // of a packet tree in Traces(C) is decided at most once per
-// configuration and tree, and the happens-before cones of Definition 1
-// are computed only around the first occurrences a candidate uses.
+// configuration and tree, each step by the configuration's Succ (DStep
+// only for the leaf's completeness), and the happens-before cones of
+// Definition 1 are computed only around the first occurrences a
+// candidate uses.
 //
 // The trace's trees must be increasing paths in which each point has at
 // most one predecessor (Validate's conditions); a trace whose trees are
@@ -420,10 +422,9 @@ type search struct {
 	// The trees through point k are thrTree[thrOff[k]:thrOff[k+1]], ascending.
 	thrOff, thrTree []int
 
-	inTr  [][]uint8        // config -> tree -> 0 unknown, 1 not in Traces(C), 2 in; rows made on first use
-	occ   map[int][]int    // event ID -> ascending indices of the points matching it
-	cones map[int]*hbCones // point -> its happens-before cones
-	pt    []netkat.DPacket // InTraces argument scratch
+	inTr  [][]uint8  // config -> tree -> 0 unknown, 1 not in Traces(C), 2 in; rows made on first use
+	occ   [][]int    // event ID -> ascending indices of the points matching it; nil until computed
+	cones []*hbCones // point -> its happens-before cones; nil until computed
 
 	visits  int
 	lastErr error
@@ -445,17 +446,18 @@ func newSearch(nt *NetTrace, n *nes.NES, hosts map[netkat.Location]bool) (*searc
 		prevAt: make([]int, np),
 		thrOff: make([]int, np+2),
 		inTr:   make([][]uint8, len(n.Configs)),
-		occ:    map[int][]int{},
-		cones:  map[int]*hbCones{},
+		occ:    make([][]int, len(n.Events)),
+		cones:  make([]*hbCones, np),
 	}
-	last := map[int]int{}
+	nodes := 0
+	for _, d := range nt.Packets {
+		nodes = max(nodes, d.Loc.Switch+1)
+	}
+	last := make([]int, nodes) // node -> 1 + its latest point so far, 0 for none
 	for i, d := range nt.Packets {
 		s.parent[i] = -1
-		s.prevAt[i] = -1
-		if j, ok := last[d.Loc.Switch]; ok {
-			s.prevAt[i] = j
-		}
-		last[d.Loc.Switch] = i
+		s.prevAt[i] = last[d.Loc.Switch] - 1
+		last[d.Loc.Switch] = i + 1
 	}
 	for ti, t := range nt.Trees {
 		for i, k := range t {
@@ -524,10 +526,10 @@ func (s *search) visit(set nes.Set, cfgs, ks []int) (bool, error) {
 
 // occurrences returns the ascending indices of the points matching event e.
 func (s *search) occurrences(e int) []int {
-	if m, ok := s.occ[e]; ok {
+	if m := s.occ[e]; m != nil {
 		return m
 	}
-	var m []int
+	m := []int{}
 	ev := &s.n.Events[e]
 	for j, d := range s.nt.Packets {
 		if ev.MatchesD(d) {
@@ -576,16 +578,28 @@ func (s *search) in(c, ti int) bool {
 	}
 	m := &s.inTr[c][ti]
 	if *m == 0 {
-		s.pt = s.pt[:0]
-		for _, k := range s.nt.Trees[ti] {
-			s.pt = append(s.pt, s.nt.Packets[k])
-		}
 		*m = 1
-		if InTraces(s.n.Configs[c].Rel, s.pt, s.hosts) {
+		if s.member(s.n.Configs[c].Rel, s.nt.Trees[ti]) {
 			*m = 2
 		}
 	}
 	return *m == 2
+}
+
+// member is InTraces on the points of tree t, with each step decided by
+// c.Succ rather than found in c.DStep's result.
+func (s *search) member(c netkat.DConfig, t []int) bool {
+	ps := s.nt.Packets
+	if len(t) == 0 || !s.hosts[ps[t[0]].Loc] || !ps[t[0]].Out {
+		return false
+	}
+	for i := 1; i < len(t); i++ {
+		if !c.Succ(ps[t[i-1]], ps[t[i]]) {
+			return false
+		}
+	}
+	last := ps[t[len(t)-1]]
+	return s.hosts[last.Loc] && !last.Out || len(c.DStep(last)) == 0
 }
 
 // correct is CheckUpdate's per-tree test for the update with
@@ -632,7 +646,7 @@ func (s *search) correct(cfgs, ks []int) error {
 // and, as predecessors precede, one forward sweep decides the
 // after-cone.
 func (s *search) cone(k int) *hbCones {
-	if c, ok := s.cones[k]; ok {
+	if c := s.cones[k]; c != nil {
 		return c
 	}
 	w := (len(s.parent) + 63) / 64

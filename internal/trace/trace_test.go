@@ -19,6 +19,15 @@ type tableConfig map[string][]netkat.DPacket
 
 func (c tableConfig) DStep(d netkat.DPacket) []netkat.DPacket { return c[d.Key()] }
 
+func (c tableConfig) Succ(d, next netkat.DPacket) bool {
+	for _, n := range c[d.Key()] {
+		if n.Equal(next) {
+			return true
+		}
+	}
+	return false
+}
+
 func (c tableConfig) add(from netkat.DPacket, to ...netkat.DPacket) { c[from.Key()] = to }
 
 func TestValidate(t *testing.T) {
