@@ -3,10 +3,10 @@ package dataplane
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"eventnet/internal/nes"
 	"eventnet/internal/netkat"
+	"eventnet/internal/splitmix"
 	"eventnet/internal/topo"
 )
 
@@ -34,22 +34,11 @@ type Probe struct {
 // default-drop path.
 type LoadGen struct {
 	rng     *rand.Rand
-	seed    int64 // caller's seed, pre-mix (Derive starts from it)
-	hosts   []topo.Host
+	seed    int64         // caller's seed, pre-mix (Derive starts from it)
+	hosts   []topo.Host   // by name; this and the next two are the topology's port table's, read-only
 	swPorts map[int][]int // switch -> plausible ingress ports
 	sws     []int
 	configs int
-}
-
-// seedMix is the splitmix64 finalizer: a bijective avalanche over uint64.
-// Both the generator seed and every derived stream pass through it, so
-// the raw seed's bit pattern never reaches math/rand directly and no
-// arithmetic relation between two seeds survives into the streams.
-func seedMix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // streamSeed is the documented seed-derivation rule:
@@ -63,42 +52,22 @@ func seedMix(x uint64) uint64 {
 // indices never collide with a neighboring base seed. (The +1 keeps
 // stream 0 distinct from the base generator itself.)
 func streamSeed(seed, stream int64) int64 {
-	return int64(seedMix(seedMix(uint64(seed)) ^ seedMix(uint64(stream)+1)))
+	return int64(splitmix.Mix(splitmix.Mix(uint64(seed)) ^ splitmix.Mix(uint64(stream)+1)))
 }
 
 // NewLoadGen builds a generator for the NES over its topology. Equal
 // seeds yield equal streams; the seed is finalizer-mixed before use (see
 // streamSeed), so numerically adjacent seeds produce unrelated traffic.
 func NewLoadGen(n *nes.NES, t *topo.Topology, seed int64) *LoadGen {
-	g := &LoadGen{
-		rng:     rand.New(rand.NewSource(int64(seedMix(uint64(seed))))),
+	pt := t.Ports()
+	return &LoadGen{
+		rng:     rand.New(rand.NewSource(int64(splitmix.Mix(uint64(seed))))),
 		seed:    seed,
-		swPorts: map[int][]int{},
+		hosts:   pt.ByName,
+		swPorts: pt.SwPorts,
+		sws:     pt.Switches,
 		configs: len(n.Configs),
 	}
-	g.hosts = append(g.hosts, t.Hosts...)
-	sort.Slice(g.hosts, func(i, j int) bool { return g.hosts[i].Name < g.hosts[j].Name })
-	seen := map[netkat.Location]bool{}
-	addPort := func(l netkat.Location) {
-		if t.IsHostNode(l.Switch) || seen[l] {
-			return
-		}
-		seen[l] = true
-		g.swPorts[l.Switch] = append(g.swPorts[l.Switch], l.Port)
-	}
-	for _, lk := range t.AllLinks() {
-		addPort(lk.Src)
-		addPort(lk.Dst)
-	}
-	for _, h := range g.hosts {
-		addPort(h.Attach)
-	}
-	g.sws = append(g.sws, t.Switches...)
-	sort.Ints(g.sws)
-	for sw := range g.swPorts {
-		sort.Ints(g.swPorts[sw])
-	}
-	return g
 }
 
 // Derive returns an independent generator for a numbered substream
@@ -108,7 +77,7 @@ func NewLoadGen(n *nes.NES, t *topo.Topology, seed int64) *LoadGen {
 func (g *LoadGen) Derive(stream int64) *LoadGen {
 	d := *g
 	d.seed = streamSeed(g.seed, stream)
-	d.rng = rand.New(rand.NewSource(int64(seedMix(uint64(d.seed)))))
+	d.rng = rand.New(rand.NewSource(int64(splitmix.Mix(uint64(d.seed)))))
 	return &d
 }
 

@@ -2,6 +2,7 @@ package dataplane_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"eventnet/internal/apps"
@@ -95,5 +96,45 @@ func TestLoadGenBatchSizes(t *testing.T) {
 		if total == 0 {
 			t.Fatalf("%v: no traffic", dist)
 		}
+	}
+}
+
+// loadGenStreamPin is streamHash's value at the commit before the
+// generator read its host and port tables from the topology's port table
+// (6e38d8b). Every bench workload draws its inputs from these streams.
+const loadGenStreamPin = "e45320dc2bc1a7d1"
+
+// streamHash hashes, for the paper's five applications and ring(4) and
+// seeds 0-19, the 24 injections a fresh generator draws and then eight
+// matcher probes.
+func streamHash(t *testing.T) uint64 {
+	h := fnv.New64a()
+	for _, a := range append(apps.All(), apps.Ring(4)) {
+		et, err := ets.Build(a.Prog, a.Topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := et.ToNES()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(0); seed < 20; seed++ {
+			g := dataplane.NewLoadGen(n, a.Topo, seed)
+			for _, in := range g.Injections(24) {
+				fmt.Fprintf(h, "%s|%s;", in.Host, in.Fields.Key())
+			}
+			for _, p := range g.Probes(8) {
+				fmt.Fprintf(h, "%d:%d@%d|%s;", p.Switch, p.InPort, p.Tag, p.Fields.Key())
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// TestLoadGenStreamPin: a seed draws the same injections and probes as it
+// did when the generator derived its own tables.
+func TestLoadGenStreamPin(t *testing.T) {
+	if got := fmt.Sprintf("%016x", streamHash(t)); got != loadGenStreamPin {
+		t.Fatalf("stream hash %s, pinned %s: a seed no longer draws the inputs it drew", got, loadGenStreamPin)
 	}
 }

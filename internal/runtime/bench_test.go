@@ -58,9 +58,11 @@ func BenchmarkOracleRun(b *testing.B) {
 }
 
 // TestOracleRunAllocs pins the allocations of one oracle pass, averaged
-// over seeds 1-20: at most 1 600 objects (about 2 570 when the oracle
-// built every DStep successor slice it compared and a delivery cloned
-// its header map).
+// over seeds 1-20: at most 1 340 objects, 4 % over the 1 285 measured
+// (about 1 500 when every machine seeded a math/rand source and derived
+// its slot table, and every load generator its host and port tables,
+// from the topology; about 2 570 when the oracle also built every DStep
+// successor slice it compared and a delivery cloned its header map).
 func TestOracleRunAllocs(t *testing.T) {
 	set := oracleApps(t)
 	seed := int64(0)
@@ -69,7 +71,7 @@ func TestOracleRunAllocs(t *testing.T) {
 		seed++
 	})
 	t.Logf("%.0f allocations per oracle pass", n)
-	if n > 1600 {
-		t.Errorf("one oracle pass allocates %.0f objects, want <= 1 600", n)
+	if n > 1340 {
+		t.Errorf("one oracle pass allocates %.0f objects, want <= 1 340", n)
 	}
 }

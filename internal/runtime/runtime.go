@@ -19,12 +19,12 @@ import (
 	"cmp"
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"slices"
 
 	"eventnet/internal/flowtable"
 	"eventnet/internal/nes"
 	"eventnet/internal/netkat"
+	"eventnet/internal/splitmix"
 	"eventnet/internal/topo"
 	"eventnet/internal/trace"
 )
@@ -58,18 +58,17 @@ const (
 	ruleCtrlSend
 )
 
-// slot is one port queue of one switch together with the rule that
-// consumes its head: SWITCH for an ingress queue, LINK or OUT for an
-// egress queue, decided by what the topology puts across the link. The
-// queue is buf[head:]; a pop advances head and a drained queue rewinds to
-// buf[:0], so a steady run appends into capacity it already owns. The
-// machine's push and pop keep its busy set in step with the queue.
+// slot is the port queue of one link end of the topology's port table
+// (its Dst is a slot too) together with the rule that consumes its head:
+// SWITCH for an ingress queue, OUT for an egress queue leading to a host,
+// LINK for any other. The queue is buf[head:]; a pop advances head and a
+// drained queue rewinds to buf[:0], so a steady run appends into capacity
+// it already owns. The machine's push and pop keep its busy set in step
+// with the queue.
 type slot struct {
+	topo.End
 	kind ruleKind
 	sw   *SwitchState
-	loc  netkat.Location
-	dst  int        // ruleLink: slot of the ingress queue across the link; -1 if it leads to no switch
-	host *topo.Host // ruleOut: the host across the link
 	buf  []Packet
 	head int
 }
@@ -111,99 +110,67 @@ type Machine struct {
 
 	Deliveries []Delivery
 
-	// slots is every port queue that can ever hold a packet, in the
-	// order the scheduler enumerates rule instances: switches ascending;
-	// per switch, ingress ports ascending, then linked egress ports
-	// ascending. The order is the domain of rng.Intn in Step, so it is
-	// part of what a seed means; TestSeedTracePin holds it still. busy
-	// has bit i set while slots[i] holds a packet.
+	// slots is every port queue that can ever hold a packet, in the port
+	// table's order (switches ascending; per switch, ingress ports, then
+	// linked egress ports, ascending), which is the domain of the draw in
+	// Step and so part of what a seed means; TestSeedTracePin holds it
+	// still. busy has bit i set while slots[i] holds a packet.
 	slots   []slot
 	busy    []uint64
-	ingress map[netkat.Location]int // ingress location -> slot
+	ingress map[netkat.Location]int // ingress location -> slot; the port table's, read-only
 	sws     []*SwitchState          // ascending by ID
 	ctrl    []action                // actions() scratch: the enabled controller rule instances
 
 	nt      trace.NetTrace
 	parents []int
-	rng     *rand.Rand
+	rng     chooser // both of the scheduler's draws
+	stream  splitmix.Stream
 	obuf    []flowtable.Output // switchStep scratch; a Machine is single-goroutine
 }
 
-// New builds a machine for the NES over its topology. Forwarding is
+// chooser makes the scheduler's choices, 0 <= Intn(n) < n: the machine's
+// own splitmix64 stream, or a test's recording or replay.
+type chooser interface{ Intn(n int) int }
+
+// New builds a machine for the NES over its topology's port table, with
+// the splitmix64 stream seed as its scheduler. Forwarding is
 // flowtable.Table's linear scan over the NES's own per-configuration
 // tables: the machine is the reference the engine's compiled tables are
 // tested against, so it shares no index with them.
 func New(n *nes.NES, t *topo.Topology, seed int64, ctrlAssist bool) *Machine {
+	pt := t.Ports()
 	m := &Machine{
 		NES:        n,
 		Topo:       t,
 		CtrlAssist: ctrlAssist,
-		rng:        rand.New(rand.NewSource(seed)),
+		slots:      make([]slot, len(pt.Ends)),
+		busy:       make([]uint64, (len(pt.Ends)+63)/64),
+		ingress:    pt.Ingress,
+		sws:        make([]*SwitchState, len(pt.Switches)),
+		stream:     splitmix.Stream(seed),
 	}
-	m.layout()
-	return m
-}
-
-// layout builds the slot table from the topology: the ports that can ever
-// hold a packet are the ends of its links.
-func (m *Machine) layout() {
-	t := m.Topo
-	ids := slices.Clone(t.Switches)
-	slices.Sort(ids)
-	for _, id := range slices.Compact(ids) {
-		m.sws = append(m.sws, &SwitchState{ID: id})
+	m.rng = &m.stream
+	views := make([]SwitchState, len(pt.Switches))
+	for i, id := range pt.Switches {
+		views[i].ID = id
+		m.sws[i] = &views[i]
 	}
-	// One key per link end at a switch, sorted into table order.
-	type end struct {
-		loc    netkat.Location
-		egress int // 0 or 1: a switch's ingress queues come first
-	}
-	links := t.AllLinks()
-	ends := make([]end, 0, 2*len(links))
-	for _, lk := range links {
-		if m.switchByID(lk.Src.Switch) != nil {
-			ends = append(ends, end{lk.Src, 1})
-		}
-		if m.switchByID(lk.Dst.Switch) != nil {
-			ends = append(ends, end{lk.Dst, 0})
-		}
-	}
-	slices.SortFunc(ends, func(a, b end) int {
-		return cmp.Or(cmp.Compare(a.loc.Switch, b.loc.Switch), cmp.Compare(a.egress, b.egress), cmp.Compare(a.loc.Port, b.loc.Port))
-	})
-	ends = slices.Compact(ends)
-	m.slots = make([]slot, 0, len(ends))
-	m.busy = make([]uint64, (len(ends)+63)/64)
-	m.ingress = make(map[netkat.Location]int, len(ends)/2)
-	for _, e := range ends {
-		sw := m.switchByID(e.loc.Switch)
-		kind := ruleSwitch
-		if e.egress == 1 {
-			kind = ruleLink
-			if sw.end == 0 { // the switch's first egress queue; end is at least 1 from here on
-				sw.out = len(m.slots)
-			}
-			sw.end = len(m.slots) + 1
-		} else {
-			m.ingress[e.loc] = len(m.slots)
-		}
-		m.slots = append(m.slots, slot{kind: kind, sw: sw, loc: e.loc})
-	}
-	// Resolve each egress queue to what is across its link.
-	for i := range m.slots {
+	for i, e := range pt.Ends {
+		sw, _ := slices.BinarySearch(pt.Switches, e.Loc.Switch)
 		s := &m.slots[i]
-		if s.kind != ruleLink {
-			continue
-		}
-		far, h, _ := t.Across(s.loc)
-		if h != nil {
-			s.kind, s.host = ruleOut, h
-		} else if dst, ok := m.ingress[far]; ok {
-			s.dst = dst
-		} else {
-			s.dst = -1
+		s.End, s.kind, s.sw = e, ruleSwitch, m.sws[sw]
+		if e.Egress {
+			s.kind = ruleLink
+			if e.Host != nil {
+				s.kind = ruleOut
+			}
+			if s.sw.end == 0 { // the switch's first egress queue; end is at least 1 from here on
+				s.sw.out = i
+			}
+			s.sw.end = i + 1
 		}
 	}
+	return m
 }
 
 // record appends a directed trace point with the given parent (-1 for a
@@ -327,7 +294,7 @@ func (m *Machine) perform(a action) {
 // newly enabled events the packet matches, forward using the packet's
 // tagged configuration, and stamp the outputs' digests.
 func (m *Machine) switchStep(i int) {
-	sw, loc := m.slots[i].sw, m.slots[i].loc
+	sw, loc := m.slots[i].sw, m.slots[i].Loc
 	swid, port := loc.Switch, loc.Port
 	pkt := m.pop(i)
 
@@ -347,7 +314,7 @@ func (m *Machine) switchStep(i int) {
 		// A port nothing is linked to has no queue: no rule could ever
 		// move the packet on, so it ends at its egress point.
 		for j := sw.out; j < sw.end; j++ {
-			if m.slots[j].loc.Port == o.Port {
+			if m.slots[j].Loc.Port == o.Port {
 				m.push(j, Packet{
 					Fields: o.Pkt,
 					Config: pkt.Config,
@@ -364,14 +331,14 @@ func (m *Machine) switchStep(i int) {
 // link into the neighbor's input queue.
 func (m *Machine) linkStep(i int) {
 	pkt := m.pop(i)
-	if dst := m.slots[i].dst; dst >= 0 { // else the link leads out of the modeled network
+	if dst := m.slots[i].Dst; dst >= 0 { // else the link leads out of the modeled network
 		m.push(dst, pkt)
 	}
 }
 
 // outStep is the OUT rule: deliver the head packet to the attached host.
 func (m *Machine) outStep(i int) {
-	pkt, h := m.pop(i), m.slots[i].host
+	pkt, h := m.pop(i), m.slots[i].Host
 	m.record(pkt.Fields, h.Loc(), false, pkt.tidx)
 	m.Deliveries = append(m.Deliveries, Delivery{Host: h.Name, Fields: pkt.Fields})
 }

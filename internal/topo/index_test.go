@@ -1,6 +1,9 @@
 package topo
 
 import (
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -34,6 +37,109 @@ func scanHostByName(t *Topology, name string) (Host, bool) {
 		}
 	}
 	return Host{}, false
+}
+
+// scanPorts derives a port table by scans, as the machine's slot layout
+// and the load generator each once did for themselves: per registered
+// switch ascending, its ingress and then its egress link-end ports
+// ascending, each egress end resolved by the scans above, and every
+// non-host link end's port listed under its node.
+func scanPorts(tp *Topology) (sws []int, ends []End, hosts []*Host, swPorts map[int][]int) {
+	for _, s := range tp.Switches {
+		if !slices.Contains(sws, s) {
+			sws = append(sws, s)
+		}
+	}
+	slices.Sort(sws)
+	links := tp.AllLinks()
+	for _, s := range sws {
+		for _, egress := range []bool{false, true} {
+			var ports []int
+			for _, lk := range links {
+				l := lk.Dst
+				if egress {
+					l = lk.Src
+				}
+				if l.Switch == s && !slices.Contains(ports, l.Port) {
+					ports = append(ports, l.Port)
+				}
+			}
+			slices.Sort(ports)
+			for _, p := range ports {
+				ends = append(ends, End{Loc: netkat.Location{Switch: s, Port: p}, Egress: egress, Dst: -1})
+			}
+		}
+	}
+	hosts = make([]*Host, len(ends))
+	for i := range ends {
+		if e := &ends[i]; e.Egress {
+			lk, _ := scanLinkFrom(tp, e.Loc)
+			if h, ok := scanHostByID(tp, lk.Dst.Switch); ok {
+				hosts[i] = &h
+				continue
+			}
+			for j, f := range ends {
+				if !f.Egress && f.Loc == lk.Dst {
+					e.Dst = j
+				}
+			}
+		}
+	}
+	swPorts = map[int][]int{}
+	for _, lk := range links {
+		for _, l := range []netkat.Location{lk.Src, lk.Dst} {
+			if _, isHost := scanHostByID(tp, l.Switch); !isHost && !slices.Contains(swPorts[l.Switch], l.Port) {
+				swPorts[l.Switch] = append(swPorts[l.Switch], l.Port)
+			}
+		}
+	}
+	for _, ports := range swPorts {
+		slices.Sort(ports)
+	}
+	return sws, ends, hosts, swPorts
+}
+
+// agreePorts checks the port table against scanPorts. Like agree, it
+// reports through t.Errorf only.
+func agreePorts(t *testing.T, name string, tp *Topology) {
+	t.Helper()
+	pt := tp.Ports()
+	sws, ends, hosts, swPorts := scanPorts(tp)
+	if !slices.Equal(pt.Switches, sws) {
+		t.Errorf("%s: Ports().Switches = %v; scan %v", name, pt.Switches, sws)
+	}
+	if len(pt.Ends) != len(ends) {
+		t.Errorf("%s: %d link ends; scan %d", name, len(pt.Ends), len(ends))
+		return
+	}
+	ingress := 0
+	for i, e := range pt.Ends {
+		want := ends[i]
+		if e.Loc != want.Loc || e.Egress != want.Egress || e.Dst != want.Dst || (e.Host != nil) != (hosts[i] != nil) || (e.Host != nil && *e.Host != *hosts[i]) {
+			t.Errorf("%s: end %d = %+v; scan %+v (host %v)", name, i, e, want, hosts[i])
+		}
+		if !e.Egress {
+			ingress++
+			if j, ok := pt.Ingress[e.Loc]; !ok || j != i {
+				t.Errorf("%s: Ingress[%v] = %d, %v; want %d", name, e.Loc, j, ok, i)
+			}
+		}
+	}
+	if len(pt.Ingress) != ingress {
+		t.Errorf("%s: %d ingress entries for %d ingress ends", name, len(pt.Ingress), ingress)
+	}
+	for _, s := range sws {
+		if !slices.Equal(pt.SwPorts[s], swPorts[s]) {
+			t.Errorf("%s: SwPorts[%d] = %v; scan %v", name, s, pt.SwPorts[s], swPorts[s])
+		}
+	}
+	byName := func(a, b Host) int { return strings.Compare(a.Name, b.Name) }
+	total := func(a, b Host) int {
+		return cmp.Or(byName(a, b), cmp.Compare(a.ID, b.ID), cmp.Compare(a.Attach.Switch, b.Attach.Switch), cmp.Compare(a.Attach.Port, b.Attach.Port))
+	}
+	if !slices.IsSortedFunc(pt.ByName, byName) || !slices.Equal(slices.SortedFunc(slices.Values(pt.ByName), total), slices.SortedFunc(slices.Values(tp.Hosts), total)) {
+		t.Errorf("%s: Ports().ByName = %v is not Hosts sorted by name", name, pt.ByName)
+	}
 }
 
 // probes returns locations, node IDs and names to look up: every one the
@@ -84,6 +190,7 @@ func agree(t *testing.T, name string, tp *Topology) {
 			t.Errorf("%s: HostByName(%q) = %v, %v; scan %v, %v", name, n, got, ok, want, wantOK)
 		}
 	}
+	agreePorts(t, name, tp)
 }
 
 var builders = []struct {
@@ -99,9 +206,9 @@ var builders = []struct {
 	{"ring-8", func() *Topology { return Ring(8) }},
 }
 
-// TestIndexMatchesScan: on every builder's topology each lookup answers as
-// the linear scan does, for keys present and absent, and still does after
-// the topology grows behind a lookup.
+// TestIndexMatchesScan: on every builder's topology each lookup, and the
+// port table, answers as the linear scan does, for keys present and
+// absent, and still does after the topology grows behind a lookup.
 func TestIndexMatchesScan(t *testing.T) {
 	for _, b := range builders {
 		tp := b.build()
@@ -118,6 +225,13 @@ func TestIndexMatchesScan(t *testing.T) {
 			t.Errorf("%s: LinkFrom(%v) = %v after a switch link was added there; the Links entry must win", b.name, attach, lk)
 		}
 		agree(t, b.name+"+adds", tp)
+
+		// A bare switch: the port table lists it, with no link ends.
+		tp.AddSwitch(7004)
+		if !slices.Contains(tp.Ports().Switches, 7004) {
+			t.Errorf("%s: Ports().Switches misses a switch added after a lookup", b.name)
+		}
+		agree(t, b.name+"+switch", tp)
 
 		// Grow behind the index's back.
 		tp.Links = append(tp.Links, Link{Src: netkat.Location{Switch: 7003, Port: 1}, Dst: netkat.Location{Switch: tp.Switches[0], Port: 42}})

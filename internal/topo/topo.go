@@ -9,16 +9,17 @@
 //
 // LinkFrom, Across, HostByID, IsHostNode and HostByName answer from an
 // index (source location → link, node ID → host, name → host) built on
-// the first lookup, so each costs a map probe however large the network.
-// The contract:
+// the first lookup, so each costs a map probe however large the network;
+// the index also holds the Ports table. The contract:
 //
 //   - First match: where two links leave one location, or two hosts share
 //     an ID or a name, the one earlier in AllLinks (Links, then each
 //     host's pair in Hosts order) or in Hosts wins, as a scan would find.
-//   - Invalidation: the index records the lengths of Links and Hosts it
-//     covers, and a lookup after either has grown (through AddBiLink,
-//     AddHost or a direct append) rebuilds it. The builders look up only
-//     once the topology is complete, so each builds its index once.
+//   - Invalidation: the index records the lengths of Switches, Links and
+//     Hosts it covers, and a lookup after any has grown (through
+//     AddSwitch, AddBiLink, AddHost or a direct append) rebuilds it. The
+//     builders look up only once the topology is complete, so each builds
+//     its index once.
 //     Rewriting an element in place is not seen; nothing in this module
 //     does it.
 //   - Concurrency: any number of goroutines may look up at once,
@@ -29,7 +30,9 @@
 package topo
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -57,16 +60,38 @@ type Topology struct {
 	Hosts    []Host
 	Links    []Link // switch-to-switch links only; host links are derived
 
-	idx atomic.Pointer[index] // lookup tables over Links and Hosts; see index
+	idx atomic.Pointer[index] // lookup tables over Switches, Links and Hosts; see index
 }
 
-// index is the lookup form of a topology's first links links and first
-// hosts hosts. It is current while those counts equal the slice lengths.
+// index is the lookup form of a topology's first switches, links and
+// hosts entries, current while those counts equal the slice lengths.
 type index struct {
-	links, hosts int
-	from         map[netkat.Location]Link
-	byID         map[int]int // host node ID -> position in Hosts
-	byName       map[string]int
+	switches, links, hosts int
+	from                   map[netkat.Location]Link
+	byID                   map[int]int // host node ID -> position in Hosts
+	byName                 map[string]int
+	ports                  Ports
+}
+
+// Ports is a topology's port table, which Figure 7 machines lay their
+// queues out from and load generators draw from. It is shared: read only.
+type Ports struct {
+	Switches []int // registered switch IDs, ascending, each once
+	// Ends is every link end at a registered switch: by switch ascending,
+	// its ingress ends by port ascending, then its egress ends likewise.
+	Ends    []End
+	Ingress map[netkat.Location]int // ingress end's location -> its position in Ends
+	ByName  []Host                  // Hosts sorted by name
+	SwPorts map[int][]int           // switch -> the ports of its link ends, ascending
+}
+
+// End is one link end at a switch. An egress end is resolved to what the
+// link Across follows from it leads to: a host, an ingress end, or neither.
+type End struct {
+	Loc    netkat.Location
+	Egress bool
+	Host   *Host // the host an egress end leads to; nil otherwise
+	Dst    int   // the position in Ends of the ingress end an egress end leads to; -1 otherwise
 }
 
 // lookup returns the current index, building one if the topology has none
@@ -74,17 +99,19 @@ type index struct {
 // the first entry for a key wins.
 func (t *Topology) lookup() *index {
 	ix := t.idx.Load()
-	if ix != nil && ix.links == len(t.Links) && ix.hosts == len(t.Hosts) {
+	if ix != nil && ix.switches == len(t.Switches) && ix.links == len(t.Links) && ix.hosts == len(t.Hosts) {
 		return ix
 	}
 	ix = &index{
-		links:  len(t.Links),
-		hosts:  len(t.Hosts),
-		from:   make(map[netkat.Location]Link, len(t.Links)+2*len(t.Hosts)),
-		byID:   make(map[int]int, len(t.Hosts)),
-		byName: make(map[string]int, len(t.Hosts)),
+		switches: len(t.Switches),
+		links:    len(t.Links),
+		hosts:    len(t.Hosts),
+		from:     make(map[netkat.Location]Link, len(t.Links)+2*len(t.Hosts)),
+		byID:     make(map[int]int, len(t.Hosts)),
+		byName:   make(map[string]int, len(t.Hosts)),
 	}
-	for _, lk := range t.AllLinks() {
+	links := t.AllLinks()
+	for _, lk := range links {
 		if _, ok := ix.from[lk.Src]; !ok {
 			ix.from[lk.Src] = lk
 		}
@@ -97,9 +124,60 @@ func (t *Topology) lookup() *index {
 			ix.byName[h.Name] = i
 		}
 	}
+	t.buildPorts(ix, links)
 	t.idx.Store(ix)
 	return ix
 }
+
+// buildPorts fills ix.ports from the links and the rest of ix.
+func (t *Topology) buildPorts(ix *index, links []Link) {
+	p := &ix.ports
+	p.Switches = slices.Compact(slices.Sorted(slices.Values(t.Switches)))
+	for _, lk := range links {
+		for _, e := range []End{{Loc: lk.Src, Egress: true, Dst: -1}, {Loc: lk.Dst, Dst: -1}} {
+			if _, ok := slices.BinarySearch(p.Switches, e.Loc.Switch); ok {
+				p.Ends = append(p.Ends, e)
+			}
+		}
+	}
+	slices.SortFunc(p.Ends, func(a, b End) int {
+		if c := cmp.Compare(a.Loc.Switch, b.Loc.Switch); c != 0 || a.Egress == b.Egress {
+			return cmp.Or(c, cmp.Compare(a.Loc.Port, b.Loc.Port))
+		} else if a.Egress {
+			return 1
+		}
+		return -1
+	})
+	p.Ends = slices.Compact(p.Ends)
+	p.Ingress, p.SwPorts = make(map[netkat.Location]int, len(p.Ends)/2), map[int][]int{}
+	for i, e := range p.Ends {
+		if !e.Egress {
+			p.Ingress[e.Loc] = i
+		}
+		if _, isHost := ix.byID[e.Loc.Switch]; !isHost {
+			p.SwPorts[e.Loc.Switch] = append(p.SwPorts[e.Loc.Switch], e.Loc.Port)
+		}
+	}
+	for sw, ports := range p.SwPorts {
+		slices.Sort(ports)
+		p.SwPorts[sw] = slices.Compact(ports)
+	}
+	for i := range p.Ends {
+		if e := &p.Ends[i]; e.Egress {
+			far := ix.from[e.Loc].Dst
+			if h, isHost := ix.byID[far.Switch]; isHost {
+				e.Host = &t.Hosts[h]
+			} else if dst, ok := p.Ingress[far]; ok {
+				e.Dst = dst
+			}
+		}
+	}
+	p.ByName = slices.Clone(t.Hosts)
+	sort.Slice(p.ByName, func(i, j int) bool { return p.ByName[i].Name < p.ByName[j].Name })
+}
+
+// Ports returns the topology's port table (see Ports).
+func (t *Topology) Ports() *Ports { return &t.lookup().ports }
 
 // New returns an empty topology.
 func New() *Topology { return &Topology{} }
