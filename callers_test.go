@@ -25,7 +25,6 @@ var callerAllowlist = map[string]string{
 	"eventnet/internal/trace.CheckUpdate":            "oracle: Definition 6 read literally; TestCheckNESMatchesDefinition holds trace.CheckNES against it",
 	"eventnet/internal/nes.(NES).AllowedSequences":   "oracle: TestCheckNESMatchesDefinition enumerates the allowed sequences with it",
 	"eventnet/internal/nes.(NES).EventSets":          "oracle: TestEventSetsMatchFamily and TestAppsToNES hold the built family against it",
-	"eventnet/internal/trace.(NetTrace).Validate":    "oracle: the well-formedness conditions of a network trace; TestValidate",
 	"eventnet/internal/optimize.Optimal":             "oracle: TestGreedyVsOptimal holds the greedy trie against the exhaustive optimum",
 	"eventnet/internal/netkat.EquivOn":               "oracle: TestFirewallSourceMatchesAST and TestProjectEvalAgreement compare policies by netkat.Eval",
 	"eventnet/internal/chaos.ParseReproducer":        "oracle: replays the reproducer line a violating chaos run prints (docs/CHAOS.md); ExampleParseReproducer",

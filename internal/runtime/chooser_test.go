@@ -72,18 +72,16 @@ func scheduledRun(t *testing.T, m *Machine, ins []dataplane.Injection) *trace.Ne
 
 // sameTrace reports the first difference between two network traces.
 func sameTrace(a, b *trace.NetTrace) error {
-	if len(a.Packets) != len(b.Packets) || len(a.Trees) != len(b.Trees) {
-		return fmt.Errorf("%d points in %d trees vs %d in %d", len(a.Packets), len(a.Trees), len(b.Packets), len(b.Trees))
+	if len(a.Packets) != len(b.Packets) {
+		return fmt.Errorf("%d points vs %d", len(a.Packets), len(b.Packets))
 	}
 	for i, p := range a.Packets {
 		q := b.Packets[i]
 		if p.Loc != q.Loc || p.Out != q.Out || p.Pkt.Key() != q.Pkt.Key() {
 			return fmt.Errorf("point %d: %v vs %v", i, p, q)
 		}
-	}
-	for i, tr := range a.Trees {
-		if fmt.Sprint(tr) != fmt.Sprint(b.Trees[i]) {
-			return fmt.Errorf("tree %d: %v vs %v", i, tr, b.Trees[i])
+		if a.Parent[i] != b.Parent[i] {
+			return fmt.Errorf("point %d: parent %d vs %d", i, a.Parent[i], b.Parent[i])
 		}
 	}
 	return nil

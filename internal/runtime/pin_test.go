@@ -57,8 +57,9 @@ func traceHash(t *testing.T) uint64 {
 						num(0)
 					}
 				}
-				num(len(nt.Trees))
-				for _, tree := range nt.Trees {
+				trees := nt.Trees()
+				num(len(trees))
+				for _, tree := range trees {
 					num(len(tree))
 					for _, i := range tree {
 						num(i)

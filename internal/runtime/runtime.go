@@ -121,11 +121,10 @@ type Machine struct {
 	sws     []*SwitchState          // ascending by ID
 	ctrl    []action                // actions() scratch: the enabled controller rule instances
 
-	nt      trace.NetTrace
-	parents []int
-	rng     chooser // both of the scheduler's draws
-	stream  splitmix.Stream
-	obuf    []flowtable.Output // switchStep scratch; a Machine is single-goroutine
+	nt     trace.NetTrace
+	rng    chooser // both of the scheduler's draws
+	stream splitmix.Stream
+	obuf   []flowtable.Output // switchStep scratch; a Machine is single-goroutine
 }
 
 // chooser makes the scheduler's choices, 0 <= Intn(n) < n: the machine's
@@ -178,9 +177,7 @@ func New(n *nes.NES, t *topo.Topology, seed int64, ctrlAssist bool) *Machine {
 // given: no rule writes a packet's map (flowtable's AppendApply builds a
 // new one for every modification), so the map is read-only from here on.
 func (m *Machine) record(fields netkat.Packet, loc netkat.Location, out bool, parent int) int {
-	idx := m.nt.Append(netkat.DPacket{Pkt: fields, Loc: loc, Out: out})
-	m.parents = append(m.parents, parent)
-	return idx
+	return m.nt.Append(netkat.DPacket{Pkt: fields, Loc: loc, Out: out}, parent)
 }
 
 // Inject performs the IN rule: a packet enters from the named host, is
@@ -356,12 +353,10 @@ func (m *Machine) RunToQuiescence() error {
 	return fmt.Errorf("runtime: machine did not quiesce within %d steps", maxSteps)
 }
 
-// NetTrace reconstructs the recorded network trace: the located-packet
-// sequence plus the family of packet trees (one root-to-leaf index path
-// per tree branch). Its points share header maps with the machine.
-func (m *Machine) NetTrace() *trace.NetTrace {
-	return trace.FromParents(m.nt.Packets, m.parents)
-}
+// NetTrace returns the network trace the machine records: its points
+// and their parents. Later steps extend it, and its points share header
+// maps with the machine.
+func (m *Machine) NetTrace() *trace.NetTrace { return &m.nt }
 
 // DeliveredTo returns the packets delivered to the named host.
 func (m *Machine) DeliveredTo(host string) []netkat.Packet {

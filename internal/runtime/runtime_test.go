@@ -347,13 +347,12 @@ func TestOracleConvictsEarlyDelivery(t *testing.T) {
 	loc := func(sw, pt int) netkat.Location { return netkat.Location{Switch: sw, Port: pt} }
 	p := pkt(apps.H(1))
 	nt := &trace.NetTrace{}
-	nt.Append(netkat.DPacket{Pkt: p, Loc: h4.Loc(), Out: true})
-	nt.Append(netkat.DPacket{Pkt: p, Loc: loc(4, 2)})
-	nt.Append(netkat.DPacket{Pkt: p, Loc: loc(4, 1), Out: true})
-	nt.Append(netkat.DPacket{Pkt: p, Loc: loc(1, 1)})
-	nt.Append(netkat.DPacket{Pkt: p, Loc: loc(1, 2), Out: true})
-	nt.Append(netkat.DPacket{Pkt: p, Loc: h1.Loc()})
-	nt.Trees = [][]int{{0, 1, 2, 3, 4, 5}}
+	nt.Append(netkat.DPacket{Pkt: p, Loc: h4.Loc(), Out: true}, -1)
+	nt.Append(netkat.DPacket{Pkt: p, Loc: loc(4, 2)}, 0)
+	nt.Append(netkat.DPacket{Pkt: p, Loc: loc(4, 1), Out: true}, 1)
+	nt.Append(netkat.DPacket{Pkt: p, Loc: loc(1, 1)}, 2)
+	nt.Append(netkat.DPacket{Pkt: p, Loc: loc(1, 2), Out: true}, 3)
+	nt.Append(netkat.DPacket{Pkt: p, Loc: h1.Loc()}, 4)
 	hosts := a.Topo.HostLocs()
 	if err := nt.Validate(hosts); err != nil {
 		t.Fatal(err)
@@ -376,16 +375,15 @@ func TestOracleConvictsLateDrop(t *testing.T) {
 	back := pkt(apps.H(1))
 	nt := &trace.NetTrace{}
 	// H1 -> H4, firing the event at 4:1 and delivered to H4.
-	nt.Append(netkat.DPacket{Pkt: out, Loc: h1.Loc(), Out: true}) // 0
-	nt.Append(netkat.DPacket{Pkt: out, Loc: loc(1, 2)})           // 1
-	nt.Append(netkat.DPacket{Pkt: out, Loc: loc(1, 1), Out: true})
-	nt.Append(netkat.DPacket{Pkt: out, Loc: loc(4, 1)}) // 3: the event
-	nt.Append(netkat.DPacket{Pkt: out, Loc: loc(4, 2), Out: true})
-	nt.Append(netkat.DPacket{Pkt: out, Loc: h4.Loc()}) // 5: delivered
+	nt.Append(netkat.DPacket{Pkt: out, Loc: h1.Loc(), Out: true}, -1) // 0
+	nt.Append(netkat.DPacket{Pkt: out, Loc: loc(1, 2)}, 0)            // 1
+	nt.Append(netkat.DPacket{Pkt: out, Loc: loc(1, 1), Out: true}, 1)
+	nt.Append(netkat.DPacket{Pkt: out, Loc: loc(4, 1)}, 2) // 3: the event
+	nt.Append(netkat.DPacket{Pkt: out, Loc: loc(4, 2), Out: true}, 3)
+	nt.Append(netkat.DPacket{Pkt: out, Loc: h4.Loc()}, 4) // 5: delivered
 	// H4 -> H1 afterwards, dropped at s4 ingress.
-	nt.Append(netkat.DPacket{Pkt: back, Loc: h4.Loc(), Out: true}) // 6
-	nt.Append(netkat.DPacket{Pkt: back, Loc: loc(4, 2)})           // 7: dropped
-	nt.Trees = [][]int{{0, 1, 2, 3, 4, 5}, {6, 7}}
+	nt.Append(netkat.DPacket{Pkt: back, Loc: h4.Loc(), Out: true}, -1) // 6
+	nt.Append(netkat.DPacket{Pkt: back, Loc: loc(4, 2)}, 6)            // 7: dropped
 	hosts := a.Topo.HostLocs()
 	if err := nt.Validate(hosts); err != nil {
 		t.Fatal(err)
@@ -406,11 +404,12 @@ func TestMulticastTraceTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	nt := m.NetTrace()
-	if len(nt.Trees) != 2 {
-		t.Fatalf("flood should yield 2 root-to-leaf paths, got %d", len(nt.Trees))
+	trees := nt.Trees()
+	if len(trees) != 2 {
+		t.Fatalf("flood should yield 2 root-to-leaf paths, got %d", len(trees))
 	}
-	if nt.Trees[0][0] != nt.Trees[1][0] {
-		t.Fatalf("branches do not share the root: %v", nt.Trees)
+	if trees[0][0] != trees[1][0] {
+		t.Fatalf("branches do not share the root: %v", trees)
 	}
 	if err := nt.Validate(a.Topo.HostLocs()); err != nil {
 		t.Fatal(err)

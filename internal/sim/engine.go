@@ -229,9 +229,8 @@ type Sim struct {
 	// Record enables network-trace recording for oracle checking. The
 	// recorded trace assumes a loss-free run (congestion drops leave
 	// truncated packet trees the formalism does not model).
-	Record  bool
-	nt      trace.NetTrace
-	parents []int
+	Record bool
+	nt     trace.NetTrace
 
 	// onReceive handlers per host (echo responders, counters).
 	onReceive map[string]func(s *Sim, fields netkat.Packet, at float64)
@@ -430,22 +429,21 @@ func (s *Sim) OnReceive(host string, fn func(s *Sim, fields netkat.Packet, at fl
 	}
 }
 
-// record appends a directed trace point (when recording is on).
+// record appends a directed trace point (when recording is on). The
+// point keeps the header map it is given: no sim code writes a packet's
+// map, so the map is read-only from here on.
 func (s *Sim) record(fields netkat.Packet, loc netkat.Location, out bool, parent int) int {
 	if !s.Record {
 		return -1
 	}
-	idx := s.nt.Append(netkat.DPacket{Pkt: fields.Clone(), Loc: loc, Out: out})
-	s.parents = append(s.parents, parent)
-	return idx
+	return s.nt.Append(netkat.DPacket{Pkt: fields, Loc: loc, Out: out}, parent)
 }
 
-// NetTrace reconstructs the recorded network trace (Record must have been
-// set before the run): the point sequence plus one root-to-leaf index
-// path per packet-tree branch.
-func (s *Sim) NetTrace() *trace.NetTrace {
-	return trace.FromParents(s.nt.Packets, s.parents)
-}
+// NetTrace returns the network trace the simulation records (Record
+// must have been set before the run): its points and their parents.
+// Later events extend it, and its points share header maps with the
+// packets.
+func (s *Sim) NetTrace() *trace.NetTrace { return &s.nt }
 
 // wireBytes is the on-the-wire size of a packet.
 func (s *Sim) wireBytes() int { return s.Params.PayloadBytes + s.Plane.HeaderOverhead() }

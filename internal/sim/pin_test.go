@@ -46,8 +46,9 @@ func simTraceHash(t *testing.T) uint64 {
 					num(0)
 				}
 			}
-			num(uint64(len(nt.Trees)))
-			for _, tree := range nt.Trees {
+			trees := nt.Trees()
+			num(uint64(len(trees)))
+			for _, tree := range trees {
 				num(uint64(len(tree)))
 				for _, i := range tree {
 					num(uint64(i))

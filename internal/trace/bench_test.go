@@ -13,13 +13,12 @@ func benchTrace() (*NetTrace, map[netkat.Location]bool) {
 	nt := &NetTrace{}
 	p := netkat.Packet{"dst": 104}
 	for i := 0; i < 25; i++ {
-		a := nt.Append(dp(p, loc(101, 0), true))
-		b := nt.Append(dp(p, loc(1, 2), false))
-		c := nt.Append(dp(p, loc(1, 1), true))
-		d := nt.Append(dp(p, loc(4, 1), false))
-		e := nt.Append(dp(p, loc(4, 2), true))
-		f := nt.Append(dp(p, loc(104, 0), false))
-		nt.Trees = append(nt.Trees, []int{a, b, c, d, e, f})
+		a := nt.Append(dp(p, loc(101, 0), true), -1)
+		b := nt.Append(dp(p, loc(1, 2), false), a)
+		c := nt.Append(dp(p, loc(1, 1), true), b)
+		d := nt.Append(dp(p, loc(4, 1), false), c)
+		e := nt.Append(dp(p, loc(4, 2), true), d)
+		nt.Append(dp(p, loc(104, 0), false), e)
 	}
 	return nt, hosts
 }

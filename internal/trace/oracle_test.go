@@ -128,29 +128,25 @@ func machineTrace(t *testing.T, c oracleCase, n *nes.NES, seed int64, assist boo
 	return m.NetTrace()
 }
 
-// withoutTail returns nt with tree ti cut back to its first keep points:
-// the cut points leave the trace, and no other tree may pass through them.
-func withoutTail(nt *trace.NetTrace, ti, keep int) *trace.NetTrace {
+// withoutTail returns nt with tree ti of trees (nt.Trees()) cut back to
+// its first keep points: the cut points leave the trace, and no other
+// tree may pass through them.
+func withoutTail(nt *trace.NetTrace, trees [][]int, ti, keep int) *trace.NetTrace {
 	cut := map[int]bool{}
-	for _, k := range nt.Trees[ti][keep:] {
+	for _, k := range trees[ti][keep:] {
 		cut[k] = true
 	}
 	renum := make([]int, len(nt.Packets))
 	out := &trace.NetTrace{}
 	for k, d := range nt.Packets {
-		if !cut[k] {
-			renum[k] = out.Append(d)
+		if cut[k] {
+			continue
 		}
-	}
-	for i, tr := range nt.Trees {
-		if i == ti {
-			tr = tr[:keep]
+		p := nt.Parent[k]
+		if p >= 0 {
+			p = renum[p]
 		}
-		idx := make([]int, len(tr))
-		for j, k := range tr {
-			idx[j] = renum[k]
-		}
-		out.Trees = append(out.Trees, idx)
+		renum[k] = out.Append(d, p)
 	}
 	return out
 }
@@ -159,20 +155,21 @@ func withoutTail(nt *trace.NetTrace, ti, keep int) *trace.NetTrace {
 // and is not shared with another tree back to its last switch ingress,
 // so it reads as a drop there. It returns nil if no tree qualifies.
 func lateDrop(nt *trace.NetTrace, hosts map[netkat.Location]bool) *trace.NetTrace {
+	trees := nt.Trees()
 	shared := map[int]int{}
-	for _, tr := range nt.Trees {
+	for _, tr := range trees {
 		for _, k := range tr {
 			shared[k]++
 		}
 	}
-	for ti := len(nt.Trees) - 1; ti >= 0; ti-- {
-		tr := nt.Trees[ti]
+	for ti := len(trees) - 1; ti >= 0; ti-- {
+		tr := trees[ti]
 		for j := len(tr) - 2; j > 0; j-- {
 			if shared[tr[j+1]] > 1 {
 				break
 			}
 			if d := nt.Packets[tr[j]]; !d.Out && !hosts[d.Loc] {
-				return withoutTail(nt, ti, j+1)
+				return withoutTail(nt, trees, ti, j+1)
 			}
 		}
 	}
@@ -204,17 +201,18 @@ func rotated(t *testing.T, n *nes.NES) *nes.NES {
 // trace's longest tree. Points share their header maps, so the flipped
 // point gets a copy.
 func headerFlip(nt *trace.NetTrace) *trace.NetTrace {
+	trees := nt.Trees()
 	long := 0
-	for ti, tr := range nt.Trees {
-		if len(tr) > len(nt.Trees[long]) {
+	for ti, tr := range trees {
+		if len(tr) > len(trees[long]) {
 			long = ti
 		}
 	}
-	if len(nt.Trees) == 0 || len(nt.Trees[long]) < 3 {
+	if len(trees) == 0 || len(trees[long]) < 3 {
 		return nil
 	}
-	k := nt.Trees[long][len(nt.Trees[long])/2]
-	out := &trace.NetTrace{Packets: append([]netkat.DPacket(nil), nt.Packets...), Trees: nt.Trees}
+	k := trees[long][len(trees[long])/2]
+	out := &trace.NetTrace{Packets: append([]netkat.DPacket(nil), nt.Packets...), Parent: nt.Parent}
 	d := out.Packets[k]
 	d.Pkt = d.Pkt.Clone()
 	d.Pkt[apps.FieldDst] = d.Pkt[apps.FieldDst] + 1
@@ -342,8 +340,9 @@ func TestCheckNESWorkBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		nt := m.NetTrace()
+		trees := nt.Trees()
 		steps := 0
-		for _, tr := range nt.Trees {
+		for _, tr := range trees {
 			steps += len(tr)
 		}
 		var before, after goruntime.MemStats
@@ -358,7 +357,7 @@ func TestCheckNESWorkBound(t *testing.T) {
 		}
 		alloc = after.TotalAlloc - before.TotalAlloc
 		t.Logf("%d points, %d trees, %d configs: %d Succ and DStep calls (bound %d), %d bytes allocated",
-			len(nt.Packets), len(nt.Trees), len(n.Configs), calls, len(n.Configs)*steps, alloc)
+			len(nt.Packets), len(trees), len(n.Configs), calls, len(n.Configs)*steps, alloc)
 		return len(nt.Packets), alloc
 	}
 	t.Run("bandwidth-cap-10", func(t *testing.T) {

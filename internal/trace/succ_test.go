@@ -101,7 +101,7 @@ func TestSuccMatchesDStep(t *testing.T) {
 			checks, members, rewrites := 0, 0, 0
 			for ti, nt := range traces {
 				next := make([][]netkat.DPacket, len(nt.Packets)) // point -> its recorded successors
-				for _, tr := range nt.Trees {
+				for _, tr := range nt.Trees() {
 					for i := 0; i+1 < len(tr); i++ {
 						next[tr[i]] = append(next[tr[i]], nt.Packets[tr[i+1]])
 					}

@@ -4,6 +4,12 @@
 // correctness checkers for event-driven consistent updates (Definition 2)
 // and network event structures (Definition 6).
 //
+// A network trace has one form, the one an execution records: its points
+// and each point's parent in its packet tree (NetTrace). The packet
+// traces (Trees), the generators of happens-before (a point's parent and
+// the previous point at its node) and the well-formedness check
+// (Validate) are all read from it.
+//
 // The checkers are deliberately independent of the runtime in
 // internal/runtime: they judge recorded executions from the definitions
 // alone, so they can validate the correct implementation and convict the
@@ -19,38 +25,41 @@ import (
 	"eventnet/internal/netkat"
 )
 
-// NetTrace is a network trace ntr = (lp0 lp1 ..., T): an interleaved
-// sequence of located packets together with the set T of packet traces,
-// each an increasing sequence of indices into the located-packet sequence.
+// NetTrace is a network trace ntr = (lp0 lp1 ..., T), held as what an
+// execution records: the interleaved sequence of located packets, and
+// for each point its predecessor in its packet tree, Parent[i] < i, or
+// -1 for a root. T is the family of root-to-leaf paths (Trees); with
+// each node's order of points, Parent generates happens-before
+// (Definition 1).
 //
-// Trace points are read-only: internal/runtime records the header map a
-// packet carries, not a copy, so a point shares it with the machine and
-// with the packet's other points. A caller that alters a point's headers
-// replaces Pkt with a clone.
+// Trace points are read-only: internal/runtime and internal/sim record
+// the header map a packet carries, not a copy, so a point shares it with
+// the executor and with the packet's other points. A caller that alters
+// a point's headers replaces Pkt with a clone.
 type NetTrace struct {
 	Packets []netkat.DPacket
-	Trees   [][]int
+	Parent  []int
 }
 
-// Append adds a trace point and returns its index.
-func (nt *NetTrace) Append(d netkat.DPacket) int {
+// Append records a trace point whose predecessor in its packet tree is
+// parent, -1 for a root, and returns its index.
+func (nt *NetTrace) Append(d netkat.DPacket, parent int) int {
 	nt.Packets = append(nt.Packets, d)
+	nt.Parent = append(nt.Parent, parent)
 	return len(nt.Packets) - 1
 }
 
-// FromParents builds the network trace of a recorded execution: points
-// in recording order, and parents[i] the index of point i's predecessor
-// in its packet tree, -1 for a root. A parent always precedes its child.
-// Trees are the root-to-leaf paths, roots ascending and each root's
-// leaves in depth-first order with children ascending.
-func FromParents(points []netkat.DPacket, parents []int) *NetTrace {
-	n := len(parents)
+// Trees returns the packet traces T: the root-to-leaf paths, roots
+// ascending and each root's leaves in depth-first order with children
+// ascending. Each path is increasing, as a parent precedes its child.
+func (nt *NetTrace) Trees() [][]int {
+	n := len(nt.Parent)
 	// Ascending child lists in CSR form: the children of i are
 	// kids[off[i]:off[i+1]]. Counting into off[p+2] and filling through
 	// off[p+1] leaves off[i] at the start of i's list.
 	off := make([]int, n+2)
 	depth := make([]int, n)
-	for i, p := range parents {
+	for i, p := range nt.Parent {
 		if p >= 0 {
 			off[p+2]++
 			depth[i] = depth[p] + 1
@@ -60,23 +69,23 @@ func FromParents(points []netkat.DPacket, parents []int) *NetTrace {
 		off[i] += off[i-1]
 	}
 	kids := make([]int, off[n+1])
-	for i, p := range parents {
+	for i, p := range nt.Parent {
 		if p >= 0 {
 			kids[off[p+1]] = i
 			off[p+1]++
 		}
 	}
 	total, leaves := 0, 0
-	for i := range parents {
+	for i := range nt.Parent {
 		if off[i] == off[i+1] {
 			total += depth[i] + 1
 			leaves++
 		}
 	}
-	nt := &NetTrace{Packets: points, Trees: make([][]int, 0, leaves)}
+	trees := make([][]int, 0, leaves)
 	buf := make([]int, 0, total) // every path, back to back
 	var path, stack []int
-	for r, p := range parents {
+	for r, p := range nt.Parent {
 		if p != -1 {
 			continue
 		}
@@ -88,7 +97,7 @@ func FromParents(points []netkat.DPacket, parents []int) *NetTrace {
 			if off[i] == off[i+1] {
 				a := len(buf)
 				buf = append(buf, path...)
-				nt.Trees = append(nt.Trees, buf[a:len(buf):len(buf)])
+				trees = append(trees, buf[a:len(buf):len(buf)])
 				continue
 			}
 			for j := off[i+1] - 1; j >= off[i]; j-- {
@@ -96,7 +105,7 @@ func FromParents(points []netkat.DPacket, parents []int) *NetTrace {
 			}
 		}
 	}
-	return nt
+	return trees
 }
 
 // PacketTrace returns the trace points of tree t.
@@ -108,82 +117,69 @@ func (nt *NetTrace) PacketTrace(t []int) []netkat.DPacket {
 	return out
 }
 
-// Validate checks the three conditions of the network-trace definition:
-// every index belongs to some packet trace; every packet trace is
-// increasing and starts at a host; and the successor graph forms a family
-// of trees (each index has at most one predecessor).
+// Validate checks what Parent alone does not make true of a network
+// trace: each point has a parent entry, each parent precedes its child,
+// and each packet trace starts at a host emission. That every point lies
+// on some packet trace, and has at most one predecessor, holds by
+// construction.
 func (nt *NetTrace) Validate(hosts map[netkat.Location]bool) error {
-	covered := make([]bool, len(nt.Packets))
-	parent := map[int]int{}
-	for ti, t := range nt.Trees {
-		if len(t) == 0 {
-			return fmt.Errorf("trace: tree %d is empty", ti)
-		}
-		if !hosts[nt.Packets[t[0]].Loc] || !nt.Packets[t[0]].Out {
-			return fmt.Errorf("trace: tree %d does not start at a host emission (starts at %v)", ti, nt.Packets[t[0]])
-		}
-		for i, k := range t {
-			if k < 0 || k >= len(nt.Packets) {
-				return fmt.Errorf("trace: tree %d index %d out of range", ti, k)
-			}
-			covered[k] = true
-			if i > 0 {
-				if k <= t[i-1] {
-					return fmt.Errorf("trace: tree %d is not increasing at position %d", ti, i)
-				}
-				if p, ok := parent[k]; ok && p != t[i-1] {
-					return fmt.Errorf("trace: index %d has two predecessors (%d and %d)", k, p, t[i-1])
-				}
-				parent[k] = t[i-1]
-			}
-		}
+	if len(nt.Parent) != len(nt.Packets) {
+		return fmt.Errorf("trace: %d parent entries for %d points", len(nt.Parent), len(nt.Packets))
 	}
-	for k, ok := range covered {
-		if !ok {
-			return fmt.Errorf("trace: index %d belongs to no packet trace", k)
+	for i, p := range nt.Parent {
+		switch d := nt.Packets[i]; {
+		case p < -1 || p >= i:
+			return fmt.Errorf("trace: point %d has parent %d, which does not precede it", i, p)
+		case p == -1 && (!hosts[d.Loc] || !d.Out):
+			return fmt.Errorf("trace: point %d is a root but not a host emission (%v)", i, d)
 		}
 	}
 	return nil
 }
 
+// prevAtNode returns each point's previous point at the same node, -1
+// for none. With Parent it generates Definition 1's happens-before: a
+// point's immediate predecessors are its tree parent and this point, and
+// both precede it in the trace.
+func prevAtNode(ps []netkat.DPacket) []int {
+	nodes := 0
+	for _, d := range ps {
+		nodes = max(nodes, d.Loc.Switch+1)
+	}
+	last := make([]int, nodes) // node -> 1 + its latest point so far, 0 for none
+	prev := make([]int, len(ps))
+	for i, d := range ps {
+		prev[i] = last[d.Loc.Switch] - 1
+		last[d.Loc.Switch] = i + 1
+	}
+	return prev
+}
+
 // HB is the happens-before relation of Definition 1, closed transitively.
 type HB struct {
-	n     int
-	reach []uint64 // n x ceil(n/64) bit matrix: reach[i*w+j/64] bit j
-	w     int
+	w      int
+	before []uint64 // n x ceil(n/64) bit matrix: before[j*w+i/64] bit i iff lp_i ≺ lp_j
 }
 
 // HappensBefore computes the least partial order that respects (a) the
-// total order induced by the trace at each switch and (b) the order along
-// each packet trace.
+// total order induced by the trace at each node and (b) the order along
+// each packet trace. Both generators point backwards, so one forward
+// sweep closes them: the points before j are j's two predecessors and
+// the points before those.
 func HappensBefore(nt *NetTrace) *HB {
 	n := len(nt.Packets)
 	w := (n + 63) / 64
-	hb := &HB{n: n, w: w, reach: make([]uint64, n*w)}
-	// Direct edges.
-	adj := make([][]int, n)
-	// (a) same-switch chains: for each node ID, consecutive occurrences.
-	last := map[int]int{}
-	for i, lp := range nt.Packets {
-		if j, ok := last[lp.Loc.Switch]; ok {
-			adj[j] = append(adj[j], i)
-		}
-		last[lp.Loc.Switch] = i
-	}
-	// (b) per-packet-trace chains.
-	for _, t := range nt.Trees {
-		for i := 0; i+1 < len(t); i++ {
-			adj[t[i]] = append(adj[t[i]], t[i+1])
-		}
-	}
-	// Transitive closure: edges only go forward, so a reverse sweep works.
-	for i := n - 1; i >= 0; i-- {
-		row := hb.reach[i*w : (i+1)*w]
-		for _, j := range adj[i] {
-			row[j/64] |= 1 << uint(j%64)
-			rj := hb.reach[j*w : (j+1)*w]
-			for k := 0; k < w; k++ {
-				row[k] |= rj[k]
+	hb := &HB{w: w, before: make([]uint64, n*w)}
+	prev := prevAtNode(nt.Packets)
+	for j := range n {
+		row := hb.before[j*w : (j+1)*w]
+		for _, p := range [2]int{nt.Parent[j], prev[j]} {
+			if p < 0 {
+				continue
+			}
+			row[p/64] |= 1 << uint(p%64)
+			for k, x := range hb.before[p*w : (p+1)*w] {
+				row[k] |= x
 			}
 		}
 	}
@@ -192,7 +188,7 @@ func HappensBefore(nt *NetTrace) *HB {
 
 // Before reports lp_i ≺ lp_j.
 func (hb *HB) Before(i, j int) bool {
-	return hb.reach[i*hb.w+j/64]&(1<<uint(j%64)) != 0
+	return hb.before[j*hb.w+i/64]&(1<<uint(i%64)) != 0
 }
 
 // InTraces reports whether a packet trace belongs to Traces(C): it starts
@@ -244,6 +240,7 @@ type Update struct {
 // The caller computes pending from the NES's enabling relation.
 func FirstOccurrences(nt *NetTrace, u Update, pending []nes.Event, hosts map[netkat.Location]bool) ([]int, bool) {
 	ks := make([]int, 0, len(u.Events))
+	trees := nt.Trees()
 	prev := -1
 	for i, e := range u.Events {
 		ki := -1
@@ -259,7 +256,7 @@ func FirstOccurrences(nt *NetTrace, u Update, pending []nes.Event, hosts map[net
 		// The event must be triggered by a packet processed in the
 		// immediately preceding configuration Ci.
 		ok := false
-		for _, t := range nt.Trees {
+		for _, t := range trees {
 			hasKi := false
 			for _, k := range t {
 				if k == ki {
@@ -312,7 +309,7 @@ func CheckUpdate(nt *NetTrace, u Update, pending []nes.Event, hosts map[netkat.L
 		return fmt.Errorf("trace: FO(ntr, U) does not exist")
 	}
 	hb := HappensBefore(nt)
-	for ti, t := range nt.Trees {
+	for ti, t := range nt.Trees() {
 		pt := nt.PacketTrace(t)
 		inC := make([]bool, len(u.Configs))
 		any := false
@@ -395,15 +392,13 @@ var errNoFO = errors.New("trace: FO(ntr, U) does not exist")
 // Definition 1 are computed only around the first occurrences a
 // candidate uses.
 //
-// The trace's trees must be increasing paths in which each point has at
-// most one predecessor (Validate's conditions); a trace whose trees are
-// not is rejected.
+// A trace that Validate rejects is rejected with Validate's error.
 func CheckNES(nt *NetTrace, n *nes.NES, hosts map[netkat.Location]bool) error {
-	c0, _ := n.ConfigAt(nes.Empty) // nes.New requires the empty event-set
-	s, err := newSearch(nt, n, hosts)
-	if err != nil {
+	if err := nt.Validate(hosts); err != nil {
 		return err
 	}
+	c0, _ := n.ConfigAt(nes.Empty) // nes.New requires the empty event-set
+	s := newSearch(nt, n, hosts)
 	if found, err := s.visit(nes.Empty, []int{c0}, nil); found || err != nil {
 		return err
 	}
@@ -417,10 +412,11 @@ type search struct {
 	n     *nes.NES
 	hosts map[netkat.Location]bool
 
-	parent []int // point -> its predecessor in its packet tree, -1 for none
-	prevAt []int // point -> the previous point at the same node, -1 for none
-	// The trees through point k are thrTree[thrOff[k]:thrOff[k+1]], ascending.
-	thrOff, thrTree []int
+	trees  [][]int // nt.Trees()
+	prevAt []int   // prevAtNode(nt.Packets)
+	// The trees through point k are trees[thrLo[k]:thrHi[k]]: they are
+	// the leaves of k's subtree, which Trees lists one after another.
+	thrLo, thrHi []int
 
 	inTr  [][]uint8  // config -> tree -> 0 unknown, 1 not in Traces(C), 2 in; rows made on first use
 	occ   [][]int    // event ID -> ascending indices of the points matching it; nil until computed
@@ -438,53 +434,27 @@ type bitset []uint64
 func (b bitset) has(i int) bool { return b[i/64]&(1<<uint(i%64)) != 0 }
 func (b bitset) set(i int)      { b[i/64] |= 1 << uint(i%64) }
 
-func newSearch(nt *NetTrace, n *nes.NES, hosts map[netkat.Location]bool) (*search, error) {
+func newSearch(nt *NetTrace, n *nes.NES, hosts map[netkat.Location]bool) *search {
 	np := len(nt.Packets)
 	s := &search{
 		nt: nt, n: n, hosts: hosts,
-		parent: make([]int, np),
-		prevAt: make([]int, np),
-		thrOff: make([]int, np+2),
+		trees:  nt.Trees(),
+		prevAt: prevAtNode(nt.Packets),
+		thrLo:  make([]int, np),
+		thrHi:  make([]int, np),
 		inTr:   make([][]uint8, len(n.Configs)),
 		occ:    make([][]int, len(n.Events)),
 		cones:  make([]*hbCones, np),
 	}
-	nodes := 0
-	for _, d := range nt.Packets {
-		nodes = max(nodes, d.Loc.Switch+1)
-	}
-	last := make([]int, nodes) // node -> 1 + its latest point so far, 0 for none
-	for i, d := range nt.Packets {
-		s.parent[i] = -1
-		s.prevAt[i] = last[d.Loc.Switch] - 1
-		last[d.Loc.Switch] = i + 1
-	}
-	for ti, t := range nt.Trees {
-		for i, k := range t {
-			if k < 0 || k >= np {
-				return nil, fmt.Errorf("trace: tree %d index %d out of range", ti, k)
-			}
-			s.thrOff[k+2]++
-			if i == 0 {
-				continue
-			}
-			if p := s.parent[k]; k <= t[i-1] || p >= 0 && p != t[i-1] {
-				return nil, fmt.Errorf("trace: tree %d is not an increasing path with one predecessor per point (position %d)", ti, i)
-			}
-			s.parent[k] = t[i-1]
-		}
-	}
-	for i := 2; i < len(s.thrOff); i++ {
-		s.thrOff[i] += s.thrOff[i-1]
-	}
-	s.thrTree = make([]int, s.thrOff[np+1])
-	for ti, t := range nt.Trees {
+	for ti, t := range s.trees {
 		for _, k := range t {
-			s.thrTree[s.thrOff[k+1]] = ti
-			s.thrOff[k+1]++
+			if s.thrHi[k] == 0 {
+				s.thrLo[k] = ti
+			}
+			s.thrHi[k] = ti + 1
 		}
 	}
-	return s, nil
+	return s
 }
 
 // visit examines the candidate sequence that reached event-set set —
@@ -563,7 +533,7 @@ func (s *search) quietAfter(pending []int, last int) bool {
 // triggered reports that some packet tree through point k is in
 // Traces(C) for configuration c.
 func (s *search) triggered(k, c int) bool {
-	for _, ti := range s.thrTree[s.thrOff[k]:s.thrOff[k+1]] {
+	for ti := s.thrLo[k]; ti < s.thrHi[k]; ti++ {
 		if s.in(c, ti) {
 			return true
 		}
@@ -574,12 +544,12 @@ func (s *search) triggered(k, c int) bool {
 // in reports whether tree ti is in Traces(C) for configuration c.
 func (s *search) in(c, ti int) bool {
 	if s.inTr[c] == nil {
-		s.inTr[c] = make([]uint8, len(s.nt.Trees))
+		s.inTr[c] = make([]uint8, len(s.trees))
 	}
 	m := &s.inTr[c][ti]
 	if *m == 0 {
 		*m = 1
-		if s.member(s.n.Configs[c].Rel, s.nt.Trees[ti]) {
+		if s.member(s.n.Configs[c].Rel, s.trees[ti]) {
 			*m = 2
 		}
 	}
@@ -607,7 +577,7 @@ func (s *search) member(c netkat.DConfig, t []int) bool {
 // Definition 1, so it happens wholly before k iff its last point does,
 // and wholly after k iff its first point does.
 func (s *search) correct(cfgs, ks []int) error {
-	for ti, t := range s.nt.Trees {
+	for ti, t := range s.trees {
 		first := 0
 		for first < len(cfgs) && !s.in(cfgs[first], ti) {
 			first++
@@ -649,20 +619,20 @@ func (s *search) cone(k int) *hbCones {
 	if c := s.cones[k]; c != nil {
 		return c
 	}
-	w := (len(s.parent) + 63) / 64
+	w := (len(s.nt.Parent) + 63) / 64
 	c := &hbCones{before: make(bitset, w), after: make(bitset, w)}
 	for stack := []int{k}; len(stack) > 0; {
 		j := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range [2]int{s.parent[j], s.prevAt[j]} {
+		for _, p := range [2]int{s.nt.Parent[j], s.prevAt[j]} {
 			if p >= 0 && !c.before.has(p) {
 				c.before.set(p)
 				stack = append(stack, p)
 			}
 		}
 	}
-	for j := k + 1; j < len(s.parent); j++ {
-		for _, p := range [2]int{s.parent[j], s.prevAt[j]} {
+	for j := k + 1; j < len(s.nt.Parent); j++ {
+		for _, p := range [2]int{s.nt.Parent[j], s.prevAt[j]} {
 			if p == k || p > k && c.after.has(p) {
 				c.after.set(j)
 				break

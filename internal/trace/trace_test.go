@@ -34,35 +34,32 @@ func TestValidate(t *testing.T) {
 	hosts := map[netkat.Location]bool{loc(101, 0): true}
 	p := netkat.Packet{"dst": 1}
 	nt := &NetTrace{}
-	nt.Append(dp(p, loc(101, 0), true))
-	nt.Append(dp(p, loc(1, 2), false))
-	nt.Trees = [][]int{{0, 1}}
+	nt.Append(dp(p, loc(101, 0), true), -1)
+	nt.Append(dp(p, loc(1, 2), false), 0)
 	if err := nt.Validate(hosts); err != nil {
 		t.Errorf("valid trace rejected: %v", err)
 	}
-	// Uncovered index.
-	nt2 := &NetTrace{}
-	nt2.Append(dp(p, loc(101, 0), true))
-	nt2.Append(dp(p, loc(1, 2), false))
-	nt2.Trees = [][]int{{0}}
-	if err := nt2.Validate(hosts); err == nil {
-		t.Error("uncovered index accepted")
-	}
 	// Non-host root.
-	nt3 := &NetTrace{}
-	nt3.Append(dp(p, loc(1, 2), false))
-	nt3.Trees = [][]int{{0}}
-	if err := nt3.Validate(hosts); err == nil {
+	nt2 := &NetTrace{}
+	nt2.Append(dp(p, loc(1, 2), false), -1)
+	if err := nt2.Validate(hosts); err == nil {
 		t.Error("non-host root accepted")
 	}
-	// Two parents for one index.
-	nt4 := &NetTrace{}
-	nt4.Append(dp(p, loc(101, 0), true))
-	nt4.Append(dp(p, loc(101, 0), true))
-	nt4.Append(dp(p, loc(1, 2), false))
-	nt4.Trees = [][]int{{0, 2}, {1, 2}}
+	// A parent that does not precede its child: itself, a later point,
+	// or no point at all.
+	for _, parent := range []int{1, 2, -2} {
+		nt3 := &NetTrace{}
+		nt3.Append(dp(p, loc(101, 0), true), -1)
+		nt3.Append(dp(p, loc(1, 2), false), parent)
+		nt3.Append(dp(p, loc(1, 1), true), 1)
+		if err := nt3.Validate(hosts); err == nil {
+			t.Errorf("parent %d of point 1 accepted", parent)
+		}
+	}
+	// A point without a parent entry.
+	nt4 := &NetTrace{Packets: []netkat.DPacket{dp(p, loc(101, 0), true), dp(p, loc(1, 2), false)}, Parent: []int{-1}}
 	if err := nt4.Validate(hosts); err == nil {
-		t.Error("two-parent trace accepted")
+		t.Error("length mismatch accepted")
 	}
 }
 
@@ -73,12 +70,11 @@ func TestHappensBefore(t *testing.T) {
 	q := netkat.Packet{"dst": 2}
 	nt := &NetTrace{}
 	// Packet p: host -> s4 -> s1; packet q: host2 -> s1 later.
-	i0 := nt.Append(dp(p, loc(101, 0), true)) // 0
-	i1 := nt.Append(dp(p, loc(4, 1), false))  // 1 at s4
-	i2 := nt.Append(dp(p, loc(1, 1), false))  // 2 at s1
-	i3 := nt.Append(dp(q, loc(102, 0), true)) // 3
-	i4 := nt.Append(dp(q, loc(1, 2), false))  // 4 at s1 (after 2)
-	nt.Trees = [][]int{{i0, i1, i2}, {i3, i4}}
+	i0 := nt.Append(dp(p, loc(101, 0), true), -1) // 0
+	i1 := nt.Append(dp(p, loc(4, 1), false), i0)  // 1 at s4
+	i2 := nt.Append(dp(p, loc(1, 1), false), i1)  // 2 at s1
+	i3 := nt.Append(dp(q, loc(102, 0), true), -1) // 3
+	i4 := nt.Append(dp(q, loc(1, 2), false), i3)  // 4 at s1 (after 2)
 	hb := HappensBefore(nt)
 
 	if !hb.Before(i0, i2) {
@@ -177,19 +173,18 @@ func TestCheckUpdateAccepts(t *testing.T) {
 	out := netkat.Packet{"dst": 104}
 	back := netkat.Packet{"dst": 101}
 	nt := &NetTrace{}
-	nt.Append(dp(out, loc(101, 0), true))  // 0
-	nt.Append(dp(out, loc(1, 2), false))   // 1
-	nt.Append(dp(out, loc(1, 1), true))    // 2
-	nt.Append(dp(out, loc(4, 1), false))   // 3 = k0
-	nt.Append(dp(out, loc(4, 2), true))    // 4
-	nt.Append(dp(out, loc(104, 0), false)) // 5
-	nt.Append(dp(back, loc(104, 0), true)) // 6 (after hearing)
-	nt.Append(dp(back, loc(4, 2), false))  // 7
-	nt.Append(dp(back, loc(4, 1), true))   // 8
-	nt.Append(dp(back, loc(1, 1), false))  // 9
-	nt.Append(dp(back, loc(1, 2), true))   // 10
-	nt.Append(dp(back, loc(101, 0), false))
-	nt.Trees = [][]int{{0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 10, 11}}
+	nt.Append(dp(out, loc(101, 0), true), -1)  // 0
+	nt.Append(dp(out, loc(1, 2), false), 0)    // 1
+	nt.Append(dp(out, loc(1, 1), true), 1)     // 2
+	nt.Append(dp(out, loc(4, 1), false), 2)    // 3 = k0
+	nt.Append(dp(out, loc(4, 2), true), 3)     // 4
+	nt.Append(dp(out, loc(104, 0), false), 4)  // 5
+	nt.Append(dp(back, loc(104, 0), true), -1) // 6 (after hearing)
+	nt.Append(dp(back, loc(4, 2), false), 6)   // 7
+	nt.Append(dp(back, loc(4, 1), true), 7)    // 8
+	nt.Append(dp(back, loc(1, 1), false), 8)   // 9
+	nt.Append(dp(back, loc(1, 2), true), 9)    // 10
+	nt.Append(dp(back, loc(101, 0), false), 10)
 	if err := CheckUpdate(nt, u, nil, hosts); err != nil {
 		t.Fatalf("correct trace rejected: %v", err)
 	}
@@ -202,15 +197,14 @@ func TestCheckUpdateTooLate(t *testing.T) {
 	out := netkat.Packet{"dst": 104}
 	back := netkat.Packet{"dst": 101}
 	nt := &NetTrace{}
-	nt.Append(dp(out, loc(101, 0), true))
-	nt.Append(dp(out, loc(1, 2), false))
-	nt.Append(dp(out, loc(1, 1), true))
-	nt.Append(dp(out, loc(4, 1), false)) // k0
-	nt.Append(dp(out, loc(4, 2), true))
-	nt.Append(dp(out, loc(104, 0), false))
-	nt.Append(dp(back, loc(104, 0), true)) // 6
-	nt.Append(dp(back, loc(4, 2), false))  // 7: dropped here (C0 behavior)
-	nt.Trees = [][]int{{0, 1, 2, 3, 4, 5}, {6, 7}}
+	nt.Append(dp(out, loc(101, 0), true), -1)
+	nt.Append(dp(out, loc(1, 2), false), 0)
+	nt.Append(dp(out, loc(1, 1), true), 1)
+	nt.Append(dp(out, loc(4, 1), false), 2) // k0
+	nt.Append(dp(out, loc(4, 2), true), 3)
+	nt.Append(dp(out, loc(104, 0), false), 4)
+	nt.Append(dp(back, loc(104, 0), true), -1) // 6
+	nt.Append(dp(back, loc(4, 2), false), 6)   // 7: dropped here (C0 behavior)
 	err := CheckUpdate(nt, u, nil, hosts)
 	if err == nil {
 		t.Fatal("too-late drop accepted")
@@ -228,15 +222,14 @@ func TestCheckUpdateFlexibleWindow(t *testing.T) {
 	out := netkat.Packet{"dst": 104}
 	back := netkat.Packet{"dst": 101}
 	nt := &NetTrace{}
-	nt.Append(dp(back, loc(104, 0), true)) // 0: H4 sends before hearing
-	nt.Append(dp(out, loc(101, 0), true))  // 1
-	nt.Append(dp(out, loc(1, 2), false))
-	nt.Append(dp(out, loc(1, 1), true))
-	nt.Append(dp(out, loc(4, 1), false)) // 4 = k0
-	nt.Append(dp(out, loc(4, 2), true))
-	nt.Append(dp(out, loc(104, 0), false))
-	nt.Append(dp(back, loc(4, 2), false)) // 7: drop is allowed (not wholly after)
-	nt.Trees = [][]int{{0, 7}, {1, 2, 3, 4, 5, 6}}
+	nt.Append(dp(back, loc(104, 0), true), -1) // 0: H4 sends before hearing
+	nt.Append(dp(out, loc(101, 0), true), -1)  // 1
+	nt.Append(dp(out, loc(1, 2), false), 1)
+	nt.Append(dp(out, loc(1, 1), true), 2)
+	nt.Append(dp(out, loc(4, 1), false), 3) // 4 = k0
+	nt.Append(dp(out, loc(4, 2), true), 4)
+	nt.Append(dp(out, loc(104, 0), false), 5)
+	nt.Append(dp(back, loc(4, 2), false), 0) // 7: drop is allowed (not wholly after)
 	if err := CheckUpdate(nt, u, nil, hosts); err != nil {
 		t.Fatalf("concurrent drop rejected: %v", err)
 	}
@@ -248,13 +241,12 @@ func TestFirstOccurrencesPendingRejects(t *testing.T) {
 	u, evs, hosts := firewallish()
 	out := netkat.Packet{"dst": 104}
 	nt := &NetTrace{}
-	nt.Append(dp(out, loc(101, 0), true))
-	nt.Append(dp(out, loc(1, 2), false))
-	nt.Append(dp(out, loc(1, 1), true))
-	nt.Append(dp(out, loc(4, 1), false)) // matches the event
-	nt.Append(dp(out, loc(4, 2), true))
-	nt.Append(dp(out, loc(104, 0), false))
-	nt.Trees = [][]int{{0, 1, 2, 3, 4, 5}}
+	nt.Append(dp(out, loc(101, 0), true), -1)
+	nt.Append(dp(out, loc(1, 2), false), 0)
+	nt.Append(dp(out, loc(1, 1), true), 1)
+	nt.Append(dp(out, loc(4, 1), false), 2) // matches the event
+	nt.Append(dp(out, loc(4, 2), true), 3)
+	nt.Append(dp(out, loc(104, 0), false), 4)
 	// Empty update, the event pending: must fail.
 	empty := Update{Configs: u.Configs[:1]}
 	if _, ok := FirstOccurrences(nt, empty, evs, hosts); ok {
@@ -301,9 +293,9 @@ func TestCheckNESEventNeedsPrecedingConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(points int) *NetTrace {
-		nt := &NetTrace{Packets: path[:points], Trees: [][]int{make([]int, points)}}
-		for i := range nt.Trees[0] {
-			nt.Trees[0][i] = i
+		nt := &NetTrace{}
+		for i, d := range path[:points] {
+			nt.Append(d, i-1)
 		}
 		return nt
 	}
@@ -312,5 +304,12 @@ func TestCheckNESEventNeedsPrecedingConfig(t *testing.T) {
 	}
 	if err := CheckNES(run(6), n, hosts); err == nil {
 		t.Error("an event triggered only under C1 accepted")
+	}
+	// A malformed trace is Validate's to reject, before anything reads
+	// its packet traces.
+	bad := run(4)
+	bad.Parent[1] = 7
+	if err := CheckNES(bad, n, hosts); err == nil {
+		t.Error("a parent past the trace's end accepted")
 	}
 }
