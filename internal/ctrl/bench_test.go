@@ -31,3 +31,37 @@ func BenchmarkSwap(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWarmRevisionCompile measures Compile of a never-seen revision
+// on a controller serving bandwidth-cap-200: cap-201, cap-202, … through
+// the cross-generation cache, as bench's compile-cold-warm warm phase
+// does. After 128 revisions a new controller starts (untimed).
+func BenchmarkWarmRevisionCompile(b *testing.B) {
+	const pool = 128
+	revs := make([]apps.App, pool)
+	for i := range revs {
+		revs[i] = apps.BandwidthCap(201 + i)
+	}
+	var c *ctrl.Controller
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%pool == 0 {
+			b.StopTimer()
+			if c != nil {
+				c.Close()
+			}
+			base := apps.BandwidthCap(200)
+			c = ctrl.New(base.Topo, ctrl.Options{})
+			if err := c.Load(base.Name, base.Prog); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		r := revs[i%pool]
+		if _, err := c.Compile(r.Name, r.Prog); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	c.Close()
+}

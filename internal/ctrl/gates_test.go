@@ -74,7 +74,9 @@ func switchesOf(n *nes.NES) string {
 // for a staged install nobody reads (6.06 MB when it was materialized),
 // nor for a Figure 6 walk per strand it shares with its predecessor, a
 // compiler context built to be thrown away and two more renderings of
-// the program (2.17 MB at the commit before; 1.20 MB now).
+// the program (2.17 MB at the commit before; 1.20 MB after), nor for
+// tables a state with the same hops already has (1.11 MB before; 0.83 MB
+// now).
 func TestNovelSwapAllocs(t *testing.T) {
 	a, b := apps.BandwidthCap(200), apps.BandwidthCap(201)
 	c := ctrl.New(a.Topo, ctrl.Options{})
@@ -90,8 +92,58 @@ func TestNovelSwapAllocs(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	got := float64(m1.TotalAlloc - m0.TotalAlloc)
 	t.Logf("novel swap cap-200 -> cap-201 allocated %.2f MB", got/1e6)
-	if got > 1.30e6 {
-		t.Fatalf("novel swap allocated %.2f MB, want <= 1.30 MB", got/1e6)
+	if got > 0.87e6 {
+		t.Fatalf("novel swap allocated %.2f MB, want <= 0.87 MB", got/1e6)
+	}
+}
+
+// warmRevision compiles cap-201 on a fresh controller serving cap-200 and
+// returns the compiled program with the objects the compile allocated.
+func warmRevision(t *testing.T) (*ctrl.Program, uint64) {
+	a, b := apps.BandwidthCap(200), apps.BandwidthCap(201)
+	c := ctrl.New(a.Topo, ctrl.Options{})
+	defer c.Close()
+	if err := c.Load(a.Name, a.Prog); err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	p, err := c.Compile(b.Name, b.Prog)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, m1.Mallocs - m0.Mallocs
+}
+
+// TestWarmRevisionCompileAllocs: compiling a never-seen revision on a
+// warm controller allocates for the revision's skeleton and its states'
+// edges, not for re-assembling tables its predecessor already holds, nor
+// for a projection of the program to validate it, three renderings and
+// three clones of the state per edge or a map of occurrence counts per
+// vertex (12 246 objects before, 5 502 now).
+func TestWarmRevisionCompileAllocs(t *testing.T) {
+	least := uint64(0)
+	for i := 0; i < 3; i++ { // the fewest of three: the controller's goroutines allocate too
+		if _, n := warmRevision(t); i == 0 || n < least {
+			least = n
+		}
+	}
+	t.Logf("cap-201 compiled after cap-200 allocated %d objects", least)
+	if least > 5780 {
+		t.Fatalf("warm revision compile allocated %d objects, want <= 5 780", least)
+	}
+}
+
+// TestWarmRevisionTableMisses: a state whose spliced hop list equals one
+// an earlier program's state had takes that state's tables, so cap-201
+// after cap-200 assembles tables for at most 2 of its 203 states.
+func TestWarmRevisionTableMisses(t *testing.T) {
+	p, _ := warmRevision(t)
+	st := p.Stats
+	t.Logf("cap-201 after cap-200: %d states, table hits %d, misses %d", st.States, st.Cache.TableHits, st.Cache.TableMisses)
+	if st.Cache.TableHits+st.Cache.TableMisses != int64(st.States) || st.Cache.TableMisses > 2 {
+		t.Fatalf("cap-201 after cap-200: %d table hits and %d misses for %d states, want <= 2 misses", st.Cache.TableHits, st.Cache.TableMisses, st.States)
 	}
 }
 

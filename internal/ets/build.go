@@ -10,7 +10,7 @@ package ets
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"eventnet/internal/flowtable"
 	"eventnet/internal/nkc"
@@ -39,8 +39,8 @@ type Stats struct {
 	States int
 	Edges  int
 	Events int
-	// Configs is the number of distinct table sets the compiler holds;
-	// States - Configs states reused a whole configuration by guard
+	// Configs is the number of distinct guard signatures the compiler
+	// met; States - Configs states reused a whole configuration by guard
 	// signature.
 	Configs int
 	Cache   nkc.CacheStats
@@ -55,7 +55,7 @@ func (s Stats) String() string {
 // explored is the recorded outcome for one state.
 type explored struct {
 	state  stateful.State
-	edges  []stateful.Edge // non-self, sorted by key
+	edges  []stateful.Edge // non-self, sorted by key; raw edges point into it
 	tables flowtable.Tables
 }
 
@@ -85,39 +85,16 @@ func buildETS(p stateful.Program, t *topo.Topology, o Options, maxRounds int) (*
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	// An unrolled walk's raw edges stay in discovery order: the copies of
-	// a state share their edges' keys, so sorting by key would need to be
-	// stable.
-	if maxRounds == 0 {
-		sort.Slice(raw, func(i, j int) bool { return raw[i].ed.Key() < raw[j].ed.Key() })
-	}
 	if err := e.finish(raw); err != nil {
 		return nil, Stats{}, err
 	}
 	return e, Stats{States: len(e.Vertices), Edges: len(e.Edges), Events: len(e.Events), Configs: pc.Configs(), Cache: pc.Stats()}, nil
 }
 
-// explore is the one entry point into per-state work: it asks the
-// incremental compiler for state k's configuration and event-edges
-// together and drops self-loops — an edge that updates the state to
-// itself is not a transition in the ETS sense.
-func explore(pc *nkc.ProgramCompiler, k stateful.State) (*explored, error) {
-	tables, edges, err := pc.Explore(k)
-	if err != nil {
-		return nil, fmt.Errorf("ets: compiling configuration for state %v: %w", k, err)
-	}
-	res := &explored{state: k, tables: tables}
-	for _, e := range edges {
-		if !e.To.Equal(e.From) {
-			res.edges = append(res.edges, e)
-		}
-	}
-	return res, nil
-}
-
 // walk is the breadth-first loop behind Build and BuildUnrolled: it
 // returns the vertices, numbered in discovery order, and the raw edges in
-// the order they were followed. With rounds == 0 a vertex is a state;
+// the order they were followed — by source vertex, each vertex's sorted
+// by key as Explore returns them. With rounds == 0 a vertex is a state;
 // with rounds > 0 it is a (state, transitions taken) pair and the walk
 // stops following edges after rounds transitions. Either way each
 // distinct state is explored once, when its first vertex is dequeued —
@@ -142,13 +119,19 @@ func walk(pc *nkc.ProgramCompiler, init stateful.State, t *topo.Topology, rounds
 		cur := queue[id]
 		res, ok := seen[cur.state]
 		if !ok {
-			var err error
-			if res, err = explore(pc, cur.at); err != nil {
-				return nil, nil, err
+			// An edge that updates the state to itself is not a transition
+			// in the ETS sense.
+			tables, edges, err := pc.Explore(cur.at)
+			if err != nil {
+				return nil, nil, fmt.Errorf("ets: compiling configuration for state %v: %w", cur.at, err)
 			}
-			seen[cur.state] = res
+			selfLoop := func(e stateful.Edge) bool { return e.To.Equal(e.From) }
+			res = &explored{state: cur.at, edges: slices.DeleteFunc(edges, selfLoop), tables: tables}
+			if rounds > 0 { // else every vertex is a new state
+				seen[cur.state] = res
+			}
 		}
-		e.Vertices = append(e.Vertices, Vertex{ID: id, State: res.state, Tables: res.tables})
+		e.Vertices = append(e.Vertices, Vertex{ID: id, State: res.state, Tables: res.tables, key: cur.state})
 		next := 0
 		if rounds > 0 {
 			if cur.round == rounds {
@@ -156,8 +139,9 @@ func walk(pc *nkc.ProgramCompiler, init stateful.State, t *topo.Topology, rounds
 			}
 			next = cur.round + 1
 		}
-		for _, ed := range res.edges {
-			key := vertexKey{ed.To.Key(), next}
+		for i := range res.edges {
+			ed := &res.edges[i]
+			key := vertexKey{ed.ToKey(), next}
 			to, ok := pos[key]
 			if !ok {
 				to = len(queue)

@@ -30,6 +30,7 @@ type Vertex struct {
 	ID     int
 	State  stateful.State
 	Tables flowtable.Tables
+	key    string // State.Key(), as the walk rendered it
 }
 
 // Edge is an ETS transition labeled with an event occurrence.
@@ -59,18 +60,28 @@ func Build(p stateful.Program, t *topo.Topology) (*ETS, error) {
 }
 
 // rawEdge is an un-renamed transition during ETS construction: the
-// extracted edge between vertex IDs.
+// extracted edge between vertex IDs, and its label's id (finish).
 type rawEdge struct {
 	from, to int
-	ed       stateful.Edge
+	ed       *stateful.Edge
+	label    int32
 }
 
 // outEdges groups edges by source vertex, keeping their order within a
-// vertex: the one adjacency that finish, its SCC pass and Family walk.
+// vertex, in one backing array: the one adjacency that finish, its SCC
+// pass and Family walk.
 func outEdges[E any](nv int, edges []E, from func(E) int) [][]E {
-	out := make([][]E, nv)
+	n := make([]int, nv)
 	for _, ed := range edges {
-		out[from(ed)] = append(out[from(ed)], ed)
+		n[from(ed)]++
+	}
+	out, flat := make([][]E, nv), make([]E, len(edges))
+	for v, k := range n {
+		out[v], flat = flat[:0:k], flat[k:]
+	}
+	for _, ed := range edges {
+		v := from(ed)
+		out[v] = append(out[v], ed)
 	}
 	return out
 }

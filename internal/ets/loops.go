@@ -162,35 +162,45 @@ func (e *ETS) finish(raw []rawEdge) error {
 	if report := e.loopReport(out); report != nil {
 		return &LoopError{Report: report}
 	}
-	counts := make([]map[string]int, len(e.Vertices))
-	counts[e.Init] = map[string]int{}
+	// Occurrence counts along the paths to each vertex: one row per
+	// vertex, one column per distinct label.
+	labels := map[string]int32{}
+	for _, rs := range out {
+		for i := range rs {
+			l, ok := labels[rs[i].ed.Label()]
+			if !ok {
+				l = int32(len(labels))
+				labels[rs[i].ed.Label()] = l
+			}
+			rs[i].label = l
+		}
+	}
+	nl := len(labels)
+	counts, reached := make([]int32, len(e.Vertices)*nl), make([]bool, len(e.Vertices))
+	row := func(v int) []int32 { return counts[v*nl : (v+1)*nl] }
+	reached[e.Init] = true
 	order := []int{e.Init}
 	for qi := 0; qi < len(order); qi++ {
-		base := counts[order[qi]]
+		base := row(order[qi])
 		for _, r := range out[order[qi]] {
 			// The counts along this path: base with r's event once more,
 			// counted in place and taken back, copied only for a new vertex.
-			label := r.ed.Label()
-			base[label]++
-			if counts[r.to] == nil {
-				counts[r.to] = maps.Clone(base)
+			base[r.label]++
+			if !reached[r.to] {
+				reached[r.to] = true
+				copy(row(r.to), base)
 				order = append(order, r.to)
-			} else if !maps.Equal(counts[r.to], base) {
+			} else if !slices.Equal(row(r.to), base) {
 				return fmt.Errorf("ets: ambiguous event occurrence counts at state %v (two paths disagree)", e.Vertices[r.to].State)
 			}
-			if base[label]--; base[label] == 0 {
-				delete(base, label)
-			}
+			base[r.label]--
 		}
 	}
-	type occurrence struct {
-		label string
-		occ   int
-	}
+	type occurrence struct{ label, occ int32 }
 	eventID := map[occurrence]int{}
 	for _, v := range order {
 		for _, r := range out[v] {
-			key := occurrence{r.ed.Label(), counts[v][r.ed.Label()] + 1}
+			key := occurrence{r.label, row(v)[r.label] + 1}
 			id, ok := eventID[key]
 			if !ok {
 				id = len(e.Events)
@@ -198,7 +208,7 @@ func (e *ETS) finish(raw []rawEdge) error {
 					return fmt.Errorf("ets: program needs more than %d events", nes.MaxEvents)
 				}
 				eventID[key] = id
-				e.Events = append(e.Events, nes.Event{ID: id, Guard: r.ed.Guard, Loc: r.ed.Loc, Occurrence: key.occ, Label: key.label})
+				e.Events = append(e.Events, nes.Event{ID: id, Guard: r.ed.Guard, Loc: r.ed.Loc, Occurrence: int(key.occ), Label: r.ed.Label()})
 			}
 			e.Edges = append(e.Edges, Edge{From: r.from, To: r.to, Event: id})
 		}

@@ -304,7 +304,8 @@ func randProgram(r *rand.Rand) stateful.Program {
 // event-edge templates all shared — is the ETS it is compiled alone,
 // events included; stateful.Events stays the oracle for the edges
 // themselves (nkc.TestSparseMatchesFull). The sequence is the bench's
-// compile set, three failover horizons, a revision of the cap, then 200
+// compile set, three failover horizons, a revision of the cap, two
+// programs that forward to the same ports from crossed switches, then 200
 // random programs (the cache resets wholesale several times on the way).
 func TestAnyProgramAfterAnyOtherMatchesAlone(t *testing.T) {
 	seq := []apps.App{
@@ -319,6 +320,17 @@ func TestAnyProgramAfterAnyOtherMatchesAlone(t *testing.T) {
 	for sw := 1; sw <= 3; sw++ {
 		three.AddSwitch(sw)
 	}
+	// The second's hops are the first's diagrams on each other's switches:
+	// a hop-list memo key that does not keep each diagram with its switch
+	// hands it the first's tables.
+	crossed := func(x, y int) apps.App {
+		at := func(sw, out int) stateful.Cmd {
+			return stateful.SeqC(stateful.CPred{P: stateful.PAnd{L: stateful.PTest{Field: netkat.FieldSw, Value: sw}, R: stateful.PTest{Field: netkat.FieldPt, Value: 1}}},
+				stateful.CAssign{Field: netkat.FieldPt, Value: out})
+		}
+		return apps.App{Name: fmt.Sprintf("crossed-%d%d", x, y), Prog: stateful.Program{Cmd: stateful.UnionC(at(1, x), at(2, y)), Init: stateful.State{0}}, Topo: three}
+	}
+	seq = append(seq, crossed(2, 3), crossed(3, 2))
 	r := rand.New(rand.NewSource(22))
 	for i := 0; i < 200; i++ {
 		seq = append(seq, apps.App{Name: fmt.Sprintf("random-%d", i), Prog: randProgram(r), Topo: three})

@@ -25,30 +25,28 @@ func (e *ETS) Family() (map[nes.Set]int, error) {
 	family := map[nes.Set]int{}
 	// Paths that arrive at v with the same event-set continue alike, so a
 	// pair is expanded once: k independent events cost 2^k pairs, not k!
-	// paths.
+	// paths. A set's first arrival is its family entry, expanded then;
+	// only its arrivals at other vertices need a record of their own.
 	type arrival struct {
 		v int
 		s nes.Set
 	}
-	expanded := map[arrival]bool{}
+	also, expanded := map[arrival]bool{}, 0
 	var dfs func(v int, s nes.Set) error
 	dfs = func(v int, s nes.Set) error {
-		if prev, ok := family[s]; ok && prev != v {
+		if prev, ok := family[s]; !ok {
+			family[s] = v
+		} else if prev == v || also[arrival{v, s}] {
+			return nil
+		} else if e.Vertices[prev].Tables.String() != e.Vertices[v].Tables.String() {
 			// Condition 1: all paths with the same event-set must end at
 			// states labeled with the same configuration.
-			if e.Vertices[prev].Tables.String() != e.Vertices[v].Tables.String() {
-				return fmt.Errorf("ets: event-set %v reaches two different configurations (states %v and %v)",
-					s, e.Vertices[prev].State, e.Vertices[v].State)
-			}
+			return fmt.Errorf("ets: event-set %v reaches two different configurations (states %v and %v)",
+				s, e.Vertices[prev].State, e.Vertices[v].State)
 		} else {
-			family[s] = v
+			also[arrival{v, s}] = true
 		}
-		at := arrival{v, s}
-		if expanded[at] {
-			return nil
-		}
-		expanded[at] = true
-		if len(expanded) > maxPaths {
+		if expanded++; expanded > maxPaths {
 			return fmt.Errorf("ets: more than %d (state, event-set) pairs during family construction", maxPaths)
 		}
 		for _, ed := range out[v] {
@@ -213,9 +211,12 @@ func (e *ETS) ToNES() (*nes.NES, error) {
 	}
 	configs := make([]nes.Config, len(e.Vertices))
 	for i, v := range e.Vertices {
+		if v.key == "" { // a vertex the walk did not build
+			v.key = v.State.Key()
+		}
 		configs[i] = nes.Config{
 			ID:     i,
-			Label:  v.State.Key(),
+			Label:  v.key,
 			Tables: v.Tables,
 			Rel:    &nkc.CompiledConfig{Tables: v.Tables, Topo: e.Topo},
 		}

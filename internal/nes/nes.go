@@ -106,7 +106,7 @@ func New(events []Event, family map[Set]int, configs []Config) (*NES, error) {
 	if _, ok := family[Empty]; !ok {
 		return nil, fmt.Errorf("nes: family does not contain the empty event-set")
 	}
-	n := &NES{Events: events, Configs: configs, family: map[Set]int{}, armed: map[Set]Set{}}
+	n := &NES{Events: events, Configs: configs, family: make(map[Set]int, len(family)), familyList: make([]Set, 0, len(family)), armed: map[Set]Set{}}
 	for s, c := range family {
 		if c < 0 || c >= len(configs) {
 			return nil, fmt.Errorf("nes: event-set %v maps to unknown config %d", s, c)

@@ -4,9 +4,10 @@ import "fmt"
 
 // CacheStats reports compiler-cache effectiveness for one compilation run.
 type CacheStats struct {
-	// TableHits/TableMisses count whole-configuration lookups keyed by
-	// guard signature: a hit means a state's entire table set was reused
-	// from an earlier state with the same projected policy.
+	// TableHits/TableMisses count whole-configuration lookups, one per
+	// state, keyed by guard signature, then by hop list: a hit means a
+	// state's entire table set was reused from an earlier state, of any
+	// program on the FDD context, with the same projected policy or hops.
 	TableHits, TableMisses int64
 	// SegmentHits/SegmentMisses count per-segment FDD lookups keyed by
 	// (segment shape, truth vector over its state tests): a hit means a

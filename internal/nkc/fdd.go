@@ -196,6 +196,11 @@ type FDDCtx struct {
 	foldCache map[string]*FDD
 	tableMemo map[int]*flowtable.Table
 
+	// hopTables memoizes a configuration's tables on its hop list
+	// (assembleTablesFDD, whose key buffers hopKey and foldKey are).
+	hopTables       map[string]flowtable.Tables
+	hopKey, foldKey []byte
+
 	// scratch buffers reused across intern/key construction calls.
 	keyBuf []byte
 
@@ -223,6 +228,7 @@ func NewFDDCtx() *FDDCtx {
 		walkMemo:  map[segMemoKey][][]*netkat.Conj{},
 		foldCache: map[string]*FDD{},
 		tableMemo: map[int]*flowtable.Table{},
+		hopTables: map[string]flowtable.Tables{},
 	}
 	c.eps = c.internAction(nil)
 	c.Drop = c.mkLeaf(nil)

@@ -109,52 +109,51 @@ func ruleFDD(c *FDDCtx, m flowtable.Match, g flowtable.ActionGroup) *FDD {
 
 // assembleTablesFDD unions each switch's hop rules into one diagram and
 // extracts a prioritized table from its (disjoint) root-leaf paths. The
-// table is memoized on the diagram's identity, so configurations with
-// identical per-switch behavior hold the same *flowtable.Table: table
-// identity is switch-diagram identity, and the tables are read-only
-// downstream.
-func assembleTablesFDD(c *FDDCtx, hops []cachedHop) (flowtable.Tables, error) {
-	perSwitchIDs := map[int][]byte{}
-	perSwitchHops := map[int][]*FDD{}
+// tables are memoized on the hop list's (switch, diagram) pairs, so a
+// state with an earlier state's hops, in any program on the context,
+// gets its map (hit); a miss sorts hops stably by switch. The table is
+// memoized on the diagram's identity, so configurations with identical
+// per-switch behavior hold the same *flowtable.Table: table identity is
+// switch-diagram identity, and the tables are read-only downstream.
+func assembleTablesFDD(c *FDDCtx, hops []cachedHop) (tables flowtable.Tables, hit bool, err error) {
+	key := c.hopKey[:0]
 	for _, h := range hops {
-		perSwitchIDs[h.sw] = appendID(perSwitchIDs[h.sw], h.d.id)
-		perSwitchHops[h.sw] = append(perSwitchHops[h.sw], h.d)
+		key = appendID(appendID(key, h.sw), h.d.id)
 	}
-	perSwitch := map[int]*FDD{}
-	for sw, ids := range perSwitchIDs {
-		key := string(ids)
-		d, ok := c.foldCache[key]
+	c.hopKey = key
+	if tables, ok := c.hopTables[string(key)]; ok {
+		return tables, true, nil
+	}
+	slices.SortStableFunc(hops, func(a, b cachedHop) int { return a.sw - b.sw })
+	tables = flowtable.Tables{}
+	for lo, hi := 0, 0; lo < len(hops); lo = hi {
+		ids := c.foldKey[:0]
+		for hi = lo; hi < len(hops) && hops[hi].sw == hops[lo].sw; hi++ {
+			ids = appendID(ids, hops[hi].d.id)
+		}
+		c.foldKey = ids
+		d, ok := c.foldCache[string(ids)]
 		if !ok {
 			d = c.Drop
-			for _, hd := range perSwitchHops[sw] {
-				d = c.Union(d, hd)
+			for _, h := range hops[lo:hi] {
+				d = c.Union(d, h.d)
 			}
-			c.foldCache[key] = d
+			c.foldCache[string(ids)] = d
 		}
-		perSwitch[sw] = d
-	}
-	switches := make([]int, 0, len(perSwitch))
-	for sw := range perSwitch {
-		switches = append(switches, sw)
-	}
-	sort.Ints(switches)
-
-	tables := flowtable.Tables{}
-	for _, sw := range switches {
-		d := perSwitch[sw]
 		t, ok := c.tableMemo[d.id]
 		if !ok {
 			rules, err := extractRules(d)
 			if err != nil {
-				return nil, fmt.Errorf("switch %d: %w", sw, err)
+				return nil, false, fmt.Errorf("switch %d: %w", hops[lo].sw, err)
 			}
 			t = &flowtable.Table{}
 			t.AddAll(rules)
 			c.tableMemo[d.id] = t
 		}
-		tables[sw] = t
+		tables[hops[lo].sw] = t
 	}
-	return tables, nil
+	c.hopTables[string(key)] = tables
+	return tables, false, nil
 }
 
 // extractRules converts a switch diagram to prioritized rules: hi edges

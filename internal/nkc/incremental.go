@@ -40,6 +40,7 @@ package nkc
 // plain policy goes through it as a one-state program (Compile).
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -352,7 +353,7 @@ func NewProgramCompiler(c stateful.Cmd, t *topo.Topology, _ *SharedCache) (*Prog
 // newProgramCompiler builds the compiler on an FDD context and interner
 // set: fresh ones, or the pair every build of a ProgramCache shares.
 func newProgramCompiler(c stateful.Cmd, t *topo.Topology, ctx *FDDCtx, in *compilerInterns) (*ProgramCompiler, error) {
-	if err := netkat.Validate(stateful.Project(c, stateful.State{})); err != nil {
+	if err := validate(c); err != nil {
 		return nil, err
 	}
 	strands, err := extractCmdStrands(c)
@@ -369,6 +370,37 @@ func newProgramCompiler(c stateful.Cmd, t *topo.Topology, ctx *FDDCtx, in *compi
 	}
 	pc.indexSegments()
 	return pc, nil
+}
+
+// validate is netkat.Validate of a command's projection at any state,
+// which it does not build: projection changes no field test or
+// assignment, and Validate checks nothing else.
+func validate(n any) error {
+	switch q := n.(type) {
+	case stateful.CAssign:
+		if q.Field == netkat.FieldSw || q.Value < 0 {
+			return netkat.Validate(netkat.Assign{Field: q.Field, Value: q.Value})
+		}
+	case stateful.PTest:
+		if q.Value < 0 {
+			return netkat.Validate(netkat.Filter{P: netkat.Test{Field: q.Field, Value: q.Value}})
+		}
+	case stateful.CPred:
+		return validate(q.P)
+	case stateful.CStar:
+		return validate(q.P)
+	case stateful.PNot:
+		return validate(q.P)
+	case stateful.CUnion:
+		return cmp.Or(validate(q.L), validate(q.R))
+	case stateful.CSeq:
+		return cmp.Or(validate(q.L), validate(q.R))
+	case stateful.PAnd:
+		return cmp.Or(validate(q.L), validate(q.R))
+	case stateful.POr:
+		return cmp.Or(validate(q.L), validate(q.R))
+	}
+	return nil
 }
 
 // indexSegments computes the per-segment interned shape ids, the
@@ -417,7 +449,7 @@ func (pc *ProgramCompiler) indexSegments() {
 	}
 }
 
-// Configs returns the number of distinct configurations compiled.
+// Configs returns the number of distinct guard signatures compiled.
 func (pc *ProgramCompiler) Configs() int { return len(pc.tables) }
 
 // Stats returns this compiler's cache statistics.

@@ -18,15 +18,19 @@ package nkc
 //     segments whose shape and truth vector it has not met;
 //   - beside it, one Figure 6 walk memo keyed the same way by the
 //     shapes of a strand prefix, so a revision walks Figure 6 only for
-//     a prefix shape it added.
+//     a prefix shape it added; and the hop-list table memo.
 //
 // Every build gets a fresh ProgramCompiler on the shared context: whole
 // programs are memoized one level up, by the controller's generation
 // memo. A program built again — revisited after it left that memo, or
 // started from a state its earlier build reached — resolves entirely
 // from the three layers: no ToFDD call, no Figure 6 walk, the same
-// tables. P -> P' compiles as a delta proportional to the textual
-// difference between the programs. The cache is handed to
+// tables. For P -> P' the FDD work is proportional to the structure P'
+// adds (none for bandwidth-cap-201 after cap-200), the rest to P' itself:
+// its skeleton to its text, the per-state glue to its states. Once states
+// stopped assembling tables and re-rendering keys, a warm revision of the
+// bench's cap-201…328 pool went from 1.5 ms and 16 300 objects to 1.0 ms
+// and 7 700 (docs/PIPELINE.md, "ETS construction"). The cache is handed to
 // ets.BuildWithOptions via Options.Cache; Acquire/Release bracket a build
 // because the shared FDD context and interners are single-goroutine by
 // design.

@@ -69,11 +69,6 @@ func (pc *ProgramCompiler) Explore(k stateful.State) (flowtable.Tables, []statef
 	}
 	sig := pc.intern.sigs.IDBytes(pc.sigScratch)
 	tables, hit := pc.tables[sig]
-	if hit {
-		pc.stats.TableHits++
-	} else {
-		pc.stats.TableMisses++
-	}
 
 	if ref == nil {
 		ref = &refState{
@@ -134,10 +129,15 @@ func (pc *ProgramCompiler) Explore(k stateful.State) (flowtable.Tables, []statef
 
 	if !hit {
 		var err error
-		if tables, err = assembleTablesFDD(pc.ctx, hops); err != nil {
+		if tables, hit, err = assembleTablesFDD(pc.ctx, hops); err != nil {
 			return nil, nil, err
 		}
 		pc.tables[sig] = tables
+	}
+	if hit {
+		pc.stats.TableHits++
+	} else {
+		pc.stats.TableMisses++
 	}
 	slices.SortFunc(edges, func(a, b stateful.Edge) int { return strings.Compare(a.Key(), b.Key()) })
 	edges = slices.CompactFunc(edges, func(a, b stateful.Edge) bool { return a.Key() == b.Key() })

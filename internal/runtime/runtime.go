@@ -182,7 +182,9 @@ func (m *Machine) record(fields netkat.Packet, loc netkat.Location, out bool, pa
 
 // Inject performs the IN rule: a packet enters from the named host, is
 // stamped with the tag of the edge switch's current configuration, and is
-// queued at the attachment port.
+// queued at the attachment port. The caller gives fields up: the packet
+// and its trace point hold the map itself, which nothing writes (see
+// record).
 func (m *Machine) Inject(host string, fields netkat.Packet) error {
 	h, ok := m.Topo.HostByName(host)
 	if !ok {
@@ -192,7 +194,6 @@ func (m *Machine) Inject(host string, fields netkat.Packet) error {
 	if !ok {
 		return fmt.Errorf("runtime: host %q attaches to unknown switch %d", host, h.Attach.Switch)
 	}
-	fields = fields.Clone() // the caller keeps its map
 	root := m.record(fields, h.Loc(), true, -1)
 	m.push(i, Packet{
 		Fields: fields,

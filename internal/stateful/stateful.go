@@ -8,7 +8,7 @@ package stateful
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -21,16 +21,6 @@ type State []int
 // Clone returns an independent copy.
 func (s State) Clone() State { return append(State{}, s...) }
 
-// With returns a copy with index m set to n, growing the vector if needed.
-func (s State) With(m, n int) State {
-	t := s.Clone()
-	for len(t) <= m {
-		t = append(t, 0)
-	}
-	t[m] = n
-	return t
-}
-
 // Get returns the value at index m (0 if beyond the vector's length).
 func (s State) Get(m int) int {
 	if m < len(s) {
@@ -41,16 +31,23 @@ func (s State) Get(m int) int {
 
 // Key returns a canonical map key.
 func (s State) Key() string {
-	buf := make([]byte, 0, 2+4*len(s))
-	buf = append(buf, '[')
+	var b strings.Builder
+	b.Grow(2 + 4*len(s))
+	s.writeKey(&b)
+	return b.String()
+}
+
+// writeKey writes Key's rendering to b.
+func (s State) writeKey(b *strings.Builder) {
+	var num [20]byte
+	b.WriteByte('[')
 	for i, v := range s {
 		if i > 0 {
-			buf = append(buf, ',')
+			b.WriteByte(',')
 		}
-		buf = strconv.AppendInt(buf, int64(v), 10)
+		b.Write(strconv.AppendInt(num[:0], int64(v), 10))
 	}
-	buf = append(buf, ']')
-	return string(buf)
+	b.WriteByte(']')
 }
 
 // Equal reports pointwise equality (implicitly zero-padded).
@@ -425,14 +422,17 @@ type Edge struct {
 	Loc        netkat.Location
 	To         State
 	label, key string // event and edge identity, cached at construction (Edge is immutable after)
+	to         int    // To.Key() is key[to:]
 }
 
-// Key returns a canonical identity for deduplication and Label the
-// identity of the edge's event, "ϕ@loc" — what the ETS counts occurrences
-// of and a program swap matches events by, one string per template. Both
-// are fixed by EdgeTemplate.At, which builds every Edge there is.
+// Key returns a canonical identity for deduplication, "from|ϕ@loc|to";
+// Label the identity of the edge's event, "ϕ@loc" — what the ETS counts
+// occurrences of and a program swap matches events by, one string per
+// template; and ToKey To.Key(), the tail of Key. All are fixed by
+// EdgeTemplate.At, which builds every Edge there is.
 func (e Edge) Key() string   { return e.key }
 func (e Edge) Label() string { return e.label }
+func (e Edge) ToKey() string { return e.key[e.to:] }
 
 // String renders the edge.
 func (e Edge) String() string {
@@ -452,19 +452,34 @@ type EdgeTemplate struct {
 }
 
 // NewEdgeTemplate builds the template of a state-updating link reached
-// under guard. The guard is retained, not copied.
+// under guard, rendering its label once. The guard is retained, not
+// copied.
 func NewEdgeTemplate(guard *netkat.Conj, loc netkat.Location, sets []StateSet) EdgeTemplate {
-	return EdgeTemplate{Guard: guard, Loc: loc, Sets: sets, label: guard.Key() + "@" + loc.String()}
+	b := append(guard.AppendKey(make([]byte, 0, 64), ""), '@')
+	b = strconv.AppendInt(append(strconv.AppendInt(b, int64(loc.Switch), 10), ':'), int64(loc.Port), 10)
+	return EdgeTemplate{Guard: guard, Loc: loc, Sets: sets, label: string(b)}
 }
 
 // At instantiates the template at source state k: the edge to
-// k[m ↦ n, ...], with its canonical key precomputed.
+// k[m ↦ n, ...], with its canonical key written once. From is k itself:
+// no code writes a State after building it.
 func (t EdgeTemplate) At(k State) Edge {
 	to := k.Clone()
 	for _, s := range t.Sets {
-		to = to.With(s.Index, s.Value)
+		for len(to) <= s.Index {
+			to = append(to, 0)
+		}
+		to[s.Index] = s.Value
 	}
-	return Edge{From: k.Clone(), Guard: t.Guard, Loc: t.Loc, To: to, label: t.label, key: k.Key() + "|" + t.label + "|" + to.Key()}
+	var b strings.Builder
+	b.Grow(6 + 4*(len(k)+len(to)) + len(t.label))
+	k.writeKey(&b)
+	b.WriteByte('|')
+	b.WriteString(t.label)
+	b.WriteByte('|')
+	at := b.Len()
+	to.writeKey(&b)
+	return Edge{From: k, Guard: t.Guard, Loc: t.Loc, To: to, label: t.label, key: b.String(), to: at}
 }
 
 // result is the (D, P) pair threaded through the Figure 6 recursion:
@@ -516,11 +531,7 @@ func Events(c Cmd, k State) ([]Edge, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, len(r.edges))
-	for i, e := range r.edges {
-		keys[i] = e.Key()
-	}
-	sort.Sort(&edgesByKey{edges: r.edges, keys: keys})
+	slices.SortFunc(r.edges, func(a, b Edge) int { return strings.Compare(a.key, b.key) })
 	return r.edges, nil
 }
 
@@ -539,19 +550,6 @@ func Tests(c Cmd, k State, phis []*netkat.Conj) ([]*netkat.Conj, error) {
 		out = out.union(result{phis: r.phis})
 	}
 	return out.phis, nil
-}
-
-// edgesByKey sorts edges by precomputed canonical key.
-type edgesByKey struct {
-	edges []Edge
-	keys  []string
-}
-
-func (s *edgesByKey) Len() int           { return len(s.edges) }
-func (s *edgesByKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *edgesByKey) Swap(i, j int) {
-	s.edges[i], s.edges[j] = s.edges[j], s.edges[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 // events is ⟪c⟫k ϕ. It propagates the conjunction of tests seen so far and

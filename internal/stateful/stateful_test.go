@@ -11,6 +11,16 @@ import (
 
 func loc(sw, pt int) netkat.Location { return netkat.Location{Switch: sw, Port: pt} }
 
+// With returns a copy with index m set to n, growing the vector if needed.
+func (s State) With(m, n int) State {
+	t := s.Clone()
+	for len(t) <= m {
+		t = append(t, 0)
+	}
+	t[m] = n
+	return t
+}
+
 func TestStateOps(t *testing.T) {
 	s := State{0, 1}
 	if s.Get(0) != 0 || s.Get(1) != 1 || s.Get(5) != 0 {
@@ -250,7 +260,8 @@ func randLinkFreeCmd(r *rand.Rand, depth int) Cmd {
 }
 
 // TestEdgeTemplateAt: instantiating a template at a state yields the
-// edge, key included, that Events extracts from the link in that state.
+// edge, key included, that Events extracts from the link in that state,
+// and the key ends in the target state's key.
 func TestEdgeTemplateAt(t *testing.T) {
 	l := CLinkState{Src: netkat.Location{Switch: 1, Port: 1}, Dst: netkat.Location{Switch: 4, Port: 1},
 		Sets: []StateSet{{Index: 2, Value: 7}}}
@@ -263,7 +274,7 @@ func TestEdgeTemplateAt(t *testing.T) {
 		phi := netkat.NewConj()
 		phi.AddEq("dst", 104)
 		got := NewEdgeTemplate(phi, l.Dst, l.Sets).At(k)
-		if got.Key() != es[0].Key() || !got.To.Equal(k.With(2, 7)) || !got.From.Equal(k) {
+		if got.Key() != es[0].Key() || got.ToKey() != got.To.Key() || !got.To.Equal(k.With(2, 7)) || !got.From.Equal(k) {
 			t.Fatalf("state %v: template edge %v (key %q), Events edge %v (key %q)", k, got, got.Key(), es[0], es[0].Key())
 		}
 	}

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
 	goruntime "runtime"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"eventnet/internal/netkat"
 	"eventnet/internal/runtime"
 	"eventnet/internal/sim"
+	"eventnet/internal/stateful"
 	"eventnet/internal/trace"
 )
 
@@ -126,6 +128,39 @@ func machineTrace(t *testing.T, c oracleCase, n *nes.NES, seed int64, assist boo
 		t.Fatal(err)
 	}
 	return m.NetTrace()
+}
+
+// TestInjectLeavesMapsUnchanged: Inject keeps the caller's header map —
+// the queued packet and its trace point hold it — so no rule may write
+// one. Every oracle case, and a firewall whose every hop marks the packet
+// (the paper's applications rewrite no header), run to quiescence with
+// the assist on and off, leaves each injected map as it was.
+func TestInjectLeavesMapsUnchanged(t *testing.T) {
+	marked := apps.Firewall()
+	marked.Name += "+mark"
+	marked.Prog.Cmd = stateful.SeqC(stateful.CAssign{Field: "mark", Value: 1}, marked.Prog.Cmd)
+	for _, c := range append(oracleCases(), oracleCase{app: marked}) {
+		n := buildNES(t, c.app)
+		for seed := int64(0); seed < 4; seed++ {
+			ins := append(dataplane.NewLoadGen(n, c.app.Topo, seed).Injections(24), c.signal...)
+			before := make([]netkat.Packet, len(ins))
+			m := runtime.New(n, c.app.Topo, seed, seed%2 == 0)
+			for i, in := range ins {
+				before[i] = in.Fields.Clone()
+				if err := m.Inject(in.Host, in.Fields); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.RunToQuiescence(); err != nil {
+				t.Fatal(err)
+			}
+			for i, in := range ins {
+				if !maps.Equal(in.Fields, before[i]) {
+					t.Fatalf("%s, seed %d: injection %d's map went from %v to %v", c.app.Name, seed, i, before[i], in.Fields)
+				}
+			}
+		}
+	}
 }
 
 // withoutTail returns nt with tree ti of trees (nt.Trees()) cut back to
