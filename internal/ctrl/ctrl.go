@@ -362,7 +362,9 @@ func keyOf(ev nes.Event) eventKey {
 // the swap timeout passes) and returns the completed swap's report.
 // Forwarding continues throughout. Swaps are fully serialized — a
 // concurrent Swap waits rather than computing its event mapping against
-// a predecessor that is about to change.
+// a predecessor that is about to change. A swap whose drain outlasted
+// the timeout is still in flight: until it drains, Swap is refused
+// before anything is staged, and Health goes on reporting it.
 func (c *Controller) Swap(name string, p stateful.Program) (SwapReport, error) {
 	c.swapMu.Lock()
 	defer c.swapMu.Unlock()
@@ -373,13 +375,14 @@ func (c *Controller) Swap(name string, p stateful.Program) (SwapReport, error) {
 	}
 
 	c.mu.Lock()
-	if c.eng == nil {
-		c.mu.Unlock()
+	old, eng, draining := c.cur, c.eng, !c.swapStart.IsZero()
+	c.mu.Unlock()
+	if eng == nil {
 		return SwapReport{}, fmt.Errorf("ctrl: no program loaded")
 	}
-	old := c.cur
-	eng := c.eng
-	c.mu.Unlock()
+	if draining {
+		return SwapReport{}, fmt.Errorf("ctrl: swap %s -> %s refused: the swap to %s is still draining", old.Name, name, old.Name)
+	}
 
 	// Phase one: the staged install — both programs' rules behind
 	// disjoint exact version guards. The engine forwards through the
@@ -414,10 +417,7 @@ func (c *Controller) Swap(name string, p stateful.Program) (SwapReport, error) {
 	c.mu.Unlock()
 	sw, err := eng.StageSwap(dataplane.SwapSpec{Plan: np.plan, MapEvent: mapping})
 	if err != nil {
-		c.mu.Lock()
-		c.swapStart = time.Time{}
-		c.wedgeDumped = false
-		c.mu.Unlock()
+		c.swapEnded()
 		return SwapReport{}, err
 	}
 	// The flip has happened: the engine's ingress program *is* np from
@@ -429,19 +429,13 @@ func (c *Controller) Swap(name string, p stateful.Program) (SwapReport, error) {
 	c.mu.Unlock()
 	select {
 	case <-sw.Done():
-		c.mu.Lock()
-		c.swapStart = time.Time{}
-		c.wedgeDumped = false
-		c.mu.Unlock()
+		c.swapEnded()
 	case <-time.After(c.swapTimeout):
 		// Leave swapStart set — Health reports the wedge — but clear it if
 		// the drain does eventually finish.
 		go func() {
 			<-sw.Done()
-			c.mu.Lock()
-			c.swapStart = time.Time{}
-			c.wedgeDumped = false
-			c.mu.Unlock()
+			c.swapEnded()
 		}()
 		return SwapReport{}, fmt.Errorf("ctrl: swap %s -> %s flipped but did not drain within %v", old.Name, name, c.swapTimeout)
 	}
@@ -591,6 +585,14 @@ func (c *Controller) Health() (bool, string) {
 		return false, fmt.Sprintf("swap draining for %s (timeout %s)", time.Since(swapStart).Round(time.Millisecond), c.swapTimeout)
 	}
 	return true, "ok"
+}
+
+// swapEnded records that no swap is draining any more.
+func (c *Controller) swapEnded() {
+	c.mu.Lock()
+	c.swapStart = time.Time{}
+	c.wedgeDumped = false
+	c.mu.Unlock()
 }
 
 // wedgeDump takes the wedged swap's automatic flight dump: once per

@@ -161,7 +161,49 @@ func TestSwapWedged(t *testing.T) {
 	t.Fatal("no attempt held a drain between the flip and the retirement")
 }
 
-func wedgeSwap(t *testing.T) bool {
+// TestSwapWhileWedged: a Swap while an earlier swap's drain is held past
+// the timeout is refused at once, and Health goes on reporting the held
+// drain. A retried swap used to overwrite the drain's start time and,
+// refused by the engine, zero it, so Health answered ok while the old
+// program was still draining.
+func TestSwapWhileWedged(t *testing.T) {
+	fw := apps.Firewall()
+	retry := func(c *ctrl.Controller) {
+		retried := make(chan error, 1)
+		go func() {
+			_, err := c.Swap(fw.Name, fw.Prog)
+			retried <- err
+		}()
+		select {
+		case err := <-retried:
+			if err == nil {
+				t.Error("a Swap during a held drain succeeded")
+			}
+		case <-time.After(2 * time.Second):
+			t.Error("a Swap during a held drain did not return")
+		}
+		for i := 0; i < 20; i++ {
+			if ok, reason := c.Health(); ok || !strings.Contains(reason, "swap draining") {
+				t.Errorf("Health after a retried swap = %v %q", ok, reason)
+				return
+			}
+		}
+	}
+	for attempt := 0; attempt < 100; attempt++ {
+		if holdDrain(t, retry) {
+			return
+		}
+	}
+	t.Fatal("no attempt held a drain between the flip and the retirement")
+}
+
+func wedgeSwap(t *testing.T) bool { return holdDrain(t, func(*ctrl.Controller) {}) }
+
+// holdDrain runs a swap whose drain it holds past the swap timeout,
+// calls during while the drain is held, and checks the wedge's dump and
+// its clearing. It reports false when the attempt missed the window
+// between the flip and the retirement.
+func holdDrain(t *testing.T, during func(*ctrl.Controller)) bool {
 	fw, capp := apps.Firewall(), apps.BandwidthCap(3)
 	o := &obs.Obs{Bus: obs.NewBus(), Flight: obs.NewFlight(0, 1)}
 	phases := o.Bus.Subscribe(64, obs.KindSwap)
@@ -233,6 +275,7 @@ func wedgeSwap(t *testing.T) bool {
 			t.Fatalf("Health during a wedged swap = %v %q", ok, reason)
 		}
 	}
+	during(c)
 	close(wedge)
 	select {
 	case d := <-dumps:

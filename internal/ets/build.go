@@ -39,17 +39,13 @@ type Stats struct {
 	States int
 	Edges  int
 	Events int
-	// Configs is the number of distinct guard signatures the compiler
-	// met; States - Configs states reused a whole configuration by guard
-	// signature.
-	Configs int
-	Cache   nkc.CacheStats
+	Cache  nkc.CacheStats
 }
 
 // String renders the stats.
 func (s Stats) String() string {
-	return fmt.Sprintf("%d states, %d edges, %d events, %d distinct configs; %s",
-		s.States, s.Edges, s.Events, s.Configs, s.Cache)
+	return fmt.Sprintf("%d states, %d edges, %d events; %s",
+		s.States, s.Edges, s.Events, s.Cache)
 }
 
 // explored is the recorded outcome for one state.
@@ -88,7 +84,7 @@ func buildETS(p stateful.Program, t *topo.Topology, o Options, maxRounds int) (*
 	if err := e.finish(raw); err != nil {
 		return nil, Stats{}, err
 	}
-	return e, Stats{States: len(e.Vertices), Edges: len(e.Edges), Events: len(e.Events), Configs: pc.Configs(), Cache: pc.Stats()}, nil
+	return e, Stats{States: len(e.Vertices), Edges: len(e.Edges), Events: len(e.Events), Cache: pc.Stats()}, nil
 }
 
 // walk is the breadth-first loop behind Build and BuildUnrolled: it

@@ -7,9 +7,9 @@
 //
 // Construction is one serial breadth-first walk (build.go): each state's
 // configuration and event-edges come from one call into one
-// nkc.ProgramCompiler, which reuses FDDs and tables across states through
-// guard-signature caches — see docs/PIPELINE.md for the full pipeline and
-// the cache design.
+// nkc.ProgramCompiler, which reuses segment FDDs across states by shape
+// and truth vector and tables by hop list — see docs/PIPELINE.md for the
+// full pipeline and the cache design.
 package ets
 
 import (

@@ -3,6 +3,7 @@ package ets_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"eventnet/internal/apps"
@@ -182,6 +183,33 @@ func TestColdCompileWorkIndependentOfCap(t *testing.T) {
 		if st.Cache.SegmentMisses != 5 || st.Cache.TemplateMisses != 2 {
 			t.Errorf("%s cold: %d segment misses and %d Figure 6 walks, want 5 and 2 at every cap", a.Name, st.Cache.SegmentMisses, st.Cache.TemplateMisses)
 		}
+	}
+}
+
+// TestColdCap2000BuildAllocs pins what one cold bandwidth-cap-2000 build
+// allocates, on a compiler of its own: at most 6.6 MB. Each state makes
+// one table lookup, on its spliced hop list; a per-state guard-signature
+// memo in front of it, which never hit on a cap chain, took the build to
+// 7.2 MB.
+func TestColdCap2000BuildAllocs(t *testing.T) {
+	a := apps.BandwidthCap(2000)
+	build := func() {
+		if _, _, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build() // once-per-process allocations stay out of the figure
+	const runs = 3
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&m1)
+	per := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	t.Logf("a cold cap-2000 build allocates %.2f MB", per/1e6)
+	if per > 6.6e6 {
+		t.Fatalf("a cold cap-2000 build allocates %.2f MB, want <= 6.6 MB", per/1e6)
 	}
 }
 

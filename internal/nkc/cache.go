@@ -5,9 +5,9 @@ import "fmt"
 // CacheStats reports compiler-cache effectiveness for one compilation run.
 type CacheStats struct {
 	// TableHits/TableMisses count whole-configuration lookups, one per
-	// state, keyed by guard signature, then by hop list: a hit means a
-	// state's entire table set was reused from an earlier state, of any
-	// program on the FDD context, with the same projected policy or hops.
+	// state, keyed by its spliced hop list: a hit means a state's entire
+	// table set was reused from an earlier state, of any program on the
+	// FDD context, with the same hops.
 	TableHits, TableMisses int64
 	// SegmentHits/SegmentMisses count per-segment FDD lookups keyed by
 	// (segment shape, truth vector over its state tests): a hit means a
@@ -31,11 +31,12 @@ type CacheStats struct {
 	Strands  int64
 	FDDNodes int64
 	// InternEntries is the total interner population backing the
-	// compiler's int-keyed caches: guard signatures, segment keys, and
-	// per-context field/action atoms. ArenaBytes is what the FDD node
-	// arena's chunks reserve (they double from 64 nodes up to 4096);
-	// ArenaHighWater is the largest arena seen across cache generations,
-	// when a ProgramCache resets wholesale. All are store sizes, not counters.
+	// compiler's int-keyed caches: segment shapes, strand prefixes, truth
+	// vectors too long to pack inline, and per-context field/action atoms.
+	// ArenaBytes is what the FDD node arena's chunks reserve (they double
+	// from 64 nodes up to 4096); ArenaHighWater is the largest arena seen
+	// across cache generations, when a ProgramCache resets wholesale. All
+	// are store sizes, not counters.
 	InternEntries  int64
 	ArenaBytes     int64
 	ArenaHighWater int64

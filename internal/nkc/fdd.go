@@ -187,19 +187,17 @@ type FDDCtx struct {
 	segMemo  map[segMemoKey]*FDD
 	walkMemo map[segMemoKey][][]*netkat.Conj
 
-	// foldCache memoizes the per-switch union fold over hop diagrams by
-	// the packed hop identity sequence, and tableMemo memoizes the
-	// extracted table by switch-diagram identity: every state — and, when
-	// the context outlives a build (ProgramCache), every later program —
-	// whose switch behaves identically holds the same *flowtable.Table.
-	// Cached tables are read-only to everyone downstream.
-	foldCache map[string]*FDD
+	// hopTables memoizes a configuration's tables on its hop list, the
+	// packed (switch, diagram id) pairs built in hopKey: the one
+	// configuration-level memo (assembleTablesFDD). On a miss each
+	// switch's hops are folded with Union, itself memoized, and tableMemo
+	// memoizes the extracted table by switch-diagram identity: every
+	// state — and, when the context outlives a build (ProgramCache), every
+	// later program — whose switch behaves identically holds the same
+	// *flowtable.Table. Cached tables are read-only to everyone downstream.
+	hopTables map[string]flowtable.Tables
+	hopKey    []byte
 	tableMemo map[int]*flowtable.Table
-
-	// hopTables memoizes a configuration's tables on its hop list
-	// (assembleTablesFDD, whose key buffers hopKey and foldKey are).
-	hopTables       map[string]flowtable.Tables
-	hopKey, foldKey []byte
 
 	// scratch buffers reused across intern/key construction calls.
 	keyBuf []byte
@@ -226,7 +224,6 @@ func NewFDDCtx() *FDDCtx {
 		hopCache:  map[string][]cachedHop{},
 		segMemo:   map[segMemoKey]*FDD{},
 		walkMemo:  map[segMemoKey][][]*netkat.Conj{},
-		foldCache: map[string]*FDD{},
 		tableMemo: map[int]*flowtable.Table{},
 		hopTables: map[string]flowtable.Tables{},
 	}

@@ -111,10 +111,11 @@ func ruleFDD(c *FDDCtx, m flowtable.Match, g flowtable.ActionGroup) *FDD {
 // extracts a prioritized table from its (disjoint) root-leaf paths. The
 // tables are memoized on the hop list's (switch, diagram) pairs, so a
 // state with an earlier state's hops, in any program on the context,
-// gets its map (hit); a miss sorts hops stably by switch. The table is
-// memoized on the diagram's identity, so configurations with identical
-// per-switch behavior hold the same *flowtable.Table: table identity is
-// switch-diagram identity, and the tables are read-only downstream.
+// gets its map (hit); a miss sorts hops stably by switch and folds each
+// switch's with Union. The table is memoized on the diagram's identity,
+// so configurations with identical per-switch behavior hold the same
+// *flowtable.Table: table identity is switch-diagram identity, and the
+// tables are read-only downstream.
 func assembleTablesFDD(c *FDDCtx, hops []cachedHop) (tables flowtable.Tables, hit bool, err error) {
 	key := c.hopKey[:0]
 	for _, h := range hops {
@@ -127,18 +128,9 @@ func assembleTablesFDD(c *FDDCtx, hops []cachedHop) (tables flowtable.Tables, hi
 	slices.SortStableFunc(hops, func(a, b cachedHop) int { return a.sw - b.sw })
 	tables = flowtable.Tables{}
 	for lo, hi := 0, 0; lo < len(hops); lo = hi {
-		ids := c.foldKey[:0]
+		d := c.Drop
 		for hi = lo; hi < len(hops) && hops[hi].sw == hops[lo].sw; hi++ {
-			ids = appendID(ids, hops[hi].d.id)
-		}
-		c.foldKey = ids
-		d, ok := c.foldCache[string(ids)]
-		if !ok {
-			d = c.Drop
-			for _, h := range hops[lo:hi] {
-				d = c.Union(d, h.d)
-			}
-			c.foldCache[string(ids)] = d
+			d = c.Union(d, hops[hi].d)
 		}
 		t, ok := c.tableMemo[d.id]
 		if !ok {

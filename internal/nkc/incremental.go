@@ -24,9 +24,9 @@ package nkc
 // test a placeholder — has not been seen before under the same truth
 // vector over those placeholders, walks Figure 6 only for a prefix of
 // shapes and truth vector not seen before, and reuses its symbolic
-// execution and extracted tables by structural key.
-// Whole configurations are additionally shared across states by
-// program-level signature.
+// execution by structural key. A state's spliced hop list is then looked
+// up once: states, of this program or another on the context, with equal
+// hop lists share one set of tables (fdd_table.go).
 //
 // A state reached by such a delta walk gets tables byte-identical to
 // those of a fresh compiler walking that state in full, and edges
@@ -296,18 +296,17 @@ type segMemoKey struct {
 // what lets their memo keys meet in one FDD context.
 type compilerInterns struct {
 	segKeys *Interner // segment shape -> id
-	sigs    *Interner // whole-program guard signature -> id
 	segSigs *Interner // oversized per-segment or per-prefix signature bytes -> id
 	walks   *Interner // event-raising strand prefix, as its segments' shape ids -> id
 }
 
 func newCompilerInterns() *compilerInterns {
-	return &compilerInterns{segKeys: NewInterner(), sigs: NewInterner(), segSigs: NewInterner(), walks: NewInterner()}
+	return &compilerInterns{segKeys: NewInterner(), segSigs: NewInterner(), walks: NewInterner()}
 }
 
 // entries returns the total interner population.
 func (ci *compilerInterns) entries() int {
-	return ci.segKeys.Len() + ci.sigs.Len() + ci.segSigs.Len() + ci.walks.Len()
+	return ci.segKeys.Len() + ci.segSigs.Len() + ci.walks.Len()
 }
 
 // ProgramCompiler compiles the per-state configurations of one Stateful
@@ -323,8 +322,6 @@ type ProgramCompiler struct {
 	segKeyIDs   []uint32  // per segment id: interned shape
 	segTestPos  [][]int32 // per segment id: whole-program positions of its tests, in shape order
 	atomStrands [][]int32 // per whole-program guard position: the strands testing it, ascending
-
-	tables map[uint32]flowtable.Tables // interned whole-program signature id -> configuration
 
 	ref *refState // the state walked in full; nil until the first Explore
 
@@ -366,7 +363,6 @@ func newProgramCompiler(c stateful.Cmd, t *topo.Topology, ctx *FDDCtx, in *compi
 		strands:  strands,
 		guards:   stateful.CollectGuards(c),
 		intern:   in,
-		tables:   map[uint32]flowtable.Tables{},
 	}
 	pc.indexSegments()
 	return pc, nil
@@ -448,9 +444,6 @@ func (pc *ProgramCompiler) indexSegments() {
 		s.walkID = pc.intern.walks.IDBytes(key)
 	}
 }
-
-// Configs returns the number of distinct guard signatures compiled.
-func (pc *ProgramCompiler) Configs() int { return len(pc.tables) }
 
 // Stats returns this compiler's cache statistics.
 func (pc *ProgramCompiler) Stats() CacheStats {

@@ -3,9 +3,9 @@ package nkc
 // Dense interning and arena allocation: the compiler's memory/keying
 // layer. Three structures live here:
 //
-//   - Interner: a string -> dense uint32 id table. Guard signatures and
-//     segment renderings are interned once, so every cache keyed by them
-//     (segment memo, walk memo, configuration memo) becomes an integer
+//   - Interner: a string -> dense uint32 id table. Segment shapes,
+//     strand prefixes and long truth vectors are interned once, so every
+//     cache keyed by them (segment memo, walk memo) becomes an integer
 //     lookup with no string hashing on the per-state hot path. Ids are
 //     assigned in first-intern order and never reused; injectivity is
 //     what makes them sound cache keys (see docs/PIPELINE.md, "Interning

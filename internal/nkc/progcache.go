@@ -8,7 +8,7 @@ package nkc
 //
 //   - one persistent hash-consing FDD context shared by every build, so
 //     structurally identical link-free segments compile to the *same* FDD
-//     nodes no matter which program they appear in, and the hop, fold and
+//     nodes no matter which program they appear in, and the hop and
 //     table memos in it hand a switch that behaves as before the very
 //     *flowtable.Table it had;
 //   - in that context, one structural segment memo (segMemoKey carries

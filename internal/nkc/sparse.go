@@ -55,6 +55,22 @@ func (pc *ProgramCompiler) Explore(k stateful.State) (flowtable.Tables, []statef
 	pc.touched = pc.touched[:0]
 	if ref == nil {
 		pc.sigScratch = pc.guards.AppendSig(pc.sigScratch[:0], k)
+		ref = &refState{
+			state: k.Clone(),
+			sig:   slices.Clone(pc.sigScratch),
+			evals: make([]strandEval, len(pc.strands)),
+		}
+		for si := range pc.strands {
+			ev, err := pc.evalStrand(si, k)
+			if err != nil {
+				return nil, nil, err
+			}
+			ref.evals[si] = ev
+			if !ev.empty() {
+				ref.live = append(ref.live, int32(si))
+			}
+		}
+		pc.ref = ref
 	} else {
 		// k's truth vector is the reference's with the delta flipped, and
 		// only strands testing a flipped atom can evaluate differently.
@@ -67,30 +83,9 @@ func (pc *ProgramCompiler) Explore(k stateful.State) (flowtable.Tables, []statef
 		slices.Sort(pc.touched)
 		pc.touched = slices.Compact(pc.touched)
 	}
-	sig := pc.intern.sigs.IDBytes(pc.sigScratch)
-	tables, hit := pc.tables[sig]
-
-	if ref == nil {
-		ref = &refState{
-			state: k.Clone(),
-			sig:   slices.Clone(pc.sigScratch),
-			evals: make([]strandEval, len(pc.strands)),
-		}
-		for si := range pc.strands {
-			ev, err := pc.evalStrand(si, k, true)
-			if err != nil {
-				return nil, nil, err
-			}
-			ref.evals[si] = ev
-			if !ev.empty() {
-				ref.live = append(ref.live, int32(si))
-			}
-		}
-		pc.ref = ref
-	}
 	pc.touchedEv = pc.touchedEv[:0]
 	for _, si := range pc.touched {
-		ev, err := pc.evalStrand(int(si), k, !hit)
+		ev, err := pc.evalStrand(int(si), k)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -99,14 +94,12 @@ func (pc *ProgramCompiler) Explore(k stateful.State) (flowtable.Tables, []statef
 
 	// Splice: the reference's live strands with the touched ones replaced
 	// (or inserted), in strand order — the order of a full walk, which is
-	// what keeps the per-switch fold keys, and so the diagrams, those of a
+	// what keeps the per-switch folds, and so the diagrams, those of a
 	// from-scratch compile.
 	hops := pc.hopBuf[:0]
 	var edges []stateful.Edge
 	add := func(ev *strandEval) {
-		if !hit {
-			hops = append(hops, ev.hops...)
-		}
+		hops = append(hops, ev.hops...)
 		for _, t := range ev.edges {
 			edges = append(edges, t.At(k))
 		}
@@ -127,12 +120,9 @@ func (pc *ProgramCompiler) Explore(k stateful.State) (flowtable.Tables, []statef
 	}
 	pc.hopBuf = hops
 
-	if !hit {
-		var err error
-		if tables, hit, err = assembleTablesFDD(pc.ctx, hops); err != nil {
-			return nil, nil, err
-		}
-		pc.tables[sig] = tables
+	tables, hit, err := assembleTablesFDD(pc.ctx, hops)
+	if err != nil {
+		return nil, nil, err
 	}
 	if hit {
 		pc.stats.TableHits++
@@ -146,36 +136,34 @@ func (pc *ProgramCompiler) Explore(k stateful.State) (flowtable.Tables, []statef
 
 // evalStrand evaluates strand si under the truth vector in sigScratch
 // (that of state k): its hops through the segment memo and the strand
-// cache when wantHops, and the templates of the event-edges it raises
-// from the test conjunctions reaching its links, through the walk memo:
-// Figure 6 is walked only for a (prefix shape, truth vector) pair this
-// context has not seen, in any strand of any program.
-func (pc *ProgramCompiler) evalStrand(si int, k stateful.State, wantHops bool) (strandEval, error) {
+// cache, and the templates of the event-edges it raises from the test
+// conjunctions reaching its links, through the walk memo: Figure 6 is
+// walked only for a (prefix shape, truth vector) pair this context has
+// not seen, in any strand of any program.
+func (pc *ProgramCompiler) evalStrand(si int, k stateful.State) (strandEval, error) {
 	s := &pc.strands[si]
 	var ev strandEval
-	if wantHops {
-		fdds := pc.fddBuf[:0]
-		for j := range s.segs {
-			seg := &s.segs[j]
-			key := segMemoKey{key: pc.segKeyIDs[seg.id], sig: pc.packSig(pc.segTestPos[seg.id], pc.sigScratch)}
-			d, ok := pc.ctx.segMemo[key]
-			if ok {
-				pc.stats.SegmentHits++
-			} else {
-				pc.stats.SegmentMisses++
-				var err error
-				if d, err = pc.ctx.ToFDD(stateful.Project(seg.cmd, k)); err != nil {
-					return ev, err
-				}
-				pc.ctx.segMemo[key] = d
+	fdds := pc.fddBuf[:0]
+	for j := range s.segs {
+		seg := &s.segs[j]
+		key := segMemoKey{key: pc.segKeyIDs[seg.id], sig: pc.packSig(pc.segTestPos[seg.id], pc.sigScratch)}
+		d, ok := pc.ctx.segMemo[key]
+		if ok {
+			pc.stats.SegmentHits++
+		} else {
+			pc.stats.SegmentMisses++
+			var err error
+			if d, err = pc.ctx.ToFDD(stateful.Project(seg.cmd, k)); err != nil {
+				return ev, err
 			}
-			fdds = append(fdds, d)
+			pc.ctx.segMemo[key] = d
 		}
-		pc.fddBuf = fdds
-		var err error
-		if ev.hops, err = pc.ctx.hopsFor(fdds, s.links, pc.switches); err != nil {
-			return ev, err
-		}
+		fdds = append(fdds, d)
+	}
+	pc.fddBuf = fdds
+	var err error
+	if ev.hops, err = pc.ctx.hopsFor(fdds, s.links, pc.switches); err != nil {
+		return ev, err
 	}
 	if s.lastUpdate < 0 {
 		return ev, nil

@@ -3,11 +3,13 @@ package nkc
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"eventnet/internal/apps"
+	"eventnet/internal/flowtable"
 	"eventnet/internal/netkat"
 	"eventnet/internal/stateful"
 	"eventnet/internal/stateful/statefultest"
@@ -152,6 +154,57 @@ func TestSparseMatchesFull(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestUnreadComponentSharesTables: states that differ only in a state
+// component no guard reads have one truth vector, so they evaluate every
+// strand alike and splice one hop list. The first of them costs the one
+// table miss, the rest share its flowtable.Tables map, and every state's
+// tables and edges are those of a full walk and of stateful.Events.
+func TestUnreadComponentSharesTables(t *testing.T) {
+	test := func(p stateful.Pred) stateful.Cmd { return stateful.CPred{P: p} }
+	ptTo := func(v int) stateful.Cmd { return stateful.CAssign{Field: netkat.FieldPt, Value: v} }
+	loc := func(sw, p int) netkat.Location { return netkat.Location{Switch: sw, Port: p} }
+	// Component 1 is written by the update and read by no guard.
+	cmd := stateful.SeqC(
+		test(stateful.PAnd{L: stateful.PTest{Field: netkat.FieldPt, Value: 2}, R: stateful.PTest{Field: apps.FieldDst, Value: apps.H(4)}}),
+		test(stateful.PState{Index: 0, Value: 0}), ptTo(1),
+		stateful.CLinkState{Src: loc(1, 1), Dst: loc(4, 1), Sets: []stateful.StateSet{{Index: 1, Value: 1}}},
+		ptTo(2),
+	)
+	a := apps.App{Name: "unread-component", Topo: topo.Firewall(), Prog: stateful.Program{Cmd: cmd, Init: stateful.State{0, 0}}}
+	pc, err := NewProgramCompiler(a.Prog.Cmd, a.Topo, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first flowtable.Tables
+	states := []stateful.State{{0, 0}, {0, 1}, {0, 2}, {0, 3}}
+	for i, k := range states {
+		tables, edges, err := pc.Explore(k)
+		if err != nil {
+			t.Fatalf("state %v: %v", k, err)
+		}
+		if i == 0 {
+			first = tables
+		} else if reflect.ValueOf(tables).Pointer() != reflect.ValueOf(first).Pointer() {
+			t.Fatalf("state %v: tables are not state %v's map", k, states[0])
+		}
+		want := oracleFor(t, a, k)
+		if got := tables.String(); got != want.tables {
+			t.Fatalf("state %v: tables differ from a fresh full walk\n%s\nwant\n%s", k, got, want.tables)
+		}
+		var got []string
+		for _, e := range edges {
+			got = append(got, e.Key())
+		}
+		if len(got) == 0 || !slices.Equal(got, want.edges) {
+			t.Fatalf("state %v: edges %v, want stateful.Events %v", k, got, want.edges)
+		}
+	}
+	if st := pc.Stats(); st.TableMisses != 1 || st.TableHits != int64(len(states)-1) {
+		t.Fatalf("%d table misses and %d hits for %d states differing in an unread component, want 1 and %d",
+			st.TableMisses, st.TableHits, len(states), len(states)-1)
 	}
 }
 

@@ -113,7 +113,7 @@ const (
 	GaugeDeliveryLog                     // retained deliveries (incl. unmerged tails)
 	GaugeFDDNodes                        // compiler hash-consed node store size
 	GaugeStrands                         // compiler distinct strand executions
-	GaugeInternEntries                   // compiler interner entries (atoms + keys + sigs)
+	GaugeInternEntries                   // compiler interner entries (atoms + keys)
 	GaugeArenaBytes                      // compiler FDD arena slab bytes
 	GaugeArenaHighWater                  // largest arena across cache generations
 	GaugeCompileCacheResets              // compiler cache generations dropped
@@ -154,7 +154,7 @@ var gaugeHelp = [numGauges]string{
 	GaugeDeliveryLog:        "Deliveries retained in the engine log.",
 	GaugeFDDNodes:           "Hash-consed FDD node store size of the compiler cache.",
 	GaugeStrands:            "Distinct symbolic strand executions in the compiler cache.",
-	GaugeInternEntries:      "Dense-interner entries in the compiler cache (field/value atoms, segment keys, guard signatures).",
+	GaugeInternEntries:      "Dense-interner entries in the compiler cache (field/value atoms, segment shapes, strand prefixes, long truth vectors).",
 	GaugeArenaBytes:         "FDD arena slab bytes allocated by the compiler cache.",
 	GaugeArenaHighWater:     "Largest FDD arena observed across compiler cache generations.",
 	GaugeCompileCacheResets: "Wholesale compiler-cache resets so far, one per 32 builds: the compile after one is cold.",
