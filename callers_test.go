@@ -26,6 +26,7 @@ var callerAllowlist = map[string]string{
 	"eventnet/internal/nes.(NES).AllowedSequences":   "oracle: TestCheckNESMatchesDefinition enumerates the allowed sequences with it",
 	"eventnet/internal/nes.(NES).EventSets":          "oracle: TestEventSetsMatchFamily and TestAppsToNES hold the built family against it",
 	"eventnet/internal/optimize.Optimal":             "oracle: TestGreedyVsOptimal holds the greedy trie against the exhaustive optimum",
+	"eventnet/internal/stateful.CollectGuards":       "oracle: TestSkeletonMatchesReference holds the compiler's one-pass guard index against it",
 	"eventnet/internal/netkat.EquivOn":               "oracle: TestFirewallSourceMatchesAST and TestProjectEvalAgreement compare policies by netkat.Eval",
 	"eventnet/internal/chaos.ParseReproducer":        "oracle: replays the reproducer line a violating chaos run prints (docs/CHAOS.md); ExampleParseReproducer",
 	"eventnet/internal/topo.(Topology).Validate":     "oracle: TestAllValid and TestBuildersValid check every built-in topology with it",

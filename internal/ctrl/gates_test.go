@@ -117,11 +117,12 @@ func warmRevision(t *testing.T) (*ctrl.Program, uint64) {
 }
 
 // TestWarmRevisionCompileAllocs: compiling a never-seen revision on a
-// warm controller allocates for the revision's skeleton and its states'
+// warm controller allocates for the revision's atoms and its states'
 // edges, not for re-assembling tables its predecessor already holds, nor
 // for a projection of the program to validate it, three renderings and
-// three clones of the state per edge or a map of occurrence counts per
-// vertex (12 246 objects before, 5 502 now).
+// three clones of the state per edge, a map of occurrence counts per
+// vertex, or nodes, closures, strings and slices per strand of its
+// skeleton (12 246 objects, then 5 502, now 2 387).
 func TestWarmRevisionCompileAllocs(t *testing.T) {
 	least := uint64(0)
 	for i := 0; i < 3; i++ { // the fewest of three: the controller's goroutines allocate too
@@ -130,8 +131,8 @@ func TestWarmRevisionCompileAllocs(t *testing.T) {
 		}
 	}
 	t.Logf("cap-201 compiled after cap-200 allocated %d objects", least)
-	if least > 5780 {
-		t.Fatalf("warm revision compile allocated %d objects, want <= 5 780", least)
+	if least > 2510 {
+		t.Fatalf("warm revision compile allocated %d objects, want <= 2 510", least)
 	}
 }
 

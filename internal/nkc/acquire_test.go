@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"eventnet/internal/apps"
+	"eventnet/internal/stateful"
 )
 
 // allocBytes is the TotalAlloc delta of f.
@@ -52,11 +53,10 @@ func TestAcquireBuildsOnCacheContext(t *testing.T) {
 		if root.ctx != c.ctx || root.intern != c.intern {
 			t.Fatal("the acquired root is not on the cache's context and interners")
 		}
-		for _, s := range root.strands {
-			for _, seg := range s.segs {
-				if id, ok := c.intern.segKeys.ids[string(seg.key)]; !ok || id != root.segKeyIDs[seg.id] {
-					t.Fatalf("%s: segment %d is keyed %d, the cache's interner has %d (present %v): the skeleton was built on other interners", b.Name, seg.id, root.segKeyIDs[seg.id], id, ok)
-				}
+		for i, seg := range root.segs {
+			shape, _ := stateful.Shape(root.segCmd(i))
+			if id, ok := c.intern.segKeys.ids[shape]; !ok || id != seg.key {
+				t.Fatalf("%s: segment %d is keyed %d, the cache's interner has %d (present %v): the skeleton was built on other interners", b.Name, i, seg.key, id, ok)
 			}
 		}
 		if excess > ctx/2 {
@@ -83,11 +83,9 @@ func TestOneRenderingPerSubmit(t *testing.T) {
 	if excess > text {
 		t.Fatalf("Acquire allocates %.0f KB beyond the skeleton, the program text is %.0f KB: something renders the whole program again", excess/1e3, text/1e3)
 	}
-	for _, s := range root.strands {
-		for _, seg := range s.segs {
-			if float64(len(seg.key)) > text/4 {
-				t.Fatalf("a segment key is %d bytes of a %.0f-byte program: the test program is not made of small segments", len(seg.key), text)
-			}
+	for i := range root.segs {
+		if shape, _ := stateful.Shape(root.segCmd(i)); float64(len(shape)) > text/4 {
+			t.Fatalf("a segment key is %d bytes of a %.0f-byte program: the test program is not made of small segments", len(shape), text)
 		}
 	}
 }

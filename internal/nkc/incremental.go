@@ -42,8 +42,8 @@ package nkc
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"strings"
 
 	"eventnet/internal/flowtable"
 	"eventnet/internal/netkat"
@@ -51,227 +51,53 @@ import (
 	"eventnet/internal/topo"
 )
 
-// progSeg is one link-free segment of the program skeleton. key is the
-// segment's shape (stateful.Shape) and tests the state tests its
-// placeholders stand for, in order. Under the truth vector of those
-// tests the shape identifies the projected policy, so segment FDDs
-// memoized under (shape, truth vector) are shared across the states of
-// one program, across its branches that differ only in the values their
-// state tests compare against (the N+1 counter branches of
-// bandwidth-cap-N are one shape), and — through nkc.ProgramCache —
-// across *programs* that contain the same link-free segment.
+// progSeg is one link-free segment of the program skeleton: the atoms
+// runs[runLo:runHi] in sequence, the identity when there are none
+// (between adjacent links, or at an end). key is the interned shape of
+// that command (stateful.Shape) and testPos[lo:hi] the whole-program
+// positions of the state tests its placeholders stand for, in order: the
+// halves of its segMemoKey. A segment's id is its index in segs.
 type progSeg struct {
-	id    int
-	key   string
-	tests []stateful.GuardTest
-	cmd   stateful.Cmd
+	key                  uint32
+	lo, hi, runLo, runHi int32
 }
 
-// progStrand is one end-to-end alternative of the program: alternating
-// link-free segments and links, len(segs) == len(links)+1. updates[i] is
-// the state-updating link that links[i] was written as (nil for a plain
-// link) — projection erases the assignments, event extraction needs
-// them — and lastUpdate is the highest such i, -1 when the strand can
-// raise no event.
+// progStrand is one end-to-end alternative of the program: segments
+// segs[seg:seg+n+1] alternating with links links[link:link+n].
+// updates[link+i] is the state-updating link that links[link+i] was
+// written as (nil for a plain link) — projection erases the
+// assignments, event extraction needs them — and lastUpdate is the
+// highest such i, -1 when the strand can raise no event. walkID is the
+// walk-memo identity of an event-raising strand: its segments' shape ids
+// up to lastUpdate, interned.
 type progStrand struct {
-	segs       []progSeg
-	links      []netkat.Link
-	updates    []*stateful.CLinkState
-	lastUpdate int
-	// An event-raising strand's walk-memo key halves (indexSegments): the
-	// shape ids of segs[:lastUpdate+1], interned, and the whole-program
-	// positions of the tests in those segments, in order.
-	walkID  uint32
-	walkPos []int32
+	seg, link, n, lastUpdate int32
+	walkID                   uint32
 }
 
-// cmdNode kinds.
-const (
-	lnAtom = iota // maximal link-free subcommand
-	lnLink
-	lnUnion
-	lnSeq
-)
-
-// cmdNode is the command re-shaped around its links: link-free subtrees
-// collapse to atoms, so only union/sequence structure that actually
-// contains links remains. shape and seqShape are the atom's shape alone
-// and as an operand of ';', and tests the state tests its placeholders
-// stand for, filled on first use: an atom shared by many strands is
-// rendered once.
-type cmdNode struct {
-	kind   int // lnAtom, lnLink, lnUnion, lnSeq
+// segAtom is a maximal link-free subcommand, rendered once. Its state
+// tests are lo:hi of the build's list of them.
+type segAtom struct {
 	cmd    stateful.Cmd
-	link   netkat.Link
-	update *stateful.CLinkState // lnLink written with state assignments
-	l, r   *cmdNode
-
-	shape, seqShape string
-	tests           []stateful.GuardTest
+	shape  string
+	lo, hi int32
 }
 
-// render fills shape, seqShape and tests. The forms must stay
-// byte-identical to stateful.Shape of the atom and of a CSeq around it
-// (the segment key built from them is the cross-program segMemo key):
-// ';' parenthesizes only a union operand.
-func (n *cmdNode) render() {
-	if n.shape != "" {
-		return
-	}
-	n.shape, n.tests = stateful.Shape(n.cmd)
-	n.seqShape = n.shape
-	if _, ok := n.cmd.(stateful.CUnion); ok {
-		n.seqShape = "(" + n.shape + ")"
-	}
+// linkNode is a node of the command re-shaped around its links:
+// link-free subtrees collapse to atoms, so only union/sequence structure
+// that contains links remains. a is the atom, the link (b is 1 if it
+// updates state) or the left operand, b the right operand.
+type linkNode struct {
+	kind int8
+	a, b int32
 }
 
-// annotateCmdLinks builds the cmdNode tree in one linear pass, reporting
-// whether c is link-free.
-func annotateCmdLinks(c stateful.Cmd) (*cmdNode, bool, error) {
-	switch q := c.(type) {
-	case stateful.CPred, stateful.CAssign:
-		return &cmdNode{kind: lnAtom, cmd: c}, true, nil
-	case stateful.CLink:
-		return &cmdNode{kind: lnLink, link: netkat.Link{Src: q.Src, Dst: q.Dst}}, false, nil
-	case stateful.CLinkState:
-		return &cmdNode{kind: lnLink, link: netkat.Link{Src: q.Src, Dst: q.Dst}, update: &q}, false, nil
-	case stateful.CStar:
-		_, pure, err := annotateCmdLinks(q.P)
-		if err != nil {
-			return nil, false, err
-		}
-		if !pure {
-			return nil, false, fmt.Errorf("nkc: star over a policy containing links is outside the supported fragment")
-		}
-		return &cmdNode{kind: lnAtom, cmd: c}, true, nil
-	case stateful.CUnion:
-		l, lp, err := annotateCmdLinks(q.L)
-		if err != nil {
-			return nil, false, err
-		}
-		r, rp, err := annotateCmdLinks(q.R)
-		if err != nil {
-			return nil, false, err
-		}
-		if lp && rp {
-			return &cmdNode{kind: lnAtom, cmd: c}, true, nil
-		}
-		return &cmdNode{kind: lnUnion, l: l, r: r}, false, nil
-	case stateful.CSeq:
-		l, lp, err := annotateCmdLinks(q.L)
-		if err != nil {
-			return nil, false, err
-		}
-		r, rp, err := annotateCmdLinks(q.R)
-		if err != nil {
-			return nil, false, err
-		}
-		if lp && rp {
-			return &cmdNode{kind: lnAtom, cmd: c}, true, nil
-		}
-		return &cmdNode{kind: lnSeq, l: l, r: r}, false, nil
-	default:
-		return nil, false, fmt.Errorf("nkc: unknown command node %T", c)
-	}
-}
-
-// extractCmdStrands rewrites the command as a sum of program strands.
-// Unlike the oracle's ExtractStrands it splits unions and sequences only
-// when they contain links, so purely link-free alternation stays inside
-// one segment and is normalized by the (memoized) FDD translation instead
-// of by syntactic distribution. Alternatives are emitted off a shared
-// element stack, so no intermediate sequence products are materialized.
-func extractCmdStrands(c stateful.Cmd) ([]progStrand, error) {
-	root, _, err := annotateCmdLinks(c)
-	if err != nil {
-		return nil, err
-	}
-	var out []progStrand
-	var cur []*cmdNode
-	segID := 0
-	var rec func(n *cmdNode, cont func() error) error
-	rec = func(n *cmdNode, cont func() error) error {
-		switch n.kind {
-		case lnAtom, lnLink:
-			cur = append(cur, n)
-		case lnUnion:
-			if err := rec(n.l, cont); err != nil {
-				return err
-			}
-			return rec(n.r, cont)
-		default: // lnSeq
-			return rec(n.l, func() error { return rec(n.r, cont) })
-		}
-		err := cont()
-		cur = cur[:len(cur)-1]
-		return err
-	}
-	var key strings.Builder
-	flush := func() error {
-		if len(out) >= maxStrands {
-			return fmt.Errorf("nkc: policy expands to more than %d strands", maxStrands)
-		}
-		s := assembleCmdStrand(cur, &key)
-		for i := range s.segs {
-			s.segs[i].id = segID
-			segID++
-		}
-		out = append(out, s)
-		return nil
-	}
-	if err := rec(root, flush); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// assembleCmdStrand coalesces consecutive link-free elements with CSeq
-// and inserts identity segments around links. Each segment's key and
-// tests are its command's shape, joined from the elements' cached
-// shapes in the caller's builder.
-func assembleCmdStrand(es []*cmdNode, key *strings.Builder) progStrand {
-	seg := func(run []*cmdNode) progSeg {
-		switch len(run) {
-		case 0:
-			id := stateful.CPred{P: stateful.PTrue{}}
-			return progSeg{cmd: id, key: id.String()}
-		case 1:
-			run[0].render()
-			return progSeg{cmd: run[0].cmd, key: run[0].shape, tests: run[0].tests}
-		}
-		key.Reset()
-		var cmd stateful.Cmd
-		var tests []stateful.GuardTest
-		for i, e := range run {
-			e.render()
-			if i == 0 {
-				cmd = e.cmd
-			} else {
-				cmd = stateful.CSeq{L: cmd, R: e.cmd}
-				key.WriteString("; ")
-			}
-			key.WriteString(e.seqShape)
-			tests = append(tests, e.tests...)
-		}
-		return progSeg{cmd: cmd, key: key.String(), tests: tests}
-	}
-	s := progStrand{lastUpdate: -1}
-	start := 0 // first element after the last link
-	for i, e := range es {
-		if e.kind != lnLink {
-			continue
-		}
-		s.segs = append(s.segs, seg(es[start:i]))
-		start = i + 1
-		if e.update != nil {
-			s.lastUpdate = len(s.links)
-		}
-		s.links = append(s.links, e.link)
-		s.updates = append(s.updates, e.update)
-	}
-	s.segs = append(s.segs, seg(es[start:]))
-	return s
-}
+const (
+	nodeAtom = iota
+	nodeLink
+	nodeUnion
+	nodeSeq
+)
 
 // segMemoKey identifies a segment FDD structurally: the interned id of
 // the segment's shape plus the packed truth vector over its placeholders,
@@ -314,14 +140,12 @@ func (ci *compilerInterns) entries() int {
 type ProgramCompiler struct {
 	switches []int // all the compiler reads of the topology
 
-	ctx     *FDDCtx
-	strands []progStrand
-	guards  *stateful.GuardIndex // whole-program index
+	ctx    *FDDCtx
+	guards *stateful.GuardIndex // whole-program index
+	intern *compilerInterns
 
-	intern      *compilerInterns
-	segKeyIDs   []uint32  // per segment id: interned shape
-	segTestPos  [][]int32 // per segment id: whole-program positions of its tests, in shape order
-	atomStrands [][]int32 // per whole-program guard position: the strands testing it, ascending
+	skeleton
+	atomStrands [][]int32 // per whole-program guard position: the strands testing it, ascending, once per test
 
 	ref *refState // the state walked in full; nil until the first Explore
 
@@ -336,113 +160,295 @@ type ProgramCompiler struct {
 	stats CacheStats
 }
 
+// skeleton is the program split into strands (newProgramCompiler), and
+// the buffers of splitting it. A ProgramCache hands each build the
+// skeleton of the build before it, emptied, so a revision does not
+// regrow the arrays from nothing.
+type skeleton struct {
+	strands []progStrand
+	segs    []progSeg
+	atoms   []segAtom
+	runs    []int32                // segments' atoms
+	testPos []int32                // segments' whole-program test positions, in shape order
+	links   []netkat.Link          // strands' links
+	updates []*stateful.CLinkState // parallel to links, into linkStates
+
+	todo, done []scanFrame
+	preds      []stateful.Pred
+	nodes      []linkNode
+	linkStates []stateful.CLinkState // per link node; a plain link's has no Sets
+	occ        []stateful.GuardTest  // every state test, in rendering order
+	cur        []int32
+	conts      []strandCont
+	choices    []strandChoice
+	buf        []byte
+}
+
+// emptied returns s with every array cut to length 0.
+func (s skeleton) emptied() skeleton {
+	return skeleton{s.strands[:0], s.segs[:0], s.atoms[:0], s.runs[:0], s.testPos[:0], s.links[:0], s.updates[:0],
+		s.todo[:0], s.done[:0], s.preds[:0], s.nodes[:0], s.linkStates[:0], s.occ[:0], s.cur[:0], s.conts[:0], s.choices[:0], s.buf[:0]}
+}
+
+// A scanFrame is a subcommand pending on todo (post: its operands are
+// done; lo is len(occ) at its first visit), or finished on done, as its
+// link-tree node or link-free (node -1) with state tests occ[lo:hi].
+type scanFrame struct {
+	c            stateful.Cmd
+	post         bool
+	node, lo, hi int32
+}
+
+// strandCont is a persistent list of link-tree nodes still to follow;
+// strandChoice a union whose right operand is still to enumerate.
+type strandCont struct{ node, next int32 }
+type strandChoice struct{ node, k, cur, conts int32 }
+
 // SharedCache is the type of NewProgramCompiler's ignored parameter.
 type SharedCache struct{}
 
 // NewProgramCompiler builds an incremental compiler for a program over a
-// topology. The command is validated once — validity is independent of
-// the state vector, since projection only replaces state tests by
-// true/false.
+// topology.
 func NewProgramCompiler(c stateful.Cmd, t *topo.Topology, _ *SharedCache) (*ProgramCompiler, error) { // accepted and ignored; named by bench/
-	return newProgramCompiler(c, t, NewFDDCtx(), newCompilerInterns())
+	return newProgramCompiler(c, t, NewFDDCtx(), newCompilerInterns(), skeleton{})
 }
 
 // newProgramCompiler builds the compiler on an FDD context and interner
-// set: fresh ones, or the pair every build of a ProgramCache shares.
-func newProgramCompiler(c stateful.Cmd, t *topo.Topology, ctx *FDDCtx, in *compilerInterns) (*ProgramCompiler, error) {
-	if err := validate(c); err != nil {
+// set — fresh ones, or the pair every build of a ProgramCache shares —
+// in sk's arrays: one iterative pass over the command tree, then
+// emitStrands. The pass gives netkat.Validate's verdict on the projection
+// at any state, which it does not build (projection changes no field test
+// or assignment), before any structural error; lists the state tests in
+// rendering order; and collapses each maximal link-free subtree to an
+// atom. Unlike the oracle's ExtractStrands it splits only what contains
+// links: the FDD translation normalizes link-free alternation.
+func newProgramCompiler(c stateful.Cmd, t *topo.Topology, ctx *FDDCtx, in *compilerInterns, sk skeleton) (*ProgramCompiler, error) {
+	pc := &ProgramCompiler{switches: t.Switches, ctx: ctx, intern: in, skeleton: sk.emptied()}
+	pc.todo = append(pc.todo, scanFrame{c: c})
+	var valErr, err error
+	node := func(n linkNode) int32 {
+		pc.nodes = append(pc.nodes, n)
+		return int32(len(pc.nodes) - 1)
+	}
+	asNode := func(f scanFrame) int32 {
+		if f.node >= 0 {
+			return f.node
+		}
+		pc.atoms = append(pc.atoms, segAtom{cmd: f.c, lo: f.lo, hi: f.hi})
+		return node(linkNode{kind: nodeAtom, a: int32(len(pc.atoms) - 1)})
+	}
+	for len(pc.todo) > 0 {
+		it := pc.todo[len(pc.todo)-1]
+		pc.todo = pc.todo[:len(pc.todo)-1]
+		here := scanFrame{c: it.c, node: -1, lo: int32(len(pc.occ)), hi: int32(len(pc.occ))}
+		if it.post {
+			here.lo = it.lo
+			if _, ok := it.c.(stateful.CStar); ok {
+				if pc.done[len(pc.done)-1].node >= 0 {
+					err = cmp.Or(err, errors.New("nkc: star over a policy containing links is outside the supported fragment"))
+				}
+				pc.done[len(pc.done)-1] = here
+				continue
+			}
+			l, r := pc.done[len(pc.done)-2], pc.done[len(pc.done)-1]
+			pc.done = pc.done[:len(pc.done)-2]
+			if l.node >= 0 || r.node >= 0 {
+				n := linkNode{kind: nodeSeq, a: asNode(l), b: asNode(r)}
+				if _, ok := it.c.(stateful.CUnion); ok {
+					n.kind = nodeUnion
+				}
+				here.node = node(n)
+			}
+			pc.done = append(pc.done, here)
+			continue
+		}
+		post := scanFrame{c: it.c, post: true, lo: here.lo} // it.c, not q: boxing q again would allocate
+		switch q := it.c.(type) {
+		case stateful.CUnion: // operands first, left to right
+			pc.todo = append(pc.todo, post, scanFrame{c: q.R}, scanFrame{c: q.L})
+			continue
+		case stateful.CSeq:
+			pc.todo = append(pc.todo, post, scanFrame{c: q.R}, scanFrame{c: q.L})
+			continue
+		case stateful.CStar:
+			pc.todo = append(pc.todo, post, scanFrame{c: q.P})
+			continue
+		case stateful.CPred:
+			for pc.preds = append(pc.preds[:0], q.P); len(pc.preds) > 0; {
+				p := pc.preds[len(pc.preds)-1]
+				pc.preds = pc.preds[:len(pc.preds)-1]
+				switch q := p.(type) {
+				case stateful.PState:
+					pc.occ = append(pc.occ, stateful.GuardTest{Index: q.Index, Value: q.Value})
+				case stateful.PTest:
+					if q.Value < 0 {
+						valErr = cmp.Or(valErr, netkat.Validate(netkat.Filter{P: netkat.Test{Field: q.Field, Value: q.Value}}))
+					}
+				case stateful.PNot:
+					pc.preds = append(pc.preds, q.P)
+				case stateful.PAnd:
+					pc.preds = append(pc.preds, q.R, q.L)
+				case stateful.POr:
+					pc.preds = append(pc.preds, q.R, q.L)
+				}
+			}
+			here.hi = int32(len(pc.occ))
+		case stateful.CAssign:
+			if q.Field == netkat.FieldSw || q.Value < 0 {
+				valErr = cmp.Or(valErr, netkat.Validate(netkat.Assign{Field: q.Field, Value: q.Value}))
+			}
+		case stateful.CLink:
+			pc.linkStates = append(pc.linkStates, stateful.CLinkState{Src: q.Src, Dst: q.Dst})
+			here.node = node(linkNode{kind: nodeLink, a: int32(len(pc.linkStates) - 1)})
+		case stateful.CLinkState:
+			pc.linkStates = append(pc.linkStates, q)
+			here.node = node(linkNode{kind: nodeLink, a: int32(len(pc.linkStates) - 1), b: 1})
+		default:
+			err = cmp.Or(err, fmt.Errorf("nkc: unknown command node %T", it.c))
+		}
+		pc.done = append(pc.done, here)
+	}
+	if err := cmp.Or(valErr, err); err != nil {
 		return nil, err
 	}
-	strands, err := extractCmdStrands(c)
-	if err != nil {
+	root := asNode(pc.done[0])
+	pc.guards = stateful.NewGuardIndex(pc.occ)
+	occPos := make([]int32, len(pc.occ))
+	for i, t := range pc.occ {
+		p, _ := pc.guards.Pos(t)
+		occPos[i] = int32(p)
+	}
+	for i := range pc.atoms {
+		pc.atoms[i].shape, _ = stateful.Shape(pc.atoms[i].cmd)
+	}
+	if err := pc.emitStrands(root, occPos); err != nil {
 		return nil, err
 	}
-	pc := &ProgramCompiler{
-		switches: t.Switches,
-		ctx:      ctx,
-		strands:  strands,
-		guards:   stateful.CollectGuards(c),
-		intern:   in,
-	}
-	pc.indexSegments()
 	return pc, nil
 }
 
-// validate is netkat.Validate of a command's projection at any state,
-// which it does not build: projection changes no field test or
-// assignment, and Validate checks nothing else.
-func validate(n any) error {
-	switch q := n.(type) {
-	case stateful.CAssign:
-		if q.Field == netkat.FieldSw || q.Value < 0 {
-			return netkat.Validate(netkat.Assign{Field: q.Field, Value: q.Value})
+// emitStrands enumerates the alternatives of the link tree, a union's
+// left operand's first, into cur: a sequence's right operand waits on the
+// continuation k, and a union is a choice point restoring cur, k and
+// conts. Each becomes a strand, its atoms coalesced into segments between
+// its links; then the strands' test positions are inverted (atomStrands).
+func (pc *ProgramCompiler) emitStrands(root int32, occPos []int32) error {
+	// seg appends the segment of the atoms runs[run:], keyed by their
+	// shapes joined as stateful.Shape renders their sequence: "; "
+	// between, a union operand of several parenthesized.
+	run := 0
+	seg := func() {
+		g := progSeg{lo: int32(len(pc.testPos)), runLo: int32(run), runHi: int32(len(pc.runs))}
+		atoms := pc.runs[run:]
+		pc.buf = pc.buf[:0]
+		if len(atoms) == 0 {
+			pc.buf = append(pc.buf, "true"...) // the identity's shape
 		}
-	case stateful.PTest:
-		if q.Value < 0 {
-			return netkat.Validate(netkat.Filter{P: netkat.Test{Field: q.Field, Value: q.Value}})
+		for i, ai := range atoms {
+			a := &pc.atoms[ai]
+			if i > 0 {
+				pc.buf = append(pc.buf, "; "...)
+			}
+			if _, ok := a.cmd.(stateful.CUnion); ok && len(atoms) > 1 {
+				pc.buf = append(append(append(pc.buf, '('), a.shape...), ')')
+			} else {
+				pc.buf = append(pc.buf, a.shape...)
+			}
+			pc.testPos = append(pc.testPos, occPos[a.lo:a.hi]...)
 		}
-	case stateful.CPred:
-		return validate(q.P)
-	case stateful.CStar:
-		return validate(q.P)
-	case stateful.PNot:
-		return validate(q.P)
-	case stateful.CUnion:
-		return cmp.Or(validate(q.L), validate(q.R))
-	case stateful.CSeq:
-		return cmp.Or(validate(q.L), validate(q.R))
-	case stateful.PAnd:
-		return cmp.Or(validate(q.L), validate(q.R))
-	case stateful.POr:
-		return cmp.Or(validate(q.L), validate(q.R))
+		g.key, g.hi = pc.intern.segKeys.IDBytes(pc.buf), int32(len(pc.testPos))
+		pc.segs, run = append(pc.segs, g), len(pc.runs)
+	}
+	for n, k := root, int32(-1); ; {
+		switch nd := pc.nodes[n]; nd.kind {
+		case nodeSeq:
+			pc.conts = append(pc.conts, strandCont{node: nd.b, next: k})
+			n, k = nd.a, int32(len(pc.conts)-1)
+			continue
+		case nodeUnion:
+			pc.choices = append(pc.choices, strandChoice{node: nd.b, k: k, cur: int32(len(pc.cur)), conts: int32(len(pc.conts))})
+			n = nd.a
+			continue
+		}
+		if pc.cur = append(pc.cur, n); k >= 0 {
+			n, k = pc.conts[k].node, pc.conts[k].next
+			continue
+		}
+		if len(pc.strands) == maxStrands {
+			return errStrandLimit
+		}
+		s := progStrand{seg: int32(len(pc.segs)), link: int32(len(pc.links)), lastUpdate: -1}
+		run = len(pc.runs)
+		for _, e := range pc.cur {
+			if nd := pc.nodes[e]; nd.kind == nodeAtom {
+				pc.runs = append(pc.runs, nd.a)
+				continue
+			}
+			seg()
+			l := &pc.linkStates[pc.nodes[e].a]
+			var u *stateful.CLinkState
+			if pc.nodes[e].b == 1 {
+				u, s.lastUpdate = l, s.n
+			}
+			pc.links = append(pc.links, netkat.Link{Src: l.Src, Dst: l.Dst})
+			pc.updates = append(pc.updates, u)
+			s.n++
+		}
+		seg()
+		// A link passes every test conjunction through unchanged, so the
+		// conjunctions reaching a strand's links are a function of its
+		// segments' shapes and truth vectors alone: the walk memo's key
+		// leaves the links out, and the counter branches of
+		// bandwidth-cap-N share one walk per truth value.
+		if s.lastUpdate >= 0 {
+			pc.buf = pc.buf[:0]
+			for _, g := range pc.segs[s.seg : s.seg+s.lastUpdate+1] {
+				pc.buf = binary.AppendUvarint(pc.buf, uint64(g.key))
+			}
+			s.walkID = pc.intern.walks.IDBytes(pc.buf)
+		}
+		pc.strands = append(pc.strands, s)
+		if len(pc.choices) == 0 {
+			break
+		}
+		ch := pc.choices[len(pc.choices)-1]
+		pc.choices = pc.choices[:len(pc.choices)-1]
+		n, k, pc.cur, pc.conts = ch.node, ch.k, pc.cur[:ch.cur], pc.conts[:ch.conts]
+	}
+
+	// Each position's strands, ascending, once per test of it (Explore
+	// compacts), on one backing array.
+	off := make([]int32, pc.guards.Len()+1)
+	for _, p := range pc.testPos {
+		off[p+1]++
+	}
+	flat := make([]int32, len(pc.testPos))
+	pc.atomStrands = make([][]int32, pc.guards.Len())
+	for p := range pc.atomStrands {
+		off[p+1] += off[p]
+		pc.atomStrands[p] = flat[off[p]:off[p]:off[p+1]]
+	}
+	for si, s := range pc.strands {
+		for _, p := range pc.testPos[pc.segs[s.seg].lo:pc.segs[s.seg+s.n].hi] {
+			pc.atomStrands[p] = append(pc.atomStrands[p], int32(si))
+		}
 	}
 	return nil
 }
 
-// indexSegments computes the per-segment interned shape ids, the
-// whole-program positions of each segment's tests, the inverse of the
-// latter by strand, and the walk-memo identity of every event-raising
-// strand. All are pure functions of the skeleton and the interner set.
-func (pc *ProgramCompiler) indexSegments() {
-	nsegs := 0
-	for _, s := range pc.strands {
-		nsegs += len(s.segs)
+// segCmd builds segment i's command, its atoms in sequence, for the rare
+// lookup that needs it: a segment-memo miss (ToFDD) or a walk-memo miss
+// (stateful.Tests).
+func (pc *ProgramCompiler) segCmd(i int) stateful.Cmd {
+	run := pc.runs[pc.segs[i].runLo:pc.segs[i].runHi]
+	if len(run) == 0 {
+		return stateful.CPred{P: stateful.PTrue{}}
 	}
-	pc.segKeyIDs = make([]uint32, nsegs)
-	pc.segTestPos = make([][]int32, nsegs)
-	pc.atomStrands = make([][]int32, pc.guards.Len())
-	for si, s := range pc.strands {
-		for _, seg := range s.segs {
-			pc.segKeyIDs[seg.id] = pc.intern.segKeys.ID(seg.key)
-			ps := make([]int32, len(seg.tests))
-			for i, t := range seg.tests {
-				p, _ := pc.guards.Pos(t) // a segment's tests are the program's
-				ps[i] = int32(p)
-				if on := pc.atomStrands[p]; len(on) == 0 || on[len(on)-1] != int32(si) {
-					pc.atomStrands[p] = append(on, int32(si))
-				}
-			}
-			pc.segTestPos[seg.id] = ps
-		}
+	c := pc.atoms[run[0]].cmd
+	for _, a := range run[1:] {
+		c = stateful.CSeq{L: c, R: pc.atoms[a].cmd}
 	}
-	// A link passes every test conjunction through unchanged, so the
-	// conjunctions reaching a strand's links are a function of its
-	// segments' shapes and truth vectors alone: the walk memo's key leaves
-	// the links out, and the counter branches of bandwidth-cap-N share one
-	// walk per truth value.
-	var key []byte
-	for si := range pc.strands {
-		s := &pc.strands[si]
-		if s.lastUpdate < 0 {
-			continue
-		}
-		key = key[:0]
-		for _, seg := range s.segs[:s.lastUpdate+1] {
-			key = binary.AppendUvarint(key, uint64(pc.segKeyIDs[seg.id]))
-			s.walkPos = append(s.walkPos, pc.segTestPos[seg.id]...)
-		}
-		s.walkID = pc.intern.walks.IDBytes(key)
-	}
+	return c
 }
 
 // Stats returns this compiler's cache statistics.

@@ -38,19 +38,10 @@ func NewInterner() *Interner {
 	return &Interner{ids: map[string]uint32{}}
 }
 
-// ID returns the dense id for s, assigning the next id on first sight.
-func (in *Interner) ID(s string) uint32 {
-	id, ok := in.ids[s]
-	if !ok {
-		id = uint32(len(in.ids))
-		in.ids[s] = id
-	}
-	return id
-}
-
-// IDBytes is ID for a byte-slice key. The lookup itself does not copy
-// (Go's map[string] lookup accepts string(b) without allocating); the
-// key is materialized only on first intern.
+// IDBytes returns the dense id for the key b, assigning the next id on
+// first sight. The lookup itself does not copy (Go's map[string] lookup
+// accepts string(b) without allocating); the key is materialized only on
+// first intern.
 func (in *Interner) IDBytes(b []byte) uint32 {
 	id, ok := in.ids[string(b)]
 	if !ok {

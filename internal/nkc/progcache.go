@@ -27,13 +27,11 @@ package nkc
 // from the three layers: no ToFDD call, no Figure 6 walk, the same
 // tables. For P -> P' the FDD work is proportional to the structure P'
 // adds (none for bandwidth-cap-201 after cap-200), the rest to P' itself:
-// its skeleton to its text, the per-state glue to its states. Once states
-// stopped assembling tables and re-rendering keys, a warm revision of the
-// bench's cap-201…328 pool went from 1.5 ms and 16 300 objects to 1.0 ms
-// and 7 700 (docs/PIPELINE.md, "ETS construction"). The cache is handed to
-// ets.BuildWithOptions via Options.Cache; Acquire/Release bracket a build
-// because the shared FDD context and interners are single-goroutine by
-// design.
+// its skeleton to its text, built in the arrays of the build before, the
+// per-state glue to its states (docs/PIPELINE.md, "What a revision
+// costs"). The cache is handed to ets.BuildWithOptions via Options.Cache;
+// Acquire/Release bracket a build because the shared FDD context and
+// interners are single-goroutine by design.
 
 import (
 	"eventnet/internal/stateful"
@@ -53,7 +51,8 @@ type ProgramCache struct {
 	mu      chan struct{} // 1-buffered semaphore: held from Acquire to Release
 	ctx     *FDDCtx
 	intern  *compilerInterns
-	builds  int // compilers built on ctx and intern
+	spare   skeleton // the last build's, for the next to build in
+	builds  int      // compilers built on ctx and intern
 	resets  int
 	arenaHW int64 // largest arena seen across generations
 }
@@ -72,7 +71,8 @@ func NewProgramCache() *ProgramCache {
 // every segment, walk and table an earlier build on them compiled. The
 // 33rd build of a context generation starts a new one. The caller must
 // hold the acquisition for the entire build (the shared context is
-// single-goroutine) and end it with Release.
+// single-goroutine) and end it with Release, after which the compiler is
+// not used: the next build reuses its arrays.
 func (c *ProgramCache) Acquire(cmd stateful.Cmd, t *topo.Topology) (*ProgramCompiler, error) {
 	c.mu <- struct{}{}
 	if c.builds == programCacheLimit {
@@ -86,11 +86,12 @@ func (c *ProgramCache) Acquire(cmd stateful.Cmd, t *topo.Topology) (*ProgramComp
 		c.builds = 0
 		c.resets++
 	}
-	pc, err := newProgramCompiler(cmd, t, c.ctx, c.intern)
+	pc, err := newProgramCompiler(cmd, t, c.ctx, c.intern, c.spare)
 	if err != nil {
 		<-c.mu
 		return nil, err
 	}
+	c.spare = pc.skeleton
 	c.builds++
 	return pc, nil
 }

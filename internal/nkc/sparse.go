@@ -144,16 +144,16 @@ func (pc *ProgramCompiler) evalStrand(si int, k stateful.State) (strandEval, err
 	s := &pc.strands[si]
 	var ev strandEval
 	fdds := pc.fddBuf[:0]
-	for j := range s.segs {
-		seg := &s.segs[j]
-		key := segMemoKey{key: pc.segKeyIDs[seg.id], sig: pc.packSig(pc.segTestPos[seg.id], pc.sigScratch)}
+	for i := int(s.seg); i <= int(s.seg+s.n); i++ {
+		seg := &pc.segs[i]
+		key := segMemoKey{key: seg.key, sig: pc.packSig(pc.testPos[seg.lo:seg.hi], pc.sigScratch)}
 		d, ok := pc.ctx.segMemo[key]
 		if ok {
 			pc.stats.SegmentHits++
 		} else {
 			pc.stats.SegmentMisses++
 			var err error
-			if d, err = pc.ctx.ToFDD(stateful.Project(seg.cmd, k)); err != nil {
+			if d, err = pc.ctx.ToFDD(stateful.Project(pc.segCmd(i), k)); err != nil {
 				return ev, err
 			}
 			pc.ctx.segMemo[key] = d
@@ -162,20 +162,20 @@ func (pc *ProgramCompiler) evalStrand(si int, k stateful.State) (strandEval, err
 	}
 	pc.fddBuf = fdds
 	var err error
-	if ev.hops, err = pc.ctx.hopsFor(fdds, s.links, pc.switches); err != nil {
+	if ev.hops, err = pc.ctx.hopsFor(fdds, pc.links[s.link:s.link+s.n], pc.switches); err != nil {
 		return ev, err
 	}
 	if s.lastUpdate < 0 {
 		return ev, nil
 	}
-	key := segMemoKey{key: s.walkID, sig: pc.packSig(s.walkPos, pc.sigScratch)}
+	key := segMemoKey{key: s.walkID, sig: pc.packSig(pc.testPos[pc.segs[s.seg].lo:pc.segs[s.seg+s.lastUpdate].hi], pc.sigScratch)}
 	reach, ok := pc.ctx.walkMemo[key]
 	if ok {
 		pc.stats.TemplateHits++
 	} else {
 		pc.stats.TemplateMisses++
 		var err error
-		if reach, err = s.walk(k); err != nil {
+		if reach, err = pc.walk(s, k); err != nil {
 			return ev, err
 		}
 		pc.ctx.walkMemo[key] = reach
@@ -184,7 +184,7 @@ func (pc *ProgramCompiler) evalStrand(si int, k stateful.State) (strandEval, err
 	// it. ⟪p + q⟫ is a union and ';' distributes over it, so the templates
 	// of all strands together are those of the whole program, as a set.
 	for j, phis := range reach {
-		if u := s.updates[j]; u != nil {
+		if u := pc.updates[int(s.link)+j]; u != nil {
 			for _, phi := range phis {
 				ev.edges = append(ev.edges, stateful.NewEdgeTemplate(phi, u.Dst, u.Sets))
 			}
@@ -193,17 +193,17 @@ func (pc *ProgramCompiler) evalStrand(si int, k stateful.State) (strandEval, err
 	return ev, nil
 }
 
-// walk is Figure 6 along the segments of a strand up to its last
+// walk is Figure 6 along the segments of strand s up to its last
 // state-updating link: the test conjunctions are threaded through the
 // segments (the Kleisli composition of ⟪p; q⟫), and a link passes them
 // through unchanged. out[j] holds those reaching link j; the walk stops
 // early once none do.
-func (s *progStrand) walk(k stateful.State) ([][]*netkat.Conj, error) {
+func (pc *ProgramCompiler) walk(s *progStrand, k stateful.State) ([][]*netkat.Conj, error) {
 	out := make([][]*netkat.Conj, 0, s.lastUpdate+1)
 	phis := []*netkat.Conj{netkat.NewConj()}
-	for j := 0; j <= s.lastUpdate && len(phis) > 0; j++ {
+	for j := int32(0); j <= s.lastUpdate && len(phis) > 0; j++ {
 		var err error
-		if phis, err = stateful.Tests(s.segs[j].cmd, k, phis); err != nil {
+		if phis, err = stateful.Tests(pc.segCmd(int(s.seg+j)), k, phis); err != nil {
 			return nil, err
 		}
 		out = append(out, phis)

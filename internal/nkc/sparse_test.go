@@ -312,27 +312,37 @@ func TestSegmentKeyIsShape(t *testing.T) {
 	first := map[segMemoKey]string{}      // key -> the first segment rendering seen under it
 	merged := 0
 	for _, p := range progs {
-		pc, err := newProgramCompiler(p.cmd, p.topo, ctx, in)
+		pc, err := newProgramCompiler(p.cmd, p.topo, ctx, in, skeleton{})
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
 		for si, s := range pc.strands {
-			for _, seg := range s.segs {
-				shape, tests := stateful.Shape(seg.cmd)
-				if seg.key != shape || !slices.Equal(seg.tests, tests) {
-					t.Fatalf("%s strand %d segment %d: key %q %v, stateful.Shape %q %v", p.name, si, seg.id, seg.key, seg.tests, shape, tests)
+			for id := int(s.seg); id <= int(s.seg+s.n); id++ {
+				seg := pc.segs[id]
+				cmd := pc.segCmd(id)
+				shape, tests := stateful.Shape(cmd)
+				pos := make([]int32, len(tests))
+				for i, g := range tests {
+					at, ok := pc.guards.Pos(g)
+					if !ok {
+						t.Fatalf("%s strand %d segment %d: test %v is not in the program's guard index", p.name, si, id, g)
+					}
+					pos[i] = int32(at)
+				}
+				if kid, ok := in.segKeys.ids[shape]; !ok || kid != seg.key || !slices.Equal(pc.testPos[seg.lo:seg.hi], pos) {
+					t.Fatalf("%s strand %d segment %d: key %d tests at %v, stateful.Shape %q (id %d, present %v) tests %v at %v", p.name, si, id, seg.key, pc.testPos[seg.lo:seg.hi], shape, kid, ok, tests, pos)
 				}
 				filled := shape
 				for _, g := range tests {
 					filled = strings.Replace(filled, "\x00", fmt.Sprintf("state(%d)=%d", g.Index, g.Value), 1)
 				}
-				text := statefultest.StringRef(seg.cmd)
+				text := statefultest.StringRef(cmd)
 				if filled != text {
-					t.Fatalf("%s strand %d segment %d: shape %q filled with %v is %q, rendering %q", p.name, si, seg.id, shape, tests, filled, text)
+					t.Fatalf("%s strand %d segment %d: shape %q filled with %v is %q, rendering %q", p.name, si, id, shape, tests, filled, text)
 				}
 				for _, k := range p.states {
-					key := segMemoKey{key: pc.segKeyIDs[seg.id], sig: pc.packSig(pc.segTestPos[seg.id], pc.guards.AppendSig(nil, k))}
-					proj := stateful.Project(seg.cmd, k).String()
+					key := segMemoKey{key: seg.key, sig: pc.packSig(pc.testPos[seg.lo:seg.hi], pc.guards.AppendSig(nil, k))}
+					proj := stateful.Project(cmd, k).String()
 					if prev, ok := projection[key]; !ok {
 						projection[key], first[key] = proj, text
 					} else if prev != proj {

@@ -26,6 +26,8 @@ type element struct {
 // time predictable on adversarial inputs.
 const maxStrands = 100000
 
+var errStrandLimit = fmt.Errorf("nkc: policy expands to more than %d strands", maxStrands)
+
 // ExtractStrands distributes union over sequencing to rewrite a policy as
 // a sum of strands. Star is supported only over link-free subpolicies
 // (the fragment used by every program in the paper; full NetKAT automata
@@ -69,7 +71,7 @@ func elems(p netkat.Policy) ([][]element, error) {
 		}
 		out := append(l, r...)
 		if len(out) > maxStrands {
-			return nil, fmt.Errorf("nkc: policy expands to more than %d strands", maxStrands)
+			return nil, errStrandLimit
 		}
 		return out, nil
 	case netkat.Seq:
@@ -82,7 +84,7 @@ func elems(p netkat.Policy) ([][]element, error) {
 			return nil, err
 		}
 		if len(l)*len(r) > maxStrands {
-			return nil, fmt.Errorf("nkc: policy expands to more than %d strands", maxStrands)
+			return nil, errStrandLimit
 		}
 		out := make([][]element, 0, len(l)*len(r))
 		for _, a := range l {

@@ -8,10 +8,12 @@ import (
 	"eventnet/internal/netkat"
 	"eventnet/internal/stateful"
 	"eventnet/internal/stateful/statefultest"
+	"eventnet/internal/topo"
 )
 
-// TestValidateMatchesProjection: validate gives netkat.Validate's verdict,
-// message included, on the projection it does not build — for random
+// TestValidateMatchesProjection: the skeleton pass gives netkat.Validate's
+// verdict, message included, on the projection it does not build, before
+// any structural error the reference skeleton reports — for random
 // commands with and without an invalid assignment or test on either side
 // of a union or a sequence, so the first error in Validate's order is the
 // one reported.
@@ -41,11 +43,13 @@ func TestValidateMatchesProjection(t *testing.T) {
 			}
 		}
 		want := netkat.Validate(stateful.Project(c, stateful.State{}))
-		if got := validate(c); verdict(got) != verdict(want) {
-			t.Fatalf("%v: validate says %v, the projection's check %v", c, got, want)
-		}
 		if want != nil {
 			invalid++
+		} else {
+			_, _, want = annotateCmdLinks(c) // valid: the reference skeleton's structural error, if any
+		}
+		if _, got := NewProgramCompiler(c, topo.New(), nil); verdict(got) != verdict(want) {
+			t.Fatalf("%v: the skeleton pass says %v, the projection's check then the reference skeleton %v", c, got, want)
 		}
 	}
 	if invalid < 1000 {

@@ -1,6 +1,10 @@
 package stateful
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // GuardTest is one state test state(Index) = Value occurring in a program.
 type GuardTest struct {
@@ -22,13 +26,15 @@ type GuardIndex struct {
 
 // CollectGuards builds the guard index of a command: every distinct
 // state(Index) = Value test in its predicates (including under negation).
+// The compiler lists the same tests in its one pass over the command
+// (nkc); this walk is the reference its tests hold that pass against.
 func CollectGuards(c Cmd) *GuardIndex {
-	set := map[GuardTest]bool{}
+	var tests []GuardTest
 	var walkPred func(Pred)
 	walkPred = func(p Pred) {
 		switch q := p.(type) {
 		case PState:
-			set[GuardTest{Index: q.Index, Value: q.Value}] = true
+			tests = append(tests, GuardTest{Index: q.Index, Value: q.Value})
 		case PNot:
 			walkPred(q.P)
 		case PAnd:
@@ -55,16 +61,18 @@ func CollectGuards(c Cmd) *GuardIndex {
 		}
 	}
 	walk(c)
-	g := &GuardIndex{tests: make([]GuardTest, 0, len(set))}
-	for t := range set {
-		g.tests = append(g.tests, t)
-	}
-	sort.Slice(g.tests, func(i, j int) bool {
-		if g.tests[i].Index != g.tests[j].Index {
-			return g.tests[i].Index < g.tests[j].Index
-		}
-		return g.tests[i].Value < g.tests[j].Value
+	return NewGuardIndex(tests)
+}
+
+// NewGuardIndex returns the guard index of the given state tests, in any
+// order and repeated at will: each test once, in canonical order. The
+// slice is not modified.
+func NewGuardIndex(tests []GuardTest) *GuardIndex {
+	g := &GuardIndex{tests: slices.Clone(tests)}
+	slices.SortFunc(g.tests, func(a, b GuardTest) int {
+		return cmp.Or(cmp.Compare(a.Index, b.Index), cmp.Compare(a.Value, b.Value))
 	})
+	g.tests = slices.Compact(g.tests)
 	return g
 }
 
