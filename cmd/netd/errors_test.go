@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +14,9 @@ import (
 
 	"eventnet/internal/apps"
 	"eventnet/internal/ctrl"
+	"eventnet/internal/ets"
 	"eventnet/internal/obs"
+	"eventnet/internal/syntax"
 )
 
 // TestNetdErrorPaths drives every client-error path of the API and
@@ -256,4 +260,53 @@ func TestNetdErrorPaths(t *testing.T) {
 	call(t, ts, "POST", "/swap", map[string]any{"app": "no-such-app"}, 400)
 	call(t, ts, "POST", "/swap", nil, 200)
 	serviceable()
+}
+
+// TestProgramRefusesNonLocal: every program of the negative corpus
+// (testdata/nonlocal at the module root) compiles to an NES outside
+// Theorem 1's premise. POST /program answers 422 and an inline /swap 409,
+// each body carrying ets.Compile's evidence, which names the conflicting
+// events and their switches, and the served program keeps serving.
+func TestProgramRefusesNonLocal(t *testing.T) {
+	a := apps.Firewall()
+	c := ctrl.New(a.Topo, ctrl.Options{Workers: 2})
+	defer c.Close()
+	if err := c.Load(a.Name, a.Prog); err != nil {
+		t.Fatal(err)
+	}
+	_, handler := newServer(c, nil)
+	ts := httptest.NewServer(handler)
+	defer ts.Close()
+	files, err := filepath.Glob("../../testdata/nonlocal/*.snk")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus: %v", err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := syntax.ParseProgram(string(src), []int{0})
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		_, _, _, want := ets.Compile(p, a.Topo, nil, 0)
+		if want == nil {
+			t.Fatalf("%s: ets.Compile accepted it", f)
+		}
+		for path, code := range map[string]int{"/program": 422, "/swap": 409} {
+			out := call(t, ts, "POST", path, map[string]any{"source": string(src), "init": []int{0}}, code)
+			msg, _ := out["error"].(string)
+			for _, sub := range []string{want.Error(), "at switch 1 port 1", "at switch 4 port 1"} {
+				if !strings.Contains(msg, sub) {
+					t.Fatalf("%s: POST %s: error %q, want it to contain %q", f, path, msg, sub)
+				}
+			}
+		}
+		call(t, ts, "POST", "/inject", map[string]any{"host": "H1", "fields": map[string]int{"dst": apps.H(4)}}, 200)
+		call(t, ts, "POST", "/quiesce", nil, 200)
+	}
+	if cur := c.Current(); cur.Name != a.Name {
+		t.Fatalf("a refused program displaced %s: %s serves", a.Name, cur.Name)
+	}
 }

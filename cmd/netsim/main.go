@@ -15,7 +15,7 @@ import (
 	"os"
 
 	"eventnet/internal/apps"
-	"eventnet/internal/exp"
+	"eventnet/internal/ets"
 	"eventnet/internal/sim"
 )
 
@@ -42,7 +42,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	n, err := exp.BuildNES(a)
+	_, n, _, err := ets.Compile(a.Prog, a.Topo, nil, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netsim:", err)
 		os.Exit(1)

@@ -4,7 +4,9 @@
 // construction, flow-table generation — and prints the artifacts. A
 // program whose state graph has loops is compiled as an -unroll-round
 // unrolling, after a note saying whether its loops meet the paper's
-// locality condition (read from the loop report Build returns).
+// locality condition (read from the loop report Build returns). A program
+// whose NES is not locally determined is refused with ets.Compile's
+// evidence: Theorem 1 covers no other.
 //
 // Usage:
 //
@@ -25,6 +27,7 @@ import (
 	"eventnet/internal/dataplane"
 	"eventnet/internal/ets"
 	"eventnet/internal/flowtable"
+	"eventnet/internal/nes"
 	"eventnet/internal/nkc"
 	"eventnet/internal/optimize"
 	"eventnet/internal/stateful"
@@ -53,41 +56,30 @@ func main() {
 
 	// One compiler cache for both builds: the unrolling of a cyclic
 	// program reuses what the build that found its loops compiled.
-	opts := ets.Options{Cache: nkc.NewProgramCache()}
-	e, _, err := ets.BuildWithOptions(prog, tp, opts)
+	cache := nkc.NewProgramCache()
+	e, n, _, err := ets.Compile(prog, tp, cache, 0)
 	var loop *ets.LoopError
 	if errors.As(err, &loop) {
 		fmt.Printf("note: the state graph has loops (locality %v); compiling a %d-round unrolling\n", loop.Report.LocalityOK, *unroll)
-		e, _, err = ets.BuildUnrolled(prog, tp, *unroll, opts)
+		e, n, _, err = ets.Compile(prog, tp, cache, *unroll)
+	}
+	if err == nil {
+		err = dataplane.CheckFields(dataplane.ProgramFields(n))
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "snkc: ETS:", err)
-		os.Exit(1)
-	}
-	report(e, name, *doOpt, *showTables)
-}
-
-// report prints the compiled artifacts.
-func report(e *ets.ETS, name string, doOpt, showTables bool) {
-	n, err := e.ToNES()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "snkc: NES:", err)
-		os.Exit(1)
-	}
-	if err := dataplane.CheckFields(dataplane.ProgramFields(n)); err != nil {
 		fmt.Fprintln(os.Stderr, "snkc:", err)
 		os.Exit(1)
 	}
-	ld, err := n.LocallyDetermined()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "snkc: locality:", err)
-		os.Exit(1)
-	}
+	report(e, n, name, *doOpt, *showTables)
+}
+
+// report prints the compiled artifacts.
+func report(e *ets.ETS, n *nes.NES, name string, doOpt, showTables bool) {
 	fmt.Printf("program %s\n\n", name)
 	fmt.Print(e)
 	fmt.Println()
 	fmt.Print(n)
-	fmt.Printf("locally determined: %v\n", ld)
+	fmt.Println("locally determined: true")
 
 	total := 0
 	for _, v := range e.Vertices {

@@ -62,25 +62,20 @@ type System struct {
 	NES *nes.NES
 }
 
-// Compile builds the full pipeline of Section 3: reachable states are
-// projected (Figure 5) and compiled to flow tables, event edges are
-// extracted (Figure 6), the ETS conditions of Section 3.1 are checked,
-// and the NES is constructed and verified locally determined.
+// Compile builds the full pipeline of Section 3 through ets.Compile:
+// reachable states are projected (Figure 5) and compiled to flow tables,
+// event edges are extracted (Figure 6), the ETS conditions of Section 3.1
+// are checked, and the NES is constructed. An NES that is not locally
+// determined, which Theorem 1 does not cover, is refused with a
+// *nes.NotLocalError naming a minimally-inconsistent set and its events.
 //
 // Construction is one serial breadth-first walk of the reachable states,
 // and per-state configurations compile as deltas — only sub-policies whose
 // state guards changed re-enter FDD translation, with unchanged strands
 // and tables reused across states (see docs/PIPELINE.md).
 func Compile(p Program, t *Topology) (*System, error) {
-	e, err := ets.Build(p, t)
+	e, n, _, err := ets.Compile(p, t, nil, 0)
 	if err != nil {
-		return nil, err
-	}
-	n, err := e.ToNES()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := n.LocallyDetermined(); err != nil {
 		return nil, err
 	}
 	return &System{ETS: e, NES: n}, nil

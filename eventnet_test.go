@@ -1,13 +1,19 @@
 package eventnet
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"eventnet/internal/apps"
+	"eventnet/internal/nes"
 	"eventnet/internal/netkat"
 	"eventnet/internal/sim"
 	"eventnet/internal/stateful"
+	"eventnet/internal/syntax"
 	"eventnet/internal/topo"
 )
 
@@ -114,5 +120,52 @@ func TestCompileRejectsBadPrograms(t *testing.T) {
 	loopy := stateful.CStar{P: stateful.CLink{Src: netkat.Location{Switch: 1, Port: 1}, Dst: netkat.Location{Switch: 4, Port: 1}}}
 	if _, err := Compile(Program{Cmd: loopy, Init: stateful.State{0}}, tp); err == nil {
 		t.Error("star over links accepted")
+	}
+}
+
+// TestCompileRefusesNonLocal: the negative corpus in testdata/nonlocal
+// (firewall topology, initial state [0]) compiles to NESs outside Theorem
+// 1's premise, and Compile refuses each with the evidence: a
+// minimally-inconsistent set whose events are at switches 1 and 4. race
+// is Lemma 1's structure, two events at two switches each enabled
+// alone and in conflict; race-after-event is the same race after a first
+// event both need. The same conflict at one switch compiles.
+func TestCompileRefusesNonLocal(t *testing.T) {
+	want := map[string]string{
+		"race": "nes: not locally determined: the minimally-inconsistent event-set {0,1} spans switches; " +
+			"e0 (dst=101, 1:1) at switch 1 port 1; e1 (dst=104, 4:1) at switch 4 port 1",
+		"race-after-event": "nes: not locally determined: the minimally-inconsistent event-set {1,2} spans switches; " +
+			"e1 (dst=101, 1:1) at switch 1 port 1; e2 (dst=104, 4:1)_2 at switch 4 port 1",
+	}
+	files, err := filepath.Glob("testdata/nonlocal/*.snk")
+	if err != nil || len(files) != len(want) {
+		t.Fatalf("corpus %v (%v), want %d programs", files, err, len(want))
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := syntax.ParseProgram(string(src), []int{0})
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		_, err = Compile(p, topo.Firewall())
+		var nl *nes.NotLocalError
+		if !errors.As(err, &nl) || err.Error() != want[strings.TrimSuffix(filepath.Base(f), ".snk")] {
+			t.Errorf("%s: Compile returned %v, want a *nes.NotLocalError", f, err)
+		}
+	}
+	oneSwitch := "pt=2 & dst=H4; pt<-1; (state=[0] & src=H1; (1:1)=>(4:1)<state<-[1]> + state=[0] & src=H2; (1:1)=>(4:1)<state<-[2]> + state!=[0]; (1:1)=>(4:1)); pt<-2"
+	p, err := syntax.ParseProgram(oneSwitch, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := Compile(p, topo.Firewall())
+	if err != nil {
+		t.Fatalf("a conflict at one switch refused: %v", err)
+	}
+	if mis, err := sys.NES.MinimallyInconsistent(); err != nil || len(mis) != 1 {
+		t.Fatalf("one-switch race: minimally-inconsistent sets %v, %v; want the one conflicting pair", mis, err)
 	}
 }

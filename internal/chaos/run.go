@@ -98,13 +98,9 @@ func compileScenario(sc *scenario) ([]prog, error) {
 	out := make([]prog, 0, len(sc.progs))
 	cache := nkc.NewProgramCache()
 	for _, a := range sc.progs {
-		et, _, err := ets.BuildWithOptions(a.Prog, a.Topo, ets.Options{Cache: cache})
+		et, n, _, err := ets.Compile(a.Prog, a.Topo, cache, 0)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: compile %s: %w", a.Name, err)
-		}
-		n, err := et.ToNES()
-		if err != nil {
-			return nil, fmt.Errorf("chaos: %s: %w", a.Name, err)
 		}
 		out = append(out, prog{epoch: epoch{a.Name, a.Prog.Cmd, et}, n: n, plan: dataplane.PlanFor(n)})
 	}

@@ -212,13 +212,9 @@ func (c *Controller) Compile(name string, p stateful.Program) (*Program, error) 
 	}
 
 	start := time.Now()
-	e, stats, err := ets.BuildWithOptions(p, c.topo, ets.Options{Cache: c.cache})
+	e, n, stats, err := ets.Compile(p, c.topo, c.cache, 0)
 	if err != nil {
 		return nil, fmt.Errorf("ctrl: compiling %s: %w", name, err)
-	}
-	n, err := e.ToNES()
-	if err != nil {
-		return nil, fmt.Errorf("ctrl: converting %s: %w", name, err)
 	}
 	fields := dataplane.ProgramFields(n)
 	if err := fitsBeside(name, fields, running); err != nil {

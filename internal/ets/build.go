@@ -18,7 +18,7 @@ import (
 	"eventnet/internal/topo"
 )
 
-// Options tunes BuildWithOptions and BuildUnrolled.
+// Options tunes BuildWithOptions.
 type Options struct {
 	Workers int // accepted and ignored; named by bench/
 	// Cache, when non-nil, is a cross-build compiler cache: the
@@ -63,7 +63,7 @@ func BuildWithOptions(p stateful.Program, t *topo.Topology, o Options) (*ETS, St
 
 // buildETS walks p's state space, unrolled to maxRounds transitions when
 // maxRounds > 0, on a compiler from o.Cache or a fresh one, and finishes
-// the ETS: the one body of BuildWithOptions and BuildUnrolled.
+// the ETS: the one body of BuildWithOptions and Compile.
 func buildETS(p stateful.Program, t *topo.Topology, o Options, maxRounds int) (*ETS, Stats, error) {
 	var (
 		pc  *nkc.ProgramCompiler
@@ -87,7 +87,7 @@ func buildETS(p stateful.Program, t *topo.Topology, o Options, maxRounds int) (*
 	return e, Stats{States: len(e.Vertices), Edges: len(e.Edges), Events: len(e.Events), Cache: pc.Stats()}, nil
 }
 
-// walk is the breadth-first loop behind Build and BuildUnrolled: it
+// walk is the breadth-first loop behind Build and Compile: it
 // returns the vertices, numbered in discovery order, and the raw edges in
 // the order they were followed — by source vertex, each vertex's sorted
 // by key as Explore returns them. With rounds == 0 a vertex is a state;

@@ -63,7 +63,7 @@ func TestETSGolden(t *testing.T) {
 		got[a.Name] = etsDigest(e)
 	}
 	prog, tp := toggleProgram()
-	e, _, err := BuildUnrolled(prog, tp, 3, Options{})
+	e, _, _, err := Compile(prog, tp, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,6 @@ import (
 	"sort"
 
 	"eventnet/internal/nes"
-	"eventnet/internal/stateful"
-	"eventnet/internal/topo"
 )
 
 // Loop support (Section 3.1): the paper's core development assumes
@@ -18,9 +16,9 @@ import (
 // unrolling loops by renaming repeated events. This file implements both:
 // finish finds the SCCs of the graph the walk explored, and a cyclic
 // Build returns them, with per-SCC locality, in a LoopError; and
-// BuildUnrolled produces a loop-free ETS by bounding the number of
-// transitions, with each traversal of a loop yielding fresh renamed event
-// occurrences.
+// Compile with rounds > 0 produces a loop-free ETS by bounding the number
+// of transitions, with each traversal of a loop yielding fresh renamed
+// event occurrences.
 
 // SCC is one strongly-connected component of the state graph.
 type SCC struct {
@@ -42,8 +40,8 @@ type LoopReport struct {
 }
 
 // LoopError is Build's error when the reachable state graph has a cycle;
-// Report is its SCC structure. BuildUnrolled accepts such programs up to
-// a round bound.
+// Report is its SCC structure. Compile unrolls such programs to a round
+// bound.
 type LoopError struct {
 	Report *LoopReport
 }
@@ -139,24 +137,9 @@ func tarjan(out [][]rawEdge) (comp []int, n int) {
 // maxUnrollVertices bounds the unrolled state space.
 const maxUnrollVertices = 10000
 
-// BuildUnrolled builds a loop-free ETS from a (possibly cyclic) program
-// by bounding the number of transitions to maxRounds: vertices are
-// (state, transitions-taken) pairs, so each traversal of a loop produces
-// fresh renamed event occurrences — the Section 3.1 unrolling. The
-// resulting NES is a sound under-approximation: it implements the program
-// faithfully for executions with at most maxRounds events. o.Cache works
-// as for BuildWithOptions: an unrolling on the cache a failed Build of the
-// same program used reuses every segment and walk that build compiled.
-func BuildUnrolled(p stateful.Program, t *topo.Topology, maxRounds int, o Options) (*ETS, Stats, error) {
-	if maxRounds < 1 {
-		return nil, Stats{}, fmt.Errorf("ets: maxRounds must be positive")
-	}
-	return buildETS(p, t, o, maxRounds)
-}
-
 // finish rejects loops with a LoopError, then performs occurrence
 // renaming and event-ID assignment over raw edges (shared by Build and
-// BuildUnrolled).
+// Compile's unrolling).
 func (e *ETS) finish(raw []rawEdge) error {
 	out := outEdges(len(e.Vertices), raw, func(r rawEdge) int { return r.from })
 	if report := e.loopReport(out); report != nil {

@@ -244,11 +244,11 @@ func TestLoopReportMatchesOracle(t *testing.T) {
 }
 
 // TestBuildUnrolled: unrolling the toggle to 3 rounds produces a chain
-// 0 -> 1 -> 0' -> 1' with renamed occurrences, which converts to a valid
-// NES.
+// 0 -> 1 -> 0' -> 1' with renamed occurrences, which converts to a valid,
+// locally determined NES.
 func TestBuildUnrolled(t *testing.T) {
 	prog, tp := toggleProgram()
-	e, _, err := BuildUnrolled(prog, tp, 3, Options{})
+	e, n, _, err := Compile(prog, tp, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,25 +263,17 @@ func TestBuildUnrolled(t *testing.T) {
 			occ[key] = ev.Occurrence
 		}
 	}
-	n, err := e.ToNES()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(n.Family()) != 4 {
 		t.Fatalf("family: %v", n.Family())
 	}
-	ld, err := n.LocallyDetermined()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ld {
-		t.Fatal("unrolled toggle not locally determined")
+	if _, _, _, err := Compile(prog, tp, nil, -1); err == nil {
+		t.Fatal("Compile accepted -1 rounds")
 	}
 }
 
 // TestBuildUnrolledOnProgramCache: snkc's sequence on a cyclic program,
-// a Build that fails with a LoopError and then BuildUnrolled, through one
-// nkc.ProgramCache. The unrolled ETS is the one an uncached build makes,
+// a Compile that fails with a LoopError and then one that unrolls, through
+// one nkc.ProgramCache. The unrolled ETS is the one an uncached build makes,
 // and the unrolling translates no segment the failed build did not: the
 // unrolled states are copies of the states that build already compiled.
 func TestBuildUnrolledOnProgramCache(t *testing.T) {
@@ -289,16 +281,16 @@ func TestBuildUnrolledOnProgramCache(t *testing.T) {
 	cross, _ := crossSwitchToggle()
 	for _, prog := range []stateful.Program{toggle, cross} {
 		for rounds := 1; rounds <= 4; rounds++ {
-			o := Options{Cache: nkc.NewProgramCache()}
+			cache := nkc.NewProgramCache()
 			var loop *LoopError
-			if _, _, err := BuildWithOptions(prog, tp, o); !errors.As(err, &loop) {
-				t.Fatalf("Build returned %v, want a *LoopError", err)
+			if _, _, _, err := Compile(prog, tp, cache, 0); !errors.As(err, &loop) {
+				t.Fatalf("Compile returned %v, want a *LoopError", err)
 			}
-			cached, st, err := BuildUnrolled(prog, tp, rounds, o)
+			cached, _, st, err := Compile(prog, tp, cache, rounds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, _, err := BuildUnrolled(prog, tp, rounds, Options{})
+			fresh, _, _, err := Compile(prog, tp, nil, rounds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,7 +312,7 @@ func TestBuildUnrolledMatchesBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unrolled, _, err := BuildUnrolled(a.Prog, a.Topo, 10, Options{})
+	unrolled, _, _, err := Compile(a.Prog, a.Topo, nil, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,11 +330,7 @@ func TestBuildUnrolledMatchesBuild(t *testing.T) {
 // is exhausted.
 func TestUnrolledToggleRuns(t *testing.T) {
 	prog, tp := toggleProgram()
-	e, _, err := BuildUnrolled(prog, tp, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := e.ToNES()
+	e, n, _, err := Compile(prog, tp, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ import (
 
 	"eventnet/internal/nes"
 	"eventnet/internal/nkc"
+	"eventnet/internal/stateful"
+	"eventnet/internal/topo"
 )
 
 // maxPaths bounds the distinct (vertex, event-set) pairs family
@@ -222,6 +224,36 @@ func (e *ETS) ToNES() (*nes.NES, error) {
 		}
 	}
 	return nes.New(e.Events, family, configs)
+}
+
+// Compile is the one path from a program to its NES. It builds p's ETS
+// over t, on cache when it is not nil, converts it, and refuses an NES
+// that is not locally determined with nes.NonLocal's *nes.NotLocalError:
+// Theorem 1 covers no other (Section 2, Lemma 1). With rounds == 0 a
+// cyclic program is refused with a *LoopError; with rounds > 0 its state
+// graph is unrolled to rounds transitions, so each traversal of a loop
+// yields fresh renamed event occurrences (Section 3.1). The unrolled NES
+// implements the program faithfully for executions of at most rounds
+// events, and an unrolling on the cache of the refused build reuses every
+// segment and walk that build compiled.
+func Compile(p stateful.Program, t *topo.Topology, cache *nkc.ProgramCache, rounds int) (*ETS, *nes.NES, Stats, error) {
+	if rounds < 0 {
+		return nil, nil, Stats{}, fmt.Errorf("ets: %d unrolling rounds", rounds)
+	}
+	e, stats, err := buildETS(p, t, Options{Cache: cache}, rounds)
+	if err != nil {
+		return nil, nil, Stats{}, err
+	}
+	n, err := e.ToNES()
+	if err != nil {
+		return nil, nil, Stats{}, err
+	}
+	if nl, err := n.NonLocal(); nl != nil {
+		return nil, nil, Stats{}, nl
+	} else if err != nil {
+		return nil, nil, Stats{}, err
+	}
+	return e, n, stats, nil
 }
 
 // String summarizes the ETS.

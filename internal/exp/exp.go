@@ -60,15 +60,6 @@ func parallelFor(n int, f func(i int)) {
 	wg.Wait()
 }
 
-// BuildNES compiles an application to its NES.
-func BuildNES(a apps.App) (*nes.NES, error) {
-	e, err := ets.Build(a.Prog, a.Topo)
-	if err != nil {
-		return nil, err
-	}
-	return e.ToNES()
-}
-
 // Table is a generic result table.
 type Table struct {
 	Title   string
@@ -99,7 +90,7 @@ func Fig10(maxDelayMs, stepMs, runs int) *Table {
 		Columns: []string{"delay_ms", "uncoordinated_drops", "correct_drops"},
 	}
 	a := apps.Firewall()
-	n, err := BuildNES(a)
+	_, n, _, err := ets.Compile(a.Prog, a.Topo, nil, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -174,7 +165,7 @@ type pingScript struct {
 
 // runTimeline executes the scripted pings under both planes.
 func runTimeline(a apps.App, title string, echoHosts []string, scripts []pingScript, horizon float64) *Timeline {
-	n, err := BuildNES(a)
+	_, n, _, err := ets.Compile(a.Prog, a.Topo, nil, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -221,7 +212,7 @@ func Fig12() *Table {
 		Columns: []string{"plane", "to_H1", "to_H2(flood)"},
 	}
 	a := apps.LearningSwitch()
-	n, err := BuildNES(a)
+	_, n, _, err := ets.Compile(a.Prog, a.Topo, nil, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -264,7 +255,7 @@ func Fig14() *Table {
 		Columns: []string{"plane", "pings_sent", "pings_succeeded"},
 	}
 	a := apps.BandwidthCap(10)
-	n, err := BuildNES(a)
+	_, n, _, err := ets.Compile(a.Prog, a.Topo, nil, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -310,7 +301,8 @@ func Fig16a(diameters []int) *Table {
 	// panics where callers can recover; only the sims run on the pool.
 	nesses := make([]*nes.NES, len(diameters))
 	for i, d := range diameters {
-		n, err := BuildNES(apps.Ring(d))
+		a := apps.Ring(d)
+		_, n, _, err := ets.Compile(a.Prog, a.Topo, nil, 0)
 		if err != nil {
 			panic(err)
 		}
@@ -356,7 +348,8 @@ func Fig16b(diameters []int) *Table {
 	rows := make([][]string, len(diameters))
 	nesses := make([]*nes.NES, len(diameters))
 	for i, d := range diameters {
-		n, err := BuildNES(apps.Ring(d))
+		a := apps.Ring(d)
+		_, n, _, err := ets.Compile(a.Prog, a.Topo, nil, 0)
 		if err != nil {
 			panic(err)
 		}
@@ -448,11 +441,7 @@ func TableCompile() *Table {
 	}
 	for _, a := range apps.All() {
 		start := time.Now()
-		e, err := ets.Build(a.Prog, a.Topo)
-		if err != nil {
-			panic(err)
-		}
-		n, err := e.ToNES()
+		e, n, _, err := ets.Compile(a.Prog, a.Topo, nil, 0)
 		if err != nil {
 			panic(err)
 		}
@@ -476,7 +465,7 @@ func Trace(packets int) *Table {
 		Columns: []string{"trace", "inject_host", "gen", "seq", "kind", "switch", "rank", "out", "to_host"},
 	}
 	a := apps.Firewall()
-	n, err := BuildNES(a)
+	_, n, _, err := ets.Compile(a.Prog, a.Topo, nil, 0)
 	if err != nil {
 		panic(err)
 	}

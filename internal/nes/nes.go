@@ -426,6 +426,14 @@ func (n *NES) AllowedSequences() ([][]int, error) {
 // minIncWorkBound caps the hitting-set recursion.
 const minIncWorkBound = 1 << 22
 
+// WorkBoundError is MinimallyInconsistent's error when its search takes
+// more than Steps steps.
+type WorkBoundError struct{ Steps int }
+
+func (e *WorkBoundError) Error() string {
+	return fmt.Sprintf("nes: minimal-inconsistency enumeration exceeded %d steps", e.Steps)
+}
+
 // MinimallyInconsistent returns every minimally-inconsistent set: an
 // inconsistent set all of whose proper subsets are consistent (Section 2,
 // "Locality Restrictions").
@@ -438,22 +446,21 @@ const minIncWorkBound = 1 << 22
 // This replaces the former exhaustive 2^|E| scan (capped at 20 events) and
 // scales to the occurrence-renamed universes of the large sweeps
 // (bandwidth-cap-200 has 201 events), whose chain-shaped families resolve
-// immediately: the full set is a member, its complement is empty, and no
-// hitting set exists.
+// at once: the full set is a member, so no set is inconsistent.
 func (n *NES) MinimallyInconsistent() ([]Set, error) {
-	all := Empty
+	full := make([]byte, (len(n.Events)+7)/8) // event IDs are 0..len-1
 	for _, ev := range n.Events {
-		all = all.With(ev.ID)
+		full[ev.ID/8] |= 1 << uint(ev.ID%8)
 	}
+	if _, ok := n.family[Set(full)]; ok {
+		return nil, nil // the full universe is consistent
+	}
+	all := Set(full)
 	// Complement edges, keeping only the minimal ones (a superset edge is
 	// hit whenever its subset is).
 	var edges []Set
 	for _, f := range n.familyList {
-		c := all.Minus(f)
-		if c == Empty {
-			return nil, nil // the full universe is consistent
-		}
-		edges = append(edges, c)
+		edges = append(edges, all.Minus(f))
 	}
 	sort.Slice(edges, func(i, j int) bool { return edges[i].Count() < edges[j].Count() })
 	var minimalEdges []Set
@@ -486,7 +493,7 @@ func (n *NES) MinimallyInconsistent() ([]Set, error) {
 	var rec func(cur Set, from int) error
 	rec = func(cur Set, from int) error {
 		if work++; work > minIncWorkBound {
-			return fmt.Errorf("nes: minimal-inconsistency enumeration exceeded %d steps", minIncWorkBound)
+			return &WorkBoundError{Steps: minIncWorkBound}
 		}
 		next := -1
 		for i := from; i < len(edges); i++ {
@@ -533,28 +540,53 @@ func (n *NES) MinimallyInconsistent() ([]Set, error) {
 	return out, nil
 }
 
-// LocallyDetermined reports whether every minimally-inconsistent set has
-// all of its events at the same switch — the condition that makes the NES
-// efficiently implementable without synchronization (Section 2, and the
-// premise of Lemma 3 / Theorem 1).
-func (n *NES) LocallyDetermined() (bool, error) {
+// NotLocalError is the evidence that an NES is not locally determined: a
+// minimally-inconsistent set whose events are at more than one switch.
+// Theorem 1 covers locally determined NESs only, and Lemma 1 shows that no
+// implementation without synchronization can serve one that is not.
+type NotLocalError struct {
+	Set    Set
+	Events []Event // the set's events, in ID order
+}
+
+func (e *NotLocalError) Error() string {
+	s := fmt.Sprintf("nes: not locally determined: the minimally-inconsistent event-set %v spans switches", e.Set)
+	for _, ev := range e.Events {
+		s += fmt.Sprintf("; e%d %v at switch %d port %d", ev.ID, ev, ev.Loc.Switch, ev.Loc.Port)
+	}
+	return s
+}
+
+// NonLocal decides Theorem 1's premise (Section 2): every
+// minimally-inconsistent set has all of its events at one switch, which
+// makes the NES implementable without synchronization. It returns nil for
+// a locally determined NES, otherwise the evidence for the first set in
+// Set order that is not; its error is MinimallyInconsistent's.
+func (n *NES) NonLocal() (*NotLocalError, error) {
 	mis, err := n.MinimallyInconsistent()
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	for _, s := range mis {
-		elems := s.Elems()
-		if len(elems) <= 1 {
-			continue
-		}
+		elems := s.Elems() // never empty: the empty set is a member
 		sw := n.Events[elems[0]].Loc.Switch
 		for _, e := range elems[1:] {
 			if n.Events[e].Loc.Switch != sw {
-				return false, nil
+				nl := &NotLocalError{Set: s}
+				for _, x := range elems {
+					nl.Events = append(nl.Events, n.Events[x])
+				}
+				return nl, nil
 			}
 		}
 	}
-	return true, nil
+	return nil, nil
+}
+
+// LocallyDetermined reports NonLocal's verdict as a bool.
+func (n *NES) LocallyDetermined() (bool, error) {
+	nl, err := n.NonLocal()
+	return nl == nil && err == nil, err
 }
 
 // String summarizes the NES.

@@ -1,9 +1,13 @@
 package nes
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"eventnet/internal/netkat"
 )
@@ -211,7 +215,8 @@ func TestMinimallyInconsistent(t *testing.T) {
 
 // TestLocallyDetermined separates program P2 (conflict at one switch,
 // implementable) from program P1 (conflict across switches, not
-// implementable) — the Section 2 examples.
+// implementable) — the Section 2 examples — and reads NonLocal's evidence
+// for P1: the conflicting pair, each event with its switch and port.
 func TestLocallyDetermined(t *testing.T) {
 	p2 := conflictNES(t, 2, 2) // both events at s2: OK
 	ld, err := p2.LocallyDetermined()
@@ -221,6 +226,9 @@ func TestLocallyDetermined(t *testing.T) {
 	if !ld {
 		t.Error("same-switch conflict rejected")
 	}
+	if nl, err := p2.NonLocal(); nl != nil || err != nil {
+		t.Errorf("same-switch conflict: NonLocal = %v, %v", nl, err)
+	}
 	p1 := conflictNES(t, 2, 4) // events at s2 and s4: action at a distance
 	ld, err = p1.LocallyDetermined()
 	if err != nil {
@@ -228,6 +236,151 @@ func TestLocallyDetermined(t *testing.T) {
 	}
 	if ld {
 		t.Error("cross-switch conflict accepted")
+	}
+	nl, err := p1.NonLocal()
+	if err != nil || nl == nil {
+		t.Fatalf("cross-switch conflict: NonLocal = %v, %v", nl, err)
+	}
+	if nl.Set != Empty.With(0).With(1) || len(nl.Events) != 2 || nl.Events[0].Loc.Switch != 2 || nl.Events[1].Loc.Switch != 4 {
+		t.Fatalf("evidence: set %v, events %v", nl.Set, nl.Events)
+	}
+	const want = "nes: not locally determined: the minimally-inconsistent event-set {0,1} spans switches; " +
+		"e0 (dst=100, 2:1) at switch 2 port 1; e1 (dst=101, 4:1) at switch 4 port 1"
+	if nl.Error() != want {
+		t.Fatalf("evidence text:\n%s\nwant\n%s", nl.Error(), want)
+	}
+}
+
+// TestMinimallyInconsistentMatchesBruteForce holds the hitting-set search,
+// its full-set shortcut included, against Section 2's definition read
+// literally over all 2^|E| subsets, on random families of up to 10 events,
+// about half of them containing the full set. NonLocal's verdict is held
+// against the brute-force sets and a random placement of the events on
+// three switches.
+func TestMinimallyInconsistentMatchesBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(46))
+	withFull, nonLocal := 0, 0
+	for iter := 0; iter < 2000; iter++ {
+		ne := 1 + r.Intn(10)
+		events := make([]Event, ne)
+		for i := range events {
+			events[i] = mkEvent(i, 1+r.Intn(3), 1)
+		}
+		full := uint64(1)<<ne - 1
+		family := map[Set]int{Empty: 0}
+		for k := r.Intn(8); k > 0; k-- {
+			family[FromMask(r.Uint64()&full)] = 0
+		}
+		if r.Intn(2) == 0 {
+			family[FromMask(full)] = 0
+			withFull++
+		}
+		n, err := New(events, family, []Config{{ID: 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		con := func(x uint64) bool {
+			for f := range family {
+				if FromMask(x).SubsetOf(f) {
+					return true
+				}
+			}
+			return false
+		}
+		var want []Set
+		local := true
+		for x := uint64(1); x <= full; x++ {
+			if con(x) {
+				continue
+			}
+			minimal := true
+			for e := 0; e < ne && minimal; e++ {
+				minimal = x&(1<<e) == 0 || con(x&^(1<<e))
+			}
+			if !minimal {
+				continue
+			}
+			want = append(want, FromMask(x))
+			elems := FromMask(x).Elems()
+			for _, e := range elems {
+				local = local && events[e].Loc.Switch == events[elems[0]].Loc.Switch
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
+		got, err := n.MinimallyInconsistent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("family %v over %d events: MinimallyInconsistent = %v, want %v", n.Family(), ne, got, want)
+		}
+		nl, err := n.NonLocal()
+		if err != nil || (nl == nil) != local {
+			t.Fatalf("family %v over %d events: NonLocal = %v, %v; brute force says local = %v", n.Family(), ne, nl, err, local)
+		}
+		if !local {
+			nonLocal++
+		}
+	}
+	if withFull < 500 || nonLocal < 200 {
+		t.Fatalf("%d families with the full set, %d not locally determined: too few to compare", withFull, nonLocal)
+	}
+}
+
+// TestMinimallyInconsistentWorkBound: a family whose complements are the
+// edges of six disjoint 5-cliques sends the hitting-set search down far
+// more than minIncWorkBound branches, so it stops at the bound with a
+// *WorkBoundError instead of running on. Time to the bound (GOMAXPROCS=1,
+// 2 vCPU Xeon, without -race): 0.5-0.9 s on clique shapes (this one, and
+// one clique of 30, 64 or 100 events), and 2.0-4.7 s on 23 disjoint pairs,
+// the worst shape tried, which also stores about 2^21 found sets before
+// the bound (240-360 MB peak RSS); ROADMAP item 8(a)'s compile budget
+// starts from these figures.
+func TestMinimallyInconsistentWorkBound(t *testing.T) {
+	const blocks, k = 6, 5
+	var events []Event
+	full := Empty
+	for i := 0; i < blocks*k; i++ {
+		events = append(events, mkEvent(i, 1, 1))
+		full = full.With(i)
+	}
+	family := map[Set]int{Empty: 0}
+	for b := 0; b < blocks*k; b += k {
+		for i := b; i < b+k; i++ {
+			for j := i + 1; j < b+k; j++ {
+				family[full.Without(i).Without(j)] = 0
+			}
+		}
+	}
+	n, err := New(events, family, []Config{{ID: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = n.MinimallyInconsistent()
+	var wb *WorkBoundError
+	if !errors.As(err, &wb) || wb.Steps != minIncWorkBound {
+		t.Fatalf("MinimallyInconsistent returned %v, want a *WorkBoundError at %d steps", err, minIncWorkBound)
+	}
+	t.Logf("bound reached in %v", time.Since(start))
+	if _, err := n.LocallyDetermined(); !errors.As(err, &wb) {
+		t.Fatalf("LocallyDetermined returned %v, want the *WorkBoundError", err)
+	}
+}
+
+// TestMinimallyInconsistentChainAllocs: a family holding the full set
+// answers from one lookup, building the full set in one allocation; this
+// is the check every chain-shaped program (every shipped app but
+// distributed-firewall) makes on each compile.
+func TestMinimallyInconsistentChainAllocs(t *testing.T) {
+	n := chainNES(t, 200)
+	allocs := testing.AllocsPerRun(100, func() {
+		if mis, err := n.MinimallyInconsistent(); mis != nil || err != nil {
+			t.Fatal(mis, err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("%.1f allocations per check on a chain family, want <= 1", allocs)
 	}
 }
 

@@ -43,9 +43,10 @@ func lemma1NES(t *testing.T) *nes.NES {
 }
 
 // TestLemma1NonLocalNES: the NES is correctly flagged as not locally
-// determined, and the B-side dilemma is real: when a packet matching e2
-// arrives at B, the local decision differs depending on remote state that
-// B cannot have heard about — two executions identical at B diverge.
+// determined, with the conflicting pair and its two switches as evidence,
+// and the B-side dilemma is real: when a packet matching e2 arrives at B,
+// the local decision differs depending on remote state that B cannot have
+// heard about — two executions identical at B diverge.
 func TestLemma1NonLocalNES(t *testing.T) {
 	n := lemma1NES(t)
 	ld, err := n.LocallyDetermined()
@@ -55,12 +56,13 @@ func TestLemma1NonLocalNES(t *testing.T) {
 	if ld {
 		t.Fatal("cross-switch conflict classified as locally determined")
 	}
-	mis, err := n.MinimallyInconsistent()
-	if err != nil {
-		t.Fatal(err)
+	nl, err := n.NonLocal()
+	if err != nil || nl == nil {
+		t.Fatalf("NonLocal = %v, %v", nl, err)
 	}
-	if len(mis) != 1 || mis[0] != nes.Empty.With(0).With(1) {
-		t.Fatalf("minimally-inconsistent sets: %v", mis)
+	if nl.Set != nes.Empty.With(0).With(1) || len(nl.Events) != 2 ||
+		nl.Events[0].Loc != (netkat.Location{Switch: 1, Port: 1}) || nl.Events[1].Loc != (netkat.Location{Switch: 2, Port: 1}) {
+		t.Fatalf("evidence: set %v, events %v", nl.Set, nl.Events)
 	}
 
 	// Case #2 of the proof sketch: e1 has not occurred; B must fire e2.
