@@ -264,9 +264,11 @@ func TestNetdErrorPaths(t *testing.T) {
 
 // TestProgramRefusesNonLocal: every program of the negative corpus
 // (testdata/nonlocal at the module root) compiles to an NES outside
-// Theorem 1's premise. POST /program answers 422 and an inline /swap 409,
-// each body carrying ets.Compile's evidence, which names the conflicting
-// events and their switches, and the served program keeps serving.
+// Theorem 1's premise. POST /program and an inline /swap both answer 422,
+// as for any program that can never compile (409 is for a swap refused by
+// swap state), each body carrying ets.Compile's evidence, which names the
+// conflicting events and their switches, and the served program keeps
+// serving.
 func TestProgramRefusesNonLocal(t *testing.T) {
 	a := apps.Firewall()
 	c := ctrl.New(a.Topo, ctrl.Options{Workers: 2})
@@ -294,7 +296,7 @@ func TestProgramRefusesNonLocal(t *testing.T) {
 		if want == nil {
 			t.Fatalf("%s: ets.Compile accepted it", f)
 		}
-		for path, code := range map[string]int{"/program": 422, "/swap": 409} {
+		for path, code := range map[string]int{"/program": 422, "/swap": 422} {
 			out := call(t, ts, "POST", path, map[string]any{"source": string(src), "init": []int{0}}, code)
 			msg, _ := out["error"].(string)
 			for _, sub := range []string{want.Error(), "at switch 1 port 1", "at switch 4 port 1"} {

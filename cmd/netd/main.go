@@ -293,6 +293,12 @@ func (s *server) handleSwap(w http.ResponseWriter, r *http.Request) {
 			fail(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+		// A program that can never compile is refused as /program refuses
+		// it, and the Swap of one that compiles is a memo hit.
+		if _, err = s.c.Compile(name, prog); err != nil {
+			fail(w, rejected(err, http.StatusUnprocessableEntity), "%v", err)
+			return
+		}
 	}
 	rep, err := s.c.Swap(name, prog)
 	if err != nil {

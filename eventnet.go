@@ -67,7 +67,8 @@ type System struct {
 // event edges are extracted (Figure 6), the ETS conditions of Section 3.1
 // are checked, and the NES is constructed. An NES that is not locally
 // determined, which Theorem 1 does not cover, is refused with a
-// *nes.NotLocalError naming a minimally-inconsistent set and its events.
+// *nes.NotLocalError naming the first minimally-inconsistent set in Set
+// order that spans switches, and its events.
 //
 // Construction is one serial breadth-first walk of the reachable states,
 // and per-state configurations compile as deltas — only sub-policies whose

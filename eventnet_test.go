@@ -165,7 +165,11 @@ func TestCompileRefusesNonLocal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a conflict at one switch refused: %v", err)
 	}
-	if mis, err := sys.NES.MinimallyInconsistent(); err != nil || len(mis) != 1 {
-		t.Fatalf("one-switch race: minimally-inconsistent sets %v, %v; want the one conflicting pair", mis, err)
+	pair := nes.Empty.With(0).With(1)
+	if len(sys.NES.Events) != 2 || !sys.NES.Con(nes.Empty.With(0)) || !sys.NES.Con(nes.Empty.With(1)) || sys.NES.Con(pair) {
+		t.Fatalf("one-switch race: want two events that conflict as a pair, got %v", sys.NES)
+	}
+	if nl := sys.NES.NonLocal(); nl != nil {
+		t.Fatalf("one-switch race: NonLocal = %v", nl)
 	}
 }

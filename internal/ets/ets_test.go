@@ -298,12 +298,11 @@ func TestDiamondNES(t *testing.T) {
 	if !ld {
 		t.Fatal("independent events flagged non-local")
 	}
-	mis, err := n.MinimallyInconsistent()
-	if err != nil {
-		t.Fatal(err)
+	if !n.Con(nes.Empty.With(0).With(1)) {
+		t.Fatal("diamond has an inconsistent set")
 	}
-	if len(mis) != 0 {
-		t.Fatalf("diamond has inconsistent sets: %v", mis)
+	if nl := n.NonLocal(); nl != nil {
+		t.Fatalf("diamond: NonLocal = %v", nl)
 	}
 }
 

@@ -248,10 +248,8 @@ func Compile(p stateful.Program, t *topo.Topology, cache *nkc.ProgramCache, roun
 	if err != nil {
 		return nil, nil, Stats{}, err
 	}
-	if nl, err := n.NonLocal(); nl != nil {
+	if nl := n.NonLocal(); nl != nil {
 		return nil, nil, Stats{}, nl
-	} else if err != nil {
-		return nil, nil, Stats{}, err
 	}
 	return e, n, stats, nil
 }

@@ -54,11 +54,11 @@ func BenchmarkAllowedSequences(b *testing.B) {
 	}
 }
 
-func BenchmarkMinimallyInconsistent(b *testing.B) {
+func BenchmarkNonLocal(b *testing.B) {
 	n := benchNES(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := n.MinimallyInconsistent(); err != nil {
-			b.Fatal(err)
+		if nl := n.NonLocal(); nl != nil {
+			b.Fatal(nl)
 		}
 	}
 }

@@ -2,6 +2,9 @@ package nes
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -97,8 +100,8 @@ func (n *NES) admitIdx() *admitIndex {
 
 // New builds an NES from the event universe, the family of event-sets
 // (each mapped to its configuration index), and the configurations.
-// The family must contain the empty set, and every referenced config
-// index must exist.
+// The family must contain the empty set, each member must be a set of
+// the events, and every referenced config index must exist.
 func New(events []Event, family map[Set]int, configs []Config) (*NES, error) {
 	if len(events) > MaxEvents {
 		return nil, fmt.Errorf("nes: %d events exceed the %d-event tag capacity", len(events), MaxEvents)
@@ -110,6 +113,9 @@ func New(events []Event, family map[Set]int, configs []Config) (*NES, error) {
 	for s, c := range family {
 		if c < 0 || c >= len(configs) {
 			return nil, fmt.Errorf("nes: event-set %v maps to unknown config %d", s, c)
+		}
+		if len(s) > 0 && 8*len(s)-bits.LeadingZeros8(s[len(s)-1]) > len(events) {
+			return nil, fmt.Errorf("nes: event-set %v names an event outside the %d-event universe", s, len(events))
 		}
 		n.family[s] = c
 		n.familyList = append(n.familyList, s)
@@ -423,123 +429,6 @@ func (n *NES) AllowedSequences() ([][]int, error) {
 	return out, nil
 }
 
-// minIncWorkBound caps the hitting-set recursion.
-const minIncWorkBound = 1 << 22
-
-// WorkBoundError is MinimallyInconsistent's error when its search takes
-// more than Steps steps.
-type WorkBoundError struct{ Steps int }
-
-func (e *WorkBoundError) Error() string {
-	return fmt.Sprintf("nes: minimal-inconsistency enumeration exceeded %d steps", e.Steps)
-}
-
-// MinimallyInconsistent returns every minimally-inconsistent set: an
-// inconsistent set all of whose proper subsets are consistent (Section 2,
-// "Locality Restrictions").
-//
-// A set is consistent iff it is contained in some family member, so X is
-// inconsistent iff it intersects the complement E \ F of every family
-// member F — i.e. X is a hitting set of the complement hypergraph. The
-// minimally-inconsistent sets are exactly its minimal hitting sets, which
-// are enumerated by branching on the elements of the first un-hit edge.
-// This replaces the former exhaustive 2^|E| scan (capped at 20 events) and
-// scales to the occurrence-renamed universes of the large sweeps
-// (bandwidth-cap-200 has 201 events), whose chain-shaped families resolve
-// at once: the full set is a member, so no set is inconsistent.
-func (n *NES) MinimallyInconsistent() ([]Set, error) {
-	full := make([]byte, (len(n.Events)+7)/8) // event IDs are 0..len-1
-	for _, ev := range n.Events {
-		full[ev.ID/8] |= 1 << uint(ev.ID%8)
-	}
-	if _, ok := n.family[Set(full)]; ok {
-		return nil, nil // the full universe is consistent
-	}
-	all := Set(full)
-	// Complement edges, keeping only the minimal ones (a superset edge is
-	// hit whenever its subset is).
-	var edges []Set
-	for _, f := range n.familyList {
-		edges = append(edges, all.Minus(f))
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].Count() < edges[j].Count() })
-	var minimalEdges []Set
-	for _, c := range edges {
-		redundant := false
-		for _, m := range minimalEdges {
-			if m.SubsetOf(c) {
-				redundant = true
-				break
-			}
-		}
-		if !redundant {
-			minimalEdges = append(minimalEdges, c)
-		}
-	}
-	edges = minimalEdges
-
-	hitsAll := func(x Set) bool {
-		for _, c := range edges {
-			if x.Minus(c) == x { // x ∩ c == ∅
-				return false
-			}
-		}
-		return true
-	}
-
-	work := 0
-	seen := map[Set]bool{}
-	var found []Set
-	var rec func(cur Set, from int) error
-	rec = func(cur Set, from int) error {
-		if work++; work > minIncWorkBound {
-			return &WorkBoundError{Steps: minIncWorkBound}
-		}
-		next := -1
-		for i := from; i < len(edges); i++ {
-			if cur.Minus(edges[i]) == cur {
-				next = i
-				break
-			}
-		}
-		if next == -1 {
-			if !seen[cur] {
-				seen[cur] = true
-				found = append(found, cur)
-			}
-			return nil
-		}
-		for _, e := range edges[next].Elems() {
-			if err := rec(cur.With(e), next+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(Empty, 0); err != nil {
-		return nil, err
-	}
-	// The recursion reaches every minimal hitting set but may also emit
-	// non-minimal ones (a later branch element can subsume an earlier
-	// choice); keep exactly the sets all of whose proper subsets miss an
-	// edge.
-	var out []Set
-	for _, x := range found {
-		minimal := true
-		for _, e := range x.Elems() {
-			if hitsAll(x.Without(e)) {
-				minimal = false
-				break
-			}
-		}
-		if minimal {
-			out = append(out, x)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out, nil
-}
-
 // NotLocalError is the evidence that an NES is not locally determined: a
 // minimally-inconsistent set whose events are at more than one switch.
 // Theorem 1 covers locally determined NESs only, and Lemma 1 shows that no
@@ -561,32 +450,142 @@ func (e *NotLocalError) Error() string {
 // minimally-inconsistent set has all of its events at one switch, which
 // makes the NES implementable without synchronization. It returns nil for
 // a locally determined NES, otherwise the evidence for the first set in
-// Set order that is not; its error is MinimallyInconsistent's.
-func (n *NES) NonLocal() (*NotLocalError, error) {
-	mis, err := n.MinimallyInconsistent()
-	if err != nil {
-		return nil, err
+// Set order that is not. No such set is enumerated (they are the minimal
+// hitting sets of the family's complements, exponentially many):
+// projector.spans decides by counting, monotonely in the event universe.
+// The first spanning set avoids the highest event iff some spanning set
+// does, so the search drops the longest run of the highest undecided
+// events that leaves the universe spanning, found by bisection, keeps
+// the next event, and repeats until the universe is that set.
+func (n *NES) NonLocal() *NotLocalError {
+	if n.familyList[len(n.familyList)-1].Count() == len(n.Events) {
+		return nil // the universe is a member (the last in Set order), as in every chain family
 	}
-	for _, s := range mis {
-		elems := s.Elems() // never empty: the empty set is a member
-		sw := n.Events[elems[0]].Loc.Switch
-		for _, e := range elems[1:] {
-			if n.Events[e].Loc.Switch != sw {
-				nl := &NotLocalError{Set: s}
-				for _, x := range elems {
-					nl.Events = append(nl.Events, n.Events[x])
-				}
-				return nl, nil
-			}
+	p, s := newProjector(n)
+	if !p.spans(s) {
+		return nil
+	}
+	drop := func(from, to int) []uint64 { // s without the events from..to-1
+		t := slices.Clone(s)
+		for e := from; e < to; e++ {
+			t[p.word[e]] &^= p.mask[e]
+		}
+		return t
+	}
+	for top := len(n.Events); top > 0; { // events top.. are decided
+		lo := sort.Search(top, func(j int) bool { return !p.spans(drop(top-j-1, top)) })
+		s, top = drop(top-lo, top), top-lo-1 // drops lo events and keeps the next
+	}
+	nl := &NotLocalError{}
+	for _, ev := range n.Events {
+		if s[p.word[ev.ID]]&p.mask[ev.ID] != 0 {
+			nl.Set, nl.Events = nl.Set.With(ev.ID), append(nl.Events, ev)
 		}
 	}
-	return nil, nil
+	return nl
 }
 
-// LocallyDetermined reports NonLocal's verdict as a bool.
+// LocallyDetermined reports NonLocal's verdict as a bool. Its error is
+// always nil; the shape is kept for bench/'s callers.
 func (n *NES) LocallyDetermined() (bool, error) {
-	nl, err := n.NonLocal()
-	return nl == nil && err == nil, err
+	return n.NonLocal() == nil, nil
+}
+
+// projector lays an NES's events out switch by switch, each switch on a
+// run of words of its own, and holds every family member in that layout,
+// so that spans reads a member's projection onto a switch as a slice of
+// words, built once for all the sets the evidence search tries.
+type projector struct {
+	word                    []int      // event ID -> its word in the layout
+	mask                    []uint64   // event ID -> its bit in that word
+	runs                    []int      // switch k's words are runs[k]:runs[k+1]
+	members                 [][]uint64 // the family, in the layout
+	cnt, code, order, maxes []int      // per-member scratch for spans
+}
+
+// newProjector returns n's projector and the full universe in its layout.
+func newProjector(n *NES) (*projector, []uint64) {
+	m := len(n.familyList)
+	p := &projector{word: make([]int, len(n.Events)), mask: make([]uint64, len(n.Events)), runs: []int{0},
+		cnt: make([]int, m), code: make([]int, m), order: make([]int, m)}
+	at := map[int][]int{} // switch -> its event IDs
+	for _, ev := range n.Events {
+		at[ev.Loc.Switch] = append(at[ev.Loc.Switch], ev.ID)
+	}
+	for _, sw := range slices.Sorted(maps.Keys(at)) {
+		w := p.runs[len(p.runs)-1]
+		for i, e := range at[sw] {
+			p.word[e], p.mask[e] = w+i/64, 1<<uint(i%64)
+		}
+		p.runs = append(p.runs, w+(len(at[sw])+63)/64)
+	}
+	layout := func(f Set) []uint64 {
+		out := make([]uint64, p.runs[len(p.runs)-1])
+		for i := 0; i < len(f); i++ {
+			for b := f[i]; b != 0; b &= b - 1 {
+				e := 8*i + bits.TrailingZeros8(b)
+				out[p.word[e]] |= p.mask[e]
+			}
+		}
+		return out
+	}
+	for _, f := range n.familyList {
+		p.members = append(p.members, layout(f))
+	}
+	all := layout(Empty)
+	for e := range n.Events {
+		all[p.word[e]] |= p.mask[e]
+	}
+	return p, all
+}
+
+// spans reports whether the NES cut down to the events s (each member F
+// to F ∩ s) is not locally determined: whether some choice of one maximal
+// projection F ∩ s ∩ E_sw per switch sw has a union no member contains.
+// Such a union is inconsistent, and none of its minimally-inconsistent
+// subsets sits at one switch, inside a member's projection; conversely
+// each one-switch part of a spanning minimally-inconsistent set is
+// consistent, so inside a maximal projection. Only a member whose every
+// projection is the chosen one contains the union, so spans counts.
+func (p *projector) spans(s []uint64) bool {
+	clear(p.code)
+	prod := 1 // choices so far; a member's code numbers its choice, or is -1
+	for k := 0; k+1 < len(p.runs); k++ {
+		lo, hi := p.runs[k], p.runs[k+1]
+		for j, f := range p.members {
+			p.cnt[j], p.order[j] = 0, j
+			for i := lo; i < hi; i++ {
+				p.cnt[j] += bits.OnesCount64(f[i] & s[i])
+			}
+		}
+		slices.SortFunc(p.order, func(a, b int) int { return p.cnt[b] - p.cnt[a] })
+		p.maxes = p.maxes[:0] // one member per maximal projection, met first
+		for _, j := range p.order {
+			i := slices.IndexFunc(p.maxes, func(mx int) bool { // j's projection is inside mx's
+				for w := lo; w < hi; w++ {
+					if p.members[j][w]&s[w]&^p.members[mx][w] != 0 {
+						return false
+					}
+				}
+				return true
+			})
+			if i < 0 {
+				i, p.maxes = len(p.maxes), append(p.maxes, j)
+			} else if p.cnt[j] < p.cnt[p.maxes[i]] {
+				p.code[j] = -1 // strictly inside a maximal projection
+			}
+			if p.code[j] >= 0 {
+				p.code[j] += i * prod
+			}
+		}
+		if prod *= len(p.maxes); prod > len(p.members) {
+			return true // more choices than members
+		}
+	}
+	slices.Sort(p.code) // members cut to the same set share a code
+	codes := slices.Compact(p.code)
+	i, _ := slices.BinarySearch(codes, 0) // codes[i:] are the choices some member contains
+	return prod > len(codes)-i
 }
 
 // String summarizes the NES.

@@ -1,10 +1,9 @@
 package nes
 
 import (
-	"errors"
+	"math/bits"
 	"math/rand"
-	"slices"
-	"sort"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -194,30 +193,26 @@ func TestAllowedSequences(t *testing.T) {
 	}
 }
 
-func TestMinimallyInconsistent(t *testing.T) {
-	c := conflictNES(t, 1, 1)
-	mis, err := c.MinimallyInconsistent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mis) != 1 || mis[0] != Empty.With(0).With(1) {
-		t.Fatalf("minimally inconsistent: %v", mis)
-	}
-	d := diamondNES(t, 1, 2)
-	mis, err = d.MinimallyInconsistent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mis) != 0 {
-		t.Fatalf("diamond has inconsistent sets: %v", mis)
-	}
-}
-
 // TestLocallyDetermined separates program P2 (conflict at one switch,
 // implementable) from program P1 (conflict across switches, not
 // implementable) — the Section 2 examples — and reads NonLocal's evidence
-// for P1: the conflicting pair, each event with its switch and port.
+// for P1: the conflicting pair, each event with its switch and port. The
+// one-switch conflict's pair is inconsistent, the diamond has no
+// inconsistent set at all, and both are locally determined.
 func TestLocallyDetermined(t *testing.T) {
+	c := conflictNES(t, 1, 1)
+	if !c.Con(Empty.With(0)) || !c.Con(Empty.With(1)) || c.Con(Empty.With(0).With(1)) {
+		t.Fatal("conflict: want {0,1} the one minimally-inconsistent set")
+	}
+	d := diamondNES(t, 1, 2)
+	if !d.Con(Empty.With(0).With(1)) {
+		t.Fatal("diamond has an inconsistent set")
+	}
+	for name, n := range map[string]*NES{"conflict": c, "diamond": d} {
+		if nl := n.NonLocal(); nl != nil {
+			t.Errorf("%s: NonLocal = %v", name, nl)
+		}
+	}
 	p2 := conflictNES(t, 2, 2) // both events at s2: OK
 	ld, err := p2.LocallyDetermined()
 	if err != nil {
@@ -226,8 +221,8 @@ func TestLocallyDetermined(t *testing.T) {
 	if !ld {
 		t.Error("same-switch conflict rejected")
 	}
-	if nl, err := p2.NonLocal(); nl != nil || err != nil {
-		t.Errorf("same-switch conflict: NonLocal = %v, %v", nl, err)
+	if nl := p2.NonLocal(); nl != nil {
+		t.Errorf("same-switch conflict: NonLocal = %v", nl)
 	}
 	p1 := conflictNES(t, 2, 4) // events at s2 and s4: action at a distance
 	ld, err = p1.LocallyDetermined()
@@ -237,9 +232,9 @@ func TestLocallyDetermined(t *testing.T) {
 	if ld {
 		t.Error("cross-switch conflict accepted")
 	}
-	nl, err := p1.NonLocal()
-	if err != nil || nl == nil {
-		t.Fatalf("cross-switch conflict: NonLocal = %v, %v", nl, err)
+	nl := p1.NonLocal()
+	if nl == nil {
+		t.Fatal("cross-switch conflict: NonLocal = nil")
 	}
 	if nl.Set != Empty.With(0).With(1) || len(nl.Events) != 2 || nl.Events[0].Loc.Switch != 2 || nl.Events[1].Loc.Switch != 4 {
 		t.Fatalf("evidence: set %v, events %v", nl.Set, nl.Events)
@@ -251,132 +246,200 @@ func TestLocallyDetermined(t *testing.T) {
 	}
 }
 
-// TestMinimallyInconsistentMatchesBruteForce holds the hitting-set search,
-// its full-set shortcut included, against Section 2's definition read
-// literally over all 2^|E| subsets, on random families of up to 10 events,
-// about half of them containing the full set. NonLocal's verdict is held
-// against the brute-force sets and a random placement of the events on
-// three switches.
-func TestMinimallyInconsistentMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(46))
-	withFull, nonLocal := 0, 0
-	for iter := 0; iter < 2000; iter++ {
-		ne := 1 + r.Intn(10)
+// TestNonLocalMatchesBruteForce holds NonLocal, its full-set shortcut
+// included, against Section 2's definition read literally: over all
+// 2^|E| subsets, the first in Set order that is inconsistent, has every
+// proper subset consistent (every one-smaller subset suffices, con being
+// downward closed) and has events at more than one switch. The families are
+// random, of up to 12 events over 1-4 switches, about a quarter of them
+// holding the full set.
+func TestNonLocalMatchesBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	nonLocal := 0
+	sizes := map[int]int{}
+	const families = 10000
+	for iter := 0; iter < families; iter++ {
+		ne, switches := 1+r.Intn(12), 1+r.Intn(4)
 		events := make([]Event, ne)
 		for i := range events {
-			events[i] = mkEvent(i, 1+r.Intn(3), 1)
+			events[i] = mkEvent(i, 1+r.Intn(switches), 1)
 		}
 		full := uint64(1)<<ne - 1
 		family := map[Set]int{Empty: 0}
-		for k := r.Intn(8); k > 0; k-- {
-			family[FromMask(r.Uint64()&full)] = 0
+		dense := r.Intn(3) == 0 // members of about 3/4 of the events, not 1/2
+		for k := r.Intn(10); k > 0; k-- {
+			m := r.Uint64()
+			if dense {
+				m |= r.Uint64()
+			}
+			family[FromMask(m&full)] = 0
 		}
-		if r.Intn(2) == 0 {
+		if r.Intn(4) == 0 {
 			family[FromMask(full)] = 0
-			withFull++
 		}
 		n, err := New(events, family, []Config{{ID: 0}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		var masks []uint64
+		for f := range family {
+			var m uint64
+			for _, e := range f.Elems() {
+				m |= 1 << e
+			}
+			masks = append(masks, m)
+		}
 		con := func(x uint64) bool {
-			for f := range family {
-				if FromMask(x).SubsetOf(f) {
+			for _, m := range masks {
+				if x&^m == 0 {
 					return true
 				}
 			}
 			return false
 		}
-		var want []Set
-		local := true
-		for x := uint64(1); x <= full; x++ {
-			if con(x) {
-				continue
-			}
-			minimal := true
+		var want *NotLocalError
+		for x := uint64(1); x <= full && want == nil; x++ {
+			spans, minimal := false, !con(x)
 			for e := 0; e < ne && minimal; e++ {
-				minimal = x&(1<<e) == 0 || con(x&^(1<<e))
+				if x&(1<<e) != 0 {
+					minimal = con(x &^ (1 << e))
+					spans = spans || events[e].Loc.Switch != events[bits.TrailingZeros64(x)].Loc.Switch
+				}
 			}
-			if !minimal {
-				continue
-			}
-			want = append(want, FromMask(x))
-			elems := FromMask(x).Elems()
-			for _, e := range elems {
-				local = local && events[e].Loc.Switch == events[elems[0]].Loc.Switch
+			if minimal && spans {
+				want = &NotLocalError{Set: FromMask(x)}
+				for e := 0; e < ne; e++ {
+					if x&(1<<e) != 0 {
+						want.Events = append(want.Events, events[e])
+					}
+				}
 			}
 		}
-		sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
-		got, err := n.MinimallyInconsistent()
+		got := n.NonLocal()
+		if (got == nil) != (want == nil) || got != nil && (got.Set != want.Set || got.Error() != want.Error()) {
+			t.Fatalf("family %v over %d events at switches %v: NonLocal = %v, want %v", n.Family(), ne, events, got, want)
+		}
+		if want != nil {
+			nonLocal++
+			sizes[want.Set.Count()]++
+		}
+	}
+	t.Logf("%d of %d families not locally determined; evidence sizes %v", nonLocal, families, sizes)
+	if nonLocal < 2000 {
+		t.Fatalf("%d of %d families not locally determined: too few to compare", nonLocal, families)
+	}
+}
+
+// TestNonLocalHostileShapes: families whose minimally-inconsistent sets
+// (the minimal hitting sets of the members' complements) are
+// exponentially many — the complements of 23 disjoint pairs give 2^23 of
+// them, of six disjoint 5-cliques' edges 5^6 — and a refusal whose
+// evidence search bisects over 2 002 events. Each gets its verdict, and
+// the first spanning set as its evidence, within a bound on the bytes
+// NonLocal allocates. Measured (GOMAXPROCS=1, 2 vCPU Xeon, without
+// -race): the pairs take 0.02 ms on 1 switch, 0.2-0.4 ms on 2 and 1.2-2.3
+// ms on 23, allocating at most 0.04 MB; the cliques 0.02-0.03 ms on 1
+// switch and 0.5-1.0 ms on 3, 0.01 MB; the chain refusal 50-85 ms and
+// 2.4 MB. The minimal-hitting-set enumeration this replaced ran 2.0-4.7 s
+// on the pairs, at 240-360 MB peak RSS, and then gave up at its step
+// bound with an error.
+func TestNonLocalHostileShapes(t *testing.T) {
+	// complements builds the family of the empty set and E \ c for each
+	// c, with event i at switch place(i).
+	complements := func(ne int, place func(int) int, cs [][]int) *NES {
+		events, full := make([]Event, ne), Empty
+		for i := range events {
+			events[i], full = mkEvent(i, place(i), 1), full.With(i)
+		}
+		family := map[Set]int{Empty: 0}
+		for _, c := range cs {
+			family[full.Without(c[0]).Without(c[1])] = 0
+		}
+		n, err := New(events, family, []Config{{ID: 0}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("family %v over %d events: MinimallyInconsistent = %v, want %v", n.Family(), ne, got, want)
-		}
-		nl, err := n.NonLocal()
-		if err != nil || (nl == nil) != local {
-			t.Fatalf("family %v over %d events: NonLocal = %v, %v; brute force says local = %v", n.Family(), ne, nl, err, local)
-		}
-		if !local {
-			nonLocal++
-		}
+		return n
 	}
-	if withFull < 500 || nonLocal < 200 {
-		t.Fatalf("%d families with the full set, %d not locally determined: too few to compare", withFull, nonLocal)
+	var pairs, cliques [][]int
+	for i := 0; i < 46; i += 2 {
+		pairs = append(pairs, []int{i, i + 1})
 	}
-}
-
-// TestMinimallyInconsistentWorkBound: a family whose complements are the
-// edges of six disjoint 5-cliques sends the hitting-set search down far
-// more than minIncWorkBound branches, so it stops at the bound with a
-// *WorkBoundError instead of running on. Time to the bound (GOMAXPROCS=1,
-// 2 vCPU Xeon, without -race): 0.5-0.9 s on clique shapes (this one, and
-// one clique of 30, 64 or 100 events), and 2.0-4.7 s on 23 disjoint pairs,
-// the worst shape tried, which also stores about 2^21 found sets before
-// the bound (240-360 MB peak RSS); ROADMAP item 8(a)'s compile budget
-// starts from these figures.
-func TestMinimallyInconsistentWorkBound(t *testing.T) {
-	const blocks, k = 6, 5
-	var events []Event
-	full := Empty
-	for i := 0; i < blocks*k; i++ {
-		events = append(events, mkEvent(i, 1, 1))
-		full = full.With(i)
-	}
-	family := map[Set]int{Empty: 0}
-	for b := 0; b < blocks*k; b += k {
-		for i := b; i < b+k; i++ {
-			for j := i + 1; j < b+k; j++ {
-				family[full.Without(i).Without(j)] = 0
+	for b := 0; b < 30; b += 5 {
+		for i := b; i < b+5; i++ {
+			for j := i + 1; j < b+5; j++ {
+				cliques = append(cliques, []int{i, j})
 			}
 		}
 	}
-	n, err := New(events, family, []Config{{ID: 0}})
+	// The first spanning set takes the lower event of each pair, and all
+	// but the highest event of each clique.
+	evens, fourOfFive := Empty, Empty
+	for i := 0; i < 46; i += 2 {
+		evens = evens.With(i)
+	}
+	for i := 0; i < 30; i++ {
+		if i%5 != 4 {
+			fourOfFive = fourOfFive.With(i)
+		}
+	}
+	// A chain of 2 000 events at switch 1 beside two mutually exclusive
+	// events at switches 2 and 3: its one minimally-inconsistent set is
+	// the last pair.
+	events := make([]Event, 2002)
+	for i := range events {
+		events[i] = mkEvent(i, 1+max(i-1999, 0), 1)
+	}
+	family := map[Set]int{}
+	for c, i := Empty, 0; i <= 2000; c, i = c.With(i), i+1 {
+		family[c], family[c.With(2000)], family[c.With(2001)] = 0, 0, 0
+	}
+	chain, err := New(events, family, []Config{{ID: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	_, err = n.MinimallyInconsistent()
-	var wb *WorkBoundError
-	if !errors.As(err, &wb) || wb.Steps != minIncWorkBound {
-		t.Fatalf("MinimallyInconsistent returned %v, want a *WorkBoundError at %d steps", err, minIncWorkBound)
-	}
-	t.Logf("bound reached in %v", time.Since(start))
-	if _, err := n.LocallyDetermined(); !errors.As(err, &wb) {
-		t.Fatalf("LocallyDetermined returned %v, want the *WorkBoundError", err)
+	const mb = 1 << 20
+	for _, tc := range []struct {
+		name  string
+		n     *NES
+		want  Set // the evidence, or Empty for a locally determined NES
+		bound uint64
+	}{
+		{"pairs on 1 switch", complements(46, func(int) int { return 1 }, pairs), Empty, 4 * mb},
+		{"pairs on 2 switches", complements(46, func(i int) int { return 1 + i/2%2 }, pairs), evens, 4 * mb},
+		{"pairs on 23 switches", complements(46, func(i int) int { return 1 + i/2 }, pairs), evens, 4 * mb},
+		{"cliques on 1 switch", complements(30, func(int) int { return 1 }, cliques), Empty, 4 * mb},
+		{"cliques on 3 switches", complements(30, func(i int) int { return 1 + i/5%3 }, cliques), fourOfFive, 4 * mb},
+		{"chain refusal", chain, Empty.With(2000).With(2001), 64 * mb},
+	} {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		start := time.Now()
+		nl := tc.n.NonLocal()
+		took := time.Since(start)
+		runtime.ReadMemStats(&m1)
+		if got := m1.TotalAlloc - m0.TotalAlloc; got > tc.bound {
+			t.Errorf("%s: NonLocal allocated %d bytes, bound %d", tc.name, got, tc.bound)
+		}
+		switch {
+		case tc.want == Empty && nl != nil:
+			t.Errorf("%s: NonLocal = %v, want locally determined", tc.name, nl)
+		case tc.want != Empty && (nl == nil || nl.Set != tc.want):
+			t.Errorf("%s: NonLocal = %v, want evidence %v", tc.name, nl, tc.want)
+		}
+		t.Logf("%s: %v, %.2f MB", tc.name, took, float64(m1.TotalAlloc-m0.TotalAlloc)/mb)
 	}
 }
 
-// TestMinimallyInconsistentChainAllocs: a family holding the full set
-// answers from one lookup, building the full set in one allocation; this
-// is the check every chain-shaped program (every shipped app but
-// distributed-firewall) makes on each compile.
-func TestMinimallyInconsistentChainAllocs(t *testing.T) {
+// TestNonLocalChainAllocs: a family holding the full set answers from its
+// last member, allocation-free; this is the check every chain-shaped
+// program (every shipped app but distributed-firewall) makes on each
+// compile.
+func TestNonLocalChainAllocs(t *testing.T) {
 	n := chainNES(t, 200)
 	allocs := testing.AllocsPerRun(100, func() {
-		if mis, err := n.MinimallyInconsistent(); mis != nil || err != nil {
-			t.Fatal(mis, err)
+		if nl := n.NonLocal(); nl != nil {
+			t.Fatal(nl)
 		}
 	})
 	if allocs > 1 {
@@ -445,6 +508,10 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(nil, map[Set]int{Empty: 5}, []Config{{}}); err == nil {
 		t.Error("dangling config index accepted")
+	}
+	two := []Event{mkEvent(0, 1, 1), mkEvent(1, 2, 1)}
+	if _, err := New(two, map[Set]int{Empty: 0, Empty.With(0): 0, Empty.With(1).With(2): 0}, []Config{{}}); err == nil {
+		t.Error("member naming an event past the universe accepted")
 	}
 	events := make([]Event, MaxEvents+1)
 	if _, err := New(events, map[Set]int{Empty: 0}, []Config{{}}); err == nil {

@@ -56,9 +56,9 @@ func TestLemma1NonLocalNES(t *testing.T) {
 	if ld {
 		t.Fatal("cross-switch conflict classified as locally determined")
 	}
-	nl, err := n.NonLocal()
-	if err != nil || nl == nil {
-		t.Fatalf("NonLocal = %v, %v", nl, err)
+	nl := n.NonLocal()
+	if nl == nil {
+		t.Fatal("NonLocal = nil")
 	}
 	if nl.Set != nes.Empty.With(0).With(1) || len(nl.Events) != 2 ||
 		nl.Events[0].Loc != (netkat.Location{Switch: 1, Port: 1}) || nl.Events[1].Loc != (netkat.Location{Switch: 2, Port: 1}) {
