@@ -193,13 +193,11 @@ func TestAllowedSequences(t *testing.T) {
 	}
 }
 
-// TestLocallyDetermined separates program P2 (conflict at one switch,
-// implementable) from program P1 (conflict across switches, not
-// implementable) — the Section 2 examples — and reads NonLocal's evidence
-// for P1: the conflicting pair, each event with its switch and port. The
-// one-switch conflict's pair is inconsistent, the diamond has no
-// inconsistent set at all, and both are locally determined.
-func TestLocallyDetermined(t *testing.T) {
+// TestConflictAndDiamondSets reads the two small shapes through Con and
+// NonLocal: the one-switch conflict's pair is its one minimally-inconsistent
+// set, the diamond has no inconsistent set at all, and both are locally
+// determined.
+func TestConflictAndDiamondSets(t *testing.T) {
 	c := conflictNES(t, 1, 1)
 	if !c.Con(Empty.With(0)) || !c.Con(Empty.With(1)) || c.Con(Empty.With(0).With(1)) {
 		t.Fatal("conflict: want {0,1} the one minimally-inconsistent set")
@@ -213,6 +211,13 @@ func TestLocallyDetermined(t *testing.T) {
 			t.Errorf("%s: NonLocal = %v", name, nl)
 		}
 	}
+}
+
+// TestLocallyDetermined separates program P2 (conflict at one switch,
+// implementable) from program P1 (conflict across switches, not
+// implementable) — the Section 2 examples — and reads NonLocal's evidence
+// for P1: the conflicting pair, each event with its switch and port.
+func TestLocallyDetermined(t *testing.T) {
 	p2 := conflictNES(t, 2, 2) // both events at s2: OK
 	ld, err := p2.LocallyDetermined()
 	if err != nil {
