@@ -245,7 +245,7 @@ func (s *server) handleProgram(w http.ResponseWriter, r *http.Request) {
 	// generation, so the later swap is a memo hit that compiles nothing.
 	p, err := s.c.Compile(name, prog)
 	if err != nil {
-		fail(w, rejected(err, http.StatusUnprocessableEntity), "%v", err)
+		fail(w, rejected(err), "%v", err)
 		return
 	}
 	s.mu.Lock()
@@ -261,12 +261,17 @@ func (s *server) handleProgram(w http.ResponseWriter, r *http.Request) {
 }
 
 // rejected is the status of a failed compile or swap: 400 for a program
-// the engine can never install, otherwise the handler's own code.
-func rejected(err error, code int) int {
-	if errors.Is(err, dataplane.ErrFieldLimit) {
+// over the engine's field limit, 422 for any other program that cannot
+// compile (ctrl.ErrCompile), and 409 for a swap refused by the swap
+// state.
+func rejected(err error) int {
+	switch {
+	case errors.Is(err, dataplane.ErrFieldLimit):
 		return http.StatusBadRequest
+	case errors.Is(err, ctrl.ErrCompile):
+		return http.StatusUnprocessableEntity
 	}
-	return code
+	return http.StatusConflict
 }
 
 func (s *server) handleSwap(w http.ResponseWriter, r *http.Request) {
@@ -293,18 +298,14 @@ func (s *server) handleSwap(w http.ResponseWriter, r *http.Request) {
 			fail(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		// A program that can never compile is refused as /program refuses
-		// it, and the Swap of one that compiles is a memo hit.
-		if _, err = s.c.Compile(name, prog); err != nil {
-			fail(w, rejected(err, http.StatusUnprocessableEntity), "%v", err)
-			return
-		}
 	}
+	// Swap compiles once: a program that can never compile is refused as
+	// /program refuses it, a swap the swap state refuses is a conflict.
 	rep, err := s.c.Swap(name, prog)
 	if err != nil {
 		// The staged program is kept: a failed swap (e.g. one already in
 		// progress) must not force the client to resubmit.
-		fail(w, rejected(err, http.StatusConflict), "%v", err)
+		fail(w, rejected(err), "%v", err)
 		return
 	}
 	if fromStaged {

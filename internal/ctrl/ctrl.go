@@ -28,6 +28,7 @@
 package ctrl
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -79,9 +80,37 @@ type Program struct {
 
 	key    string   // progKey(Prog), rendered once when the generation is memoized
 	fields []string // dataplane.ProgramFields(NES), scanned once
-	// plan is NES lowered, set by the first Swap to this generation and
-	// read only under swapMu: a swap back to it lowers nothing.
-	plan *dataplane.Plan
+	// plan is NES lowered, rules its rule count and events its event
+	// index: all a swap to or from the generation reads of it. derive
+	// sets the three at the generation's Load or first Swap, under swapMu
+	// (never in Compile, which derives nothing new), and they are read
+	// only under swapMu: a swap back lowers, counts and indexes nothing,
+	// and its plan is still resolved for the engine.
+	plan   *dataplane.Plan
+	rules  int
+	events eventIndex
+}
+
+// derive fills in the generation's plan, rule count and event index, the
+// first time it is installed. Callers hold swapMu.
+func (g *Program) derive() {
+	if g.plan == nil {
+		g.plan, g.rules, g.events = dataplane.PlanFor(g.NES), g.NES.TotalRules(), indexEvents(g.NES)
+	}
+}
+
+// ErrCompile marks a program the controller cannot install: ets.Compile
+// refused it (a *nes.NotLocalError among others), or its header fields
+// do not fit one schema beside the running program's
+// (dataplane.ErrFieldLimit). Compile, Load and Swap wrap it, beside the
+// cause, into such a program's error (compileError); every other Swap
+// error is a refusal by the swap state.
+var ErrCompile = errors.New("ctrl: compiling")
+
+// compileError reads "ctrl: compiling <name>: <cause>" and matches both
+// ErrCompile and the cause.
+func compileError(name string, cause error) error {
+	return fmt.Errorf("%w %s: %w", ErrCompile, name, cause)
 }
 
 // StateOf returns the state vector behind a configuration tag (tags are
@@ -150,10 +179,11 @@ type Controller struct {
 	// progs memoizes compiled program generations by canonical program
 	// text, most-recently-used last: the one whole-program memo, since
 	// the compiler cache keeps only structural ones. Swapping back to a
-	// recent program is then allocation-free: the same *Program returns,
-	// lowered plan and all — on a busy controller the A<->B ping-pong
-	// costs no compile work and no GC debt at all. A generation that
-	// falls out of this window is garbage once the engine has retired it.
+	// recent program then derives nothing: the same *Program returns,
+	// with its plan, rule count and event index — on a busy controller
+	// the A<->B ping-pong costs no compile work and no GC debt at all. A
+	// generation that falls out of this window is garbage once the
+	// engine has retired it.
 	progs []*Program
 
 	// swapStart is the wall time of the in-flight swap's StageSwap call,
@@ -195,9 +225,9 @@ func progKey(p stateful.Program) string {
 // Compile runs a program through the incremental pipeline, sharing the
 // controller's cross-generation compiler cache, and memoizes whole
 // generations: recompiling an unchanged program returns the same
-// *Program — same NES identity, same plan once a Swap has lowered it.
+// *Program — same NES identity, same plan once a Load or Swap has lowered it.
 // Hit or miss, a program whose header fields do not fit one schema
-// beside the running program's is refused.
+// beside the running program's is refused. Every error wraps ErrCompile.
 func (c *Controller) Compile(name string, p stateful.Program) (*Program, error) {
 	key := progKey(p)
 	c.mu.Lock()
@@ -214,7 +244,7 @@ func (c *Controller) Compile(name string, p stateful.Program) (*Program, error) 
 	start := time.Now()
 	e, n, stats, err := ets.Compile(p, c.topo, c.cache, 0)
 	if err != nil {
-		return nil, fmt.Errorf("ctrl: compiling %s: %w", name, err)
+		return nil, compileError(name, err)
 	}
 	fields := dataplane.ProgramFields(n)
 	if err := fitsBeside(name, fields, running); err != nil {
@@ -280,7 +310,7 @@ func fitsBeside(name string, fields []string, running *Program) error {
 		fields = append(fields[:len(fields):len(fields)], running.fields...)
 	}
 	if err := dataplane.CheckFields(fields); err != nil {
-		return fmt.Errorf("ctrl: compiling %s: %w", name, err)
+		return compileError(name, err)
 	}
 	return nil
 }
@@ -288,6 +318,8 @@ func fitsBeside(name string, fields []string, running *Program) error {
 // Load compiles and installs the first program and starts the engine in
 // served mode. It can be called once.
 func (c *Controller) Load(name string, p stateful.Program) error {
+	c.swapMu.Lock()
+	defer c.swapMu.Unlock()
 	np, err := c.Compile(name, p)
 	if err != nil {
 		return err
@@ -297,8 +329,9 @@ func (c *Controller) Load(name string, p stateful.Program) error {
 	if c.eng != nil {
 		return fmt.Errorf("ctrl: a program is already loaded; use Swap")
 	}
+	np.derive()
 	c.cur = np
-	c.eng = dataplane.NewEngine(np.NES, c.topo, dataplane.Options{
+	c.eng = dataplane.NewEngineFor(np.plan, c.topo, dataplane.Options{
 		Workers:     c.opts.Workers,
 		DeliveryLog: c.opts.DeliveryLog,
 		ChunkGens:   c.opts.ChunkGens,
@@ -316,10 +349,24 @@ func (c *Controller) Load(name string, p stateful.Program) error {
 // counterpart denote the *same observable packet arrival*, so knowledge
 // of one is knowledge of the other.
 func EventMapping(old, new_ *nes.NES) ([]int, int) {
-	idx := make(map[eventKey]int, len(new_.Events))
-	for _, ev := range new_.Events {
+	return indexEvents(new_).mapping(old)
+}
+
+// eventIndex is a program's events by swap-stable identity: the incoming
+// side of EventMapping, which a generation builds once (derive).
+type eventIndex map[eventKey]int
+
+func indexEvents(n *nes.NES) eventIndex {
+	idx := make(eventIndex, len(n.Events))
+	for _, ev := range n.Events {
 		idx[keyOf(ev)] = ev.ID
 	}
+	return idx
+}
+
+// mapping is EventMapping from old onto the indexed program: one lookup
+// per old event.
+func (idx eventIndex) mapping(old *nes.NES) ([]int, int) {
 	size := 0
 	for _, ev := range old.Events {
 		if ev.ID+1 > size {
@@ -390,12 +437,10 @@ func (c *Controller) Swap(name string, p stateful.Program) (SwapReport, error) {
 	// summed, and the new program's tags start past the old one's. The
 	// new plan is lowered *before* the flip and handed over whole, so the
 	// barrier — every worker parked — installs and never compiles. The
-	// generation keeps it, so a swap back is free.
-	if np.plan == nil {
-		np.plan = dataplane.PlanFor(np.NES)
-	}
-
-	mapping, mapped := EventMapping(old.NES, np.NES)
+	// generation keeps it, with its rule count and event index, so a swap
+	// back derives nothing.
+	np.derive()
+	mapping, mapped := np.events.mapping(old.NES)
 	if b := c.bus(); b.Active() {
 		b.Publish(obs.Event{
 			Kind: obs.KindSwap, Phase: "stage",
@@ -443,15 +488,14 @@ func (c *Controller) Swap(name string, p stateful.Program) (SwapReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	rules := np.NES.TotalRules()
 	rep := SwapReport{
 		From:           old.Name,
 		To:             name,
 		CompileMS:      float64(np.Compile.Microseconds()) / 1000,
 		States:         len(np.NES.Configs),
 		Events:         len(np.NES.Events),
-		Rules:          rules,
-		StagedRules:    old.NES.TotalRules() + rules,
+		Rules:          np.rules,
+		StagedRules:    old.rules + np.rules,
 		TagOffset:      len(old.NES.Configs),
 		MappedEvents:   mapped,
 		CarriedEvents:  st.CarriedEvents,

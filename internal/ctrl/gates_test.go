@@ -201,3 +201,50 @@ func TestFieldLimitIsACompileError(t *testing.T) {
 		t.Fatalf("40 fields over the running program's own 40: %v", err)
 	}
 }
+
+// TestMemoSwapDerivesNothing: a generation keeps its plan (resolved for
+// the engine), rule count and event index from its first swap, so once
+// cap-200 -> cap-201 -> cap-200 has gone round, a further swap derives
+// nothing that depends only on the two programs: it allocates for the
+// memo lookup, the event mapping and the epoch's views, not a row per
+// configuration, a guard per event, a rule count or an index (about 650
+// objects when each swap derived them again). What it reports is what
+// the derivations give when run afresh.
+func TestMemoSwapDerivesNothing(t *testing.T) {
+	a, b := apps.BandwidthCap(200), apps.BandwidthCap(201)
+	c := ctrl.New(a.Topo, ctrl.Options{})
+	defer c.Close()
+	if err := c.Load(a.Name, a.Prog); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []apps.App{b, a} {
+		if _, err := c.Swap(x.Name, x.Prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	least := uint64(0)
+	for i := 0; i < 3; i++ { // the fewest of three: the engine's goroutines allocate too
+		old := c.Current()
+		x := []apps.App{b, a}[i%2]
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		rep, err := c.Swap(x.Name, x.Prog)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := m1.Mallocs - m0.Mallocs; i == 0 || n < least {
+			least = n
+		}
+		cur := c.Current().NES
+		_, mapped := ctrl.EventMapping(old.NES, cur)
+		if rep.Rules != cur.TotalRules() || rep.StagedRules != old.NES.TotalRules()+cur.TotalRules() || rep.MappedEvents != mapped {
+			t.Fatalf("%s -> %s reports %d rules, %d staged, %d mapped events; afresh %d, %d, %d",
+				old.Name, x.Name, rep.Rules, rep.StagedRules, rep.MappedEvents, cur.TotalRules(), old.NES.TotalRules()+cur.TotalRules(), mapped)
+		}
+	}
+	t.Logf("a memoized swap allocated %d objects", least)
+	if least > 40 {
+		t.Fatalf("a memoized swap allocated %d objects, want <= 40", least)
+	}
+}

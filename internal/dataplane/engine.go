@@ -283,9 +283,10 @@ type Options struct {
 	Obs *obs.Obs
 }
 
-// progState is one live program generation: its NES, its compiled plan
-// (tables resolved to dense per-switch-index arrays), its header schema,
-// its per-switch precompiled event candidates, and the per-switch event
+// progState is one live program generation: its NES, its plan resolved
+// against the engine's switch indexing (tables as dense per-switch-index
+// rows, the per-switch precompiled event candidates — both shared with
+// the plan's resolved form), its header schema, and the per-switch event
 // views *relative to that program's event universe*.
 // During a swap two progStates coexist — the draining old program and
 // the current one — and a packet's epoch selects which one forwards it.
@@ -298,8 +299,8 @@ type progState struct {
 	nes      *nes.NES
 	plan     *Plan
 	schema   *Schema
-	flat     [][]*flatTable // [config][switch index]
-	evAt     [][]flatEvent  // [switch index] -> candidate events there
+	flat     [][]*flatTable // [config][switch index], read-only
+	evAt     [][]flatEvent  // [switch index] -> candidate events there, read-only
 	views    []nes.Set      // per switch index, owner-worker mutated
 	armed    []armedSlot    // per switch index, owner-worker mutated
 	inflight int64          // packets of this epoch queued in rings (maintained at barriers)
@@ -317,43 +318,22 @@ type armedSlot struct {
 	armed nes.Set
 }
 
-// newProgState builds the engine-resident form of a program: the plan's
-// compiled tables resolved against the engine's switch indexing, and the
-// per-switch event candidate lists with guards lowered to interned
-// literals. No table is lowered here — the plan arrives lowered — which
-// matters because a flip runs at a generation barrier with every worker
-// parked.
-func (e *Engine) newProgState(epoch int, plan *Plan) *progState {
-	n := plan.nes
-	ps := &progState{
+// newProgState builds one epoch of a program from its plan resolved for
+// this engine (Plan.resolve): it allocates the epoch's own views and
+// armed slots and nothing else — no table, guard or row is built here,
+// which matters because a flip runs at a generation barrier with every
+// worker parked.
+func (e *Engine) newProgState(epoch int, plan *Plan, r *resolved) *progState {
+	return &progState{
 		epoch:  epoch,
-		nes:    n,
+		nes:    plan.nes,
 		plan:   plan,
 		schema: plan.schema,
+		flat:   r.flat,
+		evAt:   r.evAt,
 		views:  make([]nes.Set, len(e.switches)),
 		armed:  make([]armedSlot, len(e.switches)),
 	}
-	ps.flat = make([][]*flatTable, len(plan.flats))
-	for ci := range plan.flats {
-		row := make([]*flatTable, len(e.switches))
-		for sw, ft := range plan.flats[ci] {
-			if i, ok := e.swIdx[sw]; ok {
-				row[i] = ft
-			}
-		}
-		ps.flat[ci] = row
-	}
-	ps.evAt = make([][]flatEvent, len(e.switches))
-	for _, ev := range n.Events {
-		i, ok := e.swIdx[ev.Loc.Switch]
-		if !ok {
-			continue
-		}
-		if fe, live := lowerEvent(ev, plan.schema); live {
-			ps.evAt[i] = append(ps.evAt[i], fe)
-		}
-	}
-	return ps
 }
 
 // Engine is the sharded forwarding engine: per-switch state (event view,
@@ -468,6 +448,13 @@ type ctlReq struct {
 
 // NewEngine builds an engine over a compiled NES and its topology.
 func NewEngine(n *nes.NES, t *topo.Topology, opts Options) *Engine {
+	return NewEngineFor(PlanFor(n), t, opts)
+}
+
+// NewEngineFor builds an engine whose first program is an already-lowered
+// plan, resolved here for the topology's switches; a later swap back to
+// the plan then lowers and resolves nothing.
+func NewEngineFor(plan *Plan, t *topo.Topology, opts Options) *Engine {
 	w := opts.Workers
 	if w <= 0 {
 		w = 1
@@ -517,7 +504,7 @@ func NewEngine(n *nes.NES, t *topo.Topology, opts Options) *Engine {
 			d.port = int32(lk.Dst.Port)
 		}
 	}
-	e.progs = []*progState{e.newProgState(0, PlanFor(n))}
+	e.progs = []*progState{e.newProgState(0, plan, plan.resolve(e.switches, e.swIdx))}
 	e.ws = make([]*worker, w)
 	for i := range e.ws {
 		e.ws[i] = &worker{id: int32(i)}

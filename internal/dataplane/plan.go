@@ -1,6 +1,9 @@
 package dataplane
 
 import (
+	"slices"
+	"sync/atomic"
+
 	"eventnet/internal/flowtable"
 	"eventnet/internal/nes"
 )
@@ -9,10 +12,59 @@ import (
 // every (configuration, switch) flow table lowered and indexed against it
 // (flat.go). It is built whole by PlanFor — a snapshot of the tables as
 // they stood then — immutable afterwards and safe for concurrent use.
+//
+// An engine forwards through the plan resolved against its switch
+// layout (resolve): the tables as rows by switch index and each switch's
+// lowered event guards. The plan keeps the last layout it was resolved
+// for, so an engine that installs the same plan again — a swap back —
+// derives nothing, and the memo lives and dies with the plan, never with
+// an engine.
 type Plan struct {
 	nes    *nes.NES
 	schema *Schema
 	flats  []map[int]*flatTable // [config][switch]
+	res    atomic.Pointer[resolved]
+}
+
+// resolved is a plan laid out for one engine's switch indexing: what a
+// progState forwards through. Immutable once built; plans shared by
+// engines of different layouts swap the one entry, never edit it.
+type resolved struct {
+	switches []int          // the sorted switch IDs it was resolved for
+	flat     [][]*flatTable // [config][switch index]
+	evAt     [][]flatEvent  // [switch index] -> candidate events there
+}
+
+// resolve returns the plan resolved against an engine's sorted switch IDs
+// (swIdx maps each to its index), building and keeping it unless the
+// plan was last resolved for the same switches. It lowers the event
+// guards but no table, and runs on the caller's goroutine, before any
+// barrier: a flip only installs what it returns.
+func (p *Plan) resolve(switches []int, swIdx map[int]int) *resolved {
+	if r := p.res.Load(); r != nil && slices.Equal(r.switches, switches) {
+		return r
+	}
+	r := &resolved{switches: switches, flat: make([][]*flatTable, len(p.flats)), evAt: make([][]flatEvent, len(switches))}
+	for ci := range p.flats {
+		row := make([]*flatTable, len(switches))
+		for sw, ft := range p.flats[ci] {
+			if i, ok := swIdx[sw]; ok {
+				row[i] = ft
+			}
+		}
+		r.flat[ci] = row
+	}
+	for _, ev := range p.nes.Events {
+		i, ok := swIdx[ev.Loc.Switch]
+		if !ok {
+			continue
+		}
+		if fe, live := lowerEvent(ev, p.schema); live {
+			r.evAt[i] = append(r.evAt[i], fe)
+		}
+	}
+	p.res.Store(r)
+	return r
 }
 
 // PlanFor lowers the NES into its forwarding plan — schema, lowering and

@@ -10,8 +10,11 @@ import (
 
 // SwapSpec describes a staged program replacement.
 type SwapSpec struct {
-	// Plan is the incoming program, lowered (PlanFor): the flip installs
-	// it and lowers nothing while every worker is parked.
+	// Plan is the incoming program, lowered (PlanFor). StageSwap
+	// resolves it against the engine's switches before the barrier (a
+	// plan already resolved for them is reused as it is), so the flip,
+	// with every worker parked, allocates the new epoch's views and
+	// lowers and resolves nothing.
 	Plan *Plan
 	// MapEvent maps old-program event IDs to new-program event IDs (-1 =
 	// no counterpart); len must equal the old program's event count. A nil
@@ -71,8 +74,9 @@ func (e *Engine) StageSwap(spec SwapSpec) (*Swap, error) {
 	}
 	s := &Swap{done: make(chan struct{})}
 	s.stats.StagedAt = time.Now()
+	r := spec.Plan.resolve(e.switches, e.swIdx) // immutable after NewEngine: safe off the barrier
 	var err error
-	e.Do(func() { err = e.flip(spec, s) })
+	e.Do(func() { err = e.flip(spec, r, s) })
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +84,7 @@ func (e *Engine) StageSwap(spec SwapSpec) (*Swap, error) {
 }
 
 // flip runs at a generation barrier: phase one and two of the update.
-func (e *Engine) flip(spec SwapSpec, s *Swap) error {
+func (e *Engine) flip(spec SwapSpec, r *resolved, s *Swap) error {
 	if e.swap != nil {
 		return fmt.Errorf("dataplane: a swap is already in progress")
 	}
@@ -88,7 +92,7 @@ func (e *Engine) flip(spec SwapSpec, s *Swap) error {
 	if spec.MapEvent != nil && len(spec.MapEvent) != len(old.nes.Events) {
 		return fmt.Errorf("dataplane: MapEvent has %d entries for %d old events", len(spec.MapEvent), len(old.nes.Events))
 	}
-	np := e.newProgState(old.epoch+1, spec.Plan)
+	np := e.newProgState(old.epoch+1, spec.Plan, r)
 	carried := 0
 	for i := range np.views {
 		np.views[i] = np.nes.Replay(mapEvents(old.views[i], spec.MapEvent))

@@ -15,6 +15,7 @@ import (
 	"eventnet/internal/netkat"
 	"eventnet/internal/nkc"
 	"eventnet/internal/optimize"
+	"eventnet/internal/topo"
 )
 
 // TestEngineStopIdempotentLeakFree: netd restarts engines around swaps,
@@ -442,17 +443,19 @@ func TestDeliveryLogBound(t *testing.T) {
 
 // TestStageSwapLowersNothingAtFlip pins what SwapSpec.Plan guarantees and
 // ctrl.Swap relies on: staging a plan forwards through that very plan's
-// schema and tables, and the work left for the flip — which runs at a
-// generation barrier with every worker parked — is the per-engine wiring
-// (a row per configuration, a guard per event), not a pass over the
-// rules.
+// schema and tables; staging a novel plan resolves it for the engine (a
+// row per configuration, a guard per event) and lowers no table; and
+// staging a plan already resolved for the engine — a swap back — costs a
+// constant, the swap handle and the new epoch's views, whatever the
+// plan's configurations and events (a second staging of cap-10, cap-40
+// and cap-200 allocated 50, 142 and 624 objects when every flip resolved
+// afresh).
 func TestStageSwapLowersNothingAtFlip(t *testing.T) {
 	a := apps.Firewall()
+	base := dataplane.PlanFor(buildNES(t, a))
 	e := dataplane.NewEngine(buildNES(t, a), a.Topo, dataplane.Options{Workers: 2})
-	for _, capN := range []int{10, 40} {
-		next := buildNES(t, apps.BandwidthCap(capN))
-		plan := dataplane.PlanFor(next)
-
+	stage := func(plan *dataplane.Plan) uint64 {
+		t.Helper()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		sw, err := e.StageSwap(dataplane.SwapSpec{Plan: plan})
@@ -461,17 +464,79 @@ func TestStageSwapLowersNothingAtFlip(t *testing.T) {
 			t.Fatal(err)
 		}
 		<-sw.Done() // nothing in flight: flipped and retired at one barrier
+		return after.Mallocs - before.Mallocs
+	}
+	for _, capN := range []int{10, 40, 200} {
+		next := buildNES(t, apps.BandwidthCap(capN))
+		plan := dataplane.PlanFor(next)
 
+		allocs := stage(plan)
 		if !e.ForwardsWith(plan) {
 			t.Fatalf("cap-%d: the engine does not forward through the plan it was handed", capN)
 		}
 		// One row per configuration, a few arrays per event guard, the swap
 		// handle. Lowering even one table costs more than this whole budget
 		// (a rule alone is four arrays, a table adds its index maps).
-		budget := uint64(32 + len(next.Configs) + 4*len(next.Events))
-		if allocs := after.Mallocs - before.Mallocs; allocs > budget {
+		if budget := uint64(32 + len(next.Configs) + 4*len(next.Events)); allocs > budget {
 			t.Fatalf("cap-%d: staging allocates %d times, budget %d (%d configs, %d events): something is lowered at the flip",
 				capN, allocs, budget, len(next.Configs), len(next.Events))
+		}
+		stage(base)
+		if allocs := stage(plan); allocs > 16 {
+			t.Fatalf("cap-%d: staging a plan resolved for this engine again allocates %d times, want <= 16 (%d configs, %d events): it is resolved again",
+				capN, allocs, len(next.Configs), len(next.Events))
+		}
+		if !e.ForwardsWith(plan) {
+			t.Fatalf("cap-%d: the engine does not forward through the plan it was handed back", capN)
+		}
+	}
+}
+
+// TestPlanSharedAcrossLayouts: one Plan installed in two engines whose
+// switch layouts differ — the firewall NES on its own topology (s1, s4)
+// and on the learning switch's (s1, s2, s4), where s4 has another switch
+// index — forwards in each exactly as a plan lowered for that engine
+// alone, in both install orders. The plan keeps one resolved form, keyed
+// by the layout: reusing it for the other layout forwards s4's packets
+// through s2's row, or past the end of the rows.
+func TestPlanSharedAcrossLayouts(t *testing.T) {
+	fw := apps.Firewall()
+	n := buildNES(t, fw)
+	run := func(tp *topo.Topology, plan *dataplane.Plan) []dataplane.Delivery {
+		t.Helper()
+		e := dataplane.NewEngine(n, tp, dataplane.Options{Workers: 2})
+		sw, err := e.StageSwap(dataplane.SwapSpec{Plan: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-sw.Done()
+		lg := dataplane.NewLoadGen(n, tp, 7)
+		for round := 0; round < 4; round++ { // Run between rounds: detections steer later stamps
+			for _, in := range lg.Injections(60) {
+				if err := e.Inject(in.Host, in.Fields); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e.Deliveries()
+	}
+	// The learning switch's layout first: a mutant that skips the layout
+	// comparison then fails on a short delivery sequence before the other
+	// order would index past its rows.
+	for _, order := range [][]*topo.Topology{{topo.LearningSwitch(), fw.Topo}, {fw.Topo, topo.LearningSwitch()}} {
+		shared := dataplane.PlanFor(n)
+		for k, tp := range order {
+			got, want := run(tp, shared), run(tp, dataplane.PlanFor(n))
+			if len(want) == 0 || want[len(want)-1].Stamp.Version == 0 {
+				t.Fatalf("install %d on %d switches: %d deliveries, none after a detection; the case is vacuous", k, len(tp.Switches), len(want))
+			}
+			if i := sameStamped(got, want); i >= 0 {
+				t.Fatalf("install %d of the shared plan, on %d switches: delivery %d of %d/%d differs from a fresh plan's",
+					k, len(tp.Switches), i, len(got), len(want))
+			}
 		}
 	}
 }

@@ -494,20 +494,25 @@ func (n *NES) LocallyDetermined() (bool, error) {
 // projector lays an NES's events out switch by switch, each switch on a
 // run of words of its own, and holds every family member in that layout,
 // so that spans reads a member's projection onto a switch as a slice of
-// words, built once for all the sets the evidence search tries.
+// words, built once for all the sets the evidence search tries. A
+// member's projection cut down to s is a function of its raw projection,
+// and members share raw projections by the thousand (a chain's members
+// differ at one switch each), so each switch's distinct raw projections
+// are kept once, as classes, and spans ranks those, not the members.
 type projector struct {
-	word                    []int      // event ID -> its word in the layout
-	mask                    []uint64   // event ID -> its bit in that word
-	runs                    []int      // switch k's words are runs[k]:runs[k+1]
-	members                 [][]uint64 // the family, in the layout
-	cnt, code, order, maxes []int      // per-member scratch for spans
+	word                    []int        // event ID -> its word in the layout
+	mask                    []uint64     // event ID -> its bit in that word
+	runs                    []int        // switch k's words are runs[k]:runs[k+1]
+	proj                    [][][]uint64 // switch k -> its distinct raw projections, each its run of words
+	of                      [][]int      // switch k -> member -> its projection's class in proj[k]
+	code                    []int        // per-member scratch for spans
+	cnt, order, maxes, slot []int        // per-class scratch for spans
 }
 
 // newProjector returns n's projector and the full universe in its layout.
 func newProjector(n *NES) (*projector, []uint64) {
 	m := len(n.familyList)
-	p := &projector{word: make([]int, len(n.Events)), mask: make([]uint64, len(n.Events)), runs: []int{0},
-		cnt: make([]int, m), code: make([]int, m), order: make([]int, m)}
+	p := &projector{word: make([]int, len(n.Events)), mask: make([]uint64, len(n.Events)), runs: []int{0}, code: make([]int, m)}
 	at := map[int][]int{} // switch -> its event IDs
 	for _, ev := range n.Events {
 		at[ev.Loc.Switch] = append(at[ev.Loc.Switch], ev.ID)
@@ -529,8 +534,29 @@ func newProjector(n *NES) (*projector, []uint64) {
 		}
 		return out
 	}
-	for _, f := range n.familyList {
-		p.members = append(p.members, layout(f))
+	members := make([][]uint64, m)
+	for j, f := range n.familyList {
+		members[j] = layout(f)
+	}
+	byProj := make([]int, m) // members sorted by one switch's projection
+	for k := 0; k+1 < len(p.runs); k++ {
+		lo, hi := p.runs[k], p.runs[k+1]
+		for j := range byProj {
+			byProj[j] = j
+		}
+		slices.SortFunc(byProj, func(a, b int) int { return slices.Compare(members[a][lo:hi], members[b][lo:hi]) })
+		var proj [][]uint64
+		of := make([]int, m)
+		for r, j := range byProj {
+			if r == 0 || !slices.Equal(members[j][lo:hi], proj[len(proj)-1]) {
+				proj = append(proj, members[j][lo:hi])
+			}
+			of[j] = len(proj) - 1
+		}
+		p.proj, p.of = append(p.proj, proj), append(p.of, of)
+		if c := len(proj); c > len(p.cnt) {
+			p.cnt, p.order, p.slot = make([]int, c), make([]int, c), make([]int, c)
+		}
 	}
 	all := layout(Empty)
 	for e := range n.Events {
@@ -546,39 +572,49 @@ func newProjector(n *NES) (*projector, []uint64) {
 // subsets sits at one switch, inside a member's projection; conversely
 // each one-switch part of a spanning minimally-inconsistent set is
 // consistent, so inside a maximal projection. Only a member whose every
-// projection is the chosen one contains the union, so spans counts.
+// projection is the chosen one contains the union, so spans counts. The
+// projections are ranked per class (projector.proj), and each member
+// takes its class's verdict.
 func (p *projector) spans(s []uint64) bool {
 	clear(p.code)
 	prod := 1 // choices so far; a member's code numbers its choice, or is -1
-	for k := 0; k+1 < len(p.runs); k++ {
-		lo, hi := p.runs[k], p.runs[k+1]
-		for j, f := range p.members {
-			p.cnt[j], p.order[j] = 0, j
-			for i := lo; i < hi; i++ {
-				p.cnt[j] += bits.OnesCount64(f[i] & s[i])
+	for k, proj := range p.proj {
+		lo := p.runs[k]
+		cnt, order, slot := p.cnt[:len(proj)], p.order[:len(proj)], p.slot[:len(proj)]
+		for c, f := range proj {
+			cnt[c], order[c] = 0, c
+			for i, w := range f {
+				cnt[c] += bits.OnesCount64(w & s[lo+i])
 			}
 		}
-		slices.SortFunc(p.order, func(a, b int) int { return p.cnt[b] - p.cnt[a] })
-		p.maxes = p.maxes[:0] // one member per maximal projection, met first
-		for _, j := range p.order {
-			i := slices.IndexFunc(p.maxes, func(mx int) bool { // j's projection is inside mx's
-				for w := lo; w < hi; w++ {
-					if p.members[j][w]&s[w]&^p.members[mx][w] != 0 {
+		slices.SortFunc(order, func(a, b int) int { return cnt[b] - cnt[a] })
+		p.maxes = p.maxes[:0] // one class per maximal projection, met first
+		for _, c := range order {
+			i := slices.IndexFunc(p.maxes, func(mx int) bool { // c's projection is inside mx's
+				for w, x := range proj[c] {
+					if x&s[lo+w]&^proj[mx][w] != 0 {
 						return false
 					}
 				}
 				return true
 			})
 			if i < 0 {
-				i, p.maxes = len(p.maxes), append(p.maxes, j)
-			} else if p.cnt[j] < p.cnt[p.maxes[i]] {
-				p.code[j] = -1 // strictly inside a maximal projection
+				i, p.maxes = len(p.maxes), append(p.maxes, c)
+			} else if cnt[c] < cnt[p.maxes[i]] {
+				i = -1 // strictly inside a maximal projection
 			}
-			if p.code[j] >= 0 {
-				p.code[j] += i * prod
+			slot[c] = i
+		}
+		for j, c := range p.of[k] {
+			switch {
+			case p.code[j] < 0:
+			case slot[c] < 0:
+				p.code[j] = -1
+			default:
+				p.code[j] += slot[c] * prod
 			}
 		}
-		if prod *= len(p.maxes); prod > len(p.members) {
+		if prod *= len(p.maxes); prod > len(p.code) {
 			return true // more choices than members
 		}
 	}

@@ -342,12 +342,16 @@ func TestNonLocalMatchesBruteForce(t *testing.T) {
 // evidence search bisects over 2 002 events. Each gets its verdict, and
 // the first spanning set as its evidence, within a bound on the bytes
 // NonLocal allocates. Measured (GOMAXPROCS=1, 2 vCPU Xeon, without
-// -race): the pairs take 0.02 ms on 1 switch, 0.2-0.4 ms on 2 and 1.2-2.3
-// ms on 23, allocating at most 0.04 MB; the cliques 0.02-0.03 ms on 1
-// switch and 0.5-1.0 ms on 3, 0.01 MB; the chain refusal 50-85 ms and
-// 2.4 MB. The minimal-hitting-set enumeration this replaced ran 2.0-4.7 s
-// on the pairs, at 240-360 MB peak RSS, and then gave up at its step
-// bound with an error.
+// -race), with each switch's distinct projections ranked once per count
+// (projector.proj): the pairs take 0.04 ms on 1 switch, 0.26-0.28 ms on 2
+// and 0.45-0.46 ms on 23, allocating at most 0.05 MB; the cliques
+// 0.03-0.05 ms on 1 switch and 0.46-0.47 ms on 3, 0.02 MB; the chain
+// refusal 42-45 ms and 2.3 MB. Ranking every member instead read 0.35 ms
+// and 2.0 ms for the pairs on 2 and 23 switches, 0.93-0.95 ms for the
+// cliques on 3, and 80-91 ms for the chain refusal (2.4 MB), alternated
+// on the same machine. The minimal-hitting-set enumeration this replaced
+// ran 2.0-4.7 s on the pairs, at 240-360 MB peak RSS, and then gave up at
+// its step bound with an error.
 func TestNonLocalHostileShapes(t *testing.T) {
 	// complements builds the family of the empty set and E \ c for each
 	// c, with event i at switch place(i).
